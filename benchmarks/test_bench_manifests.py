@@ -24,18 +24,16 @@ def test_bench_smoke_manifest_end_to_end(benchmark, tmp_path):
     runs = benchmark.pedantic(
         run_manifest, args=(manifest,), kwargs={"out_dir": tmp_path}, rounds=1, iterations=1, warmup_rounds=0
     )
-    # Legacy-wired and facade-wired runs of the same smoke workload.
-    assert [run.result.metadata["via_engine"] for run in runs] == [False, True]
-    for run in runs:
-        print()
-        print(run.result.format_table())
-        provenance = run.result.metadata["provenance"]
-        assert provenance["manifest_hash"] == manifest_hash(manifest)
-        assert run.result.metadata["prediction_speedups"]["bursty"] > 1.0
-        assert (tmp_path / f"{run.planned.run_name}.json").exists()
-        assert (tmp_path / f"{run.planned.run_name}.csv").exists()
+    (run,) = runs
+    print()
+    print(run.result.format_table())
+    provenance = run.result.metadata["provenance"]
+    assert provenance["manifest_hash"] == manifest_hash(manifest)
+    assert run.result.metadata["prediction_speedups"]["bursty"] > 1.0
+    assert (tmp_path / "batched_serving.json").exists()
+    assert (tmp_path / "batched_serving.csv").exists()
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert [entry["run_name"] for entry in summary["runs"]] == ["batched_serving", "batched_serving-2"]
+    assert [entry["run_name"] for entry in summary["runs"]] == ["batched_serving"]
 
 
 @pytest.mark.benchmark(group="manifests")

@@ -36,6 +36,7 @@ setup(
         "dev": [
             "pytest>=7.4,<9",
             "pytest-benchmark>=4.0,<6",
+            "hypothesis>=6",
         ],
     },
 )

@@ -16,14 +16,10 @@ site.  The declarative surface is:
 * :func:`run_experiment` — one-off programmatic dispatch by id; parameters
   are validated against the registered schema.
 
-``EXPERIMENTS`` remains as a read-only id → callable view for pre-registry
-callers; new code should consult the registry
-(:func:`~repro.experiments.spec.get_spec`,
-:func:`~repro.experiments.spec.list_specs`) which also carries schemas,
-tags and engine-block support.
+The registry (:func:`~repro.experiments.spec.get_spec`,
+:func:`~repro.experiments.spec.list_specs`) carries each experiment's
+callable, schema, tags and engine-block support.
 """
-
-from types import MappingProxyType
 
 from .comparison import ComparisonConfig, ComparisonOutput, cached_comparison, run_comparison, run_model_comparison
 from .figures import run_fig1, run_fig4, run_fig5, run_fig6, run_fig7
@@ -69,7 +65,6 @@ __all__ = [
     "register",
     "get_spec",
     "list_specs",
-    "EXPERIMENTS",
     "run_experiment",
     # manifests
     "Manifest",
@@ -82,12 +77,6 @@ __all__ = [
     "write_artifacts",
 ]
 
-#: Read-only id → callable view of the registry, kept for pre-registry
-#: callers.  The registry itself (``repro.experiments.spec``) is the source
-#: of truth and also carries parameter schemas, tags and bounds.
-EXPERIMENTS = MappingProxyType({spec.experiment_id: spec.fn for spec in list_specs()})
-
-
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run a registered experiment by id (e.g. ``"table3"``, ``"fig7"``).
 
@@ -98,6 +87,4 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     (``python -m repro.experiments run manifest.json``), which adds sweep
     grids, seed threading and provenance-stamped artifacts.
     """
-    # get_spec consults the live registry (not the EXPERIMENTS snapshot), so
-    # experiments registered after package import dispatch too.
     return get_spec(experiment_id).run(kwargs)

@@ -22,9 +22,7 @@
   bounds), plus the autoscaling scenarios — ``autoscale`` (fixed
   ``ServerModel`` vs a one-replica ``ReplicaFleet`` vs reactive/predictive
   elastic fleets) and ``scaling_frontier`` (the reactive-vs-predictive
-  cost-vs-SLO frontier).  ``python -m repro.experiments.production --smoke`` runs a
-  small version for CI; ``--engine`` builds every pipeline through the
-  :class:`~repro.serving.engine.ServingEngine` facade.
+  cost-vs-SLO frontier).  ``manifests/smoke.json`` is the small CI version.
 """
 
 from __future__ import annotations
@@ -39,10 +37,8 @@ from ..data.tasks import session_examples
 from ..features import FeatureConfig, TabularFeaturizer
 from ..models import GBDTModel, RNNModel, RNNModelConfig, TaskSpec
 from ..serving import (
-    BatchedHiddenStateBackend,
     CostParameters,
     EngineConfig,
-    MicroBatchQueue,
     DIVERGENCE_BUCKETS,
     ModelRegistry,
     ModelVersion,
@@ -51,9 +47,7 @@ from ..serving import (
     ServerModel,
     ServingEngine,
     SessionUpdate,
-    ShardedKeyValueStore,
     SloPolicy,
-    StreamProcessor,
     TraceAnalyzer,
     estimate_serving_costs,
     kv_traffic_cost,
@@ -299,22 +293,41 @@ def _zipf_user_popularity(n_active: int, skew: float) -> np.ndarray:
     return popularity / popularity.sum()
 
 
-#: Scenarios that deliberately span more than one session window: session-end
-#: timers fire *mid-serve* (through the queue's barrier), which is the point —
-#: update latency must be observable while the server is backlogged.  They are
-#: exempt from the arrival-span guard the pure-metering scenarios enforce.
-OVERLOAD_SCENARIOS = ("overload", "slo_sweep")
+#: The one place scenario names are spelled: ``name -> (arrival generator,
+#: handler)``, where the handler names the closure of
+#: :func:`run_batched_serving` that replays the scenario and appends its
+#: rows.  The ``scenarios`` parameter's choices and default, validation,
+#: arrival generation and dispatch all derive from this table.
+#: ``shard_failover`` and ``canary_rollout`` reuse the Poisson shape — faults
+#: and stage transitions are injected on the clock, so the arrival process
+#: stays the baseline one — and ``diurnal_rebalance`` the synchronized-burst
+#: (diurnal) one.
+SCENARIOS = {
+    "poisson": (_poisson_arrivals, "batch_size_rows"),
+    "bursty": (_bursty_arrivals, "batch_size_rows"),
+    "window_sweep": (_bursty_arrivals, "window_rows"),
+    "overload": (_ramped_arrivals, "overload_rows"),
+    "slo_sweep": (_ramped_arrivals, "slo_sweep_rows"),
+    "shard_failover": (_poisson_arrivals, "failover_rows"),
+    "diurnal_rebalance": (_bursty_arrivals, "rebalance_rows"),
+    "canary_rollout": (_poisson_arrivals, "canary_rows"),
+    "autoscale": (_ramped_arrivals, "autoscale_rows"),
+    "scaling_frontier": (_ramped_arrivals, "frontier_rows"),
+}
 
-#: Scenarios that drive the elastic replica fleet over the same ramped
-#: arrival shape: ``autoscale`` (fixed/reactive/predictive arms over one
-#: ramp) and ``scaling_frontier`` (the reactive-vs-predictive cost-vs-SLO
-#: frontier across admission bounds).
-AUTOSCALE_SCENARIOS = ("autoscale", "scaling_frontier")
+#: Everything replayed over ramped arrivals deliberately spans more than one
+#: session window: session-end timers fire *mid-serve* (through the queue's
+#: barrier), which is the point — update latency must be observable while the
+#: server is backlogged.  These scenarios read their latency statistics from
+#: the engine's metrics registry and are exempt from the arrival-span guard
+#: the other scenarios enforce.
+RAMPED_SCENARIOS = tuple(
+    name for name, (arrivals, _) in SCENARIOS.items() if arrivals is _ramped_arrivals
+)
 
-#: Everything replayed over ramped arrivals — overload and autoscale alike
-#: span several session windows and read their latency statistics from the
-#: engine's metrics registry.
-RAMPED_SCENARIOS = OVERLOAD_SCENARIOS + AUTOSCALE_SCENARIOS
+#: The default run: the three pure-metering scenarios the table lists first
+#: (serve and drain phases timed apart, no capacity model, no control plane).
+DEFAULT_SCENARIOS = tuple(SCENARIOS)[:3]
 
 
 @register(
@@ -332,19 +345,8 @@ RAMPED_SCENARIOS = OVERLOAD_SCENARIOS + AUTOSCALE_SCENARIOS
         ParamSpec(
             "scenarios",
             "str_list",
-            default=("poisson", "bursty", "window_sweep"),
-            choices=(
-                "poisson",
-                "bursty",
-                "window_sweep",
-                "overload",
-                "slo_sweep",
-                "shard_failover",
-                "diurnal_rebalance",
-                "canary_rollout",
-                "autoscale",
-                "scaling_frontier",
-            ),
+            default=DEFAULT_SCENARIOS,
+            choices=tuple(SCENARIOS),
         ),
         ParamSpec(
             "replication",
@@ -361,7 +363,6 @@ RAMPED_SCENARIOS = OVERLOAD_SCENARIOS + AUTOSCALE_SCENARIOS
             minimum=0,
             doc="null derives (0, burst_spacing, 4*burst_spacing)",
         ),
-        ParamSpec("via_engine", "bool", default=False),
         ParamSpec(
             "service_rate",
             "float",
@@ -433,12 +434,11 @@ def run_batched_serving(
     n_shards: int = 4,
     hidden_size: int = 24,
     seed: int = 0,
-    scenarios: tuple[str, ...] = ("poisson", "bursty", "window_sweep"),
+    scenarios: tuple[str, ...] = DEFAULT_SCENARIOS,
     replication: int = 2,
     burst_size: int = 64,
     burst_spacing: int = 30,
     coalescing_windows: tuple[int, ...] | None = None,
-    via_engine: bool = False,
     service_rate: float = 0.5,
     overload_base_rate: float = 0.3,
     overload_peak_rate: float = 1.8,
@@ -543,20 +543,16 @@ def run_batched_serving(
     meters (``shadow_scored``, ``canary_assigned``, ``divergence_p99``) and
     each arm's stage history.
 
-    ``via_engine=True`` builds each pipeline through the
-    :class:`~repro.serving.engine.ServingEngine` facade instead of
-    hand-wiring backend + queue; the two constructions are pinned
-    bit-identical, so this only changes which code path CI exercises.  The
-    overload scenarios always build through the facade (they need the
-    engine's metrics registry), and the last facade-built pipeline's
+    Every pipeline is built through the
+    :class:`~repro.serving.engine.ServingEngine` facade, and the last one's
     ``engine.metrics.snapshot()`` is exported in
     ``result.metadata["metrics"]`` for the manifest runner's artifacts.
 
     ``engine_config`` (a manifest's ``engine`` block) is a partial
-    :class:`~repro.serving.engine.EngineConfig` as a mapping; supplying one
-    implies ``via_engine=True`` and overrides the pipeline template — shard
-    topology, quantization, ``extra_lag`` — while the fields the sweep loop
-    owns per replay (``ENGINE_OWNED_FIELDS``) are rejected.  A declared
+    :class:`~repro.serving.engine.EngineConfig` as a mapping that overrides
+    the pipeline template — quantization, ``extra_lag``, ``state_layout``,
+    tracing — while the fields the sweep loop owns per replay
+    (``ENGINE_OWNED_FIELDS``) are rejected.  A declared
     ``session_length`` must match the generated dataset's; the config stays
     the declarative source of truth, contradictions are hard errors.
     """
@@ -564,38 +560,9 @@ def run_batched_serving(
         raise ValueError("at least one batch size is required")
     if not scenarios:
         raise ValueError("at least one scenario is required")
-    unknown = set(scenarios) - {
-        "poisson", "bursty", "window_sweep", "overload", "slo_sweep",
-        "shard_failover", "diurnal_rebalance", "canary_rollout",
-        "autoscale", "scaling_frontier",
-    }
+    unknown = set(scenarios) - set(SCENARIOS)
     if unknown:
         raise ValueError(f"unknown scenarios: {sorted(unknown)}")
-    if "scaling_frontier" in scenarios and slo_queue_depth <= 0:
-        raise ValueError(
-            "scaling_frontier compares shed rates under admission control: "
-            "slo_queue_depth must be positive"
-        )
-    if "canary_rollout" in scenarios:
-        if n_requests < 3:
-            raise ValueError(
-                "canary_rollout schedules its stage timers across the arrival span "
-                "and needs n_requests >= 3"
-            )
-        if replication > n_shards:
-            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
-    elastic = set(scenarios) & {"shard_failover", "diurnal_rebalance"}
-    if elastic:
-        if replication > n_shards:
-            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
-        if "shard_failover" in scenarios and replication < 2:
-            raise ValueError(
-                "shard_failover needs replication >= 2: failing an unreplicated "
-                "shard would lose its keys"
-            )
-        if n_requests < 3:
-            raise ValueError("the elastic scenarios schedule membership/fault events at "
-                             "1/3 and 2/3 of the stream and need n_requests >= 3")
     if coalescing_windows is None:
         coalescing_windows = (0, burst_spacing, 4 * burst_spacing)
     if overload_peak_rate < overload_base_rate:
@@ -613,10 +580,9 @@ def run_batched_serving(
     dataset = make_dataset("mobiletab", seed=seed, n_users=n_users)
 
     # A manifest "engine" block is a partial EngineConfig template for the
-    # facade-built pipelines; resolve it against this workload up front.
+    # pipelines; resolve it against this workload up front.
     engine_overrides: dict[str, Any] = {}
     if engine_config is not None:
-        via_engine = True
         # Same validator the manifest loader runs, so direct calls and
         # manifests reject bad engine blocks with identical wording.
         engine_overrides = validate_engine_block(
@@ -665,27 +631,20 @@ def run_batched_serving(
     # serve-phase metering and splitting the update count across both timed
     # phases — is rejected up front with an actionable message.
     rng = np.random.default_rng(seed + 7)
+    arrival_knobs = {
+        _poisson_arrivals: (arrival_rate,),
+        _bursty_arrivals: (burst_size, burst_spacing),
+        _ramped_arrivals: (overload_base_rate, overload_peak_rate),
+    }
     offsets_by_scenario: dict[str, np.ndarray] = {}
     for scenario in scenarios:
-        if scenario in RAMPED_SCENARIOS:
-            # Overload and autoscale streams deliberately span several
-            # session windows — timers must fire mid-serve, while the server
-            # is backlogged — so the mid-serve guard below does not apply.
-            offsets_by_scenario[scenario] = _ramped_arrivals(
-                rng, 0, n_requests, overload_base_rate, overload_peak_rate
-            )
-            continue
-        if scenario in ("poisson", "shard_failover", "canary_rollout"):
-            # shard_failover and canary_rollout reuse the Poisson shape:
-            # faults and stage transitions are injected on the clock, so the
-            # arrival process itself stays the baseline one.
-            offsets = _poisson_arrivals(rng, 0, n_requests, arrival_rate)
-        else:
-            # "bursty", "window_sweep" and "diurnal_rebalance" share the
-            # synchronized-burst (diurnal) shape.
-            offsets = _bursty_arrivals(rng, 0, n_requests, burst_size, burst_spacing)
+        arrivals = SCENARIOS[scenario][0]
+        offsets = arrivals(rng, 0, n_requests, *arrival_knobs[arrivals])
         span = int(offsets[-1] - offsets[0])
-        if span >= dataset.session_length + extra_lag:
+        # Ramped (overload and autoscale) streams deliberately span several
+        # session windows — timers must fire mid-serve, while the server is
+        # backlogged — so the mid-serve guard does not apply to them.
+        if scenario not in RAMPED_SCENARIOS and span >= dataset.session_length + extra_lag:
             raise ValueError(
                 f"{scenario} arrivals span {span}s but the session window closes after "
                 f"{dataset.session_length + extra_lag}s: timers would fire mid-serve and the "
@@ -725,8 +684,7 @@ def run_batched_serving(
         experiment_id="batched_serving",
         description=(
             f"Micro-batched hidden-state serving with wave-coalesced updates "
-            f"({n_requests} requests/scenario, {n_shards} shards"
-            f"{', facade-built' if via_engine else ''})"
+            f"({n_requests} requests/scenario, {n_shards} shards)"
         ),
         paper_reference=(
             "Paper Section 9 serves the hidden-state path one request (and one session-end "
@@ -735,59 +693,74 @@ def run_batched_serving(
         ),
     )
 
-    def run_replay(scenario: str, requests, batch_size: int, window: int) -> dict:
-        """One replay: build the pipeline, serve every request, drain the updates."""
-        store_name = f"rnn-{scenario}-b{batch_size}" + (f"-w{window}" if window else "")
-        # batch_size 1 is the seed baseline on both dataflows: single
-        # request scoring and one timer callback per session-end update.
-        coalesce = batch_size > 1
-        if via_engine:
-            engine = ServingEngine.build(
-                EngineConfig(
-                    backend="hidden_state",
-                    max_batch_size=batch_size,
-                    coalescing_window=window,
-                    n_shards=n_shards,
-                    session_length=dataset.session_length,
-                    coalesce_updates=coalesce,
-                    store_name=store_name,
-                    **engine_overrides,
-                ),
-                network=rnn.network,
-                builder=rnn.builder,
-            )
-            backend, queue, store, stream = engine.backend, engine.queue, engine.store, engine.stream
-        else:
-            store = ShardedKeyValueStore(n_shards, name=store_name)
-            stream = StreamProcessor(coalescing_window=window)
-            backend = BatchedHiddenStateBackend(
-                rnn.network,
-                rnn.builder,
-                store,
-                stream,
+    # What the scenario handlers accumulate for the result's metadata.
+    prediction_speedups: dict[str, float] = {}
+    update_speedups: dict[str, float] = {}
+    shed_rates: dict[str, float] = {}
+    elastic_meters: dict[str, dict[str, int]] = {}
+    # The last pipeline's registry dump ("metrics") and Chrome-trace export ("trace").
+    artifacts: dict[str, Any] = {}
+    # Every scenario but the batch-size sweep replays at the largest batch size.
+    top_batch = max(batch_sizes)
+
+    def build_engine(store_name: str, batch_size: int, config=None, **parts) -> ServingEngine:
+        """The one pipeline template, built and warmed.
+
+        ``config`` adds :class:`EngineConfig` fields to the template (a
+        manifest ``engine`` block wins where both set one — only ``tracing``
+        can collide, the rest are ``ENGINE_OWNED_FIELDS``); ``parts`` are
+        :meth:`ServingEngine.build` keyword arguments (``server``,
+        ``slo_policy``, ``models``, … — ``network`` defaults to the trained
+        one).  ``batch_size`` 1 is the seed baseline on both dataflows:
+        single-request scoring and one timer callback per session-end update.
+        """
+        parts.setdefault("network", rnn.network)
+        engine = ServingEngine.build(
+            EngineConfig(
+                backend="hidden_state",
+                max_batch_size=batch_size,
+                n_shards=n_shards,
                 session_length=dataset.session_length,
-                coalesce_updates=coalesce,
-            )
-            queue = MicroBatchQueue(backend, max_batch_size=batch_size, stream=stream)
+                coalesce_updates=batch_size > 1,
+                store_name=store_name,
+                **{**(config or {}), **engine_overrides},
+            ),
+            builder=rnn.builder,
+            **parts,
+        )
         # Warm each user's state so serving fetches hit real records.
-        backend.apply_wave(
+        engine.backend.apply_wave(
             [
                 SessionUpdate(user_id=user.user_id, timestamp=start - 3600, context=user.context_row(0), accessed=True)
                 for user in active_users
             ]
         )
-        store.reset_stats()
-        warm_updates = backend.updates_applied
+        engine.store.reset_stats()
+        return engine
+
+    def updates_since_warm_up(engine: ServingEngine) -> int:
+        """Session-end updates applied past ``build_engine``'s one per user."""
+        return engine.updates_applied - len(active_users)
+
+    def run_replay(scenario: str, requests, batch_size: int, window: int) -> dict:
+        """One metering replay: serve every request, then drain the updates,
+        timing the two phases apart."""
+        engine = build_engine(
+            f"rnn-{scenario}-b{batch_size}" + (f"-w{window}" if window else ""),
+            batch_size,
+            {"coalescing_window": window},
+        )
+        store, stream = engine.store, engine.stream
 
         served = []
         serve_start = time.perf_counter()
         for arrival, user_id, context, accessed in requests:
-            served += queue.advance_to(arrival)
-            served += queue.submit(user_id, context, arrival)
-            backend.observe_session(user_id, context, arrival, accessed)
-        served += queue.flush()
+            served += engine.advance_to(arrival)
+            served += engine.submit(user_id, context, arrival)
+            engine.observe_session(user_id, context, arrival, accessed)
+        served += engine.flush()
         serve_seconds = time.perf_counter() - serve_start
-        served += queue.drain_completed()
+        served += engine.drain_completed()
         # Snapshot before the update drain so the serve-phase metering is
         # pure prediction traffic (no timer fires mid-serve: the arrival
         # span is shorter than session_length + extra_lag).
@@ -799,8 +772,8 @@ def run_batched_serving(
         drain_start = time.perf_counter()
         stream.flush()
         drain_seconds = time.perf_counter() - drain_start
-        updates_applied = backend.updates_applied - warm_updates
-        assert len(served) == n_requests and backend.predictions_served == n_requests
+        updates_applied = updates_since_warm_up(engine)
+        assert len(served) == n_requests and engine.predictions_served == n_requests
         assert updates_applied == n_requests
         cost_per_request = (
             kv_traffic_cost(serve_stats) / len(served)
@@ -810,17 +783,17 @@ def run_batched_serving(
             "serve_throughput": len(served) / serve_seconds if serve_seconds > 0 else float("inf"),
             "drain_throughput": updates_applied / drain_seconds if drain_seconds > 0 else float("inf"),
             "mean_wave": updates_applied / max(stream.waves_fired - waves_before, 1),
-            "mean_update_delay": backend.update_delay_seconds / updates_applied,
+            "mean_update_delay": engine.update_delay_seconds / updates_applied,
             "kv_gets_per_request": serve_stats["gets"] / len(served),
             "bytes_per_request": serve_stats["bytes_read"] / len(served),
             "cost_per_request": cost_per_request,
-            "mean_batch": queue.mean_batch_size,
+            "mean_batch": engine.mean_batch_size,
             "load_imbalance": store.load_imbalance(),
-            "metrics": engine.metrics.snapshot() if via_engine else {},
+            "metrics": engine.metrics.snapshot(),
         }
 
     def run_overload_replay(scenario: str, requests, batch_size: int, depth_bound: int) -> dict:
-        """One overload arm: facade-built pipeline with a capacity model.
+        """One overload arm: a pipeline with a capacity model.
 
         ``depth_bound == 0`` disables admission (the policy has no bounds,
         so the controller is provably a no-op); otherwise new requests are
@@ -833,47 +806,25 @@ def run_batched_serving(
         e.g. to sample.  Tracing is pinned bit-invisible, so the arms stay
         comparable either way.
         """
-        store_name = f"rnn-{scenario}-b{batch_size}-d{depth_bound}"
         server = ServerModel(service_rate)
-        policy = SloPolicy(max_queue_depth=depth_bound or None)
-        overrides = dict(engine_overrides)
-        overrides.setdefault("tracing", {})
-        engine = ServingEngine.build(
-            EngineConfig(
-                backend="hidden_state",
-                max_batch_size=batch_size,
-                n_shards=n_shards,
-                session_length=dataset.session_length,
-                coalesce_updates=batch_size > 1,
-                store_name=store_name,
-                **overrides,
-            ),
-            network=rnn.network,
-            builder=rnn.builder,
+        engine = build_engine(
+            f"rnn-{scenario}-b{batch_size}-d{depth_bound}",
+            batch_size,
+            {"tracing": {}},
             server=server,
-            slo_policy=policy,
+            slo_policy=SloPolicy(max_queue_depth=depth_bound or None),
             admission_mode=slo_mode,
         )
-        backend = engine.backend
-        backend.apply_wave(
-            [
-                SessionUpdate(user_id=user.user_id, timestamp=start - 3600, context=user.context_row(0), accessed=True)
-                for user in active_users
-            ]
-        )
-        engine.store.reset_stats()
-        warm_updates = backend.updates_applied
 
-        # The shared replay idiom is admission-aware: sessions are observed
-        # whether or not their prediction was admitted (shedding protects
-        # the scoring path, not ground truth — every arm applies the
-        # identical update stream), shed requests are excluded from the
-        # delivery count, and deferred ones are force-drained at the end.
+        # engine.replay is admission-aware: sessions are observed whether or
+        # not their prediction was admitted (shedding protects the scoring
+        # path, not ground truth — every arm applies the identical update
+        # stream), shed requests are excluded from the delivery count, and
+        # deferred ones are force-drained at the end.
         served = engine.replay(requests)
 
         admission = engine.admission
-        updates_applied = backend.updates_applied - warm_updates
-        assert updates_applied == n_requests
+        assert updates_since_warm_up(engine) == n_requests
         assert len(served) == n_requests - admission.requests_shed
         # The end-to-end update *latency* (wave wait + server backlog at
         # delivery) — one histogram supplies every latency statistic in the
@@ -916,17 +867,16 @@ def run_batched_serving(
         bit-identity assertions between the fixed-fleet and ``ServerModel``
         arms therefore also pin that tracing never perturbs the dataflow.
         """
-        store_name = f"rnn-{scenario}-b{batch_size}-{arm}-d{depth_bound}"
         t0 = int(requests[0][0])
         t_end = int(requests[-1][0])
-        build_kwargs: dict[str, Any] = {}
-        config_kwargs: dict[str, Any] = {}
+        parts: dict[str, Any] = {}
+        config: dict[str, Any] = {"tracing": {}}
         if arm == "server":
-            build_kwargs["server"] = ServerModel(service_rate)
+            parts["server"] = ServerModel(service_rate)
         elif arm == "fixed":
-            build_kwargs["server"] = ReplicaFleet(service_rate)
+            parts["server"] = ReplicaFleet(service_rate)
         else:
-            config_kwargs["autoscale"] = {
+            config["autoscale"] = {
                 "policy": arm,
                 "service_rate": service_rate,
                 "start": t0 + autoscale_interval,
@@ -937,34 +887,14 @@ def run_batched_serving(
                 "decommission_delay": autoscale_interval // 2,
                 "target_queue_depth": float(autoscale_target_depth),
             }
-        overrides = dict(engine_overrides)
-        overrides.setdefault("tracing", {})
-        engine = ServingEngine.build(
-            EngineConfig(
-                backend="hidden_state",
-                max_batch_size=batch_size,
-                n_shards=n_shards,
-                session_length=dataset.session_length,
-                coalesce_updates=batch_size > 1,
-                store_name=store_name,
-                **config_kwargs,
-                **overrides,
-            ),
-            network=rnn.network,
-            builder=rnn.builder,
+        engine = build_engine(
+            f"rnn-{scenario}-b{batch_size}-{arm}-d{depth_bound}",
+            batch_size,
+            config,
             slo_policy=SloPolicy(max_queue_depth=depth_bound or None),
             admission_mode="shed",
-            **build_kwargs,
+            **parts,
         )
-        backend = engine.backend
-        backend.apply_wave(
-            [
-                SessionUpdate(user_id=user.user_id, timestamp=start - 3600, context=user.context_row(0), accessed=True)
-                for user in active_users
-            ]
-        )
-        engine.store.reset_stats()
-        warm_updates = backend.updates_applied
         fleet = engine.server
         cost_at_start = 0.0
         if arm != "server":
@@ -978,8 +908,7 @@ def run_batched_serving(
         served = engine.replay(requests)
 
         admission = engine.admission
-        updates_applied = backend.updates_applied - warm_updates
-        assert updates_applied == n_requests
+        assert updates_since_warm_up(engine) == n_requests
         assert len(served) == n_requests - admission.requests_shed
         replica_seconds = None
         if arm != "server":
@@ -1012,59 +941,41 @@ def run_batched_serving(
         engine.close()
         return measured
 
-    def run_elastic_replay(scenario: str, requests, batch_size: int) -> dict:
+    def run_elastic_replay(scenario: str, requests, batch_size: int, faulted: bool) -> dict:
         """A static baseline and an elastic arm over the identical stream.
 
-        ``shard_failover`` gives the elastic arm a ``failure_schedule`` that
-        fails shard 0 a third of the way through the arrivals and recovers it
-        (with eager re-hydration) at two thirds.  ``diurnal_rebalance`` grows
-        the pool by one shard at one third and removes it again at two
-        thirds, so the final membership matches the baseline's.  Either way
-        the elastic arm must reproduce the baseline bit for bit — same
-        prediction stream, same final per-user state — because replication,
-        faults and resharding are placement-only; what differs is the
-        metered migration/re-hydration traffic the rows report.
+        ``faulted`` gives the elastic arm a ``failure_schedule`` that fails
+        shard 0 a third of the way through the arrivals and recovers it (with
+        eager re-hydration) at two thirds.  Otherwise the pool grows by one
+        shard at one third and loses it again at two thirds, so the final
+        membership matches the baseline's.  Either way the elastic arm must
+        reproduce the baseline bit for bit — same prediction stream, same
+        final per-user state — because replication, faults and resharding are
+        placement-only; what differs is the metered migration/re-hydration
+        traffic the rows report.
         """
-        span = int(requests[-1][0] - requests[0][0])
-        schedule = None
-        if scenario == "shard_failover":
-            schedule = (
-                (requests[0][0] + span // 3, "fail", 0),
-                (requests[0][0] + (2 * span) // 3, "recover", 0),
+        if replication > n_shards:
+            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
+        if faulted and replication < 2:
+            raise ValueError(
+                f"{scenario} needs replication >= 2: failing an unreplicated "
+                "shard would lose its keys"
             )
+        if n_requests < 3:
+            raise ValueError(
+                f"{scenario} schedules membership/fault events at 1/3 and 2/3 of the "
+                "stream and needs n_requests >= 3"
+            )
+        span = int(requests[-1][0] - requests[0][0])
 
-        def build(tag: str, failure_schedule) -> ServingEngine:
-            return ServingEngine.build(
-                EngineConfig(
-                    backend="hidden_state",
-                    max_batch_size=batch_size,
-                    n_shards=n_shards,
-                    session_length=dataset.session_length,
-                    coalesce_updates=batch_size > 1,
-                    store_name=f"rnn-{scenario}-b{batch_size}-{tag}",
-                    replication=replication,
-                    failure_schedule=failure_schedule,
-                    **engine_overrides,
-                ),
-                network=rnn.network,
-                builder=rnn.builder,
+        def build(tag: str, failure_schedule=None) -> ServingEngine:
+            return build_engine(
+                f"rnn-{scenario}-b{batch_size}-{tag}",
+                batch_size,
+                {"replication": replication, "failure_schedule": failure_schedule},
             )
 
         def drive(engine: ServingEngine, membership_steps=None) -> list:
-            backend = engine.backend
-            backend.apply_wave(
-                [
-                    SessionUpdate(
-                        user_id=user.user_id,
-                        timestamp=start - 3600,
-                        context=user.context_row(0),
-                        accessed=True,
-                    )
-                    for user in active_users
-                ]
-            )
-            engine.store.reset_stats()
-            warm_updates = backend.updates_applied
             served = []
             for index, (arrival, user_id, context, accessed) in enumerate(requests):
                 if membership_steps is not None and index in membership_steps:
@@ -1075,16 +986,22 @@ def run_batched_serving(
             served += engine.flush()
             engine.stream.flush()
             served += engine.drain_completed()
-            assert backend.updates_applied - warm_updates == n_requests
+            assert updates_since_warm_up(engine) == n_requests
             return served
 
-        baseline = build("static", None)
+        baseline = build("static")
         baseline_served = drive(baseline)
-        if scenario == "shard_failover":
-            elastic = build("failover", schedule)
+        if faulted:
+            elastic = build(
+                "failover",
+                (
+                    (requests[0][0] + span // 3, "fail", 0),
+                    (requests[0][0] + (2 * span) // 3, "recover", 0),
+                ),
+            )
             elastic_served = drive(elastic)
         else:
-            elastic = build("elastic", None)
+            elastic = build("elastic")
             elastic_store = elastic.store
             added: list[str] = []
             membership_steps = {
@@ -1103,13 +1020,13 @@ def run_batched_serving(
             "shard_recoveries": store.shard_recoveries,
             "membership_changes": store.membership_changes,
         }
-        if scenario == "shard_failover" and meters["keys_rehydrated"] == 0:
+        if faulted and meters["keys_rehydrated"] == 0:
             raise AssertionError(
-                "shard_failover recovered without re-hydrating a single key — the fault never bit"
+                f"{scenario} recovered without re-hydrating a single key — the fault never bit"
             )
-        if scenario == "diurnal_rebalance" and meters["keys_migrated"] == 0:
+        if not faulted and meters["keys_migrated"] == 0:
             raise AssertionError(
-                "diurnal_rebalance migrated no keys — the resize never changed ownership"
+                f"{scenario} migrated no keys — the resize never changed ownership"
             )
         if [p.probability for p in elastic_served] != [p.probability for p in baseline_served]:
             raise AssertionError(
@@ -1152,11 +1069,18 @@ def run_batched_serving(
           the run asserts every post-swap prediction of the promote arm
           matches this arm bit for bit.
         """
+        if n_requests < 3:
+            raise ValueError(
+                f"{scenario} schedules its stage timers across the arrival span "
+                "and needs n_requests >= 3"
+            )
+        if replication > n_shards:
+            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
         t0 = int(requests[0][0])
         span = int(requests[-1][0] - requests[0][0])
         if span < 3:
             raise ValueError(
-                "canary_rollout needs an arrival span of at least 3 simulated seconds "
+                f"{scenario} needs an arrival span of at least 3 simulated seconds "
                 "to order its stage timers — raise n_requests or lower arrival_rate"
             )
         control_version = ModelVersion.from_network("control", rnn.network)
@@ -1171,52 +1095,21 @@ def run_batched_serving(
         )
         models = ModelRegistry([control_version, candidate_version]).freeze()
 
-        def build(tag: str, *, model=None, rollout=None, network=None) -> ServingEngine:
-            return ServingEngine.build(
-                EngineConfig(
-                    backend="hidden_state",
-                    max_batch_size=batch_size,
-                    n_shards=n_shards,
-                    session_length=dataset.session_length,
-                    coalesce_updates=batch_size > 1,
-                    store_name=f"rnn-{scenario}-b{batch_size}-{tag}",
-                    replication=replication,
-                    model=model,
-                    rollout=rollout,
-                    **engine_overrides,
-                ),
-                network=network,
-                builder=rnn.builder,
-                models=models if model is not None else None,
-            )
+        def build(tag: str, rollout=None, **parts) -> ServingEngine:
+            """A registry-pinned control arm when ``rollout`` is given, else
+            an engine built directly on ``parts["network"]``."""
+            config: dict[str, Any] = {"replication": replication}
+            if rollout is not None:
+                config.update(model="control", rollout=rollout)
+                parts.update(network=None, models=models)
+            return build_engine(f"rnn-{scenario}-b{batch_size}-{tag}", batch_size, config, **parts)
 
         def drive(engine: ServingEngine) -> list:
-            backend = engine.backend
-            backend.apply_wave(
-                [
-                    SessionUpdate(
-                        user_id=user.user_id,
-                        timestamp=start - 3600,
-                        context=user.context_row(0),
-                        accessed=True,
-                    )
-                    for user in active_users
-                ]
-            )
-            engine.store.reset_stats()
-            warm_updates = backend.updates_applied
-            served = []
-            for arrival, user_id, context, accessed in requests:
-                served += engine.advance_to(arrival)
-                served += engine.submit(user_id, context, arrival)
-                engine.observe_session(user_id, context, arrival, accessed)
-            served += engine.flush()
-            engine.stream.flush()
-            served += engine.drain_completed()
-            assert backend.updates_applied - warm_updates == n_requests
+            served = engine.replay(requests)
+            assert updates_since_warm_up(engine) == n_requests
             return served
 
-        baseline = build("static", network=rnn.network)
+        baseline = build("static")
         baseline_served = drive(baseline)
 
         # Rollback arm.  The first stage fires before the first arrival (the
@@ -1225,8 +1118,7 @@ def run_batched_serving(
         # and trips the gate.
         shadowed = build(
             "shadow",
-            model="control",
-            rollout={
+            {
                 "candidate": "candidate",
                 "stages": ((t0 - 1, 5), (t0 + span // 2, 50)),
                 "gates": {"max_divergence": 1e-6},
@@ -1236,22 +1128,22 @@ def run_batched_serving(
         controller = shadowed.rollout
         if not controller.rolled_back:
             raise AssertionError(
-                "canary_rollout: the divergence gate never tripped — no micro-batch was "
+                f"{scenario}: the divergence gate never tripped — no micro-batch was "
                 "scored before the mid-stream stage (widen the stream or raise arrival_rate)"
             )
         if [p.probability for p in shadowed_served] != [p.probability for p in baseline_served]:
             raise AssertionError(
-                "canary_rollout: shadow scoring + rollback changed the control arm's predictions"
+                f"{scenario}: shadow scoring + rollback changed the control arm's predictions"
             )
         if shadowed.store.stats.snapshot() != baseline.store.stats.snapshot():
             raise AssertionError(
-                "canary_rollout: shadow traffic leaked into the pool's client meters"
+                f"{scenario}: shadow traffic leaked into the pool's client meters"
             )
         shadow_keys = [
             key for key in shadowed.store.keys() if key.startswith("candidate:hidden:")
         ]
         if not shadow_keys:
-            raise AssertionError("canary_rollout: the shadow arm stored no state")
+            raise AssertionError(f"{scenario}: the shadow arm stored no state")
         baseline_state = {key: baseline.store.peek(key) for key in sorted(baseline.store.keys())}
         control_state = {
             key: shadowed.store.peek(key)
@@ -1260,7 +1152,7 @@ def run_batched_serving(
         }
         if not _stored_equal(baseline_state, control_state):
             raise AssertionError(
-                "canary_rollout: the control namespace diverged from the registry-free baseline"
+                f"{scenario}: the control namespace diverged from the registry-free baseline"
             )
         divergence_p99 = shadowed.metrics.histogram(
             "rollout.candidate.divergence", DIVERGENCE_BUCKETS
@@ -1270,8 +1162,7 @@ def run_batched_serving(
         swap_at = t0 + (2 * span) // 3
         promoted = build(
             "promote",
-            model="control",
-            rollout={
+            {
                 "candidate": "candidate",
                 "stages": ((t0 - 1, 5), (t0 + span // 3, 50), (swap_at, 100)),
                 "gates": {},
@@ -1279,16 +1170,16 @@ def run_batched_serving(
         )
         promoted_served = drive(promoted)
         if not promoted.rollout.promoted:
-            raise AssertionError("canary_rollout: the promote arm never reached its 100% stage")
+            raise AssertionError(f"{scenario}: the promote arm never reached its 100% stage")
         direct = build("direct", network=candidate_version.build_network())
         direct_served = drive(direct)
         post_swap = [index for index, request in enumerate(requests) if request[0] >= swap_at]
         if not post_swap:
-            raise AssertionError("canary_rollout: no arrivals after the hot swap — widen the stream")
+            raise AssertionError(f"{scenario}: no arrivals after the hot swap — widen the stream")
         for index in post_swap:
             if promoted_served[index].probability != direct_served[index].probability:
                 raise AssertionError(
-                    "canary_rollout: post-swap predictions diverged from an engine built "
+                    f"{scenario}: post-swap predictions diverged from an engine built "
                     "directly on the promoted version"
                 )
 
@@ -1317,247 +1208,245 @@ def run_batched_serving(
             engine.close()
         return measured
 
-    prediction_speedups: dict[str, float] = {}
-    update_speedups: dict[str, float] = {}
-    shed_rates: dict[str, float] = {}
-    elastic_meters: dict[str, dict[str, int]] = {}
-    metrics_snapshot: dict[str, Any] = {}
-    trace_snapshot: dict[str, Any] = {}
-    for scenario, requests in streams_by_scenario.items():
-        if scenario == "overload":
-            # Two arms over the identical ramped stream: uncontrolled vs
-            # SLO-admission-controlled.  The open arm must show the cost of
-            # overload (higher p99 update latency) that the controller buys
-            # back by shedding.
-            overload_batch = max(batch_sizes)
-            open_arm = run_overload_replay(scenario, requests, overload_batch, 0)
-            slo_arm = run_overload_replay(scenario, requests, overload_batch, slo_queue_depth)
-            if slo_queue_depth == 0 and slo_arm["probabilities"] != open_arm["probabilities"]:
-                raise AssertionError(
-                    "admission control with shedding disabled must be bit-invisible: "
-                    "the controlled arm's predictions diverged from the open arm"
+    def overload_rows(scenario: str, requests) -> None:
+        # Two arms over the identical ramped stream: uncontrolled vs
+        # SLO-admission-controlled.  The open arm must show the cost of
+        # overload (higher p99 update latency) that the controller buys
+        # back by shedding.
+        open_arm = run_overload_replay(scenario, requests, top_batch, 0)
+        slo_arm = run_overload_replay(scenario, requests, top_batch, slo_queue_depth)
+        if slo_queue_depth == 0 and slo_arm["probabilities"] != open_arm["probabilities"]:
+            raise AssertionError(
+                "admission control with shedding disabled must be bit-invisible: "
+                "the controlled arm's predictions diverged from the open arm"
+            )
+        for arm_name, measured in (("open", open_arm), ("slo", slo_arm)):
+            result.rows.append(
+                {
+                    "scenario": scenario,
+                    "arm": arm_name,
+                    "batch_size": top_batch,
+                    "queue_bound": 0 if arm_name == "open" else slo_queue_depth,
+                    "offered": measured["offered"],
+                    "served": measured["served"],
+                    "shed": measured["shed"],
+                    "deferred": measured["deferred"],
+                    "shed_rate": round(measured["shed_rate"], 3),
+                    "p99_update_latency": round(measured["p99_update_latency"], 1),
+                    "mean_update_latency": round(measured["mean_update_latency"], 2),
+                    "p99_queue_latency": round(measured["p99_queue_latency"], 1),
+                    "peak_backlog": round(measured["peak_backlog_seconds"], 1),
+                    **measured["trace_summary"],
+                }
+            )
+        shed_rates[scenario] = round(slo_arm["shed_rate"], 4)
+        artifacts["metrics"] = slo_arm["metrics"]
+        artifacts["trace"] = slo_arm["trace"]
+
+    def slo_sweep_rows(scenario: str, requests) -> None:
+        # Shed-rate vs p99-latency frontier: one replay of the same
+        # overload stream per queue-depth bound (0 = no admission).
+        for depth_bound in slo_queue_depths:
+            measured = run_overload_replay(scenario, requests, top_batch, depth_bound)
+            result.rows.append(
+                {
+                    "scenario": scenario,
+                    "batch_size": top_batch,
+                    "queue_bound": depth_bound,
+                    "served": measured["served"],
+                    "shed": measured["shed"],
+                    "deferred": measured["deferred"],
+                    "shed_rate": round(measured["shed_rate"], 3),
+                    "p99_update_latency": round(measured["p99_update_latency"], 1),
+                    "mean_update_latency": round(measured["mean_update_latency"], 2),
+                    "peak_backlog": round(measured["peak_backlog_seconds"], 1),
+                    **measured["trace_summary"],
+                }
+            )
+            artifacts["metrics"] = measured["metrics"]
+            artifacts["trace"] = measured["trace"]
+
+    def autoscale_rows(scenario: str, requests) -> None:
+        # Four arms over the identical ramped stream.  The fixed fleet
+        # must be bit-invisible (the headline invariant); the elastic
+        # arms chart what each policy buys.
+        arms = {
+            arm: run_autoscale_replay(scenario, requests, top_batch, arm, slo_queue_depth)
+            for arm in ("server", "fixed", "reactive", "predictive")
+        }
+        if arms["fixed"]["probabilities"] != arms["server"]["probabilities"]:
+            raise AssertionError(
+                f"{scenario}: a one-replica ReplicaFleet must be bit-identical to the "
+                "ServerModel baseline — the fixed arm's predictions diverged"
+            )
+        if arms["fixed"]["store_stats"] != arms["server"]["store_stats"]:
+            raise AssertionError(
+                f"{scenario}: the fixed fleet arm's store meters diverged from the "
+                "ServerModel baseline"
+            )
+        if arms["fixed"]["shed"] != arms["server"]["shed"]:
+            raise AssertionError(
+                f"{scenario}: the fixed fleet arm's shed decisions diverged from the "
+                "ServerModel baseline"
+            )
+        for arm_name, measured in arms.items():
+            result.rows.append(
+                {
+                    "scenario": scenario,
+                    "arm": arm_name,
+                    "batch_size": top_batch,
+                    "queue_bound": slo_queue_depth,
+                    "offered": measured["offered"],
+                    "served": measured["served"],
+                    "shed": measured["shed"],
+                    "shed_rate": round(measured["shed_rate"], 3),
+                    "p99_update_latency": round(measured["p99_update_latency"], 1),
+                    "replica_seconds": (
+                        round(measured["replica_seconds"], 1)
+                        if measured["replica_seconds"] is not None
+                        else None
+                    ),
+                    "peak_replicas": measured["peak_replicas"],
+                    "scale_up_events": measured["scale_up_events"],
+                    "scale_down_events": measured["scale_down_events"],
+                    "first_scale_up_at": measured["first_scale_up_at"],
+                    **measured["trace_summary"],
+                }
+            )
+            shed_rates[f"{scenario}:{arm_name}"] = round(measured["shed_rate"], 4)
+        artifacts["metrics"] = arms["predictive"]["metrics"]
+        artifacts["trace"] = arms["predictive"]["trace"]
+
+    def frontier_rows(scenario: str, requests) -> None:
+        # The cost-vs-SLO frontier: one reactive/predictive pair per
+        # nonzero depth bound, plus the headline ordering assertion at
+        # the primary bound — the predictive arm must shed strictly less
+        # at equal or lower replica-seconds cost.
+        if slo_queue_depth <= 0:
+            raise ValueError(
+                f"{scenario} compares shed rates under admission control: "
+                "slo_queue_depth must be positive"
+            )
+        frontier: dict[tuple[int, str], dict] = {}
+        for depth_bound in [bound for bound in slo_queue_depths if bound > 0]:
+            for policy_name in ("reactive", "predictive"):
+                measured = run_autoscale_replay(
+                    scenario, requests, top_batch, policy_name, depth_bound
                 )
-            for arm_name, measured in (("open", open_arm), ("slo", slo_arm)):
+                frontier[(depth_bound, policy_name)] = measured
                 result.rows.append(
                     {
                         "scenario": scenario,
-                        "arm": arm_name,
-                        "batch_size": overload_batch,
-                        "queue_bound": 0 if arm_name == "open" else slo_queue_depth,
-                        "offered": measured["offered"],
-                        "served": measured["served"],
-                        "shed": measured["shed"],
-                        "deferred": measured["deferred"],
-                        "shed_rate": round(measured["shed_rate"], 3),
-                        "p99_update_latency": round(measured["p99_update_latency"], 1),
-                        "mean_update_latency": round(measured["mean_update_latency"], 2),
-                        "p99_queue_latency": round(measured["p99_queue_latency"], 1),
-                        "peak_backlog": round(measured["peak_backlog_seconds"], 1),
-                        **measured["trace_summary"],
-                    }
-                )
-            shed_rates[scenario] = round(slo_arm["shed_rate"], 4)
-            metrics_snapshot = slo_arm["metrics"]
-            trace_snapshot = slo_arm["trace"]
-            continue
-        if scenario == "slo_sweep":
-            # Shed-rate vs p99-latency frontier: one replay of the same
-            # overload stream per queue-depth bound (0 = no admission).
-            sweep_batch = max(batch_sizes)
-            for depth_bound in slo_queue_depths:
-                measured = run_overload_replay(scenario, requests, sweep_batch, depth_bound)
-                result.rows.append(
-                    {
-                        "scenario": scenario,
-                        "batch_size": sweep_batch,
+                        "arm": policy_name,
+                        "batch_size": top_batch,
                         "queue_bound": depth_bound,
                         "served": measured["served"],
                         "shed": measured["shed"],
-                        "deferred": measured["deferred"],
                         "shed_rate": round(measured["shed_rate"], 3),
                         "p99_update_latency": round(measured["p99_update_latency"], 1),
-                        "mean_update_latency": round(measured["mean_update_latency"], 2),
-                        "peak_backlog": round(measured["peak_backlog_seconds"], 1),
-                        **measured["trace_summary"],
-                    }
-                )
-                metrics_snapshot = measured["metrics"]
-                trace_snapshot = measured["trace"]
-            continue
-        if scenario == "autoscale":
-            # Four arms over the identical ramped stream.  The fixed fleet
-            # must be bit-invisible (the headline invariant); the elastic
-            # arms chart what each policy buys.
-            auto_batch = max(batch_sizes)
-            arms = {
-                arm: run_autoscale_replay(scenario, requests, auto_batch, arm, slo_queue_depth)
-                for arm in ("server", "fixed", "reactive", "predictive")
-            }
-            if arms["fixed"]["probabilities"] != arms["server"]["probabilities"]:
-                raise AssertionError(
-                    "autoscale: a one-replica ReplicaFleet must be bit-identical to the "
-                    "ServerModel baseline — the fixed arm's predictions diverged"
-                )
-            if arms["fixed"]["store_stats"] != arms["server"]["store_stats"]:
-                raise AssertionError(
-                    "autoscale: the fixed fleet arm's store meters diverged from the "
-                    "ServerModel baseline"
-                )
-            if arms["fixed"]["shed"] != arms["server"]["shed"]:
-                raise AssertionError(
-                    "autoscale: the fixed fleet arm's shed decisions diverged from the "
-                    "ServerModel baseline"
-                )
-            for arm_name, measured in arms.items():
-                result.rows.append(
-                    {
-                        "scenario": scenario,
-                        "arm": arm_name,
-                        "batch_size": auto_batch,
-                        "queue_bound": slo_queue_depth,
-                        "offered": measured["offered"],
-                        "served": measured["served"],
-                        "shed": measured["shed"],
-                        "shed_rate": round(measured["shed_rate"], 3),
-                        "p99_update_latency": round(measured["p99_update_latency"], 1),
-                        "replica_seconds": (
-                            round(measured["replica_seconds"], 1)
-                            if measured["replica_seconds"] is not None
-                            else None
-                        ),
+                        "replica_seconds": round(measured["replica_seconds"], 1),
                         "peak_replicas": measured["peak_replicas"],
                         "scale_up_events": measured["scale_up_events"],
-                        "scale_down_events": measured["scale_down_events"],
                         "first_scale_up_at": measured["first_scale_up_at"],
                         **measured["trace_summary"],
                     }
                 )
-                shed_rates[f"{scenario}:{arm_name}"] = round(measured["shed_rate"], 4)
-            metrics_snapshot = arms["predictive"]["metrics"]
-            trace_snapshot = arms["predictive"]["trace"]
-            continue
-        if scenario == "scaling_frontier":
-            # The cost-vs-SLO frontier: one reactive/predictive pair per
-            # nonzero depth bound, plus the headline ordering assertion at
-            # the primary bound — the predictive arm must shed strictly less
-            # at equal or lower replica-seconds cost.
-            frontier_batch = max(batch_sizes)
-            frontier: dict[tuple[int, str], dict] = {}
-            for depth_bound in [bound for bound in slo_queue_depths if bound > 0]:
-                for policy_name in ("reactive", "predictive"):
-                    measured = run_autoscale_replay(
-                        scenario, requests, frontier_batch, policy_name, depth_bound
-                    )
-                    frontier[(depth_bound, policy_name)] = measured
-                    result.rows.append(
-                        {
-                            "scenario": scenario,
-                            "arm": policy_name,
-                            "batch_size": frontier_batch,
-                            "queue_bound": depth_bound,
-                            "served": measured["served"],
-                            "shed": measured["shed"],
-                            "shed_rate": round(measured["shed_rate"], 3),
-                            "p99_update_latency": round(measured["p99_update_latency"], 1),
-                            "replica_seconds": round(measured["replica_seconds"], 1),
-                            "peak_replicas": measured["peak_replicas"],
-                            "scale_up_events": measured["scale_up_events"],
-                            "first_scale_up_at": measured["first_scale_up_at"],
-                            **measured["trace_summary"],
-                        }
-                    )
-                    metrics_snapshot = measured["metrics"]
-                    trace_snapshot = measured["trace"]
-            reactive = frontier[(slo_queue_depth, "reactive")]
-            predictive = frontier[(slo_queue_depth, "predictive")]
-            if not predictive["shed"] < reactive["shed"]:
-                raise AssertionError(
-                    f"scaling_frontier: the predictive arm shed {predictive['shed']} requests "
-                    f"vs the reactive arm's {reactive['shed']} at queue bound {slo_queue_depth} "
-                    "— forecast-driven scaling must beat target tracking on the ramp"
-                )
-            if not predictive["replica_seconds"] <= reactive["replica_seconds"]:
-                raise AssertionError(
-                    f"scaling_frontier: the predictive arm cost "
-                    f"{predictive['replica_seconds']:.1f} replica-seconds vs the reactive "
-                    f"arm's {reactive['replica_seconds']:.1f} — it must not buy its lower "
-                    "shed rate with a larger fleet bill"
-                )
-            shed_rates[f"{scenario}:reactive"] = round(reactive["shed_rate"], 4)
-            shed_rates[f"{scenario}:predictive"] = round(predictive["shed_rate"], 4)
-            continue
-        if scenario == "canary_rollout":
-            # Two model-lifecycle arms at the largest batch size; the replay
-            # itself asserts the headline bit-identity invariants (shadow +
-            # rollback ≡ registry-free; promoted ≡ direct-built).
-            canary_batch = max(batch_sizes)
-            measured = run_canary_replay(scenario, requests, canary_batch)
-            metrics_snapshot = measured["metrics"] or metrics_snapshot
-            for arm_name in ("rollback", "promote"):
-                result.rows.append(
-                    {
-                        "scenario": scenario,
-                        "arm": arm_name,
-                        "batch_size": canary_batch,
-                        "replication": replication,
-                        **measured[arm_name],
-                    }
-                )
-            continue
-        if scenario in ("shard_failover", "diurnal_rebalance"):
-            # One elastic replay per scenario at the largest batch size: the
-            # run itself asserts bit-equivalence with its static baseline,
-            # and the row reports the migration/re-hydration traffic that is
-            # allowed to differ.
-            elastic_batch = max(batch_sizes)
-            measured = run_elastic_replay(scenario, requests, elastic_batch)
-            metrics_snapshot = measured["metrics"] or metrics_snapshot
-            elastic_meters[scenario] = {
-                "keys_migrated": measured["keys_migrated"],
-                "keys_rehydrated": measured["keys_rehydrated"],
-            }
+                artifacts["metrics"] = measured["metrics"]
+                artifacts["trace"] = measured["trace"]
+        reactive = frontier[(slo_queue_depth, "reactive")]
+        predictive = frontier[(slo_queue_depth, "predictive")]
+        if not predictive["shed"] < reactive["shed"]:
+            raise AssertionError(
+                f"{scenario}: the predictive arm shed {predictive['shed']} requests "
+                f"vs the reactive arm's {reactive['shed']} at queue bound {slo_queue_depth} "
+                "— forecast-driven scaling must beat target tracking on the ramp"
+            )
+        if not predictive["replica_seconds"] <= reactive["replica_seconds"]:
+            raise AssertionError(
+                f"{scenario}: the predictive arm cost "
+                f"{predictive['replica_seconds']:.1f} replica-seconds vs the reactive "
+                f"arm's {reactive['replica_seconds']:.1f} — it must not buy its lower "
+                "shed rate with a larger fleet bill"
+            )
+        shed_rates[f"{scenario}:reactive"] = round(reactive["shed_rate"], 4)
+        shed_rates[f"{scenario}:predictive"] = round(predictive["shed_rate"], 4)
+
+    def canary_rows(scenario: str, requests) -> None:
+        # Two model-lifecycle arms at the largest batch size; the replay
+        # itself asserts the headline bit-identity invariants (shadow +
+        # rollback ≡ registry-free; promoted ≡ direct-built).
+        measured = run_canary_replay(scenario, requests, top_batch)
+        artifacts["metrics"] = measured["metrics"]
+        for arm_name in ("rollback", "promote"):
             result.rows.append(
                 {
                     "scenario": scenario,
-                    "batch_size": elastic_batch,
+                    "arm": arm_name,
+                    "batch_size": top_batch,
                     "replication": replication,
-                    "served": measured["served"],
-                    "bit_identical": measured["bit_identical"],
-                    "keys_migrated": measured["keys_migrated"],
-                    "migration_bytes": measured["migration_bytes"],
-                    "keys_rehydrated": measured["keys_rehydrated"],
-                    "rehydration_bytes": measured["rehydration_bytes"],
-                    "shard_failures": measured["shard_failures"],
-                    "shard_recoveries": measured["shard_recoveries"],
-                    "membership_changes": measured["membership_changes"],
-                    "load_imbalance": round(measured["load_imbalance"], 3),
+                    **measured[arm_name],
                 }
             )
-            continue
-        if scenario == "window_sweep":
-            # Latency vs wave-size trade-off: same bursty stream, same batch
-            # size, widening coalescing windows.
-            sweep_batch = max(batch_sizes)
-            for window in coalescing_windows:
-                measured = run_replay(scenario, requests, sweep_batch, window)
-                metrics_snapshot = measured["metrics"] or metrics_snapshot
-                result.rows.append(
-                    {
-                        "scenario": scenario,
-                        "batch_size": sweep_batch,
-                        "coalescing_window": window,
-                        "requests_per_second": round(measured["serve_throughput"], 1),
-                        "updates_per_second": round(measured["drain_throughput"], 1),
-                        "mean_wave": round(measured["mean_wave"], 1),
-                        "mean_update_delay": round(measured["mean_update_delay"], 2),
-                    }
-                )
-            continue
+
+    def elastic_rows(scenario: str, requests, faulted: bool) -> None:
+        # One elastic replay per scenario at the largest batch size: the
+        # run itself asserts bit-equivalence with its static baseline,
+        # and the row reports the migration/re-hydration traffic that is
+        # allowed to differ.
+        measured = run_elastic_replay(scenario, requests, top_batch, faulted)
+        artifacts["metrics"] = measured["metrics"]
+        elastic_meters[scenario] = {
+            "keys_migrated": measured["keys_migrated"],
+            "keys_rehydrated": measured["keys_rehydrated"],
+        }
+        result.rows.append(
+            {
+                "scenario": scenario,
+                "batch_size": top_batch,
+                "replication": replication,
+                "served": measured["served"],
+                "bit_identical": measured["bit_identical"],
+                "keys_migrated": measured["keys_migrated"],
+                "migration_bytes": measured["migration_bytes"],
+                "keys_rehydrated": measured["keys_rehydrated"],
+                "rehydration_bytes": measured["rehydration_bytes"],
+                "shard_failures": measured["shard_failures"],
+                "shard_recoveries": measured["shard_recoveries"],
+                "membership_changes": measured["membership_changes"],
+                "load_imbalance": round(measured["load_imbalance"], 3),
+            }
+        )
+
+    def failover_rows(scenario: str, requests) -> None:
+        elastic_rows(scenario, requests, faulted=True)
+
+    def rebalance_rows(scenario: str, requests) -> None:
+        elastic_rows(scenario, requests, faulted=False)
+
+    def window_rows(scenario: str, requests) -> None:
+        # Latency vs wave-size trade-off: same bursty stream, same batch
+        # size, widening coalescing windows.
+        for window in coalescing_windows:
+            measured = run_replay(scenario, requests, top_batch, window)
+            artifacts["metrics"] = measured["metrics"]
+            result.rows.append(
+                {
+                    "scenario": scenario,
+                    "batch_size": top_batch,
+                    "coalescing_window": window,
+                    "requests_per_second": round(measured["serve_throughput"], 1),
+                    "updates_per_second": round(measured["drain_throughput"], 1),
+                    "mean_wave": round(measured["mean_wave"], 1),
+                    "mean_update_delay": round(measured["mean_update_delay"], 2),
+                }
+            )
+
+    def batch_size_rows(scenario: str, requests) -> None:
         serve_throughputs: dict[int, float] = {}
         drain_throughputs: dict[int, float] = {}
         for batch_size in batch_sizes:
             measured = run_replay(scenario, requests, batch_size, 0)
-            metrics_snapshot = measured["metrics"] or metrics_snapshot
+            artifacts["metrics"] = measured["metrics"]
             serve_throughputs[batch_size] = measured["serve_throughput"]
             drain_throughputs[batch_size] = measured["drain_throughput"]
             result.rows.append(
@@ -1575,42 +1464,57 @@ def run_batched_serving(
                 }
             )
         prediction_speedups[scenario] = round(
-            serve_throughputs[max(batch_sizes)] / serve_throughputs[min(batch_sizes)], 2
+            serve_throughputs[top_batch] / serve_throughputs[min(batch_sizes)], 2
         )
         update_speedups[scenario] = round(
-            drain_throughputs[max(batch_sizes)] / drain_throughputs[min(batch_sizes)], 2
+            drain_throughputs[top_batch] / drain_throughputs[min(batch_sizes)], 2
         )
+
+    # SCENARIOS names each scenario's handler; resolve the names to closures.
+    handlers = {
+        handler.__name__: handler
+        for handler in (
+            batch_size_rows,
+            window_rows,
+            overload_rows,
+            slo_sweep_rows,
+            failover_rows,
+            rebalance_rows,
+            canary_rows,
+            autoscale_rows,
+            frontier_rows,
+        )
+    }
+    for scenario, requests in streams_by_scenario.items():
+        handlers[SCENARIOS[scenario][1]](scenario, requests)
+    ran = {handlers[SCENARIOS[scenario][1]] for scenario in scenarios}
     result.metadata = {
         "n_users": n_users,
         "n_shards": n_shards,
         "arrival_rate": arrival_rate,
         "burst_size": burst_size,
-        "coalescing_windows": list(coalescing_windows) if "window_sweep" in scenarios else [],
-        "via_engine": via_engine,
+        "coalescing_windows": list(coalescing_windows) if window_rows in ran else [],
         "engine_config": dict(engine_config) if engine_config is not None else None,
-        "throughput_speedup": (
-            prediction_speedups.get("poisson", max(prediction_speedups.values()))
-            if prediction_speedups
-            else None
+        # The Poisson sweep's when it ran (the table lists it first).
+        "throughput_speedup": next(
+            (prediction_speedups[name] for name in SCENARIOS if name in prediction_speedups),
+            None,
         ),
         "prediction_speedups": prediction_speedups,
         "update_drain_speedups": update_speedups,
         "service_rate": service_rate if set(scenarios) & set(RAMPED_SCENARIOS) else None,
-        "slo_mode": slo_mode if set(scenarios) & set(OVERLOAD_SCENARIOS) else None,
+        "slo_mode": slo_mode if ran & {overload_rows, slo_sweep_rows} else None,
         "user_skew": user_skew,
         "shed_rates": shed_rates,
-        "replication": replication if elastic else None,
+        "replication": replication if ran & {failover_rows, rebalance_rows} else None,
         "elastic_meters": elastic_meters,
     }
-    if metrics_snapshot:
-        # The last facade-built pipeline's full registry dump; the manifest
-        # runner writes it out as a dedicated <run>.metrics.json artifact.
-        result.metadata["metrics"] = metrics_snapshot
-    if trace_snapshot:
-        # The last traced pipeline's Chrome-trace export (overload: the SLO
-        # arm; autoscale: the predictive arm); the manifest runner writes it
-        # out as <run>.trace.json, loadable in chrome://tracing / Perfetto.
-        result.metadata["trace"] = trace_snapshot
+    # The manifest runner writes the last pipeline's full registry dump out
+    # as <run>.metrics.json and the last traced pipeline's Chrome-trace export
+    # (overload: the SLO arm; autoscale: the predictive arm) as
+    # <run>.trace.json, loadable in chrome://tracing / Perfetto.  A registry
+    # disabled by the engine block dumps empty and is left out.
+    result.metadata.update({name: dump for name, dump in artifacts.items() if dump})
     return result
 
 
@@ -1659,53 +1563,3 @@ def run_training_throughput(
             }
         )
     return result
-
-
-#: The ``--smoke`` workload, also checked in as ``manifests/smoke.json``:
-#: small and fast, but still exercising both arrival scenarios, the
-#: per-timer baseline and the wave path.
-SMOKE_PARAMS = {"n_users": 16, "n_requests": 256, "batch_sizes": [1, 32], "burst_size": 32, "burst_spacing": 15}
-
-
-def main(argv: list[str] | None = None) -> None:
-    """Deprecated CLI, kept as a thin shim over the manifest runner.
-
-    ``python -m repro.experiments run manifests/smoke.json`` is the one
-    experiments CLI now; this entry point builds the equivalent in-memory
-    manifest and delegates, so pre-manifest automation keeps working.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Run the batched_serving load-generator benchmark "
-        "(shim over `python -m repro.experiments run`)"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fast configuration that still exercises both scenarios and the wave path",
-    )
-    parser.add_argument(
-        "--engine",
-        action="store_true",
-        help="build every pipeline through the ServingEngine facade instead of hand-wiring",
-    )
-    args = parser.parse_args(argv)
-    from .runner import load_manifest, run_manifest
-
-    entry: dict[str, Any] = {"id": "batched_serving"}
-    if args.smoke:
-        entry["params"] = dict(SMOKE_PARAMS)
-    if args.engine:
-        entry["engine"] = {"backend": "hidden_state"}
-    (run,) = run_manifest(load_manifest({"experiments": [entry]}))
-    result = run.result
-    print(result.format_table())
-    print(f"  prediction speedups: {result.metadata['prediction_speedups']}")
-    print(f"  update-drain speedups: {result.metadata['update_drain_speedups']}")
-    if args.engine:
-        print("  pipelines built via ServingEngine.build (facade path)")
-
-
-if __name__ == "__main__":
-    main()

@@ -344,18 +344,6 @@ def _validate_entry(index: int, entry: ManifestEntry) -> ExperimentSpec:
                 "setting them in the \"engine\" block would shadow the parameter and "
                 "falsify the recorded provenance"
             )
-        # An engine block implies facade-built pipelines; a contradictory or
-        # swept via_engine would make resolved_params lie about the wiring.
-        if "via_engine" in spec.param_names():
-            if entry.params.get("via_engine") is False:
-                raise ManifestError(
-                    f"{where}: \"via_engine\": false contradicts the \"engine\" block "
-                    "(an engine block always builds through the facade)"
-                )
-            if "via_engine" in entry.sweep:
-                raise ManifestError(
-                    f"{where}: via_engine cannot be swept alongside an \"engine\" block"
-                )
     for name, values in entry.sweep.items():
         if name in entry.params:
             raise ManifestError(f"{where}: {name!r} appears in both \"params\" and \"sweep\"")
@@ -474,11 +462,6 @@ def expand_manifest(manifest: Manifest) -> list[PlannedRun]:
             and "seed" not in entry.sweep
         ):
             base_params["seed"] = manifest.seed
-        if entry.engine is not None and "via_engine" in spec.param_names():
-            # Keep provenance truthful: the engine block forces facade-built
-            # pipelines, so resolved_params must say so (validated above
-            # against an explicit false).
-            base_params["via_engine"] = True
         sweep_names = list(entry.sweep)
         grid = itertools.product(*(entry.sweep[name] for name in sweep_names)) if sweep_names else [()]
         for point in grid:

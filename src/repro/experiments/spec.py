@@ -292,24 +292,14 @@ def register(
 ) -> Callable[[Callable[..., ExperimentResult]], Callable[..., ExperimentResult]]:
     """Register ``fn`` as an experiment; returns ``fn`` unchanged.
 
-    Replaces the bare ``EXPERIMENTS`` dict: the decorated callable still
-    works as a plain function, but manifests, the CLI and
+    The decorated callable still works as a plain function, but manifests,
+    the CLI and
     :func:`~repro.experiments.run_experiment` all dispatch (and validate)
     through the :class:`ExperimentSpec` this creates.
     """
 
     def decorate(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
         if experiment_id in REGISTRY:
-            existing = REGISTRY[experiment_id].fn
-            if (
-                existing.__qualname__ == fn.__qualname__
-                and existing.__code__.co_filename == fn.__code__.co_filename
-            ):
-                # The same source function arriving twice — e.g. `python -m
-                # repro.experiments.production` executes the module as
-                # __main__ *and* imports it via the package.  Keep the first
-                # registration; the registry stays the single source of truth.
-                return fn
             raise ValueError(f"experiment id {experiment_id!r} is already registered")
         spec = ExperimentSpec(
             experiment_id=experiment_id,

@@ -1,9 +1,8 @@
 """Serving substrate behind one facade: ``ServingEngine`` built from ``EngineConfig``.
 
-The public API is curated, not a module dump.  New code constructs
-pipelines only through the facade (``ServingEngine.build``); the component
-classes stay exported for tests, extension backends and introspection, and
-the pre-facade service constructors remain as deprecation shims.
+The public API is curated, not a module dump.  Pipelines are constructed
+only through the facade (``ServingEngine.build``); the component classes
+stay exported for tests, extension backends and introspection.
 """
 
 # --- The facade (start here) -----------------------------------------
@@ -14,11 +13,11 @@ from .batching import (
     BatchedAggregationBackend,
     BatchedHiddenStateBackend,
     MicroBatchQueue,
+    ServingPrediction,
     ServingRequest,
     SessionStreamMixin,
     SessionUpdate,
 )
-from .services import AggregationFeatureService, HiddenStateService, ServingPrediction
 
 # --- Model lifecycle: versioned registry, shadow/canary rollout -------
 from .registry import ModelRegistry, ModelVersion
@@ -77,13 +76,8 @@ from .cost import (
 )
 from .quantization import dequantize_state, quantization_error, quantize_state
 
-# --- Online replay / experiment harness -------------------------------
-from .online import (
-    OnlineArmResult,
-    OnlineExperiment,
-    OnlineExperimentReport,
-    replay_sessions_through_service,
-)
+# --- Online experiment harness -----------------------------------------
+from .online import OnlineArmResult, OnlineExperiment, OnlineExperimentReport
 
 __all__ = [
     # facade
@@ -100,9 +94,6 @@ __all__ = [
     "ServingRequest",
     "ServingPrediction",
     "SessionUpdate",
-    # deprecated hand-wired constructors (shims over the facade)
-    "HiddenStateService",
-    "AggregationFeatureService",
     # model lifecycle
     "ModelRegistry",
     "ModelVersion",
@@ -159,9 +150,8 @@ __all__ = [
     "quantize_state",
     "dequantize_state",
     "quantization_error",
-    # online replay / experiments
+    # online experiments
     "OnlineExperiment",
     "OnlineExperimentReport",
     "OnlineArmResult",
-    "replay_sessions_through_service",
 ]

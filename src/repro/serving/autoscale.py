@@ -98,8 +98,10 @@ class ReplicaFleet:
         decommission_delay: int = 0,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if service_rate <= 0:
-            raise ValueError("service_rate must be positive (requests per simulated second per replica)")
+        if not (math.isfinite(service_rate) and service_rate > 0):
+            raise ValueError(
+                "service_rate must be positive and finite (requests per simulated second per replica)"
+            )
         if min_replicas < 1:
             raise ValueError("min_replicas must be at least 1")
         if max_replicas is None:

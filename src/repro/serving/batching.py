@@ -1,6 +1,6 @@
 """Micro-batched serving engine (the scale path for Section 9's dataflows).
 
-The seed serving services score strictly one request at a time: every
+The seed serving path scores strictly one request at a time: every
 prediction pays the full Python cost of context encoding, input assembly and
 an autograd-graph forward for a single row.  At production traffic the
 standard lever is *micro-batching* — coalesce concurrent requests into one
@@ -21,7 +21,7 @@ Three pieces:
   equivalence — *before the stream clock crosses a pending timer*, because a
   timer may rewrite a hidden state a queued request must read pre-update.
   With ``max_batch_size=1`` it degenerates to the seed's single-request
-  behaviour, which is how the public services wrap it.
+  behaviour.
 
 Both serving dataflows are batched symmetrically: predictions coalesce in
 the queue, and session-end updates arrive from the stream's wave-coalesced
@@ -495,10 +495,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             pending = held
         for listener in self.wave_listeners:
             listener(updates)
-
-    # Back-compat alias from before ``apply_wave`` became the Backend
-    # protocol's symmetric entry point.
-    apply_updates = apply_wave
 
     def _apply_distinct_users(self, wave: list[SessionUpdate], features: np.ndarray, accesses: np.ndarray) -> None:
         config = self.network.config

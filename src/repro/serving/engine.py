@@ -1,23 +1,22 @@
 """Unified serving facade: one declarative config, one lifecycle, two backends.
 
-PRs 1–2 grew the Section 9 serving layer into five cooperating pieces — the
-micro-batch queue, the wave-coalescing stream, the consistent-hash router,
-two batched backends and the cost meters — and every consumer hand-wired
-them in a slightly different order.  :class:`ServingEngine` is the single
-front door: a declarative :class:`EngineConfig` says *what* to build (batch
-size, coalescing window, shard count, backend kind, quantization) and
-:meth:`ServingEngine.build` assembles the exact same composition the
-hand-wired call sites used, so facade-built pipelines are bit-identical to
-hand-wired ones in every observable (pinned by ``tests/test_engine.py``).
+The Section 9 serving layer is five cooperating pieces — the micro-batch
+queue, the wave-coalescing stream, the consistent-hash router, two batched
+backends and the cost meters.  :class:`ServingEngine` is the one way to
+compose them: a declarative :class:`EngineConfig` says *what* to build
+(batch size, coalescing window, shard count, backend kind, quantization)
+and :meth:`ServingEngine.build` assembles it, bit-identical in every
+observable to wiring the components by hand (pinned by
+``tests/test_engine.py``).
 
 The lifecycle is ``build → submit/replay → flush/drain → close``:
 
 * :meth:`ServingEngine.build` — construct store, stream, backend and queue
-  from the config (or adopt caller-provided ones).
+  from the config.
 * :meth:`~ServingEngine.submit` / :meth:`~ServingEngine.advance_to` /
   :meth:`~ServingEngine.predict` / :meth:`~ServingEngine.observe_session` —
   live traffic; :meth:`~ServingEngine.replay` drives a whole session stream
-  through the shared replay idiom.
+  in global time order.
 * :meth:`~ServingEngine.flush` / :meth:`~ServingEngine.drain_completed` —
   deliver what is still queued or uncollected (the drained-cursor
   exactly-once contract is the queue's, unchanged).
@@ -31,6 +30,7 @@ aggregation path batch exactly like GRU updates on the hidden path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Protocol, runtime_checkable
 
@@ -50,7 +50,6 @@ from .batching import (
     SessionUpdate,
 )
 from .kvstore import KeyValueStore
-from .online import replay_sessions_through_service
 from .rollout import GATE_NAMES, RolloutController
 from .router import ShardedKeyValueStore
 from .slo import AdmissionController, ServerModel, SloPolicy
@@ -64,7 +63,6 @@ __all__ = [
     "ServingEngine",
     "BACKEND_KINDS",
     "STATE_LAYOUTS",
-    "store_topology",
 ]
 
 BACKEND_KINDS = ("hidden_state", "aggregation")
@@ -74,22 +72,6 @@ BACKEND_KINDS = ("hidden_state", "aggregation")
 #: slab with fancy-index wave gather/scatter (``"arena"``).  Bit-identical
 #: by construction; the arena is the fast path.
 STATE_LAYOUTS = ("entries", "arena")
-
-
-def store_topology(store) -> tuple[int | None, int | None, str]:
-    """``(n_shards, replication, store_name)`` as an :class:`EngineConfig`
-    would describe ``store`` (``replication`` is ``None`` for an unsharded
-    store, which has no replica groups).
-
-    Used to keep a caller-supplied store and the declarative config in
-    agreement: ``ServingEngine.build`` rejects contradictions, and the
-    deprecation shims adopt the caller store's topology into their config.
-    """
-    return (
-        getattr(store, "n_shards", None),
-        getattr(store, "replication", None),
-        getattr(store, "name", "engine"),
-    )
 
 
 @runtime_checkable
@@ -433,8 +415,12 @@ class EngineConfig:
                     raise ValueError(f"autoscale.{name} must be an int")
             for name in ("service_rate", "target_queue_depth", "utilization"):
                 value = block[name]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"autoscale.{name} must be a number")
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not math.isfinite(value)
+                ):
+                    raise ValueError(f"autoscale.{name} must be a finite number")
                 block[name] = float(value)
             if block["service_rate"] <= 0:
                 raise ValueError("autoscale.service_rate must be positive")
@@ -585,8 +571,6 @@ class ServingEngine:
         featurizer=None,
         estimator=None,
         schema=None,
-        store=None,
-        stream: StreamProcessor | None = None,
         server: ServerModel | None = None,
         slo_policy: SloPolicy | None = None,
         admission_mode: str = "shed",
@@ -596,10 +580,10 @@ class ServingEngine:
 
         Model parts are backend-specific: the hidden path needs ``network``
         and ``builder``, the aggregation path ``featurizer``, ``estimator``
-        and ``schema``.  ``store`` and ``stream`` are built from the config
-        (``n_shards``/``store_name``, ``coalescing_window``) unless the
-        caller passes existing ones — e.g. to share a long-lived stream
-        across engine generations or to compare stores across replays.
+        and ``schema``.  The store and stream are always built from the
+        config (``n_shards``/``replication``/``store_name``,
+        ``coalescing_window``), so ``engine.config.to_dict()`` reconstructs
+        the pipeline; read them back as ``engine.store`` / ``engine.stream``.
 
         When ``config.model`` pins a registry version, ``models=`` (a
         :class:`~repro.serving.registry.ModelRegistry`) replaces ``network=``
@@ -626,47 +610,25 @@ class ServingEngine:
         """
         registry: MetricsRegistry | None = MetricsRegistry() if config.telemetry else None
         tracer = Tracer(config.tracing["sample_pct"]) if config.tracing is not None else NULL_TRACER
-        if store is None:
-            if config.n_shards is not None:
-                store = ShardedKeyValueStore(
-                    config.n_shards,
-                    name=config.store_name,
-                    replication=config.replication,
-                    registry=registry,
-                )
-            else:
-                store = KeyValueStore(config.store_name, registry=registry)
-        else:
-            expected = (
+        if config.n_shards is not None:
+            store = ShardedKeyValueStore(
                 config.n_shards,
-                config.replication if config.n_shards is not None else None,
-                config.store_name,
+                name=config.store_name,
+                replication=config.replication,
+                registry=registry,
             )
-            if store_topology(store) != expected:
-                # Same principle as the stream check below: a manifest rebuilt
-                # from engine.config.to_dict() must reconstruct this pipeline,
-                # including shard topology, replica groups and ring seeding.
-                raise ValueError(
-                    f"store topology {store_topology(store)} contradicts EngineConfig "
-                    f"(n_shards={config.n_shards}, replication={config.replication}, "
-                    f"store_name={config.store_name!r})"
-                )
+        else:
+            store = KeyValueStore(config.store_name, registry=registry)
         if tracer.enabled:
             # Both store kinds implement attach_tracer; the pool fans the
             # tracer out to every shard (present and future), so batch KV
             # operations record per-shard instants with no pool-level hooks.
             store.attach_tracer(tracer)
-        if config.deferred_updates:
-            if stream is None:
-                stream = StreamProcessor(coalescing_window=config.coalescing_window)
-            elif stream.coalescing_window != config.coalescing_window:
-                # The config is the declarative source of truth (manifests
-                # rebuild pipelines from engine.config.to_dict()); a stream
-                # with a different window would silently falsify it.
-                raise ValueError(
-                    f"stream coalescing_window {stream.coalescing_window} contradicts "
-                    f"EngineConfig.coalescing_window {config.coalescing_window}"
-                )
+        stream = (
+            StreamProcessor(coalescing_window=config.coalescing_window)
+            if config.deferred_updates
+            else None
+        )
         if config.failure_schedule:
             # Config validation guarantees a deferred dataflow (stream) and a
             # replicated sharded store here.  Each entry becomes a
@@ -677,11 +639,6 @@ class ServingEngine:
             # batch composition and break bit-equivalence with a fault-free
             # run.
             for fire_at, action, shard_index in config.failure_schedule:
-                if shard_index >= len(store.shards):
-                    raise ValueError(
-                        f"failure_schedule shard_index {shard_index} outside the "
-                        f"supplied store's pool of {len(store.shards)} shards"
-                    )
                 shard_name = store.shards[shard_index].name
 
                 def callback(
@@ -744,11 +701,6 @@ class ServingEngine:
         else:
             if featurizer is None or estimator is None or schema is None:
                 raise ValueError("the aggregation backend needs featurizer=, estimator= and schema=")
-            if not config.deferred_updates and stream is not None:
-                raise ValueError(
-                    "an aggregation engine with immediate updates takes no stream; "
-                    "set defer_updates=True to route session ends through one"
-                )
             backend = BatchedAggregationBackend(
                 featurizer,
                 estimator,
@@ -913,13 +865,42 @@ class ServingEngine:
     def replay(self, events) -> list[ServingPrediction]:
         """Replay ``(timestamp, user_id, context, accessed)`` tuples end to end.
 
-        Delegates to the shared replay idiom
-        (:func:`~repro.serving.online.replay_sessions_through_service`):
-        global time order, every delivery collected exactly once, remaining
-        session-end timers fired through the stream at the end.
+        Drives the batched cursor surface in global time order: advance the
+        clock to each session start, submit the prediction, observe the
+        session, then flush the queue, fire the remaining session-end timers
+        (in waves) and drain.  Under the exactly-once delivery contract the
+        concatenated returns are every prediction exactly once, in submission
+        order — the trailing length check turns any lost or duplicated
+        delivery into a hard error rather than a silently wrong replay.
+
+        Admission control composes: requests an
+        :class:`~repro.serving.slo.AdmissionController` sheds are excluded
+        from the expected delivery count (their sessions are still observed —
+        load shedding protects the scoring path, not ground truth), and
+        requests it parked are force-drained at the end.  Returns the
+        predictions aligned with the admitted ``events``.
         """
         self._ensure_open("replay")
-        return replay_sessions_through_service(self, events)
+        shed_before = self.admission.requests_shed if self.admission is not None else 0
+        delivered: list[ServingPrediction] = []
+        for timestamp, user_id, context, accessed in events:
+            delivered += self.advance_to(timestamp)
+            delivered += self.submit(user_id, context, timestamp)
+            self.observe_session(user_id, context, timestamp, accessed)
+        delivered += self.flush()
+        if self.stream is not None:
+            self.stream.flush()
+        delivered += self.drain_deferred()
+        delivered += self.drain_completed()
+        expected = len(events)
+        if self.admission is not None:
+            expected -= self.admission.requests_shed - shed_before
+        if len(delivered) != expected:
+            raise RuntimeError(
+                f"serving replay delivered {len(delivered)} predictions for {expected} expected "
+                f"({len(events)} sessions)"
+            )
+        return delivered
 
     # ------------------------------------------------------------------
     # Introspection

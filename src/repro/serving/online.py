@@ -14,15 +14,6 @@ population: models are trained on the training population, thresholds are
 calibrated on the training population's own predictions, and then every
 session of the live population is scored in time order (each prediction can
 only see that user's earlier history, so early days genuinely are cold).
-
-:func:`replay_sessions_through_service` is the shared live-replay loop for
-the *serving* stack: it drives a session stream through the batched cursor
-surface (submit / advance / flush / drain) in global time order, so
-examples, experiments and tests all exercise the same wave-coalesced
-dataflow instead of each hand-rolling the idiom.  It accepts anything with
-that surface — a facade-built :class:`~repro.serving.engine.ServingEngine`
-(whose :meth:`~repro.serving.engine.ServingEngine.replay` delegates here)
-or one of the deprecated service shims.
 """
 
 from __future__ import annotations
@@ -42,58 +33,7 @@ __all__ = [
     "OnlineArmResult",
     "OnlineExperimentReport",
     "OnlineExperiment",
-    "replay_sessions_through_service",
 ]
-
-
-def replay_sessions_through_service(service, events):
-    """Replay ``(timestamp, user_id, context, accessed)`` tuples through an
-    engine or service.
-
-    Drives the batched cursor surface in global time order: advance the
-    clock to each session start, submit the prediction, observe the session,
-    then flush the engine, fire the remaining session-end timers (in waves)
-    and drain.  Under the exactly-once delivery contract the concatenated
-    returns are every prediction exactly once, in submission order — the
-    trailing length check turns any lost or duplicated delivery into a hard
-    error rather than a silently wrong replay.
-
-    Works for both backend kinds: ``advance_to``/``stream`` are used only
-    when the pipeline has them (an immediate-write aggregation engine has
-    no stream clock).  Admission control composes: requests an
-    :class:`~repro.serving.slo.AdmissionController` sheds are excluded from
-    the expected delivery count (their sessions are still observed — load
-    shedding protects the scoring path, not ground truth), and requests it
-    parked are force-drained at the end.
-    Returns the list of :class:`~repro.serving.batching.ServingPrediction`
-    aligned with the admitted ``events``.
-    """
-    delivered = []
-    advance = getattr(service, "advance_to", None)
-    admission = getattr(service, "admission", None)
-    shed_before = admission.requests_shed if admission is not None else 0
-    for timestamp, user_id, context, accessed in events:
-        if advance is not None:
-            delivered += advance(timestamp)
-        delivered += service.submit(user_id, context, timestamp)
-        service.observe_session(user_id, context, timestamp, accessed)
-    delivered += service.flush()
-    stream = getattr(service, "stream", None)
-    if stream is not None:
-        stream.flush()
-    drain_deferred = getattr(service, "drain_deferred", None)
-    if drain_deferred is not None:
-        delivered += drain_deferred()
-    delivered += service.drain_completed()
-    expected = len(events)
-    if admission is not None:
-        expected -= admission.requests_shed - shed_before
-    if len(delivered) != expected:
-        raise RuntimeError(
-            f"serving replay delivered {len(delivered)} predictions for {expected} expected "
-            f"({len(events)} sessions)"
-        )
-    return delivered
 
 
 @dataclass

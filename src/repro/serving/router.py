@@ -186,8 +186,7 @@ class ShardedKeyValueStore:
     """Elastic pool of :class:`KeyValueStore` shards behind a consistent-hash router.
 
     API-compatible with a single ``KeyValueStore`` (every read/write/metering
-    accessor the serving services use), so the serving backends can be pointed
-    at either.  Per-shard traffic and storage stay visible through
+    accessor the serving backends use), so they can be pointed at either.  Per-shard traffic and storage stay visible through
     :meth:`shard_snapshots` / :meth:`cost_report`, while the aggregate
     :attr:`stats` sums the shard meters — by construction, the totals for a
     given workload equal what the unsharded store would report (at the

@@ -32,6 +32,7 @@ disabled reproduces the uncontrolled replay exactly (pinned by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .telemetry import LATENCY_BUCKETS_SECONDS, NULL_REGISTRY, MetricsRegistry
@@ -55,24 +56,27 @@ class SloPolicy:
     a sliding window of the last ``p99_window`` observations — so the
     controller *recovers*: once enough post-spike updates land inside the
     target, the window p99 drops back under the bound and admission
-    reopens.  ``latched_p99=True`` restores the historical behaviour of
-    reading the run-cumulative histogram instead, where one breach keeps
-    the controller engaged for (effectively) the rest of the run —
-    deterministic and deliberately conservative, for experiments that want
-    a blown SLO to stay visible.  Both bounds ``None`` means the policy
-    never triggers: attaching it is a no-op by contract.
+    reopens.  Both bounds ``None`` means the policy never triggers:
+    attaching it is a no-op by contract.
     """
 
     max_queue_depth: int | None = None
     max_p99_update_delay: float | None = None
     p99_window: int = 256
-    latched_p99: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_queue_depth is not None and self.max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive (or None to disable)")
-        if self.max_p99_update_delay is not None and self.max_p99_update_delay < 0:
-            raise ValueError("max_p99_update_delay must be non-negative (or None to disable)")
+        # NaN compares False against everything, so an unchecked NaN bound
+        # would silently never trip.
+        if self.max_queue_depth is not None and not (
+            math.isfinite(self.max_queue_depth) and self.max_queue_depth > 0
+        ):
+            raise ValueError("max_queue_depth must be positive and finite (or None to disable)")
+        if self.max_p99_update_delay is not None and not (
+            math.isfinite(self.max_p99_update_delay) and self.max_p99_update_delay >= 0
+        ):
+            raise ValueError(
+                "max_p99_update_delay must be non-negative and finite (or None to disable)"
+            )
         if self.p99_window <= 0:
             raise ValueError("p99_window must be positive")
 
@@ -94,8 +98,10 @@ class ServerModel:
     """
 
     def __init__(self, service_rate: float) -> None:
-        if service_rate <= 0:
-            raise ValueError("service_rate must be positive (requests per simulated second)")
+        if not (math.isfinite(service_rate) and service_rate > 0):
+            raise ValueError(
+                "service_rate must be positive and finite (requests per simulated second)"
+            )
         self.service_rate = float(service_rate)
         self.busy_until = 0.0
         self.requests_processed = 0
@@ -160,7 +166,7 @@ class AdmissionController:
         self.metrics = registry if registry is not None else NULL_REGISTRY
         self._latency = self.metrics.histogram("serving.update_latency_seconds", LATENCY_BUCKETS_SECONDS)
         self._delay = self.metrics.histogram("serving.update_delay_seconds", LATENCY_BUCKETS_SECONDS)
-        if policy.max_p99_update_delay is not None and not policy.latched_p99:
+        if policy.max_p99_update_delay is not None:
             # Sliding-window p99 (enabled post-hoc: the histograms already
             # exist — the backend creates them before the controller).
             self._latency.enable_window(policy.p99_window)
@@ -186,10 +192,7 @@ class AdmissionController:
                 reasons.append(f"queue depth {depth:.1f} >= bound {self.policy.max_queue_depth}")
         if self.policy.max_p99_update_delay is not None:
             histogram = self._latency if self._latency.count else self._delay
-            if self.policy.latched_p99:
-                p99 = histogram.quantile(0.99)
-            else:
-                p99 = histogram.window_quantile(0.99)
+            p99 = histogram.window_quantile(0.99)
             if p99 > self.policy.max_p99_update_delay:
                 reasons.append(f"p99 update latency {p99:g}s > target {self.policy.max_p99_update_delay:g}s")
         return reasons

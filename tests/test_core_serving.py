@@ -15,10 +15,10 @@ from repro.core import (
 from repro.data import make_dataset, user_split
 from repro.models import GBDTModel, PredictionResult, RNNModel, RNNModelConfig, TaskSpec
 from repro.serving import (
-    AggregationFeatureService,
-    HiddenStateService,
+    EngineConfig,
     KeyValueStore,
     OnlineExperiment,
+    ServingEngine,
     StreamEvent,
     StreamProcessor,
     dequantize_state,
@@ -214,10 +214,12 @@ def small_trained_models():
 class TestServingServices:
     def test_hidden_state_service_matches_offline_model(self, small_trained_models):
         dataset, split, task, _, rnn = small_trained_models
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, session_length=dataset.session_length, extra_lag=60
+        service = ServingEngine.build(
+            EngineConfig(backend="hidden_state", session_length=dataset.session_length, extra_lag=60),
+            network=rnn.network,
+            builder=rnn.builder,
         )
+        store, stream = service.store, service.stream
         user = max(split.test.users, key=len)
         served = []
         for index in range(len(user)):
@@ -239,8 +241,12 @@ class TestServingServices:
 
     def test_aggregation_service_charges_twenty_lookups(self, small_trained_models):
         dataset, split, task, gbdt, _ = small_trained_models
-        store = KeyValueStore()
-        service = AggregationFeatureService(gbdt.featurizer, gbdt.estimator, dataset.schema, store)
+        service = ServingEngine.build(
+            EngineConfig(backend="aggregation"),
+            featurizer=gbdt.featurizer,
+            estimator=gbdt.estimator,
+            schema=dataset.schema,
+        )
         user = split.test.users[0]
         timestamp = int(user.timestamps[0]) if len(user) else dataset.start_time
         prediction = service.predict(user.user_id, user.context_row(0) if len(user) else {"unread_count": 0, "active_tab": 0}, timestamp)

@@ -183,57 +183,15 @@ class TestEngineLifecycle:
             ServingEngine.build(EngineConfig(backend="hidden_state", session_length=600))
         with pytest.raises(ValueError, match="featurizer=, estimator= and schema="):
             ServingEngine.build(EngineConfig(backend="aggregation"), featurizer=gbdt.featurizer)
-        with pytest.raises(ValueError, match="takes no stream"):
-            ServingEngine.build(
-                EngineConfig(backend="aggregation"),
-                featurizer=gbdt.featurizer,
-                estimator=gbdt.estimator,
-                schema=dataset.schema,
-                stream=StreamProcessor(),
-            )
-
-    def test_build_rejects_a_stream_contradicting_the_config(self, trained):
-        dataset, rnn, _, _ = trained
-        with pytest.raises(ValueError, match="contradicts"):
-            ServingEngine.build(
-                EngineConfig(backend="hidden_state", coalescing_window=30, session_length=dataset.session_length),
-                network=rnn.network,
-                builder=rnn.builder,
-                stream=StreamProcessor(coalescing_window=0),
-            )
-
-    def test_build_rejects_a_store_contradicting_the_config(self, trained):
-        dataset, rnn, _, _ = trained
-        with pytest.raises(ValueError, match="store topology"):
-            ServingEngine.build(
-                EngineConfig(backend="hidden_state", n_shards=4, session_length=dataset.session_length),
-                network=rnn.network,
-                builder=rnn.builder,
-                store=KeyValueStore(),
-            )
-        with pytest.raises(ValueError, match="store topology"):
-            ServingEngine.build(
-                EngineConfig(backend="hidden_state", session_length=dataset.session_length, store_name="rnn"),
-                network=rnn.network,
-                builder=rnn.builder,
-                store=KeyValueStore("other"),
-            )
-
-    def test_service_shim_adopts_the_callers_store_and_stream(self, trained):
-        from repro.serving import HiddenStateService
-
-        dataset, rnn, _, _ = trained
-        with pytest.warns(DeprecationWarning):
-            service = HiddenStateService(
-                rnn.network,
-                rnn.builder,
-                ShardedKeyValueStore(3, name="rnn"),
-                StreamProcessor(coalescing_window=7),
-                dataset.session_length,
-            )
-        config = service.serving_engine.config
-        assert config.coalescing_window == 7
-        assert config.n_shards == 3 and config.store_name == "rnn"
+        # The store and stream always come from the config, never the caller.
+        for injected in ("store", "stream"):
+            with pytest.raises(TypeError, match=injected):
+                ServingEngine.build(
+                    EngineConfig(backend="hidden_state", session_length=600),
+                    network=rnn.network,
+                    builder=rnn.builder,
+                    **{injected: None},
+                )
 
     def test_double_close_is_idempotent_and_submit_after_close_raises(self, trained):
         _, _, _, events = trained

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     ExperimentResult,
+    list_specs,
     run_experiment,
     run_fig1,
     run_fig5,
@@ -32,14 +32,9 @@ def test_registry_contains_every_paper_artefact():
         "batched_serving",
         "train_throughput",
     }
-    assert expected == set(EXPERIMENTS)
+    assert expected == {spec.experiment_id for spec in list_specs()}
     with pytest.raises(KeyError):
         run_experiment("table99")
-
-
-def test_experiments_mapping_is_read_only():
-    with pytest.raises(TypeError):
-        EXPERIMENTS["rogue"] = lambda: None  # the registry is the only registration path
 
 
 def test_column_handles_heterogeneous_rows():
@@ -124,19 +119,14 @@ def test_serving_replay_delivers_each_prediction_exactly_once():
 
     ``examples/mobiletab_prefetch.py``, ``run_serving_cost`` and the
     equivalence harnesses all consume the engine through
-    ``replay_sessions_through_service``; under the drained-cursor contract
-    its output must be every submitted session exactly once, in submission
-    order — no duplicate deliveries, no results stranded on the cursor.
+    ``ServingEngine.replay``; under the drained-cursor contract its output
+    must be every submitted session exactly once, in submission order — no
+    duplicate deliveries, no results stranded on the cursor.
     """
     from repro.data import ContextField, ContextSchema
     from repro.features.sequence import SequenceBuilder
     from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
-    from repro.serving import (
-        HiddenStateService,
-        KeyValueStore,
-        StreamProcessor,
-        replay_sessions_through_service,
-    )
+    from repro.serving import EngineConfig, ServingEngine
 
     schema = ContextSchema(fields=(ContextField("badge", "numeric"),))
     builder = SequenceBuilder(schema)
@@ -154,13 +144,15 @@ def test_serving_replay_delivers_each_prediction_exactly_once():
     # Batch sizes straddling the stream's timer cadence: barrier flushes,
     # auto-flushes and the trailing drain all contribute deliveries.
     for batch_size in (1, 7, 64):
-        service = HiddenStateService(
-            network, builder, KeyValueStore(), StreamProcessor(), 600, max_batch_size=batch_size
+        engine = ServingEngine.build(
+            EngineConfig(backend="hidden_state", session_length=600, max_batch_size=batch_size),
+            network=network,
+            builder=builder,
         )
-        predictions = replay_sessions_through_service(service, events)
+        predictions = engine.replay(events)
         assert [(p.user_id, p.timestamp) for p in predictions] == [(e[1], e[0]) for e in events]
-        assert service.engine.undelivered == 0 and service.engine.pending == 0
-        assert service.updates_applied == len(events)
+        assert engine.undelivered == 0 and engine.pending == 0
+        assert engine.updates_applied == len(events)
 
 
 def test_successful_prefetch_uplift_zero_control_regression():

@@ -41,21 +41,6 @@ class TestLoadAndRoundTrip:
         assert manifest_to_dict(again) == dumped
         assert manifest_hash(again) == manifest_hash(manifest)
 
-    def test_smoke_manifest_covers_legacy_and_facade_wiring(self):
-        manifest = load_manifest(MANIFESTS_DIR / "smoke.json")
-        engines = [entry.engine for entry in manifest.entries]
-        assert engines[0] is None and engines[1] is not None
-        assert all(entry.experiment_id == "batched_serving" for entry in manifest.entries)
-
-    def test_smoke_manifest_params_match_the_production_shim(self):
-        """`production.py --smoke` claims to be the same workload as
-        manifests/smoke.json; pin the two against silent drift."""
-        from repro.experiments.production import SMOKE_PARAMS
-
-        manifest = load_manifest(MANIFESTS_DIR / "smoke.json")
-        for entry in manifest.entries:
-            assert entry.params == SMOKE_PARAMS
-
     def test_hash_is_stable_and_sensitive(self):
         base = load_manifest(TINY)
         assert manifest_hash(base) == manifest_hash(load_manifest(json.loads(json.dumps(TINY))))
@@ -115,31 +100,6 @@ class TestValidation:
         with pytest.raises(ManifestError, match="cannot be set for this experiment"):
             load_manifest(
                 {"experiments": [{"id": "batched_serving", "engine": {"history_window": 123}}]}
-            )
-        # An engine block always means facade-built pipelines.
-        with pytest.raises(ManifestError, match="contradicts the \"engine\" block"):
-            load_manifest(
-                {
-                    "experiments": [
-                        {
-                            "id": "batched_serving",
-                            "params": {"via_engine": False},
-                            "engine": {"backend": "hidden_state"},
-                        }
-                    ]
-                }
-            )
-        with pytest.raises(ManifestError, match="cannot be swept"):
-            load_manifest(
-                {
-                    "experiments": [
-                        {
-                            "id": "batched_serving",
-                            "engine": {"backend": "hidden_state"},
-                            "sweep": {"via_engine": [False, True]},
-                        }
-                    ]
-                }
             )
         # batched_serving only drives the hidden-state dataflow.
         with pytest.raises(ManifestError, match="drives backend kinds"):
@@ -260,14 +220,13 @@ class TestExecutionAndArtifacts:
 
 
 class TestEngineBlockExecution:
-    def test_engine_block_drives_the_facade_and_matches_legacy_wiring(self):
-        """Tiny batched_serving run: manifest engine block vs legacy wiring.
+    def test_engine_block_drives_the_facade_and_matches_no_block(self):
+        """Tiny batched_serving run: an all-defaults engine block vs no block.
 
         Wall-clock throughput columns are non-deterministic; every other
         column — traffic, cost, wave sizes, batch sizes — must be identical
-        between the legacy-wired run and the facade run built from the
-        manifest's engine block (the facade is pinned bit-identical to
-        hand-wiring in tests/test_engine.py).
+        between the run without an engine block and the run whose block only
+        restates ``EngineConfig`` defaults.
         """
         params = {
             "n_users": 8,
@@ -291,17 +250,13 @@ class TestEngineBlockExecution:
                 ],
             }
         )
-        legacy, facade = run_manifest(manifest)
-        assert legacy.result.metadata["via_engine"] is False
-        assert facade.result.metadata["via_engine"] is True
-        assert facade.provenance["engine"] == {"backend": "hidden_state", "quantize": False}
-        # Provenance must describe the wiring that actually ran.
-        assert legacy.provenance["resolved_params"]["via_engine"] is False
-        assert facade.provenance["resolved_params"]["via_engine"] is True
+        bare, templated = run_manifest(manifest)
+        assert bare.provenance["engine"] is None
+        assert templated.provenance["engine"] == {"backend": "hidden_state", "quantize": False}
         timing = {"requests_per_second", "updates_per_second"}
         stable = [
             [{key: value for key, value in row.items() if key not in timing} for row in run.result.rows]
-            for run in (legacy, facade)
+            for run in (bare, templated)
         ]
         assert stable[0] == stable[1]
 
@@ -321,7 +276,6 @@ class TestEngineBlockExecution:
             n_users=4, n_requests=8, batch_sizes=(1,), scenarios=("bursty",), hidden_size=8,
             engine_config={"backend": "hidden_state", "extra_lag": 120},
         )
-        assert result.metadata["via_engine"] is True  # an engine block implies the facade
         assert result.metadata["engine_config"] == {"backend": "hidden_state", "extra_lag": 120}
 
     def test_engine_block_contradictions_are_hard_errors(self):

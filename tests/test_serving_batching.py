@@ -20,14 +20,12 @@ from repro.data import make_dataset, sessions_in_time_order, user_split
 from repro.features.bucketing import log_bucket
 from repro.models import GBDTModel, RNNModel, RNNModelConfig, TaskSpec
 from repro.serving import (
-    AggregationFeatureService,
-    HiddenStateService,
+    EngineConfig,
     KeyValueStore,
     MicroBatchQueue,
-    ShardedKeyValueStore,
+    ServingEngine,
     StreamProcessor,
     dequantize_state,
-    replay_sessions_through_service,
 )
 
 BATCH_SIZES = (1, 7, 64)
@@ -53,7 +51,7 @@ def trained():
 # Seed-semantics reference implementations (per-request Tensor path).
 # ----------------------------------------------------------------------
 class SeedHiddenStateReplay:
-    """The seed ``HiddenStateService`` dataflow, one request at a time."""
+    """The seed hidden-state dataflow, one request at a time."""
 
     def __init__(self, network, builder, store, stream, session_length, extra_lag=60):
         self.network = network
@@ -125,27 +123,41 @@ def replay_hidden_reference(rnn, dataset, events):
     return np.asarray(probabilities), store
 
 
-def replay_hidden_batched(rnn, dataset, events, batch_size, store=None, **service_kwargs):
-    store = store if store is not None else KeyValueStore()
-    stream = StreamProcessor()
-    service = HiddenStateService(
-        rnn.network, rnn.builder, store, stream, dataset.session_length,
-        max_batch_size=batch_size, **service_kwargs,
+def hidden_engine(rnn, dataset, batch_size, network=None, **config):
+    return ServingEngine.build(
+        EngineConfig(
+            backend="hidden_state",
+            max_batch_size=batch_size,
+            session_length=dataset.session_length,
+            **config,
+        ),
+        network=network if network is not None else rnn.network,
+        builder=rnn.builder,
     )
-    predictions = replay_sessions_through_service(service, events)
+
+
+def aggregation_engine(gbdt, dataset, batch_size):
+    return ServingEngine.build(
+        EngineConfig(backend="aggregation", max_batch_size=batch_size),
+        featurizer=gbdt.featurizer,
+        estimator=gbdt.estimator,
+        schema=dataset.schema,
+    )
+
+
+def replay_hidden_batched(rnn, dataset, events, batch_size, **config):
+    engine = hidden_engine(rnn, dataset, batch_size, **config)
+    predictions = engine.replay(events)
     # Deliveries arrive from whichever call completed each request, but never
-    # out of submission order — and exactly once (the helper checks counts).
+    # out of submission order — and exactly once (replay checks counts).
     assert [p.timestamp for p in predictions] == [event[0] for event in events]
-    return np.asarray([p.probability for p in predictions]), store, predictions, service
+    return np.asarray([p.probability for p in predictions]), engine.store, predictions, engine
 
 
-def replay_aggregation_batched(gbdt, dataset, events, batch_size, store=None):
-    store = store if store is not None else KeyValueStore()
-    service = AggregationFeatureService(
-        gbdt.featurizer, gbdt.estimator, dataset.schema, store, max_batch_size=batch_size
-    )
-    predictions = replay_sessions_through_service(service, events)
-    return np.asarray([p.probability for p in predictions]), store, predictions
+def replay_aggregation_batched(gbdt, dataset, events, batch_size):
+    engine = aggregation_engine(gbdt, dataset, batch_size)
+    predictions = engine.replay(events)
+    return np.asarray([p.probability for p in predictions]), engine.store, predictions
 
 
 class TestHiddenStateEquivalence:
@@ -175,10 +187,10 @@ class TestHiddenStateEquivalence:
         dataset, rnn, _, events = trained
         _, reference_store = replay_hidden_reference(rnn, dataset, events)
         for batch_size in BATCH_SIZES:
-            _, store, predictions, service = replay_hidden_batched(rnn, dataset, events, batch_size)
+            _, store, predictions, engine = replay_hidden_batched(rnn, dataset, events, batch_size)
             assert store.stats.snapshot() == reference_store.stats.snapshot()
             assert store.total_bytes == reference_store.total_bytes
-            assert service.updates_applied == len(events)
+            assert engine.updates_applied == len(events)
             assert all(p.kv_lookups == 1 for p in predictions)
 
     def test_hidden_states_converge_identically(self, trained):
@@ -199,12 +211,9 @@ class TestHiddenStateEquivalence:
         dataset, rnn, _, events = trained
         results = {}
         for batch_size in (1, 64):
-            store, stream = KeyValueStore(), StreamProcessor()
-            service = HiddenStateService(
-                rnn.network, rnn.builder, store, stream, dataset.session_length,
-                quantize=True, max_batch_size=batch_size,
-            )
-            predictions = replay_sessions_through_service(service, events)
+            engine = hidden_engine(rnn, dataset, batch_size, quantize=True)
+            store = engine.store
+            predictions = engine.replay(events)
             results[batch_size] = (
                 np.asarray([p.probability for p in predictions]),
                 store.stats.snapshot(),
@@ -240,12 +249,13 @@ class TestShardedEquivalence:
     def test_sharded_pool_serves_identically_to_single_store(self, trained):
         dataset, rnn, _, events = trained
         reference, reference_store, _, _ = replay_hidden_batched(rnn, dataset, events, 64)
-        sharded = ShardedKeyValueStore(n_shards=5, name="rnn")
-        probabilities, store, _, _ = replay_hidden_batched(rnn, dataset, events, 64, store=sharded)
+        probabilities, store, _, _ = replay_hidden_batched(
+            rnn, dataset, events, 64, n_shards=5, store_name="rnn"
+        )
         np.testing.assert_allclose(probabilities, reference, rtol=0, atol=1e-12)
         assert store.stats.snapshot() == reference_store.stats.snapshot()
         assert store.total_bytes == reference_store.total_bytes
-        assert sum(shard.n_keys for shard in sharded.shards) == reference_store.n_keys
+        assert sum(shard.n_keys for shard in store.shards) == reference_store.n_keys
 
 
 class TestAllCellTypes:
@@ -304,21 +314,17 @@ class TestAllCellTypes:
         from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 
         dataset, rnn, _, events = trained
-        builder = rnn.builder
         config = RNNNetworkConfig(
-            feature_dim=builder.feature_dim, hidden_size=8, mlp_hidden=8, cell=cell
+            feature_dim=rnn.builder.feature_dim, hidden_size=8, mlp_hidden=8, cell=cell
         )
         network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(1)).eval()
         results = {}
         for batch_size in (1, 16):
-            store, stream = KeyValueStore(), StreamProcessor()
-            service = HiddenStateService(
-                network, builder, store, stream, dataset.session_length, max_batch_size=batch_size
-            )
-            predictions = replay_sessions_through_service(service, events[:200])
+            engine = hidden_engine(rnn, dataset, batch_size, network=network)
+            predictions = engine.replay(events[:200])
             results[batch_size] = (
                 np.asarray([p.probability for p in predictions]),
-                store.stats.snapshot(),
+                engine.store.stats.snapshot(),
             )
         np.testing.assert_allclose(results[1][0], results[16][0], rtol=0, atol=1e-10)
         assert results[1][1] == results[16][1]
@@ -327,11 +333,8 @@ class TestAllCellTypes:
 class TestMicroBatchQueue:
     def test_auto_flush_at_max_batch_size(self, trained):
         dataset, rnn, _, events = trained
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=4
-        )
-        queue = service.engine
+        engine = hidden_engine(rnn, dataset, 4)
+        queue = engine.queue
         for timestamp, user_id, context, _ in events[:3]:
             assert queue.submit(user_id, context, timestamp) == []
         assert queue.pending == 3
@@ -344,23 +347,21 @@ class TestMicroBatchQueue:
 
     def test_advance_to_flushes_before_due_timer(self, trained):
         dataset, rnn, _, events = trained
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=1000
-        )
-        queue = service.engine
+        engine = hidden_engine(rnn, dataset, 1000)
+        stream = engine.stream
+        queue = engine.queue
         timestamp, user_id, context, _ = events[0]
         stream.advance_to(timestamp)
         queue.submit(user_id, context, timestamp)
-        service.observe_session(user_id, context, timestamp, True)
-        fire_at = timestamp + dataset.session_length + service.extra_lag
+        engine.observe_session(user_id, context, timestamp, True)
+        fire_at = timestamp + dataset.session_length + engine.config.extra_lag
         # Advancing short of the timer leaves the queue intact…
         assert queue.advance_to(fire_at - 1) == []
-        assert queue.pending == 1 and service.updates_applied == 0
+        assert queue.pending == 1 and engine.updates_applied == 0
         # …crossing it flushes first, then fires the update.
         completed = queue.advance_to(fire_at)
         assert len(completed) == 1
-        assert queue.pending == 0 and service.updates_applied == 1
+        assert queue.pending == 0 and engine.updates_applied == 1
         assert queue.drain_completed() == []
 
     def test_direct_stream_drive_cannot_bypass_the_barrier(self, trained):
@@ -374,18 +375,16 @@ class TestMicroBatchQueue:
         """
         dataset, rnn, _, events = trained
         reference, reference_store = replay_hidden_reference(rnn, dataset, events)
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=16
-        )
+        engine = hidden_engine(rnn, dataset, 16)
+        store, stream = engine.store, engine.stream
         predictions = []
         for timestamp, user_id, context, accessed in events:
             stream.advance_to(timestamp)  # stream driven directly, not via the queue
-            predictions += service.submit(user_id, context, timestamp)
-            service.observe_session(user_id, context, timestamp, accessed)
+            predictions += engine.submit(user_id, context, timestamp)
+            engine.observe_session(user_id, context, timestamp, accessed)
         stream.flush()  # seed idiom: stream flushed while requests may be queued
-        predictions += service.flush()
-        predictions += service.drain_completed()
+        predictions += engine.flush()
+        predictions += engine.drain_completed()
         assert len(predictions) == len(events)
         assert [p.timestamp for p in predictions] == [event[0] for event in events]
         np.testing.assert_allclose(
@@ -396,22 +395,20 @@ class TestMicroBatchQueue:
     def test_predict_across_due_timer_returns_own_result(self, trained):
         """A barrier flush inside submit must not be mistaken for predict's own."""
         dataset, rnn, _, events = trained
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=8
-        )
+        engine = hidden_engine(rnn, dataset, 8)
+        stream = engine.stream
         t1, u1, c1, _ = events[0]
         stream.advance_to(t1)
-        service.submit(u1, c1, t1)
-        service.observe_session(u1, c1, t1, True)
-        fire_at = t1 + dataset.session_length + service.extra_lag
+        engine.submit(u1, c1, t1)
+        engine.observe_session(u1, c1, t1, True)
+        fire_at = t1 + dataset.session_length + engine.config.extra_lag
         # predict stamped past the due timer: submit's barrier completes u1's
         # queued request and fires the update, then scores this one.
         other = u1 + 1
-        prediction = service.engine.predict(other, c1, fire_at + 5)
+        prediction = engine.queue.predict(other, c1, fire_at + 5)
         assert prediction.user_id == other and prediction.timestamp == fire_at + 5
-        assert service.engine.pending == 0 and service.updates_applied == 1
-        drained = service.drain_completed()
+        assert engine.queue.pending == 0 and engine.updates_applied == 1
+        drained = engine.drain_completed()
         assert [(p.user_id, p.timestamp) for p in drained] == [(u1, t1)]
 
     def test_invalid_batch_size_rejected(self):
@@ -422,20 +419,18 @@ class TestMicroBatchQueue:
         """Batch-size invariance must not depend on advance/submit call order."""
         dataset, rnn, _, events = trained
         reference, reference_store = replay_hidden_reference(rnn, dataset, events)
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=16
-        )
+        engine = hidden_engine(rnn, dataset, 16)
+        store, stream = engine.store, engine.stream
         predictions = []
         for timestamp, user_id, context, accessed in events:
             # Submit first: the queue itself must flush past-due work and
             # fire the timers before this request can be enqueued.
-            predictions += service.submit(user_id, context, timestamp)
-            predictions += service.advance_to(timestamp)
-            service.observe_session(user_id, context, timestamp, accessed)
-        predictions += service.flush()
+            predictions += engine.submit(user_id, context, timestamp)
+            predictions += engine.advance_to(timestamp)
+            engine.observe_session(user_id, context, timestamp, accessed)
+        predictions += engine.flush()
         stream.flush()
-        predictions += service.drain_completed()
+        predictions += engine.drain_completed()
         assert [(p.timestamp, p.user_id) for p in predictions] == [(e[0], e[1]) for e in events]
         probabilities = np.asarray([p.probability for p in predictions])
         np.testing.assert_allclose(probabilities, reference, rtol=0, atol=1e-10)
@@ -443,17 +438,14 @@ class TestMicroBatchQueue:
 
     def test_predict_interleaved_with_submit_keeps_earlier_results(self, trained):
         dataset, rnn, _, events = trained
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=8
-        )
+        engine = hidden_engine(rnn, dataset, 8)
         (t1, u1, c1, _), (t2, u2, c2, _), (t3, u3, c3, _) = events[:3]
-        assert service.submit(u1, c1, t1) == []
-        assert service.submit(u2, c2, t2) == []
-        prediction = service.engine.predict(u3, c3, t3)
+        assert engine.submit(u1, c1, t1) == []
+        assert engine.submit(u2, c2, t2) == []
+        prediction = engine.queue.predict(u3, c3, t3)
         assert prediction.user_id == u3 and prediction.timestamp == t3
         # The flush triggered by predict() must not swallow the queued results.
-        remaining = service.drain_completed()
+        remaining = engine.drain_completed()
         assert [(p.user_id, p.timestamp) for p in remaining] == [(u1, t1), (u2, t2)]
 
 
@@ -467,63 +459,52 @@ class TestDrainedCursor:
 
     def test_flush_results_never_reappear_in_drain(self, trained):
         dataset, rnn, _, events = trained
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=64
-        )
+        engine = hidden_engine(rnn, dataset, 64)
         for timestamp, user_id, context, _ in events[:5]:
-            service.submit(user_id, context, timestamp)
-        flushed = service.flush()
+            engine.submit(user_id, context, timestamp)
+        flushed = engine.flush()
         assert len(flushed) == 5
-        assert service.drain_completed() == []
+        assert engine.drain_completed() == []
         # A second flush with nothing pending delivers nothing.
-        assert service.flush() == []
+        assert engine.flush() == []
 
     def test_barrier_retained_results_drain_exactly_once(self, trained):
         dataset, rnn, _, events = trained
-        store, stream = KeyValueStore(), StreamProcessor()
-        service = HiddenStateService(
-            rnn.network, rnn.builder, store, stream, dataset.session_length, max_batch_size=64
-        )
+        engine = hidden_engine(rnn, dataset, 64)
+        stream = engine.stream
         t1, u1, c1, _ = events[0]
         stream.advance_to(t1)
-        service.submit(u1, c1, t1)
-        service.observe_session(u1, c1, t1, True)
+        engine.submit(u1, c1, t1)
+        engine.observe_session(u1, c1, t1, True)
         # Drive the stream directly: the barrier flush has no caller, so the
         # result must surface from drain_completed — exactly once.
         stream.flush()
-        drained = service.drain_completed()
+        drained = engine.drain_completed()
         assert [(p.user_id, p.timestamp) for p in drained] == [(u1, t1)]
-        assert service.drain_completed() == []
-        assert service.engine.undelivered == 0
+        assert engine.drain_completed() == []
+        assert engine.queue.undelivered == 0
 
     def test_barrier_for_user_surfaces_results_exactly_once(self, trained):
         dataset, _, gbdt, events = trained
-        store = KeyValueStore()
-        service = AggregationFeatureService(
-            gbdt.featurizer, gbdt.estimator, dataset.schema, store, max_batch_size=64
-        )
+        engine = aggregation_engine(gbdt, dataset, 64)
         t1, u1, c1, _ = events[0]
-        service.submit(u1, c1, t1)
+        engine.submit(u1, c1, t1)
         # Delivering mode: the caller gets the result, drain stays empty.
-        delivered = service.engine.barrier_for_user(u1)
+        delivered = engine.queue.barrier_for_user(u1)
         assert [(p.user_id, p.timestamp) for p in delivered] == [(u1, t1)]
-        assert service.drain_completed() == []
+        assert engine.drain_completed() == []
         # Retaining mode (what observe_session uses): result drains once.
         t2, u2, c2, _ = events[1]
-        service.submit(u2, c2, t2)
-        assert service.engine.barrier_for_user(u2, deliver=False) == []
-        service.observe_session(u2, c2, t2, True)
-        drained = service.drain_completed()
+        engine.submit(u2, c2, t2)
+        assert engine.queue.barrier_for_user(u2, deliver=False) == []
+        engine.observe_session(u2, c2, t2, True)
+        drained = engine.drain_completed()
         assert [(p.user_id, p.timestamp) for p in drained] == [(u2, t2)]
-        assert service.drain_completed() == []
+        assert engine.drain_completed() == []
 
     def test_observe_session_barrier_does_not_lose_results(self, trained):
         """The aggregation path's immediate-write barrier retains, not drops."""
         dataset, _, gbdt, events = trained
-        store = KeyValueStore()
-        service = AggregationFeatureService(
-            gbdt.featurizer, gbdt.estimator, dataset.schema, store, max_batch_size=64
-        )
-        collected = replay_sessions_through_service(service, events[:40])
+        engine = aggregation_engine(gbdt, dataset, 64)
+        collected = engine.replay(events[:40])
         assert [(p.user_id, p.timestamp) for p in collected] == [(e[1], e[0]) for e in events[:40]]

@@ -27,6 +27,7 @@ from repro.serving import (
     EngineConfig,
     MetricsRegistry,
     MicroBatchQueue,
+    ReplicaFleet,
     ServerModel,
     ServingEngine,
     SloPolicy,
@@ -272,29 +273,43 @@ class TestAdmissionAtTheQueue:
         assert admission.requests_shed == 1  # …and forgotten once it drains.
         assert admission.violations(2, queue) == []
 
-    def test_latched_p99_flag_restores_historical_behaviour(self):
-        registry = MetricsRegistry()
-        admission = AdmissionController(
-            SloPolicy(max_p99_update_delay=30.0, latched_p99=True),
-            registry=registry,
-            mode="shed",
-        )
-        queue = MicroBatchQueue(
-            _EchoBackend(), max_batch_size=4, registry=registry, admission=admission
-        )
-        latency = registry.histogram("serving.update_latency_seconds")
-        for _ in range(100):
-            latency.observe(120.0)
-        for _ in range(9000):
-            latency.observe(1.0)
-        # 100 slow observations still sit above the lifetime 99th percentile,
-        # so the latched controller keeps shedding long after the overload.
-        queue.submit(0, None, 0)
-        assert admission.requests_shed == 1
-
     def test_p99_window_validated(self):
         with pytest.raises(ValueError):
             SloPolicy(p99_window=0)
+
+
+def _autoscale_config(**fields):
+    block = {"policy": "reactive", "service_rate": 1.0, "start": 0, "until": 60, **fields}
+    return EngineConfig(backend="hidden_state", session_length=600, autoscale=block)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: SloPolicy(max_queue_depth=value),
+        lambda value: SloPolicy(max_p99_update_delay=value),
+        ServerModel,
+        ReplicaFleet,
+        lambda value: _autoscale_config(service_rate=value),
+        lambda value: _autoscale_config(target_queue_depth=value),
+        lambda value: _autoscale_config(utilization=value),
+    ],
+    ids=[
+        "SloPolicy.max_queue_depth",
+        "SloPolicy.max_p99_update_delay",
+        "ServerModel",
+        "ReplicaFleet",
+        "autoscale.service_rate",
+        "autoscale.target_queue_depth",
+        "autoscale.utilization",
+    ],
+)
+def test_non_finite_numbers_are_rejected(build, value):
+    """NaN compares False against every bound, so an unchecked NaN would
+    construct and silently disable the feature it configures."""
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 # ----------------------------------------------------------------------

@@ -24,12 +24,11 @@ from repro.data import ContextField, ContextSchema
 from repro.features.sequence import SequenceBuilder
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
-    HiddenStateService,
+    EngineConfig,
     KeyValueStore,
-    ShardedKeyValueStore,
+    ServingEngine,
     StreamEvent,
     StreamProcessor,
-    replay_sessions_through_service,
 )
 
 N_TRIALS = 25
@@ -182,15 +181,21 @@ def random_session_events(rng, n_events=120, n_users=12, session_length=600):
     return events
 
 
-def replay(parts, events, *, coalesce, store, batch_size, window=0):
+def replay(parts, events, *, coalesce, batch_size, window=0, **config):
     _, builder, network = parts
-    stream = StreamProcessor(coalescing_window=window)
-    service = HiddenStateService(
-        network, builder, store, stream, 600,
-        max_batch_size=batch_size, coalesce_updates=coalesce,
+    engine = ServingEngine.build(
+        EngineConfig(
+            backend="hidden_state",
+            session_length=600,
+            max_batch_size=batch_size,
+            coalesce_updates=coalesce,
+            coalescing_window=window,
+            **config,
+        ),
+        network=network,
+        builder=builder,
     )
-    predictions = replay_sessions_through_service(service, events)
-    return predictions, stream, service
+    return engine.replay(events), engine
 
 
 class TestWaveEquivalence:
@@ -200,18 +205,12 @@ class TestWaveEquivalence:
         per-timer path, hiding the window_sweep latency cost at batch 1)."""
         rng = np.random.default_rng(4000)
         events = random_session_events(rng)
-        _, _, single_service = replay(
-            serving_parts, events, coalesce=False, store=KeyValueStore(), batch_size=1, window=45
-        )
-        _, _, wave_service = replay(
-            serving_parts, events, coalesce=True, store=KeyValueStore(), batch_size=1, window=45
-        )
-        assert single_service.backend.update_delay_seconds > 0
-        assert single_service.backend.update_delay_seconds == wave_service.backend.update_delay_seconds
+        _, single_engine = replay(serving_parts, events, coalesce=False, batch_size=1, window=45)
+        _, wave_engine = replay(serving_parts, events, coalesce=True, batch_size=1, window=45)
+        assert single_engine.backend.update_delay_seconds > 0
+        assert single_engine.backend.update_delay_seconds == wave_engine.backend.update_delay_seconds
         # Same-second delivery still adds no latency on either path.
-        _, _, immediate = replay(
-            serving_parts, events, coalesce=False, store=KeyValueStore(), batch_size=1, window=0
-        )
+        _, immediate = replay(serving_parts, events, coalesce=False, batch_size=1, window=0)
         assert immediate.backend.update_delay_seconds == 0
 
     def test_update_delay_meter_is_float_end_to_end(self, serving_parts):
@@ -223,12 +222,10 @@ class TestWaveEquivalence:
         rng = np.random.default_rng(4500)
         events = random_session_events(rng)
         for coalesce in (False, True):
-            _, _, service = replay(
-                serving_parts, events, coalesce=coalesce, store=KeyValueStore(), batch_size=4, window=45
-            )
-            assert isinstance(service.backend.update_delay_seconds, float)
-            assert isinstance(service.serving_engine.update_delay_seconds, float)
-            assert service.backend.update_delay_seconds > 0
+            _, engine = replay(serving_parts, events, coalesce=coalesce, batch_size=4, window=45)
+            assert isinstance(engine.backend.update_delay_seconds, float)
+            assert isinstance(engine.update_delay_seconds, float)
+            assert engine.backend.update_delay_seconds > 0
         # Untouched meters are float zero, not int zero.
         from repro.serving import BatchedHiddenStateBackend as Backend
 
@@ -241,15 +238,13 @@ class TestWaveEquivalence:
         for trial in range(8):
             rng = np.random.default_rng(3000 + trial)
             events = random_session_events(rng)
-            single_store, wave_store = KeyValueStore(), KeyValueStore()
-            single, single_stream, _ = replay(
-                serving_parts, events, coalesce=False, store=single_store, batch_size=batch_size
+            single, single_engine = replay(
+                serving_parts, events, coalesce=False, batch_size=batch_size
             )
-            waved, wave_stream, _ = replay(
-                serving_parts, events, coalesce=True, store=wave_store, batch_size=batch_size
-            )
+            waved, wave_engine = replay(serving_parts, events, coalesce=True, batch_size=batch_size)
+            single_store, wave_store = single_engine.store, wave_engine.store
             # Coalescing actually happened (bursty starts share fire seconds)…
-            assert wave_stream.waves_fired < wave_stream.timers_fired
+            assert wave_engine.stream.waves_fired < wave_engine.stream.timers_fired
             # …and is invisible: bit-identical probabilities, states, traffic.
             np.testing.assert_array_equal(
                 np.asarray([p.probability for p in waved]),
@@ -265,18 +260,16 @@ class TestWaveEquivalence:
     def test_wider_coalescing_windows_stay_bit_identical(self, serving_parts):
         rng = np.random.default_rng(4000)
         events = random_session_events(rng)
-        reference_store = KeyValueStore()
-        reference, _, _ = replay(
-            serving_parts, events, coalesce=False, store=reference_store, batch_size=8
-        )
+        reference, reference_engine = replay(serving_parts, events, coalesce=False, batch_size=8)
+        reference_store = reference_engine.store
         # Freeze the replay's metered traffic: the state comparisons below go
         # through the metering ``get`` and must not count as serving reads.
         reference_stats = reference_store.stats.snapshot()
         for window in (1, 30, 600):
-            store = KeyValueStore()
-            predictions, stream, _ = replay(
-                serving_parts, events, coalesce=True, store=store, batch_size=8, window=window
+            predictions, engine = replay(
+                serving_parts, events, coalesce=True, batch_size=8, window=window
             )
+            store = engine.store
             np.testing.assert_array_equal(
                 np.asarray([p.probability for p in predictions]),
                 np.asarray([p.probability for p in reference]),
@@ -292,15 +285,14 @@ class TestWaveEquivalence:
         events = random_session_events(rng)
         # Same pool name: the consistent-hash ring seeds on it, and the
         # per-shard comparison needs identical key→shard routing.
-        single_store = ShardedKeyValueStore(n_shards=5, name="rnn")
-        wave_store = ShardedKeyValueStore(n_shards=5, name="rnn")
-        replay(serving_parts, events, coalesce=False, store=single_store, batch_size=8)
-        replay(serving_parts, events, coalesce=True, store=wave_store, batch_size=8)
+        pool = {"n_shards": 5, "store_name": "rnn"}
+        single_store = replay(serving_parts, events, coalesce=False, batch_size=8, **pool)[1].store
+        wave_store = replay(serving_parts, events, coalesce=True, batch_size=8, **pool)[1].store
         assert wave_store.stats.snapshot() == single_store.stats.snapshot()
         assert wave_store.total_bytes == single_store.total_bytes
         assert wave_store.shard_snapshots() == single_store.shard_snapshots()
 
-    def test_wave_delivery_matches_direct_apply_updates(self, serving_parts):
+    def test_wave_delivery_matches_direct_apply_wave(self, serving_parts):
         """Scheduler delivery adds nothing: a wave equals applying the same
         updates directly through the backend, bit for bit."""
         from repro.serving import SessionUpdate
@@ -331,7 +323,7 @@ class TestWaveEquivalence:
         direct = BatchedHiddenStateBackend(
             network, builder, stores["direct"], StreamProcessor(), 600
         )
-        direct.apply_updates(updates)
+        direct.apply_wave(updates)
         for key in stores["direct"].keys():
             np.testing.assert_array_equal(
                 stores["stream"].get(key)["state"], stores["direct"].get(key)["state"]
