@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .runner import ManifestError, load_manifest, manifest_hash, run_manifest
+from .runner import ENGINE_FIELDS, ManifestError, load_manifest, manifest_hash, run_manifest
 from .spec import SpecValidationError, get_spec, list_specs
 
 
@@ -52,9 +52,13 @@ def _cmd_describe(experiment_id: str) -> int:
         print(line)
     if spec.engine_param is not None:
         reserved = ", ".join(spec.engine_reserved) or "none"
+        # What is left once the experiment's own fields and the ones its
+        # parameters shadow (the manifest loader rejects both) are taken out.
+        owned = {*spec.engine_reserved, *spec.param_names()}
+        settable = ", ".join(name for name in ENGINE_FIELDS if name not in owned) or "none"
         print(
             "  engine block: accepted (a partial EngineConfig JSON object; "
-            f"reserved fields: {reserved})"
+            f"settable fields: {settable}; reserved fields: {reserved})"
         )
     return 0
 

@@ -22,7 +22,9 @@
   bounds), plus the autoscaling scenarios — ``autoscale`` (fixed
   ``ServerModel`` vs a one-replica ``ReplicaFleet`` vs reactive/predictive
   elastic fleets) and ``scaling_frontier`` (the reactive-vs-predictive
-  cost-vs-SLO frontier).  ``manifests/smoke.json`` is the small CI version.
+  cost-vs-SLO frontier).  The function is the runner; the workload and the
+  scenario functions live in :mod:`~repro.experiments.serving_scenarios`.
+  ``manifests/smoke.json`` is the small CI version.
 """
 
 from __future__ import annotations
@@ -30,56 +32,28 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
-import numpy as np
-
 from ..data import make_dataset, sessions_in_time_order, user_split
-from ..data.tasks import session_examples
-from ..features import FeatureConfig, TabularFeaturizer
 from ..models import GBDTModel, RNNModel, RNNModelConfig, TaskSpec
 from ..serving import (
     CostParameters,
     EngineConfig,
-    DIVERGENCE_BUCKETS,
-    ModelRegistry,
-    ModelVersion,
     OnlineExperiment,
-    ReplicaFleet,
-    ServerModel,
     ServingEngine,
-    SessionUpdate,
-    SloPolicy,
-    TraceAnalyzer,
     estimate_serving_costs,
-    kv_traffic_cost,
-    rnn_prediction_flops,
 )
 from .results import ExperimentResult
-from .runner import validate_engine_block
+from .serving_scenarios import (
+    DEFAULT_SCENARIOS,
+    ENGINE_OWNED_FIELDS,
+    RAMPED_SCENARIOS,
+    SCENARIOS,
+    prepare_workload,
+    resolve_engine_block,
+    resolve_params,
+)
 from .spec import ParamSpec, register
 
 __all__ = ["run_online_prefetch", "run_serving_cost", "run_training_throughput", "run_batched_serving"]
-
-#: EngineConfig fields a ``batched_serving`` engine block must not set:
-#: the first four are derived per replayed pipeline (the batch-size/window
-#: sweep loop); ``defer_updates``/``history_window`` have no effect on the
-#: hidden-state dataflow and would pollute provenance if accepted;
-#: ``failure_schedule``/``model``/``rollout``/``autoscale`` are derived
-#: internally by the scenarios that exercise them (``shard_failover``,
-#: ``canary_rollout``, ``autoscale``/``scaling_frontier``) — their timings
-#: depend on the generated arrival stream and their version names on the
-#: registry the scenario builds.
-ENGINE_OWNED_FIELDS = (
-    "max_batch_size",
-    "coalescing_window",
-    "coalesce_updates",
-    "store_name",
-    "defer_updates",
-    "history_window",
-    "failure_schedule",
-    "model",
-    "rollout",
-    "autoscale",
-)
 
 
 @register(
@@ -226,110 +200,6 @@ def run_serving_cost(
     return result
 
 
-def _poisson_arrivals(rng, start: int, n_requests: int, arrival_rate: float) -> np.ndarray:
-    """Arrival seconds of a Poisson process at ``arrival_rate`` requests/s."""
-    return start + np.floor(rng.exponential(1.0 / arrival_rate, n_requests).cumsum()).astype(np.int64)
-
-
-def _bursty_arrivals(rng, start: int, n_requests: int, burst_size: int, burst_spacing: int) -> np.ndarray:
-    """Synchronized bursts: ``burst_size`` requests share each arrival second.
-
-    This is the diurnal shape waves are built for — when many sessions start
-    together (a push notification, a commute peak), their windows close
-    together and the session-end timers land in the same wave.
-    """
-    n_bursts = -(-n_requests // burst_size)
-    bursts = start + np.arange(n_bursts, dtype=np.int64) * burst_spacing
-    return np.repeat(bursts, burst_size)[:n_requests]
-
-
-def _ramped_arrivals(rng, start: int, n_requests: int, base_rate: float, peak_rate: float) -> np.ndarray:
-    """Poisson arrivals whose rate ramps linearly from ``base_rate`` to
-    ``peak_rate`` over the stream — the overload shape: offered load starts
-    inside capacity and climbs past it, so the server backlog builds
-    steadily instead of arriving as a cliff."""
-    rates = np.linspace(base_rate, peak_rate, n_requests)
-    gaps = rng.exponential(1.0 / rates)
-    return start + np.floor(gaps.cumsum()).astype(np.int64)
-
-
-def _stored_equal(left: Any, right: Any) -> bool:
-    """Bit-exact equality for store records (nested dicts/lists/ndarrays).
-
-    ``==`` alone cannot compare records holding numpy arrays (ambiguous
-    truth value); the elastic scenarios use this to assert that a resized or
-    failed-and-recovered pool ends the run with exactly the static pool's
-    per-user state."""
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        return (
-            isinstance(left, np.ndarray)
-            and isinstance(right, np.ndarray)
-            and left.dtype == right.dtype
-            and left.shape == right.shape
-            and bool(np.array_equal(left, right))
-        )
-    if isinstance(left, dict) and isinstance(right, dict):
-        return left.keys() == right.keys() and all(
-            _stored_equal(value, right[key]) for key, value in left.items()
-        )
-    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        return (
-            type(left) is type(right)
-            and len(left) == len(right)
-            and all(map(_stored_equal, left, right))
-        )
-    return type(left) is type(right) and left == right
-
-
-def _zipf_user_popularity(n_active: int, skew: float) -> np.ndarray:
-    """Normalized Zipf weights over ``n_active`` users ranked by popularity.
-
-    ``skew=0.0`` is exactly uniform; larger skews concentrate traffic — and
-    with it stored-state keys — on the head of the ranking, which is the
-    hot-shard-imbalance workload (``tests/test_autoscale.py`` asserts the
-    pool's ``load_imbalance`` rises with the skew).
-    """
-    popularity = 1.0 / np.arange(1, n_active + 1) ** skew
-    return popularity / popularity.sum()
-
-
-#: The one place scenario names are spelled: ``name -> (arrival generator,
-#: handler)``, where the handler names the closure of
-#: :func:`run_batched_serving` that replays the scenario and appends its
-#: rows.  The ``scenarios`` parameter's choices and default, validation,
-#: arrival generation and dispatch all derive from this table.
-#: ``shard_failover`` and ``canary_rollout`` reuse the Poisson shape — faults
-#: and stage transitions are injected on the clock, so the arrival process
-#: stays the baseline one — and ``diurnal_rebalance`` the synchronized-burst
-#: (diurnal) one.
-SCENARIOS = {
-    "poisson": (_poisson_arrivals, "batch_size_rows"),
-    "bursty": (_bursty_arrivals, "batch_size_rows"),
-    "window_sweep": (_bursty_arrivals, "window_rows"),
-    "overload": (_ramped_arrivals, "overload_rows"),
-    "slo_sweep": (_ramped_arrivals, "slo_sweep_rows"),
-    "shard_failover": (_poisson_arrivals, "failover_rows"),
-    "diurnal_rebalance": (_bursty_arrivals, "rebalance_rows"),
-    "canary_rollout": (_poisson_arrivals, "canary_rows"),
-    "autoscale": (_ramped_arrivals, "autoscale_rows"),
-    "scaling_frontier": (_ramped_arrivals, "frontier_rows"),
-}
-
-#: Everything replayed over ramped arrivals deliberately spans more than one
-#: session window: session-end timers fire *mid-serve* (through the queue's
-#: barrier), which is the point — update latency must be observable while the
-#: server is backlogged.  These scenarios read their latency statistics from
-#: the engine's metrics registry and are exempt from the arrival-span guard
-#: the other scenarios enforce.
-RAMPED_SCENARIOS = tuple(
-    name for name, (arrivals, _) in SCENARIOS.items() if arrivals is _ramped_arrivals
-)
-
-#: The default run: the three pure-metering scenarios the table lists first
-#: (serve and drain phases timed apart, no capacity model, no control plane).
-DEFAULT_SCENARIOS = tuple(SCENARIOS)[:3]
-
-
 @register(
     "batched_serving",
     tags=("production", "serving", "load"),
@@ -454,94 +324,24 @@ def run_batched_serving(
 ) -> ExperimentResult:
     """Load generator for the batched, sharded hidden-state engine.
 
-    Simulates heavy traffic under two arrival patterns — a Poisson process at
-    ``arrival_rate`` requests/second and synchronized bursts of
-    ``burst_size`` — across a Zipf-skewed user population, served by the
-    micro-batch engine over a consistent-hash pool of ``n_shards`` KV shards.
-    Each scenario's request stream is replayed once per batch size; per
-    request KV traffic is invariant (one state fetch per prediction), so the
-    rows isolate what batching buys.
+    Simulates heavy traffic under three arrival shapes — a Poisson process at
+    ``arrival_rate`` requests/second, synchronized bursts of ``burst_size``,
+    and a Poisson ramp from ``overload_base_rate`` to ``overload_peak_rate``
+    past a simulated server's ``service_rate`` — across a Zipf-skewed user
+    population, served by the micro-batch engine over a consistent-hash pool
+    of ``n_shards`` KV shards (``replication`` replicas per key in the
+    elastic and canary scenarios).
 
-    Both serving dataflows are measured: the serve phase reports prediction
-    throughput, and the drain phase fires the session-end timers through the
-    stream and reports update throughput.  At ``batch_size=1`` the backend
-    runs the seed's per-timer path; at larger batch sizes the stream's
-    wave-coalesced scheduler delivers whole waves of closed sessions as one
-    ``[B, hidden]`` GRU step — under bursty arrivals that is where the wave
-    scheduler pays off, because every burst's windows close in the same
-    second.  (Arrival spans are kept shorter than the session window so no
-    timer fires mid-serve and the serve-phase metering stays pure.)
-
-    The ``window_sweep`` scenario replays bursty arrivals at the largest
-    batch size across several ``coalescing_windows`` (default ``(0,
-    burst_spacing, 4 * burst_spacing)``), reporting the latency/wave-size
-    trade-off: a wider window absorbs more bursts per wave (bigger batched
-    updates, fewer deliveries) at the price of ``mean_update_delay`` —
-    simulated seconds each update waited past its own fire time.
-
-    The ``overload`` scenario models offered load exceeding capacity: a
-    ramped Poisson stream (``overload_base_rate`` → ``overload_peak_rate``
-    requests/s) spanning several session windows drives a facade-built
-    pipeline whose :class:`~repro.serving.slo.ServerModel` drains
-    ``service_rate`` requests per simulated second, so the backlog — and
-    with it the end-to-end update latency (wave wait plus backlog at
-    delivery) — grows through the ramp.  Two arms replay the identical
-    stream: ``open`` (no admission control) and ``slo`` (an admission
-    controller shedding — or, with ``slo_mode="defer"``, parking — new
-    requests whenever the effective queue depth reaches
-    ``slo_queue_depth``).  With ``slo_queue_depth=0`` the controlled arm's
-    policy is empty and the experiment *asserts* its predictions are
-    bit-identical to the open arm — admission plumbing with shedding
-    disabled is a no-op by contract.  ``slo_sweep`` replays the same
-    overload stream across several depth bounds (``slo_queue_depths``,
-    default derived from ``slo_queue_depth``), charting shed rate against
-    p99 update latency.
-
-    The ``autoscale`` scenario replays the same ramped overload stream
-    through four admission-controlled arms at the largest batch size: a
-    fixed :class:`~repro.serving.slo.ServerModel`, a one-replica
-    :class:`~repro.serving.autoscale.ReplicaFleet` that never scales
-    (*asserted* bit-identical to the ServerModel arm — predictions, store
-    meters, shed decisions), and elastic fleets driven by the ``reactive``
-    and ``predictive`` policies of
-    :class:`~repro.serving.autoscale.Autoscaler` (evaluation every
-    ``autoscale_interval`` seconds, replicas joining after
-    ``autoscale_provision_delay``, at most ``autoscale_max_replicas``).
-    Each elastic row reports shed rate, p99 update latency, replica-seconds
-    cost over the arrival span, peak fleet size and scale events.
-    ``scaling_frontier`` charts the reactive-vs-predictive cost-vs-SLO
-    frontier — one pair of arms per nonzero ``slo_queue_depths`` bound —
-    and *asserts* the headline ordering at the primary ``slo_queue_depth``:
-    the predictive arm (scaling ahead on the GRU-aggregated load forecast)
-    sheds strictly less than the reactive arm at equal or lower
-    replica-seconds cost.
-
-    The elastic scenarios exercise the replicated, resizable store pool
-    (``replication`` replicas per key; both assert their own correctness).
-    ``shard_failover`` replays a Poisson stream through two facade-built
-    pipelines — a static pool and one whose ``failure_schedule`` fails
-    shard 0 a third of the way through the arrivals and recovers it (eager
-    re-hydration from replicas) at two thirds.  ``diurnal_rebalance``
-    replays the bursty stream against a pool that gains a shard at one
-    third and sheds it at two thirds, migrating only the keys whose
-    ownership changed.  Both scenarios *assert* the elastic arm's
-    predictions and final per-user states are bit-identical to the static
-    baseline — replication, faults and live resharding are placement-only
-    — and report the migration/re-hydration meters
-    (``ring.keys_migrated``, ``ring.rehydration_bytes``, …) that are
-    allowed to differ.
-
-    The ``canary_rollout`` scenario exercises the model-lifecycle subsystem
-    end to end: a two-version :class:`~repro.serving.registry.ModelRegistry`
-    (the trained network and a perturbed candidate) drives one arm whose
-    canary schedule trips a ``max_divergence`` gate mid-stream — asserted
-    bit-identical to a registry-free baseline in predictions, control-
-    namespace state and pool client meters despite the candidate shadow-
-    scoring every micro-batch — and one arm whose schedule hot-swaps the
-    candidate at 100%, asserted bit-identical post-swap to an engine built
-    directly on the candidate's bits.  The rows report the shadow/canary
-    meters (``shadow_scored``, ``canary_assigned``, ``divergence_p99``) and
-    each arm's stage history.
+    This function is the runner: validate the parameters and run every
+    selected scenario's preflight, generate the arrival streams (rejecting a
+    span that would let session-end timers fire mid-serve), train the RNN
+    once, call each selected scenario of
+    :data:`~repro.experiments.serving_scenarios.SCENARIOS` on its request
+    stream, and assemble the metadata.  What each scenario replays and
+    *asserts* (bit-identity of the placement-only, admission-disabled,
+    one-replica-fleet and shadow-scored arms; the predictive-beats-reactive
+    frontier ordering) is documented on its function in
+    :mod:`~repro.experiments.serving_scenarios` and tabulated in the README.
 
     Every pipeline is built through the
     :class:`~repro.serving.engine.ServingEngine` facade, and the last one's
@@ -556,129 +356,10 @@ def run_batched_serving(
     ``session_length`` must match the generated dataset's; the config stays
     the declarative source of truth, contradictions are hard errors.
     """
-    if not batch_sizes:
-        raise ValueError("at least one batch size is required")
-    if not scenarios:
-        raise ValueError("at least one scenario is required")
-    unknown = set(scenarios) - set(SCENARIOS)
-    if unknown:
-        raise ValueError(f"unknown scenarios: {sorted(unknown)}")
-    if coalescing_windows is None:
-        coalescing_windows = (0, burst_spacing, 4 * burst_spacing)
-    if overload_peak_rate < overload_base_rate:
-        raise ValueError("overload_peak_rate must be >= overload_base_rate (the ramp goes up)")
-    if slo_queue_depths is None:
-        if slo_queue_depth > 0:
-            derived = (0, max(slo_queue_depth // 4, 1), slo_queue_depth, slo_queue_depth * 4)
-        else:
-            # Shedding disabled: the frontier collapses to the open arm.
-            derived = (0,)
-        # Small depths make derived points collide (e.g. depth 1 → 0,1,1,4);
-        # never replay the identical bound twice.
-        slo_queue_depths = tuple(dict.fromkeys(derived))
-    extra_lag = 60  # BatchedHiddenStateBackend default
-    dataset = make_dataset("mobiletab", seed=seed, n_users=n_users)
-
-    # A manifest "engine" block is a partial EngineConfig template for the
-    # pipelines; resolve it against this workload up front.
-    engine_overrides: dict[str, Any] = {}
-    if engine_config is not None:
-        # Same validator the manifest loader runs, so direct calls and
-        # manifests reject bad engine blocks with identical wording.
-        engine_overrides = validate_engine_block(
-            engine_config,
-            reserved=ENGINE_OWNED_FIELDS,
-            backends=("hidden_state",),
-            where="engine_config",
-        )
-        if "n_shards" in engine_overrides:
-            # Same rule the manifest loader enforces: the n_shards parameter
-            # is the one owner of shard topology, so provenance (which
-            # records resolved params) can never contradict the built
-            # pipeline.
-            raise ValueError(
-                "set shard topology via the n_shards parameter, not engine_config; "
-                "an engine-block n_shards would shadow the parameter and falsify provenance"
-            )
-        if "replication" in engine_overrides:
-            # Same rule as n_shards: the replication parameter owns the
-            # replica-group size.
-            raise ValueError(
-                "set the replica-group size via the replication parameter, not engine_config; "
-                "an engine-block replication would shadow the parameter and falsify provenance"
-            )
-        engine_overrides.pop("backend", None)
-        if engine_overrides.get("telemetry") is False and set(scenarios) & set(RAMPED_SCENARIOS):
-            # Every latency statistic the overload/autoscale rows report is
-            # read from the engine's registry; a disabled registry would
-            # silently zero them all, so the contradiction is a hard error.
-            raise ValueError(
-                "the overload/slo_sweep/autoscale scenarios read their latency statistics "
-                "from the engine's metrics registry; \"telemetry\": false in the engine "
-                "block would silently zero every reported p99 — drop the override or the "
-                "scenarios"
-            )
-        declared_length = engine_overrides.pop("session_length", None)
-        if declared_length is not None and declared_length != dataset.session_length:
-            raise ValueError(
-                f"engine_config session_length {declared_length} contradicts the generated "
-                f"dataset's session_length {dataset.session_length}"
-            )
-        extra_lag = engine_overrides.get("extra_lag", extra_lag)
-
-    # Arrival offsets first (before the training spend), so a workload whose
-    # span would let session-end timers fire mid-serve — polluting the
-    # serve-phase metering and splitting the update count across both timed
-    # phases — is rejected up front with an actionable message.
-    rng = np.random.default_rng(seed + 7)
-    arrival_knobs = {
-        _poisson_arrivals: (arrival_rate,),
-        _bursty_arrivals: (burst_size, burst_spacing),
-        _ramped_arrivals: (overload_base_rate, overload_peak_rate),
-    }
-    offsets_by_scenario: dict[str, np.ndarray] = {}
-    for scenario in scenarios:
-        arrivals = SCENARIOS[scenario][0]
-        offsets = arrivals(rng, 0, n_requests, *arrival_knobs[arrivals])
-        span = int(offsets[-1] - offsets[0])
-        # Ramped (overload and autoscale) streams deliberately span several
-        # session windows — timers must fire mid-serve, while the server is
-        # backlogged — so the mid-serve guard does not apply to them.
-        if scenario not in RAMPED_SCENARIOS and span >= dataset.session_length + extra_lag:
-            raise ValueError(
-                f"{scenario} arrivals span {span}s but the session window closes after "
-                f"{dataset.session_length + extra_lag}s: timers would fire mid-serve and the "
-                "serve/drain phases would overlap — raise arrival_rate, shrink burst_spacing "
-                "or lower n_requests"
-            )
-        offsets_by_scenario[scenario] = offsets
-
-    task = TaskSpec(kind="session")
-    rnn = RNNModel(
-        RNNModelConfig(hidden_size=hidden_size, epochs=2, early_stopping_patience=None, seed=seed)
-    ).fit(dataset, task)
-    assert rnn.network is not None and rnn.builder is not None
-
-    # Shared request material: Zipf-skewed user popularity (``user_skew=0``
-    # is exactly uniform), context rows resampled from the users' real logs.
-    active_users = [user for user in dataset.users if len(user)]
-    popularity = _zipf_user_popularity(len(active_users), user_skew)
-    start = int(dataset.start_time)
-
-    def request_stream(arrival_times: np.ndarray):
-        chosen = rng.choice(len(active_users), size=len(arrival_times), p=popularity)
-        requests = []
-        for arrival, user_index in zip(arrival_times, chosen):
-            user = active_users[user_index]
-            session = int(rng.integers(len(user)))
-            requests.append(
-                (int(arrival), user.user_id, user.context_row(session), bool(user.accesses[session]))
-            )
-        return requests
-
-    streams_by_scenario = {
-        scenario: request_stream(start + offsets) for scenario, offsets in offsets_by_scenario.items()
-    }
+    params = dict(locals())  # must stay the first statement: exactly the arguments
+    del params["engine_config"]
+    params = resolve_params(params)
+    workload, streams = prepare_workload(params, resolve_engine_block(engine_config, scenarios))
 
     result = ExperimentResult(
         experiment_id="batched_serving",
@@ -692,829 +373,45 @@ def run_batched_serving(
             "timer waves batches both dataflows while leaving per-request KV traffic unchanged"
         ),
     )
-
-    # What the scenario handlers accumulate for the result's metadata.
-    prediction_speedups: dict[str, float] = {}
-    update_speedups: dict[str, float] = {}
-    shed_rates: dict[str, float] = {}
-    elastic_meters: dict[str, dict[str, int]] = {}
-    # The last pipeline's registry dump ("metrics") and Chrome-trace export ("trace").
-    artifacts: dict[str, Any] = {}
-    # Every scenario but the batch-size sweep replays at the largest batch size.
-    top_batch = max(batch_sizes)
-
-    def build_engine(store_name: str, batch_size: int, config=None, **parts) -> ServingEngine:
-        """The one pipeline template, built and warmed.
-
-        ``config`` adds :class:`EngineConfig` fields to the template (a
-        manifest ``engine`` block wins where both set one — only ``tracing``
-        can collide, the rest are ``ENGINE_OWNED_FIELDS``); ``parts`` are
-        :meth:`ServingEngine.build` keyword arguments (``server``,
-        ``slo_policy``, ``models``, … — ``network`` defaults to the trained
-        one).  ``batch_size`` 1 is the seed baseline on both dataflows:
-        single-request scoring and one timer callback per session-end update.
-        """
-        parts.setdefault("network", rnn.network)
-        engine = ServingEngine.build(
-            EngineConfig(
-                backend="hidden_state",
-                max_batch_size=batch_size,
-                n_shards=n_shards,
-                session_length=dataset.session_length,
-                coalesce_updates=batch_size > 1,
-                store_name=store_name,
-                **{**(config or {}), **engine_overrides},
-            ),
-            builder=rnn.builder,
-            **parts,
-        )
-        # Warm each user's state so serving fetches hit real records.
-        engine.backend.apply_wave(
-            [
-                SessionUpdate(user_id=user.user_id, timestamp=start - 3600, context=user.context_row(0), accessed=True)
-                for user in active_users
-            ]
-        )
-        engine.store.reset_stats()
-        return engine
-
-    def updates_since_warm_up(engine: ServingEngine) -> int:
-        """Session-end updates applied past ``build_engine``'s one per user."""
-        return engine.updates_applied - len(active_users)
-
-    def run_replay(scenario: str, requests, batch_size: int, window: int) -> dict:
-        """One metering replay: serve every request, then drain the updates,
-        timing the two phases apart."""
-        engine = build_engine(
-            f"rnn-{scenario}-b{batch_size}" + (f"-w{window}" if window else ""),
-            batch_size,
-            {"coalescing_window": window},
-        )
-        store, stream = engine.store, engine.stream
-
-        served = []
-        serve_start = time.perf_counter()
-        for arrival, user_id, context, accessed in requests:
-            served += engine.advance_to(arrival)
-            served += engine.submit(user_id, context, arrival)
-            engine.observe_session(user_id, context, arrival, accessed)
-        served += engine.flush()
-        serve_seconds = time.perf_counter() - serve_start
-        served += engine.drain_completed()
-        # Snapshot before the update drain so the serve-phase metering is
-        # pure prediction traffic (no timer fires mid-serve: the arrival
-        # span is shorter than session_length + extra_lag).
-        serve_stats = store.stats.snapshot()
-
-        # Drain the session-end updates through the stream: waves of
-        # closed sessions (or one timer at a time at batch size 1).
-        waves_before = stream.waves_fired
-        drain_start = time.perf_counter()
-        stream.flush()
-        drain_seconds = time.perf_counter() - drain_start
-        updates_applied = updates_since_warm_up(engine)
-        assert len(served) == n_requests and engine.predictions_served == n_requests
-        assert updates_applied == n_requests
-        cost_per_request = (
-            kv_traffic_cost(serve_stats) / len(served)
-            + CostParameters().flop_cost * rnn_prediction_flops(rnn.network)
-        )
-        return {
-            "serve_throughput": len(served) / serve_seconds if serve_seconds > 0 else float("inf"),
-            "drain_throughput": updates_applied / drain_seconds if drain_seconds > 0 else float("inf"),
-            "mean_wave": updates_applied / max(stream.waves_fired - waves_before, 1),
-            "mean_update_delay": engine.update_delay_seconds / updates_applied,
-            "kv_gets_per_request": serve_stats["gets"] / len(served),
-            "bytes_per_request": serve_stats["bytes_read"] / len(served),
-            "cost_per_request": cost_per_request,
-            "mean_batch": engine.mean_batch_size,
-            "load_imbalance": store.load_imbalance(),
-            "metrics": engine.metrics.snapshot(),
-        }
-
-    def run_overload_replay(scenario: str, requests, batch_size: int, depth_bound: int) -> dict:
-        """One overload arm: a pipeline with a capacity model.
-
-        ``depth_bound == 0`` disables admission (the policy has no bounds,
-        so the controller is provably a no-op); otherwise new requests are
-        shed (or parked, under ``slo_mode="defer"``) whenever the effective
-        queue depth — pending micro-batch requests plus the server backlog
-        in requests — reaches the bound.
-
-        Tracing is on by default (the rows carry the ``TraceAnalyzer``
-        latency-breakdown columns); a manifest ``tracing`` block still wins,
-        e.g. to sample.  Tracing is pinned bit-invisible, so the arms stay
-        comparable either way.
-        """
-        server = ServerModel(service_rate)
-        engine = build_engine(
-            f"rnn-{scenario}-b{batch_size}-d{depth_bound}",
-            batch_size,
-            {"tracing": {}},
-            server=server,
-            slo_policy=SloPolicy(max_queue_depth=depth_bound or None),
-            admission_mode=slo_mode,
-        )
-
-        # engine.replay is admission-aware: sessions are observed whether or
-        # not their prediction was admitted (shedding protects the scoring
-        # path, not ground truth — every arm applies the identical update
-        # stream), shed requests are excluded from the delivery count, and
-        # deferred ones are force-drained at the end.
-        served = engine.replay(requests)
-
-        admission = engine.admission
-        assert updates_since_warm_up(engine) == n_requests
-        assert len(served) == n_requests - admission.requests_shed
-        # The end-to-end update *latency* (wave wait + server backlog at
-        # delivery) — one histogram supplies every latency statistic in the
-        # rows, so mean and p99 always describe the same distribution.
-        latency = engine.metrics.histogram("serving.update_latency_seconds")
-        queue_latency = engine.metrics.histogram("queue.latency_seconds")
-        measured = {
-            "offered": n_requests,
-            "served": len(served),
-            "shed": admission.requests_shed,
-            "deferred": admission.requests_deferred,
-            "shed_rate": admission.shed_rate,
-            "p99_update_latency": latency.quantile(0.99),
-            "p50_update_latency": latency.quantile(0.50),
-            "mean_update_latency": latency.mean,
-            "p99_queue_latency": queue_latency.quantile(0.99),
-            "peak_backlog_seconds": server.peak_backlog_seconds,
-            "probabilities": [prediction.probability for prediction in served],
-            "metrics": engine.metrics.snapshot(),
-            "trace": engine.tracer.chrome_trace(),
-            "trace_summary": TraceAnalyzer(engine.tracer.spans()).summary(),
-        }
-        engine.close()
-        return measured
-
-    def run_autoscale_replay(scenario: str, requests, batch_size: int, arm: str, depth_bound: int) -> dict:
-        """One autoscale arm over the ramped stream, admission always shedding.
-
-        ``arm`` selects the capacity model: ``"server"`` (the fixed
-        :class:`~repro.serving.slo.ServerModel` baseline), ``"fixed"`` (a
-        one-replica :class:`~repro.serving.autoscale.ReplicaFleet` that never
-        scales — the bit-identity arm), or ``"reactive"`` / ``"predictive"``
-        (elastic fleets under the named policy).  All arms shed — the
-        frontier compares shed rates, which defer mode would zero — and the
-        replica-seconds cost is measured over the arrival span only (warm-up
-        and the idle run-in before the first arrival are excluded), so arms
-        are directly comparable.
-
-        Tracing is on by default, same as :func:`run_overload_replay` — the
-        bit-identity assertions between the fixed-fleet and ``ServerModel``
-        arms therefore also pin that tracing never perturbs the dataflow.
-        """
-        t0 = int(requests[0][0])
-        t_end = int(requests[-1][0])
-        parts: dict[str, Any] = {}
-        config: dict[str, Any] = {"tracing": {}}
-        if arm == "server":
-            parts["server"] = ServerModel(service_rate)
-        elif arm == "fixed":
-            parts["server"] = ReplicaFleet(service_rate)
-        else:
-            config["autoscale"] = {
-                "policy": arm,
-                "service_rate": service_rate,
-                "start": t0 + autoscale_interval,
-                "until": t_end,
-                "interval": autoscale_interval,
-                "max_replicas": autoscale_max_replicas,
-                "provision_delay": autoscale_provision_delay,
-                "decommission_delay": autoscale_interval // 2,
-                "target_queue_depth": float(autoscale_target_depth),
-            }
-        engine = build_engine(
-            f"rnn-{scenario}-b{batch_size}-{arm}-d{depth_bound}",
-            batch_size,
-            config,
-            slo_policy=SloPolicy(max_queue_depth=depth_bound or None),
-            admission_mode="shed",
-            **parts,
-        )
-        fleet = engine.server
-        cost_at_start = 0.0
-        if arm != "server":
-            # Settle the fleet's cost meter at the first arrival: settling is
-            # pure with no pending transitions (it only accrues replica-
-            # seconds), and subtracting the run-in leaves the cost of the
-            # arrival span itself.
-            fleet.backlog_seconds(float(t0))
-            cost_at_start = fleet.replica_seconds
-
-        served = engine.replay(requests)
-
-        admission = engine.admission
-        assert updates_since_warm_up(engine) == n_requests
-        assert len(served) == n_requests - admission.requests_shed
-        replica_seconds = None
-        if arm != "server":
-            # Force a final settle so the cost meter covers the whole span
-            # (the stream clock ends past the last arrival after the drain).
-            fleet.backlog_seconds(engine.stream.clock)
-            replica_seconds = fleet.replica_seconds - cost_at_start
-        latency = engine.metrics.histogram("serving.update_latency_seconds")
-        autoscaler = engine.autoscaler
-        measured = {
-            "offered": n_requests,
-            "served": len(served),
-            "shed": admission.requests_shed,
-            "shed_rate": admission.shed_rate,
-            "p99_update_latency": latency.quantile(0.99),
-            "mean_update_latency": latency.mean,
-            "peak_backlog_seconds": fleet.peak_backlog_seconds,
-            "replica_seconds": replica_seconds,
-            "peak_replicas": fleet.peak_replicas if arm != "server" else 1,
-            "scale_up_events": fleet.scale_up_events if arm != "server" else 0,
-            "scale_down_events": fleet.scale_down_events if arm != "server" else 0,
-            "first_scale_up_at": autoscaler.first_scale_up_at if autoscaler is not None else None,
-            "evaluations": autoscaler.evaluations if autoscaler is not None else 0,
-            "probabilities": [prediction.probability for prediction in served],
-            "store_stats": engine.store.stats.snapshot(),
-            "metrics": engine.metrics.snapshot(),
-            "trace": engine.tracer.chrome_trace(),
-            "trace_summary": TraceAnalyzer(engine.tracer.spans()).summary(),
-        }
-        engine.close()
-        return measured
-
-    def run_elastic_replay(scenario: str, requests, batch_size: int, faulted: bool) -> dict:
-        """A static baseline and an elastic arm over the identical stream.
-
-        ``faulted`` gives the elastic arm a ``failure_schedule`` that fails
-        shard 0 a third of the way through the arrivals and recovers it (with
-        eager re-hydration) at two thirds.  Otherwise the pool grows by one
-        shard at one third and loses it again at two thirds, so the final
-        membership matches the baseline's.  Either way the elastic arm must
-        reproduce the baseline bit for bit — same prediction stream, same
-        final per-user state — because replication, faults and resharding are
-        placement-only; what differs is the metered migration/re-hydration
-        traffic the rows report.
-        """
-        if replication > n_shards:
-            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
-        if faulted and replication < 2:
-            raise ValueError(
-                f"{scenario} needs replication >= 2: failing an unreplicated "
-                "shard would lose its keys"
-            )
-        if n_requests < 3:
-            raise ValueError(
-                f"{scenario} schedules membership/fault events at 1/3 and 2/3 of the "
-                "stream and needs n_requests >= 3"
-            )
-        span = int(requests[-1][0] - requests[0][0])
-
-        def build(tag: str, failure_schedule=None) -> ServingEngine:
-            return build_engine(
-                f"rnn-{scenario}-b{batch_size}-{tag}",
-                batch_size,
-                {"replication": replication, "failure_schedule": failure_schedule},
-            )
-
-        def drive(engine: ServingEngine, membership_steps=None) -> list:
-            served = []
-            for index, (arrival, user_id, context, accessed) in enumerate(requests):
-                if membership_steps is not None and index in membership_steps:
-                    membership_steps[index]()
-                served += engine.advance_to(arrival)
-                served += engine.submit(user_id, context, arrival)
-                engine.observe_session(user_id, context, arrival, accessed)
-            served += engine.flush()
-            engine.stream.flush()
-            served += engine.drain_completed()
-            assert updates_since_warm_up(engine) == n_requests
-            return served
-
-        baseline = build("static")
-        baseline_served = drive(baseline)
-        if faulted:
-            elastic = build(
-                "failover",
-                (
-                    (requests[0][0] + span // 3, "fail", 0),
-                    (requests[0][0] + (2 * span) // 3, "recover", 0),
-                ),
-            )
-            elastic_served = drive(elastic)
-        else:
-            elastic = build("elastic")
-            elastic_store = elastic.store
-            added: list[str] = []
-            membership_steps = {
-                len(requests) // 3: lambda: added.append(elastic_store.add_shard()),
-                (2 * len(requests)) // 3: lambda: elastic_store.remove_shard(added.pop()),
-            }
-            elastic_served = drive(elastic, membership_steps)
-
-        store = elastic.store
-        meters = {
-            "keys_migrated": store.keys_migrated,
-            "migration_bytes": store.migration_bytes,
-            "keys_rehydrated": store.keys_rehydrated,
-            "rehydration_bytes": store.rehydration_bytes,
-            "shard_failures": store.shard_failures,
-            "shard_recoveries": store.shard_recoveries,
-            "membership_changes": store.membership_changes,
-        }
-        if faulted and meters["keys_rehydrated"] == 0:
-            raise AssertionError(
-                f"{scenario} recovered without re-hydrating a single key — the fault never bit"
-            )
-        if not faulted and meters["keys_migrated"] == 0:
-            raise AssertionError(
-                f"{scenario} migrated no keys — the resize never changed ownership"
-            )
-        if [p.probability for p in elastic_served] != [p.probability for p in baseline_served]:
-            raise AssertionError(
-                f"{scenario}: the elastic arm's predictions diverged from the static baseline"
-            )
-        baseline_state = {key: baseline.store.get(key) for key in sorted(baseline.store.keys())}
-        elastic_state = {key: store.get(key) for key in sorted(store.keys())}
-        if not _stored_equal(baseline_state, elastic_state):
-            raise AssertionError(
-                f"{scenario}: the elastic arm's final per-user state diverged from the static baseline"
-            )
-        measured = {
-            "served": len(elastic_served),
-            "bit_identical": True,
-            "load_imbalance": store.load_imbalance(),
-            "metrics": elastic.metrics.snapshot(),
-            **meters,
-        }
-        baseline.close()
-        elastic.close()
-        return measured
-
-    def run_canary_replay(scenario: str, requests, batch_size: int) -> dict:
-        """Model-lifecycle arms over the identical Poisson stream.
-
-        A two-version registry is built from the trained network: ``control``
-        (its exact bits) and ``candidate`` (the same architecture with
-        perturbed weights — a genuinely different model, so the arms measure
-        real divergence).  Four engines replay the same requests:
-
-        * ``static`` — registry-free baseline.
-        * ``shadow`` — control model with the candidate in shadow and a
-          canary schedule whose mid-stream stage trips a ``max_divergence``
-          gate, rolling the candidate back.  The run *asserts* this arm's
-          predictions, control-namespace state and pool client meters are
-          bit-identical to the baseline (the headline rollout invariant),
-          and that the shadow namespace actually holds state.
-        * ``promote`` — a gate-free schedule ending in a 100% hot swap.
-        * ``direct`` — registry-free engine built on the candidate's bits;
-          the run asserts every post-swap prediction of the promote arm
-          matches this arm bit for bit.
-        """
-        if n_requests < 3:
-            raise ValueError(
-                f"{scenario} schedules its stage timers across the arrival span "
-                "and needs n_requests >= 3"
-            )
-        if replication > n_shards:
-            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
-        t0 = int(requests[0][0])
-        span = int(requests[-1][0] - requests[0][0])
-        if span < 3:
-            raise ValueError(
-                f"{scenario} needs an arrival span of at least 3 simulated seconds "
-                "to order its stage timers — raise n_requests or lower arrival_rate"
-            )
-        control_version = ModelVersion.from_network("control", rnn.network)
-        perturb = np.random.default_rng(seed + 31)
-        candidate_version = ModelVersion(
-            "candidate",
-            control_version.config,
-            {
-                name: array + 0.05 * perturb.standard_normal(array.shape)
-                for name, array in rnn.network.state_dict().items()
-            },
-        )
-        models = ModelRegistry([control_version, candidate_version]).freeze()
-
-        def build(tag: str, rollout=None, **parts) -> ServingEngine:
-            """A registry-pinned control arm when ``rollout`` is given, else
-            an engine built directly on ``parts["network"]``."""
-            config: dict[str, Any] = {"replication": replication}
-            if rollout is not None:
-                config.update(model="control", rollout=rollout)
-                parts.update(network=None, models=models)
-            return build_engine(f"rnn-{scenario}-b{batch_size}-{tag}", batch_size, config, **parts)
-
-        def drive(engine: ServingEngine) -> list:
-            served = engine.replay(requests)
-            assert updates_since_warm_up(engine) == n_requests
-            return served
-
-        baseline = build("static")
-        baseline_served = drive(baseline)
-
-        # Rollback arm.  The first stage fires before the first arrival (the
-        # divergence histogram is still empty, so the transition passes); the
-        # mid-stream stage sees real divergence from the perturbed candidate
-        # and trips the gate.
-        shadowed = build(
-            "shadow",
-            {
-                "candidate": "candidate",
-                "stages": ((t0 - 1, 5), (t0 + span // 2, 50)),
-                "gates": {"max_divergence": 1e-6},
-            },
-        )
-        shadowed_served = drive(shadowed)
-        controller = shadowed.rollout
-        if not controller.rolled_back:
-            raise AssertionError(
-                f"{scenario}: the divergence gate never tripped — no micro-batch was "
-                "scored before the mid-stream stage (widen the stream or raise arrival_rate)"
-            )
-        if [p.probability for p in shadowed_served] != [p.probability for p in baseline_served]:
-            raise AssertionError(
-                f"{scenario}: shadow scoring + rollback changed the control arm's predictions"
-            )
-        if shadowed.store.stats.snapshot() != baseline.store.stats.snapshot():
-            raise AssertionError(
-                f"{scenario}: shadow traffic leaked into the pool's client meters"
-            )
-        shadow_keys = [
-            key for key in shadowed.store.keys() if key.startswith("candidate:hidden:")
-        ]
-        if not shadow_keys:
-            raise AssertionError(f"{scenario}: the shadow arm stored no state")
-        baseline_state = {key: baseline.store.peek(key) for key in sorted(baseline.store.keys())}
-        control_state = {
-            key: shadowed.store.peek(key)
-            for key in sorted(shadowed.store.keys())
-            if not key.startswith("candidate:")
-        }
-        if not _stored_equal(baseline_state, control_state):
-            raise AssertionError(
-                f"{scenario}: the control namespace diverged from the registry-free baseline"
-            )
-        divergence_p99 = shadowed.metrics.histogram(
-            "rollout.candidate.divergence", DIVERGENCE_BUCKETS
-        ).quantile(0.99)
-
-        # Promote arm vs an engine built directly on the candidate's bits.
-        swap_at = t0 + (2 * span) // 3
-        promoted = build(
-            "promote",
-            {
-                "candidate": "candidate",
-                "stages": ((t0 - 1, 5), (t0 + span // 3, 50), (swap_at, 100)),
-                "gates": {},
-            },
-        )
-        promoted_served = drive(promoted)
-        if not promoted.rollout.promoted:
-            raise AssertionError(f"{scenario}: the promote arm never reached its 100% stage")
-        direct = build("direct", network=candidate_version.build_network())
-        direct_served = drive(direct)
-        post_swap = [index for index, request in enumerate(requests) if request[0] >= swap_at]
-        if not post_swap:
-            raise AssertionError(f"{scenario}: no arrivals after the hot swap — widen the stream")
-        for index in post_swap:
-            if promoted_served[index].probability != direct_served[index].probability:
-                raise AssertionError(
-                    f"{scenario}: post-swap predictions diverged from an engine built "
-                    "directly on the promoted version"
-                )
-
-        measured = {
-            "rollback": {
-                "served": len(shadowed_served),
-                "bit_identical": True,
-                "rolled_back": True,
-                "shadow_scored": controller.shadow.predictions_served,
-                "shadow_keys": len(shadow_keys),
-                "canary_assigned": controller.canary_assigned,
-                "divergence_p99": round(divergence_p99, 6),
-                "stage_history": ";".join(controller.stage_history),
-            },
-            "promote": {
-                "served": len(promoted_served),
-                "promoted": True,
-                "post_swap_requests": len(post_swap),
-                "shadow_scored": promoted.rollout.shadow.predictions_served,
-                "canary_assigned": promoted.rollout.canary_assigned,
-                "stage_history": ";".join(promoted.rollout.stage_history),
-            },
-            "metrics": promoted.metrics.snapshot(),
-        }
-        for engine in (baseline, shadowed, promoted, direct):
-            engine.close()
-        return measured
-
-    def overload_rows(scenario: str, requests) -> None:
-        # Two arms over the identical ramped stream: uncontrolled vs
-        # SLO-admission-controlled.  The open arm must show the cost of
-        # overload (higher p99 update latency) that the controller buys
-        # back by shedding.
-        open_arm = run_overload_replay(scenario, requests, top_batch, 0)
-        slo_arm = run_overload_replay(scenario, requests, top_batch, slo_queue_depth)
-        if slo_queue_depth == 0 and slo_arm["probabilities"] != open_arm["probabilities"]:
-            raise AssertionError(
-                "admission control with shedding disabled must be bit-invisible: "
-                "the controlled arm's predictions diverged from the open arm"
-            )
-        for arm_name, measured in (("open", open_arm), ("slo", slo_arm)):
-            result.rows.append(
-                {
-                    "scenario": scenario,
-                    "arm": arm_name,
-                    "batch_size": top_batch,
-                    "queue_bound": 0 if arm_name == "open" else slo_queue_depth,
-                    "offered": measured["offered"],
-                    "served": measured["served"],
-                    "shed": measured["shed"],
-                    "deferred": measured["deferred"],
-                    "shed_rate": round(measured["shed_rate"], 3),
-                    "p99_update_latency": round(measured["p99_update_latency"], 1),
-                    "mean_update_latency": round(measured["mean_update_latency"], 2),
-                    "p99_queue_latency": round(measured["p99_queue_latency"], 1),
-                    "peak_backlog": round(measured["peak_backlog_seconds"], 1),
-                    **measured["trace_summary"],
-                }
-            )
-        shed_rates[scenario] = round(slo_arm["shed_rate"], 4)
-        artifacts["metrics"] = slo_arm["metrics"]
-        artifacts["trace"] = slo_arm["trace"]
-
-    def slo_sweep_rows(scenario: str, requests) -> None:
-        # Shed-rate vs p99-latency frontier: one replay of the same
-        # overload stream per queue-depth bound (0 = no admission).
-        for depth_bound in slo_queue_depths:
-            measured = run_overload_replay(scenario, requests, top_batch, depth_bound)
-            result.rows.append(
-                {
-                    "scenario": scenario,
-                    "batch_size": top_batch,
-                    "queue_bound": depth_bound,
-                    "served": measured["served"],
-                    "shed": measured["shed"],
-                    "deferred": measured["deferred"],
-                    "shed_rate": round(measured["shed_rate"], 3),
-                    "p99_update_latency": round(measured["p99_update_latency"], 1),
-                    "mean_update_latency": round(measured["mean_update_latency"], 2),
-                    "peak_backlog": round(measured["peak_backlog_seconds"], 1),
-                    **measured["trace_summary"],
-                }
-            )
-            artifacts["metrics"] = measured["metrics"]
-            artifacts["trace"] = measured["trace"]
-
-    def autoscale_rows(scenario: str, requests) -> None:
-        # Four arms over the identical ramped stream.  The fixed fleet
-        # must be bit-invisible (the headline invariant); the elastic
-        # arms chart what each policy buys.
-        arms = {
-            arm: run_autoscale_replay(scenario, requests, top_batch, arm, slo_queue_depth)
-            for arm in ("server", "fixed", "reactive", "predictive")
-        }
-        if arms["fixed"]["probabilities"] != arms["server"]["probabilities"]:
-            raise AssertionError(
-                f"{scenario}: a one-replica ReplicaFleet must be bit-identical to the "
-                "ServerModel baseline — the fixed arm's predictions diverged"
-            )
-        if arms["fixed"]["store_stats"] != arms["server"]["store_stats"]:
-            raise AssertionError(
-                f"{scenario}: the fixed fleet arm's store meters diverged from the "
-                "ServerModel baseline"
-            )
-        if arms["fixed"]["shed"] != arms["server"]["shed"]:
-            raise AssertionError(
-                f"{scenario}: the fixed fleet arm's shed decisions diverged from the "
-                "ServerModel baseline"
-            )
-        for arm_name, measured in arms.items():
-            result.rows.append(
-                {
-                    "scenario": scenario,
-                    "arm": arm_name,
-                    "batch_size": top_batch,
-                    "queue_bound": slo_queue_depth,
-                    "offered": measured["offered"],
-                    "served": measured["served"],
-                    "shed": measured["shed"],
-                    "shed_rate": round(measured["shed_rate"], 3),
-                    "p99_update_latency": round(measured["p99_update_latency"], 1),
-                    "replica_seconds": (
-                        round(measured["replica_seconds"], 1)
-                        if measured["replica_seconds"] is not None
-                        else None
-                    ),
-                    "peak_replicas": measured["peak_replicas"],
-                    "scale_up_events": measured["scale_up_events"],
-                    "scale_down_events": measured["scale_down_events"],
-                    "first_scale_up_at": measured["first_scale_up_at"],
-                    **measured["trace_summary"],
-                }
-            )
-            shed_rates[f"{scenario}:{arm_name}"] = round(measured["shed_rate"], 4)
-        artifacts["metrics"] = arms["predictive"]["metrics"]
-        artifacts["trace"] = arms["predictive"]["trace"]
-
-    def frontier_rows(scenario: str, requests) -> None:
-        # The cost-vs-SLO frontier: one reactive/predictive pair per
-        # nonzero depth bound, plus the headline ordering assertion at
-        # the primary bound — the predictive arm must shed strictly less
-        # at equal or lower replica-seconds cost.
-        if slo_queue_depth <= 0:
-            raise ValueError(
-                f"{scenario} compares shed rates under admission control: "
-                "slo_queue_depth must be positive"
-            )
-        frontier: dict[tuple[int, str], dict] = {}
-        for depth_bound in [bound for bound in slo_queue_depths if bound > 0]:
-            for policy_name in ("reactive", "predictive"):
-                measured = run_autoscale_replay(
-                    scenario, requests, top_batch, policy_name, depth_bound
-                )
-                frontier[(depth_bound, policy_name)] = measured
-                result.rows.append(
-                    {
-                        "scenario": scenario,
-                        "arm": policy_name,
-                        "batch_size": top_batch,
-                        "queue_bound": depth_bound,
-                        "served": measured["served"],
-                        "shed": measured["shed"],
-                        "shed_rate": round(measured["shed_rate"], 3),
-                        "p99_update_latency": round(measured["p99_update_latency"], 1),
-                        "replica_seconds": round(measured["replica_seconds"], 1),
-                        "peak_replicas": measured["peak_replicas"],
-                        "scale_up_events": measured["scale_up_events"],
-                        "first_scale_up_at": measured["first_scale_up_at"],
-                        **measured["trace_summary"],
-                    }
-                )
-                artifacts["metrics"] = measured["metrics"]
-                artifacts["trace"] = measured["trace"]
-        reactive = frontier[(slo_queue_depth, "reactive")]
-        predictive = frontier[(slo_queue_depth, "predictive")]
-        if not predictive["shed"] < reactive["shed"]:
-            raise AssertionError(
-                f"{scenario}: the predictive arm shed {predictive['shed']} requests "
-                f"vs the reactive arm's {reactive['shed']} at queue bound {slo_queue_depth} "
-                "— forecast-driven scaling must beat target tracking on the ramp"
-            )
-        if not predictive["replica_seconds"] <= reactive["replica_seconds"]:
-            raise AssertionError(
-                f"{scenario}: the predictive arm cost "
-                f"{predictive['replica_seconds']:.1f} replica-seconds vs the reactive "
-                f"arm's {reactive['replica_seconds']:.1f} — it must not buy its lower "
-                "shed rate with a larger fleet bill"
-            )
-        shed_rates[f"{scenario}:reactive"] = round(reactive["shed_rate"], 4)
-        shed_rates[f"{scenario}:predictive"] = round(predictive["shed_rate"], 4)
-
-    def canary_rows(scenario: str, requests) -> None:
-        # Two model-lifecycle arms at the largest batch size; the replay
-        # itself asserts the headline bit-identity invariants (shadow +
-        # rollback ≡ registry-free; promoted ≡ direct-built).
-        measured = run_canary_replay(scenario, requests, top_batch)
-        artifacts["metrics"] = measured["metrics"]
-        for arm_name in ("rollback", "promote"):
-            result.rows.append(
-                {
-                    "scenario": scenario,
-                    "arm": arm_name,
-                    "batch_size": top_batch,
-                    "replication": replication,
-                    **measured[arm_name],
-                }
-            )
-
-    def elastic_rows(scenario: str, requests, faulted: bool) -> None:
-        # One elastic replay per scenario at the largest batch size: the
-        # run itself asserts bit-equivalence with its static baseline,
-        # and the row reports the migration/re-hydration traffic that is
-        # allowed to differ.
-        measured = run_elastic_replay(scenario, requests, top_batch, faulted)
-        artifacts["metrics"] = measured["metrics"]
-        elastic_meters[scenario] = {
-            "keys_migrated": measured["keys_migrated"],
-            "keys_rehydrated": measured["keys_rehydrated"],
-        }
-        result.rows.append(
-            {
-                "scenario": scenario,
-                "batch_size": top_batch,
-                "replication": replication,
-                "served": measured["served"],
-                "bit_identical": measured["bit_identical"],
-                "keys_migrated": measured["keys_migrated"],
-                "migration_bytes": measured["migration_bytes"],
-                "keys_rehydrated": measured["keys_rehydrated"],
-                "rehydration_bytes": measured["rehydration_bytes"],
-                "shard_failures": measured["shard_failures"],
-                "shard_recoveries": measured["shard_recoveries"],
-                "membership_changes": measured["membership_changes"],
-                "load_imbalance": round(measured["load_imbalance"], 3),
-            }
-        )
-
-    def failover_rows(scenario: str, requests) -> None:
-        elastic_rows(scenario, requests, faulted=True)
-
-    def rebalance_rows(scenario: str, requests) -> None:
-        elastic_rows(scenario, requests, faulted=False)
-
-    def window_rows(scenario: str, requests) -> None:
-        # Latency vs wave-size trade-off: same bursty stream, same batch
-        # size, widening coalescing windows.
-        for window in coalescing_windows:
-            measured = run_replay(scenario, requests, top_batch, window)
-            artifacts["metrics"] = measured["metrics"]
-            result.rows.append(
-                {
-                    "scenario": scenario,
-                    "batch_size": top_batch,
-                    "coalescing_window": window,
-                    "requests_per_second": round(measured["serve_throughput"], 1),
-                    "updates_per_second": round(measured["drain_throughput"], 1),
-                    "mean_wave": round(measured["mean_wave"], 1),
-                    "mean_update_delay": round(measured["mean_update_delay"], 2),
-                }
-            )
-
-    def batch_size_rows(scenario: str, requests) -> None:
-        serve_throughputs: dict[int, float] = {}
-        drain_throughputs: dict[int, float] = {}
-        for batch_size in batch_sizes:
-            measured = run_replay(scenario, requests, batch_size, 0)
-            artifacts["metrics"] = measured["metrics"]
-            serve_throughputs[batch_size] = measured["serve_throughput"]
-            drain_throughputs[batch_size] = measured["drain_throughput"]
-            result.rows.append(
-                {
-                    "scenario": scenario,
-                    "batch_size": batch_size,
-                    "requests_per_second": round(measured["serve_throughput"], 1),
-                    "updates_per_second": round(measured["drain_throughput"], 1),
-                    "mean_wave": round(measured["mean_wave"], 1),
-                    "kv_gets_per_request": round(measured["kv_gets_per_request"], 3),
-                    "bytes_per_request": round(measured["bytes_per_request"], 1),
-                    "cost_per_request": round(measured["cost_per_request"], 1),
-                    "mean_batch": round(measured["mean_batch"], 1),
-                    "load_imbalance": round(measured["load_imbalance"], 3),
-                }
-            )
-        prediction_speedups[scenario] = round(
-            serve_throughputs[top_batch] / serve_throughputs[min(batch_sizes)], 2
-        )
-        update_speedups[scenario] = round(
-            drain_throughputs[top_batch] / drain_throughputs[min(batch_sizes)], 2
-        )
-
-    # SCENARIOS names each scenario's handler; resolve the names to closures.
-    handlers = {
-        handler.__name__: handler
-        for handler in (
-            batch_size_rows,
-            window_rows,
-            overload_rows,
-            slo_sweep_rows,
-            failover_rows,
-            rebalance_rows,
-            canary_rows,
-            autoscale_rows,
-            frontier_rows,
-        )
-    }
-    for scenario, requests in streams_by_scenario.items():
-        handlers[SCENARIOS[scenario][1]](scenario, requests)
-    ran = {handlers[SCENARIOS[scenario][1]] for scenario in scenarios}
-    result.metadata = {
+    ran = set(scenarios)
+    metadata = result.metadata = {
         "n_users": n_users,
         "n_shards": n_shards,
         "arrival_rate": arrival_rate,
         "burst_size": burst_size,
-        "coalescing_windows": list(coalescing_windows) if window_rows in ran else [],
+        "coalescing_windows": list(params["coalescing_windows"]) if "window_sweep" in ran else [],
         "engine_config": dict(engine_config) if engine_config is not None else None,
-        # The Poisson sweep's when it ran (the table lists it first).
-        "throughput_speedup": next(
-            (prediction_speedups[name] for name in SCENARIOS if name in prediction_speedups),
-            None,
-        ),
-        "prediction_speedups": prediction_speedups,
-        "update_drain_speedups": update_speedups,
-        "service_rate": service_rate if set(scenarios) & set(RAMPED_SCENARIOS) else None,
-        "slo_mode": slo_mode if ran & {overload_rows, slo_sweep_rows} else None,
+        "throughput_speedup": None,
+        "prediction_speedups": {},
+        "update_drain_speedups": {},
+        "service_rate": service_rate if ran & set(RAMPED_SCENARIOS) else None,
+        "slo_mode": slo_mode if ran & {"overload", "slo_sweep"} else None,
         "user_skew": user_skew,
-        "shed_rates": shed_rates,
-        "replication": replication if ran & {failover_rows, rebalance_rows} else None,
-        "elastic_meters": elastic_meters,
+        "shed_rates": {},
+        "replication": replication if ran & {"shard_failover", "diurnal_rebalance"} else None,
+        "elastic_meters": {},
     }
+    # A scenario's pieces either extend one of the metadata's per-scenario
+    # tables or are artifacts: the last pipeline's registry dump ("metrics")
+    # and Chrome-trace export ("trace").
+    artifacts: dict[str, Any] = {}
+    for name, requests in streams.items():
+        rows, pieces = SCENARIOS[name][1](workload, name, requests)
+        result.rows += rows
+        for key, piece in pieces.items():
+            if key in metadata:
+                metadata[key].update(piece)
+            else:
+                artifacts[key] = piece
+    # The Poisson sweep's when it ran (the table lists it first).
+    speedups = metadata["prediction_speedups"]
+    metadata["throughput_speedup"] = next((speedups[name] for name in SCENARIOS if name in speedups), None)
     # The manifest runner writes the last pipeline's full registry dump out
     # as <run>.metrics.json and the last traced pipeline's Chrome-trace export
     # (overload: the SLO arm; autoscale: the predictive arm) as
     # <run>.trace.json, loadable in chrome://tracing / Perfetto.  A registry
     # disabled by the engine block dumps empty and is left out.
-    result.metadata.update({name: dump for name, dump in artifacts.items() if dump})
+    metadata.update({name: dump for name, dump in artifacts.items() if dump})
     return result
 
 

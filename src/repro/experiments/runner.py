@@ -18,8 +18,10 @@ run and how::
   errors, never silently ignored.
 * ``engine`` is a partial :class:`~repro.serving.engine.EngineConfig` as a
   JSON object, passed to experiments that declare an ``engine_param`` (the
-  serving load tests); unknown ``EngineConfig`` fields are rejected here,
-  the full config is validated when the experiment builds its pipelines.
+  serving load tests); unknown fields are rejected here and every value is
+  checked with ``EngineConfig``'s own per-field check
+  (:func:`~repro.serving.engine.check_engine_field`); the rules relating
+  several fields are checked when the experiment builds its pipelines.
 * ``sweep`` maps parameter names to value lists; the grid is expanded into
   one run per point (cartesian product, manifest key order).
 * ``seed`` (top level) is threaded into every run whose schema has a
@@ -43,9 +45,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from ..serving.engine import BACKEND_KINDS, STATE_LAYOUTS, EngineConfig
+from ..serving.engine import EngineConfig, check_engine_field
 from .results import ExperimentResult
-from .spec import ExperimentSpec, ParamSpec, SpecValidationError, get_spec
+from .spec import ExperimentSpec, SpecValidationError, get_spec
 
 __all__ = [
     "ManifestError",
@@ -64,148 +66,7 @@ __all__ = [
 
 _ENTRY_KEYS = {"id", "params", "engine", "sweep"}
 _MANIFEST_KEYS = {"seed", "experiments"}
-_ENGINE_FIELDS = {spec.name for spec in dataclass_fields(EngineConfig)}
-
-#: Typed schemas for the ``engine`` block, mirroring ``EngineConfig``'s
-#: field types and invariants so bad *values* (not just bad names) are hard
-#: errors at manifest load — e.g. the hand-edit typo ``"quantize": "false"``
-#: must not sail through as a truthy string.
-_ENGINE_FIELD_SPECS = {
-    "backend": ParamSpec("backend", "str", default="hidden_state", choices=BACKEND_KINDS),
-    "max_batch_size": ParamSpec("max_batch_size", "int", default=1, minimum=1),
-    "coalescing_window": ParamSpec("coalescing_window", "int", default=0, minimum=0),
-    "n_shards": ParamSpec("n_shards", "int", minimum=1),
-    "quantize": ParamSpec("quantize", "bool", default=False),
-    "session_length": ParamSpec("session_length", "int", minimum=1),
-    "extra_lag": ParamSpec("extra_lag", "int", default=60, minimum=0),
-    "coalesce_updates": ParamSpec("coalesce_updates", "bool", default=True),
-    "defer_updates": ParamSpec("defer_updates", "bool"),
-    "history_window": ParamSpec("history_window", "int", default=28 * 86400, minimum=1),
-    "store_name": ParamSpec("store_name", "str", default="engine"),
-    "telemetry": ParamSpec("telemetry", "bool", default=True),
-    "replication": ParamSpec("replication", "int", default=1, minimum=1),
-    "state_layout": ParamSpec("state_layout", "str", default="entries", choices=STATE_LAYOUTS),
-    "model": ParamSpec("model", "str"),
-    # failure_schedule, rollout and autoscale are nested structures — no
-    # ParamSpec kind models those, so validate_engine_block dispatches to the
-    # hand-written shape checks in _ENGINE_BLOCK_VALIDATORS below and
-    # EngineConfig.__post_init__ does the semantic rest.
-    "failure_schedule": None,
-    "rollout": None,
-    "autoscale": None,
-    "tracing": None,
-}
-assert set(_ENGINE_FIELD_SPECS) == _ENGINE_FIELDS, "engine-block schemas drifted from EngineConfig"
-
-
-def _validate_failure_schedule(value: Any, *, where: str) -> None:
-    """Shape-check a manifest ``failure_schedule`` (semantic bounds checking
-    — action names, shard indices, replication — lives in
-    ``EngineConfig.__post_init__``, which sees the whole config)."""
-    if not isinstance(value, (list, tuple)):
-        raise ManifestError(f"{where}: expected a list of (fire_at, action, shard_index) triples")
-    for entry in value:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ManifestError(f"{where}: entry {entry!r} is not a (fire_at, action, shard_index) triple")
-        fire_at, action, shard_index = entry
-        if isinstance(fire_at, bool) or not isinstance(fire_at, int):
-            raise ManifestError(f"{where}: fire_at {fire_at!r} must be an int (simulated seconds)")
-        if not isinstance(action, str):
-            raise ManifestError(f"{where}: action {action!r} must be a string")
-        if isinstance(shard_index, bool) or not isinstance(shard_index, int):
-            raise ManifestError(f"{where}: shard_index {shard_index!r} must be an int")
-
-
-def _validate_rollout_block(value: Any, *, where: str) -> None:
-    """Shape-check a manifest ``rollout`` block (gate names, stage ordering
-    and the model/telemetry coupling live in ``EngineConfig.__post_init__``,
-    which sees the whole config)."""
-    if not isinstance(value, Mapping):
-        raise ManifestError(f"{where}: expected an object with candidate/stages/gates")
-    unknown = set(value) - {"candidate", "stages", "gates"}
-    if unknown:
-        raise ManifestError(f"{where}: unknown rollout fields {sorted(unknown)}")
-    if not isinstance(value.get("candidate"), str):
-        raise ManifestError(f"{where}: candidate must be a registry version name")
-    stages = value.get("stages")
-    if not isinstance(stages, (list, tuple)):
-        raise ManifestError(f"{where}: stages must be a list of (fire_at, pct) pairs")
-    for entry in stages:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ManifestError(f"{where}: stage {entry!r} is not a (fire_at, pct) pair")
-        for field in entry:
-            if isinstance(field, bool) or not isinstance(field, int):
-                raise ManifestError(f"{where}: stage {entry!r} fields must be ints")
-    gates = value.get("gates", {})
-    if not isinstance(gates, Mapping):
-        raise ManifestError(f"{where}: gates must be an object of gate name -> bound")
-    for name, bound in gates.items():
-        if not isinstance(name, str):
-            raise ManifestError(f"{where}: gate name {name!r} must be a string")
-        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-            raise ManifestError(f"{where}: gate {name!r} bound {bound!r} must be a number")
-
-
-_AUTOSCALE_INT_FIELDS = (
-    "start",
-    "until",
-    "interval",
-    "initial_replicas",
-    "min_replicas",
-    "max_replicas",
-    "provision_delay",
-    "decommission_delay",
-    "depth_window",
-    "horizon",
-)
-_AUTOSCALE_FLOAT_FIELDS = ("service_rate", "target_queue_depth", "utilization")
-
-
-def _validate_autoscale_block(value: Any, *, where: str) -> None:
-    """Shape-check a manifest ``autoscale`` block (replica-bound ordering,
-    the schedule/backend/telemetry coupling and default filling live in
-    ``EngineConfig.__post_init__``, which sees the whole config)."""
-    if not isinstance(value, Mapping):
-        raise ManifestError(f"{where}: expected an object with policy/service_rate/start/until")
-    unknown = set(value) - {"policy", *_AUTOSCALE_INT_FIELDS, *_AUTOSCALE_FLOAT_FIELDS}
-    if unknown:
-        raise ManifestError(f"{where}: unknown autoscale fields {sorted(unknown)}")
-    if not isinstance(value.get("policy"), str):
-        raise ManifestError(f"{where}: policy must be a string (reactive or predictive)")
-    for name in _AUTOSCALE_INT_FIELDS:
-        if name in value:
-            field = value[name]
-            if isinstance(field, bool) or not isinstance(field, int):
-                raise ManifestError(f"{where}: {name} {field!r} must be an int")
-    for name in _AUTOSCALE_FLOAT_FIELDS:
-        if name in value:
-            field = value[name]
-            if isinstance(field, bool) or not isinstance(field, (int, float)):
-                raise ManifestError(f"{where}: {name} {field!r} must be a number")
-
-
-def _validate_tracing_block(value: Any, *, where: str) -> None:
-    """Shape-check a manifest ``tracing`` block (the sample_pct range check
-    lives in ``EngineConfig.__post_init__``, which also fills the default)."""
-    if not isinstance(value, Mapping):
-        raise ManifestError(f"{where}: expected an object with sample_pct")
-    unknown = set(value) - {"sample_pct"}
-    if unknown:
-        raise ManifestError(f"{where}: unknown tracing fields {sorted(unknown)}")
-    if "sample_pct" in value:
-        pct = value["sample_pct"]
-        if isinstance(pct, bool) or not isinstance(pct, int):
-            raise ManifestError(f"{where}: sample_pct {pct!r} must be an int (percent of requests)")
-
-
-#: Hand-written validators for the engine-block fields no ParamSpec kind can
-#: model (``_ENGINE_FIELD_SPECS`` entries set to ``None``).
-_ENGINE_BLOCK_VALIDATORS = {
-    "failure_schedule": _validate_failure_schedule,
-    "rollout": _validate_rollout_block,
-    "autoscale": _validate_autoscale_block,
-    "tracing": _validate_tracing_block,
-}
+ENGINE_FIELDS = tuple(spec.name for spec in dataclass_fields(EngineConfig))
 
 
 class ManifestError(ValueError):
@@ -223,14 +84,15 @@ def validate_engine_block(
 
     Shared between manifest loading (:func:`load_manifest`) and the
     direct-call path (``run_batched_serving(engine_config=...)``) so the two
-    cannot drift: unknown ``EngineConfig`` fields, experiment-owned fields
-    and unsupported backend kinds all raise :class:`ManifestError` with the
+    cannot drift: unknown ``EngineConfig`` fields, experiment-owned fields,
+    values ``EngineConfig`` itself would refuse for that field and
+    unsupported backend kinds all raise :class:`ManifestError` with the
     same wording from either entry point.
     """
-    unknown = set(engine) - _ENGINE_FIELDS
+    unknown = set(engine) - set(ENGINE_FIELDS)
     if unknown:
         raise ManifestError(
-            f"{where}: unknown EngineConfig fields {sorted(unknown)}; known fields: {sorted(_ENGINE_FIELDS)}"
+            f"{where}: unknown EngineConfig fields {sorted(unknown)}; known fields: {sorted(ENGINE_FIELDS)}"
         )
     owned = set(engine) & set(reserved)
     if owned:
@@ -239,14 +101,12 @@ def validate_engine_block(
             "(it derives them per pipeline, or they have no effect on its dataflow)"
         )
     for name, value in engine.items():
-        spec = _ENGINE_FIELD_SPECS[name]
-        if spec is None:
-            _ENGINE_BLOCK_VALIDATORS[name](value, where=f"{where}, field {name!r}")
-            continue
+        # Bad *values* (not just bad names) are hard errors at manifest load,
+        # judged by the same per-field check EngineConfig runs on itself.
         try:
-            spec.validate(value, where=f"{where}, field {name!r}")
-        except SpecValidationError as error:
-            raise ManifestError(str(error)) from None
+            check_engine_field(name, value)
+        except ValueError as error:
+            raise ManifestError(f"{where}: {error}") from None
     if backends and engine.get("backend", backends[0]) not in backends:
         raise ManifestError(
             f"{where}: this experiment drives backend kinds {list(backends)}, "

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, runtime_checkable
 
 from .autoscale import (
     AUTOSCALE_POLICIES,
@@ -61,6 +61,7 @@ __all__ = [
     "Backend",
     "EngineConfig",
     "ServingEngine",
+    "check_engine_field",
     "BACKEND_KINDS",
     "STATE_LAYOUTS",
 ]
@@ -72,6 +73,221 @@ BACKEND_KINDS = ("hidden_state", "aggregation")
 #: slab with fancy-index wave gather/scatter (``"arena"``).  Bit-identical
 #: by construction; the arena is the fast path.
 STATE_LAYOUTS = ("entries", "arena")
+
+
+# ----------------------------------------------------------------------
+# The EngineConfig schema: one check per field, written once.  Each takes
+# ``(name, value)`` and returns the canonical value or raises ValueError.
+# ----------------------------------------------------------------------
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _scalar(kind: type, *, minimum: int | None = None, choices: tuple[str, ...] | None = None):
+    """Check for a plain ``int`` / ``bool`` / ``str`` field: the exact type (a
+    bool is not an int and neither is a float, so ``nan``/``inf`` and the
+    hand-edit typo ``"quantize": "false"`` never pass), then the lower bound
+    or the legal strings."""
+    expected = {int: "an integer", bool: "true/false", str: "a string"}[kind]
+
+    def check(name: str, value: Any) -> Any:
+        if not (_is_int(value) if kind is int else isinstance(value, kind)):
+            raise ValueError(f"{name}: expected {expected}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+        return value
+
+    return check
+
+
+def _optional(check):
+    """``None`` means "not configured" and passes; anything else is checked."""
+    return lambda name, value: None if value is None else check(name, value)
+
+
+def _version_name(name: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty registry version name")
+    return value
+
+
+def _failure_schedule(name: str, value: Any) -> tuple[tuple[int, str, int], ...]:
+    """``(fire_at, action, shard_index)`` triples, canonicalized to tuples so
+    a config survives a JSON round trip intact (json turns tuples into lists;
+    to_dict/from_dict equality is pinned by tests/test_engine.py)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of (fire_at, action, shard_index) triples")
+    entries = []
+    for raw in value:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+            raise ValueError(f"{name} entries are (fire_at, action, shard_index) triples")
+        fire_at, action, shard_index = raw
+        if not _is_int(fire_at):
+            raise ValueError(f"{name} fire_at must be an int (simulated seconds)")
+        if action not in ("fail", "recover"):
+            raise ValueError(f"unknown {name} action {action!r}; expected 'fail' or 'recover'")
+        if not _is_int(shard_index):
+            raise ValueError(f"{name} shard_index must be an int")
+        entries.append((fire_at, action, shard_index))
+    return tuple(entries)
+
+
+def _rollout_block(name: str, value: Any) -> dict[str, Any]:
+    """``{candidate, stages, gates}``; stages canonicalized to tuples like
+    ``failure_schedule``."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping with candidate/stages/gates")
+    unknown = set(value) - {"candidate", "stages", "gates"}
+    if unknown:
+        raise ValueError(f"unknown rollout fields: {sorted(unknown)}")
+    candidate = _version_name("rollout.candidate", value.get("candidate"))
+    raw_stages = value.get("stages")
+    if not raw_stages or not isinstance(raw_stages, (list, tuple)):
+        raise ValueError("rollout.stages must be a non-empty (fire_at, pct) schedule")
+    stages: list[tuple[int, int]] = []
+    for raw in raw_stages:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            raise ValueError("rollout.stages entries are (fire_at, pct) pairs")
+        fire_at, pct = raw
+        if not _is_int(fire_at) or not _is_int(pct):
+            raise ValueError("rollout stage fire_at and pct must be ints")
+        if not 0 < pct <= 100:
+            raise ValueError("rollout stage pct must be in 1..100")
+        if stages and fire_at <= stages[-1][0]:
+            raise ValueError("rollout stage fire_at times must be strictly increasing")
+        if stages and pct <= stages[-1][1]:
+            raise ValueError("rollout stage percentages must be strictly increasing")
+        stages.append((fire_at, pct))
+    gates = value.get("gates", {})
+    if not isinstance(gates, Mapping):
+        raise ValueError("rollout.gates must be a mapping of gate name to bound")
+    for gate_name, bound in gates.items():
+        if gate_name not in GATE_NAMES:
+            raise ValueError(f"unknown rollout gate {gate_name!r}; expected one of {GATE_NAMES}")
+        if not (_is_int(bound) or isinstance(bound, float)) or not bound >= 0:
+            raise ValueError(f"rollout gate {gate_name} must be a non-negative number")
+    return {"candidate": candidate, "stages": tuple(stages), "gates": dict(gates)}
+
+
+_AUTOSCALE_REQUIRED = ("policy", "service_rate", "start", "until")
+#: ``horizon`` is the one derived default: ``provision_delay + interval``.
+_AUTOSCALE_DEFAULTS = {
+    "interval": 60,
+    "initial_replicas": 1,
+    "min_replicas": 1,
+    "max_replicas": 8,
+    "provision_delay": 60,
+    "decommission_delay": 0,
+    "target_queue_depth": 8.0,
+    "depth_window": 2,
+    "utilization": 0.8,
+}
+_AUTOSCALE_FLOATS = ("service_rate", "target_queue_depth", "utilization")
+
+
+def _autoscale_block(name: str, value: Any) -> dict[str, Any]:
+    """Policy, schedule, fleet shape and policy tuning; defaults are filled
+    here so a canonical config round-trips through JSON intact."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping with policy/service_rate/start/until")
+    block = dict(value)
+    unknown = set(block) - {*_AUTOSCALE_REQUIRED, *_AUTOSCALE_DEFAULTS, "horizon"}
+    if unknown:
+        raise ValueError(f"unknown autoscale fields: {sorted(unknown)}")
+    if block.get("policy") not in AUTOSCALE_POLICIES:
+        raise ValueError(
+            f"autoscale.policy must be one of {AUTOSCALE_POLICIES}, got {block.get('policy')!r}"
+        )
+    for required in _AUTOSCALE_REQUIRED:
+        if required not in block:
+            raise ValueError(f"autoscale needs a {required} field")
+    for key, default in _AUTOSCALE_DEFAULTS.items():
+        block.setdefault(key, default)
+    for key, field in block.items():
+        if key in _AUTOSCALE_FLOATS:
+            if not (_is_int(field) or isinstance(field, float)) or not math.isfinite(field):
+                raise ValueError(f"autoscale.{key} must be a finite number")
+            block[key] = float(field)
+        elif key != "policy" and not _is_int(field):
+            raise ValueError(f"autoscale.{key} must be an int")
+    block.setdefault("horizon", block["provision_delay"] + block["interval"])
+    if block["service_rate"] <= 0:
+        raise ValueError("autoscale.service_rate must be positive")
+    if block["until"] < block["start"]:
+        raise ValueError("autoscale.until must not precede autoscale.start")
+    if block["interval"] < 1:
+        raise ValueError("autoscale.interval must be at least 1 simulated second")
+    if block["min_replicas"] < 1:
+        raise ValueError("autoscale.min_replicas must be at least 1")
+    if not block["min_replicas"] <= block["initial_replicas"] <= block["max_replicas"]:
+        raise ValueError(
+            "autoscale replica bounds need min_replicas <= initial_replicas <= max_replicas"
+        )
+    if block["provision_delay"] < 0 or block["decommission_delay"] < 0:
+        raise ValueError("autoscale provisioning delays must be non-negative")
+    if block["target_queue_depth"] <= 0:
+        raise ValueError("autoscale.target_queue_depth must be positive")
+    if block["depth_window"] < 1:
+        raise ValueError("autoscale.depth_window must be at least 1")
+    if block["horizon"] < 1:
+        raise ValueError("autoscale.horizon must be at least 1 simulated second")
+    if not 0.0 < block["utilization"] <= 1.0:
+        raise ValueError("autoscale.utilization must be in (0, 1]")
+    return block
+
+
+def _tracing_block(name: str, value: Any) -> dict[str, int]:
+    """One optional field, ``sample_pct``; the default is filled here so a
+    canonical config survives a JSON round trip intact."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping with sample_pct")
+    unknown = set(value) - {"sample_pct"}
+    if unknown:
+        raise ValueError(f"unknown tracing fields: {sorted(unknown)}")
+    pct = value.get("sample_pct", 100)
+    if not _is_int(pct):
+        raise ValueError("tracing.sample_pct must be an int")
+    if not 1 <= pct <= 100:
+        raise ValueError("tracing.sample_pct must be in 1..100 (percent of requests)")
+    return {"sample_pct": pct}
+
+
+_FIELD_CHECKS = {
+    "backend": _scalar(str, choices=BACKEND_KINDS),
+    "max_batch_size": _scalar(int, minimum=1),
+    "coalescing_window": _scalar(int, minimum=0),
+    "n_shards": _optional(_scalar(int, minimum=1)),
+    "quantize": _scalar(bool),
+    "session_length": _optional(_scalar(int, minimum=1)),
+    "extra_lag": _scalar(int, minimum=0),
+    "coalesce_updates": _scalar(bool),
+    "defer_updates": _optional(_scalar(bool)),
+    "history_window": _scalar(int, minimum=1),
+    "store_name": _scalar(str),
+    "telemetry": _scalar(bool),
+    "replication": _scalar(int, minimum=1),
+    "failure_schedule": _optional(_failure_schedule),
+    "state_layout": _scalar(str, choices=STATE_LAYOUTS),
+    "model": _optional(_version_name),
+    "rollout": _optional(_rollout_block),
+    "autoscale": _optional(_autoscale_block),
+    "tracing": _optional(_tracing_block),
+}
+
+
+def check_engine_field(name: str, value: Any) -> Any:
+    """Validate one :class:`EngineConfig` field on its own — type, range,
+    nested-block shape — and return its canonical value.
+
+    The single schema: ``EngineConfig.__post_init__`` runs it on every field
+    and a manifest's partial ``engine`` block is checked field by field with
+    it at load (``experiments.runner.validate_engine_block``), so direct
+    construction and manifests accept exactly the same values.  Rules that
+    relate several fields stay in ``__post_init__``, which sees them all.
+    """
+    return _FIELD_CHECKS[name](name, value)
 
 
 @runtime_checkable
@@ -222,22 +438,11 @@ class EngineConfig:
     tracing: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind {self.backend!r}; expected one of {BACKEND_KINDS}")
-        if self.max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        if self.coalescing_window < 0:
-            raise ValueError("coalescing_window must be non-negative")
-        if self.n_shards is not None and self.n_shards <= 0:
-            raise ValueError("n_shards must be positive (or None for an unsharded store)")
-        if self.session_length is not None and self.session_length <= 0:
-            raise ValueError("session_length must be positive")
-        if self.extra_lag < 0:
-            raise ValueError("extra_lag must be non-negative")
-        if self.history_window <= 0:
-            raise ValueError("history_window must be positive")
-        if self.replication <= 0:
-            raise ValueError("replication must be positive")
+        # Each field on its own first (type, range, block shape — the checks
+        # a manifest "engine" block gets at load), canonical values stored;
+        # then the rules that need more than one field.
+        for spec in fields(self):
+            object.__setattr__(self, spec.name, check_engine_field(spec.name, getattr(self, spec.name)))
         if self.replication > 1:
             if self.n_shards is None:
                 raise ValueError("replication needs a sharded store: set n_shards")
@@ -245,56 +450,28 @@ class EngineConfig:
                 raise ValueError(
                     f"replication {self.replication} exceeds n_shards {self.n_shards}"
                 )
-        if self.failure_schedule is not None:
-            # Canonicalize so a config survives a JSON round trip intact
-            # (json turns tuples into lists; to_dict/from_dict equality is
-            # pinned by tests/test_engine.py).
-            entries = []
-            for raw in self.failure_schedule:
-                entry = tuple(raw)
-                if len(entry) != 3:
-                    raise ValueError(
-                        "failure_schedule entries are (fire_at, action, shard_index) triples"
-                    )
-                fire_at, action, shard_index = entry
-                if isinstance(fire_at, bool) or not isinstance(fire_at, int):
-                    raise ValueError("failure_schedule fire_at must be an int (simulated seconds)")
-                if action not in ("fail", "recover"):
-                    raise ValueError(
-                        f"unknown failure_schedule action {action!r}; expected 'fail' or 'recover'"
-                    )
-                if isinstance(shard_index, bool) or not isinstance(shard_index, int):
-                    raise ValueError("failure_schedule shard_index must be an int")
+        if self.failure_schedule:
+            for _, _, shard_index in self.failure_schedule:
                 if self.n_shards is None or not 0 <= shard_index < self.n_shards:
                     raise ValueError(
                         f"failure_schedule shard_index {shard_index} outside the "
                         f"initial pool (n_shards={self.n_shards})"
                     )
-                entries.append((fire_at, action, shard_index))
-            object.__setattr__(self, "failure_schedule", tuple(entries))
-            if entries:
-                if self.replication < 2:
-                    raise ValueError(
-                        "a failure_schedule needs replication >= 2: failing an "
-                        "unreplicated shard would lose its keys"
-                    )
-                if not self.deferred_updates:
-                    raise ValueError(
-                        "a failure_schedule fires on the stream clock and needs the "
-                        "deferred-update dataflow (hidden_state, or defer_updates=True)"
-                    )
-        if self.state_layout not in STATE_LAYOUTS:
-            raise ValueError(
-                f"unknown state_layout {self.state_layout!r}; expected one of {STATE_LAYOUTS}"
-            )
-        if self.model is not None:
-            if not isinstance(self.model, str) or not self.model:
-                raise ValueError("model must be a non-empty registry version name")
-            if self.backend != "hidden_state":
+            if self.replication < 2:
                 raise ValueError(
-                    "registry-pinned models apply to the hidden_state backend "
-                    "(the registry stores RNN versions)"
+                    "a failure_schedule needs replication >= 2: failing an "
+                    "unreplicated shard would lose its keys"
                 )
+            if not self.deferred_updates:
+                raise ValueError(
+                    "a failure_schedule fires on the stream clock and needs the "
+                    "deferred-update dataflow (hidden_state, or defer_updates=True)"
+                )
+        if self.model is not None and self.backend != "hidden_state":
+            raise ValueError(
+                "registry-pinned models apply to the hidden_state backend "
+                "(the registry stores RNN versions)"
+            )
         if self.rollout is not None:
             if self.model is None:
                 raise ValueError(
@@ -304,153 +481,17 @@ class EngineConfig:
                 raise ValueError(
                     "rollout promotion gates read the metrics plane: telemetry must stay on"
                 )
-            rollout = dict(self.rollout)
-            unknown = set(rollout) - {"candidate", "stages", "gates"}
-            if unknown:
-                raise ValueError(f"unknown rollout fields: {sorted(unknown)}")
-            candidate = rollout.get("candidate")
-            if not isinstance(candidate, str) or not candidate:
-                raise ValueError("rollout.candidate must be a non-empty registry version name")
-            if candidate == self.model:
+            if self.rollout["candidate"] == self.model:
                 raise ValueError(
                     "rollout.candidate must name a different version than the control model"
                 )
-            raw_stages = rollout.get("stages")
-            if not raw_stages:
-                raise ValueError("rollout.stages must be a non-empty (fire_at, pct) schedule")
-            stages: list[tuple[int, int]] = []
-            for raw in raw_stages:
-                entry = tuple(raw)
-                if len(entry) != 2:
-                    raise ValueError("rollout.stages entries are (fire_at, pct) pairs")
-                fire_at, pct = entry
-                for value, label in ((fire_at, "fire_at"), (pct, "pct")):
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ValueError(f"rollout stage {label} must be an int")
-                if not 0 < pct <= 100:
-                    raise ValueError("rollout stage pct must be in 1..100")
-                if stages:
-                    if fire_at <= stages[-1][0]:
-                        raise ValueError(
-                            "rollout stage fire_at times must be strictly increasing"
-                        )
-                    if pct <= stages[-1][1]:
-                        raise ValueError(
-                            "rollout stage percentages must be strictly increasing"
-                        )
-                stages.append((fire_at, pct))
-            gates = rollout.get("gates", {})
-            if not isinstance(gates, dict):
-                raise ValueError("rollout.gates must be a mapping of gate name to bound")
-            for gate_name, bound in gates.items():
-                if gate_name not in GATE_NAMES:
-                    raise ValueError(
-                        f"unknown rollout gate {gate_name!r}; expected one of {GATE_NAMES}"
-                    )
-                if isinstance(bound, bool) or not isinstance(bound, (int, float)) or bound < 0:
-                    raise ValueError(f"rollout gate {gate_name} must be a non-negative number")
-            # Canonicalize (json lists -> tuples) so a config survives a JSON
-            # round trip intact, like failure_schedule above.
-            object.__setattr__(
-                self,
-                "rollout",
-                {"candidate": candidate, "stages": tuple(stages), "gates": dict(gates)},
-            )
         if self.autoscale is not None:
-            block = dict(self.autoscale)
-            known = {
-                "policy",
-                "service_rate",
-                "start",
-                "until",
-                "interval",
-                "initial_replicas",
-                "min_replicas",
-                "max_replicas",
-                "provision_delay",
-                "decommission_delay",
-                "target_queue_depth",
-                "depth_window",
-                "horizon",
-                "utilization",
-            }
-            unknown = set(block) - known
-            if unknown:
-                raise ValueError(f"unknown autoscale fields: {sorted(unknown)}")
-            policy = block.get("policy")
-            if policy not in AUTOSCALE_POLICIES:
-                raise ValueError(
-                    f"autoscale.policy must be one of {AUTOSCALE_POLICIES}, got {policy!r}"
-                )
-            for name in ("policy", "service_rate", "start", "until"):
-                if name not in block:
-                    raise ValueError(f"autoscale needs a {name} field")
-            # Defaults are filled here so a canonical config round-trips
-            # through JSON intact, like failure_schedule and rollout above.
-            block.setdefault("interval", 60)
-            block.setdefault("initial_replicas", 1)
-            block.setdefault("min_replicas", 1)
-            block.setdefault("max_replicas", 8)
-            block.setdefault("provision_delay", 60)
-            block.setdefault("decommission_delay", 0)
-            block.setdefault("target_queue_depth", 8.0)
-            block.setdefault("depth_window", 2)
-            block.setdefault("horizon", block["provision_delay"] + block["interval"])
-            block.setdefault("utilization", 0.8)
-            int_fields = (
-                "start",
-                "until",
-                "interval",
-                "initial_replicas",
-                "min_replicas",
-                "max_replicas",
-                "provision_delay",
-                "decommission_delay",
-                "depth_window",
-                "horizon",
-            )
-            for name in int_fields:
-                value = block[name]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"autoscale.{name} must be an int")
-            for name in ("service_rate", "target_queue_depth", "utilization"):
-                value = block[name]
-                if (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, float))
-                    or not math.isfinite(value)
-                ):
-                    raise ValueError(f"autoscale.{name} must be a finite number")
-                block[name] = float(value)
-            if block["service_rate"] <= 0:
-                raise ValueError("autoscale.service_rate must be positive")
-            if block["until"] < block["start"]:
-                raise ValueError("autoscale.until must not precede autoscale.start")
-            if block["interval"] < 1:
-                raise ValueError("autoscale.interval must be at least 1 simulated second")
-            if block["min_replicas"] < 1:
-                raise ValueError("autoscale.min_replicas must be at least 1")
-            if not block["min_replicas"] <= block["initial_replicas"] <= block["max_replicas"]:
-                raise ValueError(
-                    "autoscale replica bounds need "
-                    "min_replicas <= initial_replicas <= max_replicas"
-                )
-            if block["provision_delay"] < 0 or block["decommission_delay"] < 0:
-                raise ValueError("autoscale provisioning delays must be non-negative")
-            if block["target_queue_depth"] <= 0:
-                raise ValueError("autoscale.target_queue_depth must be positive")
-            if block["depth_window"] < 1:
-                raise ValueError("autoscale.depth_window must be at least 1")
-            if block["horizon"] < 1:
-                raise ValueError("autoscale.horizon must be at least 1 simulated second")
-            if not 0.0 < block["utilization"] <= 1.0:
-                raise ValueError("autoscale.utilization must be in (0, 1]")
             if not self.deferred_updates:
                 raise ValueError(
                     "autoscale ticks fire on the stream clock and need the "
                     "deferred-update dataflow (hidden_state, or defer_updates=True)"
                 )
-            if policy == "predictive":
+            if self.autoscale["policy"] == "predictive":
                 if self.backend != "hidden_state":
                     raise ValueError(
                         "the predictive policy aggregates the GRU's activity "
@@ -461,21 +502,6 @@ class EngineConfig:
                         "the predictive policy measures the arrival rate from "
                         "the metrics plane: telemetry must stay on"
                     )
-            object.__setattr__(self, "autoscale", block)
-        if self.tracing is not None:
-            block = dict(self.tracing)
-            unknown = set(block) - {"sample_pct"}
-            if unknown:
-                raise ValueError(f"unknown tracing fields: {sorted(unknown)}")
-            # Defaults fill here so a canonical config survives a JSON round
-            # trip intact, like the autoscale block above.
-            block.setdefault("sample_pct", 100)
-            pct = block["sample_pct"]
-            if isinstance(pct, bool) or not isinstance(pct, int):
-                raise ValueError("tracing.sample_pct must be an int")
-            if not 1 <= pct <= 100:
-                raise ValueError("tracing.sample_pct must be in 1..100 (percent of requests)")
-            object.__setattr__(self, "tracing", block)
         if self.backend == "hidden_state":
             if self.session_length is None:
                 raise ValueError("the hidden_state backend needs a session_length")

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.data import ContextField, ContextSchema
-from repro.experiments.production import _zipf_user_popularity
+from repro.experiments.serving_scenarios import _zipf_user_popularity
 from repro.features.sequence import SequenceBuilder
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (

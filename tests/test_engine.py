@@ -18,6 +18,8 @@ import pytest
 
 from repro.core import FixedThresholdPolicy
 from repro.data import ContextField, ContextSchema, make_dataset, sessions_in_time_order, user_split
+from repro.experiments import ManifestError, load_manifest
+from repro.experiments.runner import validate_engine_block
 from repro.models import GBDTModel, RNNModel, RNNModelConfig, TaskSpec
 from repro.serving import (
     Backend,
@@ -143,6 +145,31 @@ class TestEngineConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quantize", "false"),
+            ("telemetry", "no"),
+            ("max_batch_size", 2.5),
+            ("max_batch_size", True),
+            ("n_shards", True),
+            ("coalescing_window", float("nan")),
+            ("session_length", float("inf")),
+            ("extra_lag", "soon"),
+            ("store_name", 7),
+        ],
+    )
+    def test_direct_construction_is_as_strict_as_a_manifest(self, field, value):
+        # One schema: a wrong-typed or non-finite scalar is rejected by the
+        # same per-field check whether it arrives as a keyword or in a
+        # manifest's "engine" block.
+        with pytest.raises(ValueError, match=f"{field}: expected"):
+            EngineConfig(**{"backend": "hidden_state", "session_length": 600, field: value})
+        with pytest.raises(ManifestError, match=f"{field}: expected"):
+            validate_engine_block({field: value})
+        with pytest.raises(ManifestError, match=field):
+            load_manifest({"experiments": [{"id": "batched_serving", "engine": {field: value}}]})
 
     def test_update_delivery_defaults(self):
         assert EngineConfig(backend="hidden_state", session_length=600).deferred_updates
