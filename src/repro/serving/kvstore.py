@@ -260,20 +260,21 @@ class KeyValueStore:
         arena_rows: list[int] = []
         arena_positions: list[int] = []
         stray: list[tuple[int, dict[str, Any]]] = []
-        hits = 0
         bytes_read = 0
+        data = self._data
+        sizes = self._sizes
+        row_of = arena.row_of
         for position, key in enumerate(keys):
-            value = self._data.get(key, _MISSING)
+            value = data.get(key, _MISSING)
             if value is _MISSING:
                 continue
-            hits += 1
-            bytes_read += self._sizes[key]
-            present[position] = True
+            bytes_read += sizes[key]
             if value is _IN_ARENA:
                 arena_positions.append(position)
-                arena_rows.append(arena.row_of(key))
+                arena_rows.append(row_of(key))
             else:
                 stray.append((position, value))
+        hits = len(arena_positions) + len(stray)
         stats = self.stats
         stats.gets += n
         stats.hits += hits
@@ -287,7 +288,9 @@ class KeyValueStore:
             gathered, row_timestamps = arena.gather(rows)
             states[positions] = gathered
             timestamps[positions] = row_timestamps
+            present[positions] = True
         for position, record in stray:
+            present[position] = True
             stored = np.asarray(record["state"], dtype=np.float64)
             if spec.quantized:
                 stored = stored * float(record["scale"])

@@ -19,6 +19,17 @@ The pool is *elastic*:
   owner; reads prefer the primary (the first owner) and *read-repair* any
   live owner holding a stale or missing copy.  A per-key write-version
   sidecar makes staleness exact, not heuristic.
+* **Divergence by exception** — the pool keeps one set of keys that *may*
+  have a live owner behind the current version.  Only a lazy recovery adds
+  to it (every key the recovered shard owns); read-repair, writes and
+  ``delete`` drain it.  It only has to be a **superset** of the truly stale
+  keys: the version sidecars stay the authority whenever they are
+  consulted.  The **in-sync rule**: while no shard is failed and that set
+  is empty, the primary of every key is version-current and repair is a
+  no-op, so reads take the memoised ``node_for`` dispatch an unreplicated
+  pool uses and writes the cached owner tuple, unfiltered.  Otherwise one
+  per-key planner (``_read_plan``) picks the serving replica and the
+  repairs owed, once per key, for every read entry point.
 * **Live resharding** — :meth:`add_shard` / :meth:`remove_shard` /
   :meth:`resize` change membership while serving: only keys whose owner set
   actually changed are copied to their new owners (and dropped from the old
@@ -97,6 +108,7 @@ class ConsistentHashRing:
         self.replicas = replicas
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
+        self._nodes: set[str] = set()
         # Route caches: key → owning node / owner group.  Serving traffic is
         # heavily key-repetitive (one hidden-state record per user), so
         # memoising the blake2b + ring search turns the per-request routing
@@ -116,6 +128,7 @@ class ConsistentHashRing:
                 raise ValueError(f"hash collision adding node {node!r}")
             bisect.insort(self._points, point)
             self._owners[point] = node
+        self._nodes.add(node)
         self._route_cache.clear()
         self._multi_cache.clear()
 
@@ -129,6 +142,7 @@ class ConsistentHashRing:
             # per virtual point (which made each removal quadratic).
             del self._points[bisect.bisect_left(self._points, point)]
             del self._owners[point]
+        self._nodes.discard(node)
         self._route_cache.clear()
         self._multi_cache.clear()
 
@@ -172,14 +186,17 @@ class ConsistentHashRing:
                     break
         group = tuple(owners)
         self._multi_cache[key] = group
+        # The group's head is the primary: an in-sync replicated read routes
+        # through node_for, and must not hash the key a second time.
+        self._route_cache[key] = group[0]
         return group
 
     @property
     def nodes(self) -> list[str]:
-        return sorted(set(self._owners.values()))
+        return sorted(self._nodes)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._nodes)
 
 
 class ShardedKeyValueStore:
@@ -195,9 +212,11 @@ class ShardedKeyValueStore:
 
     ``replication=r`` keeps each key on the ``r`` distinct shards that
     follow its hash on the ring; see the module docstring for the
-    replication / resharding / failover semantics.  The ``r == 1`` hot path
-    is byte-for-byte the pre-replication dispatch — no version sidecar is
-    maintained and no fan-out loop runs.
+    replication / resharding / failover semantics.  At ``r == 1`` no
+    version sidecar is maintained and no fan-out loop runs; at any ``r`` a
+    pool that is in sync (no failed shard, empty stale-key set — always
+    true at ``r == 1``) reads through that same primary dispatch, and only
+    a degraded pool consults the per-key planner.
     """
 
     def __init__(
@@ -235,6 +254,9 @@ class ShardedKeyValueStore:
         # "is this replica current?" is an exact integer comparison.
         self._versions: dict[str, int] = {}
         self._shard_versions: dict[str, dict[str, int]] = {shard.name: {} for shard in self.shards}
+        # Superset of the keys some *live* owner holds behind the current
+        # version (module docstring, "divergence by exception").
+        self._maybe_stale: set[str] = set()
         # Elastic-pool meters (legacy attributes, mirrored into
         # ``ring.<name>.*`` registry counters via a lazy sync hook).
         self.keys_migrated = 0
@@ -295,8 +317,37 @@ class ShardedKeyValueStore:
             return (self._ring.node_for(key),)
         return self._ring.nodes_for(key, self.replication)
 
-    def _live_owners(self, key: str) -> list[str]:
-        return [name for name in self.owner_names(key) if name not in self._failed]
+    def _read_plan(self, key: str) -> tuple[str, list[str]]:
+        """``(serving shard, live owners behind the current version)`` for one
+        read of ``key`` on the per-key path: the first live owner holding the
+        current version serves, every other live owner that does not is owed
+        a read-repair."""
+        live = [name for name in self.owner_names(key) if name not in self._failed]
+        version = self._versions.get(key)
+        if version is None:
+            # Never written (or deleted): meter the miss where the primary
+            # live owner would have served it.
+            return live[0], []
+        source = None
+        stale = []
+        for name in live:
+            if self._shard_versions[name].get(key) != version:
+                stale.append(name)
+            elif source is None:
+                source = name
+        if source is None:
+            raise RuntimeError(
+                f"no live replica holds the current version of {key!r} "
+                "(the fail-shard guard should make this unreachable)"
+            )
+        return source, stale
+
+    def _source(self, key: str) -> KeyValueStore:
+        """The shard a read of ``key`` is served from: the primary while the
+        pool is in sync, the planner's pick otherwise."""
+        if self._failed or self._maybe_stale:
+            return self._by_name[self._read_plan(key)[0]]
+        return self.shard_for(key)
 
     @property
     def failed_shards(self) -> tuple[str, ...]:
@@ -339,45 +390,50 @@ class ShardedKeyValueStore:
         self.repair_puts += 1
         self.repair_bytes_written += size
 
-    def _source_name(self, key: str, live: list[str], version: int) -> str:
-        source_name = next(
-            (name for name in live if self._shard_versions[name].get(key) == version), None
-        )
-        if source_name is None:
-            raise RuntimeError(
-                f"no live replica holds the current version of {key!r} "
-                "(the fail-shard guard should make this unreachable)"
-            )
-        return source_name
+    def _read_repair(self, key: str, source_name: str, stale: list[str]) -> None:
+        """Settle what a planned read of ``key`` owes: copy the current value
+        to each ``stale`` live owner, after which every live owner is current
+        and the key leaves the stale set.
+
+        The value comes from the source shard's unmetered ``peek`` — the
+        client's metered read is the caller's, the copy is repair traffic.
+        """
+        if stale:
+            source = self._by_name[source_name]
+            value = source.peek(key)
+            size = source.size_of(key)
+            for name in stale:
+                self._repair_copy(name, key, value, size, self._versions[key])
+        self._maybe_stale.discard(key)
+
+    def _fan_out(self, key: str) -> Iterable[str]:
+        """Bump ``key``'s write version (``replication > 1``) and return the
+        live owners the write lands on — all of them become current, so the
+        key leaves the stale set."""
+        version = self._versions.get(key, 0) + 1
+        self._versions[key] = version
+        owners = self._ring.nodes_for(key, self.replication)
+        if self._failed or self._maybe_stale:
+            owners = [name for name in owners if name not in self._failed]
+            self._maybe_stale.discard(key)
+        for name in owners:
+            self._shard_versions[name][key] = version
+        return owners
 
     def get(self, key: str, default: Any = None) -> Any:
-        if self.replication == 1:
+        if not (self._failed or self._maybe_stale):
             return self._by_name[self._ring.node_for(key)].get(key, default)
-        live = self._live_owners(key)
-        version = self._versions.get(key)
-        if version is None:
-            # Never written (or deleted): meter the miss where the primary
-            # live owner would have served it.
-            return self._by_name[live[0]].get(key, default)
-        source = self._by_name[self._source_name(key, live, version)]
-        value = source.get(key)
-        size = source.size_of(key)
-        for name in live:
-            if self._shard_versions[name].get(key) == version:
-                continue
-            # Read-repair: bring the stale/missing live replica current.
-            self._repair_copy(name, key, value, size, version)
+        source_name, stale = self._read_plan(key)
+        value = self._by_name[source_name].get(key, default)
+        self._read_repair(key, source_name, stale)
         return value
 
     def put(self, key: str, value: Any, size_bytes: int | None = None) -> None:
         if self.replication == 1:
             self._by_name[self._ring.node_for(key)].put(key, value, size_bytes=size_bytes)
             return
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
-        for name in self._live_owners(key):
+        for name in self._fan_out(key):
             self._by_name[name].put(key, value, size_bytes=size_bytes)
-            self._shard_versions[name][key] = version
 
     def peek(self, key: str, default: Any = None) -> Any:
         """Unmetered read (pool twin of :meth:`KeyValueStore.peek`).
@@ -387,13 +443,7 @@ class ShardedKeyValueStore:
         shadow namespaces, assertions in tests) must not perturb the pool's
         client or ``ring.repair_*`` meters as a side effect of looking.
         """
-        if self.replication == 1:
-            return self._by_name[self._ring.node_for(key)].peek(key, default)
-        version = self._versions.get(key)
-        if version is None:
-            return default
-        live = self._live_owners(key)
-        return self._by_name[self._source_name(key, live, version)].peek(key, default)
+        return self._source(key).peek(key, default)
 
     def put_unmetered(self, key: str, value: Any, size_bytes: int) -> None:
         """Unmetered write (pool twin of :meth:`KeyValueStore.put_unmetered`).
@@ -406,58 +456,41 @@ class ShardedKeyValueStore:
         if self.replication == 1:
             self._by_name[self._ring.node_for(key)].put_unmetered(key, value, size_bytes)
             return
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
-        for name in self._live_owners(key):
+        for name in self._fan_out(key):
             self._by_name[name].put_unmetered(key, value, size_bytes)
-            self._shard_versions[name][key] = version
 
     def size_of(self, key: str) -> int:
-        """Recorded logical size of ``key``'s value (0 when absent); unmetered."""
-        if self.replication == 1:
-            return self._by_name[self._ring.node_for(key)].size_of(key)
-        return self._logical_size(key)
+        """Recorded size of ``key``'s value, counted once however many
+        replicas hold it (0 when absent); unmetered."""
+        return self._source(key).size_of(key)
 
     # ------------------------------------------------------------------
     # Batch APIs: route once per shard, meter identically to the loops
     # ------------------------------------------------------------------
-    def _group_reads(self, keys: list[str]) -> dict[str, list[int]]:
-        """Positions of ``keys`` grouped by the shard that serves each read:
-        the primary owner at r=1, the version-current source replica (with
-        read-repair of any stale live owner) above that."""
-        groups: dict[str, list[int]] = {}
-        if self.replication == 1:
-            for position, key in enumerate(keys):
-                groups.setdefault(self._ring.node_for(key), []).append(position)
-            return groups
-        for position, key in enumerate(keys):
-            live = self._live_owners(key)
-            version = self._versions.get(key)
-            if version is None:
-                groups.setdefault(live[0], []).append(position)
-            else:
-                groups.setdefault(self._source_name(key, live, version), []).append(position)
-        return groups
+    def _read_groups(self, keys: list[str]) -> Iterator[tuple[KeyValueStore, list[int]]]:
+        """Yield ``(serving shard, positions of its keys)`` for a batched read.
 
-    def _repair_after_read(self, key: str, source_name: str) -> None:
-        """Read-repair ``key``'s stale live owners after a batched read.
-
-        The value comes from the source shard's unmetered ``peek`` — the
-        client's metered read already happened inside the batched call, and
-        the copy itself is repair traffic.
+        In sync, that is the primary of every key.  Otherwise every key is
+        planned, and the read-repairs a shard's keys owe (once per distinct
+        key) run when the caller comes back for the next group — after its
+        metered read of that shard, exactly where the looped :meth:`get`
+        repairs.
         """
-        version = self._versions.get(key)
-        if version is None:
-            return
-        live = self._live_owners(key)
-        stale = [name for name in live if self._shard_versions[name].get(key) != version]
-        if not stale:
-            return
-        source = self._by_name[source_name]
-        value = source.peek(key)
-        size = source.size_of(key)
-        for name in stale:
-            self._repair_copy(name, key, value, size, version)
+        groups: dict[str, list[int]] = {}
+        owed: dict[str, dict[str, list[str]]] = {}
+        if self._failed or self._maybe_stale:
+            for position, key in enumerate(keys):
+                source_name, stale = self._read_plan(key)
+                groups.setdefault(source_name, []).append(position)
+                owed.setdefault(source_name, {})[key] = stale
+        else:
+            node_for = self._ring.node_for
+            for position, key in enumerate(keys):
+                groups.setdefault(node_for(key), []).append(position)
+        for name, positions in groups.items():
+            yield self._by_name[name], positions
+            for key, stale in owed.get(name, {}).items():
+                self._read_repair(key, name, stale)
 
     def get_many(self, keys: list[str], default: Any = None) -> list[Any]:
         """``[self.get(key, default) for key in keys]`` with per-shard batching.
@@ -469,13 +502,10 @@ class ShardedKeyValueStore:
         loop (pinned by ``tests/test_batch_kv.py``).
         """
         values: list[Any] = [default] * len(keys)
-        for name, positions in self._group_reads(keys).items():
-            shard_values = self._by_name[name].get_many([keys[p] for p in positions], default)
+        for shard, positions in self._read_groups(keys):
+            shard_values = shard.get_many([keys[p] for p in positions], default)
             for position, value in zip(positions, shard_values):
                 values[position] = value
-            if self.replication > 1:
-                for position in positions:
-                    self._repair_after_read(keys[position], name)
         return values
 
     def put_many(self, items: Iterable[tuple[str, Any, int | None]]) -> None:
@@ -488,11 +518,8 @@ class ShardedKeyValueStore:
                 groups.setdefault(self._ring.node_for(key), []).append((key, value, size_bytes))
         else:
             for key, value, size_bytes in items:
-                version = self._versions.get(key, 0) + 1
-                self._versions[key] = version
-                for name in self._live_owners(key):
+                for name in self._fan_out(key):
                     groups.setdefault(name, []).append((key, value, size_bytes))
-                    self._shard_versions[name][key] = version
         for name, shard_items in groups.items():
             self._by_name[name].put_many(shard_items)
 
@@ -512,17 +539,14 @@ class ShardedKeyValueStore:
         states = np.zeros((n, self._arena_spec.state_size), dtype=np.float64)
         timestamps = np.zeros(n, dtype=np.int64)
         present = np.zeros(n, dtype=bool)
-        for name, positions in self._group_reads(keys).items():
-            shard_states, shard_timestamps, shard_present = self._by_name[name].gather_states(
+        for shard, positions in self._read_groups(keys):
+            shard_states, shard_timestamps, shard_present = shard.gather_states(
                 [keys[p] for p in positions]
             )
             index = np.asarray(positions, dtype=np.intp)
             states[index] = shard_states
             timestamps[index] = shard_timestamps
             present[index] = shard_present
-            if self.replication > 1:
-                for position in positions:
-                    self._repair_after_read(keys[position], name)
         return states, timestamps, present
 
     def scatter_states(self, keys: list[str], states, timestamps) -> None:
@@ -537,11 +561,8 @@ class ShardedKeyValueStore:
                 groups.setdefault(self._ring.node_for(key), []).append(position)
         else:
             for position, key in enumerate(keys):
-                version = self._versions.get(key, 0) + 1
-                self._versions[key] = version
-                for name in self._live_owners(key):
+                for name in self._fan_out(key):
                     groups.setdefault(name, []).append(position)
-                    self._shard_versions[name][key] = version
         timestamps = np.asarray(timestamps, dtype=np.int64)
         for name, positions in groups.items():
             index = np.asarray(positions, dtype=np.intp)
@@ -559,6 +580,7 @@ class ShardedKeyValueStore:
                 continue
             deleted = self._by_name[name].delete(key) or deleted
         self._versions.pop(key, None)
+        self._maybe_stale.discard(key)
         return deleted
 
     def contains(self, key: str) -> bool:
@@ -760,32 +782,21 @@ class ShardedKeyValueStore:
             raise ValueError(f"shard {name!r} is not failed")
         self._failed.discard(name)
         self.shard_recoveries += 1
+        behind = [
+            key
+            for key, version in self._versions.items()
+            if name in self.owner_names(key) and self._shard_versions[name].get(key) != version
+        ]
         if not rehydrate:
+            self._maybe_stale.update(behind)
             return
-        for key, version in self._versions.items():
-            owners = self.owner_names(key)
-            if name not in owners or self._shard_versions[name].get(key) == version:
-                continue
-            source_name = next(
-                (
-                    owner
-                    for owner in owners
-                    if owner != name
-                    and owner not in self._failed
-                    and self._shard_versions[owner].get(key) == version
-                ),
-                None,
-            )
-            if source_name is None:
-                raise RuntimeError(
-                    f"no live replica holds the current version of {key!r} during recovery"
-                )
-            source = self._by_name[source_name]
+        for key in behind:
+            source = self._by_name[self._read_plan(key)[0]]
             value = source.peek(key)
             size = source.size_of(key)
             self.repair_gets += 1
             self.repair_bytes_read += size
-            self._repair_copy(name, key, value, size, version)
+            self._repair_copy(name, key, value, size, self._versions[key])
 
     # ------------------------------------------------------------------
     # Metering rollup
@@ -835,18 +846,6 @@ class ShardedKeyValueStore:
         """Physical storage footprint (replicated copies each count)."""
         return sum(shard.total_bytes for shard in self.shards)
 
-    def _logical_size(self, key: str) -> int:
-        """Recorded size of ``key``'s value, counted once (from the first
-        live owner holding the current version — replicas are bit-equal
-        copies, so any current one carries the authoritative size)."""
-        version = self._versions.get(key)
-        for name in self.owner_names(key):
-            if name in self._failed:
-                continue
-            if self._shard_versions[name].get(key) == version:
-                return self._by_name[name].size_of(key)
-        return 0
-
     @property
     def logical_total_bytes(self) -> int:
         """Storage footprint counting each key once, however many replicas
@@ -854,7 +853,7 @@ class ShardedKeyValueStore:
         about.  Equals :attr:`total_bytes` at ``replication=1``."""
         if self.replication == 1:
             return self.total_bytes
-        return sum(self._logical_size(key) for key in self._versions)
+        return sum(self.size_of(key) for key in self._versions)
 
     def bytes_for_prefix(self, prefix: str) -> int:
         """Logical bytes stored under ``prefix`` (each key once).
@@ -865,9 +864,7 @@ class ShardedKeyValueStore:
         """
         if self.replication == 1:
             return sum(shard.bytes_for_prefix(prefix) for shard in self.shards)
-        return sum(
-            self._logical_size(key) for key in self._versions if key.startswith(prefix)
-        )
+        return sum(self.size_of(key) for key in self._versions if key.startswith(prefix))
 
     def physical_bytes_for_prefix(self, prefix: str) -> int:
         """Bytes stored under ``prefix`` across every replica copy."""

@@ -7,6 +7,12 @@ The load-bearing claims:
   values, per-shard contents, every traffic meter and both version
   sidecars bit-identical, at r=1 and r=3, through a mid-run resize and
   through a shard failure + lazy recovery.
+* **In sync, a replicated pool routes like an unreplicated one** — against
+  a twin pinned to the per-key read planner, a seeded program over every
+  read/write entry point, ``delete``, shard failures, eager and lazy
+  recoveries and resizes leaves results and fingerprints identical after
+  every step, and the stale-key set stays a superset of the keys a live
+  owner holds behind the current version.
 * **Repair traffic is not client traffic** — read-repair and re-hydration
   copies land on the dedicated ``ring.repair_*`` meters; a stale-replica
   read leaves the client ``puts`` rollup unchanged.
@@ -24,12 +30,14 @@ import pytest
 
 from repro.serving import (
     RING_COUNTER_FIELDS,
+    ArenaSpec,
     KeyValueStore,
     MetricsRegistry,
     ShardedKeyValueStore,
 )
 
 KEYS = [f"user:{i}" for i in range(40)]
+POPULATION = KEYS + ["user:missing-a", "user:missing-b"]  # reads also miss
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +82,18 @@ def twin_pools(n_shards=5, replication=1):
     )
 
 
+def plain(value):
+    """``value`` with every ndarray replaced by ``(dtype, shape, bytes)``, so
+    records and gather results compare with ``==``, bit for bit."""
+    if isinstance(value, np.ndarray):
+        return (str(value.dtype), value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
 def fingerprint(pool):
     """Everything observable about a pool: per-shard contents and meters,
     the rollup, both version sidecars and the ring meters."""
@@ -83,7 +103,7 @@ def fingerprint(pool):
             (
                 shard.name,
                 shard.stats.snapshot(),
-                {key: shard.peek(key) for key in sorted(shard.keys())},
+                {key: plain(shard.peek(key)) for key in sorted(shard.keys())},
                 shard.total_bytes,
             )
             for shard in pool.shards
@@ -98,7 +118,7 @@ def run_workload(batched, looped, rng, *, rounds=10, allow_duplicates=True):
     """Drive both pools through the same seeded mix of batch writes and
     reads (misses and, when safe, duplicate keys included) and require the
     batched pool to stay bit-identical to the looped one every round."""
-    population = np.asarray(KEYS + ["user:missing-a", "user:missing-b"])
+    population = np.asarray(POPULATION)
     for round_index in range(rounds):
         n_writes = int(rng.integers(1, 18))
         chosen = rng.choice(len(KEYS), size=n_writes, replace=True)
@@ -158,12 +178,165 @@ class TestPoolBatchProperty:
 
 
 # ----------------------------------------------------------------------
+# In-sync routing vs the per-key planner: same program, twin pools
+# ----------------------------------------------------------------------
+SPEC = ArenaSpec(prefix="user:", state_size=4)
+PIN = "user:never-touched"
+
+
+def in_sync_and_pinned(replication, n_shards=5):
+    """Twin arena pools; the second is held on the per-key path for good by
+    a stale-set entry no operation ever reads, writes or deletes."""
+    fast, pinned = twin_pools(n_shards, replication)
+    for pool in (fast, pinned):
+        pool.attach_state_arena(SPEC)
+    pinned._maybe_stale.add(PIN)
+    return fast, pinned
+
+
+def random_step(rng, stamp):
+    """One seeded client operation as ``pool -> result``; the arguments are
+    drawn here, once, so both pools are handed the very same call."""
+    kind = str(rng.choice(
+        ["put", "put_many", "scatter_states", "get", "get_many", "gather_states", "peek", "delete"]
+    ))
+    if kind in ("put", "put_many", "scatter_states", "delete"):
+        keys = [KEYS[i] for i in rng.integers(0, len(KEYS), size=int(rng.integers(1, 9)))]
+    else:
+        keys = [POPULATION[i] for i in rng.integers(0, len(POPULATION), size=int(rng.integers(1, 12)))]
+    states = rng.standard_normal((len(keys), SPEC.state_size))
+    records = [{"state": row.astype(np.float32), "timestamp": stamp} for row in states]
+    return {
+        "put": lambda pool: pool.put(keys[0], records[0], size_bytes=SPEC.record_bytes),
+        "put_many": lambda pool: pool.put_many(
+            [(key, record, SPEC.record_bytes) for key, record in zip(keys, records)]
+        ),
+        "scatter_states": lambda pool: pool.scatter_states(keys, states, [stamp] * len(keys)),
+        "get": lambda pool: pool.get(keys[0], "absent"),
+        "get_many": lambda pool: pool.get_many(keys, "absent"),
+        "gather_states": lambda pool: pool.gather_states(keys),
+        "peek": lambda pool: pool.peek(keys[0], "absent"),
+        "delete": lambda pool: pool.delete(keys[0]),
+    }[kind]
+
+
+def membership_steps(names, replication):
+    """Failures, both recovery modes and a resize there and back — one
+    resize with stale keys outstanding, one after a full sweep has repaired
+    them; at r=3 two shards are then down at once and come back one lazily,
+    one eagerly."""
+    first, second = names[1], names[3]
+    steps = [
+        lambda pool: pool.fail_shard(first),
+        lambda pool: pool.recover_shard(first, rehydrate=False),
+        lambda pool: pool.resize(7),
+        lambda pool: pool.gather_states(KEYS),
+        lambda pool: pool.fail_shard(second),
+        lambda pool: pool.recover_shard(second),
+        lambda pool: pool.resize(5),
+    ]
+    if replication > 2:
+        steps += [
+            lambda pool: pool.fail_shard(first),
+            lambda pool: pool.fail_shard(second),
+            lambda pool: pool.recover_shard(second, rehydrate=False),
+            lambda pool: pool.recover_shard(first),
+            lambda pool: pool.get_many(KEYS),
+        ]
+    return steps
+
+
+def program(rng, names, replication, *, steps_per_round=12):
+    """The whole seeded program: a round of client operations before, between
+    and after the membership steps."""
+    stamp = 0
+    for membership in [None, *membership_steps(names, replication)]:
+        if membership is not None:
+            yield membership
+        for _ in range(steps_per_round):
+            stamp += 1
+            yield random_step(rng, stamp)
+
+
+def assert_stale_set_covers_divergence(pool):
+    """With no shard failed, a key outside the stale set has every owner at
+    the current version — what lets an in-sync read go to the primary."""
+    if pool.failed_shards:
+        return
+    for key, version in pool._versions.items():
+        if key in pool._maybe_stale:
+            continue
+        for name in pool.owner_names(key):
+            assert pool._shard_versions[name].get(key) == version, (key, name)
+
+
+@pytest.mark.parametrize("replication", [2, 3])
+class TestInSyncRouting:
+    def test_in_sync_pool_equals_a_twin_pinned_to_the_planner(self, replication):
+        fast, pinned = in_sync_and_pinned(replication)
+        rng = np.random.default_rng(200 + replication)
+        steps_in_sync = steps_degraded = 0
+        for step in program(rng, [shard.name for shard in fast.shards], replication):
+            if fast.failed_shards or fast._maybe_stale:
+                steps_degraded += 1
+            else:
+                steps_in_sync += 1
+            assert plain(step(fast)) == plain(step(pinned))
+            assert pinned._maybe_stale - fast._maybe_stale == {PIN}
+            assert fingerprint(fast) == fingerprint(pinned)
+            assert_stale_set_covers_divergence(fast)
+            assert_stale_set_covers_divergence(pinned)
+        # Both sides of the selection ran — the fast pool took steps in sync
+        # and steps degraded, and ends in sync — and every repair path fired.
+        assert steps_in_sync > 30 and steps_degraded > 30
+        assert not (fast.failed_shards or fast._maybe_stale)
+        assert fast.repair_puts > 0 and fast.repair_gets > 0 and fast.keys_migrated > 0
+
+    def test_lazy_recovery_fills_the_stale_set_and_reads_drain_it(self, replication):
+        pool = ShardedKeyValueStore(5, replication=replication)
+        pool.attach_state_arena(SPEC)
+        pool.scatter_states(KEYS, np.ones((len(KEYS), SPEC.state_size)), [1] * len(KEYS))
+        victim = pool.shards[2].name
+        owned = [key for key in KEYS if victim in pool.owner_names(key)]
+        pool.fail_shard(victim)
+        pool.recover_shard(victim, rehydrate=False)
+        assert pool._maybe_stale == set(owned) and owned
+        pool.peek(owned[0])  # looking repairs nothing
+        assert pool._maybe_stale == set(owned) and pool.repair_puts == 0
+        # Every read entry point drains what it repairs, duplicates once.
+        pool.get(owned[0])
+        pool.get_many(owned[1:3] + owned[1:2])
+        assert pool._maybe_stale == set(owned[3:]) and pool.repair_puts == 3
+        pool.gather_states(KEYS)
+        assert not pool._maybe_stale and pool.repair_puts == len(owned)
+        assert_stale_set_covers_divergence(pool)
+        # Back in sync: further reads repair nothing and go to the primary.
+        gets_before = [shard.stats.gets for shard in pool.shards]
+        pool.get_many(KEYS)
+        assert pool.repair_puts == len(owned)
+        primary_reads = [sum(pool.shard_index(key) == i for key in KEYS) for i in range(5)]
+        assert [s.stats.gets - g for s, g in zip(pool.shards, gets_before)] == primary_reads
+
+    def test_writes_and_deletes_drain_the_stale_set(self, replication):
+        pool, victim = stale_pool(replication=replication)
+        owned = sorted(pool._maybe_stale)
+        assert len(owned) >= 4
+        pool.put(owned[0], {"v": -1}, size_bytes=56)
+        pool.put_many([(owned[1], {"v": -2}, 56)])
+        pool.put_unmetered(owned[2], {"v": -3}, 56)
+        pool.delete(owned[3])
+        assert pool._maybe_stale == set(owned[4:])
+        assert pool.repair_puts == 0  # a write is not a repair
+        assert_stale_set_covers_divergence(pool)
+
+
+# ----------------------------------------------------------------------
 # Repair traffic is infrastructure, not client traffic (the metering fix)
 # ----------------------------------------------------------------------
-def stale_pool(registry=None):
+def stale_pool(registry=None, replication=2):
     """A pool with one recovered-but-empty shard: every key it owns is
     stale, so the next read of each one must read-repair."""
-    pool = ShardedKeyValueStore(4, replication=2, registry=registry)
+    pool = ShardedKeyValueStore(4, replication=replication, registry=registry)
     for i, key in enumerate(KEYS):
         pool.put(key, {"v": i}, size_bytes=56)
     victim = pool.shards[0].name

@@ -105,10 +105,15 @@ class TestReplicaGroups:
             else:
                 ring.remove_node(node)
                 live.remove(node)
+            # The ring keeps its node set, it does not re-derive it per call.
+            assert ring.nodes == sorted(live) and len(ring) == len(ring.nodes)
             oracle = fresh_ring(live)
             for key in KEYS:
                 assert ring.node_for(key) == oracle.node_for(key)
                 assert ring.nodes_for(key, 2) == oracle.nodes_for(key, 2)
+        with pytest.raises(KeyError):
+            ring.remove_node("a")  # already gone: membership is untouched
+        assert ring.nodes == sorted(live) and len(ring) == len(live)
 
 
 def seeded_store(n_shards=6, replication=2, **kwargs):
