@@ -254,12 +254,8 @@ def metering_replay(workload: Workload, scenario: str, requests, batch_size: int
     )
     store, stream = engine.store, engine.stream
 
-    served = []
     serve_start = time.perf_counter()
-    for arrival, user_id, context, accessed in requests:
-        served += engine.advance_to(arrival)
-        served += engine.submit(user_id, context, arrival)
-        engine.observe_session(user_id, context, arrival, accessed)
+    served = engine.serve(requests)
     served += engine.flush()
     serve_seconds = time.perf_counter() - serve_start
     served += engine.drain_completed()
@@ -650,14 +646,16 @@ def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
             {"replication": replication, "failure_schedule": failure_schedule},
         )
 
-    def drive(engine: ServingEngine, membership_steps=None) -> list:
-        served = []
-        for index, (arrival, user_id, context, accessed) in enumerate(requests):
-            if membership_steps is not None and index in membership_steps:
-                membership_steps[index]()
-            served += engine.advance_to(arrival)
-            served += engine.submit(user_id, context, arrival)
-            engine.observe_session(user_id, context, arrival, accessed)
+    def drive(engine: ServingEngine, resize: bool = False) -> list:
+        if resize:
+            first, second = len(requests) // 3, (2 * len(requests)) // 3
+            served = engine.serve(requests[:first])
+            added = engine.store.add_shard()
+            served += engine.serve(requests[first:second])
+            engine.store.remove_shard(added)
+            served += engine.serve(requests[second:])
+        else:
+            served = engine.serve(requests)
         served += engine.flush()
         engine.stream.flush()
         served += engine.drain_completed()
@@ -677,13 +675,7 @@ def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
         elastic_served = drive(elastic)
     else:
         elastic = build("elastic")
-        elastic_store = elastic.store
-        added: list[str] = []
-        membership_steps = {
-            len(requests) // 3: lambda: added.append(elastic_store.add_shard()),
-            (2 * len(requests)) // 3: lambda: elastic_store.remove_shard(added.pop()),
-        }
-        elastic_served = drive(elastic, membership_steps)
+        elastic_served = drive(elastic, resize=True)
 
     store = elastic.store
     meters = {

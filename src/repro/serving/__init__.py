@@ -71,7 +71,6 @@ from .cost import (
     estimate_serving_costs,
     gbdt_prediction_flops,
     kv_traffic_cost,
-    registry_traffic_cost,
     rnn_prediction_flops,
 )
 from .quantization import dequantize_state, quantization_error, quantize_state
@@ -145,7 +144,6 @@ __all__ = [
     "estimate_serving_costs",
     "gbdt_prediction_flops",
     "kv_traffic_cost",
-    "registry_traffic_cost",
     "rnn_prediction_flops",
     "quantize_state",
     "dequantize_state",

@@ -136,12 +136,11 @@ class ReplicaFleet:
         self.metrics = registry if registry is not None else NULL_REGISTRY
         self._m_size = self.metrics.gauge("autoscale.fleet_size")
         self._m_target = self.metrics.gauge("autoscale.target_replicas")
-        self._m_ups = self.metrics.counter("autoscale.scale_up_events")
-        self._m_downs = self.metrics.counter("autoscale.scale_down_events")
-        self._m_cost = self.metrics.counter("autoscale.replica_seconds")
         self._m_size.set(self._active)
         self._m_target.set(self._target)
-        self.metrics.register_sync(self._sync_metrics)
+        self.metrics.view("autoscale.scale_up_events", "counter", lambda: self.scale_up_events)
+        self.metrics.view("autoscale.scale_down_events", "counter", lambda: self.scale_down_events)
+        self.metrics.view("autoscale.replica_seconds", "counter", lambda: self.replica_seconds)
 
     # ------------------------------------------------------------------
     # Capacity model (ServerModel-compatible surface)
@@ -255,11 +254,6 @@ class ReplicaFleet:
         if to > self._accounted_to:
             self.replica_seconds += self._active * (to - self._accounted_to)
             self._accounted_to = to
-
-    def _sync_metrics(self) -> None:
-        self._m_cost.value = self.replica_seconds
-        self._m_ups.value = self.scale_up_events
-        self._m_downs.value = self.scale_down_events
 
 
 class ReactivePolicy:
@@ -453,7 +447,7 @@ class Autoscaler:
         #: the one-step scale-down limit.
         self.history: list[tuple[int, int, int]] = []
         self.metrics = registry if registry is not None else NULL_REGISTRY
-        self._m_evaluations = self.metrics.counter("autoscale.evaluations")
+        self.metrics.view("autoscale.evaluations", "counter", lambda: self.evaluations)
         for fire_at in range(int(start), int(until) + 1, int(interval)):
             stream.set_control_timer(
                 fire_at,
@@ -467,7 +461,6 @@ class Autoscaler:
         floored = max(desired, self.fleet.target_replicas - 1)
         target = self.fleet.scale_to(floored, float(at))
         self.evaluations += 1
-        self._m_evaluations.inc()
         self.history.append((int(at), int(desired), target))
         if self.tracer.enabled:
             self.tracer.control_event(

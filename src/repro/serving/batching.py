@@ -129,8 +129,10 @@ class SessionStreamMixin:
 
     With a registry attached the same quantities flow into the metrics
     plane: ``serving.update_delay_seconds`` (histogram, per update; its sum
-    is the legacy meter exactly), ``serving.update_delay_seconds_total``
-    (counter mirror), ``stream.wave_size`` (histogram, one observation per
+    is the attribute meter exactly), ``serving.update_delay_seconds_total``
+    (that attribute, read in place, as are the host's
+    ``backend.predictions_served`` / ``backend.updates_applied``),
+    ``stream.wave_size`` (histogram, one observation per
     delivery) and ``serving.update_latency_seconds`` — the wave wait *plus*
     the :class:`~repro.serving.slo.ServerModel` backlog at delivery, the
     end-to-end latency an SLO policy targets.  Without a server model the
@@ -161,22 +163,10 @@ class SessionStreamMixin:
         self._m_update_latency = self.metrics.histogram(
             "serving.update_latency_seconds", LATENCY_BUCKETS_SECONDS
         )
-        self._m_delay_total = self.metrics.counter("serving.update_delay_seconds_total")
         self._m_wave_size = self.metrics.histogram("stream.wave_size", SIZE_BUCKETS)
-
-    def _init_backend_counters(self) -> None:
-        """Register the counter mirrors of the backend's legacy attribute
-        meters; they sync lazily on registry reads (no hot-path cost).
-        Hosts call this after ``predictions_served``/``updates_applied``
-        exist."""
-        self._m_predictions = self.metrics.counter("backend.predictions_served")
-        self._m_updates = self.metrics.counter("backend.updates_applied")
-        self.metrics.register_sync(self._sync_backend_metrics)
-
-    def _sync_backend_metrics(self) -> None:
-        self._m_predictions.value = self.predictions_served
-        self._m_updates.value = self.updates_applied
-        self._m_delay_total.value = self.update_delay_seconds
+        self.metrics.view("serving.update_delay_seconds_total", "counter", lambda: self.update_delay_seconds)
+        self.metrics.view("backend.predictions_served", "counter", lambda: self.predictions_served)
+        self.metrics.view("backend.updates_applied", "counter", lambda: self.updates_applied)
 
     def _meter_update_delays(self, delays: list[float]) -> None:
         """Meter one delivery (a wave, or a single ungrouped timer).
@@ -340,7 +330,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         )
         self.predictions_served = 0
         self.updates_applied = 0
-        self._init_backend_counters()
 
     # ------------------------------------------------------------------
     # State records
@@ -565,7 +554,6 @@ class BatchedAggregationBackend(SessionStreamMixin):
         )
         self.predictions_served = 0
         self.updates_applied = 0
-        self._init_backend_counters()
 
     # ------------------------------------------------------------------
     def _history_key(self, user_id: int) -> str:
@@ -703,7 +691,7 @@ class MicroBatchQueue:
     (``queue.latency_seconds`` — simulated seconds from submission to the
     batch's completion, which includes the
     :class:`~repro.serving.slo.ServerModel` service time and backlog when
-    one is attached) and counter mirrors of the legacy attributes.  An
+    one is attached) and the attribute counters, read in place.  An
     :class:`~repro.serving.slo.AdmissionController` guards ``submit``: shed
     requests are never enqueued, deferred requests park in arrival order and
     re-enter through :meth:`advance_to` once the policy clears (or all at
@@ -744,20 +732,13 @@ class MicroBatchQueue:
         self.batches_flushed = 0
         self._requests_flushed = 0
         self._peak_pending = 0
-        # Counter/gauge mirrors sync lazily from the legacy attributes (no
+        # The registry reads the counters and the depth in place (no
         # hot-path cost); the distribution instruments have to stream.
-        self._m_submitted = self.metrics.counter("queue.requests_submitted")
-        self._m_batches = self.metrics.counter("queue.batches_flushed")
-        self._m_depth = self.metrics.gauge("queue.depth")
+        self.metrics.view("queue.requests_submitted", "counter", lambda: self.requests_submitted)
+        self.metrics.view("queue.batches_flushed", "counter", lambda: self.batches_flushed)
+        self.metrics.view("queue.depth", "gauge", lambda: len(self._queue), lambda: self._peak_pending)
         self._m_batch_size = self.metrics.histogram("queue.batch_size", SIZE_BUCKETS)
         self._m_latency = self.metrics.histogram("queue.latency_seconds", LATENCY_BUCKETS_SECONDS)
-        self.metrics.register_sync(self._sync_metrics)
-
-    def _sync_metrics(self) -> None:
-        self._m_submitted.value = self.requests_submitted
-        self._m_batches.value = self.batches_flushed
-        self._m_depth.value = len(self._queue)
-        self._m_depth.max_value = self._peak_pending
 
     # ------------------------------------------------------------------
     # Scoring and the delivery cursor.

@@ -35,7 +35,6 @@ __all__ = [
     "gbdt_prediction_flops",
     "estimate_serving_costs",
     "kv_traffic_cost",
-    "registry_traffic_cost",
 ]
 
 
@@ -102,26 +101,6 @@ def kv_traffic_cost(stats, parameters: CostParameters | None = None) -> float:
     params = parameters or CostParameters()
     snapshot = stats.snapshot() if hasattr(stats, "snapshot") else dict(stats)
     return params.lookup_cost * snapshot["gets"] + params.byte_cost * snapshot["bytes_read"]
-
-
-def registry_traffic_cost(registry, store_name: str, parameters: CostParameters | None = None) -> float:
-    """:func:`kv_traffic_cost` over a metrics registry's ``kv.*`` counters.
-
-    Sums every ``kv.<store_name>...`` counter mirror — for a sharded pool
-    the per-shard instruments (``kv.<name>/shard<i>.<field>``) roll up
-    exactly like the legacy per-shard ``KVStats`` do, so this equals
-    ``kv_traffic_cost(store.stats)`` bit for bit (property-tested).  The
-    registry is the :class:`~repro.serving.telemetry.MetricsRegistry` the
-    store was built with (``engine.metrics`` for facade-built pipelines).
-    """
-    params = parameters or CostParameters()
-    # Two prefixes, not one: "kv.<name>." is the unsharded store's own
-    # counters, "kv.<name>/" the shard pool's — and the "." / "/" boundary
-    # keeps a store named "rnn" from absorbing a store named "rnn-b64".
-    prefixes = (f"kv.{store_name}.", f"kv.{store_name}/")
-    gets = sum(registry.sum_counters(prefix, "gets") for prefix in prefixes)
-    bytes_read = sum(registry.sum_counters(prefix, "bytes_read") for prefix in prefixes)
-    return params.lookup_cost * gets + params.byte_cost * bytes_read
 
 
 def rnn_prediction_flops(network: RNNPrecomputeNetwork) -> float:

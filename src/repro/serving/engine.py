@@ -888,16 +888,29 @@ class ServingEngine:
         self._ensure_open("drain_deferred")
         return self.queue.drain_deferred()
 
+    def serve(self, events) -> list[ServingPrediction]:
+        """Drive ``(timestamp, user_id, context, accessed)`` tuples through
+        the batched cursor surface in global time order: advance the clock
+        to each session start, submit the prediction, observe the session.
+        Returns what those calls delivered; requests still queued stay
+        queued and pending timers stay pending (:meth:`replay` finishes)."""
+        self._ensure_open("serve")
+        delivered: list[ServingPrediction] = []
+        for timestamp, user_id, context, accessed in events:
+            delivered += self.advance_to(timestamp)
+            delivered += self.submit(user_id, context, timestamp)
+            self.observe_session(user_id, context, timestamp, accessed)
+        return delivered
+
     def replay(self, events) -> list[ServingPrediction]:
         """Replay ``(timestamp, user_id, context, accessed)`` tuples end to end.
 
-        Drives the batched cursor surface in global time order: advance the
-        clock to each session start, submit the prediction, observe the
-        session, then flush the queue, fire the remaining session-end timers
-        (in waves) and drain.  Under the exactly-once delivery contract the
-        concatenated returns are every prediction exactly once, in submission
-        order — the trailing length check turns any lost or duplicated
-        delivery into a hard error rather than a silently wrong replay.
+        :meth:`serve` the events, then flush the queue, fire the remaining
+        session-end timers (in waves) and drain.  Under the exactly-once
+        delivery contract the concatenated returns are every prediction
+        exactly once, in submission order — the trailing length check turns
+        any lost or duplicated delivery into a hard error rather than a
+        silently wrong replay.
 
         Admission control composes: requests an
         :class:`~repro.serving.slo.AdmissionController` sheds are excluded
@@ -908,11 +921,7 @@ class ServingEngine:
         """
         self._ensure_open("replay")
         shed_before = self.admission.requests_shed if self.admission is not None else 0
-        delivered: list[ServingPrediction] = []
-        for timestamp, user_id, context, accessed in events:
-            delivered += self.advance_to(timestamp)
-            delivered += self.submit(user_id, context, timestamp)
-            self.observe_session(user_id, context, timestamp, accessed)
+        delivered = self.serve(events)
         delivered += self.flush()
         if self.stream is not None:
             self.stream.flush()

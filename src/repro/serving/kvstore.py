@@ -28,8 +28,8 @@ __all__ = ["KVStats", "KeyValueStore"]
 _MISSING = object()
 _IN_ARENA = object()
 
-#: The KVStats counter fields, in snapshot order — shared by the legacy
-#: meters and their registry mirrors so the two can never disagree on shape.
+#: The KVStats counter fields, in snapshot order — the one spelling behind
+#: ``KVStats.snapshot``, the pool rollup and the ``kv.<store>.*`` registry names.
 KV_COUNTER_FIELDS = ("gets", "puts", "deletes", "hits", "misses", "bytes_read", "bytes_written")
 
 
@@ -46,15 +46,7 @@ class KVStats:
     bytes_written: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "gets": self.gets,
-            "puts": self.puts,
-            "deletes": self.deletes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
+        return {name: getattr(self, name) for name in KV_COUNTER_FIELDS}
 
 
 def _estimate_size(value: Any) -> int:
@@ -81,14 +73,12 @@ def _estimate_size(value: Any) -> int:
 class KeyValueStore:
     """Dictionary-backed KV store that meters reads, writes and storage.
 
-    With a :class:`~repro.serving.telemetry.MetricsRegistry` attached, the
-    legacy ``KVStats`` meters surface as counters named
-    ``kv.<name>.<field>`` through a registered *sync hook*: the hot path
-    (get/put/delete under every prediction and update) pays nothing extra,
-    and the registry copies the current ``KVStats`` values into the
-    counters whenever it is read — an exact view by construction,
-    property-tested in ``tests/test_telemetry.py``.  Store names must be
-    unique within a registry or their counters would collide.
+    :attr:`stats` is the only copy of the traffic meters.  With a
+    :class:`~repro.serving.telemetry.MetricsRegistry` attached each field
+    is also readable as the counter ``kv.<name>.<field>`` — a view that
+    reads ``self.stats`` in place, so the hot path (get/put/delete under
+    every prediction and update) pays nothing for it.  Store names must be
+    unique within a registry: the newest store takes a contested name.
     """
 
     def __init__(self, name: str = "kv", *, registry: MetricsRegistry | None = None) -> None:
@@ -98,11 +88,11 @@ class KeyValueStore:
         self.arena: StateArena | None = None
         self.stats = KVStats()
         self.metrics = registry if registry is not None else NULL_REGISTRY
-        self._counters = {
-            field_name: self.metrics.counter(f"kv.{name}.{field_name}")
-            for field_name in KV_COUNTER_FIELDS
-        }
-        self.metrics.register_sync(self._sync_metrics)
+        for field_name in KV_COUNTER_FIELDS:
+            # Through ``self.stats`` on every read: reset_stats rebinds it.
+            self.metrics.view(
+                f"kv.{name}.{field_name}", "counter", lambda f=field_name: getattr(self.stats, f)
+            )
         self.tracer: Tracer = NULL_TRACER
 
     def attach_tracer(self, tracer: Tracer) -> None:
@@ -115,12 +105,6 @@ class KeyValueStore:
         traffic) record nothing, mirroring the metering rules.
         """
         self.tracer = tracer
-
-    def _sync_metrics(self) -> None:
-        """Copy the live ``KVStats`` into the registry counters (sync hook)."""
-        stats = self.stats
-        for field_name, counter in self._counters.items():
-            counter.value = getattr(stats, field_name)
 
     # ------------------------------------------------------------------
     # Arena hosting
@@ -377,15 +361,5 @@ class KeyValueStore:
         return int(sum(size for key, size in self._sizes.items() if key.startswith(prefix)))
 
     def reset_stats(self) -> None:
-        """Zero the traffic meters.  The registry view follows automatically
-        — it syncs from the (fresh) ``KVStats`` on its next read."""
+        """Zero the traffic meters (and with them what the registry reads)."""
         self.stats = KVStats()
-
-    def registry_stats(self) -> KVStats | None:
-        """The registry's view of this store's traffic as a ``KVStats``
-        (``None`` without a real registry).  Reads through the registry's
-        sync machinery, so it equals :attr:`stats` bit for bit."""
-        if not self.metrics.enabled:
-            return None
-        self.metrics._sync()
-        return KVStats(**{name: counter.value for name, counter in self._counters.items()})

@@ -68,8 +68,8 @@ class _ShadowStoreView:
     shadow arm can never touch a control key, the pool's client traffic
     meters, or — because ``"<version>:hidden:…"`` does not start with
     ``"hidden:"`` — the control backend's ``storage_bytes``.  The view bills
-    its own traffic on plain attributes, mirrored by the controller onto
-    ``rollout.<version>.*`` instruments.
+    its own traffic on plain attributes, which the controller registers as
+    the ``rollout.<version>.kv_*`` instruments.
 
     Replication still applies underneath: ``put_unmetered`` fans out to every
     live owner and maintains the pool's version sidecars, so shadow state
@@ -206,17 +206,19 @@ class RolloutController:
         self._m_divergence = self.metrics.histogram(f"{name}.divergence", DIVERGENCE_BUCKETS)
         self._m_stage = self.metrics.gauge("rollout.stage")
         self._m_stage.set(0)
-        self._m_scored = self.metrics.counter(f"{name}.predictions_scored")
-        self._m_updates = self.metrics.counter(f"{name}.updates_applied")
-        self._m_canary = self.metrics.counter(f"{name}.canary_assigned")
-        self._m_promotions = self.metrics.counter(f"{name}.promotions")
-        self._m_rollbacks = self.metrics.counter(f"{name}.rollbacks")
-        self._m_gets = self.metrics.counter(f"{name}.kv_gets")
-        self._m_puts = self.metrics.counter(f"{name}.kv_puts")
-        self._m_bytes_read = self.metrics.counter(f"{name}.kv_bytes_read")
-        self._m_bytes_written = self.metrics.counter(f"{name}.kv_bytes_written")
-        self._m_storage = self.metrics.gauge(f"{name}.storage_bytes")
-        self.metrics.register_sync(self._sync_metrics)
+        for suffix, read in (
+            ("predictions_scored", lambda: self.shadow.predictions_served),
+            ("updates_applied", lambda: self.shadow.updates_applied),
+            ("canary_assigned", lambda: self.canary_assigned),
+            ("promotions", lambda: self.promotions),
+            ("rollbacks", lambda: self.rollbacks),
+            ("kv_gets", lambda: self.view.gets),
+            ("kv_puts", lambda: self.view.puts),
+            ("kv_bytes_read", lambda: self.view.bytes_read),
+            ("kv_bytes_written", lambda: self.view.bytes_written),
+        ):
+            self.metrics.view(f"{name}.{suffix}", "counter", read)
+        self.metrics.view(f"{name}.storage_bytes", "gauge", lambda: self.shadow.storage_bytes)
 
         for fire_at, pct in self.stages:
             stream.set_control_timer(
@@ -331,15 +333,3 @@ class RolloutController:
     def serving_version(self) -> str | None:
         """The version whose predictions are currently served."""
         return self.candidate_version if self.promoted else self.control_version
-
-    def _sync_metrics(self) -> None:
-        self._m_scored.value = self.shadow.predictions_served
-        self._m_updates.value = self.shadow.updates_applied
-        self._m_canary.value = self.canary_assigned
-        self._m_promotions.value = self.promotions
-        self._m_rollbacks.value = self.rollbacks
-        self._m_gets.value = self.view.gets
-        self._m_puts.value = self.view.puts
-        self._m_bytes_read.value = self.view.bytes_read
-        self._m_bytes_written.value = self.view.bytes_written
-        self._m_storage.set(self.shadow.storage_bytes)

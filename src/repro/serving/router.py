@@ -63,13 +63,12 @@ from .tracing import NULL_TRACER
 
 __all__ = ["ConsistentHashRing", "ShardedKeyValueStore", "RING_COUNTER_FIELDS"]
 
-#: The elastic-pool meters, in registry order — each surfaces as a counter
-#: named ``ring.<pool name>.<field>`` through the same lazy sync-hook
-#: machinery the per-shard ``kv.*`` counters use.  The ``repair_*`` fields
-#: carry read-repair / re-hydration traffic: infrastructure copies that do
-#: NOT appear in the per-shard ``kv.*`` client counters (and therefore stay
-#: out of ``cost_report`` / ``registry_traffic_cost``, which bill client
-#: traffic only).
+#: The elastic-pool meters, in registry order — plain attributes of the
+#: pool, each also readable in place as the registry counter
+#: ``ring.<pool name>.<field>``.  The ``repair_*`` fields carry read-repair /
+#: re-hydration traffic: infrastructure copies that do NOT appear in the
+#: per-shard ``kv.*`` client counters (and therefore stay out of
+#: ``cost_report``, which bills client traffic only).
 RING_COUNTER_FIELDS = (
     "keys_migrated",
     "migration_bytes",
@@ -236,7 +235,6 @@ class ShardedKeyValueStore:
             raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
         self.name = name
         self.replication = replication
-        self._registry = registry
         self.metrics = registry if registry is not None else NULL_REGISTRY
         self.shards = [
             KeyValueStore(f"{name}/shard{index}", registry=registry) for index in range(n_shards)
@@ -257,8 +255,7 @@ class ShardedKeyValueStore:
         # Superset of the keys some *live* owner holds behind the current
         # version (module docstring, "divergence by exception").
         self._maybe_stale: set[str] = set()
-        # Elastic-pool meters (legacy attributes, mirrored into
-        # ``ring.<name>.*`` registry counters via a lazy sync hook).
+        # Elastic-pool meters (RING_COUNTER_FIELDS).
         self.keys_migrated = 0
         self.migration_bytes = 0
         self.keys_rehydrated = 0
@@ -273,16 +270,11 @@ class ShardedKeyValueStore:
         # Arena spec, when a backend attaches one: new shards created by
         # add_shard host the same slab layout as the founding pool.
         self._arena_spec = None
-        self._ring_counters = {
-            field_name: self.metrics.counter(f"ring.{name}.{field_name}")
-            for field_name in RING_COUNTER_FIELDS
-        }
-        self.metrics.register_sync(self._sync_ring_metrics)
+        for field_name in RING_COUNTER_FIELDS:
+            self.metrics.view(
+                f"ring.{name}.{field_name}", "counter", lambda f=field_name: getattr(self, f)
+            )
         self.tracer = NULL_TRACER
-
-    def _sync_ring_metrics(self) -> None:
-        for field_name, counter in self._ring_counters.items():
-            counter.value = getattr(self, field_name)
 
     def attach_tracer(self, tracer) -> None:
         """Fan the tracer out to every shard (and, via :meth:`add_shard`,
@@ -377,11 +369,10 @@ class ShardedKeyValueStore:
 
         Repair writes are infrastructure traffic, not client traffic: the
         copy lands through the shard's unmetered write path and is accounted
-        under the pool's ``ring.repair_*`` meters (mirrored into the metrics
-        plane), so ``cost_report`` / ``registry_traffic_cost`` — which bill
-        the ``kv.*`` client counters — never see it.  ``keys_rehydrated`` /
-        ``rehydration_bytes`` keep their historical meaning (how much state
-        repair restored).
+        under the pool's ``ring.repair_*`` meters, so ``cost_report`` — which
+        bills the shards' ``kv.*`` client counters — never sees it.
+        ``keys_rehydrated`` / ``rehydration_bytes`` keep their historical
+        meaning (how much state repair restored).
         """
         self._by_name[target_name].put_unmetered(key, value, size_bytes=size)
         self._shard_versions[target_name][key] = version
@@ -685,7 +676,7 @@ class ShardedKeyValueStore:
         """
         name = f"{self.name}/shard{self._next_shard_id}"
         before = self._ownership_snapshot()
-        shard = KeyValueStore(name, registry=self._registry)
+        shard = KeyValueStore(name, registry=self.metrics)
         if self._arena_spec is not None:
             shard.attach_state_arena(self._arena_spec)
         if self.tracer.enabled:
@@ -811,31 +802,10 @@ class ShardedKeyValueStore:
         :meth:`shard_snapshots`) after further traffic.  A removed shard's
         counters leave the rollup with it.
         """
-        total = KVStats()
-        for shard in self.shards:
-            total.gets += shard.stats.gets
-            total.puts += shard.stats.puts
-            total.deletes += shard.stats.deletes
-            total.hits += shard.stats.hits
-            total.misses += shard.stats.misses
-            total.bytes_read += shard.stats.bytes_read
-            total.bytes_written += shard.stats.bytes_written
-        return total
-
-    def registry_stats(self) -> KVStats | None:
-        """Pool rollup of the shards' registry mirrors (``None`` without a
-        registry).  Each shard meters into ``kv.<name>/shard<i>.<field>``
-        counters; summing them reconstructs exactly what :attr:`stats` sums
-        from the legacy per-shard ``KVStats`` — the two rollups are pinned
-        bit-equal by ``tests/test_telemetry.py``."""
-        per_shard = [shard.registry_stats() for shard in self.shards]
-        if any(stats is None for stats in per_shard):
-            return None
-        total = KVStats()
-        for stats in per_shard:
-            for field_name in KV_COUNTER_FIELDS:
-                setattr(total, field_name, getattr(total, field_name) + getattr(stats, field_name))
-        return total
+        return KVStats(**{
+            field_name: sum(getattr(shard.stats, field_name) for shard in self.shards)
+            for field_name in KV_COUNTER_FIELDS
+        })
 
     @property
     def n_keys(self) -> int:

@@ -171,13 +171,13 @@ class AdmissionController:
             # exist — the backend creates them before the controller).
             self._latency.enable_window(policy.p99_window)
             self._delay.enable_window(policy.p99_window)
-        self._m_offered = self.metrics.counter("slo.requests_offered")
-        self._m_shed = self.metrics.counter("slo.requests_shed")
-        self._m_deferred = self.metrics.counter("slo.requests_deferred")
         self._m_violation = self.metrics.gauge("slo.in_violation")
         self.requests_offered = 0
         self.requests_shed = 0
         self.requests_deferred = 0
+        self.metrics.view("slo.requests_offered", "counter", lambda: self.requests_offered)
+        self.metrics.view("slo.requests_shed", "counter", lambda: self.requests_shed)
+        self.metrics.view("slo.requests_deferred", "counter", lambda: self.requests_deferred)
 
     # ------------------------------------------------------------------
     def violations(self, timestamp: float, queue) -> list[str]:
@@ -216,7 +216,6 @@ class AdmissionController:
         (:meth:`readmit`) and must then either shed the request
         (:meth:`record_shed`) or park it (:meth:`record_deferred`)."""
         self.requests_offered += 1
-        self._m_offered.inc()
         return self._healthy(timestamp, queue)
 
     def readmit(self, timestamp: float, queue) -> bool:
@@ -226,11 +225,9 @@ class AdmissionController:
 
     def record_shed(self) -> None:
         self.requests_shed += 1
-        self._m_shed.inc()
 
     def record_deferred(self) -> None:
         self.requests_deferred += 1
-        self._m_deferred.inc()
 
     @property
     def shed_rate(self) -> float:

@@ -133,8 +133,13 @@ class StreamProcessor:
         — change *placement*, never a stored value, so flushing the
         micro-batch for them would change batch composition (and, through
         shape-dependent BLAS kernels, the low-order bits of scores) for no
-        correctness gain.  Control timers fire one at a time at their exact
-        fire time, never joining (or widening) a coalesced wave.
+        correctness gain.  A control timer at the head of the heap fires
+        alone at its exact fire time.  One that falls inside a data wave's
+        window — or shares the opening second with a data timer registered
+        before it — is popped with that wave: it still runs by itself, in
+        (fire time, registration) order between the group runs on either
+        side, but behind the wave's barriers and at the wave's closing
+        clock.  It never opens or widens a wave.
         """
         self._control_seqs.add(self._push_timer(fire_at, key, callback, None, None))
 
@@ -199,6 +204,10 @@ class StreamProcessor:
             wave = []
             while self._timers and self._timers[0][0] <= deadline:
                 wave.append(heapq.heappop(self._timers))
+            if self._control_seqs:
+                # Control timers that rode the wave are no longer pending;
+                # a leaked seq would keep next_timer_at scanning the heap.
+                self._control_seqs.difference_update(entry[1] for entry in wave)
             self.clock = wave[-1][0]
             self.waves_fired += 1
             self.timers_fired += len(wave)

@@ -1,14 +1,11 @@
 """Unified metrics plane for the serving stack.
 
-Measurement used to be scattered ad-hoc state — ``update_delay_seconds``
-hand-metered on each backend, per-shard ``KVStats`` rolled up in the router,
-cost units in :mod:`repro.serving.cost`.  This module is the one place all
-of it reports to: a :class:`MetricsRegistry` of typed instruments that every
-serving component (store, router, stream delivery, queue, backends, engine)
-writes into, so a single ``engine.metrics.snapshot()`` describes a whole
+A :class:`MetricsRegistry` of typed instruments that every serving
+component (store, router, stream delivery, queue, backends, engine) reports
+through, so a single ``engine.metrics.snapshot()`` describes a whole
 pipeline's behaviour as one JSON-serializable dict.
 
-Three instrument kinds:
+Three instrument kinds (a :class:`View` is a counter or a gauge):
 
 * :class:`Counter` — monotone total (requests served, bytes read, simulated
   seconds of update delay).  Float-valued so latency totals sum exactly.
@@ -27,11 +24,19 @@ back to :data:`NULL_REGISTRY`, whose instruments are shared no-ops — the
 hot-path overhead of disabled telemetry is one attribute call per metered
 event (bounded by ``benchmarks/test_bench_telemetry.py``).
 
-The legacy meters (``KeyValueStore.stats``, backend attributes like
-``predictions_served`` and ``update_delay_seconds``) are kept as *exact
-views*: the registry instruments are incremented alongside them with the
-same amounts, and ``tests/test_telemetry.py`` property-tests the rollups
-bit-exact against the legacy counters after randomized workloads.
+One rule decides where a meter lives: **the component that counts it owns
+it, and the registry reads it in place.**  ``store.stats.gets``,
+``queue.batches_flushed``, ``backend.updates_applied``, ``pool.keys_migrated``
+and their like are plain attributes the hot path bumps with a bare ``+=``;
+each is registered once, at construction, as a :class:`View`
+(:meth:`MetricsRegistry.view`) whose ``value`` calls back into the owner.
+There is no second copy to refresh, so a view is current whenever it is
+read — held across traffic, before any ``snapshot()``, after
+``reset_stats()`` — and the attributes stay exact under
+``telemetry=False``.  Only what cannot be read back streams into the
+registry inline: distributions (:class:`Histogram`) and gauges whose
+high-water mark is the point (``autoscale.fleet_size``,
+``slo.in_violation``, ...).
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "View",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "LATENCY_BUCKETS_SECONDS",
@@ -78,10 +84,10 @@ DIVERGENCE_BUCKETS: tuple[float, ...] = (
 
 class Counter:
     """Monotone total.  ``inc`` rejects negative amounts — a counter that can
-    go backwards is a gauge, and the rollup equalities the property suite
-    pins (registry == legacy meter) rely on monotonicity."""
+    go backwards is a gauge."""
 
     __slots__ = ("name", "value")
+    kind = "counter"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -92,12 +98,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r}: negative increment {amount!r}")
         self.value += amount
 
-    def reset(self) -> None:
-        """Zero the counter.  Only the component that owns the paired legacy
-        meter may call this (e.g. ``KeyValueStore.reset_stats``), so the
-        registry view and the legacy view reset together and stay exact."""
-        self.value = 0
-
     def snapshot(self) -> dict[str, Any]:
         return {"type": "counter", "value": self.value}
 
@@ -106,6 +106,7 @@ class Gauge:
     """Last-set level plus the high-water mark since creation."""
 
     __slots__ = ("name", "value", "max_value")
+    kind = "gauge"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -117,17 +118,40 @@ class Gauge:
         if value > self.max_value:
             self.max_value = value
 
-    def reset(self) -> None:
-        """Zero the level *and* the high-water mark — parity with
-        ``Counter.reset``/``Histogram.reset``.  Same ownership rule: only
-        the component that drives the gauge may call this, and a paired
-        sync hook will overwrite ``value`` (not ``max``) on the next
-        snapshot."""
-        self.value = 0
-        self.max_value = 0
-
     def snapshot(self) -> dict[str, Any]:
         return {"type": "gauge", "value": self.value, "max": self.max_value}
+
+
+class View:
+    """Read-only counter or gauge over a meter its component owns.
+
+    ``value`` (and a gauge's ``max_value``) call the reader the owner
+    registered: the instrument holds no state, is current at every read and
+    has no ``inc`` / ``set`` — the owner's attribute is the only place the
+    meter is written.  A gauge without ``read_max`` has no separate
+    high-water mark and reports its level as its maximum.
+    """
+
+    __slots__ = ("name", "kind", "_read", "_read_max")
+
+    def __init__(self, name: str, kind: str, read, read_max=None) -> None:
+        self.name = name
+        self.kind = kind
+        self._read = read
+        self._read_max = read_max if read_max is not None else read
+
+    @property
+    def value(self) -> float | int:
+        return self._read()
+
+    @property
+    def max_value(self) -> float | int:
+        return self._read_max()
+
+    def snapshot(self) -> dict[str, Any]:
+        if self.kind == "gauge":
+            return {"type": "gauge", "value": self.value, "max": self.max_value}
+        return {"type": "counter", "value": self.value}
 
 
 class Histogram:
@@ -155,6 +179,7 @@ class Histogram:
         "name", "bounds", "counts", "overflow", "count", "total", "min_value", "max_value",
         "window_size", "_window", "_window_counts",
     )
+    kind = "histogram"
 
     def __init__(self, name: str, buckets: tuple[float, ...] = LATENCY_BUCKETS_SECONDS) -> None:
         if not buckets:
@@ -258,9 +283,7 @@ class Histogram:
     def reset(self) -> None:
         """Forget every observation — lifetime counts *and* the sliding
         window — while keeping the bucket bounds and window configuration.
-        Only the component that owns the paired legacy meter may call this
-        (same contract as :meth:`Counter.reset`), so the registry view and
-        the legacy view reset together and stay exact."""
+        Only the component that observes into the histogram may call this."""
         self.counts = [0] * len(self.bounds)
         self.overflow = 0
         self.count = 0
@@ -353,54 +376,34 @@ class MetricsRegistry:
     kind (or a histogram with different buckets) is a hard error — two
     components silently writing different meanings into one name is exactly
     the ad-hoc drift this registry exists to end.
+
+    A meter lives in the component that counts it: a counter or gauge with
+    an attribute behind it is a :meth:`view`, so every accessor and
+    ``snapshot()`` report the attribute's current value; only distributions
+    and high-water gauges are written through their handles inline.
     """
 
     enabled = True
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._sync_hooks: list = []
+        self._instruments: dict[str, Counter | Gauge | Histogram | View] = {}
 
-    def register_sync(self, hook) -> None:
-        """Register a zero-argument hook run before any read accessor.
-
-        This is how components with existing legacy meters (``KVStats``,
-        the queue and backend attribute counters) expose them as registry
-        instruments *without paying per-operation mirror increments on the
-        hot path*: the legacy meter stays the single source of truth, and
-        the hook copies its current values into the registered instruments
-        whenever the registry is read (:meth:`snapshot`, :meth:`get`,
-        :meth:`sum_counters`).  The view is exact by construction — it is
-        the same meter.  Streaming instruments (histograms) cannot be
-        derived lazily and keep observing inline.
-        """
-        self._sync_hooks.append(hook)
-
-    def _sync(self) -> None:
-        for hook in self._sync_hooks:
-            hook()
-
-    def _get_or_create(self, name: str, kind: type, factory) -> Any:
+    def _get_or_create(self, name: str, kind: str, factory) -> Any:
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
-            return instrument
-        if not isinstance(instrument, kind):
-            raise ValueError(
-                f"instrument {name!r} is a {type(instrument).__name__.lower()}, "
-                f"not a {kind.__name__.lower()}"
-            )
+            instrument = self._instruments[name] = factory()
+        elif instrument.kind != kind:
+            raise ValueError(f"instrument {name!r} is a {instrument.kind}, not a {kind}")
         return instrument
 
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, lambda: Counter(name))
+    def counter(self, name: str) -> Counter | View:
+        return self._get_or_create(name, "counter", lambda: Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
+    def gauge(self, name: str) -> Gauge | View:
+        return self._get_or_create(name, "gauge", lambda: Gauge(name))
 
     def histogram(self, name: str, buckets: tuple[float, ...] = LATENCY_BUCKETS_SECONDS) -> Histogram:
-        histogram = self._get_or_create(name, Histogram, lambda: Histogram(name, buckets))
+        histogram = self._get_or_create(name, "histogram", lambda: Histogram(name, buckets))
         if histogram.bounds != tuple(float(bound) for bound in buckets):
             raise ValueError(
                 f"histogram {name!r} already exists with buckets {histogram.bounds}, "
@@ -408,10 +411,26 @@ class MetricsRegistry:
             )
         return histogram
 
+    def view(self, name: str, kind: str, read, read_max=None) -> View:
+        """Register ``name`` as a ``"counter"`` or ``"gauge"`` read in place.
+
+        ``read`` (and ``read_max``, a gauge's high-water mark) are
+        zero-argument callables into the owning component —
+        ``lambda: self.stats.gets``, ``lambda: len(self._queue)``.
+        Registering a name again rebinds it to the newest component (a
+        rebuilt store takes over its predecessor's names); registering over
+        an instrument of another kind is a hard error.
+        """
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"view {name!r}: kind must be 'counter' or 'gauge', got {kind!r}")
+        view = View(name, kind, read, read_max)
+        self._get_or_create(name, kind, lambda: view)  # a kind conflict raises here
+        self._instruments[name] = view
+        return view
+
     # ------------------------------------------------------------------
-    def get(self, name: str) -> Counter | Gauge | Histogram | None:
+    def get(self, name: str) -> Counter | Gauge | Histogram | View | None:
         """The instrument registered under ``name``, or ``None``."""
-        self._sync()
         return self._instruments.get(name)
 
     def names(self) -> list[str]:
@@ -429,22 +448,11 @@ class MetricsRegistry:
     def snapshot(self, prefix: str = "") -> dict[str, dict[str, Any]]:
         """JSON-serializable dump of every instrument (optionally filtered
         by name prefix), names sorted so the dump is stable."""
-        self._sync()
         return {
             name: self._instruments[name].snapshot()
             for name in sorted(self._instruments)
             if name.startswith(prefix)
         }
-
-    def sum_counters(self, prefix: str, suffix: str) -> float | int:
-        """Sum every counter named ``<prefix>*<.suffix>`` — the rollup
-        primitive behind per-shard → pool aggregation."""
-        self._sync()
-        total: float | int = 0
-        for name, instrument in self._instruments.items():
-            if name.startswith(prefix) and name.endswith(f".{suffix}") and isinstance(instrument, Counter):
-                total += instrument.value
-        return total
 
 
 class _NullInstrument:
@@ -499,8 +507,8 @@ class _NullRegistry:
     enabled = False
     _instrument = _NullInstrument()
 
-    def register_sync(self, hook) -> None:
-        pass
+    def view(self, name: str, kind: str, read, read_max=None) -> _NullInstrument:
+        return self._instrument
 
     def counter(self, name: str) -> _NullInstrument:
         return self._instrument
@@ -528,9 +536,6 @@ class _NullRegistry:
 
     def snapshot(self, prefix: str = "") -> dict[str, dict[str, Any]]:
         return {}
-
-    def sum_counters(self, prefix: str, suffix: str) -> int:
-        return 0
 
 
 #: The shared disabled registry.  Components use it whenever the caller

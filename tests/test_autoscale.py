@@ -448,6 +448,7 @@ class TestFixedFleetBitIdentity:
             assert (
                 scaled_engine.metrics.counter(meter).value
                 == baseline_engine.metrics.counter(meter).value
+                > 0
             ), meter
 
     def test_fleet_as_a_drop_in_server_matches_too(self, serving_parts):

@@ -6,8 +6,18 @@ hand-wired backend + queue for poisson/bursty/window_sweep, facade-built for
 the rest), so refactors of ``experiments/production.py`` are checked against
 rows they did not produce themselves.  Everything on the simulated clock is
 deterministic; only the wall-clock throughput columns and the float
-probability delta are left out.  Regenerate (only when a row is *meant* to
-change) with::
+probability delta are left out.
+
+``golden/batched_serving_metrics.json`` holds the full ``metadata["metrics"]``
+registry snapshot of four single-scenario runs that between them carry every
+``kv`` / ``ring`` / ``backend`` / ``queue`` / ``serving`` / ``stream`` /
+``slo`` / ``rollout`` / ``autoscale`` instrument.  It was captured at the
+commit *before* the registry stopped mirroring component counters and
+started reading them in place, so a change to how a meter reaches the
+registry is checked against a dump the mirrors wrote.  The registry records
+simulated-clock quantities only; nothing is left out.
+
+Regenerate (only when a row or a meter is *meant* to change) with::
 
     PYTHONPATH=src python tests/test_batched_serving_golden.py
 """
@@ -17,9 +27,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import run_batched_serving
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "batched_serving_rows.json"
+METRICS_GOLDEN_PATH = GOLDEN_PATH.with_name("batched_serving_metrics.json")
+
+#: One run each: ``metadata["metrics"]`` is the *last* pipeline's registry.
+METRICS_SCENARIOS = ("bursty", "shard_failover", "canary_rollout", "autoscale")
 
 #: Wall-clock throughputs and the candidate-vs-control probability delta.
 EXCLUDED_COLUMNS = ("requests_per_second", "updates_per_second", "divergence_p99")
@@ -58,6 +74,10 @@ def golden_rows() -> list[dict]:
     return [{key: value for key, value in row.items() if key not in EXCLUDED_COLUMNS} for row in rows]
 
 
+def golden_metrics(scenario: str) -> dict:
+    return run_batched_serving(**{**PARAMS, "scenarios": (scenario,)}).metadata["metrics"]
+
+
 def test_every_scenario_reproduces_the_pre_refactor_rows():
     expected = json.loads(GOLDEN_PATH.read_text())
     rows = golden_rows()
@@ -66,6 +86,18 @@ def test_every_scenario_reproduces_the_pre_refactor_rows():
         assert row == golden
 
 
+@pytest.mark.parametrize("scenario", METRICS_SCENARIOS)
+def test_registry_snapshot_reproduces_the_mirrored_meters(scenario):
+    expected = json.loads(METRICS_GOLDEN_PATH.read_text())[scenario]
+    snapshot = golden_metrics(scenario)
+    assert sorted(snapshot) == sorted(expected)
+    for name, golden in expected.items():
+        assert snapshot[name] == golden, name
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden_rows(), indent=1) + "\n")
+    METRICS_GOLDEN_PATH.write_text(
+        json.dumps({name: golden_metrics(name) for name in METRICS_SCENARIOS}, indent=1) + "\n"
+    )

@@ -236,6 +236,7 @@ class TestEngineLifecycle:
             lambda: engine.observe_session(user_id, context, timestamp + 1, accessed),
             lambda: engine.advance_to(timestamp + 1),
             lambda: engine.flush(),
+            lambda: engine.serve(events[:1]),
             lambda: engine.replay(events[:1]),
         ):
             with pytest.raises(RuntimeError, match="closed ServingEngine"):
@@ -280,6 +281,22 @@ class TestEngineLifecycle:
         assert [p.timestamp for p in predictions] == [event[0] for event in events]
         assert engine.updates_applied == len(events)
         assert engine.predictions_served == len(events)
+
+    def test_serve_slices_plus_the_tail_equal_one_replay(self, trained):
+        _, _, _, events = trained
+        whole = self._hidden_engine(trained, max_batch_size=16)
+        sliced = self._hidden_engine(trained, max_batch_size=16)
+        reference = whole.replay(events)
+        cut = len(events) // 3
+        delivered = sliced.serve(events[:cut]) + sliced.serve(events[cut:])
+        assert len(delivered) < len(events)  # serve leaves the tail queued
+        delivered += sliced.flush()
+        sliced.stream.flush()
+        delivered += sliced.drain_completed()
+        assert [(p.user_id, p.timestamp, p.probability) for p in delivered] == [
+            (p.user_id, p.timestamp, p.probability) for p in reference
+        ]
+        assert sliced.store.stats.snapshot() == whole.store.stats.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,36 @@ class TestWaveOrdering:
         assert stream.advance_to(200) == 4
         assert waves == [[100], [105, 110, 111], [130]]
 
+    def test_control_timer_inside_a_wave_window_keeps_its_slot_and_is_retired(self):
+        stream = StreamProcessor(coalescing_window=30)
+        calls: list[tuple[object, int]] = []
+        group = stream.timer_group(
+            lambda firings: calls.append(([f.key for f in firings], stream.clock))
+        )
+        group.set_timer(100, "a")
+        stream.set_control_timer(105, "control", lambda key, events: calls.append((key, stream.clock)))
+        group.set_timer(110, "b")
+        assert stream.next_timer_at == 100
+        assert stream.advance_to(200) == 3
+        # One wave: the control timer runs by itself between the two group
+        # runs, at the wave's closing clock.
+        assert calls == [(["a"], 110), ("control", 110), (["b"], 110)]
+        assert stream.waves_fired == 1
+        # ... and its seq is gone, so next_timer_at is back on its O(1) path.
+        assert stream._control_seqs == set()
+        group.set_timer(300, "c")
+        assert stream.next_timer_at == 300
+
+    def test_control_timer_registered_after_a_same_second_data_timer_is_retired(self):
+        stream = StreamProcessor()
+        calls: list[object] = []
+        group = stream.timer_group(lambda firings: calls.append([f.key for f in firings]))
+        group.set_timer(50, "a")
+        stream.set_control_timer(50, "control", lambda key, events: calls.append(key))
+        assert stream.advance_to(50) == 2
+        assert calls == [["a"], "control"]
+        assert stream._control_seqs == set()
+
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             StreamProcessor(coalescing_window=-1)

@@ -1,14 +1,16 @@
-"""Telemetry subsystem tests: instruments, rollups, and bit-exact views.
+"""Telemetry subsystem tests: instruments, views read in place, wiring.
 
-Two contracts anchor this suite:
+Three contracts anchor this suite:
 
-* **Exact view** — the registry instruments are incremented alongside the
-  legacy meters with the same amounts, so after *any* workload the rollups
-  are bit-equal: ``ShardedKeyValueStore.stats`` vs the summed ``kv.*``
-  counters (and their ``kv_traffic_cost`` / ``registry_traffic_cost``
-  images), backend ``update_delay_seconds`` vs the
-  ``serving.update_delay_seconds`` histogram sum and counter mirror,
-  backend/queue attributes vs their counter mirrors.
+* **One copy** — a counter or gauge with an attribute behind it
+  (``store.stats.gets``, ``queue.batches_flushed``, ...) is a registry
+  *view*: it holds no value of its own, so it is current at every read —
+  before any ``snapshot()``, when held across traffic, after
+  ``reset_stats()``.
+* **Wiring** — every view name reads the attribute it is named after:
+  randomized workloads compare ``registry.snapshot(prefix=...)`` with
+  ``stats.snapshot()`` / the attribute, per store, per shard, pool-wide and
+  for the backend / queue / delay meters of a facade-built engine.
 * **Pure observation** — telemetry never feeds back: a facade-built
   pipeline with ``telemetry=True`` is bit-identical to ``telemetry=False``
   in every serving observable (probabilities, KV traffic, stored state).
@@ -34,8 +36,6 @@ from repro.serving import (
     NULL_REGISTRY,
     ServingEngine,
     ShardedKeyValueStore,
-    kv_traffic_cost,
-    registry_traffic_cost,
 )
 
 N_TRIALS = 40
@@ -202,67 +202,73 @@ class TestInstruments:
         NULL_REGISTRY.histogram("z").observe(1.0)
         assert NULL_REGISTRY.snapshot() == {}
         assert not NULL_REGISTRY.enabled
-        assert NULL_REGISTRY.sum_counters("x", "y") == 0
 
 
 # ----------------------------------------------------------------------
-# Reset parity: Counter/Gauge/Histogram all zero in place, and resets
-# compose predictably with lazy sync hooks.
+# Views: the registry reads the component's own counter, at every read
+# ----------------------------------------------------------------------
+class TestViewsReadInPlace:
+    def test_counter_reads_the_attribute_with_no_snapshot_in_between(self):
+        registry = MetricsRegistry()
+        store = KeyValueStore("kv", registry=registry)
+        store.put("a", 1, size_bytes=8)
+        store.get("a")
+        assert registry.counter("kv.kv.gets").value == 1
+        assert registry.counter("kv.kv.bytes_written").value == 8
+
+    def test_instrument_held_across_traffic_advances(self):
+        registry = MetricsRegistry()
+        store = KeyValueStore("kv", registry=registry)
+        gets = registry.get("kv.kv.gets")
+        assert gets.value == 0
+        for _ in range(3):
+            store.get("missing")
+        assert gets.value == 3 and gets.snapshot() == {"type": "counter", "value": 3}
+
+    def test_gauge_view_reads_level_and_high_water_mark(self):
+        registry = MetricsRegistry()
+        level = {"now": 2, "peak": 9}
+        depth = registry.view("depth", "gauge", lambda: level["now"], lambda: level["peak"])
+        assert registry.gauge("depth") is depth
+        assert registry.snapshot() == {"depth": {"type": "gauge", "value": 2, "max": 9}}
+        # Without a peak reader the level is its own high-water mark.
+        registry.view("size", "gauge", lambda: level["now"])
+        assert registry.get("size").max_value == 2
+
+    def test_kind_conflicts_stay_hard_errors(self):
+        registry = MetricsRegistry()
+        registry.histogram("h")
+        with pytest.raises(ValueError, match="histogram"):
+            registry.view("h", "counter", lambda: 0)
+        with pytest.raises(ValueError, match="kind"):
+            registry.view("x", "histogram", lambda: 0)
+
+    def test_re_registering_a_name_rebinds_it_to_the_newest_component(self):
+        registry = MetricsRegistry()
+        first = KeyValueStore("kv", registry=registry)
+        second = KeyValueStore("kv", registry=registry)
+        first.get("a")
+        second.get("a")
+        second.get("b")
+        assert registry.counter("kv.kv.gets").value == second.stats.gets == 2
+
+
+# ----------------------------------------------------------------------
+# Reset parity: reset_stats rebinds ``store.stats``; the views follow it
 # ----------------------------------------------------------------------
 class TestResetParity:
-    def test_counter_reset_zeroes_in_place(self):
-        counter = Counter("c")
-        counter.inc(7)
-        counter.reset()
-        assert counter.value == 0
-        counter.inc(2)
-        assert counter.value == 2  # usable again, no latched residue
-
-    def test_gauge_reset_zeroes_level_and_high_water_mark(self):
-        gauge = Gauge("g")
-        gauge.set(9)
-        gauge.set(2)
-        gauge.reset()
-        assert gauge.value == 0 and gauge.max_value == 0
-        # The high-water mark restarts from scratch: a post-reset level
-        # below the old peak becomes the new peak.
-        gauge.set(3)
-        assert gauge.value == 3 and gauge.max_value == 3
-
-    def test_synced_counter_refills_from_the_legacy_meter_after_reset(self):
-        # A sync hook makes the legacy meter the source of truth, so a bare
-        # Counter.reset is undone by the next read — resetting only both
-        # sides together sticks (the KeyValueStore.reset_stats contract).
+    def test_reset_stats_zeroes_what_a_held_instrument_reads(self):
         registry = MetricsRegistry()
-        legacy = {"gets": 11}
-        counter = registry.counter("kv.gets")
-        registry.register_sync(lambda: setattr(counter, "value", legacy["gets"]))
-        assert registry.snapshot()["kv.gets"]["value"] == 11
-        counter.reset()
-        assert registry.snapshot()["kv.gets"]["value"] == 11  # hook re-filled it
-        legacy["gets"] = 0
-        counter.reset()
-        assert registry.snapshot()["kv.gets"]["value"] == 0
-
-    def test_synced_gauge_keeps_its_own_high_water_mark_across_reset(self):
-        # Sync hooks drive a gauge through set(), which only ever raises the
-        # registry-side peak — so Gauge.reset starts a fresh peak epoch even
-        # while the hook keeps restoring the current level.
-        registry = MetricsRegistry()
-        legacy = {"depth": 6}
-        gauge = registry.gauge("queue.depth")
-        registry.register_sync(lambda: gauge.set(legacy["depth"]))
-        legacy["depth"] = 9
-        assert registry.snapshot()["queue.depth"]["max"] == 9
-        legacy["depth"] = 4
-        gauge.reset()
-        snapshot = registry.snapshot()["queue.depth"]
-        assert snapshot["value"] == 4 and snapshot["max"] == 4  # peak 9 forgotten
+        store = KeyValueStore("kv", registry=registry)
+        puts = registry.counter("kv.kv.puts")
+        store.put("a", 1, size_bytes=8)
+        assert puts.value == 1
+        store.reset_stats()
+        assert puts.value == 0
+        store.put("a", 2, size_bytes=8)
+        assert puts.value == 1
 
     def test_store_reset_stats_survives_a_snapshot_after_reset(self):
-        # End-to-end over the real hook: reset, then *read* — the lazy sync
-        # must re-derive zeros from the reset legacy meter, not resurrect
-        # pre-reset totals.
         registry = MetricsRegistry()
         store = KeyValueStore("kv", registry=registry)
         store.put("a", 1, size_bytes=8)
@@ -275,7 +281,7 @@ class TestResetParity:
 
 
 # ----------------------------------------------------------------------
-# snapshot(prefix=): filtering is by name prefix, after the sync pass
+# snapshot(prefix=): filtering is by name prefix, over live values
 # ----------------------------------------------------------------------
 class TestSnapshotPrefix:
     def build_registry(self):
@@ -312,21 +318,19 @@ class TestSnapshotPrefix:
             merged.update(registry.snapshot(prefix=prefix))
         assert merged == full
 
-    def test_prefix_snapshot_runs_sync_hooks(self):
+    def test_prefix_snapshot_reads_views_live(self):
         registry = MetricsRegistry()
-        legacy = {"gets": 0}
-        counter = registry.counter("kv.gets")
-        registry.register_sync(lambda: setattr(counter, "value", legacy["gets"]))
-        legacy["gets"] = 5
-        # Even a snapshot whose filter excludes the synced instrument must
-        # run the hooks first — filtering happens on fresh values.
+        meter = {"gets": 0}
+        registry.view("kv.gets", "counter", lambda: meter["gets"])
+        meter["gets"] = 5
         assert registry.snapshot(prefix="queue.") == {}
-        assert counter.value == 5
-        assert registry.snapshot(prefix="kv.")["kv.gets"]["value"] == 5
+        assert registry.snapshot(prefix="kv.") == {"kv.gets": {"type": "counter", "value": 5}}
+        meter["gets"] = 6
+        assert registry.snapshot(prefix="kv.")["kv.gets"]["value"] == 6
 
 
 # ----------------------------------------------------------------------
-# Exact-view rollups: registry vs legacy meters (the property suite)
+# Wiring: every kv.* name reads the KVStats field it is named after
 # ----------------------------------------------------------------------
 def random_kv_workload(rng, n_ops=300):
     ops = []
@@ -347,6 +351,21 @@ def apply_kv_workload(store, ops):
             store.delete(key)
 
 
+def registry_kv_stats(registry, store_name):
+    """``{field: value}`` as the registry reports it under ``kv.<store_name>.``."""
+    prefix = f"kv.{store_name}."
+    return {
+        name[len(prefix):]: entry["value"]
+        for name, entry in registry.snapshot(prefix=prefix).items()
+    }
+
+
+def registry_pool_stats(registry, store):
+    """Pool rollup of the shards' registry counters, field by field."""
+    per_shard = [registry_kv_stats(registry, shard.name) for shard in store.shards]
+    return {field: sum(stats[field] for stats in per_shard) for field in per_shard[0]}
+
+
 class TestStoreRollupsBitExact:
     def test_unsharded_registry_view_equals_stats_after_any_workload(self):
         for trial in range(N_TRIALS):
@@ -354,8 +373,8 @@ class TestStoreRollupsBitExact:
             registry = MetricsRegistry()
             store = KeyValueStore("kv", registry=registry)
             apply_kv_workload(store, random_kv_workload(rng))
-            assert store.registry_stats().snapshot() == store.stats.snapshot()
-            assert registry_traffic_cost(registry, "kv") == kv_traffic_cost(store.stats)
+            assert store.stats.gets > 0
+            assert registry_kv_stats(registry, "kv") == store.stats.snapshot()
 
     def test_sharded_registry_rollup_equals_stats_after_any_workload(self):
         for trial in range(N_TRIALS):
@@ -365,11 +384,11 @@ class TestStoreRollupsBitExact:
                 n_shards=int(rng.integers(2, 8)), name="pool", registry=registry
             )
             apply_kv_workload(store, random_kv_workload(rng))
-            assert store.registry_stats().snapshot() == store.stats.snapshot()
-            # Per-shard decomposition: each shard's mirror is its own meter.
+            # Per-shard decomposition: each shard's names read its own meter.
             for shard in store.shards:
-                assert shard.registry_stats().snapshot() == shard.stats.snapshot()
-            assert registry_traffic_cost(registry, "pool") == kv_traffic_cost(store.stats)
+                assert registry_kv_stats(registry, shard.name) == shard.stats.snapshot()
+            assert store.stats.gets > 0
+            assert registry_pool_stats(registry, store) == store.stats.snapshot()
 
     def test_store_name_prefixes_do_not_absorb_each_other(self):
         registry = MetricsRegistry()
@@ -378,27 +397,23 @@ class TestStoreRollupsBitExact:
         store.put("a", 1, size_bytes=8)
         store.get("a")
         lookalike.get("b")
-        assert registry_traffic_cost(registry, "rnn") == kv_traffic_cost(store.stats)
-        assert registry_traffic_cost(registry, "rnn-b64") == kv_traffic_cost(lookalike.stats)
+        assert registry_kv_stats(registry, "rnn") == store.stats.snapshot()
+        assert registry_kv_stats(registry, "rnn-b64") == lookalike.stats.snapshot()
+        assert store.stats.snapshot() != lookalike.stats.snapshot()
 
     def test_reset_stats_resets_both_views_together(self):
         registry = MetricsRegistry()
         store = ShardedKeyValueStore(n_shards=3, name="kv", registry=registry)
         apply_kv_workload(store, random_kv_workload(np.random.default_rng(7)))
+        assert registry_pool_stats(registry, store)["gets"] > 0
         store.reset_stats()
-        assert store.stats.snapshot() == store.registry_stats().snapshot()
-        assert store.stats.gets == 0 and store.registry_stats().gets == 0
-
-    def test_store_without_registry_has_no_registry_view(self):
-        store = KeyValueStore("kv")
-        store.put("a", 1)
-        assert store.registry_stats() is None
-        assert ShardedKeyValueStore(n_shards=2).registry_stats() is None
+        assert registry_pool_stats(registry, store) == store.stats.snapshot()
+        assert store.stats.gets == 0
 
 
 # ----------------------------------------------------------------------
-# Engine-level: the whole pipeline's mirrors stay exact, and telemetry is
-# bit-invisible to serving.
+# Engine-level: the whole pipeline's names read the right attributes, and
+# telemetry is bit-invisible to serving.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serving_parts():
@@ -455,21 +470,29 @@ class TestEngineTelemetry:
             engine = build_engine(serving_parts, telemetry=True, n_shards=n_shards)
             engine.replay(random_session_events(rng))
             registry = engine.metrics
-            # Store rollup and its cost image.
-            assert engine.store.registry_stats().snapshot() == engine.store.stats.snapshot()
-            assert registry_traffic_cost(registry, "rnn") == kv_traffic_cost(engine.store.stats)
-            # Backend mirrors.
+            # Store rollup.
+            if n_shards is None:
+                assert registry_kv_stats(registry, "rnn") == engine.store.stats.snapshot()
+            else:
+                assert registry_pool_stats(registry, engine.store) == engine.store.stats.snapshot()
+            # Backend counters.
+            assert engine.predictions_served > 0 and engine.updates_applied > 0
             assert registry.counter("backend.predictions_served").value == engine.predictions_served
             assert registry.counter("backend.updates_applied").value == engine.updates_applied
-            # The update-delay meter: histogram sum and counter mirror are
-            # the legacy float meter, exactly.
+            # The update-delay meter: the histogram's streamed sum and the
+            # counter are the attribute's float, exactly.
             delay_histogram = registry.get("serving.update_delay_seconds")
             assert delay_histogram.total == engine.update_delay_seconds
             assert registry.counter("serving.update_delay_seconds_total").value == engine.update_delay_seconds
-            # Queue mirrors.
-            assert registry.counter("queue.requests_submitted").value == engine.queue.requests_submitted
-            assert registry.counter("queue.batches_flushed").value == engine.queue.batches_flushed
+            # Queue counters and the depth gauge.
+            assert registry.counter("queue.requests_submitted").value == engine.queue.requests_submitted > 0
+            assert registry.counter("queue.batches_flushed").value == engine.queue.batches_flushed > 0
             assert registry.get("queue.batch_size").count == engine.queue.batches_flushed
+            depth = registry.gauge("queue.depth")
+            assert (depth.value, depth.max_value) == (engine.queue.pending, engine.queue._peak_pending)
+            assert depth.max_value > 0
+            with pytest.raises(ValueError):
+                registry.counter("queue.depth")
             # Wave-size histogram counts every delivery's updates.
             assert registry.get("stream.wave_size").total == engine.updates_applied
             engine.close()
