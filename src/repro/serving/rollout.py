@@ -72,8 +72,8 @@ class _ShadowStoreView:
     the ``rollout.<version>.kv_*`` instruments.
 
     Replication still applies underneath: ``put_unmetered`` fans out to every
-    live owner and maintains the pool's version sidecars, so shadow state
-    survives ``fail_shard``/``recover_shard`` like any control key.
+    live owner and records the key like any write, so shadow state survives
+    ``fail_shard``/``recover_shard`` like any control key.
     """
 
     def __init__(self, pool, prefix: str) -> None:

@@ -15,21 +15,21 @@ The pool is *elastic*:
 
 * **Replica groups** — with ``replication=r`` every key is owned by the
   ``r`` distinct shards that follow its hash clockwise on the ring
-  (:meth:`ConsistentHashRing.nodes_for`).  Writes fan out to every live
-  owner; reads prefer the primary (the first owner) and *read-repair* any
-  live owner holding a stale or missing copy.  A per-key write-version
-  sidecar makes staleness exact, not heuristic.
-* **Divergence by exception** — the pool keeps one set of keys that *may*
-  have a live owner behind the current version.  Only a lazy recovery adds
-  to it (every key the recovered shard owns); read-repair, writes and
-  ``delete`` drain it.  It only has to be a **superset** of the truly stale
-  keys: the version sidecars stay the authority whenever they are
-  consulted.  The **in-sync rule**: while no shard is failed and that set
-  is empty, the primary of every key is version-current and repair is a
-  no-op, so reads take the memoised ``node_for`` dispatch an unreplicated
-  pool uses and writes the cached owner tuple, unfiltered.  Otherwise one
-  per-key planner (``_read_plan``) picks the serving replica and the
-  repairs owed, once per key, for every read entry point.
+  (:meth:`ConsistentHashRing.nodes_for`).  A failure wipes the shard,
+  every write lands on every live owner and a membership change deletes
+  the copy of every owner that loses a key, so **a live shard holds the
+  current value of a key or nothing** — a stale value cannot exist.
+* **Divergence by exception** — the pool records only the exceptions: one
+  map from a key to the live owners that hold no copy of it.  Only a
+  recovery adds to it (every key the recovered shard owns); read-repair,
+  writes, ``delete`` and losing the key in a migration drain it, and a
+  shard that fails is forgotten.  The **in-sync rule**: while no shard is
+  failed and the map is empty, reads take the memoised ``node_for``
+  dispatch an unreplicated pool uses and writes the cached owner tuple,
+  unfiltered.  Otherwise ``_read_plan`` picks, once per key and for every
+  read entry point, the first live owner not behind to serve and the live
+  owners behind to read-repair, and ``_write_owners`` the live owners for
+  every write entry point.
 * **Live resharding** — :meth:`add_shard` / :meth:`remove_shard` /
   :meth:`resize` change membership while serving: only keys whose owner set
   actually changed are copied to their new owners (and dropped from the old
@@ -40,7 +40,9 @@ The pool is *elastic*:
   out; :meth:`recover_shard` brings it back and eagerly re-hydrates its
   owned keys from live replicas (``ring.<name>.keys_rehydrated`` /
   ``ring.<name>.rehydration_bytes``).  At most ``replication - 1`` shards
-  may be failed at once, so every key always has a live, current owner.
+  may be failed at once, so every key keeps a live owner; a key whose
+  live owners are all behind (a lazy recovery, then the failure of the
+  last current owner) is orphaned, and reading it raises.
 
 All of it is bit-invisible to serving results by construction: a pipeline
 that resizes mid-run or loses-and-recovers a shard returns the same values
@@ -211,11 +213,11 @@ class ShardedKeyValueStore:
 
     ``replication=r`` keeps each key on the ``r`` distinct shards that
     follow its hash on the ring; see the module docstring for the
-    replication / resharding / failover semantics.  At ``r == 1`` no
-    version sidecar is maintained and no fan-out loop runs; at any ``r`` a
-    pool that is in sync (no failed shard, empty stale-key set — always
-    true at ``r == 1``) reads through that same primary dispatch, and only
-    a degraded pool consults the per-key planner.
+    replication / resharding / failover semantics.  A live shard holds the
+    current value of a key or nothing, and the pool records the exceptions
+    (nothing at all at ``r == 1``); while there are none and no shard is
+    failed, reads go to the primary as in an unreplicated pool, and only a
+    degraded pool consults the per-key planner.
     """
 
     def __init__(
@@ -247,14 +249,12 @@ class ShardedKeyValueStore:
         # name) can never silently merge two generations of a shard.
         self._next_shard_id = n_shards
         self._failed: set[str] = set()
-        # Version sidecars (maintained only when replication > 1): the
-        # per-key write version plus each shard's last-applied version, so
-        # "is this replica current?" is an exact integer comparison.
-        self._versions: dict[str, int] = {}
-        self._shard_versions: dict[str, dict[str, int]] = {shard.name: {} for shard in self.shards}
-        # Superset of the keys some *live* owner holds behind the current
-        # version (module docstring, "divergence by exception").
-        self._maybe_stale: set[str] = set()
+        # Both only at replication > 1.  The logical keys, as a dict because
+        # migration and re-hydration walk them: a ``set`` of strings would
+        # make that order differ between processes.
+        self._keys: dict[str, None] = {}
+        # key → the live owners holding no copy of it; empty while in sync.
+        self._behind: dict[str, set[str]] = {}
         # Elastic-pool meters (RING_COUNTER_FIELDS).
         self.keys_migrated = 0
         self.migration_bytes = 0
@@ -305,39 +305,30 @@ class ShardedKeyValueStore:
 
     def owner_names(self, key: str) -> tuple[str, ...]:
         """``key``'s replica group, primary first (length :attr:`replication`)."""
-        if self.replication == 1:
-            return (self._ring.node_for(key),)
         return self._ring.nodes_for(key, self.replication)
 
     def _read_plan(self, key: str) -> tuple[str, list[str]]:
-        """``(serving shard, live owners behind the current version)`` for one
-        read of ``key`` on the per-key path: the first live owner holding the
-        current version serves, every other live owner that does not is owed
-        a read-repair."""
+        """``(serving shard, live owners behind)`` for one read of ``key`` on
+        the per-key path: the first live owner not behind serves, every live
+        owner behind is owed a read-repair."""
         live = [name for name in self.owner_names(key) if name not in self._failed]
-        version = self._versions.get(key)
-        if version is None:
+        if key not in self._keys:
             # Never written (or deleted): meter the miss where the primary
             # live owner would have served it.
             return live[0], []
-        source = None
-        stale = []
-        for name in live:
-            if self._shard_versions[name].get(key) != version:
-                stale.append(name)
-            elif source is None:
-                source = name
+        behind = self._behind.get(key, ())
+        source = next((name for name in live if name not in behind), None)
         if source is None:
             raise RuntimeError(
                 f"no live replica holds the current version of {key!r} "
                 "(the fail-shard guard should make this unreachable)"
             )
-        return source, stale
+        return source, [name for name in live if name in behind]
 
     def _source(self, key: str) -> KeyValueStore:
         """The shard a read of ``key`` is served from: the primary while the
         pool is in sync, the planner's pick otherwise."""
-        if self._failed or self._maybe_stale:
+        if self._failed or self._behind:
             return self._by_name[self._read_plan(key)[0]]
         return self.shard_for(key)
 
@@ -364,72 +355,64 @@ class ShardedKeyValueStore:
     # ------------------------------------------------------------------
     # KeyValueStore-compatible operations
     # ------------------------------------------------------------------
-    def _repair_copy(self, target_name: str, key: str, value: Any, size: int, version: int) -> None:
-        """Bring one stale/missing replica current.
+    def _caught_up(self, key: str, name: str) -> None:
+        """``name`` is no longer a live owner behind on ``key``."""
+        behind = self._behind.get(key)
+        if behind is not None:
+            behind.discard(name)
+            if not behind:
+                del self._behind[key]
 
-        Repair writes are infrastructure traffic, not client traffic: the
-        copy lands through the shard's unmetered write path and is accounted
-        under the pool's ``ring.repair_*`` meters, so ``cost_report`` — which
-        bills the shards' ``kv.*`` client counters — never sees it.
-        ``keys_rehydrated`` / ``rehydration_bytes`` keep their historical
-        meaning (how much state repair restored).
+    def _repair_copy(self, key: str, source_name: str, target_name: str) -> None:
+        """Copy ``key`` from a current owner to one live owner that is behind.
+
+        Repair is infrastructure traffic, not client traffic: the value comes
+        from the source's unmetered ``peek`` (a client's metered read is its
+        caller's), lands through the target's unmetered write path and is
+        accounted under the pool's ``ring.repair_*`` meters, so
+        ``cost_report`` — which bills the shards' ``kv.*`` client counters —
+        never sees it.  ``keys_rehydrated`` / ``rehydration_bytes`` keep
+        their historical meaning (how much state repair restored).
         """
-        self._by_name[target_name].put_unmetered(key, value, size_bytes=size)
-        self._shard_versions[target_name][key] = version
+        source = self._by_name[source_name]
+        size = source.size_of(key)
+        self._by_name[target_name].put_unmetered(key, source.peek(key), size_bytes=size)
+        self._caught_up(key, target_name)
         self.keys_rehydrated += 1
         self.rehydration_bytes += size
         self.repair_puts += 1
         self.repair_bytes_written += size
 
-    def _read_repair(self, key: str, source_name: str, stale: list[str]) -> None:
-        """Settle what a planned read of ``key`` owes: copy the current value
-        to each ``stale`` live owner, after which every live owner is current
-        and the key leaves the stale set.
-
-        The value comes from the source shard's unmetered ``peek`` — the
-        client's metered read is the caller's, the copy is repair traffic.
-        """
-        if stale:
-            source = self._by_name[source_name]
-            value = source.peek(key)
-            size = source.size_of(key)
-            for name in stale:
-                self._repair_copy(name, key, value, size, self._versions[key])
-        self._maybe_stale.discard(key)
-
-    def _fan_out(self, key: str) -> Iterable[str]:
-        """Bump ``key``'s write version (``replication > 1``) and return the
-        live owners the write lands on — all of them become current, so the
-        key leaves the stale set."""
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
+    def _write_owners(self, key: str) -> Iterable[str]:
+        """The shards a write of ``key`` lands on, for every write entry
+        point: the primary at ``replication == 1``; otherwise the key is
+        recorded and every live owner becomes current, so it leaves the map."""
+        if self.replication == 1:
+            return (self._ring.node_for(key),)
+        self._keys[key] = None
         owners = self._ring.nodes_for(key, self.replication)
-        if self._failed or self._maybe_stale:
-            owners = [name for name in owners if name not in self._failed]
-            self._maybe_stale.discard(key)
-        for name in owners:
-            self._shard_versions[name][key] = version
+        if self._failed or self._behind:
+            self._behind.pop(key, None)
+            return [name for name in owners if name not in self._failed]
         return owners
 
     def get(self, key: str, default: Any = None) -> Any:
-        if not (self._failed or self._maybe_stale):
+        if not (self._failed or self._behind):
             return self._by_name[self._ring.node_for(key)].get(key, default)
         source_name, stale = self._read_plan(key)
         value = self._by_name[source_name].get(key, default)
-        self._read_repair(key, source_name, stale)
+        for name in stale:
+            self._repair_copy(key, source_name, name)
         return value
 
     def put(self, key: str, value: Any, size_bytes: int | None = None) -> None:
-        if self.replication == 1:
-            self._by_name[self._ring.node_for(key)].put(key, value, size_bytes=size_bytes)
-            return
-        for name in self._fan_out(key):
+        for name in self._write_owners(key):
             self._by_name[name].put(key, value, size_bytes=size_bytes)
 
     def peek(self, key: str, default: Any = None) -> Any:
         """Unmetered read (pool twin of :meth:`KeyValueStore.peek`).
 
-        Serves from the version-current live replica but — unlike :meth:`get`
+        Serves from the first live owner not behind but — unlike :meth:`get`
         — never read-repairs: callers that bill their own traffic (rollout
         shadow namespaces, assertions in tests) must not perturb the pool's
         client or ``ring.repair_*`` meters as a side effect of looking.
@@ -439,15 +422,11 @@ class ShardedKeyValueStore:
     def put_unmetered(self, key: str, value: Any, size_bytes: int) -> None:
         """Unmetered write (pool twin of :meth:`KeyValueStore.put_unmetered`).
 
-        Fans out to every live owner and maintains the version sidecars
-        exactly like :meth:`put` — so unmetered keys survive
-        ``fail_shard``/``recover_shard`` (recovery walks ``self._versions``)
-        — without touching any shard's client traffic meters.
+        Lands on the shards :meth:`put` writes and records the key the same
+        way — so unmetered keys survive ``fail_shard``/``recover_shard`` —
+        without touching any shard's client traffic meters.
         """
-        if self.replication == 1:
-            self._by_name[self._ring.node_for(key)].put_unmetered(key, value, size_bytes)
-            return
-        for name in self._fan_out(key):
+        for name in self._write_owners(key):
             self._by_name[name].put_unmetered(key, value, size_bytes)
 
     def size_of(self, key: str) -> int:
@@ -469,7 +448,7 @@ class ShardedKeyValueStore:
         """
         groups: dict[str, list[int]] = {}
         owed: dict[str, dict[str, list[str]]] = {}
-        if self._failed or self._maybe_stale:
+        if self._failed or self._behind:
             for position, key in enumerate(keys):
                 source_name, stale = self._read_plan(key)
                 groups.setdefault(source_name, []).append(position)
@@ -481,7 +460,8 @@ class ShardedKeyValueStore:
         for name, positions in groups.items():
             yield self._by_name[name], positions
             for key, stale in owed.get(name, {}).items():
-                self._read_repair(key, name, stale)
+                for target in stale:
+                    self._repair_copy(key, name, target)
 
     def get_many(self, keys: list[str], default: Any = None) -> list[Any]:
         """``[self.get(key, default) for key in keys]`` with per-shard batching.
@@ -501,16 +481,12 @@ class ShardedKeyValueStore:
 
     def put_many(self, items: Iterable[tuple[str, Any, int | None]]) -> None:
         """Apply ``(key, value, size_bytes)`` writes with per-shard batching;
-        replication fans each item out to every live owner, bumping the
-        version sidecar exactly as the looped :meth:`put` path does."""
+        each item lands on, and is recorded for, the shards the looped
+        :meth:`put` would write."""
         groups: dict[str, list[tuple[str, Any, int | None]]] = {}
-        if self.replication == 1:
-            for key, value, size_bytes in items:
-                groups.setdefault(self._ring.node_for(key), []).append((key, value, size_bytes))
-        else:
-            for key, value, size_bytes in items:
-                for name in self._fan_out(key):
-                    groups.setdefault(name, []).append((key, value, size_bytes))
+        for key, value, size_bytes in items:
+            for name in self._write_owners(key):
+                groups.setdefault(name, []).append((key, value, size_bytes))
         for name, shard_items in groups.items():
             self._by_name[name].put_many(shard_items)
 
@@ -522,7 +498,7 @@ class ShardedKeyValueStore:
 
         Same contract as :meth:`KeyValueStore.gather_states` —
         ``(float64 states, int64 timestamps, present)`` — with replication's
-        version-current source selection and read-repair preserved.
+        source selection and read-repair preserved.
         """
         if self._arena_spec is None:
             raise RuntimeError(f"pool {self.name!r} has no state arena attached")
@@ -547,13 +523,9 @@ class ShardedKeyValueStore:
         if self._arena_spec is None:
             raise RuntimeError(f"pool {self.name!r} has no state arena attached")
         groups: dict[str, list[int]] = {}
-        if self.replication == 1:
-            for position, key in enumerate(keys):
-                groups.setdefault(self._ring.node_for(key), []).append(position)
-        else:
-            for position, key in enumerate(keys):
-                for name in self._fan_out(key):
-                    groups.setdefault(name, []).append(position)
+        for position, key in enumerate(keys):
+            for name in self._write_owners(key):
+                groups.setdefault(name, []).append(position)
         timestamps = np.asarray(timestamps, dtype=np.int64)
         for name, positions in groups.items():
             index = np.asarray(positions, dtype=np.intp)
@@ -562,22 +534,16 @@ class ShardedKeyValueStore:
             )
 
     def delete(self, key: str) -> bool:
-        if self.replication == 1:
-            return self._by_name[self._ring.node_for(key)].delete(key)
         deleted = False
         for name in self.owner_names(key):
-            self._shard_versions[name].pop(key, None)
-            if name in self._failed:
-                continue
-            deleted = self._by_name[name].delete(key) or deleted
-        self._versions.pop(key, None)
-        self._maybe_stale.discard(key)
+            if name not in self._failed:
+                deleted = self._by_name[name].delete(key) or deleted
+        self._keys.pop(key, None)
+        self._behind.pop(key, None)
         return deleted
 
     def contains(self, key: str) -> bool:
-        if self.replication == 1:
-            return self._by_name[self._ring.node_for(key)].contains(key)
-        return key in self._versions
+        return self._source(key).contains(key)
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)
@@ -586,7 +552,7 @@ class ShardedKeyValueStore:
         """Logical key count (each key once, however many replicas hold it)."""
         if self.replication == 1:
             return sum(len(shard) for shard in self.shards)
-        return len(self._versions)
+        return len(self._keys)
 
     def keys(self) -> Iterator[str]:
         """Logical keys (each once; replicated copies are not repeated)."""
@@ -594,7 +560,7 @@ class ShardedKeyValueStore:
             for shard in self.shards:
                 yield from shard.keys()
         else:
-            yield from self._versions
+            yield from self._keys
 
     def reset_stats(self) -> None:
         for shard in self.shards:
@@ -603,47 +569,33 @@ class ShardedKeyValueStore:
     # ------------------------------------------------------------------
     # Elastic membership: resize, failure, recovery
     # ------------------------------------------------------------------
-    def _logical_keys(self) -> list[str]:
-        if self.replication > 1:
-            return list(self._versions)
-        return [key for shard in self.shards for key in shard.keys()]
-
     def _ownership_snapshot(self) -> dict[str, tuple[str, ...]]:
-        return {key: self.owner_names(key) for key in self._logical_keys()}
+        return {key: self.owner_names(key) for key in self.keys()}
 
     def _migrate(self, before: dict[str, tuple[str, ...]]) -> None:
         """Move exactly the keys whose owner set changed under the new ring.
 
-        For each changed key, a live *current* old owner serves as the
-        migration source (under ``remove_shard`` this may be the departing
-        shard itself, which stays readable until migration completes); each
-        gained owner receives a metered copy, each lost owner drops its
-        copy.  Keys whose replica group is unchanged are never touched —
-        the consistent-hashing minimal-movement property, now load-bearing.
+        For each changed key, a live old owner that is not behind serves as
+        the migration source (under ``remove_shard`` this may be the
+        departing shard itself, which stays readable until migration
+        completes); each gained owner receives a metered copy, each lost
+        owner drops its copy.  Keys whose replica group is unchanged are
+        never touched — the consistent-hashing minimal-movement property.
         """
         for key, old_owners in before.items():
             new_owners = self.owner_names(key)
             if new_owners == old_owners:
                 continue
-            if self.replication == 1:
-                version = None
-                source = self._by_name[old_owners[0]]
-            else:
-                version = self._versions.get(key)
-                source_name = next(
-                    (
-                        name
-                        for name in old_owners
-                        if name not in self._failed
-                        and self._shard_versions[name].get(key) == version
-                    ),
-                    None,
+            behind = self._behind.get(key, ())
+            source_name = next(
+                (name for name in old_owners if name not in self._failed and name not in behind),
+                None,
+            )
+            if source_name is None:
+                raise RuntimeError(
+                    f"no live replica holds the current version of {key!r} during migration"
                 )
-                if source_name is None:
-                    raise RuntimeError(
-                        f"no live replica holds the current version of {key!r} during migration"
-                    )
-                source = self._by_name[source_name]
+            source = self._by_name[source_name]
             gained = [name for name in new_owners if name not in old_owners]
             lost = [name for name in old_owners if name not in new_owners]
             if gained:
@@ -655,16 +607,12 @@ class ShardedKeyValueStore:
                         # re-hydrated when it recovers.
                         continue
                     self._by_name[name].put(key, value, size_bytes=size)
-                    if self.replication > 1:
-                        self._shard_versions[name][key] = version
                     self.keys_migrated += 1
                     self.migration_bytes += size
             for name in lost:
-                if self.replication > 1:
-                    self._shard_versions[name].pop(key, None)
-                if name in self._failed:
-                    continue
-                self._by_name[name].delete(key)
+                self._caught_up(key, name)
+                if name not in self._failed:
+                    self._by_name[name].delete(key)
 
     def add_shard(self) -> str:
         """Grow the pool by one shard, migrating the keys it now owns.
@@ -684,7 +632,6 @@ class ShardedKeyValueStore:
         self._next_shard_id += 1
         self.shards.append(shard)
         self._by_name[name] = shard
-        self._shard_versions[name] = {}
         self._index_by_name[name] = len(self.shards) - 1
         self._ring.add_node(name)
         self._migrate(before)
@@ -711,7 +658,6 @@ class ShardedKeyValueStore:
         self._migrate(before)
         shard = self._by_name.pop(name)
         self.shards.remove(shard)
-        del self._shard_versions[name]
         self._failed.discard(name)
         self._index_by_name = {shard.name: index for index, shard in enumerate(self.shards)}
         self.membership_changes += 1
@@ -737,8 +683,9 @@ class ShardedKeyValueStore:
 
         A crash loses state, not client traffic — the wipe does not meter.
         At most ``replication - 1`` shards may be failed at once, so every
-        key keeps at least one live owner holding its current version (all
-        live owners receive every write while a peer is down).
+        key keeps at least one live owner (all live owners receive every
+        write while a peer is down).  The map names live owners only, so it
+        forgets the failed shard.
         """
         if name not in self._by_name:
             raise KeyError(f"shard {name!r} is not in the pool")
@@ -752,17 +699,20 @@ class ShardedKeyValueStore:
                 f"(replication={self.replication}, already failed: {self.failed_shards})"
             )
         self._by_name[name].clear()
-        self._shard_versions[name] = {}
+        for key in [key for key, behind in self._behind.items() if name in behind]:
+            self._caught_up(key, name)
         self._failed.add(name)
         self.shard_failures += 1
 
     def recover_shard(self, name: str, *, rehydrate: bool = True) -> None:
         """Bring a failed shard back, re-hydrating its owned keys from replicas.
 
-        ``rehydrate=False`` recovers lazily instead: the shard rejoins the
-        fan-out empty and read-repair restores keys on access — cheaper up
-        front, but another failure before repair completes can orphan keys,
-        so eager re-hydration is the default.
+        The shard rejoins the fan-out empty, so it is first recorded as
+        behind on every key it owns (which also keeps ``_read_plan`` from
+        picking it as its own repair source).  ``rehydrate=False`` stops
+        there: read-repair restores keys on access — cheaper up front, but
+        another failure before repair completes can orphan keys, so eager
+        re-hydration is the default.
 
         Re-hydration copies are repair traffic: the source reads and target
         writes are metered under ``ring.repair_*`` (plus the historical
@@ -773,21 +723,16 @@ class ShardedKeyValueStore:
             raise ValueError(f"shard {name!r} is not failed")
         self._failed.discard(name)
         self.shard_recoveries += 1
-        behind = [
-            key
-            for key, version in self._versions.items()
-            if name in self.owner_names(key) and self._shard_versions[name].get(key) != version
-        ]
+        owned = [key for key in self._keys if name in self.owner_names(key)]
+        for key in owned:
+            self._behind.setdefault(key, set()).add(name)
         if not rehydrate:
-            self._maybe_stale.update(behind)
             return
-        for key in behind:
-            source = self._by_name[self._read_plan(key)[0]]
-            value = source.peek(key)
-            size = source.size_of(key)
+        for key in owned:
+            source_name = self._read_plan(key)[0]
             self.repair_gets += 1
-            self.repair_bytes_read += size
-            self._repair_copy(name, key, value, size, self._versions[key])
+            self.repair_bytes_read += self._by_name[source_name].size_of(key)
+            self._repair_copy(key, source_name, name)
 
     # ------------------------------------------------------------------
     # Metering rollup
@@ -821,9 +766,7 @@ class ShardedKeyValueStore:
         """Storage footprint counting each key once, however many replicas
         hold it — the per-user number the paper's ~512 B/user figure is
         about.  Equals :attr:`total_bytes` at ``replication=1``."""
-        if self.replication == 1:
-            return self.total_bytes
-        return sum(self.size_of(key) for key in self._versions)
+        return self.bytes_for_prefix("")
 
     def bytes_for_prefix(self, prefix: str) -> int:
         """Logical bytes stored under ``prefix`` (each key once).
@@ -834,7 +777,7 @@ class ShardedKeyValueStore:
         """
         if self.replication == 1:
             return sum(shard.bytes_for_prefix(prefix) for shard in self.shards)
-        return sum(self.size_of(key) for key in self._versions if key.startswith(prefix))
+        return sum(self.size_of(key) for key in self._keys if key.startswith(prefix))
 
     def physical_bytes_for_prefix(self, prefix: str) -> int:
         """Bytes stored under ``prefix`` across every replica copy."""

@@ -4,15 +4,19 @@ The load-bearing claims:
 
 * **``get_many``/``put_many`` are the loops, batched** — against a twin
   pool driven by per-key ``get``/``put``, a seeded mixed workload leaves
-  values, per-shard contents, every traffic meter and both version
-  sidecars bit-identical, at r=1 and r=3, through a mid-run resize and
+  values, per-shard contents, every traffic meter and the logical key
+  order bit-identical, at r=1 and r=3, through a mid-run resize and
   through a shard failure + lazy recovery.
 * **In sync, a replicated pool routes like an unreplicated one** — against
   a twin pinned to the per-key read planner, a seeded program over every
   read/write entry point, ``delete``, shard failures, eager and lazy
   recoveries and resizes leaves results and fingerprints identical after
-  every step, and the stale-key set stays a superset of the keys a live
-  owner holds behind the current version.
+  every step, and the key → owners-behind map stays *exact*: a live owner
+  holds a key's value unless the map names it, and the map names nothing
+  else.
+* **Orphaning faults fail loudly** — a lazy recovery followed by the
+  failure of the last current owner leaves keys no live shard holds; every
+  read of one raises, the other keys read correctly, and a write heals it.
 * **Repair traffic is not client traffic** — read-repair and re-hydration
   copies land on the dedicated ``ring.repair_*`` meters; a stale-replica
   read leaves the client ``puts`` rollup unchanged.
@@ -96,7 +100,7 @@ def plain(value):
 
 def fingerprint(pool):
     """Everything observable about a pool: per-shard contents and meters,
-    the rollup, both version sidecars and the ring meters."""
+    the rollup, the logical keys in order and the ring meters."""
     return {
         "stats": pool.stats.snapshot(),
         "shards": [
@@ -108,8 +112,7 @@ def fingerprint(pool):
             )
             for shard in pool.shards
         ],
-        "versions": dict(pool._versions),
-        "shard_versions": {name: dict(v) for name, v in pool._shard_versions.items()},
+        "keys": list(pool.keys()),
         "ring": {field: getattr(pool, field) for field in RING_COUNTER_FIELDS},
     }
 
@@ -186,11 +189,12 @@ PIN = "user:never-touched"
 
 def in_sync_and_pinned(replication, n_shards=5):
     """Twin arena pools; the second is held on the per-key path for good by
-    a stale-set entry no operation ever reads, writes or deletes."""
+    a map entry for a key no operation ever reads, writes or deletes, naming
+    a shard that never exists (so no ``fail_shard`` forgets it)."""
     fast, pinned = twin_pools(n_shards, replication)
     for pool in (fast, pinned):
         pool.attach_state_arena(SPEC)
-    pinned._maybe_stale.add(PIN)
+    pinned._behind[PIN] = {"nobody"}
     return fast, pinned
 
 
@@ -258,16 +262,22 @@ def program(rng, names, replication, *, steps_per_round=12):
             yield random_step(rng, stamp)
 
 
-def assert_stale_set_covers_divergence(pool):
-    """With no shard failed, a key outside the stale set has every owner at
-    the current version — what lets an in-sync read go to the primary."""
-    if pool.failed_shards:
-        return
-    for key, version in pool._versions.items():
-        if key in pool._maybe_stale:
-            continue
+def assert_behind_map_is_exact(pool):
+    """The map is exact: a live owner holds a logical key unless the map
+    names it — what lets an in-sync read go to the primary — a failed shard
+    holds nothing, and the map names only live owners of keys that exist
+    (the pinning entry aside)."""
+    by_name = {shard.name: shard for shard in pool.shards}
+    assert all(len(by_name[name]) == 0 for name in pool.failed_shards)
+    behind = {key: names for key, names in pool._behind.items() if key != PIN}
+    logical = list(pool.keys())
+    for key in logical:
         for name in pool.owner_names(key):
-            assert pool._shard_versions[name].get(key) == version, (key, name)
+            if name not in pool.failed_shards:
+                assert by_name[name].contains(key) == (name not in behind.get(key, ())), (key, name)
+    for key, names in behind.items():
+        assert key in logical and names, key
+        assert names <= set(pool.owner_names(key)) - set(pool.failed_shards), key
 
 
 @pytest.mark.parametrize("replication", [2, 3])
@@ -277,19 +287,19 @@ class TestInSyncRouting:
         rng = np.random.default_rng(200 + replication)
         steps_in_sync = steps_degraded = 0
         for step in program(rng, [shard.name for shard in fast.shards], replication):
-            if fast.failed_shards or fast._maybe_stale:
+            if fast.failed_shards or fast._behind:
                 steps_degraded += 1
             else:
                 steps_in_sync += 1
             assert plain(step(fast)) == plain(step(pinned))
-            assert pinned._maybe_stale - fast._maybe_stale == {PIN}
+            assert pinned._behind == {**fast._behind, PIN: {"nobody"}}
             assert fingerprint(fast) == fingerprint(pinned)
-            assert_stale_set_covers_divergence(fast)
-            assert_stale_set_covers_divergence(pinned)
+            assert_behind_map_is_exact(fast)
+            assert_behind_map_is_exact(pinned)
         # Both sides of the selection ran — the fast pool took steps in sync
         # and steps degraded, and ends in sync — and every repair path fired.
         assert steps_in_sync > 30 and steps_degraded > 30
-        assert not (fast.failed_shards or fast._maybe_stale)
+        assert not (fast.failed_shards or fast._behind)
         assert fast.repair_puts > 0 and fast.repair_gets > 0 and fast.keys_migrated > 0
 
     def test_lazy_recovery_fills_the_stale_set_and_reads_drain_it(self, replication):
@@ -300,16 +310,16 @@ class TestInSyncRouting:
         owned = [key for key in KEYS if victim in pool.owner_names(key)]
         pool.fail_shard(victim)
         pool.recover_shard(victim, rehydrate=False)
-        assert pool._maybe_stale == set(owned) and owned
+        assert set(pool._behind) == set(owned) and owned
         pool.peek(owned[0])  # looking repairs nothing
-        assert pool._maybe_stale == set(owned) and pool.repair_puts == 0
+        assert set(pool._behind) == set(owned) and pool.repair_puts == 0
         # Every read entry point drains what it repairs, duplicates once.
         pool.get(owned[0])
         pool.get_many(owned[1:3] + owned[1:2])
-        assert pool._maybe_stale == set(owned[3:]) and pool.repair_puts == 3
+        assert set(pool._behind) == set(owned[3:]) and pool.repair_puts == 3
         pool.gather_states(KEYS)
-        assert not pool._maybe_stale and pool.repair_puts == len(owned)
-        assert_stale_set_covers_divergence(pool)
+        assert not pool._behind and pool.repair_puts == len(owned)
+        assert_behind_map_is_exact(pool)
         # Back in sync: further reads repair nothing and go to the primary.
         gets_before = [shard.stats.gets for shard in pool.shards]
         pool.get_many(KEYS)
@@ -319,15 +329,26 @@ class TestInSyncRouting:
 
     def test_writes_and_deletes_drain_the_stale_set(self, replication):
         pool, victim = stale_pool(replication=replication)
-        owned = sorted(pool._maybe_stale)
+        owned = sorted(pool._behind)
         assert len(owned) >= 4
         pool.put(owned[0], {"v": -1}, size_bytes=56)
         pool.put_many([(owned[1], {"v": -2}, 56)])
         pool.put_unmetered(owned[2], {"v": -3}, 56)
         pool.delete(owned[3])
-        assert pool._maybe_stale == set(owned[4:])
+        assert set(pool._behind) == set(owned[4:])
         assert pool.repair_puts == 0  # a write is not a repair
-        assert_stale_set_covers_divergence(pool)
+        assert_behind_map_is_exact(pool)
+
+    def test_a_behind_shard_that_fails_again_is_forgotten(self, replication):
+        pool, victim = stale_pool(replication=replication)
+        assert pool._behind
+        pool.fail_shard(victim)
+        assert not pool._behind  # the map names live owners only
+        assert_behind_map_is_exact(pool)
+        pool.recover_shard(victim)
+        owned = [key for key in KEYS if victim in pool.owner_names(key)]
+        assert not pool._behind and pool.repair_puts == len(owned)
+        assert pool.get_many(KEYS) == [{"v": i} for i in range(len(KEYS))]
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +421,68 @@ class TestRepairMetering:
         assert snapshot["ring.kv.repair_puts"]["value"] == pool.repair_puts == len(owned)
         assert snapshot["ring.kv.repair_bytes_written"]["value"] == pool.repair_bytes_written
         assert snapshot["ring.kv.repair_gets"]["value"] == 0  # lazy path: no source scan
+
+
+# ----------------------------------------------------------------------
+# Orphaning faults: no live copy is an error, never a miss
+# ----------------------------------------------------------------------
+ORPHAN_STATES = np.arange(len(KEYS) * SPEC.state_size, dtype=np.float64).reshape(len(KEYS), -1)
+NO_LIVE_COPY = "no live replica holds the current version"
+
+ORPHAN_READS = {
+    "get": lambda pool, healthy, orphan: pool.get(orphan),
+    "get_many": lambda pool, healthy, orphan: pool.get_many([healthy, orphan]),
+    "gather_states": lambda pool, healthy, orphan: pool.gather_states([healthy, orphan]),
+    "peek": lambda pool, healthy, orphan: pool.peek(orphan),
+    "size_of": lambda pool, healthy, orphan: pool.size_of(orphan),
+    "resize": lambda pool, healthy, orphan: pool.resize(5),
+}
+
+
+def orphaned_pool():
+    """r=2; ``first`` fails and recovers lazily (empty, behind on everything
+    it owns), then ``second`` fails: a key owned by exactly those two has no
+    live copy left.  Returns ``(pool, orphaned keys, the other keys)``."""
+    pool = ShardedKeyValueStore(4, replication=2)
+    pool.attach_state_arena(SPEC)
+    pool.scatter_states(KEYS, ORPHAN_STATES, list(range(len(KEYS))))
+    first, second = pool.owner_names(KEYS[0])
+    pool.fail_shard(first)
+    pool.recover_shard(first, rehydrate=False)
+    pool.fail_shard(second)
+    orphaned = [key for key in KEYS if set(pool.owner_names(key)) == {first, second}]
+    return pool, orphaned, [key for key in KEYS if key not in orphaned]
+
+
+class TestOrphaningFaults:
+    @pytest.mark.parametrize("read", sorted(ORPHAN_READS))
+    def test_every_read_of_an_orphaned_key_raises(self, read):
+        pool, orphaned, healthy = orphaned_pool()
+        assert len(orphaned) > 1 and healthy
+        with pytest.raises(RuntimeError, match=NO_LIVE_COPY):
+            ORPHAN_READS[read](pool, healthy[0], orphaned[1])
+
+    def test_keys_with_a_current_owner_still_read_correctly(self):
+        pool, orphaned, healthy = orphaned_pool()
+        states, timestamps, present = pool.gather_states(healthy)
+        rows = [KEYS.index(key) for key in healthy]
+        assert present.all() and list(timestamps) == rows
+        assert np.array_equal(states, ORPHAN_STATES[rows])
+        assert [pool.get(key)["timestamp"] for key in healthy] == rows
+
+    def test_a_put_heals_an_orphaned_key(self):
+        pool, orphaned, healthy = orphaned_pool()
+        repairs = pool.repair_puts
+        record = {"state": np.full(SPEC.state_size, 7.0, dtype=np.float32), "timestamp": 99}
+        pool.put(orphaned[0], record, size_bytes=SPEC.record_bytes)
+        # The write landed on the one live owner, which is therefore current:
+        # readable again, nothing owed, and a write is not a repair.
+        assert orphaned[0] not in pool._behind
+        assert plain(pool.get(orphaned[0])) == plain(record)
+        assert pool.size_of(orphaned[0]) == SPEC.record_bytes
+        assert pool.repair_puts == repairs
+        with pytest.raises(RuntimeError, match=NO_LIVE_COPY):
+            pool.get(orphaned[1])
 
 
 # ----------------------------------------------------------------------
