@@ -19,6 +19,7 @@ Every pipeline is built through the
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -254,6 +255,11 @@ def metering_replay(workload: Workload, scenario: str, requests, batch_size: int
     )
     store, stream = engine.store, engine.stream
 
+    # The two phases below are single-shot timings of a few milliseconds; a
+    # full collection of a large host process (≈ 30 ms under pytest) landing
+    # inside one reads as an 8× slowdown.  Collect now: the phases allocate
+    # far too little to reach the next full collection themselves.
+    gc.collect()
     serve_start = time.perf_counter()
     served = engine.serve(requests)
     served += engine.flush()

@@ -37,16 +37,13 @@ def log_bucket(elapsed_seconds, n_buckets: int = N_BUCKETS) -> np.ndarray:
     representable".
     """
     elapsed = np.asarray(elapsed_seconds, dtype=np.float64)
-    scalar = elapsed.ndim == 0
-    elapsed = np.atleast_1d(elapsed)
-    buckets = np.zeros(elapsed.shape, dtype=np.int64)
-    no_event = ~np.isfinite(elapsed)
-    positive = (~no_event) & (elapsed >= 1.0)
-    with np.errstate(divide="ignore"):
-        buckets[positive] = np.floor(bucket_scale(n_buckets) * np.log(elapsed[positive])).astype(np.int64)
-    buckets[no_event] = n_buckets - 1
-    buckets = np.clip(buckets, 0, n_buckets - 1)
-    return int(buckets[0]) if scalar else buckets
+    # One whole-array pass, as cheap for a single gap as for a wave of them:
+    # non-finite gaps become +inf, everything under a second becomes 1
+    # (ln 1 = 0, bucket 0), and the cap takes +inf with the >30-day gaps.
+    elapsed = np.where(np.isfinite(elapsed), elapsed, np.inf)
+    scaled = np.floor(bucket_scale(n_buckets) * np.log(np.maximum(elapsed, 1.0)))
+    buckets = np.minimum(scaled, n_buckets - 1).astype(np.int64)
+    return int(buckets) if elapsed.ndim == 0 else buckets
 
 
 def one_hot_buckets(elapsed_seconds, n_buckets: int = N_BUCKETS) -> np.ndarray:

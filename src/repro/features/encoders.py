@@ -27,6 +27,12 @@ __all__ = [
 HASH_MODULO = 97
 
 
+def _one_hot(columns: np.ndarray, width: int) -> np.ndarray:
+    encoded = np.zeros((columns.size, width), dtype=np.float64)
+    encoded[np.arange(columns.size), columns] = 1.0
+    return encoded
+
+
 class OneHotEncoder:
     """One-hot encoder over a fixed number of integer categories.
 
@@ -45,18 +51,25 @@ class OneHotEncoder:
     def width(self) -> int:
         return self.cardinality
 
-    def encode(self, values) -> np.ndarray:
+    def hot_column(self, values) -> np.ndarray:
+        """Validated flat ``int64`` index of each value's hot column.
+
+        The range check (or the ``clip`` modulo) lives here, so a caller that
+        scatters the ones itself at a column offset keeps it.
+        """
         values = np.asarray(values, dtype=np.int64).reshape(-1)
         if self.clip:
-            values = values % self.cardinality
-        elif values.size and (values.min() < 0 or values.max() >= self.cardinality):
+            return values % self.cardinality
+        # One reduce checks both ends of the range: through the unsigned view
+        # a negative code reads as at least 2**63.
+        if values.size and values.view(np.uint64).max() >= self.cardinality:
             raise ValueError(
-                f"values out of range [0, {self.cardinality}): "
-                f"min={values.min() if values.size else None}, max={values.max() if values.size else None}"
+                f"values out of range [0, {self.cardinality}): min={values.min()}, max={values.max()}"
             )
-        encoded = np.zeros((values.size, self.cardinality), dtype=np.float64)
-        encoded[np.arange(values.size), values] = 1.0
-        return encoded
+        return values
+
+    def encode(self, values) -> np.ndarray:
+        return _one_hot(self.hot_column(values), self.cardinality)
 
     def feature_names(self, prefix: str) -> list[str]:
         return [f"{prefix}={i}" for i in range(self.cardinality)]
@@ -103,11 +116,11 @@ class HashingEncoder:
             buckets[i] = int(h % np.uint64(self.modulo))
         return buckets
 
+    #: The hash bucket *is* the hot column (same name as on :class:`OneHotEncoder`).
+    hot_column = bucket
+
     def encode(self, values) -> np.ndarray:
-        buckets = self.bucket(values)
-        encoded = np.zeros((buckets.size, self.modulo), dtype=np.float64)
-        encoded[np.arange(buckets.size), buckets] = 1.0
-        return encoded
+        return _one_hot(self.bucket(values), self.modulo)
 
     def feature_names(self, prefix: str) -> list[str]:
         return [f"{prefix}#%02d" % i for i in range(self.modulo)]

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.schema import ContextSchema, Dataset, UserLog
+from ..data.schema import ContextSchema, Dataset, UserLog, day_of_week, hour_of_day
 from .bucketing import N_BUCKETS, log_bucket
-from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder, encode_day_of_week, encode_hour_of_day
+from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder
 
 __all__ = ["UserSequence", "SequenceBuilder"]
 
@@ -117,22 +117,36 @@ class SequenceBuilder:
 
     # ------------------------------------------------------------------
     def encode_context_rows(self, contexts: list[dict[str, float]], timestamps: np.ndarray) -> np.ndarray:
-        """Encode explicit context rows (used for serving single predictions)."""
-        n = len(contexts)
-        blocks: list[np.ndarray] = []
+        """Encode explicit context rows (used for serving single predictions).
+
+        Every field writes at its column offset into one zero matrix —
+        numeric fields by column assignment, categorical and time fields by
+        scattering ones at flat position ``row · width + offset + hot
+        column`` — so a single row costs a handful of NumPy calls and zero
+        rows is just the empty matrix.  ``timestamps`` are integer seconds;
+        hour and day are reduced modulo 24 and 7, so they need no range
+        check.
+        """
+        n, width = len(contexts), self.feature_dim
+        matrix = np.zeros((n, width))
+        flat, stop = matrix.reshape(-1), n * width
+        offset = 0
         for field_def in self.schema:
             encoder = self._encoders[field_def.name]
             values = np.asarray([c[field_def.name] for c in contexts], dtype=np.float64)
             if encoder is None:
-                blocks.append(values.reshape(-1, 1))
-                blocks.append(np.log1p(np.maximum(values, 0.0)).reshape(-1, 1))
+                matrix[:, offset] = values
+                matrix[:, offset + 1] = np.log1p(np.maximum(values, 0.0))
+                offset += 2
             else:
-                blocks.append(encoder.encode(values.astype(np.int64)))
+                flat[np.arange(offset, stop, width) + encoder.hot_column(values.astype(np.int64))] = 1.0
+                offset += encoder.width
         if self.include_time:
-            blocks.append(encode_hour_of_day(timestamps, one_hot=True))
-            blocks.append(encode_day_of_week(timestamps, one_hot=True))
-        matrix = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-        if matrix.shape[1] != self.feature_dim:
+            timestamps = np.asarray(timestamps, dtype=np.int64)
+            flat[np.arange(offset, stop, width) + hour_of_day(timestamps)] = 1.0
+            flat[np.arange(offset + 24, stop, width) + day_of_week(timestamps)] = 1.0
+            offset += 24 + 7
+        if offset != width:
             raise RuntimeError("feature width mismatch in sequence encoding")
         return matrix
 
@@ -141,15 +155,11 @@ class SequenceBuilder:
         n = len(user)
         timestamps = user.timestamps.astype(np.int64)
         contexts = [user.context_row(i) for i in range(n)]
-        features = (
-            self.encode_context_rows(contexts, timestamps) if n else np.zeros((0, self.feature_dim))
-        )
+        features = self.encode_context_rows(contexts, timestamps)
         deltas = np.zeros(n, dtype=np.float64)
         if n > 1:
             deltas[1:] = np.diff(timestamps).astype(np.float64)
-        delta_buckets = np.asarray(log_bucket(deltas, n_buckets=self.n_delta_buckets), dtype=np.int64).reshape(-1)
-        if n == 0:
-            delta_buckets = np.zeros(0, dtype=np.int64)
+        delta_buckets = log_bucket(deltas, n_buckets=self.n_delta_buckets)
         return UserSequence(
             user_id=user.user_id,
             timestamps=timestamps,

@@ -28,17 +28,7 @@ from .. import nn
 from ..nn import functional as F
 from ..nn.rnn import make_cell
 
-__all__ = ["RNNNetworkConfig", "RNNPrecomputeNetwork", "encode_delta_buckets", "PredictionSpec", "build_prediction_spec"]
-
-
-def encode_delta_buckets(buckets: np.ndarray, n_buckets: int) -> np.ndarray:
-    """One-hot encode bucketed time gaps (the ``T(·)`` inputs of Section 6.1)."""
-    buckets = np.asarray(buckets, dtype=np.int64).reshape(-1)
-    if buckets.size and (buckets.min() < 0 or buckets.max() >= n_buckets):
-        raise ValueError(f"delta buckets out of range [0, {n_buckets})")
-    encoded = np.zeros((buckets.size, n_buckets), dtype=np.float64)
-    encoded[np.arange(buckets.size), buckets] = 1.0
-    return encoded
+__all__ = ["RNNNetworkConfig", "RNNPrecomputeNetwork", "PredictionSpec", "build_prediction_spec"]
 
 
 @dataclass(frozen=True)
@@ -132,7 +122,7 @@ class RNNPrecomputeNetwork(nn.Module):
         """
         states = np.asarray(states, dtype=np.float64)
         update_inputs = np.asarray(update_inputs, dtype=np.float64)
-        return nn.inference.cell_step(self.cell, update_inputs, states)
+        return self.cell.inference_step(update_inputs, states)
 
     def predict_logits_batch(self, states: np.ndarray, predict_inputs: np.ndarray) -> np.ndarray:
         """Vectorized eval-time ``RNN_predict`` logits over stacked states.
@@ -162,30 +152,52 @@ class RNNPrecomputeNetwork(nn.Module):
     # ------------------------------------------------------------------
     # Input assembly helpers (plain NumPy; no gradients flow through these).
     # ------------------------------------------------------------------
+    def _assemble_inputs(self, features: np.ndarray | None, buckets: np.ndarray, tail: int) -> np.ndarray:
+        """``[features ; T(bucket) ; 0 × tail]`` rows.
+
+        One zero matrix, the feature block written by slice and the one-hot
+        ``T(·)`` inputs of Section 6.1 scattered behind it — the same few
+        calls whether one row or a whole wave is assembled.
+        """
+        config = self.config
+        buckets = np.asarray(buckets, dtype=np.int64).reshape(-1)
+        n = buckets.size
+        # One reduce checks both ends of the range: through the unsigned view
+        # a negative bucket reads as at least 2**63.
+        if n and buckets.view(np.uint64).max() >= config.n_delta_buckets:
+            raise ValueError(f"delta buckets out of range [0, {config.n_delta_buckets})")
+        offset = 0
+        if features is not None:
+            features = np.asarray(features, dtype=np.float64)
+            if features.shape[0] != n:
+                raise ValueError("misaligned input arrays")
+            offset = features.shape[1]
+            if offset != config.feature_dim:
+                raise ValueError(f"feature width {offset} does not match configured {config.feature_dim}")
+        width = offset + config.n_delta_buckets + tail
+        inputs = np.zeros((n, width))
+        if offset:
+            inputs[:, :offset] = features
+        # Row r's hot column is flat position r·width + offset + bucket.
+        inputs.reshape(-1)[np.arange(offset, n * width, width) + buckets] = 1.0
+        return inputs
+
     def build_update_inputs(self, features: np.ndarray, accesses: np.ndarray, delta_buckets: np.ndarray) -> np.ndarray:
         """Assemble ``[f_i ; T(Δt_i) ; A_i]`` rows for a whole sequence."""
-        features = np.asarray(features, dtype=np.float64)
-        accesses = np.asarray(accesses, dtype=np.float64).reshape(-1, 1)
-        encoded = encode_delta_buckets(delta_buckets, self.config.n_delta_buckets)
-        if features.shape[0] != accesses.shape[0] or features.shape[0] != encoded.shape[0]:
-            raise ValueError("misaligned update input arrays")
-        if features.shape[1] != self.config.feature_dim:
-            raise ValueError(
-                f"feature width {features.shape[1]} does not match configured {self.config.feature_dim}"
-            )
-        return np.concatenate([features, encoded, accesses], axis=1)
+        inputs = self._assemble_inputs(features, delta_buckets, tail=1)
+        accesses = np.asarray(accesses, dtype=np.float64).reshape(-1)
+        if accesses.shape[0] != inputs.shape[0]:
+            raise ValueError("misaligned input arrays")
+        inputs[:, -1] = accesses
+        return inputs
 
     def build_predict_inputs(self, features: np.ndarray | None, gap_buckets: np.ndarray) -> np.ndarray:
         """Assemble ``[f_i ; T(t_i − t_k)]`` rows (or just the gap for timeshift)."""
-        encoded = encode_delta_buckets(gap_buckets, self.config.n_delta_buckets)
         if not self.config.predict_uses_context:
-            return encoded
-        if features is None:
+            features = None
+        elif features is None:
             raise ValueError("this network expects context features at prediction time")
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != encoded.shape[0]:
-            raise ValueError("misaligned prediction input arrays")
-        return np.concatenate([features, encoded], axis=1)
+        return self._assemble_inputs(features, gap_buckets, tail=0)
 
 
 @dataclass
@@ -246,7 +258,7 @@ def build_prediction_spec(
     has_history = k_index > 0
     if has_history.any():
         gaps[has_history] = prediction_times[has_history] - sequence_timestamps[k_index[has_history] - 1]
-    gap_buckets = np.asarray(log_bucket(gaps, n_buckets=n_delta_buckets), dtype=np.int64).reshape(-1)
+    gap_buckets = log_bucket(gaps, n_buckets=n_delta_buckets)
     return PredictionSpec(
         k_index=k_index.astype(np.int64),
         gap_buckets=gap_buckets,

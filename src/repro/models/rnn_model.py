@@ -130,10 +130,7 @@ class RNNModel(AccessProbabilityModel):
         times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
         labels = np.asarray([e.label for e in examples], dtype=np.float64)
         if self._task.kind == "session":
-            if examples:
-                features = self.builder.encode_context_rows([e.context for e in examples], times)
-            else:
-                features = np.zeros((0, self.builder.feature_dim))
+            features = self.builder.encode_context_rows([e.context for e in examples], times)
         else:
             features = None
         return build_prediction_spec(

@@ -19,6 +19,22 @@ not have that property (blocking and FMA order depend on the shape), so the
 update kernels contract through :func:`row_stable_linear` instead — this is
 what lets the wave-coalesced timer scheduler batch session-end GRU updates
 without being observable in any stored state.
+
+**One spelling for every batch size.**  A request served alone runs these
+same kernels at ``B = 1``, where the arithmetic is a few microseconds and
+every extra NumPy call is a visible share of the request.  So each kernel is
+written as a short chain of whole-array ufuncs — no boolean-mask gathers, no
+Python-level ``np.clip``, temporaries reused through ``out=`` (the largest
+caller is a 10 000-row warm-up wave, where a spare ``[B, 2·hidden]``
+temporary shows in the process's peak RSS) — and there is no single-row
+fork: the cheap spelling *is* the batched one.  Weight matrices are used as
+stored: ``weight.T`` stays a strided view, because ``x @ W.T`` and
+``x @ np.ascontiguousarray(W.T)`` pick different BLAS kernels (``gemv_t`` vs
+``gemv_n``) and differ in the last ulp at ``B = 1``, which would move every
+stored state and probability for a contraction that is ≈ 2 µs of the
+request.  Each recurrent cell owns its inference step
+(:meth:`repro.nn.rnn.RecurrentCell.inference_step`), built from the step
+functions below.
 """
 
 from __future__ import annotations
@@ -34,7 +50,6 @@ __all__ = [
     "gru_step",
     "lstm_step",
     "elman_step",
-    "cell_step",
 ]
 
 
@@ -42,7 +57,7 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
     """Affine map ``x @ weight.T + bias`` (PyTorch convention)."""
     out = x @ weight.T
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
 
 
@@ -57,10 +72,14 @@ def row_stable_linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
     how many rows ride along, at a C-level loop's cost rather than Python's.
     The batch-size invariance (and hence the wave scheduler's bit-exact
     coalescing) is pinned by ``test_update_kernels_are_batch_size_invariant``.
+
+    ``weight.T`` is deliberately the strided view of the stored matrix, not
+    a contiguous transposed copy: the copy sends the ``[1, n]`` product down
+    a different BLAS kernel whose last ulp differs (see the module note).
     """
     out = np.matmul(x[:, None, :], weight.T)[:, 0, :]
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
 
 
@@ -69,24 +88,33 @@ def relu(x: np.ndarray) -> np.ndarray:
     return x * (x > 0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, matching ``Tensor.sigmoid`` exactly."""
-    return np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
-        np.exp(np.clip(x, -500, 500)) / (1.0 + np.exp(np.clip(x, -500, 500))),
-    )
-
-
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Branch-masked stable sigmoid — the fused GRU step's gate function.
+    """Overflow-free sigmoid — the GRU gate function, autograd and batched.
 
-    Delegates to the single implementation in :mod:`repro.nn.rnn` so the
-    bit-identity between the batched and autograd GRU paths cannot drift.
+    ``e = exp(−|z|)`` lies in ``(0, 1]`` whatever the input, and the two
+    stable branches share the denominator: ``1 / (1 + e)`` where ``z ≥ 0``,
+    ``e / (1 + e)`` below.  :func:`repro.nn.rnn.fused_gru_step` and
+    :func:`gru_step` both call this one function, so the bit-identity between
+    the training and serving GRU paths cannot drift.  Two float temporaries,
+    both reused in place.
     """
-    from .rnn import _stable_sigmoid
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = e + 1.0
+    np.putmask(e, z >= 0, 1.0)
+    return np.divide(e, out, out=out)
 
-    return _stable_sigmoid(z)
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable sigmoid, matching ``Tensor.sigmoid`` exactly.
+
+    ``Tensor.sigmoid`` clips its input to ``[-500, 500]`` in each branch;
+    clipping once up front and taking :func:`stable_sigmoid` of the result is
+    the same arithmetic (the clip keeps the sign, so the branch test agrees).
+    """
+    clipped = np.maximum(x, -500.0)
+    return stable_sigmoid(np.minimum(clipped, 500.0, out=clipped))
 
 
 def gru_step(
@@ -107,8 +135,8 @@ def gru_step(
     hidden = h_prev.shape[1]
     gates_i = row_stable_linear(x, weight_ih, bias_ih)
     gates_h = row_stable_linear(h_prev, weight_hh, bias_hh)
-    reset = stable_sigmoid(gates_i[:, :hidden] + gates_h[:, :hidden])
-    update = stable_sigmoid(gates_i[:, hidden : 2 * hidden] + gates_h[:, hidden : 2 * hidden])
+    gates = stable_sigmoid(gates_i[:, : 2 * hidden] + gates_h[:, : 2 * hidden])
+    reset, update = gates[:, :hidden], gates[:, hidden:]
     candidate = np.tanh(gates_i[:, 2 * hidden :] + reset * gates_h[:, 2 * hidden :])
     return (1.0 - update) * candidate + update * h_prev
 
@@ -144,26 +172,3 @@ def elman_step(
 ) -> np.ndarray:
     """One batched, batch-size-invariant tanh (Elman) step."""
     return np.tanh(row_stable_linear(x, weight_ih, bias) + row_stable_linear(h_prev, weight_hh))
-
-
-def cell_step(cell, x: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Dispatch one batched inference step for any registered recurrent cell.
-
-    ``cell`` is a :class:`~repro.nn.rnn.RecurrentCell` instance; the kernels
-    read its parameter arrays directly.
-    """
-    from .rnn import ElmanCell, GRUCell, LSTMCell
-
-    x = np.asarray(x, dtype=np.float64)
-    state = np.asarray(state, dtype=np.float64)
-    if isinstance(cell, GRUCell):
-        return gru_step(
-            x, state, cell.weight_ih.data, cell.weight_hh.data, cell.bias_ih.data, cell.bias_hh.data
-        )
-    if isinstance(cell, LSTMCell):
-        return lstm_step(
-            x, state, cell.weight_ih.data, cell.weight_hh.data, cell.bias_ih.data, cell.bias_hh.data
-        )
-    if isinstance(cell, ElmanCell):
-        return elman_step(x, state, cell.weight_ih.data, cell.weight_hh.data, cell.bias.data)
-    raise TypeError(f"no inference kernel for cell type {type(cell).__name__}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
+from .inference import elman_step, gru_step, lstm_step, stable_sigmoid
 from .modules import Module, Parameter
 from .tensor import Tensor, as_tensor
 
@@ -51,14 +52,14 @@ class RecurrentCell(Module):
     def forward(self, inputs: Tensor, state: Tensor) -> Tensor:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+        """One batched eval-time step over plain ``[B, ·]`` float64 stacks.
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+        Each cell hands its own parameter arrays to its batch-size-invariant
+        kernel in :mod:`repro.nn.inference` (same arithmetic as ``forward``,
+        no autograd) — what the serving layer's session-end update runs.
+        """
+        raise NotImplementedError
 
 
 def fused_gru_step(
@@ -86,8 +87,8 @@ def fused_gru_step(
     h_prev = state.data
     gates_i = x @ weight_ih.data.T + bias_ih.data
     gates_h = h_prev @ weight_hh.data.T + bias_hh.data
-    reset = _stable_sigmoid(gates_i[:, :hidden] + gates_h[:, :hidden])
-    update = _stable_sigmoid(gates_i[:, hidden : 2 * hidden] + gates_h[:, hidden : 2 * hidden])
+    gates = stable_sigmoid(gates_i[:, : 2 * hidden] + gates_h[:, : 2 * hidden])
+    reset, update = gates[:, :hidden], gates[:, hidden:]
     gh_candidate = gates_h[:, 2 * hidden :]
     candidate = np.tanh(gates_i[:, 2 * hidden :] + reset * gh_candidate)
     out_data = (1.0 - update) * candidate + update * h_prev
@@ -153,6 +154,11 @@ class GRUCell(RecurrentCell):
     def forward(self, inputs: Tensor, state: Tensor) -> Tensor:
         return fused_gru_step(inputs, state, self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh)
 
+    def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:
+        return gru_step(
+            inputs, state, self.weight_ih.data, self.weight_hh.data, self.bias_ih.data, self.bias_hh.data
+        )
+
     def forward_composed(self, inputs: Tensor, state: Tensor) -> Tensor:
         """Reference implementation built from primitive autograd ops."""
         inputs = as_tensor(inputs)
@@ -206,6 +212,11 @@ class LSTMCell(RecurrentCell):
         h_new = o_gate * c_new.tanh()
         return F.concat([h_new, c_new], axis=1)
 
+    def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:
+        return lstm_step(
+            inputs, state, self.weight_ih.data, self.weight_hh.data, self.bias_ih.data, self.bias_hh.data
+        )
+
     def hidden_part(self, state: Tensor) -> Tensor:
         """Extract the ``h`` half of the packed state (fed to the predictor)."""
         return self.hidden_slice(state)
@@ -232,6 +243,9 @@ class ElmanCell(RecurrentCell):
         inputs = as_tensor(inputs)
         state = as_tensor(state)
         return (F.linear(inputs, self.weight_ih, self.bias) + F.linear(state, self.weight_hh)).tanh()
+
+    def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:
+        return elman_step(inputs, state, self.weight_ih.data, self.weight_hh.data, self.bias.data)
 
 
 _CELL_REGISTRY = {

@@ -43,7 +43,6 @@ from collections import deque
 
 import numpy as np
 
-from ..features.bucketing import log_bucket
 from .quantization import dequantize_state
 from .telemetry import NULL_REGISTRY, MetricsRegistry
 from .tracing import NULL_TRACER, Tracer
@@ -363,7 +362,6 @@ class PredictivePolicy:
                 stored = dequantize_state(stored, record["scale"])
             states[row] = stored
             timestamps[row] = record["timestamp"]
-        config = network.config
         # No per-user "current context" exists at forecast time, so score
         # with a schema-complete neutral row (all fields zero).  Any fixed
         # choice cancels out: the forecast only uses the ratio of the two
@@ -373,15 +371,11 @@ class PredictivePolicy:
         ]
         totals = []
         for reference in (at, at + self.horizon):
-            gaps = np.maximum(reference - timestamps, 0.0)
-            gap_buckets = np.asarray(log_bucket(gaps, n_buckets=config.n_delta_buckets)).reshape(-1)
-            if config.predict_uses_context:
-                features = backend.builder.encode_context_rows(
-                    neutral, np.full(len(keys), int(reference), dtype=np.int64)
-                )
-            else:
-                features = None
-            inputs = network.build_predict_inputs(features, gap_buckets)
+            inputs = backend.predict_inputs(
+                neutral,
+                np.full(len(keys), int(reference), dtype=np.int64),
+                np.maximum(reference - timestamps, 0.0),
+            )
             totals.append(float(network.predict_proba_batch(states, inputs).sum()))
         return totals[0], totals[1]
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -328,6 +329,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         self._init_session_delivery(
             stream, coalesce_updates, registry=registry, server=server, tracer=tracer
         )
+        self._context_fields = tuple(builder.schema.names())
         self.predictions_served = 0
         self.updates_applied = 0
 
@@ -364,7 +366,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     # ------------------------------------------------------------------
     def _fetch_states(
         self, user_ids: list[int], timestamps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Load one wave of states: ``(float64 states, elapsed seconds, bytes)``.
 
         ``elapsed`` is ``max(timestamp - last update, 0)`` per row (0 for
@@ -383,18 +385,16 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
                 np.maximum((timestamps - last_timestamps).astype(np.float64), 0.0),
                 0.0,
             )
-            fetched = np.where(present, self._payload_bytes, 0).astype(np.int64)
-            return states, elapsed, fetched
+            return states, elapsed, np.where(present, self._payload_bytes, 0).tolist()
         states = np.empty((len(user_ids), self.network.state_size))
-        elapsed = np.zeros(len(user_ids))
-        fetched = np.zeros(len(user_ids), dtype=np.int64)
-        for row, user_id in enumerate(user_ids):
+        elapsed: list[float] = []
+        fetched: list[int] = []
+        for row, (user_id, timestamp) in enumerate(zip(user_ids, timestamps.tolist())):
             state, last_timestamp, size = self._load_state(user_id)
             states[row] = state
-            fetched[row] = size
-            if last_timestamp is not None:
-                elapsed[row] = max(float(int(timestamps[row]) - last_timestamp), 0.0)
-        return states, elapsed, fetched
+            fetched.append(size)
+            elapsed.append(0.0 if last_timestamp is None else max(float(timestamp - last_timestamp), 0.0))
+        return states, np.asarray(elapsed), fetched
 
     def _store_states(self, user_ids: list[int], states: np.ndarray, timestamps: np.ndarray) -> None:
         """Save one wave of updated states (one scatter under the arena)."""
@@ -402,8 +402,8 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             keys = [self._state_key(user_id) for user_id in user_ids]
             self.store.scatter_states(keys, states, timestamps)
             return
-        for row, user_id in enumerate(user_ids):
-            self._save_state(user_id, states[row], int(timestamps[row]))
+        for user_id, state, timestamp in zip(user_ids, states, timestamps.tolist()):
+            self._save_state(user_id, state, timestamp)
 
     @property
     def _payload_bytes(self) -> int:
@@ -412,35 +412,75 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         return self.network.state_size * itemsize + 8
 
     # ------------------------------------------------------------------
+    # Input validation (the engine's door check)
+    # ------------------------------------------------------------------
+    def check_context(
+        self, user_id: int, context: dict[str, float] | None, *, predicting: bool = False
+    ) -> None:
+        """Refuse a context the GRU could not digest, before it goes anywhere.
+
+        A NaN (or infinite) value would be published, joined into a wave and
+        written into the user's stored hidden state for good — every later
+        prediction for them ``nan``; a missing field would raise a bare
+        ``KeyError`` at flush time and take the whole batch with it.  The
+        engine calls this on every ``observe_session`` and (``predicting``)
+        ``submit`` before anything is published or queued; a prediction's
+        context only matters when the network reads it.
+        """
+        if predicting and not self.network.config.predict_uses_context:
+            return
+        for name in self._context_fields:
+            try:
+                finite = isfinite(context[name])
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"user {user_id}: context field {name!r} is missing or not a number"
+                ) from None
+            if not finite:
+                raise ValueError(
+                    f"user {user_id}: context field {name!r} is not finite ({context[name]!r})"
+                )
+
+    # ------------------------------------------------------------------
     # Prediction hot path
     # ------------------------------------------------------------------
+    def predict_inputs(self, contexts: list, timestamps: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """``RNN_predict`` input rows from raw request data.
+
+        Bucket the gaps since each user's last update, encode the contexts
+        (when the network reads them at prediction time) and assemble — the
+        one spelling of that sequence, shared with the predictive
+        autoscaler's forecast.
+        """
+        config = self.network.config
+        gap_buckets = log_bucket(gaps, n_buckets=config.n_delta_buckets)
+        if config.predict_uses_context:
+            features = self.builder.encode_context_rows(contexts, timestamps)
+        else:
+            features = None
+        return self.network.build_predict_inputs(features, gap_buckets)
+
     def predict_batch(self, requests: list[ServingRequest]) -> list[ServingPrediction]:
         if not requests:
             return []
-        config = self.network.config
         timestamps = np.asarray([request.timestamp for request in requests], dtype=np.int64)
         states, gaps, fetched = self._fetch_states(
             [request.user_id for request in requests], timestamps
         )
-        gap_buckets = np.asarray(log_bucket(gaps, n_buckets=config.n_delta_buckets)).reshape(-1)
-        if config.predict_uses_context:
-            features = self.builder.encode_context_rows(
-                [request.context or {} for request in requests], timestamps
-            )
-        else:
-            features = None
-        inputs = self.network.build_predict_inputs(features, gap_buckets)
-        probabilities = self.network.predict_proba_batch(states, inputs)
+        inputs = self.predict_inputs(
+            [request.context or {} for request in requests], timestamps, gaps
+        )
+        probabilities = self.network.predict_proba_batch(states, inputs).tolist()
         self.predictions_served += len(requests)
         return [
             ServingPrediction(
                 user_id=request.user_id,
                 timestamp=request.timestamp,
-                probability=float(probabilities[row]),
+                probability=probability,
                 kv_lookups=1,
-                bytes_fetched=int(fetched[row]),
+                bytes_fetched=size,
             )
-            for row, request in enumerate(requests)
+            for request, probability, size in zip(requests, probabilities, fetched)
         ]
 
     # ------------------------------------------------------------------
@@ -458,43 +498,48 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         ``RNN_update`` step.  Context encoding depends only on the update
         itself (not on stored state), so it runs once over the whole batch
         and the per-wave step slices its rows — the row values are exact, so
-        this changes nothing observable.
+        this changes nothing observable.  A batch whose users are already
+        distinct (the common case) is its own single wave and is stepped
+        as it stands, without the row copies.
         """
         if not updates:
             return
+        user_ids = [update.user_id for update in updates]
         timestamps = np.asarray([update.timestamp for update in updates], dtype=np.int64)
         features = self.builder.encode_context_rows(
             [update.context for update in updates], timestamps
         )
         accesses = np.asarray([float(update.accessed) for update in updates])
-        pending = list(range(len(updates)))
-        while pending:
-            wave: list[int] = []
-            held: list[int] = []
-            seen: set[int] = set()
-            for index in pending:
-                if updates[index].user_id in seen:
-                    held.append(index)
-                else:
-                    seen.add(updates[index].user_id)
-                    wave.append(index)
-            self._apply_distinct_users(
-                [updates[index] for index in wave], features[wave], accesses[wave]
-            )
-            pending = held
+        if len(set(user_ids)) == len(user_ids):
+            self._apply_distinct_users(user_ids, timestamps, features, accesses)
+        else:
+            pending = list(range(len(updates)))
+            while pending:
+                wave: list[int] = []
+                held: list[int] = []
+                seen: set[int] = set()
+                for index in pending:
+                    if user_ids[index] in seen:
+                        held.append(index)
+                    else:
+                        seen.add(user_ids[index])
+                        wave.append(index)
+                self._apply_distinct_users(
+                    [user_ids[index] for index in wave], timestamps[wave], features[wave], accesses[wave]
+                )
+                pending = held
         for listener in self.wave_listeners:
             listener(updates)
 
-    def _apply_distinct_users(self, wave: list[SessionUpdate], features: np.ndarray, accesses: np.ndarray) -> None:
-        config = self.network.config
-        user_ids = [update.user_id for update in wave]
-        timestamps = np.asarray([update.timestamp for update in wave], dtype=np.int64)
+    def _apply_distinct_users(
+        self, user_ids: list[int], timestamps: np.ndarray, features: np.ndarray, accesses: np.ndarray
+    ) -> None:
         states, deltas, _ = self._fetch_states(user_ids, timestamps)
-        delta_buckets = np.asarray(log_bucket(deltas, n_buckets=config.n_delta_buckets)).reshape(-1)
+        delta_buckets = log_bucket(deltas, n_buckets=self.network.config.n_delta_buckets)
         update_inputs = self.network.build_update_inputs(features, accesses, delta_buckets)
         new_states = self.network.update_hidden_batch(states, update_inputs)
         self._store_states(user_ids, new_states, timestamps)
-        self.updates_applied += len(wave)
+        self.updates_applied += len(user_ids)
 
     # ------------------------------------------------------------------
     @property

@@ -583,6 +583,13 @@ class ServingEngine:
         self.autoscaler = autoscaler
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._closed = False
+        # Hostile contexts are refused at the door, before anything is queued
+        # or published.  Only the hidden-state dataflow checks: a NaN there
+        # ends up in the user's stored state for good.
+        control = rollout.control if rollout is not None else backend
+        self._check_context = (
+            control.check_context if isinstance(control, BatchedHiddenStateBackend) else None
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -850,11 +857,15 @@ class ServingEngine:
     def submit(self, user_id: int, context: dict[str, float] | None, timestamp: int) -> list[ServingPrediction]:
         """Queue one request; see :meth:`MicroBatchQueue.submit`."""
         self._ensure_open("submit")
+        if self._check_context is not None:
+            self._check_context(user_id, context, predicting=True)
         return self.queue.submit(user_id, context, timestamp)
 
     def predict(self, user_id: int, context: dict[str, float] | None, timestamp: int) -> ServingPrediction:
         """Single-request convenience: queue, flush, return this result."""
         self._ensure_open("predict")
+        if self._check_context is not None:
+            self._check_context(user_id, context, predicting=True)
         return self.queue.predict(user_id, context, timestamp)
 
     def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
@@ -865,6 +876,8 @@ class ServingEngine:
         updates rely on the stream barrier the queue registers instead.
         """
         self._ensure_open("observe_session")
+        if self._check_context is not None:
+            self._check_context(user_id, context)
         if not self.config.deferred_updates:
             self.queue.barrier_for_user(user_id, deliver=False)
         self.backend.observe_session(user_id, context, timestamp, accessed)

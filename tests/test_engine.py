@@ -602,3 +602,121 @@ class TestSessionStreamMixin:
         assert [len(wave) for wave in recorder.waves] == [2]
         assert [update.accessed for update in recorder.waves[0]] == [False, True]
         assert [update.context["badge"] for update in recorder.waves[0]] == [1.0, 9.0]
+
+
+class TestHostileContexts:
+    """A context the GRU cannot digest is refused at the door.
+
+    Before this pin a NaN context went through ``observe_session``, rode its
+    wave into the GRU and left an all-NaN hidden state in the store — every
+    later prediction for that user ``nan``, for good — and ``submit(u, None,
+    t)`` died at flush time with a bare ``KeyError`` that took the whole
+    batch with it.  Both are now a ``ValueError`` naming the user and the
+    field, raised before anything is published or queued: a twin engine that
+    never saw the bad call stays bit-equal in every observable.
+    """
+
+    BAD_CONTEXTS = {
+        "nan": ({"unread_count": float("nan"), "active_tab": 2}, "unread_count"),
+        "inf": ({"unread_count": 1.0, "active_tab": float("inf")}, "active_tab"),
+        "numpy-nan": ({"unread_count": np.float64("nan"), "active_tab": np.int64(2)}, "unread_count"),
+        "missing-field": ({"active_tab": 2}, "unread_count"),
+        "not-a-number": ({"unread_count": "many", "active_tab": 2}, "unread_count"),
+        "none": (None, "unread_count"),
+    }
+
+    @staticmethod
+    def _engine(trained, batch_size=4):
+        dataset, rnn, _, _ = trained
+        return ServingEngine.build(
+            EngineConfig(backend="hidden_state", max_batch_size=batch_size, session_length=dataset.session_length),
+            network=rnn.network,
+            builder=rnn.builder,
+        )
+
+    @staticmethod
+    def _observables(engine, user_id):
+        record = engine.store.peek(f"hidden:{user_id}")
+        return {
+            "record": None if record is None else (record["state"].tobytes(), record["timestamp"]),
+            "stats": engine.store.stats.snapshot(),
+            "submitted": engine.queue.requests_submitted,
+            "pending": engine.pending,
+            "published": engine.stream.events_published,
+            "clock": engine.stream.clock,
+            "next_timer_at": engine.stream.next_timer_at,
+        }
+
+    @staticmethod
+    def _stored(engine):
+        records = {key: engine.store.peek(key) for key in engine.store.keys()}
+        return {key: (record["state"].tobytes(), record["timestamp"]) for key, record in records.items()}
+
+    @staticmethod
+    def _finish(engine, events):
+        delivered = engine.serve(events) + engine.flush()
+        engine.stream.flush()
+        return delivered + engine.drain_completed()
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CONTEXTS))
+    def test_bad_observe_session_publishes_nothing(self, trained, kind):
+        context, field = self.BAD_CONTEXTS[kind]
+        events = trained[3][:60]
+        warm, rest = events[:30], events[30:]
+        victim = warm[-1][1]
+        engine, twin = self._engine(trained), self._engine(trained)
+        delivered, twin_delivered = engine.serve(warm), twin.serve(warm)
+        before = self._observables(engine, victim)
+        with pytest.raises(ValueError, match=rf"user {victim}\b.*{field}"):
+            engine.observe_session(victim, context, warm[-1][0], True)
+        assert self._observables(engine, victim) == before == self._observables(twin, victim)
+        # … and the next valid requests score as if the bad call never happened.
+        delivered += self._finish(engine, rest)
+        twin_delivered += self._finish(twin, rest)
+        assert len(delivered) == len(events) and delivered == twin_delivered
+        assert all(np.isfinite(prediction.probability) for prediction in delivered)
+        assert self._stored(engine) == self._stored(twin)
+        assert engine.store.stats.snapshot() == twin.store.stats.snapshot()
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CONTEXTS))
+    def test_bad_submit_enqueues_nothing_and_fires_no_timer(self, trained, kind):
+        context, field = self.BAD_CONTEXTS[kind]
+        events = trained[3][:40]
+        engine, twin = self._engine(trained), self._engine(trained)
+        delivered, twin_delivered = engine.serve(events), twin.serve(events)
+        # Stamped past every pending session-end timer: an unvalidated submit
+        # would flush the queue and fire them all before failing.
+        victim, late = events[0][1], engine.stream.next_timer_at + 10 * trained[0].session_length
+        before = self._observables(engine, victim)
+        assert before["next_timer_at"] is not None and before["pending"] > 0
+        with pytest.raises(ValueError, match=rf"user {victim}\b.*{field}"):
+            engine.submit(victim, context, late)
+        with pytest.raises(ValueError, match=rf"user {victim}\b.*{field}"):
+            engine.predict(victim, context, late)
+        assert self._observables(engine, victim) == before == self._observables(twin, victim)
+        valid = events[0][2]
+        delivered += engine.submit(victim, valid, late) + engine.flush()
+        twin_delivered += twin.submit(victim, valid, late) + twin.flush()
+        assert delivered == twin_delivered
+        assert self._stored(engine) == self._stored(twin)
+
+    def test_a_network_that_reads_no_context_takes_contextless_requests(self, trained):
+        """The timeshifted head scores from the gap alone (Equation 3), so a
+        prediction's context is not looked at — a session's still is."""
+        from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
+
+        dataset, rnn, _, _ = trained
+        network = RNNPrecomputeNetwork(
+            RNNNetworkConfig(feature_dim=rnn.builder.feature_dim, hidden_size=6, mlp_hidden=6, predict_uses_context=False),
+            rng=np.random.default_rng(0),
+        )
+        engine = ServingEngine.build(
+            EngineConfig(backend="hidden_state", max_batch_size=1, session_length=dataset.session_length),
+            network=network,
+            builder=rnn.builder,
+        )
+        (prediction,) = engine.submit(3, None, 1_000)
+        assert 0.0 < prediction.probability < 1.0
+        with pytest.raises(ValueError, match=r"user 3\b.*unread_count"):
+            engine.observe_session(3, {"unread_count": float("nan"), "active_tab": 1}, 1_000, False)
+        assert engine.stream.events_published == 0

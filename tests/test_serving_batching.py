@@ -24,6 +24,8 @@ from repro.serving import (
     KeyValueStore,
     MicroBatchQueue,
     ServingEngine,
+    ServingRequest,
+    SessionUpdate,
     StreamProcessor,
     dequantize_state,
 )
@@ -281,7 +283,7 @@ class TestAllCellTypes:
             expected_proba = network.predict_proba(nn.Tensor(states), nn.Tensor(predict_inputs)).numpy().reshape(-1)
         # The prediction kernels share the autograd path's BLAS contraction:
         # bit-identical at the same shape.  The update kernels trade that for
-        # batch-size invariance (row-stable einsum), so they agree with the
+        # batch-size invariance (row-stable matmul), so they agree with the
         # autograd forward to float ulps, not bits.
         np.testing.assert_allclose(
             network.update_hidden_batch(states, update_inputs), expected_update, rtol=0, atol=1e-12
@@ -328,6 +330,85 @@ class TestAllCellTypes:
             )
         np.testing.assert_allclose(results[1][0], results[16][0], rtol=0, atol=1e-10)
         assert results[1][1] == results[16][1]
+
+
+class TestNothingACallerHoldsIsAliased:
+    """Back-to-back backend calls hand out and record independent objects.
+
+    The hot path allocates per call on purpose: nothing a caller still holds
+    — a returned prediction list, the update list a ``wave_listeners``
+    observer was handed, a stored state array read back from the store — may
+    be a view of something the next call rewrites.  This is the pin that
+    stops a later optimisation from slipping in a per-backend scratch buffer
+    silently (a twin backend that runs only the second call is the oracle).
+    """
+
+    @staticmethod
+    def _backend(trained, state_layout):
+        dataset, rnn, _, _ = trained
+        engine = ServingEngine.build(
+            EngineConfig(
+                backend="hidden_state",
+                max_batch_size=64,
+                session_length=dataset.session_length,
+                state_layout=state_layout,
+            ),
+            network=rnn.network,
+            builder=rnn.builder,
+        )
+        return engine.backend
+
+    @staticmethod
+    def _updates(events, offset=0):
+        return [
+            SessionUpdate(user_id=user_id, timestamp=timestamp + offset, context=context, accessed=accessed)
+            for timestamp, user_id, context, accessed in events
+        ]
+
+    @pytest.mark.parametrize("state_layout", ["entries", "arena"])
+    def test_consecutive_predict_batches_are_independent(self, trained, state_layout):
+        events = trained[3]
+        backend, twin = self._backend(trained, state_layout), self._backend(trained, state_layout)
+        for each in (backend, twin):
+            each.apply_wave(self._updates(events[:24]))
+        first_batch = [ServingRequest(u, context, t + 5_000) for t, u, context, _ in events[:8]]
+        second_batch = [ServingRequest(u, context, t + 9_000) for t, u, context, _ in events[8:24]]
+        first = backend.predict_batch(first_batch)
+        kept = list(first)
+        second = backend.predict_batch(second_batch)
+        assert first is not second and first == kept  # the second call left the first's results alone
+        first.clear()  # … and the caller doing what it likes with them leaves the second's alone
+        assert second == twin.predict_batch(second_batch)
+        assert backend.predict_batch(first_batch) == kept
+
+    @pytest.mark.parametrize("state_layout", ["entries", "arena"])
+    def test_consecutive_waves_record_independent_results(self, trained, state_layout):
+        events = trained[3]
+        first_wave, second_wave = self._updates(events[:16]), self._updates(events[16:40], offset=7_200)
+        backend, twin = self._backend(trained, state_layout), self._backend(trained, state_layout)
+        observed: list[list[SessionUpdate]] = []
+        backend.wave_listeners.append(observed.append)
+        backend.apply_wave(first_wave)
+        twin.apply_wave(list(first_wave))
+        held = {
+            key: backend.store.peek(key)["state"]
+            for key in backend.store.keys()
+            if key not in {f"hidden:{update.user_id}" for update in second_wave}
+        }
+        snapshot = {key: np.array(state) for key, state in held.items()}
+        assert held and observed == [first_wave]
+        observed[0].clear()  # the observer was handed the caller's list: it may consume it
+        backend.apply_wave(second_wave)
+        twin.apply_wave(list(second_wave))
+        assert observed[1] == second_wave and observed[1] is not observed[0]
+        # Users the second wave did not touch still read what the first wave
+        # recorded — through the very arrays held since then.
+        for key, state in held.items():
+            np.testing.assert_array_equal(state, snapshot[key])
+        assert sorted(backend.store.keys()) == sorted(twin.store.keys())
+        for key in twin.store.keys():
+            np.testing.assert_array_equal(backend.store.peek(key)["state"], twin.store.peek(key)["state"])
+            assert backend.store.peek(key)["timestamp"] == twin.store.peek(key)["timestamp"]
 
 
 class TestMicroBatchQueue:
