@@ -100,7 +100,7 @@ def _build_backend(layout: str, quantize: bool) -> BatchedHiddenStateBackend:
     )
     rng = np.random.default_rng(1)
     backend._store_states(
-        list(range(N_USERS)),
+        backend._state_keys(range(N_USERS)),
         rng.normal(size=(N_USERS, HIDDEN_SIZE)),
         np.full(N_USERS, 1_600_000_000, dtype=np.int64),
     )
@@ -117,8 +117,11 @@ def _time_waves(backend: BatchedHiddenStateBackend, batch: int, reps: int) -> fl
     try:
         start = time.perf_counter()
         for _ in range(reps):
-            backend._fetch_states(user_ids, timestamps)
-            backend._store_states(user_ids, states, timestamps)
+            # As ``_apply_distinct_users`` does: one key list per wave,
+            # shared by the gather and the scatter.
+            keys = backend._state_keys(user_ids)
+            backend._fetch_states(keys, timestamps)
+            backend._store_states(keys, states, timestamps)
         return (time.perf_counter() - start) / reps
     finally:
         gc.enable()

@@ -17,6 +17,7 @@ from .batching import (
     ServingRequest,
     SessionStreamMixin,
     SessionUpdate,
+    SessionWave,
 )
 
 # --- Model lifecycle: versioned registry, shadow/canary rollout -------
@@ -29,7 +30,7 @@ from .kvstore import KeyValueStore, KVStats
 from .router import RING_COUNTER_FIELDS, ConsistentHashRing, ShardedKeyValueStore
 
 # --- Stream processing: session joins, timer waves, barriers ----------
-from .stream import StreamEvent, StreamProcessor, TimerFiring, TimerGroup
+from .stream import StreamEvent, StreamProcessor, TimerGroup
 
 # --- Telemetry: the unified metrics plane -----------------------------
 from .telemetry import (
@@ -93,6 +94,7 @@ __all__ = [
     "ServingRequest",
     "ServingPrediction",
     "SessionUpdate",
+    "SessionWave",
     # model lifecycle
     "ModelRegistry",
     "ModelVersion",
@@ -110,7 +112,6 @@ __all__ = [
     # stream
     "StreamEvent",
     "StreamProcessor",
-    "TimerFiring",
     "TimerGroup",
     # telemetry
     "MetricsRegistry",

@@ -26,9 +26,11 @@ Three pieces:
 Both serving dataflows are batched symmetrically: predictions coalesce in
 the queue, and session-end updates arrive from the stream's wave-coalesced
 timer scheduler (:meth:`StreamProcessor.timer_group`) through each backend's
-``apply_wave`` — one ``[B, hidden]`` GRU step for the hidden path, one run
-of history writes for the aggregation path (:class:`SessionStreamMixin`
-carries the shared publish/join/deliver machinery).  Delivery of completed
+``apply_wave`` as one columnar :class:`SessionWave` — one ``[B, hidden]``
+GRU step for the hidden path, one run of history writes for the aggregation
+path (:class:`SessionStreamMixin` carries the shared record/deliver
+machinery: a closed session is one row from ``observe_session`` to the
+kernel).  Delivery of completed
 predictions follows a drained
 cursor: every prediction is handed out exactly once, in submission order,
 either as the return value of the call that completed it or — for flushes
@@ -57,7 +59,7 @@ from ..models.rnn import RNNPrecomputeNetwork
 from .arena import ArenaSpec
 from .quantization import dequantize_state, quantize_state
 from .slo import AdmissionController
-from .stream import StreamEvent, StreamProcessor, TimerFiring
+from .stream import StreamEvent, StreamProcessor
 from .telemetry import (
     LATENCY_BUCKETS_SECONDS,
     NULL_REGISTRY,
@@ -70,6 +72,7 @@ __all__ = [
     "ServingRequest",
     "ServingPrediction",
     "SessionUpdate",
+    "SessionWave",
     "SessionStreamMixin",
     "BatchedHiddenStateBackend",
     "BatchedAggregationBackend",
@@ -107,21 +110,67 @@ class SessionUpdate:
     accessed: bool
 
 
+class SessionWave:
+    """One wave of closed sessions as parallel columns: row ``i`` of every
+    column is one session, in delivery order.
+
+    This is what ``apply_wave`` consumes and what ``wave_listeners`` are
+    handed — the stream lane builds it straight from a timer wave's payload
+    rows, so no per-session object exists between ``observe_session`` and
+    the kernel.  Columns are sequences, never rewritten after construction.
+    """
+
+    __slots__ = ("user_ids", "timestamps", "contexts", "accessed")
+
+    def __init__(self, user_ids, timestamps, contexts, accessed) -> None:
+        self.user_ids = user_ids
+        self.timestamps = timestamps
+        self.contexts = contexts
+        self.accessed = accessed
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    @classmethod
+    def of(cls, updates: "SessionWave | list[SessionUpdate]") -> "SessionWave":
+        """``updates`` itself when it is a wave; a hand-built
+        ``list[SessionUpdate]`` (warm-ups, tests) converted once."""
+        if isinstance(updates, cls):
+            return updates
+        return cls(
+            [update.user_id for update in updates],
+            [update.timestamp for update in updates],
+            [update.context for update in updates],
+            [update.accessed for update in updates],
+        )
+
+
 class SessionStreamMixin:
     """Stream-delivered session-end updates, shared by both backends.
 
     This is the symmetric half of the :class:`~repro.serving.engine.Backend`
-    protocol: ``observe_session`` publishes the session's context and access
-    events under a sequence-numbered key and schedules the join at window
-    close; when the wave (or single timer) fires, the joined
-    :class:`SessionUpdate` batch reaches the backend through one entry point,
-    ``apply_wave``.  The session key carries a sequence number so two
-    sessions observed for the same (user, second) stay distinct: a bare
-    ``session:{user}:{timestamp}`` key would merge their events under one
-    buffer and leave the second timer an empty join.
+    protocol: ``observe_session`` hands the closed session to the stream and
+    schedules its update at window close; when the wave (or single timer)
+    fires, the sessions reach the backend through one entry point,
+    ``apply_wave``.
+
+    * **The lane** (``coalesce_updates``, the default).  A session is one
+      row ``(user_id, timestamp, context, accessed)`` registered as the
+      payload of a :class:`~repro.serving.stream.TimerGroup` timer — no
+      events, no key string, no per-key buffer.  Rows are appended to the
+      stream's run-length heap, never merged, so two sessions observed for
+      the same (user, second) stay distinct.  A wave arrives as columns and
+      goes to ``apply_wave`` as one :class:`SessionWave`.
+    * **The reference per-timer join** (``coalesce_updates=False``).  The
+      paper's literal dataflow: the context and access events are published
+      under a sequence-numbered key (a bare ``session:{user}:{timestamp}``
+      would merge duplicate sessions into one buffer and leave the second
+      timer an empty join) and a plain timer joins them into a
+      :class:`SessionUpdate`.  Bit-identical to the lane in every
+      observable; the equivalence suites pin the lane against it.
 
     Hosts must provide ``stream``-independent attributes ``session_length``
-    and ``extra_lag`` plus an ``apply_wave(list[SessionUpdate])`` method;
+    and ``extra_lag`` plus an ``apply_wave(wave)`` method;
     :meth:`_init_session_delivery` wires the timer group (or per-timer
     fallback) and the ``update_delay_seconds`` meter — the simulated seconds
     (a float end-to-end, matching the :class:`~repro.serving.engine.Backend`
@@ -155,10 +204,11 @@ class SessionStreamMixin:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.coalesce_updates = bool(coalesce_updates) and stream is not None
         self._timer_group = stream.timer_group(self._on_wave) if self.coalesce_updates else None
-        self._session_seq = itertools.count()
+        self._session_seq = itertools.count()  # per-timer join keys only
         self.update_delay_seconds = 0.0
         # Observers of applied waves (rollout shadow arms): each callable
-        # receives the exact update list after this backend has applied it.
+        # receives the very object this backend's apply_wave was handed,
+        # after it has been applied.
         self.wave_listeners: list = []
         self._m_delay = self.metrics.histogram("serving.update_delay_seconds", LATENCY_BUCKETS_SECONDS)
         self._m_update_latency = self.metrics.histogram(
@@ -169,41 +219,30 @@ class SessionStreamMixin:
         self.metrics.view("backend.predictions_served", "counter", lambda: self.predictions_served)
         self.metrics.view("backend.updates_applied", "counter", lambda: self.updates_applied)
 
-    def _meter_update_delays(self, delays: list[float]) -> None:
-        """Meter one delivery (a wave, or a single ungrouped timer).
-
-        The end-to-end latency histogram is only populated when a server
-        model is attached — without one it would duplicate the delay
-        histogram observation for observation, and this runs on the update
-        hot path (the admission controller falls back to the delay
-        histogram in that case, which carries the identical values).
-        """
-        self._m_delay.observe_many(delays)
-        if self.server is not None:
-            lag = self.server.backlog_seconds(self.stream.clock)
-            self._m_update_latency.observe_many([delay + lag for delay in delays])
-        self.update_delay_seconds += float(sum(delays))
-        self._m_wave_size.observe(len(delays))
-
     def _publish_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
-        key = f"session:{user_id}:{timestamp}:{next(self._session_seq)}"
-        self.stream.publish(
-            StreamEvent(topic="context", key=key, timestamp=timestamp, payload={"user_id": user_id, "context": context})
-        )
-        self.stream.publish(
-            StreamEvent(topic="access", key=key, timestamp=timestamp, payload={"accessed": bool(accessed)})
-        )
+        stream = self.stream
+        if timestamp < stream.clock:
+            # ``publish``'s own refusal, made before anything is recorded —
+            # the lane publishes nothing that would make it.
+            raise ValueError(f"event at {timestamp} is earlier than the stream clock {stream.clock}")
         fire_at = timestamp + self.session_length + self.extra_lag
         if self.tracer.enabled:
             self.tracer.session_published(user_id, timestamp, fire_at)
         if self._timer_group is not None:
-            self._timer_group.set_timer(fire_at, key, payload=(user_id, timestamp))
-        else:
-            self.stream.set_timer(
-                fire_at,
-                key,
-                lambda _key, events, u=user_id, t=timestamp, f=fire_at: self._on_timer(u, t, f, events),
-            )
+            self._timer_group.set_timer(fire_at, user_id, (user_id, timestamp, context, bool(accessed)))
+            return
+        key = f"session:{user_id}:{timestamp}:{next(self._session_seq)}"
+        stream.publish(
+            StreamEvent(topic="context", key=key, timestamp=timestamp, payload={"user_id": user_id, "context": context})
+        )
+        stream.publish(
+            StreamEvent(topic="access", key=key, timestamp=timestamp, payload={"accessed": bool(accessed)})
+        )
+        stream.set_timer(
+            fire_at,
+            key,
+            lambda _key, events, u=user_id, t=timestamp, f=fire_at: self._on_timer(u, t, f, events),
+        )
 
     @staticmethod
     def _session_update(user_id: int, timestamp: int, events: list[StreamEvent]) -> SessionUpdate:
@@ -218,31 +257,40 @@ class SessionStreamMixin:
         return SessionUpdate(user_id=user_id, timestamp=timestamp, context=context, accessed=accessed)
 
     def _on_timer(self, user_id: int, timestamp: int, fire_at: int, events: list[StreamEvent]) -> None:
-        # A coalescing window delays ungrouped timers too: the clock sits at
-        # the window's close when this runs, so meter the wait exactly as
-        # _on_wave does (0 under same-second delivery).
-        self._meter_update_delays([float(max(self.stream.clock - fire_at, 0))])
-        traced = self.tracer.enabled
-        if traced:
-            self.tracer.begin_wave([(user_id, timestamp, fire_at)], self.stream.clock)
-        self.apply_wave([self._session_update(user_id, timestamp, events)])
-        if traced:
-            self.tracer.end_wave()
+        """Plain-timer callback: the reference join, delivered as a wave of one."""
+        self._deliver([fire_at], SessionWave.of([self._session_update(user_id, timestamp, events)]))
 
-    def _on_wave(self, firings: list[TimerFiring]) -> None:
-        """Group callback: one stream wave of closed sessions, one batched apply.
+    def _on_wave(self, fire_ats: list[int], _keys: list, rows: list[tuple]) -> None:
+        """Group callback: one stream wave of session rows, one batched apply."""
+        self._deliver(fire_ats, SessionWave(*zip(*rows)))
 
-        At delivery the stream clock sits at the wave's last fire time, so
-        ``clock - fire_at`` is exactly how long each update waited for the
-        coalescing window to close.
+    def _deliver(self, fire_ats: list[int], wave: SessionWave) -> None:
+        """Meter, stamp and apply one delivery (a wave, or a single plain timer).
+
+        At delivery the stream clock sits at the wave's last fire time — a
+        coalescing window delays plain timers too — so ``clock - fire_at``
+        is exactly how long each update waited for the window to close (0
+        under same-second delivery).  The end-to-end latency histogram is
+        only populated when a server model is attached: without one it
+        would duplicate the delay histogram observation for observation on
+        the update hot path (the admission controller falls back to the
+        delay histogram in that case, which carries the identical values).
+        ``apply_wave`` is looked up on the instance: it is the backend's
+        public wave entry point, so whatever wraps it (a span recorder, a
+        test double) sees stream-fired waves too.
         """
-        self._meter_update_delays([float(self.stream.clock - firing.fire_at) for firing in firings])
+        clock = self.stream.clock
+        delays = [float(clock - fire_at) for fire_at in fire_ats]
+        self._m_delay.observe_many(delays)
+        if self.server is not None:
+            lag = self.server.backlog_seconds(clock)
+            self._m_update_latency.observe_many([delay + lag for delay in delays])
+        self.update_delay_seconds += float(sum(delays))
+        self._m_wave_size.observe(len(delays))
         traced = self.tracer.enabled
         if traced:
-            self.tracer.begin_wave(
-                [(*firing.payload, firing.fire_at) for firing in firings], self.stream.clock
-            )
-        self.apply_wave([self._session_update(*firing.payload, firing.events) for firing in firings])
+            self.tracer.begin_wave(zip(wave.user_ids, wave.timestamps, fire_ats), clock)
+        self.apply_wave(wave)
         if traced:
             self.tracer.end_wave()
 
@@ -336,12 +384,15 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     # ------------------------------------------------------------------
     # State records
     # ------------------------------------------------------------------
-    def _state_key(self, user_id: int) -> str:
-        return f"{self.STATE_PREFIX}{user_id}"
+    def _state_keys(self, user_ids) -> list[str]:
+        """Store keys for a wave's users — built once per wave and shared by
+        its gather and its scatter."""
+        prefix = self.STATE_PREFIX
+        return [f"{prefix}{user_id}" for user_id in user_ids]
 
-    def _load_state(self, user_id: int) -> tuple[np.ndarray, int | None, int]:
+    def _load_state(self, key: str) -> tuple[np.ndarray, int | None, int]:
         """Return (state vector, last update timestamp, bytes fetched)."""
-        record = self.store.get(self._state_key(user_id))
+        record = self.store.get(key)
         if record is None:
             return np.zeros(self.network.state_size), None, 0
         stored = record["state"]
@@ -350,7 +401,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             stored = dequantize_state(stored, record["scale"])
         return stored, record["timestamp"], size
 
-    def _save_state(self, user_id: int, state: np.ndarray, timestamp: int) -> None:
+    def _save_state(self, key: str, state: np.ndarray, timestamp: int) -> None:
         if self.quantize:
             quantized, scale = quantize_state(state)
             record = {"state": quantized, "timestamp": timestamp, "scale": scale}
@@ -359,13 +410,13 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             stored = state.astype(np.float32)
             record = {"state": stored, "timestamp": timestamp}
             size = int(stored.nbytes) + 8
-        self.store.put(self._state_key(user_id), record, size_bytes=size)
+        self.store.put(key, record, size_bytes=size)
 
     # ------------------------------------------------------------------
     # Wave state movement (the layout switch lives here)
     # ------------------------------------------------------------------
     def _fetch_states(
-        self, user_ids: list[int], timestamps: np.ndarray
+        self, keys: list[str], timestamps: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Load one wave of states: ``(float64 states, elapsed seconds, bytes)``.
 
@@ -378,7 +429,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         elapsed arithmetic is the same exact int64-difference-to-float path.
         """
         if self.state_layout == "arena":
-            keys = [self._state_key(user_id) for user_id in user_ids]
             states, last_timestamps, present = self.store.gather_states(keys)
             elapsed = np.where(
                 present,
@@ -386,24 +436,23 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
                 0.0,
             )
             return states, elapsed, np.where(present, self._payload_bytes, 0).tolist()
-        states = np.empty((len(user_ids), self.network.state_size))
+        states = np.empty((len(keys), self.network.state_size))
         elapsed: list[float] = []
         fetched: list[int] = []
-        for row, (user_id, timestamp) in enumerate(zip(user_ids, timestamps.tolist())):
-            state, last_timestamp, size = self._load_state(user_id)
+        for row, (key, timestamp) in enumerate(zip(keys, timestamps.tolist())):
+            state, last_timestamp, size = self._load_state(key)
             states[row] = state
             fetched.append(size)
             elapsed.append(0.0 if last_timestamp is None else max(float(timestamp - last_timestamp), 0.0))
         return states, np.asarray(elapsed), fetched
 
-    def _store_states(self, user_ids: list[int], states: np.ndarray, timestamps: np.ndarray) -> None:
+    def _store_states(self, keys: list[str], states: np.ndarray, timestamps: np.ndarray) -> None:
         """Save one wave of updated states (one scatter under the arena)."""
         if self.state_layout == "arena":
-            keys = [self._state_key(user_id) for user_id in user_ids]
             self.store.scatter_states(keys, states, timestamps)
             return
-        for user_id, state, timestamp in zip(user_ids, states, timestamps.tolist()):
-            self._save_state(user_id, state, timestamp)
+        for key, state, timestamp in zip(keys, states, timestamps.tolist()):
+            self._save_state(key, state, timestamp)
 
     @property
     def _payload_bytes(self) -> int:
@@ -419,12 +468,12 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     ) -> None:
         """Refuse a context the GRU could not digest, before it goes anywhere.
 
-        A NaN (or infinite) value would be published, joined into a wave and
+        A NaN (or infinite) value would be recorded, ride its wave and be
         written into the user's stored hidden state for good — every later
         prediction for them ``nan``; a missing field would raise a bare
         ``KeyError`` at flush time and take the whole batch with it.  The
         engine calls this on every ``observe_session`` and (``predicting``)
-        ``submit`` before anything is published or queued; a prediction's
+        ``submit`` before anything is recorded or queued; a prediction's
         context only matters when the network reads it.
         """
         if predicting and not self.network.config.predict_uses_context:
@@ -465,7 +514,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             return []
         timestamps = np.asarray([request.timestamp for request in requests], dtype=np.int64)
         states, gaps, fetched = self._fetch_states(
-            [request.user_id for request in requests], timestamps
+            self._state_keys([request.user_id for request in requests]), timestamps
         )
         inputs = self.predict_inputs(
             [request.context or {} for request in requests], timestamps, gaps
@@ -487,11 +536,11 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     # Session-end updates
     # ------------------------------------------------------------------
     def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
-        """Publish the session to the stream; the hidden update fires after the window closes."""
+        """Hand the closed session to the stream; the hidden update fires after the window closes."""
         self._publish_session(user_id, context, timestamp, accessed)
 
-    def apply_wave(self, updates: list[SessionUpdate]) -> None:
-        """Run the GRU update for a batch of closed sessions.
+    def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
+        """Run the GRU update for a wave of closed sessions.
 
         Updates to the *same* user are state-dependent, so the batch is
         processed in waves of distinct users; each wave is one vectorized
@@ -500,22 +549,23 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         and the per-wave step slices its rows — the row values are exact, so
         this changes nothing observable.  A batch whose users are already
         distinct (the common case) is its own single wave and is stepped
-        as it stands, without the row copies.
+        as it stands, without the row copies.  The timestamp and access
+        arrays come straight from the wave's columns; listeners are handed
+        the object this call was, untouched.
         """
         if not updates:
             return
-        user_ids = [update.user_id for update in updates]
-        timestamps = np.asarray([update.timestamp for update in updates], dtype=np.int64)
-        features = self.builder.encode_context_rows(
-            [update.context for update in updates], timestamps
-        )
-        accesses = np.asarray([float(update.accessed) for update in updates])
+        wave = SessionWave.of(updates)
+        user_ids = wave.user_ids
+        timestamps = np.asarray(wave.timestamps, dtype=np.int64)
+        features = self.builder.encode_context_rows(wave.contexts, timestamps)
+        accesses = np.asarray(wave.accessed, dtype=np.float64)
         if len(set(user_ids)) == len(user_ids):
             self._apply_distinct_users(user_ids, timestamps, features, accesses)
         else:
-            pending = list(range(len(updates)))
+            pending = list(range(len(user_ids)))
             while pending:
-                wave: list[int] = []
+                rows: list[int] = []
                 held: list[int] = []
                 seen: set[int] = set()
                 for index in pending:
@@ -523,23 +573,24 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
                         held.append(index)
                     else:
                         seen.add(user_ids[index])
-                        wave.append(index)
+                        rows.append(index)
                 self._apply_distinct_users(
-                    [user_ids[index] for index in wave], timestamps[wave], features[wave], accesses[wave]
+                    [user_ids[index] for index in rows], timestamps[rows], features[rows], accesses[rows]
                 )
                 pending = held
         for listener in self.wave_listeners:
             listener(updates)
 
     def _apply_distinct_users(
-        self, user_ids: list[int], timestamps: np.ndarray, features: np.ndarray, accesses: np.ndarray
+        self, user_ids, timestamps: np.ndarray, features: np.ndarray, accesses: np.ndarray
     ) -> None:
-        states, deltas, _ = self._fetch_states(user_ids, timestamps)
+        keys = self._state_keys(user_ids)
+        states, deltas, _ = self._fetch_states(keys, timestamps)
         delta_buckets = log_bucket(deltas, n_buckets=self.network.config.n_delta_buckets)
         update_inputs = self.network.build_update_inputs(features, accesses, delta_buckets)
         new_states = self.network.update_hidden_batch(states, update_inputs)
-        self._store_states(user_ids, new_states, timestamps)
-        self.updates_applied += len(user_ids)
+        self._store_states(keys, new_states, timestamps)
+        self.updates_applied += len(keys)
 
     # ------------------------------------------------------------------
     @property
@@ -562,8 +613,8 @@ class BatchedAggregationBackend(SessionStreamMixin):
       ``observe_session`` applies the history write right away; the serving
       layer must barrier queued predictions for that user first.
     * **Stream-delivered** (``stream`` given, ``session_length`` required) —
-      ``observe_session`` publishes to the stream exactly like the hidden
-      path and the write lands at window close, as part of a timer wave
+      ``observe_session`` hands the session to the stream exactly like the
+      hidden path and the write lands at window close, as part of a timer wave
       (``coalesce_updates=True``) or one timer at a time.  Either way each
       update still pays one history fetch and one write, so wave delivery is
       bit-identical to per-timer delivery in every observable.
@@ -672,11 +723,9 @@ class BatchedAggregationBackend(SessionStreamMixin):
         if self.stream is not None:
             self._publish_session(user_id, context, timestamp, accessed)
             return
-        self.apply_wave(
-            [SessionUpdate(user_id=user_id, timestamp=timestamp, context=context, accessed=accessed)]
-        )
+        self.apply_wave(SessionWave([user_id], [timestamp], [context], [accessed]))
 
-    def apply_wave(self, updates: list[SessionUpdate]) -> None:
+    def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
         """Apply a wave of session-end history writes in delivery order.
 
         Each update is one read-modify-write of its user's rolling history —
@@ -686,21 +735,25 @@ class BatchedAggregationBackend(SessionStreamMixin):
         Same-user updates inside a wave apply in order, so the stored history
         is identical to applying them one at a time.
         """
-        for update in updates:
-            record, _ = self._load_history(update.user_id)
-            record["timestamps"].append(int(update.timestamp))
-            record["accesses"].append(int(bool(update.accessed)))
-            for name in self.schema.names():
-                record["context"][name].append(update.context[name])
+        wave = SessionWave.of(updates)
+        names = self.schema.names()
+        for user_id, timestamp, context, accessed in zip(
+            wave.user_ids, wave.timestamps, wave.contexts, wave.accessed
+        ):
+            record, _ = self._load_history(user_id)
+            record["timestamps"].append(int(timestamp))
+            record["accesses"].append(int(bool(accessed)))
+            for name in names:
+                record["context"][name].append(context[name])
             # Evict events older than the longest aggregation window.
-            cutoff = update.timestamp - self.history_window
+            cutoff = timestamp - self.history_window
             while record["timestamps"] and record["timestamps"][0] < cutoff:
                 record["timestamps"].pop(0)
                 record["accesses"].pop(0)
-                for name in self.schema.names():
+                for name in names:
                     record["context"][name].pop(0)
-            self._save_history(update.user_id, record)
-        self.updates_applied += len(updates)
+            self._save_history(user_id, record)
+        self.updates_applied += len(wave)
         for listener in self.wave_listeners:
             listener(updates)
 

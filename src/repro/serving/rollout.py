@@ -43,7 +43,13 @@ from __future__ import annotations
 
 from typing import Any
 
-from .batching import BatchedHiddenStateBackend, ServingPrediction, ServingRequest, SessionUpdate
+from .batching import (
+    BatchedHiddenStateBackend,
+    ServingPrediction,
+    ServingRequest,
+    SessionUpdate,
+    SessionWave,
+)
 from .registry import ModelVersion
 from .router import _stable_hash
 from .tracing import NULL_TRACER
@@ -123,7 +129,7 @@ class RolloutBackend:
     def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
         self.controller.control.observe_session(user_id, context, timestamp, accessed)
 
-    def apply_wave(self, updates: list[SessionUpdate]) -> None:
+    def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
         self.controller.control.apply_wave(updates)
 
     @property
@@ -258,7 +264,8 @@ class RolloutController:
         token = f"{self.candidate_version}|{request.user_id}|{request.timestamp}"
         return _stable_hash(token) % 100 < self.stage_pct
 
-    def _on_control_wave(self, updates: list[SessionUpdate]) -> None:
+    def _on_control_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
+        # The wave the control arm applied, passed through as it came.
         if self.rolled_back:
             return
         self.shadow.apply_wave(updates)

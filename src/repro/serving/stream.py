@@ -7,16 +7,22 @@ can the ground-truth access flag be known and the hidden state updated.
 :class:`StreamProcessor` reproduces that dataflow in process: events are
 buffered by key, timers fire in timestamp order when the simulated clock
 advances, and a join callback receives the buffered events for the session.
+That per-timer join (``publish`` + ``set_timer``) is the paper's literal
+dataflow and the reference the wave path is pinned against.
 
 Timers are delivered in *waves*: every ``advance_to`` call groups the due
 timers that fall inside the same coalescing window (same fire second by
 default) and fires them together.  Timers registered through a
-:class:`TimerGroup` are handed to their group callback as one list of
-:class:`TimerFiring` records — this is how the serving engine receives a
-whole wave of session-end updates and applies them as a single ``[B,
-hidden]`` GRU step instead of one Python round-trip per session.  Plain
-``set_timer`` callbacks still fire one at a time; either way the order is
-deterministic: fire timestamp first, then registration order.
+:class:`TimerGroup` carry an opaque payload *row* instead of buffered
+events, and the heap stores them **run-length**: consecutive registrations
+of one group for one fire second share a single heap entry holding parallel
+``keys`` / ``payloads`` lists, so a burst of 64 sessions closing together is
+one push and one pop.  A wave hands the group callback **columns** —
+``callback(fire_ats, keys, payloads)``, three parallel lists — which is how
+the serving engine receives a whole wave of session-end updates and applies
+them as a single ``[B, hidden]`` GRU step without building an object per
+session.  Plain ``set_timer`` callbacks still fire one at a time; either way
+the order is deterministic: fire timestamp first, then registration order.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable
 
-__all__ = ["StreamEvent", "StreamProcessor", "TimerFiring", "TimerGroup"]
+__all__ = ["StreamEvent", "StreamProcessor", "TimerGroup"]
+
+_entry_group = itemgetter(4)
 
 
 @dataclass(frozen=True)
@@ -39,35 +48,27 @@ class StreamEvent:
     payload: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TimerFiring:
-    """One timer delivery inside a wave: the key's buffered events plus the
-    opaque payload the timer was registered with."""
-
-    fire_at: int
-    key: str
-    events: list[StreamEvent]
-    payload: Any = None
-
-
 class TimerGroup:
     """Handle for timers that are delivered wave-at-a-time to one callback.
 
     Obtained from :meth:`StreamProcessor.timer_group`.  All timers set through
-    the same group that land in the same wave are passed to ``callback`` as a
-    single ``list[TimerFiring]`` (in fire-timestamp-then-registration order),
-    so the receiver can process them as one batch.  Timers from *different*
-    groups — or plain ``set_timer`` callbacks — interleaved inside a wave
-    split the wave into runs, preserving the exact per-timer order.
+    the same group that land in the same wave reach ``callback(fire_ats,
+    keys, payloads)`` as three parallel lists (in fire-timestamp-then-
+    registration order), so the receiver can process them as one batch.
+    Timers from *different* groups — or plain ``set_timer`` callbacks —
+    interleaved inside a wave split the wave into runs, preserving the exact
+    per-timer order.  A group timer is its ``payload`` row: ``key`` is a
+    label handed back beside it, and no event buffer is drained (joining
+    buffered events stays the plain ``set_timer`` contract).
     """
 
-    def __init__(self, stream: "StreamProcessor", callback: Callable[[list[TimerFiring]], None]) -> None:
+    def __init__(self, stream: "StreamProcessor", callback: Callable[[list[int], list, list], None]) -> None:
         self._stream = stream
         self.callback = callback
 
-    def set_timer(self, fire_at: int, key: str, payload: Any = None) -> None:
+    def set_timer(self, fire_at: int, key: Any, payload: Any = None) -> None:
         """Schedule a wave-delivered timer for ``key`` at ``fire_at``."""
-        self._stream._push_timer(fire_at, key, None, self, payload)
+        self._stream._push_group_timer(self, fire_at, key, payload)
 
 
 class StreamProcessor:
@@ -85,10 +86,19 @@ class StreamProcessor:
             raise ValueError("coalescing_window must be non-negative")
         self.coalescing_window = coalescing_window
         self._buffers: dict[str, list[StreamEvent]] = {}
-        # Heap entries: (fire_at, seq, key, callback, group, payload) with
-        # callback/group mutually exclusive.  ``seq`` makes entries unique so
-        # callbacks are never compared, and pins registration order.
-        self._timers: list[tuple[int, int, str, Any, TimerGroup | None, Any]] = []
+        # Heap entries: (fire_at, seq, key, callback, None, None) for a plain
+        # or control timer; (fire_at, seq, keys, None, group, payloads) for a
+        # *run* of group timers, ``keys`` / ``payloads`` being parallel lists
+        # with one slot per timer.  ``seq`` numbers entries in registration
+        # order — a run is consecutive registrations, so it sorts exactly
+        # where its members would — and makes entries unique, so callbacks
+        # and lists are never compared.
+        self._timers: list[tuple[int, int, Any, Any, TimerGroup | None, Any]] = []
+        # The last-pushed entry while it is a run that may still grow: any
+        # other push closes it, and so does a wave's pop (a fired run is
+        # gone; a control timer popped alone is never a run).
+        self._open_run: tuple | None = None
+        self._timers_set = 0
         self._counter = itertools.count()
         self._control_seqs: set[int] = set()
         self._barriers: dict[int, Callable[[], None]] = {}
@@ -108,12 +118,29 @@ class StreamProcessor:
         self._buffers.setdefault(event.key, []).append(event)
         self.events_published += 1
 
-    def _push_timer(self, fire_at: int, key: str, callback, group, payload) -> int:
+    def _push_timer(self, fire_at: int, key: str, callback) -> int:
         if fire_at < self.clock:
             raise ValueError(f"timer at {fire_at} is earlier than the stream clock {self.clock}")
         seq = next(self._counter)
-        heapq.heappush(self._timers, (fire_at, seq, key, callback, group, payload))
+        heapq.heappush(self._timers, (fire_at, seq, key, callback, None, None))
+        self._open_run = None
+        self._timers_set += 1
         return seq
+
+    def _push_group_timer(self, group: TimerGroup, fire_at: int, key: Any, payload: Any) -> None:
+        """Register one group timer: a slot in the open run when it is the
+        same group and fire second (still pending, so not behind the clock),
+        a new one-slot run otherwise."""
+        run = self._open_run
+        if run is not None and run[0] == fire_at and run[4] is group:
+            run[2].append(key)
+            run[5].append(payload)
+        else:
+            if fire_at < self.clock:
+                raise ValueError(f"timer at {fire_at} is earlier than the stream clock {self.clock}")
+            self._open_run = run = (fire_at, next(self._counter), [key], None, group, [payload])
+            heapq.heappush(self._timers, run)
+        self._timers_set += 1
 
     def set_timer(self, fire_at: int, key: str, callback: Callable[[str, list[StreamEvent]], None]) -> None:
         """Schedule ``callback(key, buffered_events)`` at ``fire_at``.
@@ -121,7 +148,7 @@ class StreamProcessor:
         Plain timers fire one at a time even inside a wave; use
         :meth:`timer_group` when the receiver can consume a whole wave.
         """
-        self._push_timer(fire_at, key, callback, None, None)
+        self._push_timer(fire_at, key, callback)
 
     def set_control_timer(self, fire_at: int, key: str, callback: Callable[[str, list[StreamEvent]], None]) -> None:
         """Schedule a barrier-exempt *control-plane* timer.
@@ -141,9 +168,9 @@ class StreamProcessor:
         side, but behind the wave's barriers and at the wave's closing
         clock.  It never opens or widens a wave.
         """
-        self._control_seqs.add(self._push_timer(fire_at, key, callback, None, None))
+        self._control_seqs.add(self._push_timer(fire_at, key, callback))
 
-    def timer_group(self, callback: Callable[[list[TimerFiring]], None]) -> TimerGroup:
+    def timer_group(self, callback: Callable[[list[int], list, list], None]) -> TimerGroup:
         """Create a :class:`TimerGroup` whose timers are delivered wave-at-a-time."""
         return TimerGroup(self, callback)
 
@@ -175,21 +202,23 @@ class StreamProcessor:
     def advance_to(self, timestamp: int) -> int:
         """Advance the clock, firing every timer due at or before ``timestamp``.
 
-        Returns the number of timers fired.  Due timers are popped in
+        Returns the number of timers fired.  Due heap entries are popped in
         (fire timestamp, registration) order and grouped into waves; each
-        wave drains its keys' buffers, sets the clock to the wave's last fire
-        time, and delivers maximal same-group runs through the group callback
-        (single timers through their own callbacks, one at a time).
+        wave sets the clock to its last fire time and delivers maximal
+        same-group stretches — adjacent runs concatenated — through the
+        group callback as columns (plain and control timers through their
+        own callbacks, one at a time, each draining its key's buffer).
         """
         if timestamp < self.clock:
             raise ValueError("the stream clock cannot move backwards")
         fired = 0
-        while self._timers and self._timers[0][0] <= timestamp:
-            if self._timers[0][1] in self._control_seqs:
+        timers = self._timers
+        while timers and timers[0][0] <= timestamp:
+            if timers[0][1] in self._control_seqs:
                 # Control-plane timer: fire alone, barrier-exempt, and leave
                 # any data-plane timer due at the same instant for the next
                 # loop pass (where the barriers run before its wave forms).
-                fire_at, seq, key, callback, _, _ = heapq.heappop(self._timers)
+                fire_at, seq, key, callback, _, _ = heapq.heappop(timers)
                 self._control_seqs.discard(seq)
                 self.clock = fire_at
                 self.timers_fired += 1
@@ -198,50 +227,41 @@ class StreamProcessor:
                 continue
             for barrier in list(self._barriers.values()):
                 barrier()
-            if not (self._timers and self._timers[0][0] <= timestamp):
+            if not (timers and timers[0][0] <= timestamp):
                 break
-            deadline = min(timestamp, self._timers[0][0] + self.coalescing_window)
+            deadline = min(timestamp, timers[0][0] + self.coalescing_window)
             wave = []
-            while self._timers and self._timers[0][0] <= deadline:
-                wave.append(heapq.heappop(self._timers))
+            count = 0
+            while timers and timers[0][0] <= deadline:
+                entry = heapq.heappop(timers)
+                wave.append(entry)
+                count += 1 if entry[4] is None else len(entry[2])
+            self._open_run = None
             if self._control_seqs:
                 # Control timers that rode the wave are no longer pending;
                 # a leaked seq would keep next_timer_at scanning the heap.
                 self._control_seqs.difference_update(entry[1] for entry in wave)
             self.clock = wave[-1][0]
             self.waves_fired += 1
-            self.timers_fired += len(wave)
-            fired += len(wave)
-            for group, members in self._wave_runs(wave):
+            self.timers_fired += count
+            fired += count
+            # A stretch of adjacent runs of one group (several fire seconds
+            # inside the window) is one delivery, as fresh columns; a plain
+            # timer or another group's run in between ends the stretch, so
+            # coalescing never reorders deliveries.
+            for group, entries in itertools.groupby(wave, key=_entry_group):
                 if group is None:
-                    for fire_at, _, key, callback, _, _ in members:
+                    for _, _, key, callback, _, _ in entries:
                         callback(key, self._buffers.pop(key, []))
-                else:
-                    group.callback(
-                        [
-                            TimerFiring(fire_at, key, self._buffers.pop(key, []), payload)
-                            for fire_at, _, key, _, _, payload in members
-                        ]
-                    )
+                    continue
+                runs = list(entries)
+                group.callback(
+                    [run[0] for run in runs for _ in run[2]],
+                    [key for run in runs for key in run[2]],
+                    [payload for run in runs for payload in run[5]],
+                )
         self.clock = timestamp
         return fired
-
-    @staticmethod
-    def _wave_runs(wave):
-        """Split a wave into maximal consecutive runs sharing one group.
-
-        Runs preserve the total (fire_at, registration) order exactly: a
-        plain timer or a timer from another group sitting between two group
-        members closes the run, so coalescing never reorders deliveries.
-        """
-        runs: list[tuple[TimerGroup | None, list]] = []
-        for entry in wave:
-            group = entry[4]
-            if runs and runs[-1][0] is group and group is not None:
-                runs[-1][1].append(entry)
-            else:
-                runs.append((group, [entry]))
-        return runs
 
     def flush(self) -> int:
         """Fire all remaining timers regardless of the clock."""
@@ -253,7 +273,8 @@ class StreamProcessor:
     # ------------------------------------------------------------------
     @property
     def pending_timers(self) -> int:
-        return len(self._timers)
+        """Timers (not heap entries: a run counts every slot) yet to fire."""
+        return self._timers_set - self.timers_fired
 
     @property
     def next_timer_at(self) -> int | None:

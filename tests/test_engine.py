@@ -31,6 +31,7 @@ from repro.serving import (
     ServingEngine,
     SessionStreamMixin,
     SessionUpdate,
+    SessionWave,
     ShardedKeyValueStore,
     StreamProcessor,
 )
@@ -567,41 +568,70 @@ class TestAggregationWaveSymmetry:
             assert waved.store.get(key) == one_at_a_time.store.get(key)
 
 
+def wave_rows(wave):
+    """A columnar wave read back row by row."""
+    assert len(wave) == len(wave.user_ids) == len(wave.timestamps) == len(wave.contexts) == len(wave.accessed)
+    return list(zip(wave.user_ids, wave.timestamps, wave.contexts, wave.accessed))
+
+
 class TestSessionStreamMixin:
     class Recorder(SessionStreamMixin):
         def __init__(self, stream, *, session_length=100, extra_lag=0, coalesce=True):
             self.session_length = session_length
             self.extra_lag = extra_lag
             self._init_session_delivery(stream, coalesce)
-            self.waves: list[list[SessionUpdate]] = []
+            self.waves: list[SessionWave] = []
 
-        def apply_wave(self, updates):
-            self.waves.append(list(updates))
+        def apply_wave(self, wave):
+            assert isinstance(wave, SessionWave)  # the host gets columns, on either path
+            self.waves.append(wave)
 
     def test_wave_join_and_delay_metering(self):
-        stream = StreamProcessor(coalescing_window=10)
-        recorder = self.Recorder(stream)
-        recorder.observe = recorder._publish_session
-        recorder.observe(1, {"badge": 2.0}, 0, True)
-        recorder.observe(2, {"badge": 3.0}, 5, False)
-        stream.flush()
-        # One wave: the 105 timer falls inside the 100+10 window.  The first
-        # update waited 5 simulated seconds past its own fire time.
-        assert [len(wave) for wave in recorder.waves] == [2]
-        first, second = recorder.waves[0]
-        assert first == SessionUpdate(user_id=1, timestamp=0, context={"badge": 2.0}, accessed=True)
-        assert second == SessionUpdate(user_id=2, timestamp=5, context={"badge": 3.0}, accessed=False)
-        assert recorder.update_delay_seconds == 5
+        for coalesce in (True, False):
+            stream = StreamProcessor(coalescing_window=10)
+            recorder = self.Recorder(stream, coalesce=coalesce)
+            recorder.observe = recorder._publish_session
+            recorder.observe(1, {"badge": 2.0}, 0, True)
+            recorder.observe(2, {"badge": 3.0}, 5, False)
+            # The lane records rows, not events; the reference join publishes
+            # two events per session.  Either way two timers are pending.
+            assert stream.events_published == (0 if coalesce else 4)
+            assert stream.buffered_keys == (0 if coalesce else 2)
+            assert stream.pending_timers == 2
+            stream.flush()
+            # One stream wave: the 105 timer falls inside the 100+10 window.
+            # The first update waited 5 simulated seconds past its own fire
+            # time — on the lane as one delivery of two rows, per timer as
+            # two deliveries of one.
+            rows = [row for wave in recorder.waves for row in wave_rows(wave)]
+            assert [len(wave) for wave in recorder.waves] == ([2] if coalesce else [1, 1])
+            assert rows == [(1, 0, {"badge": 2.0}, True), (2, 5, {"badge": 3.0}, False)]
+            assert recorder.update_delay_seconds == 5 and stream.waves_fired == 1
 
     def test_duplicate_user_second_sessions_stay_distinct(self):
-        stream = StreamProcessor()
-        recorder = self.Recorder(stream)
-        recorder._publish_session(4, {"badge": 1.0}, 50, False)
-        recorder._publish_session(4, {"badge": 9.0}, 50, True)
-        stream.flush()
-        assert [len(wave) for wave in recorder.waves] == [2]
-        assert [update.accessed for update in recorder.waves[0]] == [False, True]
-        assert [update.context["badge"] for update in recorder.waves[0]] == [1.0, 9.0]
+        for coalesce in (True, False):
+            stream = StreamProcessor()
+            recorder = self.Recorder(stream, coalesce=coalesce)
+            recorder._publish_session(4, {"badge": 1.0}, 50, False)
+            recorder._publish_session(4, {"badge": 9.0}, 50, True)
+            recorder._publish_session(4, {"badge": 1.0}, 50, False)  # an exact repeat is a third row
+            stream.flush()
+            rows = [row for wave in recorder.waves for row in wave_rows(wave)]
+            assert [len(wave) for wave in recorder.waves] == ([3] if coalesce else [1, 1, 1])
+            assert [(accessed, context["badge"]) for _, _, context, accessed in rows] == [
+                (False, 1.0), (True, 9.0), (False, 1.0),
+            ]
+
+    def test_a_session_behind_the_clock_is_refused_before_anything_is_recorded(self):
+        for coalesce in (True, False):
+            stream = StreamProcessor()
+            recorder = self.Recorder(stream, coalesce=coalesce)
+            stream.advance_to(60)
+            with pytest.raises(ValueError, match="event at 59 is earlier than the stream clock 60"):
+                recorder._publish_session(4, {"badge": 1.0}, 59, True)
+            assert (stream.pending_timers, stream.events_published, stream.buffered_keys) == (0, 0, 0)
+            recorder._publish_session(4, {"badge": 1.0}, 60, True)  # at the clock is fine
+            assert stream.pending_timers == 1
 
 
 class TestHostileContexts:
@@ -642,7 +672,7 @@ class TestHostileContexts:
             "stats": engine.store.stats.snapshot(),
             "submitted": engine.queue.requests_submitted,
             "pending": engine.pending,
-            "published": engine.stream.events_published,
+            "pending_timers": engine.stream.pending_timers,
             "clock": engine.stream.clock,
             "next_timer_at": engine.stream.next_timer_at,
         }
@@ -719,4 +749,122 @@ class TestHostileContexts:
         assert 0.0 < prediction.probability < 1.0
         with pytest.raises(ValueError, match=r"user 3\b.*unread_count"):
             engine.observe_session(3, {"unread_count": float("nan"), "active_tab": 1}, 1_000, False)
-        assert engine.stream.events_published == 0
+        assert engine.stream.pending_timers == 0 and engine.stream.next_timer_at is None
+
+
+class TestHostileTimestamps:
+    """A timestamp that is not a finite number is refused at the door.
+
+    Before this pin ``observe_session(u, ctx, nan, a)`` was accepted — NaN
+    compares false with everything, so it passed the stream's monotone-clock
+    checks and left a NaN-keyed timer in the heap for good (``inf`` the same)
+    — and ``submit(u, ctx, nan)`` died at flush time with a bare ``cannot
+    convert float NaN to integer`` that took the whole micro-batch with it.
+    Every entry point of both dataflows now raises a ``ValueError`` (naming
+    the user where there is one) before anything is queued or recorded: a
+    twin engine that never saw the call stays equal in every observable.
+    """
+
+    BAD_TIMESTAMPS = {
+        "nan": float("nan"),
+        "inf": float("inf"),
+        "minus-inf": float("-inf"),
+        "numpy-nan": np.float64("nan"),
+        "none": None,
+        "string": "now",
+    }
+    DATAFLOWS = ("hidden_state", "aggregation-deferred", "aggregation-immediate")
+
+    @staticmethod
+    def _engine(trained, dataflow):
+        dataset, rnn, gbdt, _ = trained
+        if dataflow == "hidden_state":
+            return ServingEngine.build(
+                EngineConfig(backend="hidden_state", max_batch_size=4, session_length=dataset.session_length),
+                network=rnn.network,
+                builder=rnn.builder,
+            )
+        return ServingEngine.build(
+            EngineConfig(
+                backend="aggregation",
+                max_batch_size=4,
+                defer_updates=dataflow == "aggregation-deferred",
+                session_length=dataset.session_length,
+            ),
+            featurizer=gbdt.featurizer,
+            estimator=gbdt.estimator,
+            schema=dataset.schema,
+        )
+
+    @classmethod
+    def _frozen(cls, value):
+        if isinstance(value, dict):
+            return {key: cls._frozen(item) for key, item in value.items()}
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    @classmethod
+    def _observables(cls, engine):
+        stream = engine.stream
+        return {
+            "records": {key: cls._frozen(engine.store.peek(key)) for key in sorted(engine.store.keys())},
+            "stats": engine.store.stats.snapshot(),
+            "submitted": engine.queue.requests_submitted,
+            "pending": engine.pending,
+            "undelivered": engine.undelivered,
+            "served": engine.predictions_served,
+            "applied": engine.updates_applied,
+            "stream": None if stream is None else (
+                stream.clock, stream.pending_timers, stream.next_timer_at,
+                stream.events_published, stream.timers_fired,
+            ),
+        }
+
+    @staticmethod
+    def _finish(engine, events):
+        delivered = engine.serve(events) + engine.flush()
+        if engine.stream is not None:
+            engine.stream.flush()
+        return delivered + engine.drain_completed()
+
+    @pytest.mark.parametrize("dataflow", DATAFLOWS)
+    @pytest.mark.parametrize("kind", sorted(BAD_TIMESTAMPS))
+    def test_every_entry_point_refuses_it_and_nothing_moves(self, trained, dataflow, kind):
+        bad = self.BAD_TIMESTAMPS[kind]
+        events = trained[3][:60]
+        warm, rest = events[:30], events[30:]
+        victim, context = warm[-1][1], warm[-1][2]
+        engine, twin = self._engine(trained, dataflow), self._engine(trained, dataflow)
+        delivered, twin_delivered = engine.serve(warm), twin.serve(warm)
+        before = self._observables(engine)
+        for refused in (
+            lambda: engine.submit(victim, context, bad),
+            lambda: engine.predict(victim, context, bad),
+            lambda: engine.observe_session(victim, context, bad, True),
+        ):
+            with pytest.raises(ValueError, match=rf"user {victim}\b.*timestamp.*not a finite number"):
+                refused()
+        with pytest.raises(ValueError, match=r"^timestamp.*not a finite number"):
+            engine.advance_to(bad)
+        assert self._observables(engine) == before == self._observables(twin)
+        # … and the rest of the stream is served as if none of it happened.
+        delivered += self._finish(engine, rest)
+        twin_delivered += self._finish(twin, rest)
+        assert len(delivered) == len(events) and delivered == twin_delivered
+        assert self._observables(engine) == self._observables(twin)
+
+    @pytest.mark.parametrize("dataflow", ["hidden_state", "aggregation-deferred"])
+    def test_a_regressing_observe_session_is_refused_and_nothing_moves(self, trained, dataflow):
+        events = trained[3][:60]
+        warm, rest = events[:30], events[30:]
+        victim, context = warm[-1][1], warm[-1][2]
+        engine, twin = self._engine(trained, dataflow), self._engine(trained, dataflow)
+        delivered, twin_delivered = engine.serve(warm), twin.serve(warm)
+        before = self._observables(engine)
+        assert engine.stream.pending_timers > 0
+        with pytest.raises(ValueError, match="earlier than the stream clock"):
+            engine.observe_session(victim, context, engine.stream.clock - 1, True)
+        assert self._observables(engine) == before == self._observables(twin)
+        delivered += self._finish(engine, rest)
+        twin_delivered += self._finish(twin, rest)
+        assert len(delivered) == len(events) and delivered == twin_delivered
+        assert self._observables(engine) == self._observables(twin)

@@ -34,6 +34,7 @@ from repro.serving import (
     ModelRegistry,
     ModelVersion,
     ServingEngine,
+    SessionWave,
 )
 
 BATCH_SIZES = (1, 7, 64)
@@ -333,6 +334,37 @@ class TestPromotion:
             assert_record_equal(shadow[key], direct_records[key])
         arm.close()
         direct.close()
+
+
+class TestWavePassThrough:
+    def test_the_shadow_arm_is_handed_the_wave_the_control_arm_applied(self, trained, versions):
+        """A stream-fired wave is one columnar object from the control arm's
+        ``apply_wave`` through ``wave_listeners`` into the shadow arm's
+        ``apply_wave`` — passed on, never rebuilt row by row."""
+        _, _, events = trained
+        arm = build_engine(
+            trained,
+            versions,
+            batch_size=7,
+            model="control",
+            rollout={"candidate": "candidate", "stages": ((events[-1][0] + 10**6, 5),), "gates": {}},
+        )
+        control, shadow = arm.rollout.control, arm.rollout.shadow
+        applied = {"control": [], "listener": [], "shadow": []}
+        for name, backend in (("control", control), ("shadow", shadow)):
+            def spy(wave, _apply=backend.apply_wave, _seen=applied[name]):
+                _seen.append(wave)
+                _apply(wave)
+            backend.apply_wave = spy
+        control.wave_listeners.append(applied["listener"].append)
+        arm.replay(events)
+        assert applied["control"] and all(isinstance(wave, SessionWave) for wave in applied["control"])
+        for name in ("listener", "shadow"):
+            assert len(applied[name]) == len(applied["control"])
+            assert all(seen is wave for seen, wave in zip(applied[name], applied["control"]))
+        assert sum(len(wave) for wave in applied["control"]) == len(events)
+        assert control.updates_applied == shadow.updates_applied == len(events)
+        arm.close()
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.serving import (
     ServingEngine,
     ServingRequest,
     SessionUpdate,
+    SessionWave,
     StreamProcessor,
     dequantize_state,
 )
@@ -336,9 +337,9 @@ class TestNothingACallerHoldsIsAliased:
     """Back-to-back backend calls hand out and record independent objects.
 
     The hot path allocates per call on purpose: nothing a caller still holds
-    — a returned prediction list, the update list a ``wave_listeners``
-    observer was handed, a stored state array read back from the store — may
-    be a view of something the next call rewrites.  This is the pin that
+    — a returned prediction list, the update list or columnar wave a
+    ``wave_listeners`` observer was handed, a stored state array read back
+    from the store — may be a view of something the next call rewrites.  This is the pin that
     stops a later optimisation from slipping in a per-backend scratch buffer
     silently (a twin backend that runs only the second call is the oracle).
     """
@@ -409,6 +410,85 @@ class TestNothingACallerHoldsIsAliased:
         for key in twin.store.keys():
             np.testing.assert_array_equal(backend.store.peek(key)["state"], twin.store.peek(key)["state"])
             assert backend.store.peek(key)["timestamp"] == twin.store.peek(key)["timestamp"]
+
+
+    @pytest.mark.parametrize("state_layout", ["entries", "arena"])
+    def test_a_wave_a_listener_was_handed_outlives_the_waves_after_it(self, trained, state_layout):
+        """Stream-fired waves reach a listener as the columnar wave the
+        backend applied — not a copy, no ``SessionUpdate`` per row — and what
+        it read then it still reads after later waves (and later
+        registrations into the timer heap the columns came from)."""
+        dataset, rnn, _, events = trained
+        events = events[:200]
+        engine = hidden_engine(rnn, dataset, 64, state_layout=state_layout, coalescing_window=45)
+        observed: list[SessionWave] = []
+        snapshots: list[list[tuple]] = []
+
+        def listener(wave):
+            assert isinstance(wave, SessionWave)
+            observed.append(wave)
+            snapshots.append(
+                list(zip(wave.user_ids, wave.timestamps, [dict(c) for c in wave.contexts], wave.accessed))
+            )
+
+        engine.backend.wave_listeners.append(listener)
+        engine.replay(events)
+        assert len(observed) == engine.stream.waves_fired > 3
+        assert max(len(wave) for wave in observed) > 1
+        columns = [
+            column for wave in observed
+            for column in (wave.user_ids, wave.timestamps, wave.contexts, wave.accessed)
+        ]
+        assert len({id(column) for column in columns}) == len(columns)  # no column is shared
+        for wave, snapshot in zip(observed, snapshots):
+            assert list(zip(wave.user_ids, wave.timestamps, wave.contexts, wave.accessed)) == snapshot
+        # Every session reached the listener exactly once, in delivery order
+        # (fire time, then registration — the order they were observed in).
+        delivered = [row for snapshot in snapshots for row in snapshot]
+        assert delivered == [(u, t, context, accessed) for t, u, context, accessed in events]
+
+
+class TestWaveContract:
+    """``apply_wave`` takes the columnar wave; a hand-built update list is
+    converted once at the same door and lands the same bits."""
+
+    @staticmethod
+    def _backends(trained, kind):
+        dataset, rnn, gbdt, _ = trained
+        if kind == "aggregation":
+            return [aggregation_engine(gbdt, dataset, 8).backend for _ in range(2)]
+        return [hidden_engine(rnn, dataset, 8, state_layout=kind).backend for _ in range(2)]
+
+    @pytest.mark.parametrize("kind", ["entries", "arena", "aggregation"])
+    def test_an_update_list_and_a_wave_leave_bit_equal_stores(self, trained, kind):
+        events = trained[3][:60]  # several sessions per user: same-user sub-waves run too
+        assert len({user_id for _, user_id, _, _ in events}) < len(events)
+        updates = [
+            SessionUpdate(user_id=user_id, timestamp=timestamp, context=context, accessed=accessed)
+            for timestamp, user_id, context, accessed in events
+        ]
+        wave = SessionWave(*zip(*((u, t, context, accessed) for t, u, context, accessed in events)))
+        assert len(wave) == len(updates)
+        from_list, from_wave = self._backends(trained, kind)
+        handed = {"list": [], "wave": []}
+        from_list.wave_listeners.append(handed["list"].append)
+        from_wave.wave_listeners.append(handed["wave"].append)
+        from_list.apply_wave(updates)
+        from_wave.apply_wave(wave)
+        from_wave.apply_wave(SessionWave((), (), (), ()))  # an empty wave is a no-op
+        # Listeners are handed the very object the call was, never a rebuild.
+        assert handed["list"][0] is updates and handed["wave"][0] is wave
+        assert from_list.updates_applied == from_wave.updates_applied == len(events)
+        assert from_list.store.stats.snapshot() == from_wave.store.stats.snapshot()
+        assert sorted(from_list.store.keys()) == sorted(from_wave.store.keys())
+        for key in from_list.store.keys():
+            expected, actual = from_list.store.peek(key), from_wave.store.peek(key)
+            if kind == "aggregation":
+                assert actual == expected
+            else:
+                assert actual["timestamp"] == expected["timestamp"]
+                assert actual["state"].dtype == expected["state"].dtype
+                np.testing.assert_array_equal(actual["state"], expected["state"])
 
 
 class TestMicroBatchQueue:
