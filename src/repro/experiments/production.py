@@ -359,7 +359,7 @@ def run_batched_serving(
     params = dict(locals())  # must stay the first statement: exactly the arguments
     del params["engine_config"]
     params = resolve_params(params)
-    workload, streams = prepare_workload(params, resolve_engine_block(engine_config, scenarios))
+    workload, streams = prepare_workload(params, resolve_engine_block(engine_config))
 
     result = ExperimentResult(
         experiment_id="batched_serving",

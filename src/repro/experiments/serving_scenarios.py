@@ -1020,7 +1020,7 @@ def resolve_params(params: Mapping[str, Any]) -> dict[str, Any]:
     return params
 
 
-def resolve_engine_block(engine_config: Mapping[str, Any] | None, scenarios) -> dict[str, Any]:
+def resolve_engine_block(engine_config: Mapping[str, Any] | None) -> dict[str, Any]:
     """A manifest ``engine`` block as overrides of the pipeline template.
 
     Runs the same validator the manifest loader runs, so direct calls and
@@ -1046,16 +1046,6 @@ def resolve_engine_block(engine_config: Mapping[str, Any] | None, scenarios) -> 
                 f"an engine-block {field} would shadow the parameter and falsify provenance"
             )
     overrides.pop("backend", None)
-    if overrides.get("telemetry") is False and set(scenarios) & set(RAMPED_SCENARIOS):
-        # Every latency statistic the overload/autoscale rows report is
-        # read from the engine's registry; a disabled registry would
-        # silently zero them all, so the contradiction is a hard error.
-        raise ValueError(
-            "the overload/slo_sweep/autoscale scenarios read their latency statistics "
-            "from the engine's metrics registry; \"telemetry\": false in the engine "
-            "block would silently zero every reported p99 — drop the override or the "
-            "scenarios"
-        )
     return overrides
 
 

@@ -30,8 +30,9 @@ load.  This module generalises it into three pieces:
   change micro-batch composition — an autoscaled run whose fleet never
   resizes is bit-identical to the ``ServerModel`` path.
 
-Wired through ``EngineConfig.autoscale`` (see
-:class:`~repro.serving.engine.EngineConfig`); all ``autoscale.*``
+Wired through ``EngineConfig.autoscale``, which this module owns:
+:func:`check_block` / :func:`check_config` validate the block and
+:func:`install_fleet` / :func:`install` build its parts; all ``autoscale.*``
 instruments land in the shared :class:`~repro.serving.telemetry.MetricsRegistry`.
 """
 
@@ -40,9 +41,12 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
+from dataclasses import replace
+from typing import Any, Mapping
 
 import numpy as np
 
+from .checks import is_int
 from .quantization import dequantize_state
 from .telemetry import NULL_REGISTRY, MetricsRegistry
 from .tracing import NULL_TRACER, Tracer
@@ -56,6 +60,156 @@ __all__ = [
 ]
 
 AUTOSCALE_POLICIES = ("reactive", "predictive")
+
+_REQUIRED = ("policy", "service_rate", "start", "until")
+#: ``horizon`` is the one derived default: ``provision_delay + interval``.
+_DEFAULTS = {
+    "interval": 60,
+    "initial_replicas": 1,
+    "min_replicas": 1,
+    "max_replicas": 8,
+    "provision_delay": 60,
+    "decommission_delay": 0,
+    "target_queue_depth": 8.0,
+    "depth_window": 2,
+    "utilization": 0.8,
+}
+_FLOATS = ("service_rate", "target_queue_depth", "utilization")
+
+
+# ----------------------------------------------------------------------
+# The ten range rules, each written once in the config block's wording:
+# the block check runs all of them, each constructor those over its own
+# arguments.
+# ----------------------------------------------------------------------
+def _check_fleet(
+    service_rate, initial_replicas, min_replicas, max_replicas, provision_delay, decommission_delay
+) -> None:
+    if not (math.isfinite(service_rate) and service_rate > 0):
+        raise ValueError("autoscale.service_rate must be positive and finite")
+    if min_replicas < 1:
+        raise ValueError("autoscale.min_replicas must be at least 1")
+    if not min_replicas <= initial_replicas <= max_replicas:
+        raise ValueError(
+            "autoscale replica bounds need min_replicas <= initial_replicas <= max_replicas"
+        )
+    if provision_delay < 0 or decommission_delay < 0:
+        raise ValueError("autoscale provisioning delays must be non-negative")
+
+
+def _check_schedule(start, until, interval) -> None:
+    if until < start:
+        raise ValueError("autoscale.until must not precede autoscale.start")
+    if interval < 1:
+        raise ValueError("autoscale.interval must be at least 1 simulated second")
+
+
+def _check_reactive(target_queue_depth, depth_window) -> None:
+    if not target_queue_depth > 0:
+        raise ValueError("autoscale.target_queue_depth must be positive")
+    if depth_window < 1:
+        raise ValueError("autoscale.depth_window must be at least 1")
+
+
+def _check_predictive(horizon, utilization) -> None:
+    if horizon < 1:
+        raise ValueError("autoscale.horizon must be at least 1 simulated second")
+    if not 0.0 < utilization <= 1.0:
+        raise ValueError("autoscale.utilization must be in (0, 1]")
+
+
+# ----------------------------------------------------------------------
+# The EngineConfig.autoscale block: checked, then installed by the engine.
+# ----------------------------------------------------------------------
+def check_block(name: str, value: Any) -> dict[str, Any]:
+    """Policy, tick schedule, fleet shape and policy tuning; defaults are
+    filled here so a canonical config round-trips through JSON intact."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping with policy/service_rate/start/until")
+    block = dict(value)
+    unknown = set(block) - {*_REQUIRED, *_DEFAULTS, "horizon"}
+    if unknown:
+        raise ValueError(f"unknown autoscale fields: {sorted(unknown)}")
+    if block.get("policy") not in AUTOSCALE_POLICIES:
+        raise ValueError(
+            f"autoscale.policy must be one of {AUTOSCALE_POLICIES}, got {block.get('policy')!r}"
+        )
+    for required in _REQUIRED:
+        if required not in block:
+            raise ValueError(f"autoscale needs a {required} field")
+    for key, default in _DEFAULTS.items():
+        block.setdefault(key, default)
+    for key, field in block.items():
+        if key in _FLOATS:
+            if not (is_int(field) or isinstance(field, float)) or not math.isfinite(field):
+                raise ValueError(f"autoscale.{key} must be a finite number")
+            block[key] = float(field)
+        elif key != "policy" and not is_int(field):
+            raise ValueError(f"autoscale.{key} must be an int")
+    block.setdefault("horizon", block["provision_delay"] + block["interval"])
+    _check_fleet(
+        block["service_rate"], block["initial_replicas"], block["min_replicas"],
+        block["max_replicas"], block["provision_delay"], block["decommission_delay"],
+    )
+    _check_schedule(block["start"], block["until"], block["interval"])
+    _check_reactive(block["target_queue_depth"], block["depth_window"])
+    _check_predictive(block["horizon"], block["utilization"])
+    return block
+
+
+def check_config(config) -> None:
+    """The rules relating the ``autoscale`` block to the rest of the config."""
+    if config.autoscale is None:
+        return
+    if not config.deferred_updates:
+        raise ValueError(
+            "autoscale ticks fire on the stream clock and need the "
+            "deferred-update dataflow (hidden_state, or defer_updates=True)"
+        )
+    if config.autoscale["policy"] == "predictive" and config.backend != "hidden_state":
+        raise ValueError(
+            "the predictive policy aggregates the GRU's activity "
+            "forecasts: it needs the hidden_state backend"
+        )
+
+
+def install_fleet(parts, block: dict[str, Any] | None):
+    """The engine's server when ``block`` is set: an elastic fleet built here
+    (a caller-supplied ``server=`` is refused).  Resolved before the backend,
+    which meters against the server."""
+    if block is None:
+        return parts
+    if parts.server is not None:
+        raise ValueError("config.autoscale builds its own ReplicaFleet; do not also pass server=")
+    fleet = ReplicaFleet(
+        block["service_rate"], initial_replicas=block["initial_replicas"],
+        min_replicas=block["min_replicas"], max_replicas=block["max_replicas"],
+        provision_delay=block["provision_delay"], decommission_delay=block["decommission_delay"],
+        registry=parts.registry,
+    )
+    return replace(parts, server=fleet)
+
+
+def install(parts, block: dict[str, Any] | None):
+    """The policy and its ticks, once the backend exists (the predictive
+    policy scores through it).  The policy reads control-plane signals only
+    (fleet backlog, the shared registry, unmetered GRU scoring of stored
+    states) and the ticks are barrier-exempt control timers, so the loop is
+    bit-invisible to served values until the fleet actually resizes."""
+    if block is None:
+        return parts
+    if block["policy"] == "predictive":
+        policy = PredictivePolicy(
+            parts.backend, horizon=block["horizon"], utilization=block["utilization"],
+            registry=parts.registry,
+        )
+    else:
+        policy = ReactivePolicy(block["target_queue_depth"], depth_window=block["depth_window"])
+    autoscaler = Autoscaler(
+        parts.server, policy, parts.stream, start=block["start"], until=block["until"],
+        interval=block["interval"], registry=parts.registry, tracer=parts.tracer,
+    )
+    return replace(parts, autoscaler=autoscaler)
 
 
 class ReplicaFleet:
@@ -97,22 +251,11 @@ class ReplicaFleet:
         decommission_delay: int = 0,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if not (math.isfinite(service_rate) and service_rate > 0):
-            raise ValueError(
-                "service_rate must be positive and finite (requests per simulated second per replica)"
-            )
-        if min_replicas < 1:
-            raise ValueError("min_replicas must be at least 1")
         if max_replicas is None:
             max_replicas = max(initial_replicas, min_replicas)
-        if max_replicas < min_replicas:
-            raise ValueError(f"max_replicas {max_replicas} below min_replicas {min_replicas}")
-        if not min_replicas <= initial_replicas <= max_replicas:
-            raise ValueError(
-                f"initial_replicas {initial_replicas} outside [{min_replicas}, {max_replicas}]"
-            )
-        if provision_delay < 0 or decommission_delay < 0:
-            raise ValueError("provisioning delays must be non-negative")
+        _check_fleet(
+            service_rate, initial_replicas, min_replicas, max_replicas, provision_delay, decommission_delay
+        )
         self.service_rate = float(service_rate)
         self.min_replicas = int(min_replicas)
         self.max_replicas = int(max_replicas)
@@ -270,10 +413,7 @@ class ReactivePolicy:
     """
 
     def __init__(self, target_queue_depth: float = 8.0, *, depth_window: int = 2) -> None:
-        if target_queue_depth <= 0:
-            raise ValueError("target_queue_depth must be positive")
-        if depth_window < 1:
-            raise ValueError("depth_window must be at least 1")
+        _check_reactive(target_queue_depth, depth_window)
         self.target_queue_depth = float(target_queue_depth)
         self.depth_window = int(depth_window)
         self._samples: deque[float] = deque(maxlen=depth_window)
@@ -322,10 +462,7 @@ class PredictivePolicy:
         utilization: float = 0.8,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive (simulated seconds)")
-        if not 0.0 < utilization <= 1.0:
-            raise ValueError("utilization must be in (0, 1]")
+        _check_predictive(horizon, utilization)
         self.backend = backend
         self.horizon = int(horizon)
         self.utilization = float(utilization)
@@ -428,10 +565,7 @@ class Autoscaler:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive (simulated seconds)")
-        if until < start:
-            raise ValueError(f"until {until} precedes start {start}")
+        _check_schedule(start, until, interval)
         self.fleet = fleet
         self.policy = policy
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -187,7 +187,46 @@ class SessionStreamMixin:
     the :class:`~repro.serving.slo.ServerModel` backlog at delivery, the
     end-to-end latency an SLO policy targets.  Without a server model the
     two latency histograms coincide.
+
+    Both backends also share the engine's door check, :meth:`check_context`,
+    over the host's ``_context_fields`` (the schema) and
+    ``_prediction_fields`` (what its scoring path reads).
     """
+
+    #: Whether a prediction may come with no context at all (the aggregation
+    #: featurizer scores on history alone); a context that is given is checked.
+    CONTEXTLESS_PREDICTIONS = False
+
+    def check_context(
+        self, user_id: int, context: dict[str, float] | None, *, predicting: bool = False
+    ) -> None:
+        """Refuse a context this dataflow could not digest, before it goes anywhere.
+
+        A NaN (or infinite) value would be recorded, ride its wave and land in
+        the user's stored state for good — a hidden state every later
+        prediction for them reads as ``nan``, or a history entry for the whole
+        ``history_window``; a missing field would raise a bare ``KeyError``
+        inside the batch or wave that reads it and take the rest with it.  The
+        engine calls this on every ``observe_session`` and (``predicting``)
+        ``submit`` before anything is recorded or queued; a prediction's
+        context is checked on the fields its scoring path reads.
+        """
+        names = self._context_fields
+        if predicting:
+            if context is None and self.CONTEXTLESS_PREDICTIONS:
+                return
+            names = self._prediction_fields
+        for name in names:
+            try:
+                finite = isfinite(context[name])
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"user {user_id}: context field {name!r} is missing or not a number"
+                ) from None
+            if not finite:
+                raise ValueError(
+                    f"user {user_id}: context field {name!r} is not finite ({context[name]!r})"
+                )
 
     def _init_session_delivery(
         self,
@@ -378,6 +417,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             stream, coalesce_updates, registry=registry, server=server, tracer=tracer
         )
         self._context_fields = tuple(builder.schema.names())
+        self._prediction_fields = self._context_fields if network.config.predict_uses_context else ()
         self.predictions_served = 0
         self.updates_applied = 0
 
@@ -459,36 +499,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         """Per-record fetch bytes (stored state vector + 8-byte timestamp)."""
         itemsize = 1 if self.quantize else 4
         return self.network.state_size * itemsize + 8
-
-    # ------------------------------------------------------------------
-    # Input validation (the engine's door check)
-    # ------------------------------------------------------------------
-    def check_context(
-        self, user_id: int, context: dict[str, float] | None, *, predicting: bool = False
-    ) -> None:
-        """Refuse a context the GRU could not digest, before it goes anywhere.
-
-        A NaN (or infinite) value would be recorded, ride its wave and be
-        written into the user's stored hidden state for good — every later
-        prediction for them ``nan``; a missing field would raise a bare
-        ``KeyError`` at flush time and take the whole batch with it.  The
-        engine calls this on every ``observe_session`` and (``predicting``)
-        ``submit`` before anything is recorded or queued; a prediction's
-        context only matters when the network reads it.
-        """
-        if predicting and not self.network.config.predict_uses_context:
-            return
-        for name in self._context_fields:
-            try:
-                finite = isfinite(context[name])
-            except (KeyError, TypeError):
-                raise ValueError(
-                    f"user {user_id}: context field {name!r} is missing or not a number"
-                ) from None
-            if not finite:
-                raise ValueError(
-                    f"user {user_id}: context field {name!r} is not finite ({context[name]!r})"
-                )
 
     # ------------------------------------------------------------------
     # Prediction hot path
@@ -620,6 +630,8 @@ class BatchedAggregationBackend(SessionStreamMixin):
       bit-identical to per-timer delivery in every observable.
     """
 
+    CONTEXTLESS_PREDICTIONS = True
+
     def __init__(
         self,
         featurizer: TabularFeaturizer,
@@ -641,6 +653,7 @@ class BatchedAggregationBackend(SessionStreamMixin):
         self.featurizer = featurizer
         self.estimator = estimator
         self.schema = schema
+        self._context_fields = self._prediction_fields = tuple(schema.names())
         self.store = store
         self.history_window = history_window
         self.session_length = session_length

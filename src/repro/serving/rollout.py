@@ -37,11 +37,16 @@ that the whole machinery is *bit-invisible* to the control arm:
   delivery cursor stays monotone.  Because the shadow arm has applied every
   wave since build, the promoted arm is bit-identical to an engine built
   directly on the candidate version.
+
+This module owns the ``EngineConfig`` ``model`` and ``rollout`` fields:
+:func:`check_block` / :func:`check_config` validate them and :func:`install`
+wraps the engine's backend in a controller.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import replace
+from typing import Any, Mapping
 
 from .batching import (
     BatchedHiddenStateBackend,
@@ -50,6 +55,7 @@ from .batching import (
     SessionUpdate,
     SessionWave,
 )
+from .checks import is_int
 from .registry import ModelVersion
 from .router import _stable_hash
 from .tracing import NULL_TRACER
@@ -64,6 +70,84 @@ __all__ = ["RolloutController", "RolloutBackend", "GATE_NAMES"]
 
 #: Telemetry gates a rollout block may bound (all optional; absent = pass).
 GATE_NAMES = ("max_p99_update_delay", "max_shed_rate", "max_divergence")
+
+
+def _version_name(name: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty registry version name")
+    return value
+
+
+def check_block(name: str, value: Any) -> Any:
+    """``model``: a registry version name.  ``rollout``: ``{candidate,
+    stages, gates}``, stages canonicalized to tuples so a config survives a
+    JSON round trip intact (json turns tuples into lists)."""
+    if name == "model":
+        return _version_name(name, value)
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping with candidate/stages/gates")
+    unknown = set(value) - {"candidate", "stages", "gates"}
+    if unknown:
+        raise ValueError(f"unknown rollout fields: {sorted(unknown)}")
+    candidate = _version_name("rollout.candidate", value.get("candidate"))
+    raw_stages = value.get("stages")
+    if not raw_stages or not isinstance(raw_stages, (list, tuple)):
+        raise ValueError("rollout.stages must be a non-empty (fire_at, pct) schedule")
+    stages: list[tuple[int, int]] = []
+    for raw in raw_stages:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            raise ValueError("rollout.stages entries are (fire_at, pct) pairs")
+        fire_at, pct = raw
+        if not is_int(fire_at) or not is_int(pct):
+            raise ValueError("rollout stage fire_at and pct must be ints")
+        if not 0 < pct <= 100:
+            raise ValueError("rollout stage pct must be in 1..100")
+        if stages and fire_at <= stages[-1][0]:
+            raise ValueError("rollout stage fire_at times must be strictly increasing")
+        if stages and pct <= stages[-1][1]:
+            raise ValueError("rollout stage percentages must be strictly increasing")
+        stages.append((fire_at, pct))
+    gates = value.get("gates", {})
+    if not isinstance(gates, Mapping):
+        raise ValueError("rollout.gates must be a mapping of gate name to bound")
+    for gate_name, bound in gates.items():
+        if gate_name not in GATE_NAMES:
+            raise ValueError(f"unknown rollout gate {gate_name!r}; expected one of {GATE_NAMES}")
+        if not (is_int(bound) or isinstance(bound, float)) or not bound >= 0:
+            raise ValueError(f"rollout gate {gate_name} must be a non-negative number")
+    return {"candidate": candidate, "stages": tuple(stages), "gates": dict(gates)}
+
+
+def check_config(config) -> None:
+    """The rules relating ``model`` and ``rollout`` to the rest of the config."""
+    if config.model is not None and config.backend != "hidden_state":
+        raise ValueError(
+            "registry-pinned models apply to the hidden_state backend "
+            "(the registry stores RNN versions)"
+        )
+    if config.rollout is None:
+        return
+    if config.model is None:
+        raise ValueError("a rollout needs a registry-pinned control arm: set model to a version name")
+    if config.rollout["candidate"] == config.model:
+        raise ValueError("rollout.candidate must name a different version than the control model")
+
+
+def install(parts, config, *, models, builder):
+    """Wrap the control backend when ``config.rollout`` is set — last, so the
+    controller wraps the finished backend and reads the admission controller.
+    The queue then scores through the controller (shadow mirroring, canary
+    cohort metering, hot swap), while session observation and waves keep
+    flowing to the control arm, which forwards each applied wave to the
+    shadow."""
+    if config.rollout is None:
+        return parts
+    controller = RolloutController(
+        config, candidate=models.get(config.rollout["candidate"]), control=parts.backend,
+        builder=builder, store=parts.store, stream=parts.stream, registry=parts.registry,
+        admission=parts.admission, tracer=parts.tracer,
+    )
+    return replace(parts, rollout=controller, backend=controller.backend)
 
 
 class _ShadowStoreView:

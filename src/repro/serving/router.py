@@ -48,16 +48,22 @@ All of it is bit-invisible to serving results by construction: a pipeline
 that resizes mid-run or loses-and-recovers a shard returns the same values
 for every ``get`` as a static pool — only placement and the traffic /
 migration meters differ (pinned by ``tests/test_elastic_ring.py``).
+
+``EngineConfig.failure_schedule`` is this module's block: :func:`check_block`
+/ :func:`check_config` validate it and :func:`install` puts its faults on the
+stream clock.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import partial
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from .checks import is_int
 from .cost import CostParameters, kv_traffic_cost
 from .kvstore import KV_COUNTER_FIELDS, KeyValueStore, KVStats
 from .telemetry import NULL_REGISTRY, MetricsRegistry
@@ -89,6 +95,17 @@ RING_COUNTER_FIELDS = (
 def _stable_hash(value: str) -> int:
     """Process-independent 64-bit hash (Python's ``hash`` is salted per run)."""
     return int.from_bytes(hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+def _check_replication(replication: int, n_shards: int) -> None:
+    if replication > n_shards:
+        raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
+
+
+def _may_fail(n_failed: int, replication: int) -> bool:
+    """Whether one more shard may fail: at most ``replication - 1`` may be
+    down at once, so every key keeps a live owner."""
+    return n_failed + 1 < replication
 
 
 class ConsistentHashRing:
@@ -233,8 +250,7 @@ class ShardedKeyValueStore:
             raise ValueError("n_shards must be positive")
         if replication <= 0:
             raise ValueError("replication must be positive")
-        if replication > n_shards:
-            raise ValueError(f"replication {replication} exceeds n_shards {n_shards}")
+        _check_replication(replication, n_shards)
         self.name = name
         self.replication = replication
         self.metrics = registry if registry is not None else NULL_REGISTRY
@@ -693,7 +709,7 @@ class ShardedKeyValueStore:
             raise ValueError(f"shard {name!r} is already failed")
         if self.replication == 1:
             raise ValueError("cannot fail a shard without replication: its keys would be lost")
-        if len(self._failed) + 1 >= self.replication:
+        if not _may_fail(len(self._failed), self.replication):
             raise ValueError(
                 f"failing {name!r} would allow a key to lose every live replica "
                 f"(replication={self.replication}, already failed: {self.failed_shards})"
@@ -835,3 +851,96 @@ class ShardedKeyValueStore:
             "physical_storage_bytes": self.total_bytes,
             "load_imbalance": round(self.load_imbalance(), 4),
         }
+
+
+# ----------------------------------------------------------------------
+# EngineConfig.failure_schedule: checked, then installed by the engine.
+# ----------------------------------------------------------------------
+def check_block(name: str, value: Any) -> tuple[tuple[int, str, int], ...]:
+    """``(fire_at, action, shard_index)`` triples, canonicalized to tuples so
+    a config survives a JSON round trip intact (json turns tuples into lists;
+    to_dict/from_dict equality is pinned by tests/test_engine.py)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of (fire_at, action, shard_index) triples")
+    entries = []
+    for raw in value:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+            raise ValueError(f"{name} entries are (fire_at, action, shard_index) triples")
+        fire_at, action, shard_index = raw
+        if not is_int(fire_at):
+            raise ValueError(f"{name} fire_at must be an int (simulated seconds)")
+        if action not in ("fail", "recover"):
+            raise ValueError(f"unknown {name} action {action!r}; expected 'fail' or 'recover'")
+        if not is_int(shard_index):
+            raise ValueError(f"{name} shard_index must be an int")
+        entries.append((fire_at, action, shard_index))
+    return tuple(entries)
+
+
+def check_config(config) -> None:
+    """The pool's cross-field rules, and a ``failure_schedule`` walked in
+    fire order against :meth:`ShardedKeyValueStore.fail_shard` /
+    :meth:`~ShardedKeyValueStore.recover_shard`'s own rules — so a fault
+    that would raise mid-replay is refused here, before any traffic."""
+    if config.replication > 1:
+        if config.n_shards is None:
+            raise ValueError("replication needs a sharded store: set n_shards")
+        _check_replication(config.replication, config.n_shards)
+    if not config.failure_schedule:
+        return
+    if config.replication < 2:
+        raise ValueError(
+            "a failure_schedule needs replication >= 2: failing an "
+            "unreplicated shard would lose its keys"
+        )
+    if not config.deferred_updates:
+        raise ValueError(
+            "a failure_schedule fires on the stream clock and needs the "
+            "deferred-update dataflow (hidden_state, or defer_updates=True)"
+        )
+    # Same-second control timers fire in registration order, so a stable
+    # sort on fire_at is the order the faults will fire in.
+    failed: set[int] = set()
+    for fire_at, action, shard_index in sorted(config.failure_schedule, key=lambda entry: entry[0]):
+        where = f"failure_schedule {action} of shard_index {shard_index} at {fire_at}"
+        if not 0 <= shard_index < config.n_shards:
+            raise ValueError(f"{where}: outside the initial pool (n_shards={config.n_shards})")
+        if action == "recover":
+            if shard_index not in failed:
+                raise ValueError(f"{where}: the shard is not failed")
+            failed.discard(shard_index)
+        elif shard_index in failed:
+            raise ValueError(f"{where}: the shard is already failed")
+        elif not _may_fail(len(failed), config.replication):
+            raise ValueError(
+                f"{where} would allow a key to lose every live replica "
+                f"(replication={config.replication}, already failed: {sorted(failed)})"
+            )
+        else:
+            failed.add(shard_index)
+
+
+def _fire_fault(store, tracer, action, shard_name, shard_index, fire_at, key, events) -> None:
+    if action == "fail":
+        store.fail_shard(shard_name)
+    else:
+        store.recover_shard(shard_name)
+    if tracer.enabled:
+        tracer.control_event(f"ring.{action}", fire_at, shard=shard_name, shard_index=shard_index)
+
+
+def install(parts, schedule: tuple[tuple[int, str, int], ...] | None):
+    """Each fault becomes a *control-plane* stream timer: faults fire
+    interleaved with update waves in deterministic simulated-clock order,
+    but do not trigger the micro-batch flush barrier — a fault changes key
+    placement, never a stored value, so flushing for it would alter batch
+    composition and break bit-equivalence with a fault-free run.
+    :func:`check_config` guarantees a stream and a replicated pool."""
+    for fire_at, action, shard_index in schedule or ():
+        shard_name = parts.store.shards[shard_index].name
+        parts.stream.set_control_timer(
+            fire_at,
+            f"ring:{action}:{shard_index}@{fire_at}",
+            partial(_fire_fault, parts.store, parts.tracer, action, shard_name, shard_index, fire_at),
+        )
+    return parts

@@ -27,13 +27,14 @@ Admission is deliberately one-sided: a controller never touches requests
 already admitted and never alters scoring, so a controller whose policy has
 no bounds is bit-invisible — the ``overload`` scenario with shedding
 disabled reproduces the uncontrolled replay exactly (pinned by
-``tests/test_slo.py``).
+``tests/test_slo.py``).  :func:`install` wires a controller into a pipeline
+built by ``ServingEngine.build(slo_policy=..., admission_mode=...)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .telemetry import LATENCY_BUCKETS_SECONDS, NULL_REGISTRY, MetricsRegistry
 from .tracing import NULL_TRACER, Tracer
@@ -235,3 +236,12 @@ class AdmissionController:
         if not self.requests_offered:
             return 0.0
         return self.requests_shed / self.requests_offered
+
+
+def install(parts, policy: SloPolicy | None, mode: str):
+    """An :class:`AdmissionController` over ``policy`` in ``mode`` when a
+    policy is given — after the backend, whose latency histograms it reads."""
+    if policy is None:
+        return parts
+    admission = AdmissionController(policy, registry=parts.registry, mode=mode, tracer=parts.tracer)
+    return replace(parts, admission=admission)

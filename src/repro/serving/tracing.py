@@ -38,17 +38,55 @@ are sampled.
 https://ui.perfetto.dev); :class:`TraceAnalyzer` computes per-request
 critical paths and the queue / compute / update-defer latency
 breakdown consumable as experiment columns.
+
+Wired through ``EngineConfig.tracing``, which this module owns
+(:func:`check_block`, :func:`install`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import replace
 from typing import Any, Iterable, Mapping
+
+from .checks import is_int
 
 __all__ = ["Span", "Tracer", "TraceAnalyzer", "NULL_TRACER"]
 
 _pack_request_key = struct.Struct("!qd").pack
+
+
+def _check_sample_pct(pct: Any, type_error: type[Exception] = TypeError) -> None:
+    if not is_int(pct):
+        raise type_error("tracing.sample_pct must be an int")
+    if not 1 <= pct <= 100:
+        raise ValueError("tracing.sample_pct must be in 1..100 (percent of requests)")
+
+
+def check_block(name: str, value: Any) -> dict[str, int]:
+    """The ``EngineConfig.tracing`` block: one optional field, ``sample_pct``;
+    the default is filled here so a canonical config survives a JSON round
+    trip intact."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping with sample_pct")
+    unknown = set(value) - {"sample_pct"}
+    if unknown:
+        raise ValueError(f"unknown tracing fields: {sorted(unknown)}")
+    pct = value.get("sample_pct", 100)
+    _check_sample_pct(pct, type_error=ValueError)
+    return {"sample_pct": pct}
+
+
+def install(parts, block: dict[str, int] | None):
+    """Give the pipeline a :class:`Tracer` when ``block`` is set, attached to
+    the store (a pool fans it out to every shard, present and future, so
+    batch KV operations record per-shard instants with no pool-level hooks)."""
+    if block is None:
+        return parts
+    tracer = Tracer(block["sample_pct"])
+    parts.store.attach_tracer(tracer)
+    return replace(parts, tracer=tracer)
 
 
 def _stable_hash(user_id: int, timestamp: float) -> int:
@@ -140,10 +178,7 @@ class Tracer:
     enabled = True
 
     def __init__(self, sample_pct: int = 100) -> None:
-        if not isinstance(sample_pct, int) or isinstance(sample_pct, bool):
-            raise TypeError(f"sample_pct must be an int, got {sample_pct!r}")
-        if not 1 <= sample_pct <= 100:
-            raise ValueError(f"sample_pct must be in [1, 100], got {sample_pct}")
+        _check_sample_pct(sample_pct)
         self.sample_pct = sample_pct
         self._records: list[list[Any]] = []
         self._n_spans = 0

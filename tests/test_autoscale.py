@@ -299,13 +299,6 @@ class TestEngineConfigAutoscale:
                 defer_updates=True,
                 autoscale=self._block(policy="predictive"),
             )
-        with pytest.raises(ValueError, match="telemetry"):
-            EngineConfig(
-                backend="hidden_state",
-                session_length=600,
-                telemetry=False,
-                autoscale=self._block(policy="predictive"),
-            )
 
     def test_build_rejects_a_caller_server(self, serving_parts):
         _, builder, network = serving_parts

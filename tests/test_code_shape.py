@@ -1,6 +1,8 @@
 """Shape guard: no function under ``src/repro/experiments/`` regrows past
 150 code lines (non-blank, non-comment, non-docstring) — ``run_batched_serving``
-was once 787."""
+was once 787 — and none under ``src/repro/serving/`` past 80, with
+``ServingEngine.build`` kept straight-line (it was once 173 lines with a
+callback defined per fault)."""
 
 from __future__ import annotations
 
@@ -9,8 +11,9 @@ import io
 import tokenize
 from pathlib import Path
 
-EXPERIMENTS = Path(__file__).resolve().parents[1] / "src" / "repro" / "experiments"
-MAX_CODE_LINES = 150
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+#: Directory -> the most code lines one function there may have.
+BUDGETS = {"experiments": 150, "serving": 80}
 _NOT_CODE = (
     tokenize.COMMENT,
     tokenize.NL,
@@ -43,13 +46,36 @@ def function_code_lines(source: str) -> dict[str, int]:
     }
 
 
-def test_no_experiment_function_exceeds_the_code_line_budget():
+def oversized_functions(directory: str) -> dict[str, int]:
+    budget = BUDGETS[directory]
     oversized = {}
-    for path in sorted(EXPERIMENTS.glob("*.py")):
+    for path in sorted((PACKAGE / directory).glob("*.py")):
         for name, lines in function_code_lines(path.read_text()).items():
-            if lines > MAX_CODE_LINES:
+            if lines > budget:
                 oversized[f"{path.name}:{name}"] = lines
-    assert not oversized, f"functions over {MAX_CODE_LINES} code lines: {oversized}"
+    return oversized
+
+
+def test_no_experiment_function_exceeds_the_code_line_budget():
+    oversized = oversized_functions("experiments")
+    assert not oversized, f"functions over {BUDGETS['experiments']} code lines: {oversized}"
+
+
+def test_no_serving_function_exceeds_the_code_line_budget():
+    oversized = oversized_functions("serving")
+    assert not oversized, f"functions over {BUDGETS['serving']} code lines: {oversized}"
+
+
+def test_engine_build_defines_no_nested_function():
+    tree = ast.parse((PACKAGE / "serving" / "engine.py").read_text())
+    (engine,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ServingEngine"]
+    (build,) = [node for node in engine.body if isinstance(node, ast.FunctionDef) and node.name == "build"]
+    nested = [
+        getattr(node, "name", "<lambda>")
+        for node in ast.walk(build)
+        if node is not build and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert not nested, f"ServingEngine.build defines {nested}"
 
 
 def test_the_counter_skips_blanks_comments_and_docstrings():

@@ -398,6 +398,53 @@ class TestElasticAcceptance:
                 failure_schedule=((10, "fail"),),
             )
 
+    @pytest.mark.parametrize(
+        "replication, schedule, message",
+        [
+            # Two shards down at once at r=2 could orphan a key.
+            (2, ((10, "fail", 0), (20, "fail", 1)), "every live replica"),
+            (3, ((10, "fail", 0), (20, "fail", 1), (30, "fail", 2)), "every live replica"),
+            (3, ((10, "fail", 0), (20, "fail", 0)), "already failed"),
+            (2, ((10, "recover", 0),), "not failed"),
+            (2, ((10, "fail", 0), (20, "recover", 0), (30, "recover", 0)), "not failed"),
+            # Fire order, not list order: a stable sort on fire_at.
+            (2, ((20, "fail", 0), (10, "recover", 0)), "not failed"),
+            (2, ((10, "recover", 0), (10, "fail", 0)), "not failed"),
+        ],
+        ids=["second-fail-at-r2", "third-fail-at-r3", "double-fail", "recover-live",
+             "double-recover", "recover-fires-first", "same-second-recover-first"],
+    )
+    def test_a_schedule_that_would_raise_mid_replay_is_refused_at_config_time(
+        self, replication, schedule, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            EngineConfig(
+                backend="hidden_state",
+                session_length=600,
+                n_shards=4,
+                replication=replication,
+                failure_schedule=schedule,
+            )
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ((10, "fail", 0), (20, "recover", 0), (30, "fail", 1), (40, "recover", 1)),
+            ((20, "recover", 0), (10, "fail", 0)),  # listed out of fire order
+            ((10, "fail", 0), (10, "recover", 0), (10, "fail", 1)),
+        ],
+        ids=["one-at-a-time", "out-of-list-order", "same-second"],
+    )
+    def test_a_schedule_the_pool_can_run_is_accepted(self, serving_parts, session_events, schedule):
+        start = session_events[0][0]
+        shifted = tuple((start + fire_at, action, index) for fire_at, action, index in schedule)
+        engine = build_engine(serving_parts, failure_schedule=shifted)
+        drive(engine, session_events)  # fires every fault without raising
+        fails = sum(action == "fail" for _, action, _ in schedule)
+        assert engine.store.shard_failures == fails
+        assert engine.store.shard_recoveries == len(schedule) - fails
+        engine.close()
+
     def test_failure_schedule_survives_a_json_round_trip(self):
         config = EngineConfig(
             backend="hidden_state",

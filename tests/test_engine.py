@@ -113,8 +113,8 @@ class TestEngineConfig:
             {"backend": "hidden_state", "session_length": 600, "model": ""},
             {"backend": "hidden_state", "session_length": 600,
              "rollout": {"candidate": "v2", "stages": ((10, 100),), "gates": {}}},  # no model
-            {"backend": "hidden_state", "session_length": 600, "model": "v1", "telemetry": False,
-             "rollout": {"candidate": "v2", "stages": ((10, 100),), "gates": {}}},
+            {"backend": "hidden_state", "session_length": 600, "model": "v1",
+             "rollout": {"candidate": "v2", "stages": ((10, 100),), "gates": "strict"}},
             {"backend": "hidden_state", "session_length": 600, "model": "v1",
              "rollout": {"candidate": "v1", "stages": ((10, 100),), "gates": {}}},
             {"backend": "hidden_state", "session_length": 600, "model": "v1",
@@ -151,7 +151,6 @@ class TestEngineConfig:
         "field, value",
         [
             ("quantize", "false"),
-            ("telemetry", "no"),
             ("max_batch_size", 2.5),
             ("max_batch_size", True),
             ("n_shards", True),
@@ -282,6 +281,10 @@ class TestEngineLifecycle:
         assert [p.timestamp for p in predictions] == [event[0] for event in events]
         assert engine.updates_applied == len(events)
         assert engine.predictions_served == len(events)
+
+    def test_replay_takes_a_generator(self, trained):
+        _, _, _, events = trained
+        assert self._hidden_engine(trained).replay(event for event in events) == self._hidden_engine(trained).replay(events)
 
     def test_serve_slices_plus_the_tail_equal_one_replay(self, trained):
         _, _, _, events = trained
@@ -750,6 +753,64 @@ class TestHostileContexts:
         with pytest.raises(ValueError, match=r"user 3\b.*unread_count"):
             engine.observe_session(3, {"unread_count": float("nan"), "active_tab": 1}, 1_000, False)
         assert engine.stream.pending_timers == 0 and engine.stream.next_timer_at is None
+
+
+class TestHostileAggregationContexts:
+    """The aggregation dataflow gets the same door check on its schema.
+
+    Before this pin a NaN context sat in the user's history for the whole
+    ``history_window`` and a missing field raised a bare ``KeyError`` inside
+    the history write — at fire time on the deferred path, after the session
+    was recorded.  A prediction without a context stays legal: the
+    featurizer scores it on history alone.
+    """
+
+    BAD_CONTEXTS = TestHostileContexts.BAD_CONTEXTS
+    DATAFLOWS = ("aggregation-deferred", "aggregation-immediate")
+
+    @pytest.mark.parametrize("dataflow", DATAFLOWS)
+    @pytest.mark.parametrize("kind", sorted(BAD_CONTEXTS))
+    def test_bad_observe_session_records_nothing(self, trained, dataflow, kind):
+        context, field = self.BAD_CONTEXTS[kind]
+        events = trained[3][:60]
+        warm, rest = events[:30], events[30:]
+        victim, timestamp = warm[-1][1], warm[-1][0]
+        build, observe = TestHostileTimestamps._engine, TestHostileTimestamps._observables
+        engine, twin = build(trained, dataflow), build(trained, dataflow)
+        delivered, twin_delivered = engine.serve(warm), twin.serve(warm)
+        before = observe(engine)
+        with pytest.raises(ValueError, match=rf"user {victim}\b.*{field}"):
+            engine.observe_session(victim, context, timestamp, True)
+        assert observe(engine) == before == observe(twin)
+        delivered += TestHostileTimestamps._finish(engine, rest)
+        twin_delivered += TestHostileTimestamps._finish(twin, rest)
+        assert len(delivered) == len(events) and delivered == twin_delivered
+        assert observe(engine) == observe(twin)
+
+    @pytest.mark.parametrize("dataflow", DATAFLOWS)
+    @pytest.mark.parametrize("kind", sorted(set(BAD_CONTEXTS) - {"none"}))
+    def test_bad_submit_enqueues_nothing(self, trained, dataflow, kind):
+        context, field = self.BAD_CONTEXTS[kind]
+        events = trained[3][:40]
+        victim, late = events[0][1], events[-1][0] + 1
+        build, observe = TestHostileTimestamps._engine, TestHostileTimestamps._observables
+        engine, twin = build(trained, dataflow), build(trained, dataflow)
+        delivered, twin_delivered = engine.serve(events), twin.serve(events)
+        before = observe(engine)
+        with pytest.raises(ValueError, match=rf"user {victim}\b.*{field}"):
+            engine.submit(victim, context, late)
+        with pytest.raises(ValueError, match=rf"user {victim}\b.*{field}"):
+            engine.predict(victim, context, late)
+        assert observe(engine) == before == observe(twin)
+        delivered += engine.submit(victim, None, late) + engine.flush()
+        twin_delivered += twin.submit(victim, None, late) + twin.flush()
+        assert delivered == twin_delivered
+        assert observe(engine) == observe(twin)
+
+    def test_a_contextless_prediction_is_still_scored(self, trained):
+        engine = TestHostileTimestamps._engine(trained, "aggregation-immediate")
+        prediction = engine.predict(3, None, 1_000)
+        assert 0.0 <= prediction.probability <= 1.0
 
 
 class TestHostileTimestamps:

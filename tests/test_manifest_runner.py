@@ -311,7 +311,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "engine block: accepted" in out and "batch_sizes" in out
         # What an engine block may actually set: not reserved, not shadowing a parameter.
-        assert "settable fields: backend, quantize, session_length, extra_lag, telemetry, state_layout, tracing;" in out
+        assert "settable fields: backend, quantize, session_length, extra_lag, state_layout, tracing;" in out
         assert main(["describe", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 

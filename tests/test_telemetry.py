@@ -11,9 +11,8 @@ Three contracts anchor this suite:
   randomized workloads compare ``registry.snapshot(prefix=...)`` with
   ``stats.snapshot()`` / the attribute, per store, per shard, pool-wide and
   for the backend / queue / delay meters of a facade-built engine.
-* **Pure observation** — telemetry never feeds back: a facade-built
-  pipeline with ``telemetry=True`` is bit-identical to ``telemetry=False``
-  in every serving observable (probabilities, KV traffic, stored state).
+* **Null plane** — ``NULL_REGISTRY``, what a hand-built component without
+  a registry meters into, records nothing.
 """
 
 from __future__ import annotations
@@ -445,7 +444,7 @@ def random_session_events(rng, n_events=150, n_users=10):
     ]
 
 
-def build_engine(parts, *, telemetry, n_shards=None, batch_size=8, window=30):
+def build_engine(parts, *, n_shards=None, batch_size=8, window=30):
     _, builder, network = parts
     return ServingEngine.build(
         EngineConfig(
@@ -455,7 +454,6 @@ def build_engine(parts, *, telemetry, n_shards=None, batch_size=8, window=30):
             n_shards=n_shards,
             session_length=600,
             store_name="rnn",
-            telemetry=telemetry,
         ),
         network=network,
         builder=builder,
@@ -467,7 +465,7 @@ class TestEngineTelemetry:
     def test_registry_mirrors_equal_legacy_meters_after_replay(self, serving_parts, n_shards):
         for trial in range(6):
             rng = np.random.default_rng(3000 + trial)
-            engine = build_engine(serving_parts, telemetry=True, n_shards=n_shards)
+            engine = build_engine(serving_parts, n_shards=n_shards)
             engine.replay(random_session_events(rng))
             registry = engine.metrics
             # Store rollup.
@@ -497,31 +495,8 @@ class TestEngineTelemetry:
             assert registry.get("stream.wave_size").total == engine.updates_applied
             engine.close()
 
-    def test_telemetry_is_bit_invisible_to_serving(self, serving_parts):
-        for trial in range(4):
-            rng = np.random.default_rng(4000 + trial)
-            events = random_session_events(rng)
-            with_telemetry = build_engine(serving_parts, telemetry=True, n_shards=3)
-            without = build_engine(serving_parts, telemetry=False, n_shards=3)
-            instrumented = with_telemetry.replay(events)
-            plain = without.replay(events)
-            np.testing.assert_array_equal(
-                np.asarray([p.probability for p in instrumented]),
-                np.asarray([p.probability for p in plain]),
-            )
-            assert with_telemetry.store.stats.snapshot() == without.store.stats.snapshot()
-            assert with_telemetry.store.shard_snapshots() == without.store.shard_snapshots()
-            for key in without.store.keys():
-                np.testing.assert_array_equal(
-                    with_telemetry.store.get(key)["state"], without.store.get(key)["state"]
-                )
-            assert with_telemetry.update_delay_seconds == without.update_delay_seconds
-            assert without.metrics.snapshot() == {}
-            with_telemetry.close()
-            without.close()
-
     def test_engine_metrics_snapshot_is_json_round_trippable(self, serving_parts):
-        engine = build_engine(serving_parts, telemetry=True, n_shards=2)
+        engine = build_engine(serving_parts, n_shards=2)
         engine.replay(random_session_events(np.random.default_rng(5000)))
         snapshot = engine.metrics.snapshot()
         assert snapshot and json.loads(json.dumps(snapshot)) == snapshot
