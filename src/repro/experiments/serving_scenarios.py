@@ -43,6 +43,7 @@ from ..serving import (
     kv_traffic_cost,
     rnn_prediction_flops,
 )
+from ..serving.twins import first_difference, observe
 from .runner import validate_engine_block
 
 #: EngineConfig fields a ``batched_serving`` engine block must not set:
@@ -114,32 +115,12 @@ def _zipf_user_popularity(n_active: int, skew: float) -> np.ndarray:
     return popularity / popularity.sum()
 
 
-def _stored_equal(left: Any, right: Any) -> bool:
-    """Bit-exact equality for store records (nested dicts/lists/ndarrays).
-
-    ``==`` alone cannot compare records holding numpy arrays (ambiguous
-    truth value); the elastic scenarios use this to assert that a resized or
-    failed-and-recovered pool ends the run with exactly the static pool's
-    per-user state."""
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        return (
-            isinstance(left, np.ndarray)
-            and isinstance(right, np.ndarray)
-            and left.dtype == right.dtype
-            and left.shape == right.shape
-            and bool(np.array_equal(left, right))
-        )
-    if isinstance(left, dict) and isinstance(right, dict):
-        return left.keys() == right.keys() and all(
-            _stored_equal(value, right[key]) for key, value in left.items()
-        )
-    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        return (
-            type(left) is type(right)
-            and len(left) == len(right)
-            and all(map(_stored_equal, left, right))
-        )
-    return type(left) is type(right) and left == right
+def _assert_twins(name: str, invariant: str, left: dict, right: dict, ignore=()) -> None:
+    """Raise unless two :func:`~repro.serving.twins.observe` snapshots agree
+    byte for byte outside ``ignore``, naming the first difference."""
+    difference = first_difference(left, right, ignore)
+    if difference is not None:
+        raise AssertionError(f"{name}: {invariant} (first difference: {difference})")
 
 
 # ----------------------------------------------------------------------
@@ -409,8 +390,8 @@ def capacity_replay(
         "scale_up_events": server.scale_up_events if is_fleet else 0,
         "scale_down_events": server.scale_down_events if is_fleet else 0,
         "first_scale_up_at": autoscaler.first_scale_up_at if autoscaler is not None else None,
-        "probabilities": [prediction.probability for prediction in served],
-        "store_stats": engine.store.stats.snapshot(),
+        "engine": engine,
+        "delivered": served,
         "metrics": engine.metrics.snapshot(),
         "trace": engine.tracer.chrome_trace(),
         "trace_summary": TraceAnalyzer(engine.tracer.spans()).summary(),
@@ -487,8 +468,10 @@ def overload(workload: Workload, name: str, requests):
     depth reaches ``slo_queue_depth``).  The open arm shows the cost of
     overload (higher p99 update latency) that the controller buys back by
     shedding.  With ``slo_queue_depth=0`` the controlled arm's policy is empty
-    and the scenario *asserts* its predictions are bit-identical to the open
-    arm — admission plumbing with shedding disabled is a no-op by contract."""
+    and the scenario *asserts* it is bit-identical, outside its own ``slo.*``
+    instruments, to an engine with the same server and no admission
+    controller — admission plumbing with shedding disabled is a no-op by
+    contract."""
     params = workload.params
     arms = {
         arm_name: capacity_replay(
@@ -500,10 +483,18 @@ def overload(workload: Workload, name: str, requests):
         )
         for arm_name, depth_bound in (("open", 0), ("slo", params["slo_queue_depth"]))
     }
-    if params["slo_queue_depth"] == 0 and arms["slo"]["probabilities"] != arms["open"]["probabilities"]:
-        raise AssertionError(
-            "admission control with shedding disabled must be bit-invisible: "
-            "the controlled arm's predictions diverged from the open arm"
+    if params["slo_queue_depth"] == 0:
+        # The twin: the same server and pool, no admission controller at all.
+        bare = workload.build_engine(
+            f"rnn-{name}-b{workload.top_batch}-d0",
+            workload.top_batch,
+            {"tracing": {}},
+            server=ServerModel(params["service_rate"]),
+        )
+        slo = arms["slo"]
+        _assert_twins(
+            name, "admission control with shedding disabled must be bit-invisible",
+            observe(slo["engine"], slo["delivered"]), observe(bare, bare.replay(requests)), ("metric:slo.",),
         )
     rows = [_row(name, {**measured, "arm": arm_name}, _OVERLOAD_COLUMNS) for arm_name, measured in arms.items()]
     return rows, {
@@ -538,9 +529,11 @@ def slo_sweep(workload: Workload, name: str, requests):
 
 def _autoscale_arm(workload: Workload, name: str, requests, arm: str, depth_bound: int) -> dict:
     """One always-shedding autoscale arm — the frontier compares shed rates,
-    which defer mode would zero."""
+    which defer mode would zero.  The ``fixed`` arm is the ``server`` arm's
+    twin, so it takes the same pool name: same placement, same meter names."""
+    tag = "server" if arm == "fixed" else arm
     return capacity_replay(
-        workload, f"rnn-{name}-b{workload.top_batch}-{arm}-d{depth_bound}", requests, depth_bound, arm=arm
+        workload, f"rnn-{name}-b{workload.top_batch}-{tag}-d{depth_bound}", requests, depth_bound, arm=arm
     )
 
 
@@ -553,8 +546,8 @@ _AUTOSCALE_COLUMNS = (
 def autoscale(workload: Workload, name: str, requests):
     """Four admission-controlled arms over the identical ramped stream: a fixed
     ``ServerModel``, a one-replica ``ReplicaFleet`` that never scales
-    (*asserted* bit-identical to the ServerModel arm — predictions, store
-    meters, shed decisions), and elastic fleets under the ``reactive`` and
+    (*asserted* bit-identical to the ServerModel arm in every observable),
+    and elastic fleets under the ``reactive`` and
     ``predictive`` policies (evaluation every ``autoscale_interval`` seconds,
     replicas joining after ``autoscale_provision_delay``, at most
     ``autoscale_max_replicas``).  Each row reports shed rate, p99 update
@@ -565,16 +558,11 @@ def autoscale(workload: Workload, name: str, requests):
         arm: _autoscale_arm(workload, name, requests, arm, depth_bound)
         for arm in ("server", "fixed", "reactive", "predictive")
     }
-    for key, what in (
-        ("probabilities", "predictions"),
-        ("store_stats", "store meters"),
-        ("shed", "shed decisions"),
-    ):
-        if arms["fixed"][key] != arms["server"][key]:
-            raise AssertionError(
-                f"{name}: a one-replica ReplicaFleet must be bit-identical to the "
-                f"ServerModel baseline — the fixed arm's {what} diverged"
-            )
+    fixed, server = arms["fixed"], arms["server"]
+    _assert_twins(
+        name, "a one-replica ReplicaFleet must be bit-identical to the ServerModel baseline",
+        observe(fixed["engine"], fixed["delivered"]), observe(server["engine"], server["delivered"]),
+    )
     rows = [_row(name, measured, _AUTOSCALE_COLUMNS) for measured in arms.values()]
     return rows, {
         "shed_rates": {f"{name}:{arm}": round(measured["shed_rate"], 4) for arm, measured in arms.items()},
@@ -637,17 +625,21 @@ def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
     membership matches the baseline's.  Either way the elastic arm must
     reproduce the baseline bit for bit — same prediction stream, same
     final per-user state — because replication, faults and resharding are
-    placement-only; what differs is the metered migration/re-hydration
-    traffic the rows report.
+    placement-only; what differs is the pool's ring meters, its per-shard
+    traffic split and the physical writes a failed shard skips (a resize
+    moves every client meter: the pool's rollup sums its *current* shards,
+    and migration copies are metered on them).  Both arms take one pool
+    name, so the baseline places every key where the elastic arm starts.
     """
     n_requests = workload.params["n_requests"]
     replication = workload.params["replication"]
     batch_size = workload.top_batch
     span = int(requests[-1][0] - requests[0][0])
+    store_name = f"rnn-{name}-b{batch_size}-{'failover' if faulted else 'elastic'}"
 
-    def build(tag: str, failure_schedule=None) -> ServingEngine:
+    def build(failure_schedule=None) -> ServingEngine:
         return workload.build_engine(
-            f"rnn-{name}-b{batch_size}-{tag}",
+            store_name,
             batch_size,
             {"replication": replication, "failure_schedule": failure_schedule},
         )
@@ -668,20 +660,11 @@ def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
         assert workload.updates_since_warm_up(engine) == n_requests
         return served
 
-    baseline = build("static")
+    baseline = build()
     baseline_served = drive(baseline)
-    if faulted:
-        elastic = build(
-            "failover",
-            (
-                (requests[0][0] + span // 3, "fail", 0),
-                (requests[0][0] + (2 * span) // 3, "recover", 0),
-            ),
-        )
-        elastic_served = drive(elastic)
-    else:
-        elastic = build("elastic")
-        elastic_served = drive(elastic, resize=True)
+    schedule = ((requests[0][0] + span // 3, "fail", 0), (requests[0][0] + (2 * span) // 3, "recover", 0))
+    elastic = build(schedule if faulted else None)
+    elastic_served = drive(elastic, resize=not faulted)
 
     store = elastic.store
     meters = {
@@ -701,16 +684,12 @@ def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
         raise AssertionError(
             f"{name} migrated no keys — the resize never changed ownership"
         )
-    if [p.probability for p in elastic_served] != [p.probability for p in baseline_served]:
-        raise AssertionError(
-            f"{name}: the elastic arm's predictions diverged from the static baseline"
-        )
-    baseline_state = {key: baseline.store.get(key) for key in sorted(baseline.store.keys())}
-    elastic_state = {key: store.get(key) for key in sorted(store.keys())}
-    if not _stored_equal(baseline_state, elastic_state):
-        raise AssertionError(
-            f"{name}: the elastic arm's final per-user state diverged from the static baseline"
-        )
+    _assert_twins(
+        name, "the elastic arm must serve and store the static pool's bits",
+        observe(elastic, elastic_served), observe(baseline, baseline_served),
+        (f"metric:ring.{store_name}.", f"metric:kv.{store_name}/")
+        + (("meter:puts", "meter:bytes_written") if faulted else ("meter:",)),
+    )
     row = {
         "scenario": name,
         "batch_size": batch_size,
@@ -733,7 +712,8 @@ def shard_failover(workload: Workload, name: str, requests):
     """A Poisson stream through a static pool and one whose
     ``failure_schedule`` fails shard 0 a third of the way through the arrivals
     and recovers it (eager re-hydration from replicas) at two thirds —
-    *asserted* bit-identical in predictions and final per-user state."""
+    *asserted* bit-identical in predictions, final per-user state and client
+    reads."""
     return _elastic_scenario(workload, name, requests, faulted=True)
 
 
@@ -756,14 +736,18 @@ def canary_rollout(workload: Workload, name: str, requests):
     * ``static`` — registry-free baseline.
     * ``shadow`` — control model with the candidate in shadow and a
       canary schedule whose mid-stream stage trips a ``max_divergence``
-      gate, rolling the candidate back.  The run *asserts* this arm's
-      predictions, control-namespace state and pool client meters are
-      bit-identical to the baseline (the headline rollout invariant),
-      and that the shadow namespace actually holds state.
+      gate, rolling the candidate back.  The run *asserts* this arm is
+      bit-identical to the baseline in every observable but the
+      ``rollout.*`` instruments and the ``candidate:`` namespace (the
+      headline rollout invariant), and that the shadow namespace actually
+      holds state.
     * ``promote`` — a gate-free schedule ending in a 100% hot swap.
     * ``direct`` — registry-free engine built on the candidate's bits;
-      the run asserts every post-swap prediction of the promote arm
-      matches this arm bit for bit.
+      the run asserts every post-swap prediction of the promote arm and
+      its ``candidate:`` namespace match this arm bit for bit.
+
+    Each compared pair shares one pool name (the baseline the shadow arm's,
+    the direct arm the promote arm's), so both place every key alike.
     """
     params = workload.params
     network = workload.rnn.network
@@ -801,7 +785,7 @@ def canary_rollout(workload: Workload, name: str, requests):
         assert workload.updates_since_warm_up(engine) == params["n_requests"]
         return served
 
-    baseline = build("static")
+    baseline = build("shadow")
     baseline_served = drive(baseline)
 
     # Rollback arm.  The first stage fires before the first arrival (the
@@ -823,29 +807,16 @@ def canary_rollout(workload: Workload, name: str, requests):
             f"{name}: the divergence gate never tripped — no micro-batch was "
             "scored before the mid-stream stage (widen the stream or raise arrival_rate)"
         )
-    if [p.probability for p in shadowed_served] != [p.probability for p in baseline_served]:
-        raise AssertionError(
-            f"{name}: shadow scoring + rollback changed the control arm's predictions"
-        )
-    if shadowed.store.stats.snapshot() != baseline.store.stats.snapshot():
-        raise AssertionError(
-            f"{name}: shadow traffic leaked into the pool's client meters"
-        )
+    _assert_twins(
+        name, "shadow scoring + rollback must leave the registry-free engine's bits",
+        observe(shadowed, shadowed_served), observe(baseline, baseline_served),
+        ("metric:rollout.", "record:candidate:"),
+    )
     shadow_keys = [
         key for key in shadowed.store.keys() if key.startswith("candidate:hidden:")
     ]
     if not shadow_keys:
         raise AssertionError(f"{name}: the shadow arm stored no state")
-    baseline_state = {key: baseline.store.peek(key) for key in sorted(baseline.store.keys())}
-    control_state = {
-        key: shadowed.store.peek(key)
-        for key in sorted(shadowed.store.keys())
-        if not key.startswith("candidate:")
-    }
-    if not _stored_equal(baseline_state, control_state):
-        raise AssertionError(
-            f"{name}: the control namespace diverged from the registry-free baseline"
-        )
     divergence_p99 = shadowed.metrics.histogram(
         "rollout.candidate.divergence", DIVERGENCE_BUCKETS
     ).quantile(0.99)
@@ -863,17 +834,18 @@ def canary_rollout(workload: Workload, name: str, requests):
     promoted_served = drive(promoted)
     if not promoted.rollout.promoted:
         raise AssertionError(f"{name}: the promote arm never reached its 100% stage")
-    direct = build("direct", network=candidate_version.build_network())
+    direct = build("promote", network=candidate_version.build_network())
     direct_served = drive(direct)
     post_swap = [index for index, request in enumerate(requests) if request[0] >= swap_at]
     if not post_swap:
         raise AssertionError(f"{name}: no arrivals after the hot swap — widen the stream")
-    for index in post_swap:
-        if promoted_served[index].probability != direct_served[index].probability:
-            raise AssertionError(
-                f"{name}: post-swap predictions diverged from an engine built "
-                "directly on the promoted version"
-            )
+    # The arms' meters differ by construction (one served the control first).
+    _assert_twins(
+        name, "the promoted arm must serve and store the bits of an engine built on the candidate",
+        observe(promoted, promoted_served[post_swap[0]:], namespace="candidate:"),
+        observe(direct, direct_served[post_swap[0]:]),
+        ("meter:", "metric:"),
+    )
 
     shared = {"batch_size": batch_size, "replication": params["replication"]}
     rows = [

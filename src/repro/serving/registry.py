@@ -84,6 +84,9 @@ class ModelVersion:
             name: np.ascontiguousarray(np.asarray(array, dtype=np.float64))
             for name, array in self.weights.items()
         }
+        for name, array in weights.items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"model version {self.version!r}: weight {name!r} is not finite")
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "metadata", dict(self.metadata))
@@ -144,9 +147,11 @@ class ModelVersion:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown ModelVersion fields: {sorted(unknown)}")
-        missing = {"version", "config", "weights"} - set(payload)
-        if missing:
-            raise ValueError(f"missing ModelVersion fields: {sorted(missing)}")
+        # ``to_dict`` always writes ``provenance``: a payload without one
+        # would have its digest recomputed instead of verified.
+        missing = {"version", "config", "weights", "provenance"} - set(payload)
+        if missing or not payload["provenance"]:
+            raise ValueError(f"missing ModelVersion fields: {sorted(missing or {'provenance'})}")
         # __post_init__ recomputes the digest against the recorded
         # provenance, so any weight or config tampering raises here.
         return cls(
@@ -156,7 +161,7 @@ class ModelVersion:
                 name: np.asarray(values, dtype=np.float64)
                 for name, values in payload["weights"].items()
             },
-            provenance=payload.get("provenance", ""),
+            provenance=payload["provenance"],
             metadata=payload.get("metadata", {}),
         )
 

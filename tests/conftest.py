@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from repro.data import ContextField, ContextSchema, Dataset, UserLog, make_dataset
+from serving_harness import make_parts
+
+
+@pytest.fixture(scope="session")
+def serving_parts():
+    """``(schema, builder, network)`` for the engine-level serving tests
+    (``serving_harness.make_parts``)."""
+    return make_parts()
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,10 @@ The load-bearing claims:
 
 * **Bit-identity** — a one-replica :class:`~repro.serving.autoscale.ReplicaFleet`
   is indistinguishable from :class:`~repro.serving.slo.ServerModel` in every
-  float observable, and an engine whose autoscaler ticks fire but whose fleet
-  is pinned to one replica (``min == initial == max == 1``) reproduces the
-  ``ServerModel`` path exactly — predictions, stored state, KV traffic, queue
-  and admission meters — at batch 1/7/64 across plain/sharded/quantized/r=3
-  stores.  Scaling machinery must be bit-invisible until the fleet resizes.
+  float observable.  At engine level, a fleet pinned to one replica whose
+  autoscaler ticks fire, and a fleet passed as ``server=``, reproduce the
+  ``ServerModel`` path exactly; the twin matrix
+  (``tests/test_serving_twins.py``) pins both.
 * **Fleet dynamics are deterministic** — provisioning delays are honored to
   the simulated second, the replica-seconds cost meter is exact (including
   mid-backlog transitions), direction reversals cancel pending transitions
@@ -26,10 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
 from repro.experiments.serving_scenarios import _zipf_user_popularity
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
     Autoscaler,
     EngineConfig,
@@ -42,6 +38,7 @@ from repro.serving import (
     ShardedKeyValueStore,
     SloPolicy,
 )
+from serving_harness import build_engine, ramped_events
 
 
 class TestReplicaFleetModel:
@@ -316,195 +313,28 @@ class TestEngineConfigAutoscale:
 
 
 # ----------------------------------------------------------------------
-# Engine-level acceptance: bit-identity and the forecasting dividend.
+# Engine level: the forecasting dividend.  That a pinned one-replica
+# autoscaler and a drop-in ReplicaFleet are bit-invisible is pinned by the
+# twin matrix (tests/test_serving_twins.py).
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
-        )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(5)).eval()
-    return schema, builder, network
-
-
-def ramped_overload_events(rng, n_events=220, n_users=10):
-    """Arrival stream whose rate ramps past one-replica capacity and spans
-    several 600-second session windows (same shape as ``tests/test_slo.py``)."""
-    rates = np.linspace(0.08, 0.6, n_events)
-    gaps = rng.exponential(1.0 / rates)
-    timestamps = 1_600_000_000 + np.floor(gaps.cumsum()).astype(np.int64)
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, n_users)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in timestamps
-    ]
-
-
-_STORE_VARIANTS = {
-    "plain": {},
-    "sharded": {"n_shards": 3},
-    "quantized": {"quantize": True},
-    "replicated": {"n_shards": 3, "replication": 3},
-}
-
-
-def autoscale_replay(parts, events, *, arm, bound=16, store_name, policy="reactive", **variant):
-    """One arm over the stream: ``server`` (ServerModel), ``fixed`` (one-replica
-    fleet as a drop-in ``server=``) or ``autoscaled`` (config-built fleet with
-    live ticks).  All arms shed at the same depth bound."""
-    t0, t_end = int(events[0][0]), int(events[-1][0])
-    build_kwargs, config_kwargs = {}, {}
-    if arm == "server":
-        build_kwargs["server"] = ServerModel(0.15)
-    elif arm == "fixed":
-        build_kwargs["server"] = ReplicaFleet(0.15)
-    else:
-        config_kwargs["autoscale"] = {
-            "policy": policy,
-            "service_rate": 0.15,
-            "start": t0 + 60,
-            "until": t_end,
-            "interval": 60,
-            # Pinned bounds: ticks fire, the fleet can never resize.
-            "initial_replicas": 1,
-            "min_replicas": 1,
-            "max_replicas": 1,
-            "provision_delay": 0,
-        }
-    _, builder, network = parts
-    engine = ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            max_batch_size=variant.pop("max_batch_size", 16),
-            session_length=600,
-            store_name=store_name,
-            **config_kwargs,
-            **variant,
-        ),
-        network=network,
-        builder=builder,
-        slo_policy=SloPolicy(max_queue_depth=bound),
-        admission_mode="shed",
-        **build_kwargs,
-    )
-    served = engine.replay(events)
-    engine.close()
-    return served, engine
-
-
-class TestFixedFleetBitIdentity:
-    """The headline invariant: autoscaling that never resizes is invisible."""
-
-    @pytest.mark.parametrize("batch", [1, 7, 64])
-    @pytest.mark.parametrize("variant", sorted(_STORE_VARIANTS))
-    def test_pinned_fleet_matches_server_model_path(self, serving_parts, batch, variant):
-        events = ramped_overload_events(np.random.default_rng(42), n_events=160)
-        kwargs = dict(_STORE_VARIANTS[variant], max_batch_size=batch)
-        baseline, baseline_engine = autoscale_replay(
-            serving_parts, events, arm="server", store_name=f"base-{variant}-b{batch}", **kwargs
-        )
-        scaled, scaled_engine = autoscale_replay(
-            serving_parts, events, arm="autoscaled", store_name=f"auto-{variant}-b{batch}", **kwargs
-        )
-        # The ticks really fired — this is not a disabled-subsystem run…
-        assert scaled_engine.autoscaler is not None
-        assert scaled_engine.autoscaler.evaluations > 0
-        assert scaled_engine.server.replicas == 1
-        # …and every serving observable matches bit for bit.
-        np.testing.assert_array_equal(
-            np.asarray([p.probability for p in scaled]),
-            np.asarray([p.probability for p in baseline]),
-        )
-        assert len(scaled) == len(baseline)
-        assert scaled_engine.store.stats.snapshot() == baseline_engine.store.stats.snapshot()
-        for key in baseline_engine.store.keys():
-            np.testing.assert_array_equal(
-                scaled_engine.store.get(key)["state"], baseline_engine.store.get(key)["state"]
-            )
-        assert (
-            scaled_engine.admission.requests_shed == baseline_engine.admission.requests_shed
-        )
-        assert (
-            scaled_engine.admission.requests_offered
-            == baseline_engine.admission.requests_offered
-        )
-        for meter in ("queue.requests_submitted", "queue.batches_flushed"):
-            assert (
-                scaled_engine.metrics.counter(meter).value
-                == baseline_engine.metrics.counter(meter).value
-                > 0
-            ), meter
-
-    def test_fleet_as_a_drop_in_server_matches_too(self, serving_parts):
-        """``server=ReplicaFleet(rate)`` with no autoscaler is also identical."""
-        events = ramped_overload_events(np.random.default_rng(43), n_events=160)
-        baseline, baseline_engine = autoscale_replay(
-            serving_parts, events, arm="server", store_name="dropin-base", max_batch_size=7
-        )
-        fixed, fixed_engine = autoscale_replay(
-            serving_parts, events, arm="fixed", store_name="dropin-fleet", max_batch_size=7
-        )
-        assert fixed_engine.autoscaler is None
-        np.testing.assert_array_equal(
-            np.asarray([p.probability for p in fixed]),
-            np.asarray([p.probability for p in baseline]),
-        )
-        assert fixed_engine.store.stats.snapshot() == baseline_engine.store.stats.snapshot()
-        assert fixed_engine.admission.requests_shed == baseline_engine.admission.requests_shed
-        assert fixed_engine.server.peak_backlog_seconds == baseline_engine.server.peak_backlog_seconds
-
-
-def deterministic_ramp_events(rng, n_events=220, n_users=10):
-    """The same ramp with deterministic gaps (``1 / rate``): no burst noise,
-    so the policy comparison isolates the *signal* each arm scales on — the
-    measured demand trajectory versus the backlog it eventually causes — not
-    which arm a random early burst happens to trip first."""
-    rates = np.linspace(0.08, 0.6, n_events)
-    timestamps = 1_600_000_000 + np.floor((1.0 / rates).cumsum()).astype(np.int64)
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, n_users)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in timestamps
-    ]
-
-
 class TestPredictiveBeatsReactive:
     def _elastic_replay(self, parts, events, *, policy):
         t0, t_end = int(events[0][0]), int(events[-1][0])
-        _, builder, network = parts
-        engine = ServingEngine.build(
-            EngineConfig(
-                backend="hidden_state",
-                max_batch_size=16,
-                session_length=600,
-                store_name=f"elastic-{policy}",
-                autoscale={
-                    "policy": policy,
-                    "service_rate": 0.15,
-                    "start": t0 + 60,
-                    "until": t_end,
-                    "interval": 60,
-                    "max_replicas": 6,
-                    "provision_delay": 120,
-                    "decommission_delay": 30,
-                    "target_queue_depth": 4.0,
-                },
-            ),
-            network=network,
-            builder=builder,
+        engine = build_engine(
+            parts,
+            max_batch_size=16,
+            store_name=f"elastic-{policy}",
+            autoscale={
+                "policy": policy,
+                "service_rate": 0.15,
+                "start": t0 + 60,
+                "until": t_end,
+                "interval": 60,
+                "max_replicas": 6,
+                "provision_delay": 120,
+                "decommission_delay": 30,
+                "target_queue_depth": 4.0,
+            },
             slo_policy=SloPolicy(max_queue_depth=16),
             admission_mode="shed",
         )
@@ -529,7 +359,11 @@ class TestPredictiveBeatsReactive:
     def test_predictive_scales_before_the_ramp_the_reactive_arm_sheds_on(
         self, serving_parts
     ):
-        events = deterministic_ramp_events(np.random.default_rng(45))
+        # Deterministic gaps (``1 / rate``): no burst noise, so the comparison
+        # isolates the *signal* each arm scales on — the measured demand
+        # trajectory versus the backlog it eventually causes — not which arm
+        # a random early burst happens to trip first.
+        events = ramped_events(np.random.default_rng(45), jitter=False)
         _, reactive = self._elastic_replay(serving_parts, events, policy="reactive")
         _, predictive = self._elastic_replay(serving_parts, events, policy="predictive")
         assert reactive.autoscaler.evaluations == predictive.autoscaler.evaluations

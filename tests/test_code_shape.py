@@ -2,7 +2,10 @@
 150 code lines (non-blank, non-comment, non-docstring) — ``run_batched_serving``
 was once 787 — and none under ``src/repro/serving/`` past 80, with
 ``ServingEngine.build`` kept straight-line (it was once 173 lines with a
-callback defined per fault)."""
+callback defined per fault).  The serving suites share one harness
+(``tests/serving_harness.py`` and the ``serving_parts`` fixture) instead of
+the eight private copies they once carried, and ``src/`` compares records in
+one place, :mod:`repro.serving.twins`."""
 
 from __future__ import annotations
 
@@ -11,7 +14,8 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "repro"
 #: Directory -> the most code lines one function there may have.
 BUDGETS = {"experiments": 150, "serving": 80}
 _NOT_CODE = (
@@ -76,6 +80,53 @@ def test_engine_build_defines_no_nested_function():
         if node is not build and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
     ]
     assert not nested, f"ServingEngine.build defines {nested}"
+
+
+#: What the serving suites get from the shared harness; a test module
+#: defining one of these again is a private copy.
+SHARED_HARNESS = {
+    "serving_parts", "random_session_events", "session_events", "ramped_overload_events",
+    "build_engine", "build_layout_engine", "stored_state", "assert_bit_identical",
+    "assert_layouts_identical", "assert_record_equal",
+}
+
+
+def test_no_test_module_redefines_the_shared_harness():
+    copies = {}
+    for path in sorted(TESTS.glob("test_*.py")):
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        if defined & SHARED_HARNESS:
+            copies[path.name] = sorted(defined & SHARED_HARNESS)
+    assert not copies, f"private copies of the shared serving harness: {copies}"
+
+
+def _compares_arrays(function) -> bool:
+    """Calls ``array_equal``/``array_equiv`` or compares ``.tobytes()`` results."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if callee in ("array_equal", "array_equiv"):
+                return True
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Call) and getattr(side.func, "attr", "") == "tobytes"
+            for side in (node.left, *node.comparators)
+        ):
+            return True
+    return False
+
+
+def test_src_holds_one_record_comparator():
+    comparators = sorted(
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _compares_arrays(node)
+    )
+    assert comparators == ["serving/twins.py:_difference"]
 
 
 def test_the_counter_skips_blanks_comments_and_docstrings():

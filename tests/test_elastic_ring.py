@@ -12,8 +12,8 @@ The load-bearing claims:
   every pre-failure value is still served while a shard is down, and
   recovery re-hydrates it (eagerly or lazily through read-repair).
 * **Elasticity preserves the serving contract** — a pipeline that resizes
-  mid-run or loses-and-recovers a shard produces bit-identical predictions
-  and stored state to the static-ring run; only ring meters differ.
+  mid-run or loses-and-recovers a shard serves the static ring's bits;
+  pinned by the twin matrix (``tests/test_serving_twins.py``).
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
     ConsistentHashRing,
     EngineConfig,
     MetricsRegistry,
-    ServingEngine,
     ShardedKeyValueStore,
 )
+from serving_harness import build_engine, poisson_events, replay
 
 KEYS = [f"user:{i}" for i in range(120)]
 
@@ -241,130 +238,11 @@ class TestLiveResharding:
 
 
 # ----------------------------------------------------------------------
-# Engine level: the acceptance criterion, pinned without training.
+# Engine level: failure schedules.  That a fail/recover schedule or a
+# mid-run resize serves the static ring's bits is pinned by the twin matrix
+# (tests/test_serving_twins.py).
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
-        )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(7)).eval()
-    return schema, builder, network
-
-
-@pytest.fixture(scope="module")
-def session_events():
-    rng = np.random.default_rng(17)
-    gaps = rng.exponential(6.0, size=180)
-    timestamps = 1_600_000_000 + np.floor(gaps.cumsum()).astype(np.int64)
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, 14)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in timestamps
-    ]
-
-
-def build_engine(parts, *, failure_schedule=None):
-    _, builder, network = parts
-    return ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            max_batch_size=16,
-            session_length=600,
-            n_shards=4,
-            replication=2,
-            store_name="rnn",
-            failure_schedule=failure_schedule,
-        ),
-        network=network,
-        builder=builder,
-    )
-
-
-def drive(engine, events, membership_steps=None):
-    """Replay ``events`` by hand so arms can inject membership changes at
-    fixed indices; every arm issues the identical submit/observe sequence."""
-    served = []
-    for index, (timestamp, user_id, context, accessed) in enumerate(events):
-        if membership_steps and index in membership_steps:
-            membership_steps[index]()
-        served += engine.submit(user_id, context, timestamp)
-        engine.observe_session(user_id, context, timestamp, accessed)
-    served += engine.flush()
-    engine.stream.flush()
-    served += engine.drain_completed()
-    assert engine.updates_applied == len(events)
-    return served
-
-
-def stored_state(engine):
-    return {key: engine.store.get(key) for key in sorted(engine.store.keys())}
-
-
-def assert_bit_identical(baseline, arm, base_served, arm_served):
-    np.testing.assert_array_equal(
-        np.asarray([p.probability for p in base_served]),
-        np.asarray([p.probability for p in arm_served]),
-    )
-    base_state, arm_state = stored_state(baseline), stored_state(arm)
-    assert base_state.keys() == arm_state.keys()
-    for key in base_state:
-        assert base_state[key]["timestamp"] == arm_state[key]["timestamp"]
-        left, right = base_state[key]["state"], arm_state[key]["state"]
-        assert left.dtype == right.dtype and left.shape == right.shape
-        np.testing.assert_array_equal(left, right)
-
-
 class TestElasticAcceptance:
-    def test_fail_and_recover_is_bit_identical_to_static_ring(
-        self, serving_parts, session_events
-    ):
-        start, end = session_events[0][0], session_events[-1][0]
-        span = end - start
-        schedule = (
-            (start + span // 3, "fail", 1),
-            (start + (2 * span) // 3, "recover", 1),
-        )
-        baseline = build_engine(serving_parts)
-        faulted = build_engine(serving_parts, failure_schedule=schedule)
-        base_served = drive(baseline, session_events)
-        arm_served = drive(faulted, session_events)
-        assert faulted.store.shard_failures == 1
-        assert faulted.store.shard_recoveries == 1
-        assert faulted.store.keys_rehydrated > 0
-        assert baseline.store.shard_failures == 0
-        assert_bit_identical(baseline, faulted, base_served, arm_served)
-        baseline.close()
-        faulted.close()
-
-    def test_mid_run_resize_is_bit_identical_to_static_ring(
-        self, serving_parts, session_events
-    ):
-        baseline = build_engine(serving_parts)
-        elastic = build_engine(serving_parts)
-        added: list[str] = []
-        steps = {
-            len(session_events) // 3: lambda: added.append(elastic.store.add_shard()),
-            (2 * len(session_events)) // 3: lambda: elastic.store.remove_shard(added.pop()),
-        }
-        base_served = drive(baseline, session_events)
-        arm_served = drive(elastic, session_events, membership_steps=steps)
-        assert elastic.store.keys_migrated > 0
-        assert elastic.store.membership_changes == 2
-        assert baseline.store.keys_migrated == 0
-        assert_bit_identical(baseline, elastic, base_served, arm_served)
-        baseline.close()
-        elastic.close()
-
     def test_failure_schedule_config_validation(self):
         with pytest.raises(ValueError, match="replication >= 2"):
             EngineConfig(
@@ -435,11 +313,14 @@ class TestElasticAcceptance:
         ],
         ids=["one-at-a-time", "out-of-list-order", "same-second"],
     )
-    def test_a_schedule_the_pool_can_run_is_accepted(self, serving_parts, session_events, schedule):
-        start = session_events[0][0]
+    def test_a_schedule_the_pool_can_run_is_accepted(self, serving_parts, schedule):
+        events = poisson_events(np.random.default_rng(17))
+        start = events[0][0]
         shifted = tuple((start + fire_at, action, index) for fire_at, action, index in schedule)
-        engine = build_engine(serving_parts, failure_schedule=shifted)
-        drive(engine, session_events)  # fires every fault without raising
+        engine = build_engine(
+            serving_parts, max_batch_size=16, n_shards=4, replication=2, failure_schedule=shifted
+        )
+        replay(engine, events)  # fires every fault without raising
         fails = sum(action == "fail" for _, action, _ in schedule)
         assert engine.store.shard_failures == fails
         assert engine.store.shard_recoveries == len(schedule) - fails

@@ -7,14 +7,15 @@ to matter:
 * a rollout whose schedule ends in rollback must leave the engine
   bit-identical to a registry-free engine — served predictions, stored
   control state, store traffic meters — at every batch size and store
-  topology;
+  topology (pinned by the twin matrix, ``tests/test_serving_twins.py``);
 * a rollout promoted to 100% must serve bits identical to an engine built
   directly on the promoted version, because the shadow arm scored every
   micro-batch and applied every wave since build;
 * the hot swap itself must not drain the queue: no flush, no drop, delivery
   cursor monotone.
 
-The satellite coverage pins the shadow arm's version-prefixed KV namespace
+The registry refuses what it cannot verify: tampered, unsigned or
+non-finite weights.  The failover coverage pins the shadow arm's version-prefixed KV namespace
 through a replicated fail/recover cycle: shadow state survives failover
 bit-exactly and never leaks into the control namespace.
 """
@@ -28,24 +29,10 @@ import pytest
 
 from repro.data import make_dataset, sessions_in_time_order, user_split
 from repro.models import RNNModel, RNNModelConfig, TaskSpec
-from repro.serving import (
-    DIVERGENCE_BUCKETS,
-    EngineConfig,
-    ModelRegistry,
-    ModelVersion,
-    ServingEngine,
-    SessionWave,
-)
-
-BATCH_SIZES = (1, 7, 64)
-
-#: Store/backend topologies the invisibility pin must hold across.
-STORE_CONFIGS = {
-    "plain": {},
-    "sharded": {"n_shards": 4, "store_name": "lifecycle"},
-    "quantized": {"quantize": True},
-    "replicated": {"n_shards": 4, "replication": 3, "store_name": "lifecycle-ha"},
-}
+from repro.serving import ModelRegistry, ModelVersion, SessionWave
+from repro.serving.registry import _weights_digest
+from repro.serving.twins import first_difference
+from serving_harness import build_engine
 
 
 @pytest.fixture(scope="module")
@@ -81,45 +68,18 @@ def versions(trained):
     return control, candidate, registry
 
 
-def build_engine(
-    trained,
-    versions,
-    *,
-    batch_size,
-    model=None,
-    rollout=None,
-    network=None,
-    **overrides,
-):
+def rollout_engine(trained, versions, *, batch_size, **overrides):
+    """An engine over the trained model; a ``model=`` pin serves it from the
+    frozen two-version registry, ``network=`` replaces the control network."""
     dataset, rnn, _ = trained
-    _, _, registry = versions
-    config = EngineConfig(
-        backend="hidden_state",
+    if "model" in overrides:
+        overrides["models"] = versions[2]
+    return build_engine(
+        (None, rnn.builder, rnn.network),
         max_batch_size=batch_size,
         session_length=dataset.session_length,
-        model=model,
-        rollout=rollout,
         **overrides,
     )
-    kwargs = {"builder": rnn.builder}
-    if model is not None:
-        kwargs["models"] = registry
-    else:
-        kwargs["network"] = network if network is not None else rnn.network
-    return ServingEngine.build(config, **kwargs)
-
-
-def assert_record_equal(left, right):
-    assert type(left) is type(right)
-    if isinstance(left, dict):
-        assert left.keys() == right.keys()
-        for key in left:
-            assert_record_equal(left[key], right[key])
-    elif isinstance(left, np.ndarray):
-        assert left.dtype == right.dtype and left.shape == right.shape
-        np.testing.assert_array_equal(left, right)
-    else:
-        assert left == right
 
 
 def records_under(engine, prefix):
@@ -160,6 +120,35 @@ class TestModelRegistry:
         payload["weights"][name] = (np.asarray(payload["weights"][name]) + 1.0).tolist()
         with pytest.raises(ValueError, match="provenance verification"):
             ModelVersion.from_dict(payload)
+
+    def test_a_payload_without_provenance_is_refused(self, versions):
+        """Stripping the digest must not turn verification into recomputation:
+        edited weights with no ``provenance`` key (or an empty one) never load."""
+        control, _, _ = versions
+        payload = control.to_dict()
+        name = next(iter(payload["weights"]))
+        payload["weights"][name] = (np.asarray(payload["weights"][name]) + 1.0).tolist()
+        for stripped in ({k: v for k, v in payload.items() if k != "provenance"}, {**payload, "provenance": ""}):
+            with pytest.raises(ValueError, match="missing ModelVersion fields: \\['provenance'\\]"):
+                ModelVersion.from_dict(stripped)
+        with pytest.raises(ValueError, match="missing ModelVersion fields"):
+            ModelRegistry.from_dict({"versions": [stripped], "frozen": True})
+
+    def test_non_finite_weights_are_refused(self, versions):
+        control, _, _ = versions
+        name = next(iter(control.weights))
+        for bad in (np.nan, np.inf):
+            weights = {**control.weights, name: np.full_like(control.weights[name], bad)}
+            with pytest.raises(ValueError, match=f"weight {name!r} is not finite"):
+                ModelVersion("poisoned", control.config, weights)
+            # Signing the bad weights does not help: the digest matches, the values do not pass.
+            payload = {
+                **control.to_dict(),
+                "weights": {key: array.tolist() for key, array in weights.items()},
+                "provenance": _weights_digest(control.config, weights),
+            }
+            with pytest.raises(ValueError, match="not finite"):
+                ModelVersion.from_dict(json.loads(json.dumps(payload)))
 
     def test_unknown_and_missing_fields_rejected(self, versions):
         control, _, _ = versions
@@ -204,75 +193,6 @@ class TestModelRegistry:
 
 
 # ----------------------------------------------------------------------
-# Pin (a): shadow + rollback-ending schedule == registry-free engine.
-# ----------------------------------------------------------------------
-class TestShadowInvisibility:
-    @pytest.mark.parametrize("store_kind", sorted(STORE_CONFIGS))
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_rollback_ending_rollout_is_bit_invisible(
-        self, trained, versions, store_kind, batch_size
-    ):
-        _, _, events = trained
-        overrides = dict(STORE_CONFIGS[store_kind])
-        t0, tmid = events[0][0], events[len(events) // 2][0]
-        baseline = build_engine(trained, versions, batch_size=batch_size, **overrides)
-        arm = build_engine(
-            trained,
-            versions,
-            batch_size=batch_size,
-            model="control",
-            rollout={
-                # The first stage fires before any divergence is observed
-                # (empty histogram passes the gate); the second trips on the
-                # candidate's real divergence and rolls the rollout back.
-                "candidate": "candidate",
-                "stages": ((t0 - 1, 5), (tmid, 50)),
-                "gates": {"max_divergence": 1e-6},
-            },
-            **overrides,
-        )
-        base_served = baseline.replay(events)
-        arm_served = arm.replay(events)
-
-        # The schedule really ran and really rolled back on divergence.
-        rollout = arm.rollout
-        assert rollout.rolled_back and not rollout.promoted
-        assert rollout.rollbacks == 1 and rollout.promotions == 0
-        assert rollout.stage_history[0] == f"stage:5@{t0 - 1}"
-        assert rollout.stage_history[1].startswith(f"rollback@{tmid}:p99_divergence")
-        assert rollout.serving_version == "control"
-        divergence = arm.metrics.histogram("rollout.candidate.divergence", DIVERGENCE_BUCKETS)
-        assert divergence.quantile(0.99) > 1e-6
-
-        # Served bits: probabilities and the full prediction tuples.
-        np.testing.assert_array_equal(
-            np.asarray([p.probability for p in arm_served]),
-            np.asarray([p.probability for p in base_served]),
-        )
-        assert served_tuples(arm_served) == served_tuples(base_served)
-
-        # Control-plane meters the paper's numbers read.
-        assert arm.store.stats.snapshot() == baseline.store.stats.snapshot()
-        assert arm.backend.storage_bytes == baseline.backend.storage_bytes
-        assert arm.queue.batches_flushed == baseline.queue.batches_flushed
-        assert arm.updates_applied == baseline.updates_applied == len(events)
-
-        # Stored control state is bit-equal; the shadow wrote real state of
-        # its own, but only ever under its version prefix.
-        base_records = records_under(baseline, "hidden:")
-        arm_records = records_under(arm, "hidden:")
-        assert base_records.keys() == arm_records.keys()
-        for key in base_records:
-            assert_record_equal(arm_records[key], base_records[key])
-        shadow_records = records_under(arm, "candidate:")
-        assert shadow_records
-        assert all(key.startswith("candidate:hidden:") for key in shadow_records)
-        assert set(arm.store.keys()) == set(arm_records) | set(shadow_records)
-        baseline.close()
-        arm.close()
-
-
-# ----------------------------------------------------------------------
 # Pin (b): a 100%-promoted arm == an engine built on the promoted version.
 # ----------------------------------------------------------------------
 class TestPromotion:
@@ -282,7 +202,7 @@ class TestPromotion:
         t0, tend = events[0][0], events[-1][0]
         span = tend - t0
         swap_at = t0 + (2 * span) // 3
-        arm = build_engine(
+        arm = rollout_engine(
             trained,
             versions,
             batch_size=7,
@@ -293,7 +213,7 @@ class TestPromotion:
                 "gates": {},
             },
         )
-        direct = build_engine(
+        direct = rollout_engine(
             trained, versions, batch_size=7, network=candidate.build_network()
         )
         arm_served = arm.replay(events)
@@ -328,10 +248,7 @@ class TestPromotion:
             key[len("candidate:"):]: value
             for key, value in records_under(arm, "candidate:").items()
         }
-        direct_records = records_under(direct, "hidden:")
-        assert shadow.keys() == direct_records.keys()
-        for key in shadow:
-            assert_record_equal(shadow[key], direct_records[key])
+        assert first_difference(shadow, records_under(direct, "hidden:")) is None
         arm.close()
         direct.close()
 
@@ -342,7 +259,7 @@ class TestWavePassThrough:
         ``apply_wave`` through ``wave_listeners`` into the shadow arm's
         ``apply_wave`` — passed on, never rebuilt row by row."""
         _, _, events = trained
-        arm = build_engine(
+        arm = rollout_engine(
             trained,
             versions,
             batch_size=7,
@@ -374,7 +291,7 @@ class TestHotSwap:
     def test_promotion_leaves_the_pending_batch_and_cursor_untouched(self, trained, versions):
         _, _, events = trained
         swap_at = events[0][0] + 10_000
-        arm = build_engine(
+        arm = rollout_engine(
             trained,
             versions,
             batch_size=64,
@@ -416,11 +333,11 @@ class TestShadowNamespaceFailover:
         rollout = {"candidate": "candidate", "stages": ((t0 - 1, 5),), "gates": {}}
         schedule = ((t0 + span // 4, "fail", 0), (t0 + (3 * span) // 4, "recover", 0))
 
-        baseline = build_engine(trained, versions, batch_size=16, **topology)
-        twin = build_engine(
+        baseline = rollout_engine(trained, versions, batch_size=16, **topology)
+        twin = rollout_engine(
             trained, versions, batch_size=16, model="control", rollout=rollout, **topology
         )
-        faulted = build_engine(
+        faulted = rollout_engine(
             trained,
             versions,
             batch_size=16,
@@ -449,18 +366,14 @@ class TestShadowNamespaceFailover:
         )
         base_records = records_under(baseline, "hidden:")
         fault_records = records_under(faulted, "hidden:")
-        assert base_records.keys() == fault_records.keys()
-        for key in base_records:
-            assert_record_equal(fault_records[key], base_records[key])
+        assert first_difference(fault_records, base_records) is None
 
         # Shadow state survived the failover bit-exactly: the faulted arm's
         # candidate namespace equals the no-failure twin's, and the failed
         # shard provably owned replicas of shadow keys (the fault bit them).
         twin_shadow = records_under(twin, "candidate:")
         fault_shadow = records_under(faulted, "candidate:")
-        assert twin_shadow and fault_shadow.keys() == twin_shadow.keys()
-        for key in twin_shadow:
-            assert_record_equal(fault_shadow[key], twin_shadow[key])
+        assert twin_shadow and first_difference(fault_shadow, twin_shadow) is None
         victim = faulted.store.shards[0].name
         assert any(victim in faulted.store.owner_names(key) for key in fault_shadow)
 

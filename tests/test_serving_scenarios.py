@@ -10,6 +10,7 @@ and it is trained once for the module.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from repro.experiments.serving_scenarios import (
     window_sweep,
 )
 from repro.models import RNNModel
+from repro.serving.slo import AdmissionController
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,23 @@ def test_a_scenario_called_directly_reproduces_its_golden_rows(prepared, scenari
     assert [{key: value for key, value in row.items() if key not in EXCLUDED_COLUMNS} for row in rows] == golden
     # Every scenario hands the runner its last pipeline's registry dump.
     assert pieces["metrics"]
+
+
+def test_admission_disabled_overload_is_checked_against_an_engine_without_admission(prepared, monkeypatch):
+    workload, streams = prepared
+    disabled = dataclasses.replace(workload, params={**workload.params, "slo_queue_depth": 0})
+    rows, _ = overload(disabled, "overload", streams["overload"])
+    assert [row["shed"] for row in rows] == [0, 0]
+    # Both arms carry the controller, so a perturbing controller is only
+    # caught because the twin has none: refusing every tenth first offer
+    # forces a pressure flush, which reshapes the micro-batches.
+    admit = AdmissionController.admit
+    monkeypatch.setattr(
+        AdmissionController, "admit",
+        lambda self, timestamp, queue: admit(self, timestamp, queue) and self.requests_offered % 10 != 0,
+    )
+    with pytest.raises(AssertionError, match="shedding disabled must be bit-invisible"):
+        overload(disabled, "overload", streams["overload"])
 
 
 def test_scenario_names_are_spelled_once():

@@ -3,9 +3,8 @@
 The load-bearing claims:
 
 * **No-op contract** — an attached admission controller whose policy has no
-  bounds is bit-invisible: identical predictions, KV traffic and stored
-  state as an unguarded pipeline over the same overload stream (this is the
-  ``overload``-scenario acceptance criterion at engine level).
+  bounds is bit-invisible next to an unguarded pipeline; the twin matrix
+  (``tests/test_serving_twins.py``) pins it.
 * **Overload is observable and controllable** — driving the engine past a
   :class:`~repro.serving.slo.ServerModel`'s capacity inflates the p99
   end-to-end update latency; a queue-depth-bounded shedding controller
@@ -19,9 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
     AdmissionController,
     EngineConfig,
@@ -29,9 +25,9 @@ from repro.serving import (
     MicroBatchQueue,
     ReplicaFleet,
     ServerModel,
-    ServingEngine,
     SloPolicy,
 )
+from serving_harness import build_engine, ramped_events
 
 
 class TestSloPolicy:
@@ -314,51 +310,14 @@ def test_non_finite_numbers_are_rejected(build, value):
 
 # ----------------------------------------------------------------------
 # Engine-level overload: the acceptance criteria, pinned without training.
+# (That an empty policy is bit-invisible is pinned by the twin matrix,
+# tests/test_serving_twins.py.)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
-        )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(5)).eval()
-    return schema, builder, network
-
-
-def ramped_overload_events(rng, n_events=220, n_users=10):
-    """Arrival stream whose rate ramps past 1 req/s and spans several
-    600-second session windows, so timers fire mid-serve."""
-    rates = np.linspace(0.08, 0.6, n_events)
-    gaps = rng.exponential(1.0 / rates)
-    timestamps = 1_600_000_000 + np.floor(gaps.cumsum()).astype(np.int64)
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, n_users)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in timestamps
-    ]
-
-
 def overload_replay(parts, events, *, bound, mode="shed", service_rate=0.15):
-    _, builder, network = parts
-    server = ServerModel(service_rate)
-    engine = ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            max_batch_size=16,
-            session_length=600,
-            store_name="rnn",
-        ),
-        network=network,
-        builder=builder,
-        server=server,
+    engine = build_engine(
+        parts,
+        max_batch_size=16,
+        server=ServerModel(service_rate),
         slo_policy=SloPolicy(max_queue_depth=bound),
         admission_mode=mode,
     )
@@ -371,35 +330,8 @@ def overload_replay(parts, events, *, bound, mode="shed", service_rate=0.15):
 
 
 class TestOverloadAcceptance:
-    def test_disabled_policy_is_bit_identical_to_no_controller(self, serving_parts):
-        """`overload` with shedding disabled reproduces the unguarded replay
-        exactly: same probabilities, same KV traffic, same stored state."""
-        _, builder, network = serving_parts
-        events = ramped_overload_events(np.random.default_rng(42))
-        guarded, guarded_engine = overload_replay(serving_parts, events, bound=None)
-        bare_engine = ServingEngine.build(
-            EngineConfig(
-                backend="hidden_state", max_batch_size=16, session_length=600, store_name="rnn"
-            ),
-            network=network,
-            builder=builder,
-        )
-        bare = bare_engine.replay(events)
-        bare_engine.close()
-        assert guarded_engine.admission is not None
-        assert guarded_engine.admission.requests_shed == 0
-        np.testing.assert_array_equal(
-            np.asarray([p.probability for p in guarded]),
-            np.asarray([p.probability for p in bare]),
-        )
-        assert guarded_engine.store.stats.snapshot() == bare_engine.store.stats.snapshot()
-        for key in bare_engine.store.keys():
-            np.testing.assert_array_equal(
-                guarded_engine.store.get(key)["state"], bare_engine.store.get(key)["state"]
-            )
-
     def test_shedding_keeps_p99_update_latency_strictly_lower(self, serving_parts):
-        events = ramped_overload_events(np.random.default_rng(43))
+        events = ramped_events(np.random.default_rng(43))
         open_served, open_engine = overload_replay(serving_parts, events, bound=None)
         slo_served, slo_engine = overload_replay(serving_parts, events, bound=16)
         open_p99 = open_engine.metrics.get("serving.update_latency_seconds").quantile(0.99)
@@ -414,7 +346,7 @@ class TestOverloadAcceptance:
         assert open_engine.updates_applied == slo_engine.updates_applied == len(events)
 
     def test_defer_mode_eventually_serves_everything(self, serving_parts):
-        events = ramped_overload_events(np.random.default_rng(44), n_events=150)
+        events = ramped_events(np.random.default_rng(44), n_events=150)
         served, engine = overload_replay(serving_parts, events, bound=16, mode="defer")
         assert engine.admission.requests_shed == 0
         assert engine.admission.requests_deferred > 0

@@ -10,11 +10,10 @@ The load-bearing claims:
   / ``scatter_states`` read on the traffic meters exactly like the
   equivalent per-key ``get``/``put`` loops, including mixed storage
   (records written before the arena attached stay readable).
-* **The layout switch is bit-invisible end to end** — an engine built
-  with ``state_layout="arena"`` serves bit-identical predictions, stores
-  bit-identical records and reports bit-identical traffic meters to the
-  ``"entries"`` build, at batch 1/7/64, plain/sharded/quantized/r=3,
-  through a mid-run resize and through a fail/recover schedule.
+* **The layout switch is bit-invisible end to end** — pinned by the twin
+  matrix (``tests/test_serving_twins.py``): ``state_layout="arena"`` against
+  the ``"entries"`` build at batch 1/7/64 on every topology, and composed
+  with a mid-run resize, a fail/recover schedule and every other feature.
 """
 
 from __future__ import annotations
@@ -22,14 +21,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
     ArenaSpec,
     EngineConfig,
     KeyValueStore,
-    ServingEngine,
     StateArena,
     dequantize_state,
     quantize_state,
@@ -308,161 +303,11 @@ class TestStoreHosting:
 
 
 # ----------------------------------------------------------------------
-# Engine level: the layout switch is bit-invisible (the tentpole pin).
+# Engine level: the layout switch itself is pinned bit-invisible by the
+# twin matrix (tests/test_serving_twins.py); here, only its validation.
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
-        )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(7)).eval()
-    return schema, builder, network
-
-
-@pytest.fixture(scope="module")
-def session_events():
-    rng = np.random.default_rng(17)
-    gaps = rng.exponential(6.0, size=180)
-    timestamps = 1_600_000_000 + np.floor(gaps.cumsum()).astype(np.int64)
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, 14)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in timestamps
-    ]
-
-
-def build_layout_engine(parts, layout, **overrides):
-    _, builder, network = parts
-    config = EngineConfig(
-        backend="hidden_state",
-        session_length=600,
-        store_name="rnn",
-        state_layout=layout,
-        **overrides,
-    )
-    return ServingEngine.build(config, network=network, builder=builder)
-
-
-def drive(engine, events, membership_steps=None):
-    served = []
-    for index, (timestamp, user_id, context, accessed) in enumerate(events):
-        if membership_steps and index in membership_steps:
-            membership_steps[index]()
-        served += engine.submit(user_id, context, timestamp)
-        engine.observe_session(user_id, context, timestamp, accessed)
-    served += engine.flush()
-    engine.stream.flush()
-    served += engine.drain_completed()
-    assert engine.updates_applied == len(events)
-    return served
-
-
-def assert_layouts_identical(entries_engine, arena_engine, entries_served, arena_served):
-    """Predictions (all fields), stored records (values, dtypes, scalar
-    types), traffic meters and storage footprint — all bit-equal."""
-    assert entries_served == arena_served  # scalar dataclasses: full equality
-    entries_state = {k: entries_engine.store.get(k) for k in sorted(entries_engine.store.keys())}
-    arena_state = {k: arena_engine.store.get(k) for k in sorted(arena_engine.store.keys())}
-    assert entries_state.keys() == arena_state.keys()
-    for key in entries_state:
-        left, right = entries_state[key], arena_state[key]
-        assert set(left) == set(right)
-        np.testing.assert_array_equal(left["state"], right["state"])
-        assert left["state"].dtype == right["state"].dtype
-        assert left["timestamp"] == right["timestamp"]
-        assert type(left["timestamp"]) is type(right["timestamp"])
-        if "scale" in left:
-            assert left["scale"] == right["scale"]
-            assert type(left["scale"]) is type(right["scale"])
-    assert entries_engine.backend.storage_bytes == arena_engine.backend.storage_bytes
-    # The meter comparison runs *after* the state reads above so both sides
-    # have issued the identical extra gets.
-    assert entries_engine.store.stats.snapshot() == arena_engine.store.stats.snapshot()
-
-
-CONFIGS = {
-    "plain": {},
-    "sharded": {"n_shards": 4},
-    "quantized": {"n_shards": 4, "quantize": True},
-    "replicated": {"n_shards": 4, "replication": 3},
-}
-
-
 class TestLayoutBitIdentity:
-    @pytest.mark.parametrize("batch", [1, 7, 64])
-    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_arena_matches_entries(self, serving_parts, session_events, batch, config_name):
-        overrides = {"max_batch_size": batch, **CONFIGS[config_name]}
-        entries = build_layout_engine(serving_parts, "entries", **overrides)
-        arena = build_layout_engine(serving_parts, "arena", **overrides)
-        entries_served = drive(entries, session_events)
-        arena_served = drive(arena, session_events)
-        assert_layouts_identical(entries, arena, entries_served, arena_served)
-        entries.close()
-        arena.close()
-
-    def test_arena_matches_entries_through_a_resize(self, serving_parts, session_events):
-        overrides = {"max_batch_size": 16, "n_shards": 4, "replication": 2}
-        engines = {
-            layout: build_layout_engine(serving_parts, layout, **overrides)
-            for layout in ("entries", "arena")
-        }
-        served = {}
-        for layout, engine in engines.items():
-            added: list[str] = []
-            steps = {
-                len(session_events) // 3: lambda e=engine, a=added: a.append(e.store.add_shard()),
-                (2 * len(session_events)) // 3: lambda e=engine, a=added: e.store.remove_shard(
-                    a.pop()
-                ),
-            }
-            served[layout] = drive(engine, session_events, membership_steps=steps)
-            assert engine.store.membership_changes == 2
-        # A shard added mid-run hosts the same slab spec as the founding pool.
-        assert engines["arena"].store.keys_migrated == engines["entries"].store.keys_migrated > 0
-        assert_layouts_identical(
-            engines["entries"], engines["arena"], served["entries"], served["arena"]
-        )
-        for engine in engines.values():
-            engine.close()
-
-    def test_arena_matches_entries_through_fail_and_recover(
-        self, serving_parts, session_events
-    ):
-        start, end = session_events[0][0], session_events[-1][0]
-        span = end - start
-        schedule = (
-            (start + span // 3, "fail", 1),
-            (start + (2 * span) // 3, "recover", 1),
-        )
-        overrides = {
-            "max_batch_size": 16,
-            "n_shards": 4,
-            "replication": 2,
-            "failure_schedule": schedule,
-        }
-        entries = build_layout_engine(serving_parts, "entries", **overrides)
-        arena = build_layout_engine(serving_parts, "arena", **overrides)
-        entries_served = drive(entries, session_events)
-        arena_served = drive(arena, session_events)
-        for engine in (entries, arena):
-            assert engine.store.shard_failures == 1
-            assert engine.store.shard_recoveries == 1
-            assert engine.store.keys_rehydrated > 0
-        assert_layouts_identical(entries, arena, entries_served, arena_served)
-        entries.close()
-        arena.close()
-
-    def test_state_layout_validation(self, serving_parts):
+    def test_state_layout_validation(self):
         with pytest.raises(ValueError, match="state_layout"):
             EngineConfig(backend="hidden_state", session_length=600, state_layout="slab")
         with pytest.raises(ValueError, match="hidden states"):

@@ -17,10 +17,10 @@ the serving engine leans on:
   case.
 * **Equivalence** — replaying the same session stream through the hidden
   state engine with wave-coalesced updates is *bit-identical* to the
-  per-timer path in every observable: stored states, served probabilities,
-  KV traffic, and per-shard meter totals.  The update kernels are
-  batch-size invariant (``row_stable_linear``), so this holds exactly, not
-  just to tolerance.
+  per-timer path in every observable; the twin matrix
+  (``tests/test_serving_twins.py``) pins it at every batch size and
+  topology, and a wider coalescing window likewise.  Here: the window-delay
+  meter on both paths and the per-shard meter totals.
 """
 
 from __future__ import annotations
@@ -30,16 +30,8 @@ import heapq
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
-from repro.serving import (
-    EngineConfig,
-    KeyValueStore,
-    ServingEngine,
-    StreamEvent,
-    StreamProcessor,
-)
+from repro.serving import KeyValueStore, StreamEvent, StreamProcessor
+from serving_harness import build_engine, bursty_events
 
 N_TRIALS = 25
 
@@ -494,61 +486,14 @@ class TestRunLengthHeap:
 # ----------------------------------------------------------------------
 # Engine equivalence: wave-coalesced vs per-timer session updates.
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
-        )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(5)).eval()
-    return schema, builder, network
-
-
-def random_session_events(rng, n_events=120, n_users=12, session_length=600):
-    """Time-ordered (timestamp, user_id, context, accessed) with bursty starts.
-
-    Timestamps cluster on a coarse grid so many session windows close in the
-    same second — the wave case — while jittered stragglers keep singleton
-    waves in the mix.
-    """
-    base = 1_600_000_000
-    raw = rng.integers(0, 5_000, size=n_events)
-    bursty = rng.random(n_events) < 0.6
-    raw[bursty] -= raw[bursty] % 300
-    timestamps = np.sort(base + raw)
-    events = []
-    for timestamp in timestamps:
-        # Duplicate (user, second) sessions are deliberately possible: the
-        # sequence-numbered session keys must keep them distinct, and a wave
-        # containing both must apply them in order via same-user sub-waves.
-        events.append(
-            (
-                int(timestamp),
-                int(rng.integers(0, n_users)),
-                {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-                bool(rng.random() < 0.4),
-            )
-        )
-    return events
+def waves_events(rng):
+    """Bursty starts: many session windows close in the same second."""
+    return bursty_events(rng, n_events=120, n_users=12, span=5_000)
 
 
 def replay(parts, events, *, coalesce, batch_size, window=0, **config):
-    _, builder, network = parts
-    engine = ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            session_length=600,
-            max_batch_size=batch_size,
-            coalesce_updates=coalesce,
-            coalescing_window=window,
-            **config,
-        ),
-        network=network,
-        builder=builder,
+    engine = build_engine(
+        parts, max_batch_size=batch_size, coalesce_updates=coalesce, coalescing_window=window, **config
     )
     return engine.replay(events), engine
 
@@ -559,7 +504,7 @@ class TestWaveEquivalence:
         ``update_delay_seconds`` must say so (it used to stay 0 on the
         per-timer path, hiding the window_sweep latency cost at batch 1)."""
         rng = np.random.default_rng(4000)
-        events = random_session_events(rng)
+        events = waves_events(rng)
         _, single_engine = replay(serving_parts, events, coalesce=False, batch_size=1, window=45)
         _, wave_engine = replay(serving_parts, events, coalesce=True, batch_size=1, window=45)
         assert single_engine.backend.update_delay_seconds > 0
@@ -575,7 +520,7 @@ class TestWaveEquivalence:
         as a float from the engine facade (it used to start life as the int
         ``0`` while the wave path summed floats into it)."""
         rng = np.random.default_rng(4500)
-        events = random_session_events(rng)
+        events = waves_events(rng)
         for coalesce in (False, True):
             _, engine = replay(serving_parts, events, coalesce=coalesce, batch_size=4, window=45)
             assert isinstance(engine.backend.update_delay_seconds, float)
@@ -588,56 +533,9 @@ class TestWaveEquivalence:
         fresh = Backend(network, builder, KeyValueStore(), StreamProcessor(), 600)
         assert isinstance(fresh.update_delay_seconds, float)
 
-    @pytest.mark.parametrize("batch_size", [1, 16])
-    def test_wave_updates_bit_identical_to_per_timer_updates(self, serving_parts, batch_size):
-        for trial in range(8):
-            rng = np.random.default_rng(3000 + trial)
-            events = random_session_events(rng)
-            single, single_engine = replay(
-                serving_parts, events, coalesce=False, batch_size=batch_size
-            )
-            waved, wave_engine = replay(serving_parts, events, coalesce=True, batch_size=batch_size)
-            single_store, wave_store = single_engine.store, wave_engine.store
-            # Coalescing actually happened (bursty starts share fire seconds)…
-            assert wave_engine.stream.waves_fired < wave_engine.stream.timers_fired
-            # …and is invisible: bit-identical probabilities, states, traffic.
-            np.testing.assert_array_equal(
-                np.asarray([p.probability for p in waved]),
-                np.asarray([p.probability for p in single]),
-            )
-            assert wave_store.stats.snapshot() == single_store.stats.snapshot()
-            assert sorted(wave_store.keys()) == sorted(single_store.keys())
-            for key in single_store.keys():
-                expected, actual = single_store.get(key), wave_store.get(key)
-                assert actual["timestamp"] == expected["timestamp"]
-                np.testing.assert_array_equal(actual["state"], expected["state"])
-
-    def test_wider_coalescing_windows_stay_bit_identical(self, serving_parts):
-        rng = np.random.default_rng(4000)
-        events = random_session_events(rng)
-        reference, reference_engine = replay(serving_parts, events, coalesce=False, batch_size=8)
-        reference_store = reference_engine.store
-        # Freeze the replay's metered traffic: the state comparisons below go
-        # through the metering ``get`` and must not count as serving reads.
-        reference_stats = reference_store.stats.snapshot()
-        for window in (1, 30, 600):
-            predictions, engine = replay(
-                serving_parts, events, coalesce=True, batch_size=8, window=window
-            )
-            store = engine.store
-            np.testing.assert_array_equal(
-                np.asarray([p.probability for p in predictions]),
-                np.asarray([p.probability for p in reference]),
-            )
-            assert store.stats.snapshot() == reference_stats
-            for key in reference_store.keys():
-                np.testing.assert_array_equal(
-                    store.get(key)["state"], reference_store.get(key)["state"]
-                )
-
     def test_sharded_meter_totals_unchanged_by_waves(self, serving_parts):
         rng = np.random.default_rng(5000)
-        events = random_session_events(rng)
+        events = waves_events(rng)
         # Same pool name: the consistent-hash ring seeds on it, and the
         # per-shard comparison needs identical key→shard routing.
         pool = {"n_shards": 5, "store_name": "rnn"}

@@ -22,20 +22,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
     Counter,
-    EngineConfig,
     Gauge,
     Histogram,
     KeyValueStore,
     MetricsRegistry,
     NULL_REGISTRY,
-    ServingEngine,
     ShardedKeyValueStore,
 )
+from serving_harness import build_engine, bursty_events
 
 N_TRIALS = 40
 
@@ -411,53 +407,10 @@ class TestStoreRollupsBitExact:
 
 
 # ----------------------------------------------------------------------
-# Engine-level: the whole pipeline's names read the right attributes, and
-# telemetry is bit-invisible to serving.
+# Engine-level: the whole pipeline's names read the right attributes.
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
-        )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(5)).eval()
-    return schema, builder, network
-
-
-def random_session_events(rng, n_events=150, n_users=10):
-    base = 1_600_000_000
-    raw = rng.integers(0, 4_000, size=n_events)
-    bursty = rng.random(n_events) < 0.6
-    raw[bursty] -= raw[bursty] % 300
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, n_users)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in np.sort(base + raw)
-    ]
-
-
-def build_engine(parts, *, n_shards=None, batch_size=8, window=30):
-    _, builder, network = parts
-    return ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            max_batch_size=batch_size,
-            coalescing_window=window,
-            n_shards=n_shards,
-            session_length=600,
-            store_name="rnn",
-        ),
-        network=network,
-        builder=builder,
-    )
+#: The pipeline the engine-level tests replay.
+ENGINE = {"max_batch_size": 8, "coalescing_window": 30}
 
 
 class TestEngineTelemetry:
@@ -465,8 +418,8 @@ class TestEngineTelemetry:
     def test_registry_mirrors_equal_legacy_meters_after_replay(self, serving_parts, n_shards):
         for trial in range(6):
             rng = np.random.default_rng(3000 + trial)
-            engine = build_engine(serving_parts, n_shards=n_shards)
-            engine.replay(random_session_events(rng))
+            engine = build_engine(serving_parts, **ENGINE, n_shards=n_shards)
+            engine.replay(bursty_events(rng))
             registry = engine.metrics
             # Store rollup.
             if n_shards is None:
@@ -496,8 +449,8 @@ class TestEngineTelemetry:
             engine.close()
 
     def test_engine_metrics_snapshot_is_json_round_trippable(self, serving_parts):
-        engine = build_engine(serving_parts, n_shards=2)
-        engine.replay(random_session_events(np.random.default_rng(5000)))
+        engine = build_engine(serving_parts, **ENGINE, n_shards=2)
+        engine.replay(bursty_events(np.random.default_rng(5000)))
         snapshot = engine.metrics.snapshot()
         assert snapshot and json.loads(json.dumps(snapshot)) == snapshot
         assert "queue.batch_size" in snapshot and "serving.update_delay_seconds" in snapshot

@@ -1,16 +1,12 @@
-"""Request-level tracing tests: span trees, critical paths, bit-identity.
+"""Request-level tracing tests: span trees, critical paths, control instants.
 
-Two contracts anchor this suite:
-
-* **Pure observation** — tracing never feeds back: a facade-built pipeline
-  with ``tracing`` on is bit-identical to the same pipeline with tracing
-  off in every serving observable (predictions, stored state, KV/queue/
-  admission meters — the whole registry snapshot), at every batch size and
-  across plain / sharded / quantized / replicated / arena topologies.
 * **Accounting closure** — each request's critical path tiles its root
   span exactly: the per-category latency breakdown sums to the root-span
   duration, so the ``TraceAnalyzer`` columns can never silently drop (or
   double-count) simulated time.
+* **Pure observation** — tracing never feeds back (full and sampled, at
+  every batch size and topology, alone and composed with every other
+  feature) is pinned by the twin matrix, ``tests/test_serving_twins.py``.
 """
 
 from __future__ import annotations
@@ -21,194 +17,53 @@ import math
 import numpy as np
 import pytest
 
-from repro.data import ContextField, ContextSchema
-from repro.features.sequence import SequenceBuilder
-from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.serving import (
     NULL_TRACER,
     EngineConfig,
     ServerModel,
-    ServingEngine,
     SloPolicy,
     TraceAnalyzer,
     Tracer,
     validate_chrome_trace,
 )
+from serving_harness import build_engine, bursty_events
+
+#: The traced pipeline most tests replay (``tests/test_serving_twins.py``
+#: pins tracing bit-invisible across batch sizes and topologies).
+TRACED = {"tracing": {}, "max_batch_size": 8, "coalescing_window": 30, "n_shards": 3}
 
 
 # ----------------------------------------------------------------------
-# Shared pipeline parts (same idiom as tests/test_telemetry.py)
+# Control-plane instants
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serving_parts():
-    schema = ContextSchema(
-        fields=(
-            ContextField("badge", "numeric"),
-            ContextField("surface", "categorical", cardinality=3),
+class TestControlInstants:
+    def test_every_shed_decision_leaves_an_admission_instant(self, serving_parts):
+        engine = build_engine(
+            serving_parts, **{**TRACED, "coalescing_window": 0},
+            server=ServerModel(0.5), slo_policy=SloPolicy(max_queue_depth=4), admission_mode="shed",
         )
-    )
-    builder = SequenceBuilder(schema)
-    config = RNNNetworkConfig(feature_dim=builder.feature_dim, hidden_size=12, mlp_hidden=8)
-    network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(5)).eval()
-    return schema, builder, network
-
-
-def random_session_events(rng, n_events=150, n_users=10):
-    base = 1_600_000_000
-    raw = rng.integers(0, 4_000, size=n_events)
-    bursty = rng.random(n_events) < 0.6
-    raw[bursty] -= raw[bursty] % 300
-    return [
-        (
-            int(timestamp),
-            int(rng.integers(0, n_users)),
-            {"badge": float(rng.integers(0, 9)), "surface": float(rng.integers(0, 3))},
-            bool(rng.random() < 0.4),
-        )
-        for timestamp in np.sort(base + raw)
-    ]
-
-
-def build_engine(parts, *, tracing, batch_size=8, window=30, **config_overrides):
-    _, builder, network = parts
-    config_overrides.setdefault("n_shards", 3)
-    return ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            max_batch_size=batch_size,
-            coalescing_window=window,
-            session_length=600,
-            store_name="rnn",
-            tracing=tracing,
-            **config_overrides,
-        ),
-        network=network,
-        builder=builder,
-    )
-
-
-#: The topology matrix the bit-identity property runs over — each entry is
-#: a partial EngineConfig; ``plain`` is the unsharded single store.
-VARIANTS = {
-    "plain": {"n_shards": None},
-    "sharded": {"n_shards": 3},
-    "quantized": {"n_shards": 3, "quantize": True},
-    "replicated": {"n_shards": 4, "replication": 3},
-    "arena": {"n_shards": 2, "state_layout": "arena"},
-}
-
-
-def assert_bit_identical(traced, plain):
-    """Every serving observable of the traced twin equals the untraced one."""
-    np.testing.assert_array_equal(
-        np.asarray([p.probability for p in traced["served"]]),
-        np.asarray([p.probability for p in plain["served"]]),
-    )
-    assert traced["stats"] == plain["stats"]
-    assert traced["metrics"] == plain["metrics"]
-    assert traced["states"].keys() == plain["states"].keys()
-    for key, record in plain["states"].items():
-        mirror = traced["states"][key]
-        assert mirror.keys() == record.keys()
-        for field in record:
-            np.testing.assert_array_equal(mirror[field], record[field])
-
-
-def replay_observables(engine, events):
-    served = engine.replay(events)
-    observed = {
-        "served": served,
-        "stats": engine.store.stats.snapshot(),
-        "metrics": engine.metrics.snapshot(),
-        "states": {key: engine.store.peek(key) for key in sorted(engine.store.keys())},
-    }
-    return observed
-
-
-# ----------------------------------------------------------------------
-# The headline invariant: tracing on is bit-invisible
-# ----------------------------------------------------------------------
-class TestTracingBitIdentity:
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_tracing_is_bit_invisible_to_serving(self, serving_parts, variant, batch_size):
-        events = random_session_events(np.random.default_rng(9000 + batch_size))
-        traced_engine = build_engine(
-            serving_parts, tracing={}, batch_size=batch_size, **VARIANTS[variant]
-        )
-        plain_engine = build_engine(
-            serving_parts, tracing=None, batch_size=batch_size, **VARIANTS[variant]
-        )
-        traced = replay_observables(traced_engine, events)
-        plain = replay_observables(plain_engine, events)
-        assert_bit_identical(traced, plain)
-        # The traced twin actually traced (one root per request), the plain
-        # twin carries the inert shared singleton.
-        assert len(traced_engine.tracer.roots()) == len(events)
-        assert plain_engine.tracer is NULL_TRACER
-        traced_engine.close()
-        plain_engine.close()
-
-    def test_tracing_is_bit_invisible_under_admission_control(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9100))
-
-        def build(tracing):
-            _, builder, network = serving_parts
-            return ServingEngine.build(
-                EngineConfig(
-                    backend="hidden_state",
-                    max_batch_size=8,
-                    n_shards=3,
-                    session_length=600,
-                    store_name="rnn",
-                    tracing=tracing,
-                ),
-                network=network,
-                builder=builder,
-                server=ServerModel(0.5),
-                slo_policy=SloPolicy(max_queue_depth=4),
-                admission_mode="shed",
-            )
-
-        traced_engine, plain_engine = build({}), build(None)
-        traced = replay_observables(traced_engine, events)
-        plain = replay_observables(plain_engine, events)
-        assert_bit_identical(traced, plain)
-        assert traced_engine.admission.requests_shed == plain_engine.admission.requests_shed
+        served = engine.replay(bursty_events(np.random.default_rng(9100)))
         # Shed requests never enter the queue, so they never get a root span
         # — but each shed decision leaves an admission.shed control instant.
-        shed = [
-            span
-            for span in traced_engine.tracer.spans()
-            if span.name == "admission.shed"
-        ]
-        assert traced_engine.admission.requests_shed > 0
-        assert len(shed) == traced_engine.admission.requests_shed
+        shed = [span for span in engine.tracer.spans() if span.name == "admission.shed"]
+        assert engine.admission.requests_shed > 0
+        assert len(shed) == engine.admission.requests_shed
         assert all(span.cat == "control" and span.attrs["reasons"] for span in shed)
-        assert len(traced_engine.tracer.roots()) == len(traced["served"])
-        traced_engine.close()
-        plain_engine.close()
+        assert len(engine.tracer.roots()) == len(served)
+        engine.close()
 
-    def test_failure_schedule_is_traced_and_bit_invisible(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9200))
-        timestamps = [event[0] for event in events]
+    def test_a_failure_schedule_leaves_ring_instants(self, serving_parts):
+        events = bursty_events(np.random.default_rng(9200))
         schedule = [
-            (timestamps[len(events) // 3], "fail", 1),
-            (timestamps[2 * len(events) // 3], "recover", 1),
+            (events[len(events) // 3][0], "fail", 1),
+            (events[2 * len(events) // 3][0], "recover", 1),
         ]
-        overrides = {"n_shards": 3, "replication": 2, "failure_schedule": schedule}
-        traced_engine = build_engine(serving_parts, tracing={}, **overrides)
-        plain_engine = build_engine(serving_parts, tracing=None, **overrides)
-        traced = replay_observables(traced_engine, events)
-        plain = replay_observables(plain_engine, events)
-        assert_bit_identical(traced, plain)
-        ring_events = [
-            span for span in traced_engine.tracer.spans() if span.name.startswith("ring.")
-        ]
+        engine = build_engine(serving_parts, **TRACED, replication=2, failure_schedule=schedule)
+        engine.replay(events)
+        ring_events = [span for span in engine.tracer.spans() if span.name.startswith("ring.")]
         assert [span.name for span in ring_events] == ["ring.fail", "ring.recover"]
         assert all(span.cat == "control" and span.attrs["shard_index"] == 1 for span in ring_events)
-        traced_engine.close()
-        plain_engine.close()
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +71,8 @@ class TestTracingBitIdentity:
 # ----------------------------------------------------------------------
 class TestSpanTrees:
     def test_every_request_gets_the_full_child_set(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9300))
-        engine = build_engine(serving_parts, tracing={})
+        events = bursty_events(np.random.default_rng(9300))
+        engine = build_engine(serving_parts, **TRACED)
         engine.replay(events)
         analyzer = TraceAnalyzer(engine.tracer.spans())
         assert len(analyzer.roots) == len(events)
@@ -238,8 +93,8 @@ class TestSpanTrees:
         engine.close()
 
     def test_predict_spans_carry_kv_attribution(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9400))
-        engine = build_engine(serving_parts, tracing={})
+        events = bursty_events(np.random.default_rng(9400))
+        engine = build_engine(serving_parts, **TRACED)
         served = engine.replay(events)
         analyzer = TraceAnalyzer(engine.tracer.spans())
         predicts = [
@@ -259,8 +114,8 @@ class TestSpanTrees:
         engine.close()
 
     def test_arena_layout_traces_gather_and_scatter(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9500))
-        engine = build_engine(serving_parts, tracing={}, **VARIANTS["arena"])
+        events = bursty_events(np.random.default_rng(9500))
+        engine = build_engine(serving_parts, **{**TRACED, "n_shards": 2, "state_layout": "arena"})
         engine.replay(events)
         names = {span.name for span in engine.tracer.spans()}
         assert "kv.gather_states" in names and "kv.scatter_states" in names
@@ -272,8 +127,8 @@ class TestSpanTrees:
         engine.close()
 
     def test_batch_lane_spans_accumulate_wave_kv_traffic(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9600))
-        engine = build_engine(serving_parts, tracing={}, batch_size=16)
+        events = bursty_events(np.random.default_rng(9600))
+        engine = build_engine(serving_parts, **{**TRACED, "max_batch_size": 16})
         engine.replay(events)
         waves = [span for span in engine.tracer.spans() if span.name == "apply_wave"]
         assert waves and all(span.attrs["kv_ops"] > 0 for span in waves)
@@ -287,8 +142,8 @@ class TestSpanTrees:
 class TestCriticalPath:
     def test_critical_path_tiles_the_root_interval(self, serving_parts):
         for trial in range(3):
-            events = random_session_events(np.random.default_rng(9700 + trial))
-            engine = build_engine(serving_parts, tracing={}, batch_size=(1, 7, 64)[trial])
+            events = bursty_events(np.random.default_rng(9700 + trial))
+            engine = build_engine(serving_parts, **{**TRACED, "max_batch_size": (1, 7, 64)[trial]})
             engine.replay(events)
             analyzer = TraceAnalyzer(engine.tracer.spans())
             assert analyzer.roots
@@ -304,8 +159,8 @@ class TestCriticalPath:
             engine.close()
 
     def test_breakdown_columns_sum_to_the_duration(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9800))
-        engine = build_engine(serving_parts, tracing={})
+        events = bursty_events(np.random.default_rng(9800))
+        engine = build_engine(serving_parts, **TRACED)
         engine.replay(events)
         analyzer = TraceAnalyzer(engine.tracer.spans())
         for row in analyzer.table():
@@ -341,10 +196,10 @@ class TestCriticalPath:
 # ----------------------------------------------------------------------
 class TestSampling:
     def test_sampling_is_deterministic_and_a_subset(self, serving_parts):
-        events = random_session_events(np.random.default_rng(9900))
+        events = bursty_events(np.random.default_rng(9900))
 
         def trace_roots(sample_pct):
-            engine = build_engine(serving_parts, tracing={"sample_pct": sample_pct})
+            engine = build_engine(serving_parts, **{**TRACED, "tracing": {"sample_pct": sample_pct}})
             engine.replay(events)
             roots = {(root.attrs["user_id"], root.start) for root in engine.tracer.roots()}
             engine.close()
@@ -358,24 +213,14 @@ class TestSampling:
         # Replaying the identical workload samples the identical cohort.
         assert trace_roots(35) == sampled
 
-    def test_sampled_tracing_is_still_bit_invisible(self, serving_parts):
-        events = random_session_events(np.random.default_rng(10000))
-        traced_engine = build_engine(serving_parts, tracing={"sample_pct": 35})
-        plain_engine = build_engine(serving_parts, tracing=None)
-        traced = replay_observables(traced_engine, events)
-        plain = replay_observables(plain_engine, events)
-        assert_bit_identical(traced, plain)
-        traced_engine.close()
-        plain_engine.close()
-
 
 # ----------------------------------------------------------------------
 # Chrome-trace export
 # ----------------------------------------------------------------------
 class TestChromeExport:
     def test_chrome_trace_validates_and_round_trips(self, serving_parts):
-        events = random_session_events(np.random.default_rng(10100))
-        engine = build_engine(serving_parts, tracing={})
+        events = bursty_events(np.random.default_rng(10100))
+        engine = build_engine(serving_parts, **TRACED)
         engine.replay(events)
         trace = engine.tracer.chrome_trace()
         validate_chrome_trace(trace)
