@@ -72,6 +72,10 @@ class HistoryAggregator:
         self.schema = schema
         self.config = config or AggregationConfig()
         self.subsets: list[tuple[str, ...]] = self._build_subsets()
+        # Subtracted from a prediction time q: q itself, then q - w + 1 per
+        # window w (the first second a session must reach to stay inside).
+        windows = self.config.windows if self.config.include_aggregations else ()
+        self._query_offsets = np.asarray([0] + [w - 1 for w in windows], dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _build_subsets(self) -> list[tuple[str, ...]]:
@@ -120,21 +124,24 @@ class HistoryAggregator:
         return groups
 
     # ------------------------------------------------------------------
-    def _match_codes(self, subset: tuple[str, ...], values: dict[str, np.ndarray], size: int) -> np.ndarray:
-        """Combine the subset's context values into a single int code per row."""
-        if not subset:
-            return np.zeros(size, dtype=np.int64)
-        codes = np.zeros(size, dtype=np.int64)
-        for name in subset:
-            column = np.asarray(values[name])
+    def _match_codes(self, values: dict[str, np.ndarray], size: int) -> np.ndarray:
+        """One int code per (subset, row): the subset's context values combined.
+
+        ``values`` holds one column per field any subset reads; the result
+        has one row per subset (the empty subset codes every row 0).
+        """
+        field_codes: dict[str, tuple[np.ndarray, int]] = {}
+        for name, column in values.items():
             field_def = self.schema.field(name)
             if field_def.kind == "numeric":
-                column_codes = _numeric_match_code(column)
-                cardinality = len(_NUMERIC_MATCH_BINS) + 1
+                field_codes[name] = (_numeric_match_code(column), len(_NUMERIC_MATCH_BINS) + 1)
             else:
-                column_codes = column.astype(np.int64)
-                cardinality = int(field_def.cardinality or (column_codes.max() + 1 if column_codes.size else 1))
-            codes = codes * cardinality + column_codes
+                field_codes[name] = (column.astype(np.int64), int(field_def.cardinality))
+        codes = np.zeros((len(self.subsets), size), dtype=np.int64)
+        for row, subset in enumerate(self.subsets):
+            for name in subset:
+                column_codes, cardinality = field_codes[name]
+                codes[row] = codes[row] * cardinality + column_codes
         return codes
 
     # ------------------------------------------------------------------
@@ -149,98 +156,115 @@ class HistoryAggregator:
         ``contexts`` supplies the current context of each example (needed for
         context-matched subsets); pass ``None`` for the timeshifted task, in
         which case only the unconditional subset produces non-trivial values
-        and the matched subsets report "no matching history".
+        and the matched subsets report "no matching history".  This is the
+        one-log case of :meth:`compute_batch`.
         """
-        prediction_times = np.asarray(prediction_times, dtype=np.int64)
-        n_examples = prediction_times.size
-        features = np.zeros((n_examples, self.n_features), dtype=np.float64)
-        if n_examples == 0:
-            return features
+        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
+        rows = [None] * prediction_times.size if contexts is None else contexts
+        return self.compute_batch([user], np.zeros(prediction_times.size, dtype=np.int64), prediction_times, rows)
 
-        session_times = user.timestamps
-        accesses = user.accesses.astype(np.int64)
-
-        example_context: dict[str, np.ndarray] = {}
-        if contexts is not None:
-            if len(contexts) != n_examples:
-                raise ValueError("contexts must align with prediction_times")
-            for name in self.schema.names():
-                example_context[name] = np.asarray([c[name] for c in contexts])
-
-        column = 0
-        per_subset = (3 * len(self.config.windows) if self.config.include_aggregations else 0) + (
-            2 if self.config.include_elapsed else 0
-        )
-        for subset in self.subsets:
-            block = features[:, column : column + per_subset]
-            if subset and contexts is None:
-                # No current context: matched subsets have no usable history.
-                if self.config.include_elapsed:
-                    block[:, -2:] = MISSING_ELAPSED
-                column += per_subset
-                continue
-            session_codes = self._match_codes(subset, user.context, len(user))
-            example_codes = self._match_codes(subset, example_context, n_examples) if subset else np.zeros(
-                n_examples, dtype=np.int64
-            )
-            self._fill_subset_block(
-                block, session_times, accesses, session_codes, prediction_times, example_codes
-            )
-            column += per_subset
-        return features
-
-    # ------------------------------------------------------------------
-    def _fill_subset_block(
+    def compute_batch(
         self,
-        block: np.ndarray,
-        session_times: np.ndarray,
-        accesses: np.ndarray,
-        session_codes: np.ndarray,
+        logs: list[UserLog],
+        owners: np.ndarray,
         prediction_times: np.ndarray,
-        example_codes: np.ndarray,
-    ) -> None:
-        """Fill one subset's feature columns for all examples (in place)."""
-        n_windows = len(self.config.windows)
+        contexts: list[dict[str, float] | None],
+    ) -> np.ndarray:
+        """Feature rows over any number of logs, in a fixed number of array calls.
+
+        Row ``i`` is predicted at ``prediction_times[i]`` from the history in
+        ``logs[owners[i]]``, in context ``contexts[i]``; a ``None`` context
+        means "no current session", so that row's matched subsets report no
+        matching history.  The same log may own many rows (training) and the
+        same user may appear as several logs (one fetched record per request).
+
+        The logs are flattened into session columns tagged with their segment
+        (1-based log index; segment 0 holds no sessions).  Every (subset,
+        session) and (subset, row) gets a match code, and one stable sort
+        groups both by (subset, segment, code) — a contextless row's matched
+        subsets read segment 0, an empty group.  Sessions then sit in
+        (group, time) order, so one ``searchsorted`` over composite
+        ``group * R + time rank`` keys finds, for every subset × row, where
+        its group starts, where its history before the prediction time ends
+        and where each window opens; a cumulative access column turns those
+        positions into counts and into the time of the last access.
+        """
+        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
+        n_rows = prediction_times.size
+        if len(contexts) != n_rows:
+            raise ValueError("contexts must align with prediction_times")
+        n_subsets = len(self.subsets)
+        per_subset = self.n_features // n_subsets
+        if n_rows == 0 or per_subset == 0:
+            return np.zeros((n_rows, self.n_features), dtype=np.float64)
+        owners = np.asarray(owners, dtype=np.int64)
+
+        times = np.concatenate([log.timestamps for log in logs])
+        accesses = np.concatenate([log.accesses for log in logs])
+        n_sessions = times.size
+        segments = np.repeat(np.arange(1, len(logs) + 1), [len(log) for log in logs])
+        values = {
+            name: np.concatenate(
+                [log.context[name] for log in logs]
+                + [np.asarray([0 if c is None else c[name] for c in contexts])]
+            )
+            for name in dict.fromkeys(name for subset in self.subsets for name in subset)
+        }
+        codes = self._match_codes(values, n_sessions + n_rows)
+
+        # Segment per (subset, entry), offset per subset so the sort key is
+        # (subset, segment, code); entries are the sessions, then the rows.
+        has_context = np.fromiter((c is not None for c in contexts), dtype=bool, count=n_rows)
+        keys = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
+        keys[:, :n_sessions] = segments
+        keys[:, n_sessions:] = np.where(has_context, owners + 1, 0)
+        keys[0, n_sessions:] = owners + 1  # the unconditional subset needs no context
+        keys += np.arange(n_subsets)[:, None] * (len(logs) + 1)
+        order = np.lexsort((codes.ravel(), keys.ravel()))
+        sorted_keys, sorted_codes = keys.ravel()[order], codes.ravel()[order]
+        group = np.empty(order.size, dtype=np.int64)
+        group[0] = 0
+        np.cumsum((sorted_keys[1:] != sorted_keys[:-1]) | (sorted_codes[1:] != sorted_codes[:-1]), out=group[1:])
+
+        entry = order % (n_sessions + n_rows)
+        is_session = entry < n_sessions
+        session = entry[is_session]  # sessions in (group, time) order
+        row_group = np.empty(order.size, dtype=np.int64)
+        row_group[order] = group
+        row_group = row_group.reshape(n_subsets, -1)[:, n_sessions:].T  # [rows, subsets]
+
+        # Composite keys over time ranks: "t < q" is "rank(t) < rank_left(q)"
+        # and "t <= q - w" is "t < q - w + 1" on integer seconds.
+        distinct_times, time_rank = np.unique(times, return_inverse=True)
+        span = distinct_times.size + 1
+        query_ranks = np.zeros((n_rows, self._query_offsets.size + 1), dtype=np.int64)
+        query_ranks[:, 1:] = np.searchsorted(distinct_times, prediction_times[:, None] - self._query_offsets)
+        found = np.searchsorted(
+            group[is_session] * span + time_rank.reshape(-1)[session],
+            row_group[:, :, None] * span + query_ranks[:, None, :],
+        )
+        start, before = found[..., 0], found[..., 1]  # [rows, subsets]
+
+        cum_accesses = np.zeros(session.size + 1, dtype=np.int64)
+        np.cumsum(accesses[session], out=cum_accesses[1:])
+        session_times = times[session]
+        features = np.empty((n_rows, n_subsets, per_subset), dtype=np.float64)
+        if self.config.include_aggregations:
+            # Window is (q - w, q): a session exactly w old has aged out.
+            opened = found[..., 2:]
+            n_in_window = (before[..., None] - opened).astype(np.float64)
+            n_accessed = (cum_accesses[before][..., None] - cum_accesses[opened]).astype(np.float64)
+            width = 3 * len(self.config.windows)
+            features[..., 0:width:3] = n_in_window
+            features[..., 1:width:3] = n_accessed
+            features[..., 2:width:3] = np.where(
+                n_in_window > 0, n_accessed / np.maximum(n_in_window, 1.0), 0.0
+            )
         if self.config.include_elapsed:
-            block[:, -2:] = MISSING_ELAPSED
-
-        for code in np.unique(example_codes):
-            example_mask = example_codes == code
-            example_times = prediction_times[example_mask]
-            member = session_codes == code
-            times_g = session_times[member]
-            if times_g.size == 0:
-                continue
-            accesses_g = accesses[member]
-            cum_accesses = np.concatenate([[0], np.cumsum(accesses_g)])
-            # Index (within the group) of the most recent access at or before j.
-            access_positions = np.where(accesses_g == 1)[0]
-
-            pos = np.searchsorted(times_g, example_times, side="left")
-            col = 0
-            if self.config.include_aggregations:
-                for window in self.config.windows:
-                    # Window is (q - w, q): a session exactly w old has aged out.
-                    lo = np.searchsorted(times_g, example_times - window, side="right")
-                    n_sessions = (pos - lo).astype(np.float64)
-                    n_acc = (cum_accesses[pos] - cum_accesses[lo]).astype(np.float64)
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        rate = np.where(n_sessions > 0, n_acc / np.maximum(n_sessions, 1.0), 0.0)
-                    block[example_mask, col] = n_sessions
-                    block[example_mask, col + 1] = n_acc
-                    block[example_mask, col + 2] = rate
-                    col += 3
-            if self.config.include_elapsed:
-                since_session = np.full(example_times.shape, MISSING_ELAPSED)
-                has_prev = pos > 0
-                since_session[has_prev] = example_times[has_prev] - times_g[pos[has_prev] - 1]
-
-                since_access = np.full(example_times.shape, MISSING_ELAPSED)
-                if access_positions.size:
-                    # For each example, the number of accesses strictly before it.
-                    access_count_before = cum_accesses[pos]
-                    has_access = access_count_before > 0
-                    last_access_index = access_positions[access_count_before[has_access] - 1]
-                    since_access[has_access] = example_times[has_access] - times_g[last_access_index]
-                block[example_mask, col] = since_session
-                block[example_mask, col + 1] = since_access
+            previous = np.concatenate([[0], session_times])[before]
+            accessed_before = cum_accesses[before]
+            last_access = np.concatenate([[0], session_times[accesses[session] == 1]])[accessed_before]
+            queried = prediction_times[:, None]
+            features[..., -2] = np.where(before > start, queried - previous, MISSING_ELAPSED)
+            features[..., -1] = np.where(accessed_before > cum_accesses[start], queried - last_access, MISSING_ELAPSED)
+        return features.reshape(n_rows, self.n_features)

@@ -26,7 +26,7 @@ import numpy as np
 from ..data.schema import ContextSchema, Dataset, UserLog
 from ..data.tasks import Example
 from .aggregations import DEFAULT_WINDOWS, AggregationConfig, HistoryAggregator
-from .bucketing import N_BUCKETS, log_bucket, one_hot_buckets
+from .bucketing import N_BUCKETS, log_bucket
 from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder, encode_day_of_week, encode_hour_of_day
 
 __all__ = ["FeatureConfig", "TabularFeaturizer", "TabularData", "ablation_config"]
@@ -124,6 +124,16 @@ class TabularFeaturizer:
         self._aggregation_names = self.aggregator.feature_names()
         self._elapsed_columns = [i for i, name in enumerate(self._aggregation_names) if name.startswith("elapsed[")]
         self._names = self._build_feature_names()
+        # Where each aggregator column lands in the history block: plain
+        # columns as they are, elapsed ones as a bucket (or its one-hot run).
+        is_elapsed = np.zeros(len(self._aggregation_names), dtype=bool)
+        is_elapsed[self._elapsed_columns] = True
+        widths = np.where(is_elapsed, self.config.elapsed_buckets if self.config.one_hot_elapsed else 1, 1)
+        targets = np.cumsum(widths) - widths
+        self._history_width = int(widths.sum())
+        self._plain_columns = np.flatnonzero(~is_elapsed)
+        self._plain_targets = targets[~is_elapsed]
+        self._elapsed_targets = targets[is_elapsed]
 
     # ------------------------------------------------------------------
     def _build_feature_names(self) -> list[str]:
@@ -166,59 +176,61 @@ class TabularFeaturizer:
         return self.aggregator.n_lookup_groups
 
     # ------------------------------------------------------------------
-    def _encode_context(self, examples: list[Example]) -> np.ndarray:
+    def _encode_context(self, contexts: list[dict[str, float] | None]) -> np.ndarray:
         blocks: list[np.ndarray] = []
         for field_def in self.schema:
             encoder = self._context_encoders[field_def.name]
-            values = np.asarray(
-                [0.0 if e.context is None else e.context[field_def.name] for e in examples], dtype=np.float64
-            )
+            values = np.asarray([0.0 if c is None else c[field_def.name] for c in contexts], dtype=np.float64)
             if encoder is None:
                 blocks.append(values.reshape(-1, 1))
                 blocks.append(np.log1p(np.maximum(values, 0.0)).reshape(-1, 1))
             else:
                 blocks.append(encoder.encode(values.astype(np.int64)))
-        return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(examples), 0))
+        return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(contexts), 0))
 
     def _encode_time(self, prediction_times: np.ndarray) -> np.ndarray:
         hour = encode_hour_of_day(prediction_times, one_hot=self.config.one_hot_time)
         dow = encode_day_of_week(prediction_times, one_hot=self.config.one_hot_time)
         return np.concatenate([hour, dow], axis=1)
 
-    def _encode_history(self, user: UserLog, examples: list[Example]) -> np.ndarray:
-        prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
-        contexts = None
-        if all(e.context is not None for e in examples):
-            contexts = [e.context for e in examples]
-        raw = self.aggregator.compute(user, prediction_times, contexts)
+    def _encode_history(
+        self, users: list[UserLog], owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
+    ) -> np.ndarray:
+        raw = self.aggregator.compute_batch(users, owners, prediction_times, contexts)
         if not self._elapsed_columns:
             return raw
-        blocks: list[np.ndarray] = []
-        elapsed_set = set(self._elapsed_columns)
-        for column in range(raw.shape[1]):
-            values = raw[:, column]
-            if column not in elapsed_set:
-                blocks.append(values.reshape(-1, 1))
-            elif self.config.one_hot_elapsed:
-                blocks.append(one_hot_buckets(values, n_buckets=self.config.elapsed_buckets))
-            else:
-                blocks.append(
-                    np.asarray(log_bucket(values, n_buckets=self.config.elapsed_buckets), dtype=np.float64).reshape(-1, 1)
-                )
-        return np.concatenate(blocks, axis=1)
+        # One bucketing call for every elapsed column, placed by one index map.
+        buckets = log_bucket(raw[:, self._elapsed_columns], n_buckets=self.config.elapsed_buckets)
+        encoded = np.zeros((raw.shape[0], self._history_width), dtype=np.float64)
+        encoded[:, self._plain_targets] = raw[:, self._plain_columns]
+        if self.config.one_hot_elapsed:
+            encoded[np.arange(raw.shape[0])[:, None], self._elapsed_targets + buckets] = 1.0
+        else:
+            encoded[:, self._elapsed_targets] = buckets
+        return encoded
 
     # ------------------------------------------------------------------
-    def transform_user(self, user: UserLog, examples: list[Example]) -> np.ndarray:
-        """Feature matrix for one user's examples."""
-        if not examples:
-            return np.zeros((0, self.n_features), dtype=np.float64)
-        prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
+    def transform_user(
+        self,
+        users: list[UserLog],
+        owners,
+        prediction_times,
+        contexts: list[dict[str, float] | None],
+    ) -> np.ndarray:
+        """Feature matrix for examples over any number of users' logs.
+
+        Row ``i`` is predicted at ``prediction_times[i]``, in context
+        ``contexts[i]`` (``None``: no current session), from the history in
+        ``users[owners[i]]`` — one call featurizes a serving micro-batch (one
+        fetched log per request) or a whole training set (one log per user).
+        """
+        prediction_times = np.asarray(prediction_times, dtype=np.int64)
         blocks: list[np.ndarray] = []
         if self.config.include_context:
-            blocks.append(self._encode_context(examples))
+            blocks.append(self._encode_context(contexts))
         if self.config.include_time:
             blocks.append(self._encode_time(prediction_times))
-        blocks.append(self._encode_history(user, examples))
+        blocks.append(self._encode_history(users, owners, prediction_times, contexts))
         matrix = np.concatenate(blocks, axis=1)
         if matrix.shape[1] != self.n_features:
             raise RuntimeError(
@@ -227,34 +239,24 @@ class TabularFeaturizer:
         return matrix
 
     def transform(self, dataset: Dataset, examples_by_user: dict[int, list[Example]]) -> TabularData:
-        """Feature matrix for a whole dataset's examples (grouped by user)."""
+        """Feature matrix for a whole dataset's examples (grouped by user), in one call."""
         users_by_id = {user.user_id: user for user in dataset.users}
-        matrices: list[np.ndarray] = []
-        labels: list[np.ndarray] = []
-        user_ids: list[np.ndarray] = []
-        times: list[np.ndarray] = []
-        for user_id, examples in examples_by_user.items():
+        for user_id in examples_by_user:
             if user_id not in users_by_id:
                 raise KeyError(f"examples reference unknown user {user_id}")
-            if not examples:
-                continue
-            user = users_by_id[user_id]
-            matrices.append(self.transform_user(user, examples))
-            labels.append(np.asarray([e.label for e in examples], dtype=np.float64))
-            user_ids.append(np.full(len(examples), user_id, dtype=np.int64))
-            times.append(np.asarray([e.prediction_time for e in examples], dtype=np.int64))
-        if not matrices:
-            return TabularData(
-                X=np.zeros((0, self.n_features)),
-                y=np.zeros(0),
-                user_ids=np.zeros(0, dtype=np.int64),
-                prediction_times=np.zeros(0, dtype=np.int64),
-                feature_names=self.feature_names(),
-            )
+        user_ids = [user_id for user_id, examples in examples_by_user.items() if examples]
+        counts = [len(examples_by_user[user_id]) for user_id in user_ids]
+        examples = [example for user_id in user_ids for example in examples_by_user[user_id]]
+        prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
         return TabularData(
-            X=np.concatenate(matrices, axis=0),
-            y=np.concatenate(labels),
-            user_ids=np.concatenate(user_ids),
-            prediction_times=np.concatenate(times),
+            X=self.transform_user(
+                [users_by_id[user_id] for user_id in user_ids],
+                np.repeat(np.arange(len(user_ids)), counts),
+                prediction_times,
+                [e.context for e in examples],
+            ),
+            y=np.asarray([e.label for e in examples], dtype=np.float64),
+            user_ids=np.repeat(np.asarray(user_ids, dtype=np.int64), counts),
+            prediction_times=prediction_times,
             feature_names=self.feature_names(),
         )

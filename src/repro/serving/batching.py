@@ -51,7 +51,6 @@ from math import isfinite
 import numpy as np
 
 from ..data.schema import ContextSchema, UserLog
-from ..data.tasks import Example
 from ..features.bucketing import log_bucket
 from ..features.pipeline import TabularFeaturizer
 from ..features.sequence import SequenceBuilder
@@ -609,12 +608,15 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
 
 
 class BatchedAggregationBackend(SessionStreamMixin):
-    """Vectorized traditional dataflow: per-user feature fetch, one batched GBDT call.
+    """Vectorized traditional dataflow: per-user feature fetch, one featurizer call
+    and one batched GBDT call per micro-batch.
 
     Feature state is inherently per-user (the ≈20 aggregation-group fetches
-    per request are the dominant cost and are preserved exactly), but the
-    estimator call — tree traversals or the logistic dot product — runs once
-    over the stacked ``[B, n_features]`` matrix.
+    per request are the dominant cost and are preserved exactly), but
+    featurization — every window count, recency and elapsed bucket of every
+    fetched log — is one ``featurizer.transform_user`` call over the whole
+    micro-batch, and the estimator call — tree traversals or the logistic
+    dot product — runs once over the resulting ``[B, n_features]`` matrix.
 
     Session-end history writes have two delivery modes, mirroring the hidden
     path's wave machinery:
@@ -704,20 +706,18 @@ class BatchedAggregationBackend(SessionStreamMixin):
             return []
         lookups = self.featurizer.n_lookup_groups
         fetched: list[int] = []
-        feature_rows: list[np.ndarray] = []
+        logs: list[UserLog] = []
         for request in requests:
             record, size = self._load_history(request.user_id)
             fetched.append(size)
-            user_log = self._as_user_log(request.user_id, record)
-            example = Example(
-                user_id=request.user_id,
-                prediction_time=request.timestamp,
-                label=0,
-                context=request.context,
-                session_index=None,
-            )
-            feature_rows.append(self.featurizer.transform_user(user_log, [example]))
-        features = np.concatenate(feature_rows, axis=0)
+            logs.append(self._as_user_log(request.user_id, record))
+        # Row i reads log i: a user twice in one batch is two fetched logs.
+        features = self.featurizer.transform_user(
+            logs,
+            np.arange(len(requests)),
+            [request.timestamp for request in requests],
+            [request.context for request in requests],
+        )
         probabilities = np.asarray(self.estimator.predict_proba(features)).reshape(-1)
         self.predictions_served += len(requests)
         return [
@@ -758,13 +758,17 @@ class BatchedAggregationBackend(SessionStreamMixin):
             record["accesses"].append(int(bool(accessed)))
             for name in names:
                 record["context"][name].append(context[name])
-            # Evict events older than the longest aggregation window.
+            # Evict the leading run of events older than the longest
+            # aggregation window, one slice deletion per column.
             cutoff = timestamp - self.history_window
-            while record["timestamps"] and record["timestamps"][0] < cutoff:
-                record["timestamps"].pop(0)
-                record["accesses"].pop(0)
-                for name in names:
-                    record["context"][name].pop(0)
+            stamps = record["timestamps"]
+            stale = 0
+            while stale < len(stamps) and stamps[stale] < cutoff:
+                stale += 1
+            del stamps[:stale]
+            del record["accesses"][:stale]
+            for name in names:
+                del record["context"][name][:stale]
             self._save_history(user_id, record)
         self.updates_applied += len(wave)
         for listener in self.wave_listeners:

@@ -570,6 +570,29 @@ class TestAggregationWaveSymmetry:
         for key in one_at_a_time.store.keys():
             assert waved.store.get(key) == one_at_a_time.store.get(key)
 
+    def test_eviction_drops_only_the_leading_run_older_than_the_window(self, trained):
+        dataset, _, gbdt, events = trained
+        store = KeyValueStore()
+        backend = BatchedAggregationBackend(gbdt.featurizer, gbdt.estimator, dataset.schema, store, history_window=100)
+        names = dataset.schema.names()
+        # Cutoff 1000 - 100 = 900: 850 and 899 go, 900 is exactly one window
+        # old and stays, and 880 stays because it sits behind a kept event.
+        store.put(
+            "agg:5",
+            {
+                "timestamps": [850, 899, 900, 880, 950],
+                "accesses": [1, 0, 1, 0, 1],
+                "context": {name: [0, 1, 2, 3, 4] for name in names},
+            },
+        )
+        context = events[0][2]
+        backend.apply_wave(SessionWave([5], [1000], [context], [False]))
+        assert store.peek("agg:5") == {
+            "timestamps": [900, 880, 950, 1000],
+            "accesses": [1, 0, 1, 0],
+            "context": {name: [2, 3, 4, context[name]] for name in names},
+        }
+
 
 def wave_rows(wave):
     """A columnar wave read back row by row."""
@@ -811,6 +834,74 @@ class TestHostileAggregationContexts:
         engine = TestHostileTimestamps._engine(trained, "aggregation-immediate")
         prediction = engine.predict(3, None, 1_000)
         assert 0.0 <= prediction.probability <= 1.0
+
+
+class TestAggregationRecordsAtPredict:
+    """What the aggregation request path checks and how it is attributed.
+
+    A stored ``agg:`` history is rebuilt into a ``UserLog`` per request, so a
+    tampered record — timestamps that regress, an access flag of 2, a context
+    column shorter than the timestamps — is refused with ``UserLog``'s own
+    ``ValueError`` rather than featurized into a score.  And featurization is
+    one ``featurizer.transform_user`` call per micro-batch, looked up on the
+    instance (the benchmark's ``tabular.transform_user`` span wraps it there).
+    """
+
+    TAMPERS = {
+        "regressing-timestamps": ("timestamps must be non-decreasing", lambda r: r["timestamps"].reverse()),
+        "access-flag-2": ("access flags must be 0 or 1", lambda r: r["accesses"].__setitem__(-1, 2)),
+        "ragged-context": ("mismatched length", lambda r: r["context"]["active_tab"].pop()),
+    }
+
+    @staticmethod
+    def _warm_engine(trained, max_batch_size=4):
+        dataset, _, gbdt, events = trained
+        engine = ServingEngine.build(
+            EngineConfig(backend="aggregation", max_batch_size=max_batch_size),
+            featurizer=gbdt.featurizer,
+            estimator=gbdt.estimator,
+            schema=dataset.schema,
+        )
+        engine.serve(events[:80])
+        engine.flush()
+        return engine
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_a_tampered_record_is_refused_at_predict(self, trained, tamper):
+        message, edit = self.TAMPERS[tamper]
+        engine = self._warm_engine(trained)
+        key = max(engine.store.keys(), key=lambda k: len(engine.store.peek(k)["timestamps"]))
+        record = engine.store.peek(key)
+        assert len(set(record["timestamps"])) > 1
+        record = {
+            "timestamps": list(record["timestamps"]),
+            "accesses": list(record["accesses"]),
+            "context": {name: list(values) for name, values in record["context"].items()},
+        }
+        edit(record)
+        engine.store.put_unmetered(key, record, engine.store.size_of(key))
+        user_id, late = int(key.split(":")[1]), trained[3][79][0] + 1
+        with pytest.raises(ValueError, match=message):
+            engine.predict(user_id, trained[3][0][2], late)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 8])
+    def test_featurization_is_one_call_per_micro_batch(self, trained, batch_size, monkeypatch):
+        engine = self._warm_engine(trained, max_batch_size=batch_size)
+        featurizer = engine.backend.featurizer
+        real = featurizer.transform_user
+        rows_per_call: list[int] = []
+
+        def spy(users, owners, prediction_times, contexts):
+            rows_per_call.append(len(prediction_times))
+            return real(users, owners, prediction_times, contexts)
+
+        monkeypatch.setattr(featurizer, "transform_user", spy)
+        users = sorted({event[1] for event in trained[3][:80]})
+        late = trained[3][79][0] + 1
+        chosen = [users[i % len(users)] for i in range(batch_size - 1)] + [users[0]]  # one user twice
+        delivered = [p for user_id in chosen for p in engine.submit(user_id, None, late)] + engine.flush()
+        assert len(delivered) == batch_size
+        assert rows_per_call == [batch_size]
 
 
 class TestHostileTimestamps:

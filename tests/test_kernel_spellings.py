@@ -9,19 +9,35 @@ returns the same dtype, shape and bits (NaNs in the same places, zeros with
 the same sign) on shapes from one row to a wave and on the values where
 the spellings could part ways: ``±0``, ``±inf``, NaN, the clip edge
 ``±500``, subnormals, and gaps either side of the 30-day cap.
+
+The aggregation featurizer was re-spelled the same way — one whole-array
+call per micro-batch in place of one call per request, context subset and
+match code — and is held to the same bits against its parent spelling, on
+drawn histories with ties, window edges and contextless rows.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import ContextField, ContextSchema
+from repro.data import ContextField, ContextSchema, MobileTabGenerator, MPUGenerator, TimeshiftGenerator, UserLog
 from repro.data.schema import day_of_week, hour_of_day
-from repro.features.bucketing import bucket_scale, log_bucket
-from repro.features.encoders import OneHotEncoder
+from repro.data.tasks import Example, peak_window_examples, session_examples
+from repro.features.aggregations import (
+    _NUMERIC_MATCH_BINS,
+    MISSING_ELAPSED,
+    AggregationConfig,
+    HistoryAggregator,
+    _numeric_match_code,
+)
+from repro.features.bucketing import bucket_scale, log_bucket, one_hot_buckets
+from repro.features.encoders import OneHotEncoder, encode_day_of_week, encode_hour_of_day
+from repro.features.pipeline import FeatureConfig, TabularFeaturizer
 from repro.features.sequence import SequenceBuilder
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.nn import inference
@@ -349,3 +365,379 @@ class TestInputAssemblySpelling:
             network.build_update_inputs(features[:, :5], accesses, buckets)
         with pytest.raises(ValueError, match="expects context features"):
             network.build_predict_inputs(None, buckets)
+
+
+# ----------------------------------------------------------------------
+# The aggregation featurizer (the incumbent's request path)
+# ----------------------------------------------------------------------
+class ParentAggregator:
+    """``HistoryAggregator``'s feature code at acba69b, verbatim: one log at a
+    time, one block per subset, one ``np.unique`` pass per distinct code."""
+
+    def __init__(self, live: HistoryAggregator) -> None:
+        self.schema, self.config, self.subsets = live.schema, live.config, live.subsets
+        self.n_features = live.n_features
+
+    def _match_codes(self, subset: tuple[str, ...], values: dict[str, np.ndarray], size: int) -> np.ndarray:
+        """Combine the subset's context values into a single int code per row."""
+        if not subset:
+            return np.zeros(size, dtype=np.int64)
+        codes = np.zeros(size, dtype=np.int64)
+        for name in subset:
+            column = np.asarray(values[name])
+            field_def = self.schema.field(name)
+            if field_def.kind == "numeric":
+                column_codes = _numeric_match_code(column)
+                cardinality = len(_NUMERIC_MATCH_BINS) + 1
+            else:
+                column_codes = column.astype(np.int64)
+                cardinality = int(field_def.cardinality or (column_codes.max() + 1 if column_codes.size else 1))
+            codes = codes * cardinality + column_codes
+        return codes
+
+    def compute(
+        self,
+        user: UserLog,
+        prediction_times: np.ndarray,
+        contexts: list[dict[str, float]] | None,
+    ) -> np.ndarray:
+        """Feature matrix of shape ``(len(prediction_times), n_features)``.
+
+        ``contexts`` supplies the current context of each example (needed for
+        context-matched subsets); pass ``None`` for the timeshifted task, in
+        which case only the unconditional subset produces non-trivial values
+        and the matched subsets report "no matching history".
+        """
+        prediction_times = np.asarray(prediction_times, dtype=np.int64)
+        n_examples = prediction_times.size
+        features = np.zeros((n_examples, self.n_features), dtype=np.float64)
+        if n_examples == 0:
+            return features
+
+        session_times = user.timestamps
+        accesses = user.accesses.astype(np.int64)
+
+        example_context: dict[str, np.ndarray] = {}
+        if contexts is not None:
+            if len(contexts) != n_examples:
+                raise ValueError("contexts must align with prediction_times")
+            for name in self.schema.names():
+                example_context[name] = np.asarray([c[name] for c in contexts])
+
+        column = 0
+        per_subset = (3 * len(self.config.windows) if self.config.include_aggregations else 0) + (
+            2 if self.config.include_elapsed else 0
+        )
+        for subset in self.subsets:
+            block = features[:, column : column + per_subset]
+            if subset and contexts is None:
+                # No current context: matched subsets have no usable history.
+                if self.config.include_elapsed:
+                    block[:, -2:] = MISSING_ELAPSED
+                column += per_subset
+                continue
+            session_codes = self._match_codes(subset, user.context, len(user))
+            example_codes = self._match_codes(subset, example_context, n_examples) if subset else np.zeros(
+                n_examples, dtype=np.int64
+            )
+            self._fill_subset_block(
+                block, session_times, accesses, session_codes, prediction_times, example_codes
+            )
+            column += per_subset
+        return features
+
+    def _fill_subset_block(
+        self,
+        block: np.ndarray,
+        session_times: np.ndarray,
+        accesses: np.ndarray,
+        session_codes: np.ndarray,
+        prediction_times: np.ndarray,
+        example_codes: np.ndarray,
+    ) -> None:
+        """Fill one subset's feature columns for all examples (in place)."""
+        n_windows = len(self.config.windows)
+        if self.config.include_elapsed:
+            block[:, -2:] = MISSING_ELAPSED
+
+        for code in np.unique(example_codes):
+            example_mask = example_codes == code
+            example_times = prediction_times[example_mask]
+            member = session_codes == code
+            times_g = session_times[member]
+            if times_g.size == 0:
+                continue
+            accesses_g = accesses[member]
+            cum_accesses = np.concatenate([[0], np.cumsum(accesses_g)])
+            # Index (within the group) of the most recent access at or before j.
+            access_positions = np.where(accesses_g == 1)[0]
+
+            pos = np.searchsorted(times_g, example_times, side="left")
+            col = 0
+            if self.config.include_aggregations:
+                for window in self.config.windows:
+                    # Window is (q - w, q): a session exactly w old has aged out.
+                    lo = np.searchsorted(times_g, example_times - window, side="right")
+                    n_sessions = (pos - lo).astype(np.float64)
+                    n_acc = (cum_accesses[pos] - cum_accesses[lo]).astype(np.float64)
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        rate = np.where(n_sessions > 0, n_acc / np.maximum(n_sessions, 1.0), 0.0)
+                    block[example_mask, col] = n_sessions
+                    block[example_mask, col + 1] = n_acc
+                    block[example_mask, col + 2] = rate
+                    col += 3
+            if self.config.include_elapsed:
+                since_session = np.full(example_times.shape, MISSING_ELAPSED)
+                has_prev = pos > 0
+                since_session[has_prev] = example_times[has_prev] - times_g[pos[has_prev] - 1]
+
+                since_access = np.full(example_times.shape, MISSING_ELAPSED)
+                if access_positions.size:
+                    # For each example, the number of accesses strictly before it.
+                    access_count_before = cum_accesses[pos]
+                    has_access = access_count_before > 0
+                    last_access_index = access_positions[access_count_before[has_access] - 1]
+                    since_access[has_access] = example_times[has_access] - times_g[last_access_index]
+                block[example_mask, col] = since_session
+                block[example_mask, col + 1] = since_access
+
+
+class ParentFeaturizer:
+    """``TabularFeaturizer``'s per-user path at acba69b, verbatim: one
+    ``transform_user(user, examples)`` call per user, one column block per
+    aggregator column."""
+
+    def __init__(self, live: TabularFeaturizer) -> None:
+        self.schema, self.config, self.n_features = live.schema, live.config, live.n_features
+        self._context_encoders = live._context_encoders
+        self._elapsed_columns = live._elapsed_columns
+        self.aggregator = ParentAggregator(live.aggregator)
+
+    def _encode_context(self, examples: list[Example]) -> np.ndarray:
+        blocks: list[np.ndarray] = []
+        for field_def in self.schema:
+            encoder = self._context_encoders[field_def.name]
+            values = np.asarray(
+                [0.0 if e.context is None else e.context[field_def.name] for e in examples], dtype=np.float64
+            )
+            if encoder is None:
+                blocks.append(values.reshape(-1, 1))
+                blocks.append(np.log1p(np.maximum(values, 0.0)).reshape(-1, 1))
+            else:
+                blocks.append(encoder.encode(values.astype(np.int64)))
+        return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(examples), 0))
+
+    def _encode_time(self, prediction_times: np.ndarray) -> np.ndarray:
+        hour = encode_hour_of_day(prediction_times, one_hot=self.config.one_hot_time)
+        dow = encode_day_of_week(prediction_times, one_hot=self.config.one_hot_time)
+        return np.concatenate([hour, dow], axis=1)
+
+    def _encode_history(self, user: UserLog, examples: list[Example]) -> np.ndarray:
+        prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
+        contexts = None
+        if all(e.context is not None for e in examples):
+            contexts = [e.context for e in examples]
+        raw = self.aggregator.compute(user, prediction_times, contexts)
+        if not self._elapsed_columns:
+            return raw
+        blocks: list[np.ndarray] = []
+        elapsed_set = set(self._elapsed_columns)
+        for column in range(raw.shape[1]):
+            values = raw[:, column]
+            if column not in elapsed_set:
+                blocks.append(values.reshape(-1, 1))
+            elif self.config.one_hot_elapsed:
+                blocks.append(one_hot_buckets(values, n_buckets=self.config.elapsed_buckets))
+            else:
+                blocks.append(
+                    np.asarray(log_bucket(values, n_buckets=self.config.elapsed_buckets), dtype=np.float64).reshape(-1, 1)
+                )
+        return np.concatenate(blocks, axis=1)
+
+    def transform_user(self, user: UserLog, examples: list[Example]) -> np.ndarray:
+        """Feature matrix for one user's examples."""
+        if not examples:
+            return np.zeros((0, self.n_features), dtype=np.float64)
+        prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
+        blocks: list[np.ndarray] = []
+        if self.config.include_context:
+            blocks.append(self._encode_context(examples))
+        if self.config.include_time:
+            blocks.append(self._encode_time(prediction_times))
+        blocks.append(self._encode_history(user, examples))
+        matrix = np.concatenate(blocks, axis=1)
+        if matrix.shape[1] != self.n_features:
+            raise RuntimeError(
+                f"feature width mismatch: built {matrix.shape[1]} columns, expected {self.n_features}"
+            )
+        return matrix
+
+
+BASE_TIME = 1_561_939_200  # Monday 2019-07-01 00:00 UTC
+#: Session offsets that put ties, window edges and 30-day spans within reach.
+OFFSET_GRID = (0, 1, 3599, 3600, 3601, 86_399, 86_400, 7 * 86_400, 28 * 86_400, 28 * 86_400 + 1, 30 * 86_400)
+#: Prediction time minus an anchor session's time: equal, a window exactly
+#: (the session ages out), a second either side, or earlier than the anchor.
+QUERY_DELTAS = (0, 1, -1, 3599, 3600, 3601, 86_400, 7 * 86_400, 28 * 86_400, 28 * 86_400 - 1, 28 * 86_400 + 1)
+AGG_SCHEMAS = {
+    "mobiletab": MobileTabGenerator().schema,
+    "mpu": MPUGenerator(n_apps=200).schema,  # app ids above the one-hot cap: hashed encoders
+    "timeshift": TimeshiftGenerator().schema,
+}
+FEATURE_SETS = [
+    FeatureConfig(include_aggregations=False, include_elapsed=False),  # C
+    FeatureConfig(include_aggregations=False, include_elapsed=True),  # E+C
+    FeatureConfig(),  # A+E+C
+]
+
+
+def _field_values(field_def: ContextField):
+    if field_def.kind == "numeric":
+        # Both sides of each match bin edge (0.5, 3.5, 10.5), ints and floats.
+        return st.sampled_from([0, 1, 3, 4, 10, 11, 0.5, 3.5, 10.5, 17.25, 99])
+    return st.sampled_from(sorted({0, 1, field_def.cardinality - 1}))
+
+
+@st.composite
+def _user_log(draw, schema: ContextSchema, user_id: int) -> UserLog:
+    n = draw(st.integers(min_value=0, max_value=12))
+    offsets = draw(st.lists(st.one_of(st.sampled_from(OFFSET_GRID), st.integers(0, 30 * 86_400)), min_size=n, max_size=n))
+    return UserLog(
+        user_id=user_id,
+        timestamps=BASE_TIME + np.asarray(sorted(offsets), dtype=np.int64),
+        accesses=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        context={f.name: np.asarray(draw(st.lists(_field_values(f), min_size=n, max_size=n))) for f in schema},
+    )
+
+
+@st.composite
+def _batch(draw, schema: ContextSchema):
+    """Fetched logs (a user may be fetched twice) plus rows that read them:
+    contextless rows mixed in, contexts copied from a session (so matched
+    subsets find history) or drawn, prediction times on window edges."""
+    logs = [draw(_user_log(schema, user_id)) for user_id in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        logs.append(logs[0].slice(0, len(logs[0])))  # the same user twice in one batch
+    owners, times, contexts = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        owner = draw(st.integers(0, len(logs) - 1))
+        log = logs[owner]
+        anchor = int(log.timestamps[draw(st.integers(0, len(log) - 1))]) if len(log) else BASE_TIME
+        delta = draw(st.one_of(st.sampled_from(QUERY_DELTAS), st.integers(-86_400, 31 * 86_400)))
+        kind = draw(st.sampled_from(["none", "session", "drawn"] if len(log) else ["none", "drawn"]))
+        if kind == "none":
+            context = None
+        elif kind == "session":
+            context = log.context_row(draw(st.integers(0, len(log) - 1)))
+        else:
+            context = {f.name: draw(_field_values(f)) for f in schema}
+        owners.append(owner)
+        times.append(anchor + delta)
+        contexts.append(context)
+    return logs, np.asarray(owners, dtype=np.int64), np.asarray(times, dtype=np.int64), contexts
+
+
+def _parent_rows(parent: ParentFeaturizer, logs, owners, times, contexts) -> np.ndarray:
+    """The parent's serving path: one ``transform_user(log, [example])`` per row."""
+    rows = [
+        parent.transform_user(logs[owner], [Example(int(owner), int(time), 0, context, None)])
+        for owner, time, context in zip(owners, times, contexts)
+    ]
+    return np.concatenate(rows, axis=0)
+
+
+class TestAggregationFeaturizerSpelling:
+    """The whole-array featurizer against the parent's per-request, per-subset,
+    per-code spelling.  Kills: sorting sessions without the segment key (two
+    users' histories merge), a ``side="right"`` / ``≤`` slip at either window
+    edge (a session exactly ``w`` old, or at the prediction time, counted), a
+    contextless row reading its owner's matched history, a global instead of
+    per-group "accesses before" (a since_access from another group), and an
+    index map that shifts an elapsed column into its neighbour."""
+
+    @pytest.mark.parametrize("max_subset", [0, 1, 2])
+    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
+    @pytest.mark.parametrize("one_hot_time", [False, True])
+    @pytest.mark.parametrize("feature_set", FEATURE_SETS, ids=["C", "E+C", "A+E+C"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_a_batch_matches_the_parent_row_by_row(self, feature_set, one_hot_time, one_hot_elapsed, max_subset, data):
+        schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
+        config = replace(
+            feature_set, one_hot_time=one_hot_time, one_hot_elapsed=one_hot_elapsed, max_context_subset=max_subset
+        )
+        featurizer = TabularFeaturizer(schema, config)
+        logs, owners, times, contexts = data.draw(_batch(schema))
+        assert_same_bits(
+            featurizer.transform_user(logs, owners, times, contexts),
+            _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_row_equals_its_own_one_row_call(self, data):
+        schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
+        featurizer = TabularFeaturizer(schema, FeatureConfig(one_hot_elapsed=data.draw(st.booleans())))
+        logs, owners, times, contexts = data.draw(_batch(schema))
+        batch = featurizer.transform_user(logs, owners, times, contexts)
+        for row, owner in enumerate(owners):
+            alone = featurizer.transform_user([logs[owner]], [0], times[row : row + 1], contexts[row : row + 1])
+            assert_same_bits(batch[row : row + 1], alone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_log_compute_matches_the_parent(self, data):
+        """``compute`` is the one-segment case; many rows, one context rule."""
+        schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
+        aggregator = HistoryAggregator(schema, AggregationConfig(max_subset_size=data.draw(st.integers(0, 2))))
+        logs, _, times, contexts = data.draw(_batch(schema))
+        if data.draw(st.booleans()):
+            contexts = None  # the timeshifted task: no current context at all
+        else:
+            contexts = [c if c is not None else {f.name: data.draw(_field_values(f)) for f in schema} for c in contexts]
+        assert_same_bits(
+            aggregator.compute(logs[0], times, contexts), ParentAggregator(aggregator).compute(logs[0], times, contexts)
+        )
+
+    def test_window_edges_and_ties_by_hand(self):
+        """A session exactly one window old and one at the prediction time are
+        both out; tied sessions count together; no rows is an empty matrix."""
+        schema = AGG_SCHEMAS["mobiletab"]
+        featurizer = TabularFeaturizer(schema, FeatureConfig())
+        t = BASE_TIME + 40 * 86_400
+        log = UserLog(
+            user_id=3,
+            timestamps=[t - 28 * 86_400, t - 3600, t - 3600, t - 3599, t],
+            accesses=[1, 0, 1, 0, 1],
+            context={"unread_count": np.asarray([0, 4, 4, 11, 0]), "active_tab": np.asarray([0, 1, 1, 1, 0])},
+        )
+        empty = UserLog(user_id=4, timestamps=[], accesses=[], context={"unread_count": [], "active_tab": []})
+        contexts = [log.context_row(1), None, log.context_row(0), log.context_row(1)]
+        owners, times = np.asarray([0, 0, 1, 0]), np.asarray([t, t, t, t + 1])
+        features = featurizer.transform_user([log, empty], owners, times, contexts)
+        assert_same_bits(features, _parent_rows(ParentFeaturizer(featurizer), [log, empty], owners, times, contexts))
+        names = featurizer.feature_names()
+        assert features[0, names.index("agg[all][3600s].sessions")] == 1  # t - 3600 aged out, t not yet in
+        assert features[0, names.index("agg[all][2419200s].sessions")] == 3  # the tie counts twice
+        assert features[3, names.index("agg[all][3600s].sessions")] == 1  # t is in, t - 3599 aged out
+        assert features[1, names.index("agg[active_tab][3600s].sessions")] == 0  # contextless row
+        assert features[1, names.index("elapsed[active_tab].since_session.bucket")] == 49
+        assert features[2, names.index("elapsed[all].since_session.bucket")] == 49  # empty history
+        assert featurizer.transform_user([], [], [], []).shape == (0, featurizer.n_features)
+
+    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
+    @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
+    def test_training_transform_matches_the_per_user_loop(self, dataset, one_hot_elapsed, request):
+        """Training's one call equals the parent's one ``transform_user`` per user."""
+        dataset = request.getfixturevalue(dataset)
+        featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
+        parent = ParentFeaturizer(featurizer)
+        by_id = {user.user_id: user for user in dataset.users}
+        tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
+        for examples_by_user in tasks:  # the timeshifted task has no contexts
+            data = featurizer.transform(dataset, examples_by_user)
+            expected = [parent.transform_user(by_id[uid], examples) for uid, examples in examples_by_user.items() if examples]
+            assert_same_bits(data.X, np.concatenate(expected, axis=0))
+            examples = [e for uid in examples_by_user for e in examples_by_user[uid]]
+            assert_same_bits(data.user_ids, np.asarray([e.user_id for e in examples], dtype=np.int64))
+            assert_same_bits(data.prediction_times, np.asarray([e.prediction_time for e in examples], dtype=np.int64))
