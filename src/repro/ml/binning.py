@@ -68,6 +68,19 @@ class QuantileBinner:
             binned[:, column] = np.searchsorted(edges, values, side="left")
         return binned
 
+    def split_threshold(self, column: int, code: int) -> float:
+        """The raw value ``t`` with ``transform`` code ``<= code`` exactly when ``x <= t``.
+
+        The code counts the (sorted, distinct) edges below a value, so it is
+        at most ``code`` exactly when the value is at most ``edges[code]``;
+        past the last edge every value qualifies, and ``t`` is ``+inf``
+        (non-finite inputs must be mapped to ``+inf`` first, as here).
+        """
+        if self.bin_edges_ is None:
+            raise RuntimeError("binner is not fitted")
+        edges = self.bin_edges_[column]
+        return float(edges[code]) if code < edges.size else np.inf
+
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
 

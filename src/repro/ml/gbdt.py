@@ -7,6 +7,32 @@ stopping.  :meth:`GradientBoostedTrees.fit_with_depth_search` reproduces the
 paper's protocol of exhaustively searching tree depths on a held-out
 validation split of users and keeping the depth with the lowest validation
 log loss.
+
+Trees are *grown* on quantile bin codes but *served* the way XGBoost serves
+them: at the end of :meth:`~GradientBoostedTrees.fit` the whole ensemble is
+packed once into heap-ordered tables — ``feature[T, 2**D - 1]``,
+``threshold[T, 2**D - 1]`` and ``leaf[T, 2**D]`` — whose thresholds are raw
+feature values, and :meth:`~GradientBoostedTrees.decision_function` scores a
+batch with ``D`` whole-array steps over all ``T`` trees at once
+(:func:`repro.ml.tree.walk_heap_tables`), never binning its input.
+
+The raw thresholds are exact, not an approximation of the bins.  A value
+``x`` gets bin code ``searchsorted(edges, x, "left")`` — the number of
+edges below ``x`` — and the edges are sorted and distinct, so a split on
+bin ``b`` (``code <= b``) sends ``x`` left exactly when ``x <= edges[b]``.
+A split with ``b >= len(edges)`` sends every row left, and its threshold is
+``+inf``.  Binning maps a non-finite value to ``+inf`` (the top bin); the
+walk does the same to its input, so such a row goes right at every split on
+a real edge and left at a ``+inf`` one, as its bin code did.
+
+``D`` is the deepest tree's split depth.  A shallower leaf is padded down
+to it: the slots below carry threshold ``+inf`` and every leaf slot it
+covers carries its value, so every row takes exactly ``D`` steps.  Leaf
+values are pre-scaled by the learning rate (the same product the boosting
+loop adds) and summed in tree order, so the scores are bit-identical to
+adding the trees one at a time.  The tables hold ``2**D`` slots per tree:
+4 KB of leaves at the depth search's deepest (``D = 9``), but a layout for
+shallow boosted trees, not for trees tens of levels deep.
 """
 
 from __future__ import annotations
@@ -15,19 +41,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..nn.inference import stable_sigmoid
 from .binning import QuantileBinner
-from .tree import RegressionTree, TreeParams
+from .tree import RegressionTree, TreeParams, walk_heap_tables
 
 __all__ = ["GBDTConfig", "GradientBoostedTrees"]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
 
 
 def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -82,6 +100,10 @@ class GradientBoostedTrees:
         self.train_loss_history_: list[float] = []
         self.valid_loss_history_: list[float] = []
         self.best_iteration_: int | None = None
+        # The packed ensemble (see the module docstring), built by ``fit``.
+        self.node_feature_: np.ndarray | None = None
+        self.node_threshold_: np.ndarray | None = None
+        self.leaf_value_: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def fit(self, X, y, eval_set: tuple[np.ndarray, np.ndarray] | None = None) -> "GradientBoostedTrees":
@@ -122,7 +144,7 @@ class GradientBoostedTrees:
         rounds_since_best = 0
 
         for round_index in range(cfg.n_rounds):
-            probabilities = _sigmoid(raw)
+            probabilities = stable_sigmoid(raw)
             gradients = probabilities - y
             hessians = probabilities * (1.0 - probabilities)
 
@@ -138,11 +160,11 @@ class GradientBoostedTrees:
             self.trees.append(tree)
 
             raw += cfg.learning_rate * tree.predict(binned)
-            self.train_loss_history_.append(_log_loss(y, _sigmoid(raw)))
+            self.train_loss_history_.append(_log_loss(y, stable_sigmoid(raw)))
 
             if eval_binned is not None:
                 eval_raw += cfg.learning_rate * tree.predict(eval_binned)
-                valid_loss = _log_loss(eval_labels, _sigmoid(eval_raw))
+                valid_loss = _log_loss(eval_labels, stable_sigmoid(eval_raw))
                 self.valid_loss_history_.append(valid_loss)
                 if valid_loss < best_loss - 1e-7:
                     best_loss = valid_loss
@@ -158,21 +180,35 @@ class GradientBoostedTrees:
             self.trees = self.trees[: best_iteration + 1]
         else:
             self.best_iteration_ = len(self.trees) - 1
+        self._pack()
         return self
+
+    def _pack(self) -> None:
+        """Lay every tree out as heap tables of the deepest tree's depth, raw thresholds."""
+        depth = max(tree.depth for tree in self.trees)
+        tables = [tree.heap_tables(depth, self.binner.split_threshold) for tree in self.trees]
+        self.node_feature_ = np.stack([feature for feature, _, _ in tables])
+        self.node_threshold_ = np.stack([threshold for _, threshold, _ in tables])
+        self.leaf_value_ = self.config.learning_rate * np.stack([leaf for _, _, leaf in tables])
 
     # ------------------------------------------------------------------
     def decision_function(self, X) -> np.ndarray:
+        """Logit of every row of ``X``: the base score plus each tree's leaf, in tree order."""
         if self.binner is None:
             raise RuntimeError("model is not fitted")
-        binned = self.binner.transform(np.asarray(X, dtype=np.float64))
-        raw = np.full(binned.shape[0], self.base_score_)
-        for tree in self.trees:
-            raw += self.config.learning_rate * tree.predict(binned)
-        return raw
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.binner.n_features:
+            raise ValueError("X has the wrong shape for this binner")
+        X = np.where(np.isfinite(X), X, np.inf)
+        leaves = walk_heap_tables(self.node_feature_, self.node_threshold_, self.leaf_value_, X)
+        leaves[:, 0] += self.base_score_
+        # accumulate adds left to right, as the boosting loop does; sum() would
+        # pair the terms up and can move the last bit.
+        return np.add.accumulate(leaves, axis=1)[:, -1]
 
     def predict_proba(self, X) -> np.ndarray:
         """Probability of the positive class for each row of ``X``."""
-        return _sigmoid(self.decision_function(X))
+        return stable_sigmoid(self.decision_function(X))
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(np.int64)

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..nn.inference import stable_sigmoid
+
 __all__ = ["LogisticRegression", "LogisticRegressionConfig"]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ class LogisticRegression:
 
         for step in range(1, cfg.max_iter + 1):
             logits = Xs @ coef + intercept
-            probs = _sigmoid(logits)
+            probs = stable_sigmoid(logits)
             error = (probs - y) * weights
             grad_coef = Xs.T @ error + cfg.l2 * coef
             grad_intercept = error.sum()
@@ -145,7 +138,7 @@ class LogisticRegression:
 
     def predict_proba(self, X) -> np.ndarray:
         """Probability of the positive class for each row of ``X``."""
-        return _sigmoid(self.decision_function(X))
+        return stable_sigmoid(self.decision_function(X))
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(np.int64)

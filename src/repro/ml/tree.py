@@ -10,20 +10,35 @@ and leaf weights are ``-G/(H+λ)``.  All histograms for one tree level are
 accumulated with a single ``bincount`` over flattened
 (node, feature, bin) indices, which keeps the pure-NumPy implementation fast
 enough for the benchmark harness.
+
+A fitted tree is scored through :func:`walk_heap_tables`: the tree is laid
+out as complete binary heap tables (:meth:`RegressionTree.heap_tables`) and
+every row takes the same number of vectorised steps, the walk the whole
+boosted ensemble uses too (:mod:`repro.ml.gbdt`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TreeParams", "RegressionTree"]
+__all__ = ["TreeParams", "RegressionTree", "walk_heap_tables"]
 
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Growth and regularisation parameters for a single tree."""
+    """Growth and regularisation parameters for a single tree.
+
+    ``max_depth`` counts *levels of nodes*, root included, not levels of
+    splits: growth stops splitting at ``depth == max_depth - 1``, so
+    ``max_depth=d`` grows trees with at most ``d - 1`` split levels and
+    ``max_depth=1`` grows single-leaf trees.  XGBoost's ``max_depth`` counts
+    split levels, so the "depth 3" GBDT here is XGBoost's depth 2.  This is
+    a known discrepancy, left in place: the experiment tables, the serving
+    fixtures and the golden files were all produced with this convention.
+    """
 
     max_depth: int = 4
     min_child_weight: float = 1.0
@@ -170,33 +185,53 @@ class RegressionTree:
         return self
 
     # ------------------------------------------------------------------
+    @property
+    def depth(self) -> int:
+        """Split levels on the longest root-to-leaf path (0 for a single leaf)."""
+        deepest = 0
+        stack = [(0, 0)]
+        while stack:
+            node, level = stack.pop()
+            if self.is_leaf[node]:
+                deepest = max(deepest, level)
+            else:
+                stack.extend([(self.left[node], level + 1), (self.right[node], level + 1)])
+        return deepest
+
+    def heap_tables(
+        self, depth: int, split_value: Callable[[int, int], float]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tree as complete heap tables ``(feature, threshold, leaf)`` of ``depth >= self.depth`` levels.
+
+        Inner slot ``i`` has children ``2i + 1`` (``x <= threshold``) and
+        ``2i + 2``; ``leaf`` holds the ``2**depth`` slots below the last
+        level.  A split on bin ``b`` of feature ``f`` gets threshold
+        ``split_value(f, b)``.  A leaf above ``depth`` passes through: every
+        inner slot below it keeps threshold ``+inf`` (so rows go left) and
+        all leaf slots it covers hold its value.
+        """
+        n_leaves = 1 << depth
+        feature = np.zeros(n_leaves - 1, dtype=np.intp)
+        threshold = np.full(n_leaves - 1, np.inf)
+        leaf = np.zeros(n_leaves, dtype=np.float64)
+        stack = [(0, 0, 0)]  # (node, heap slot, level)
+        while stack:
+            node, slot, level = stack.pop()
+            if self.is_leaf[node]:
+                width = 1 << (depth - level)
+                first = (slot + 1) * width - n_leaves
+                leaf[first : first + width] = self.value[node]
+                continue
+            feature[slot] = self.feature[node]
+            threshold[slot] = split_value(self.feature[node], self.threshold_bin[node])
+            stack.append((self.left[node], 2 * slot + 1, level + 1))
+            stack.append((self.right[node], 2 * slot + 2, level + 1))
+        return feature, threshold, leaf
+
     def predict(self, binned: np.ndarray) -> np.ndarray:
         """Leaf values for each row of a binned feature matrix."""
-        binned = np.asarray(binned)
-        n_samples = binned.shape[0]
-        output = np.empty(n_samples, dtype=np.float64)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold_bin)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        is_leaf = np.asarray(self.is_leaf)
-
-        node = np.zeros(n_samples, dtype=np.int64)
-        pending = np.arange(n_samples)
-        while pending.size:
-            current = node[pending]
-            leaf_mask = is_leaf[current]
-            done = pending[leaf_mask]
-            output[done] = value[current[leaf_mask]]
-            pending = pending[~leaf_mask]
-            if pending.size == 0:
-                break
-            current = node[pending]
-            split_feature = feature[current]
-            goes_left = binned[pending, split_feature] <= threshold[current]
-            node[pending] = np.where(goes_left, left[current], right[current])
-        return output
+        feature, threshold, leaf = self.heap_tables(self.depth, lambda f, b: b)
+        return walk_heap_tables(feature[None], threshold[None], leaf[None], np.asarray(binned))[:, 0]
 
     # ------------------------------------------------------------------
     def feature_importance(self, n_features: int) -> np.ndarray:
@@ -206,3 +241,30 @@ class RegressionTree:
             if not self.is_leaf[node]:
                 importance[self.feature[node]] += 1.0
         return importance
+
+
+def walk_heap_tables(feature: np.ndarray, threshold: np.ndarray, leaf: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of ``X`` in every tree: ``[rows, trees]``.
+
+    ``feature``/``threshold`` are ``[trees, 2**D - 1]`` heap tables and
+    ``leaf`` is ``[trees, 2**D]`` (see :meth:`RegressionTree.heap_tables`).
+    All trees advance together: ``D`` whole-array steps over ``[rows,
+    trees]`` slot indices, each going right where ``x > threshold``.
+    Thresholds are compared with ``X`` as given — bin codes for a binned
+    matrix, raw values for a raw one — so ``X`` must hold no NaN.
+    """
+    n_trees, n_leaves = leaf.shape
+    n_inner = n_leaves - 1
+    values = np.ascontiguousarray(X).reshape(-1)
+    row_start = (np.arange(X.shape[0]) * X.shape[1])[:, None]
+    tree = np.arange(n_trees)
+    tree_start = tree * n_inner
+    features, thresholds = feature.reshape(-1), threshold.reshape(-1)
+    slot = np.zeros((X.shape[0], n_trees), dtype=np.intp)
+    for _ in range(n_leaves.bit_length() - 1):
+        at = slot + tree_start
+        goes_right = values[row_start + features[at]] > thresholds[at]
+        slot *= 2
+        slot += goes_right
+        slot += 1
+    return leaf.reshape(-1)[slot + (tree * n_leaves - n_inner)]

@@ -14,11 +14,17 @@ The aggregation featurizer was re-spelled the same way — one whole-array
 call per micro-batch in place of one call per request, context subset and
 match code — and is held to the same bits against its parent spelling, on
 drawn histories with ties, window edges and contextless rows.
+
+The incumbent's GBDT prediction was re-spelled too — one packed walk over
+the whole ensemble on raw thresholds in place of re-binning every call and
+walking each tree's node lists — and is held to the parent's bits on values
+exactly on, and one ulp either side of, every bin edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -39,6 +45,8 @@ from repro.features.bucketing import bucket_scale, log_bucket, one_hot_buckets
 from repro.features.encoders import OneHotEncoder, encode_day_of_week, encode_hour_of_day
 from repro.features.pipeline import FeatureConfig, TabularFeaturizer
 from repro.features.sequence import SequenceBuilder
+from repro.ml import GBDTConfig, GradientBoostedTrees, QuantileBinner, RegressionTree, TreeParams
+from repro.ml.tree import walk_heap_tables
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.nn import inference
 
@@ -741,3 +749,195 @@ class TestAggregationFeaturizerSpelling:
             examples = [e for uid in examples_by_user for e in examples_by_user[uid]]
             assert_same_bits(data.user_ids, np.asarray([e.user_id for e in examples], dtype=np.int64))
             assert_same_bits(data.prediction_times, np.asarray([e.prediction_time for e in examples], dtype=np.int64))
+
+
+# ----------------------------------------------------------------------
+# GBDT prediction (the incumbent's model call)
+# ----------------------------------------------------------------------
+def transform_per_column(binner: QuantileBinner, X: np.ndarray) -> np.ndarray:
+    """The parent's ``QuantileBinner.transform``, which scoring called every time."""
+    if binner.bin_edges_ is None:
+        raise RuntimeError("binner is not fitted")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(binner.bin_edges_):
+        raise ValueError("X has the wrong shape for this binner")
+    binned = np.zeros(X.shape, dtype=np.uint16)
+    for column, edges in enumerate(binner.bin_edges_):
+        if edges.size == 0:
+            continue
+        values = X[:, column]
+        # Non-finite values (e.g. "no previous access") sort above every
+        # edge, landing them in the top bin — a consistent, learnable slot.
+        values = np.where(np.isfinite(values), values, np.inf)
+        binned[:, column] = np.searchsorted(edges, values, side="left")
+    return binned
+
+
+def tree_predict_pending(tree: RegressionTree, binned: np.ndarray) -> np.ndarray:
+    """The parent's ``RegressionTree.predict``: a pending-mask walk of the node lists."""
+    binned = np.asarray(binned)
+    n_samples = binned.shape[0]
+    output = np.empty(n_samples, dtype=np.float64)
+    feature = np.asarray(tree.feature)
+    threshold = np.asarray(tree.threshold_bin)
+    left = np.asarray(tree.left)
+    right = np.asarray(tree.right)
+    value = np.asarray(tree.value)
+    is_leaf = np.asarray(tree.is_leaf)
+
+    node = np.zeros(n_samples, dtype=np.int64)
+    pending = np.arange(n_samples)
+    while pending.size:
+        current = node[pending]
+        leaf_mask = is_leaf[current]
+        done = pending[leaf_mask]
+        output[done] = value[current[leaf_mask]]
+        pending = pending[~leaf_mask]
+        if pending.size == 0:
+            break
+        current = node[pending]
+        split_feature = feature[current]
+        goes_left = binned[pending, split_feature] <= threshold[current]
+        node[pending] = np.where(goes_left, left[current], right[current])
+    return output
+
+
+def decision_function_rebinned(model: GradientBoostedTrees, X) -> np.ndarray:
+    """The parent's ``GradientBoostedTrees.decision_function``: re-bin, then add tree by tree."""
+    if model.binner is None:
+        raise RuntimeError("model is not fitted")
+    binned = transform_per_column(model.binner, np.asarray(X, dtype=np.float64))
+    raw = np.full(binned.shape[0], model.base_score_)
+    for tree in model.trees:
+        raw += model.config.learning_rate * tree_predict_pending(tree, binned)
+    return raw
+
+
+def _gbdt_problem(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns: continuous, tied integers, a constant, all-NaN (no edges),
+    continuous with NaN/±inf holes, uniform."""
+    rng = np.random.default_rng(seed)
+    holes = rng.choice([np.nan, np.inf, -np.inf], n)
+    X = np.column_stack(
+        [
+            rng.normal(size=n),
+            rng.integers(0, 5, n).astype(np.float64),
+            np.full(n, 3.0),
+            np.full(n, np.nan),
+            np.where(rng.random(n) < 0.2, holes, rng.normal(size=n)),
+            rng.random(n),
+        ]
+    )
+    signal = np.where(np.isfinite(X[:, 4]), X[:, 4], np.where(holes == -np.inf, -2.0, 1.5))
+    logit = 1.5 * (X[:, 0] > 0.3) - 0.4 * X[:, 1] + signal + 2.0 * X[:, 5] - 1.0
+    return X, (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.float64)
+
+
+@cache
+def _gbdt_suite() -> tuple[GradientBoostedTrees, ...]:
+    """The depth search's candidates (depths 1-10, early-stopped on a
+    validation split), plus subsampled and ``min_child_weight=0`` variants:
+    ensembles from single-leaf trees (``D = 0``) to mixed depths up to 9."""
+    X, y = _gbdt_problem(400, seed=0)
+    X_valid, y_valid = _gbdt_problem(150, seed=1)
+    base = GBDTConfig(n_rounds=15)
+    configs = [replace(base, max_depth=depth) for depth in range(1, 11)]
+    configs += [
+        replace(base, max_depth=7, subsample=0.6, min_child_weight=3.0, seed=3),
+        replace(base, max_depth=4, min_child_weight=0.0),
+    ]
+    return tuple(GradientBoostedTrees(config).fit(X, y, eval_set=(X_valid, y_valid)) for config in configs)
+
+
+def _probe_rows(binner: QuantileBinner, rows: int, seed: int) -> np.ndarray:
+    """Rows whose every value sits on a bin edge, one ulp either side of one,
+    at ±0, ±inf, NaN, ±1e300 or somewhere normal."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    columns = []
+    for edges in binner.bin_edges_:
+        pool = np.concatenate(
+            [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), special, rng.normal(size=4) * 3.0]
+        )
+        columns.append(rng.choice(pool, rows))
+    return np.column_stack(columns) if rows else np.zeros((0, binner.n_features))
+
+
+class TestGBDTPredictSpelling:
+    """The packed raw-threshold walk over the whole ensemble against the
+    parent's per-call re-binning and per-tree pending-mask walk.  Kills:
+    ``>=`` for the walk's ``>`` (a value exactly on an edge goes right where
+    its bin code went left), dropping the non-finite → ``+inf`` map in
+    ``decision_function`` (NaN and ``-inf`` compare false and go left, where
+    their top-bin code went right), and padding a shallow leaf with 0 in
+    ``heap_tables`` (a row ending at a leaf above the deepest tree's depth
+    scores 0 for that tree).  Filling only the leftmost leaf slot a shallow
+    leaf covers is an equivalent mutant — no row passes an ``+inf``
+    threshold to the right — and is not claimed."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 64])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_batch_matches_the_rebinned_tree_by_tree_sum(self, rows, data):
+        suite = _gbdt_suite()
+        model = suite[data.draw(st.integers(0, len(suite) - 1))]
+        X = _probe_rows(model.binner, rows, data.draw(st.integers(0, 2**32 - 1)))
+        before = X.copy()
+        expected = decision_function_rebinned(model, X)
+        assert_same_bits(model.decision_function(X), expected)
+        assert_same_bits(model.predict_proba(X), stable_sigmoid_masked(expected))
+        assert_same_bits(X, before)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_row_equals_its_own_one_row_call(self, data):
+        suite = _gbdt_suite()
+        model = suite[data.draw(st.integers(0, len(suite) - 1))]
+        X = _probe_rows(model.binner, 8, data.draw(st.integers(0, 2**32 - 1)))
+        batch = model.decision_function(X)
+        for row in range(X.shape[0]):
+            assert_same_bits(batch[row : row + 1], model.decision_function(X[row : row + 1]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_tree_predict_on_bin_codes_matches_the_pending_walk(self, data):
+        """``fit``'s per-round update walks one tree on bin codes."""
+        suite = _gbdt_suite()
+        model = suite[data.draw(st.integers(0, len(suite) - 1))]
+        X = _probe_rows(model.binner, 64, data.draw(st.integers(0, 2**32 - 1)))
+        binned = transform_per_column(model.binner, X)
+        assert_same_bits(model.binner.transform(X), binned)  # training still bins
+        for tree in model.trees:
+            assert_same_bits(tree.predict(binned), tree_predict_pending(tree, binned))
+
+    def test_a_split_past_the_last_edge_sends_every_row_left(self):
+        """A split on a bin ``b >= len(edges)`` has an empty right side, so
+        the boosting gain never picks it; a tree grown on constant gradients
+        with a negative ``min_split_gain`` does (every real split loses, an
+        empty side loses nothing).  Column 0 is 90 % zeros: one edge at 0,
+        the ones in bin 1 < ``max_bins - 1``; column 1 has no edges."""
+        rng = np.random.default_rng(2)
+        X = np.column_stack([(rng.random(200) < 0.1).astype(np.float64), np.full(200, np.nan), rng.normal(size=200)])
+        binner = QuantileBinner(max_bins=4).fit(X)
+        binned = binner.transform(X)
+        params = TreeParams(max_depth=4, min_child_weight=0.0, min_split_gain=-1.0)
+        tree = RegressionTree(params).fit(binned, np.full(200, 0.5), np.ones(200), 4)
+        past = [
+            node
+            for node in range(tree.n_nodes)
+            if not tree.is_leaf[node] and tree.threshold_bin[node] >= binner.bin_edges_[tree.feature[node]].size
+        ]
+        assert past
+        feature, threshold, leaf = tree.heap_tables(tree.depth, binner.split_threshold)
+        probe = _probe_rows(binner, 64, seed=5)
+        walked = walk_heap_tables(feature[None], threshold[None], leaf[None], np.where(np.isfinite(probe), probe, np.inf))
+        assert_same_bits(walked[:, 0], tree_predict_pending(tree, transform_per_column(binner, probe)))
+
+    def test_the_suite_reaches_every_case_it_claims(self):
+        suite = _gbdt_suite()
+        depths = [sorted({tree.depth for tree in model.trees}) for model in suite]
+        assert depths[0] == [0]  # max_depth=1: single-leaf trees, a walk of no steps
+        assert any(len(d) > 1 for d in depths)  # shallow leaves padded to a deeper tree's depth
+        assert max(max(d) for d in depths) >= 8
+        assert any(edges.size == 0 for edges in suite[0].binner.bin_edges_)
+        assert all(model.leaf_value_.shape[1] == 2 ** max(d) for model, d in zip(suite, depths))

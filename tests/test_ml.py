@@ -147,6 +147,26 @@ class TestGBDT:
         importance = model.feature_importance()
         assert importance[3] <= importance[:3].max()  # feature 3 is pure noise
 
+    @pytest.mark.parametrize(
+        "X",
+        [np.zeros((3, 3)), np.zeros((3, 5)), np.zeros(4), np.zeros((2, 4, 1)), np.float64(0.5)],
+        ids=["narrow", "wide", "1-D", "3-D", "0-D"],
+    )
+    def test_scoring_refuses_a_matrix_of_the_wrong_shape(self, X):
+        X_train, y_train = _nonlinear_problem(n=200)
+        model = GradientBoostedTrees(GBDTConfig(n_rounds=3, max_depth=3)).fit(X_train, y_train)
+        for score in (model.decision_function, model.predict_proba, model.predict):
+            with pytest.raises(ValueError):
+                score(X)
+
+    def test_an_unfitted_model_refuses_to_score(self):
+        model = GradientBoostedTrees()
+        for score in (model.decision_function, model.predict_proba, model.predict):
+            with pytest.raises(RuntimeError):
+                score(np.zeros((2, 4)))
+        with pytest.raises(RuntimeError):
+            model.feature_importance()
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             GradientBoostedTrees().fit(np.zeros((0, 2)), np.zeros(0))
