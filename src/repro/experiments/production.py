@@ -135,8 +135,8 @@ def run_serving_cost(
     # Dynamic replay through facade-built engines, metering actual KV
     # traffic.  Each engine replays the same session stream in global time
     # order (the stream clock is monotone) through the batched cursor
-    # surface; the hidden path's session-end updates arrive in
-    # wave-coalesced timer waves.
+    # surface; on both paths session-end updates ride the stream and land
+    # at window close, in wave-coalesced timer waves (the paper's dataflow).
     replay_users = split.test.users[:n_replay_users]
     hidden_engine = ServingEngine.build(
         EngineConfig(backend="hidden_state", session_length=dataset.session_length, store_name="rnn"),
@@ -144,7 +144,7 @@ def run_serving_cost(
         builder=rnn.builder,
     )
     aggregation_engine = ServingEngine.build(
-        EngineConfig(backend="aggregation", store_name="gbdt"),
+        EngineConfig(backend="aggregation", session_length=dataset.session_length, store_name="gbdt"),
         featurizer=gbdt.featurizer,
         estimator=gbdt.estimator,
         schema=dataset.schema,
@@ -155,8 +155,8 @@ def run_serving_cost(
         (int(timestamp), user.user_id, user.context_row(index), bool(user.accesses[index]))
         for timestamp, user, index in sessions_in_time_order(replay_users)
     ]
-    hidden_engine.replay(events)
-    aggregation_engine.replay(events)
+    rnn_lookups = sum(prediction.kv_lookups for prediction in hidden_engine.replay(events))
+    gbdt_lookups = sum(prediction.kv_lookups for prediction in aggregation_engine.replay(events))
     hidden_engine.close()
     aggregation_engine.close()
     predictions = len(events)
@@ -178,6 +178,8 @@ def run_serving_cost(
             "replayed_predictions": predictions,
             "rnn_kv_gets": rnn_store.stats.gets,
             "gbdt_kv_gets": gbdt_store.stats.gets,
+            "rnn_kv_lookups": rnn_lookups,
+            "gbdt_kv_lookups": gbdt_lookups,
             "rnn_storage_bytes": rnn_store.total_bytes,
             "gbdt_storage_bytes": gbdt_store.total_bytes,
             "metrics": metrics_snapshots,

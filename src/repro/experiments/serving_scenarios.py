@@ -48,8 +48,9 @@ from .runner import validate_engine_block
 
 #: EngineConfig fields a ``batched_serving`` engine block must not set:
 #: the first four are derived per replayed pipeline (the batch-size/window
-#: sweep loop); ``defer_updates``/``history_window`` have no effect on the
-#: hidden-state dataflow and would pollute provenance if accepted;
+#: sweep loop); ``defer_updates`` is retired (its one legal value is the
+#: default) and ``history_window`` has no effect on the hidden-state
+#: dataflow — either would pollute provenance if accepted;
 #: ``failure_schedule``/``model``/``rollout``/``autoscale`` are derived
 #: internally by the scenarios that exercise them (``shard_failover``,
 #: ``canary_rollout``, ``autoscale``/``scaling_frontier``) — their timings

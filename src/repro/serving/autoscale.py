@@ -161,11 +161,6 @@ def check_config(config) -> None:
     """The rules relating the ``autoscale`` block to the rest of the config."""
     if config.autoscale is None:
         return
-    if not config.deferred_updates:
-        raise ValueError(
-            "autoscale ticks fire on the stream clock and need the "
-            "deferred-update dataflow (hidden_state, or defer_updates=True)"
-        )
     if config.autoscale["policy"] == "predictive" and config.backend != "hidden_state":
         raise ValueError(
             "the predictive policy aggregates the GRU's activity "

@@ -240,6 +240,8 @@ class SessionStreamMixin:
         self.metrics = registry if registry is not None else NULL_REGISTRY
         self.server = server
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        # ``stream=None`` only for the rollout shadow arm, which never
+        # observes: its waves arrive through the control arm's listeners.
         self.coalesce_updates = bool(coalesce_updates) and stream is not None
         self._timer_group = stream.timer_group(self._on_wave) if self.coalesce_updates else None
         self._session_seq = itertools.count()  # per-timer join keys only
@@ -257,7 +259,8 @@ class SessionStreamMixin:
         self.metrics.view("backend.predictions_served", "counter", lambda: self.predictions_served)
         self.metrics.view("backend.updates_applied", "counter", lambda: self.updates_applied)
 
-    def _publish_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
+    def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
+        """Hand the closed session to the stream; its update fires after the window closes."""
         stream = self.stream
         if timestamp < stream.clock:
             # ``publish``'s own refusal, made before anything is recorded —
@@ -544,10 +547,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     # ------------------------------------------------------------------
     # Session-end updates
     # ------------------------------------------------------------------
-    def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
-        """Hand the closed session to the stream; the hidden update fires after the window closes."""
-        self._publish_session(user_id, context, timestamp, accessed)
-
     def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
         """Run the GRU update for a wave of closed sessions.
 
@@ -618,18 +617,11 @@ class BatchedAggregationBackend(SessionStreamMixin):
     micro-batch, and the estimator call — tree traversals or the logistic
     dot product — runs once over the resulting ``[B, n_features]`` matrix.
 
-    Session-end history writes have two delivery modes, mirroring the hidden
-    path's wave machinery:
-
-    * **Immediate** (``stream=None``, the seed semantics and the default) —
-      ``observe_session`` applies the history write right away; the serving
-      layer must barrier queued predictions for that user first.
-    * **Stream-delivered** (``stream`` given, ``session_length`` required) —
-      ``observe_session`` hands the session to the stream exactly like the
-      hidden path and the write lands at window close, as part of a timer wave
-      (``coalesce_updates=True``) or one timer at a time.  Either way each
-      update still pays one history fetch and one write, so wave delivery is
-      bit-identical to per-timer delivery in every observable.
+    Session-end history writes travel the hidden path's stream: the write
+    lands at window close, as part of a timer wave (``coalesce_updates=True``)
+    or one timer at a time.  Either way each update pays one history fetch
+    and one write, so wave delivery is bit-identical to per-timer delivery in
+    every observable.
     """
 
     CONTEXTLESS_PREDICTIONS = True
@@ -640,18 +632,16 @@ class BatchedAggregationBackend(SessionStreamMixin):
         estimator,
         schema: ContextSchema,
         store,
+        stream: StreamProcessor,
+        session_length: int,
         *,
         history_window: int = 28 * 86400,
-        stream: StreamProcessor | None = None,
-        session_length: int | None = None,
         extra_lag: int = 60,
         coalesce_updates: bool = True,
         registry: MetricsRegistry | None = None,
         server=None,
         tracer=None,
     ) -> None:
-        if stream is not None and session_length is None:
-            raise ValueError("stream-delivered session updates need a session_length")
         self.featurizer = featurizer
         self.estimator = estimator
         self.schema = schema
@@ -732,21 +722,15 @@ class BatchedAggregationBackend(SessionStreamMixin):
         ]
 
     # ------------------------------------------------------------------
-    def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
-        if self.stream is not None:
-            self._publish_session(user_id, context, timestamp, accessed)
-            return
-        self.apply_wave(SessionWave([user_id], [timestamp], [context], [accessed]))
-
     def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
         """Apply a wave of session-end history writes in delivery order.
 
         Each update is one read-modify-write of its user's rolling history —
-        the same KV traffic the per-timer (and seed immediate) path pays, so
-        delivery batching stays invisible to the meters; the wave only
-        amortises the Python round-trip from the stream into the backend.
-        Same-user updates inside a wave apply in order, so the stored history
-        is identical to applying them one at a time.
+        the same KV traffic the per-timer path pays, so delivery batching
+        stays invisible to the meters; the wave only amortises the Python
+        round-trip from the stream into the backend.  Same-user updates inside
+        a wave apply in order, so the stored history is identical to applying
+        them one at a time.
         """
         wave = SessionWave.of(updates)
         names = self.schema.names()
@@ -784,11 +768,10 @@ class MicroBatchQueue:
     """Request queue that coalesces predictions into backend micro-batches.
 
     ``submit`` enqueues a request; ``flush`` forces the pending batch through
-    the backend.  When a :class:`StreamProcessor` is attached,
-    :meth:`advance_to` is the clock gate: it flushes the queue *before*
-    letting the stream fire timers due at or before the new time, so a queued
-    request can never observe a hidden-state update that logically happens
-    after it.  This is what makes batched results independent of the batch
+    the backend.  :meth:`advance_to` on the shared :class:`StreamProcessor`
+    is the clock gate: it flushes the queue *before* letting the stream fire
+    timers due at or before the new time, so a queued request can never
+    observe a session-end update that logically happens after it.  This is what makes batched results independent of the batch
     size.
 
     **Delivery is a drained cursor.**  Every completed prediction is handed
@@ -819,7 +802,7 @@ class MicroBatchQueue:
         backend,
         *,
         max_batch_size: int = 32,
-        stream: StreamProcessor | None = None,
+        stream: StreamProcessor,
         registry: MetricsRegistry | None = None,
         server=None,
         admission: AdmissionController | None = None,
@@ -835,11 +818,9 @@ class MicroBatchQueue:
         self.server = server
         self.admission = admission
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._barrier_handle: int | None = None
-        if stream is not None:
-            # Whoever advances the clock — this queue or the stream driven
-            # directly — queued requests are scored before timers fire.
-            self._barrier_handle = stream.register_barrier(self._barrier_flush)
+        # Whoever advances the clock — this queue or the stream driven
+        # directly — queued requests are scored before timers fire.
+        self._barrier_handle: int | None = stream.register_barrier(self._barrier_flush)
         self._queue: list[ServingRequest] = []
         self._deferred: list[ServingRequest] = []
         self._undelivered: list[ServingPrediction] = []
@@ -873,7 +854,7 @@ class MicroBatchQueue:
             # when it alone triggers this branch there is no server, so
             # computing them is pure.
             reference = float(max(request.timestamp for request in batch))
-            if self.stream is not None and self.stream.clock > reference:
+            if self.stream.clock > reference:
                 reference = float(self.stream.clock)
             completion = self.server.process(len(batch), reference) if self.server is not None else reference
             if self._metered:
@@ -920,11 +901,10 @@ class MicroBatchQueue:
         is dropped, a deferred one parks for re-admission.
         """
         delivered: list[ServingPrediction] = []
-        if self.stream is not None:
-            due = self.stream.next_timer_at
-            if due is not None and timestamp >= due:
-                delivered += self.flush()
-                self.stream.advance_to(timestamp)
+        due = self.stream.next_timer_at
+        if due is not None and timestamp >= due:
+            delivered += self.flush()
+            self.stream.advance_to(timestamp)
         request = ServingRequest(user_id=user_id, context=context, timestamp=timestamp)
         if self.admission is not None:
             # Parked requests re-enter ahead of newly offered ones: if any
@@ -1033,40 +1013,22 @@ class MicroBatchQueue:
             self._undelivered[:0] = earlier
         return own
 
-    def barrier_for_user(self, user_id: int, *, deliver: bool = True) -> list[ServingPrediction]:
-        """Flush iff ``user_id`` has a queued request.
-
-        State mutations that apply *immediately* (the aggregation path's
-        session-end history write) must not overtake a queued prediction for
-        the same user; mutations for other users cannot affect queued
-        requests, so cross-user coalescing continues.  With ``deliver=False``
-        the completed results stay on the cursor for ``drain_completed`` —
-        the mode service internals use, since their caller is not collecting.
-        """
-        if any(request.user_id == user_id for request in self._queue):
-            self._score_pending()
-            if deliver:
-                return self._deliver()
-        return []
-
     # ------------------------------------------------------------------
     def advance_to(self, timestamp: int) -> list[ServingPrediction]:
         """Advance the stream clock, flushing first if a timer would fire.
 
         Delivers the predictions completed by the flush (empty when no timer
-        was due or no stream is attached).  Deferred requests re-enter here
-        first, in arrival order, for as long as the admission policy stays
-        clear — a clock advance is the signal that pressure may have
-        drained.
+        was due).  Deferred requests re-enter here first, in arrival order,
+        for as long as the admission policy stays clear — a clock advance is
+        the signal that pressure may have drained.
         """
         delivered: list[ServingPrediction] = []
         if self.admission is not None:
             delivered += self._readmit_deferred(timestamp)
-        if self.stream is not None:
-            due = self.stream.next_timer_at
-            if due is not None and due <= timestamp:
-                delivered += self.flush()
-            self.stream.advance_to(timestamp)
+        due = self.stream.next_timer_at
+        if due is not None and due <= timestamp:
+            delivered += self.flush()
+        self.stream.advance_to(timestamp)
         return delivered
 
     def _readmit_deferred(self, timestamp: int) -> list[ServingPrediction]:
@@ -1095,7 +1057,7 @@ class MicroBatchQueue:
         the engine between replays): otherwise the dead queue's barrier keeps
         firing on every wave.  Safe to call more than once.
         """
-        if self.stream is not None and self._barrier_handle is not None:
+        if self._barrier_handle is not None:
             self.stream.deregister_barrier(self._barrier_handle)
             self._barrier_handle = None
 

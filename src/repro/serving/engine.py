@@ -24,8 +24,9 @@ The lifecycle is ``build → submit/replay → flush/drain → close``:
 * :meth:`~ServingEngine.close` — deregister the queue's stream barrier and
   refuse further traffic; idempotent.
 
-Both dataflows implement the same :class:`Backend` protocol, including the
-wave entry point ``apply_wave`` — session-end history writes on the
+Both dataflows implement the same :class:`Backend` protocol and share one
+session-end dataflow: every update rides the stream and lands at window
+close through the wave entry point ``apply_wave`` — history writes on the
 aggregation path batch exactly like GRU updates on the hidden path.
 """
 
@@ -113,7 +114,7 @@ _FIELD_CHECKS = {
     "session_length": _optional(_scalar(int, minimum=1)),
     "extra_lag": _scalar(int, minimum=0),
     "coalesce_updates": _scalar(bool),
-    "defer_updates": _optional(_scalar(bool)),
+    "defer_updates": _scalar(bool),
     "history_window": _scalar(int, minimum=1),
     "store_name": _scalar(str),
     "replication": _scalar(int, minimum=1),
@@ -164,7 +165,7 @@ class Backend(Protocol):
         ...
 
     def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
-        """Record a finished session (immediately or via the stream)."""
+        """Hand a finished session to the stream; its update lands at window close."""
         ...
 
     def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
@@ -188,20 +189,20 @@ class EngineConfig:
     that runs it; one paragraph per block:
 
     **Dataflow** (:mod:`~repro.serving.batching`, checked here): ``backend``,
-    ``max_batch_size``, ``coalescing_window``, ``session_length`` +
-    ``extra_lag``, ``coalesce_updates``, ``history_window``.
-    ``defer_updates=True`` routes aggregation history writes through the
-    stream like the hidden path's updates (always deferred — the paper's
-    dataflow); ``False``/``None`` keeps the seed's immediate writes.
-    ``quantize`` and ``state_layout`` (``"entries"`` or the bit-identical
-    per-shard ``"arena"`` slab) apply to hidden states only.
+    ``max_batch_size``, ``coalescing_window``, ``session_length`` (required)
+    + ``extra_lag``, ``coalesce_updates``, ``history_window``.  On both
+    backends every session-end update rides the stream and lands at window
+    close (the paper's dataflow).  ``defer_updates`` is retired: its one
+    legal value is ``True``, kept only because ``perf/perf_workloads.py``'s
+    ``agg_baseline`` config still sets it.  ``quantize`` and
+    ``state_layout`` (``"entries"`` or the bit-identical per-shard
+    ``"arena"`` slab) apply to hidden states only.
 
     **Store and faults** (:mod:`~repro.serving.router`): ``store_name``,
     ``n_shards``, ``replication`` (replica-group size; needs ``n_shards``)
     and ``failure_schedule``, ``(fire_at, "fail" | "recover", shard_index)``
-    faults on the stream clock — needs the deferred dataflow and
-    ``replication >= 2``, and is walked in fire order at config time against
-    the pool's own failure rules.  Placement-only: bit-invisible to served
+    faults on the stream clock — needs ``replication >= 2``, and is walked in
+    fire order at config time against the pool's own failure rules.  Placement-only: bit-invisible to served
     values (``tests/test_elastic_ring.py``).
 
     **Model lifecycle** (:mod:`~repro.serving.rollout`): ``model`` pins the
@@ -215,9 +216,9 @@ class EngineConfig:
     replaces a caller's ``server=`` with an elastic replica fleet sized by a
     ``"reactive"`` or ``"predictive"`` policy on control timers; required
     ``policy`` / ``service_rate`` / ``start`` / ``until``, defaults for the
-    rest beside the block check.  Needs the deferred dataflow;
-    ``"predictive"`` needs ``hidden_state``.  A fleet pinned to one replica
-    is bit-identical to ``ServerModel`` (``tests/test_autoscale.py``).
+    rest beside the block check.  ``"predictive"`` needs ``hidden_state``.  A
+    fleet pinned to one replica is bit-identical to ``ServerModel``
+    (``tests/test_autoscale.py``).
 
     **Tracing** (:mod:`~repro.serving.tracing`): ``tracing``, with the
     percentage of requests whose span trees are recorded (default 100),
@@ -233,7 +234,7 @@ class EngineConfig:
     session_length: int | None = None
     extra_lag: int = 60
     coalesce_updates: bool = True
-    defer_updates: bool | None = None
+    defer_updates: bool = True
     history_window: int = 28 * 86400
     store_name: str = "engine"
     replication: int = 1
@@ -254,12 +255,11 @@ class EngineConfig:
         router.check_config(self)
         rollout.check_config(self)
         autoscale.check_config(self)
-        if self.backend == "hidden_state":
-            if self.session_length is None:
-                raise ValueError("the hidden_state backend needs a session_length")
-            if self.defer_updates is False:
-                raise ValueError("hidden_state updates are always stream-deferred (the paper's dataflow)")
-        else:
+        if self.session_length is None:
+            raise ValueError(f"the {self.backend} backend needs a session_length")
+        if not self.defer_updates:
+            raise ValueError("defer_updates is retired: every session-end update rides the stream")
+        if self.backend == "aggregation":
             if self.quantize:
                 raise ValueError("quantization applies to hidden states, not aggregation history")
             if self.state_layout != "entries":
@@ -267,20 +267,6 @@ class EngineConfig:
                     "state_layout applies to hidden states (a fixed-width slab row per "
                     "user); aggregation history records are variable-length"
                 )
-            if self.defer_updates and self.session_length is None:
-                raise ValueError("deferred aggregation updates need a session_length")
-            if not self.defer_updates and self.coalescing_window > 0:
-                raise ValueError(
-                    "coalescing_window only applies to stream-delivered updates; "
-                    "set defer_updates=True on the aggregation backend"
-                )
-
-    @property
-    def deferred_updates(self) -> bool:
-        """Whether session-end updates travel through the stream."""
-        if self.backend == "hidden_state":
-            return True
-        return bool(self.defer_updates)
 
     def to_dict(self) -> dict[str, Any]:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
@@ -324,9 +310,9 @@ class Parts:
 
     registry: MetricsRegistry
     store: KeyValueStore | ShardedKeyValueStore
+    stream: StreamProcessor
     server: ServerModel | None = None
     tracer: Tracer = NULL_TRACER
-    stream: StreamProcessor | None = None
     backend: Backend | None = None
     autoscaler: Autoscaler | None = None
     admission: AdmissionController | None = None
@@ -369,8 +355,8 @@ def _backend(
     if featurizer is None or estimator is None or schema is None:
         raise ValueError("the aggregation backend needs featurizer=, estimator= and schema=")
     return BatchedAggregationBackend(
-        featurizer, estimator, schema, parts.store, history_window=config.history_window,
-        stream=parts.stream, session_length=config.session_length, **shared,
+        featurizer, estimator, schema, parts.store, parts.stream, config.session_length,
+        history_window=config.history_window, **shared,
     )
 
 
@@ -427,7 +413,7 @@ class ServingEngine:
     ) -> "ServingEngine":
         """Assemble the pipeline from the config, one part at a time.
 
-        The order is fixed: metrics registry → store → tracer → stream →
+        The order is fixed: metrics registry → store → stream → tracer →
         ring faults → server → backend → autoscale policy and ticks →
         admission → rollout → queue.  Each optional part is installed by the
         module that runs it (``tracing``, ``router``, ``autoscale``,
@@ -455,10 +441,11 @@ class ServingEngine:
         is bit-identical to an unguarded one.
         """
         registry = MetricsRegistry()
-        parts = Parts(registry=registry, store=_store(config, registry), server=server)
+        parts = Parts(
+            registry=registry, store=_store(config, registry),
+            stream=StreamProcessor(coalescing_window=config.coalescing_window), server=server,
+        )
         parts = tracing.install(parts, config.tracing)
-        if config.deferred_updates:
-            parts = replace(parts, stream=StreamProcessor(coalescing_window=config.coalescing_window))
         parts = router.install(parts, config.failure_schedule)
         parts = autoscale.install_fleet(parts, config.autoscale)
         backend = _backend(
@@ -523,18 +510,16 @@ class ServingEngine:
         return self.queue.predict(user_id, context, timestamp)
 
     def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:
-        """Record a finished session through the configured update path.
+        """Hand a finished session to the stream; its update lands at window close.
 
-        Immediate-mode aggregation writes barrier this user's queued
-        prediction first (it must score against pre-session state); deferred
-        updates rely on the stream barrier the queue registers instead.
+        A queued prediction for the same user still scores against
+        pre-session state: the queue's stream barrier flushes it before the
+        session's timer fires.
         """
         self._ensure_open("observe_session")
         if type(timestamp) is not int:
             _check_timestamp(timestamp, user_id)
         self._check_context(user_id, context)
-        if not self.config.deferred_updates:
-            self.queue.barrier_for_user(user_id, deliver=False)
         self.backend.observe_session(user_id, context, timestamp, accessed)
 
     def advance_to(self, timestamp: int) -> list[ServingPrediction]:
@@ -595,8 +580,7 @@ class ServingEngine:
         shed_before = self.admission.requests_shed if self.admission is not None else 0
         delivered = self.serve(events)
         delivered += self.flush()
-        if self.stream is not None:
-            self.stream.flush()
+        self.stream.flush()
         delivered += self.drain_deferred()
         delivered += self.drain_completed()
         expected = len(events)

@@ -893,11 +893,6 @@ def check_config(config) -> None:
             "a failure_schedule needs replication >= 2: failing an "
             "unreplicated shard would lose its keys"
         )
-    if not config.deferred_updates:
-        raise ValueError(
-            "a failure_schedule fires on the stream clock and needs the "
-            "deferred-update dataflow (hidden_state, or defer_updates=True)"
-        )
     # Same-second control timers fire in registration order, so a stable
     # sort on fire_at is the order the faults will fire in.
     failed: set[int] = set()

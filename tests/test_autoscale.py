@@ -293,7 +293,7 @@ class TestEngineConfigAutoscale:
         with pytest.raises(ValueError, match="hidden_state backend"):
             EngineConfig(
                 backend="aggregation",
-                defer_updates=True,
+                session_length=600,
                 autoscale=self._block(policy="predictive"),
             )
 

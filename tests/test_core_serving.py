@@ -242,7 +242,7 @@ class TestServingServices:
     def test_aggregation_service_charges_twenty_lookups(self, small_trained_models):
         dataset, split, task, gbdt, _ = small_trained_models
         service = ServingEngine.build(
-            EngineConfig(backend="aggregation"),
+            EngineConfig(backend="aggregation", session_length=dataset.session_length),
             featurizer=gbdt.featurizer,
             estimator=gbdt.estimator,
             schema=dataset.schema,
@@ -252,6 +252,8 @@ class TestServingServices:
         prediction = service.predict(user.user_id, user.context_row(0) if len(user) else {"unread_count": 0, "active_tab": 0}, timestamp)
         assert prediction.kv_lookups == 20
         service.observe_session(user.user_id, user.context_row(0) if len(user) else {"unread_count": 0, "active_tab": 0}, timestamp, True)
+        # The history write lands at window close.
+        service.stream.flush()
         assert service.storage_bytes > 0
 
     def test_cost_model_reports_rnn_cheaper_to_serve_but_heavier_to_run(self, small_trained_models):

@@ -70,7 +70,7 @@ class TestEngineConfig:
         assert EngineConfig.from_dict(config.to_dict()) == config
         # Declarative means serializable: the dict must survive JSON.
         assert EngineConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
-        aggregation = EngineConfig(backend="aggregation", defer_updates=True, session_length=600)
+        aggregation = EngineConfig(backend="aggregation", session_length=600)
         assert EngineConfig.from_dict(aggregation.to_dict()) == aggregation
         lifecycle = EngineConfig(
             backend="hidden_state",
@@ -102,14 +102,14 @@ class TestEngineConfig:
             {"backend": "aggregation", "history_window": 0},
             {"backend": "aggregation", "session_length": -5},
             {"backend": "hidden_state"},  # no session_length
-            {"backend": "hidden_state", "session_length": 600, "defer_updates": False},
             {"backend": "hidden_state", "session_length": 600, "extra_lag": -1},
-            {"backend": "aggregation", "quantize": True},
-            {"backend": "aggregation", "defer_updates": True},  # no session_length
-            # A window on immediate writes would be silently inert.
-            {"backend": "aggregation", "coalescing_window": 30},
+            {"backend": "aggregation", "session_length": 600, "quantize": True},
+            {"backend": "aggregation"},  # no session_length
+            # defer_updates is retired, on both backends.
+            {"backend": "hidden_state", "session_length": 600, "defer_updates": False},
+            {"backend": "aggregation", "session_length": 600, "defer_updates": False},
             # Model lifecycle: contradictions and malformed rollout blocks.
-            {"backend": "aggregation", "model": "v1"},
+            {"backend": "aggregation", "session_length": 600, "model": "v1"},
             {"backend": "hidden_state", "session_length": 600, "model": ""},
             {"backend": "hidden_state", "session_length": 600,
              "rollout": {"candidate": "v2", "stages": ((10, 100),), "gates": {}}},  # no model
@@ -171,11 +171,6 @@ class TestEngineConfig:
         with pytest.raises(ManifestError, match=field):
             load_manifest({"experiments": [{"id": "batched_serving", "engine": {field: value}}]})
 
-    def test_update_delivery_defaults(self):
-        assert EngineConfig(backend="hidden_state", session_length=600).deferred_updates
-        assert not EngineConfig(backend="aggregation").deferred_updates
-        assert EngineConfig(backend="aggregation", defer_updates=True, session_length=600).deferred_updates
-
 
 class TestBackendProtocol:
     def test_both_backends_satisfy_the_protocol(self, trained):
@@ -184,7 +179,7 @@ class TestBackendProtocol:
             rnn.network, rnn.builder, KeyValueStore(), StreamProcessor(), dataset.session_length
         )
         aggregation = BatchedAggregationBackend(
-            gbdt.featurizer, gbdt.estimator, dataset.schema, KeyValueStore()
+            gbdt.featurizer, gbdt.estimator, dataset.schema, KeyValueStore(), StreamProcessor(), dataset.session_length
         )
         assert isinstance(hidden, Backend)
         assert isinstance(aggregation, Backend)
@@ -209,7 +204,7 @@ class TestEngineLifecycle:
         with pytest.raises(ValueError, match="network= and builder="):
             ServingEngine.build(EngineConfig(backend="hidden_state", session_length=600))
         with pytest.raises(ValueError, match="featurizer=, estimator= and schema="):
-            ServingEngine.build(EngineConfig(backend="aggregation"), featurizer=gbdt.featurizer)
+            ServingEngine.build(EngineConfig(backend="aggregation", session_length=600), featurizer=gbdt.featurizer)
         # The store and stream always come from the config, never the caller.
         for injected in ("store", "stream"):
             with pytest.raises(TypeError, match=injected):
@@ -314,8 +309,7 @@ def replay_through(engine_like, events):
         delivered += engine_like.submit(user_id, context, timestamp)
         engine_like.observe_session(user_id, context, timestamp, accessed)
     delivered += engine_like.flush()
-    if getattr(engine_like, "stream", None) is not None:
-        engine_like.stream.flush()
+    engine_like.stream.flush()
     delivered += engine_like.drain_completed()
     assert len(delivered) == len(events)
     return delivered
@@ -338,20 +332,19 @@ class HandWiredHidden:
 
 
 class HandWiredAggregation:
-    """Hand-wired immediate-write aggregation path (the seed semantics)."""
+    """The aggregation path's stream + queue + backend, assembled by hand."""
 
-    def __init__(self, gbdt, schema, store, *, batch_size):
-        self.stream = None
-        self.backend = BatchedAggregationBackend(gbdt.featurizer, gbdt.estimator, schema, store)
-        self.queue = MicroBatchQueue(self.backend, max_batch_size=batch_size)
+    def __init__(self, gbdt, schema, session_length, store, *, batch_size):
+        self.stream = StreamProcessor()
+        self.backend = BatchedAggregationBackend(
+            gbdt.featurizer, gbdt.estimator, schema, store, self.stream, session_length
+        )
+        self.queue = MicroBatchQueue(self.backend, max_batch_size=batch_size, stream=self.stream)
         self.submit = self.queue.submit
-        self.advance_to = lambda timestamp: []
+        self.advance_to = self.queue.advance_to
         self.flush = self.queue.flush
         self.drain_completed = self.queue.drain_completed
-
-    def observe_session(self, user_id, context, timestamp, accessed):
-        self.queue.barrier_for_user(user_id, deliver=False)
-        self.backend.observe_session(user_id, context, timestamp, accessed)
+        self.observe_session = self.backend.observe_session
 
 
 class TestFacadeEquivalence:
@@ -449,11 +442,13 @@ class TestFacadeEquivalence:
     def test_aggregation_facade_matches_hand_wiring(self, trained, batch_size):
         dataset, _, gbdt, events = trained
         reference_store = KeyValueStore()
-        hand_wired = HandWiredAggregation(gbdt, dataset.schema, reference_store, batch_size=batch_size)
+        hand_wired = HandWiredAggregation(
+            gbdt, dataset.schema, dataset.session_length, reference_store, batch_size=batch_size
+        )
         reference = replay_through(hand_wired, events)
 
         engine = ServingEngine.build(
-            EngineConfig(backend="aggregation", max_batch_size=batch_size),
+            EngineConfig(backend="aggregation", max_batch_size=batch_size, session_length=dataset.session_length),
             featurizer=gbdt.featurizer,
             estimator=gbdt.estimator,
             schema=dataset.schema,
@@ -498,7 +493,6 @@ class TestAggregationWaveSymmetry:
             EngineConfig(
                 backend="aggregation",
                 max_batch_size=batch_size,
-                defer_updates=True,
                 coalesce_updates=coalesce_updates,
                 coalescing_window=window,
                 session_length=600,
@@ -557,12 +551,12 @@ class TestAggregationWaveSymmetry:
             for timestamp, user_id, context, accessed in events[:50]
         ]
         one_at_a_time = BatchedAggregationBackend(
-            gbdt.featurizer, gbdt.estimator, dataset.schema, KeyValueStore()
+            gbdt.featurizer, gbdt.estimator, dataset.schema, KeyValueStore(), StreamProcessor(), dataset.session_length
         )
         for update in updates:
-            one_at_a_time.observe_session(update.user_id, update.context, update.timestamp, update.accessed)
+            one_at_a_time.apply_wave([update])
         waved = BatchedAggregationBackend(
-            gbdt.featurizer, gbdt.estimator, dataset.schema, KeyValueStore()
+            gbdt.featurizer, gbdt.estimator, dataset.schema, KeyValueStore(), StreamProcessor(), dataset.session_length
         )
         waved.apply_wave(updates)
         assert waved.updates_applied == one_at_a_time.updates_applied == len(updates)
@@ -570,10 +564,34 @@ class TestAggregationWaveSymmetry:
         for key in one_at_a_time.store.keys():
             assert waved.store.get(key) == one_at_a_time.store.get(key)
 
+    def test_the_history_write_lands_when_the_window_closes(self, trained):
+        """A session's write is invisible to a prediction one second before
+        its timer fires and visible to one stamped at the fire second."""
+        context = trained[3][0][2]
+        engine = self._deferred_engine(trained, coalesce_updates=True, batch_size=1)
+        user_id, start = 3, 1_000_000
+        for offset in (0, 10):  # two stored sessions: past the fetch-size floor
+            engine.observe_session(user_id, context, start + offset, False)
+        engine.advance_to(start + 10_000)
+        timestamp = start + 20_000
+        before = engine.predict(user_id, None, timestamp)
+        engine.observe_session(user_id, context, timestamp, True)
+        fire_at = timestamp + engine.config.session_length + engine.config.extra_lag
+        assert engine.stream.next_timer_at == fire_at
+        pending = engine.predict(user_id, None, fire_at - 1)
+        assert pending.bytes_fetched == before.bytes_fetched
+        assert engine.store.peek(f"agg:{user_id}")["timestamps"] == [start, start + 10]
+        landed = engine.predict(user_id, None, fire_at)
+        assert landed.bytes_fetched > before.bytes_fetched
+        assert engine.store.peek(f"agg:{user_id}")["timestamps"] == [start, start + 10, timestamp]
+
     def test_eviction_drops_only_the_leading_run_older_than_the_window(self, trained):
         dataset, _, gbdt, events = trained
         store = KeyValueStore()
-        backend = BatchedAggregationBackend(gbdt.featurizer, gbdt.estimator, dataset.schema, store, history_window=100)
+        backend = BatchedAggregationBackend(
+            gbdt.featurizer, gbdt.estimator, dataset.schema, store, StreamProcessor(), dataset.session_length,
+            history_window=100,
+        )
         names = dataset.schema.names()
         # Cutoff 1000 - 100 = 900: 850 and 899 go, 900 is exactly one window
         # old and stays, and 880 stays because it sits behind a kept event.
@@ -616,9 +634,8 @@ class TestSessionStreamMixin:
         for coalesce in (True, False):
             stream = StreamProcessor(coalescing_window=10)
             recorder = self.Recorder(stream, coalesce=coalesce)
-            recorder.observe = recorder._publish_session
-            recorder.observe(1, {"badge": 2.0}, 0, True)
-            recorder.observe(2, {"badge": 3.0}, 5, False)
+            recorder.observe_session(1, {"badge": 2.0}, 0, True)
+            recorder.observe_session(2, {"badge": 3.0}, 5, False)
             # The lane records rows, not events; the reference join publishes
             # two events per session.  Either way two timers are pending.
             assert stream.events_published == (0 if coalesce else 4)
@@ -638,9 +655,9 @@ class TestSessionStreamMixin:
         for coalesce in (True, False):
             stream = StreamProcessor()
             recorder = self.Recorder(stream, coalesce=coalesce)
-            recorder._publish_session(4, {"badge": 1.0}, 50, False)
-            recorder._publish_session(4, {"badge": 9.0}, 50, True)
-            recorder._publish_session(4, {"badge": 1.0}, 50, False)  # an exact repeat is a third row
+            recorder.observe_session(4, {"badge": 1.0}, 50, False)
+            recorder.observe_session(4, {"badge": 9.0}, 50, True)
+            recorder.observe_session(4, {"badge": 1.0}, 50, False)  # an exact repeat is a third row
             stream.flush()
             rows = [row for wave in recorder.waves for row in wave_rows(wave)]
             assert [len(wave) for wave in recorder.waves] == ([3] if coalesce else [1, 1, 1])
@@ -654,9 +671,9 @@ class TestSessionStreamMixin:
             recorder = self.Recorder(stream, coalesce=coalesce)
             stream.advance_to(60)
             with pytest.raises(ValueError, match="event at 59 is earlier than the stream clock 60"):
-                recorder._publish_session(4, {"badge": 1.0}, 59, True)
+                recorder.observe_session(4, {"badge": 1.0}, 59, True)
             assert (stream.pending_timers, stream.events_published, stream.buffered_keys) == (0, 0, 0)
-            recorder._publish_session(4, {"badge": 1.0}, 60, True)  # at the clock is fine
+            recorder.observe_session(4, {"badge": 1.0}, 60, True)  # at the clock is fine
             assert stream.pending_timers == 1
 
 
@@ -783,13 +800,13 @@ class TestHostileAggregationContexts:
 
     Before this pin a NaN context sat in the user's history for the whole
     ``history_window`` and a missing field raised a bare ``KeyError`` inside
-    the history write — at fire time on the deferred path, after the session
-    was recorded.  A prediction without a context stays legal: the
-    featurizer scores it on history alone.
+    the history write — at fire time, after the session was recorded.  A
+    prediction without a context stays legal: the featurizer scores it on
+    history alone.
     """
 
     BAD_CONTEXTS = TestHostileContexts.BAD_CONTEXTS
-    DATAFLOWS = ("aggregation-deferred", "aggregation-immediate")
+    DATAFLOWS = ("aggregation", "aggregation-per-timer")
 
     @pytest.mark.parametrize("dataflow", DATAFLOWS)
     @pytest.mark.parametrize("kind", sorted(BAD_CONTEXTS))
@@ -831,7 +848,7 @@ class TestHostileAggregationContexts:
         assert observe(engine) == observe(twin)
 
     def test_a_contextless_prediction_is_still_scored(self, trained):
-        engine = TestHostileTimestamps._engine(trained, "aggregation-immediate")
+        engine = TestHostileTimestamps._engine(trained, "aggregation")
         prediction = engine.predict(3, None, 1_000)
         assert 0.0 <= prediction.probability <= 1.0
 
@@ -857,7 +874,7 @@ class TestAggregationRecordsAtPredict:
     def _warm_engine(trained, max_batch_size=4):
         dataset, _, gbdt, events = trained
         engine = ServingEngine.build(
-            EngineConfig(backend="aggregation", max_batch_size=max_batch_size),
+            EngineConfig(backend="aggregation", max_batch_size=max_batch_size, session_length=dataset.session_length),
             featurizer=gbdt.featurizer,
             estimator=gbdt.estimator,
             schema=dataset.schema,
@@ -903,6 +920,25 @@ class TestAggregationRecordsAtPredict:
         assert len(delivered) == batch_size
         assert rows_per_call == [batch_size]
 
+    def test_a_session_stamped_behind_a_recorded_one_cannot_poison_the_record(self, trained):
+        """Sessions observed out of order (both ahead of the clock) land in
+        fire order: a regressing ``agg:`` record would fail every later
+        prediction for that user with ``UserLog``'s non-decreasing check."""
+        dataset, _, gbdt, events = trained
+        engine = ServingEngine.build(
+            EngineConfig(backend="aggregation", session_length=dataset.session_length),
+            featurizer=gbdt.featurizer,
+            estimator=gbdt.estimator,
+            schema=dataset.schema,
+        )
+        user_id, context, timestamp = 5, events[0][2], 1_000_000
+        engine.observe_session(user_id, context, timestamp, True)
+        engine.observe_session(user_id, context, timestamp - 5_000, False)
+        engine.stream.flush()
+        assert engine.store.peek(f"agg:{user_id}")["timestamps"] == [timestamp - 5_000, timestamp]
+        prediction = engine.predict(user_id, None, engine.stream.clock)
+        assert 0.0 <= prediction.probability <= 1.0
+
 
 class TestHostileTimestamps:
     """A timestamp that is not a finite number is refused at the door.
@@ -925,7 +961,9 @@ class TestHostileTimestamps:
         "none": None,
         "string": "now",
     }
-    DATAFLOWS = ("hidden_state", "aggregation-deferred", "aggregation-immediate")
+    # The aggregation lane runs under both stream deliveries: timer-group
+    # waves (the default) and the per-timer reference join.
+    DATAFLOWS = ("hidden_state", "aggregation", "aggregation-per-timer")
 
     @staticmethod
     def _engine(trained, dataflow):
@@ -940,8 +978,8 @@ class TestHostileTimestamps:
             EngineConfig(
                 backend="aggregation",
                 max_batch_size=4,
-                defer_updates=dataflow == "aggregation-deferred",
                 session_length=dataset.session_length,
+                coalesce_updates=dataflow == "aggregation",
             ),
             featurizer=gbdt.featurizer,
             estimator=gbdt.estimator,
@@ -965,7 +1003,7 @@ class TestHostileTimestamps:
             "undelivered": engine.undelivered,
             "served": engine.predictions_served,
             "applied": engine.updates_applied,
-            "stream": None if stream is None else (
+            "stream": (
                 stream.clock, stream.pending_timers, stream.next_timer_at,
                 stream.events_published, stream.timers_fired,
             ),
@@ -974,8 +1012,7 @@ class TestHostileTimestamps:
     @staticmethod
     def _finish(engine, events):
         delivered = engine.serve(events) + engine.flush()
-        if engine.stream is not None:
-            engine.stream.flush()
+        engine.stream.flush()
         return delivered + engine.drain_completed()
 
     @pytest.mark.parametrize("dataflow", DATAFLOWS)
@@ -1004,7 +1041,7 @@ class TestHostileTimestamps:
         assert len(delivered) == len(events) and delivered == twin_delivered
         assert self._observables(engine) == self._observables(twin)
 
-    @pytest.mark.parametrize("dataflow", ["hidden_state", "aggregation-deferred"])
+    @pytest.mark.parametrize("dataflow", DATAFLOWS)
     def test_a_regressing_observe_session_is_refused_and_nothing_moves(self, trained, dataflow):
         events = trained[3][:60]
         warm, rest = events[:30], events[30:]

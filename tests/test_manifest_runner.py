@@ -31,7 +31,7 @@ TINY = {
 
 
 class TestLoadAndRoundTrip:
-    @pytest.mark.parametrize("name", ["smoke.json", "window_sweep.json", "full.json"])
+    @pytest.mark.parametrize("name", ["smoke.json", "window_sweep.json", "full.json", "serving_cost.json"])
     def test_checked_in_manifests_load_and_round_trip(self, name):
         """load → dump → load is the identity for every checked-in manifest."""
         manifest = load_manifest(MANIFESTS_DIR / name)
@@ -95,8 +95,9 @@ class TestValidation:
             load_manifest(
                 {"experiments": [{"id": "batched_serving", "engine": {"max_batch_size": 8}}]}
             )
-        # defer_updates/history_window have no effect on the hidden-state
-        # dataflow; accepting them would stamp no-op knobs into provenance.
+        # defer_updates is retired and history_window has no effect on the
+        # hidden-state dataflow; accepting them would stamp no-op knobs into
+        # provenance.
         with pytest.raises(ManifestError, match="cannot be set for this experiment"):
             load_manifest(
                 {"experiments": [{"id": "batched_serving", "engine": {"history_window": 123}}]}

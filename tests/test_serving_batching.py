@@ -141,7 +141,7 @@ def hidden_engine(rnn, dataset, batch_size, network=None, **config):
 
 def aggregation_engine(gbdt, dataset, batch_size):
     return ServingEngine.build(
-        EngineConfig(backend="aggregation", max_batch_size=batch_size),
+        EngineConfig(backend="aggregation", max_batch_size=batch_size, session_length=dataset.session_length),
         featurizer=gbdt.featurizer,
         estimator=gbdt.estimator,
         schema=dataset.schema,
@@ -574,7 +574,7 @@ class TestMicroBatchQueue:
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):
-            MicroBatchQueue(backend=None, max_batch_size=0)
+            MicroBatchQueue(backend=None, max_batch_size=0, stream=StreamProcessor())
 
     def test_submit_before_advance_respects_timer_barrier(self, trained):
         """Batch-size invariance must not depend on advance/submit call order."""
@@ -645,26 +645,8 @@ class TestDrainedCursor:
         assert engine.drain_completed() == []
         assert engine.queue.undelivered == 0
 
-    def test_barrier_for_user_surfaces_results_exactly_once(self, trained):
-        dataset, _, gbdt, events = trained
-        engine = aggregation_engine(gbdt, dataset, 64)
-        t1, u1, c1, _ = events[0]
-        engine.submit(u1, c1, t1)
-        # Delivering mode: the caller gets the result, drain stays empty.
-        delivered = engine.queue.barrier_for_user(u1)
-        assert [(p.user_id, p.timestamp) for p in delivered] == [(u1, t1)]
-        assert engine.drain_completed() == []
-        # Retaining mode (what observe_session uses): result drains once.
-        t2, u2, c2, _ = events[1]
-        engine.submit(u2, c2, t2)
-        assert engine.queue.barrier_for_user(u2, deliver=False) == []
-        engine.observe_session(u2, c2, t2, True)
-        drained = engine.drain_completed()
-        assert [(p.user_id, p.timestamp) for p in drained] == [(u2, t2)]
-        assert engine.drain_completed() == []
-
     def test_observe_session_barrier_does_not_lose_results(self, trained):
-        """The aggregation path's immediate-write barrier retains, not drops."""
+        """Stream-barrier flushes on the aggregation path retain results, never drop them."""
         dataset, _, gbdt, events = trained
         engine = aggregation_engine(gbdt, dataset, 64)
         collected = engine.replay(events[:40])

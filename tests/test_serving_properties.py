@@ -256,7 +256,7 @@ class TestDeliveryCursorProperty:
     def test_predict_never_steals_or_duplicates(self):
         for trial in range(40):
             rng = np.random.default_rng(20_000 + trial)
-            queue = MicroBatchQueue(_EchoBackend(), max_batch_size=int(rng.integers(2, 6)))
+            queue = MicroBatchQueue(_EchoBackend(), max_batch_size=int(rng.integers(2, 6)), stream=StreamProcessor())
             submitted: list[tuple[int, int]] = []
             collected: list[tuple[int, int]] = []
             for step in range(int(rng.integers(10, 30))):

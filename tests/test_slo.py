@@ -26,6 +26,7 @@ from repro.serving import (
     ReplicaFleet,
     ServerModel,
     SloPolicy,
+    StreamProcessor,
 )
 from serving_harness import build_engine, ramped_events
 
@@ -78,7 +79,8 @@ class TestAdmissionAtTheQueue:
             SloPolicy(max_queue_depth=bound), registry=registry, mode=mode
         )
         queue = MicroBatchQueue(
-            _EchoBackend(), max_batch_size=batch, registry=registry, server=server, admission=admission
+            _EchoBackend(), max_batch_size=batch, stream=StreamProcessor(), registry=registry,
+            server=server, admission=admission,
         )
         return queue, admission
 
@@ -235,7 +237,9 @@ class TestAdmissionAtTheQueue:
         admission = AdmissionController(
             SloPolicy(max_p99_update_delay=30.0), registry=registry, mode="shed"
         )
-        queue = MicroBatchQueue(_EchoBackend(), max_batch_size=4, registry=registry, admission=admission)
+        queue = MicroBatchQueue(
+            _EchoBackend(), max_batch_size=4, stream=StreamProcessor(), registry=registry, admission=admission
+        )
         assert queue.submit(0, None, 0) == []
         assert admission.requests_shed == 0
         # Inflate the end-to-end update latency past the target…
@@ -256,7 +260,7 @@ class TestAdmissionAtTheQueue:
             SloPolicy(max_p99_update_delay=30.0, p99_window=64), registry=registry, mode="shed"
         )
         queue = MicroBatchQueue(
-            _EchoBackend(), max_batch_size=4, registry=registry, admission=admission
+            _EchoBackend(), max_batch_size=4, stream=StreamProcessor(), registry=registry, admission=admission
         )
         latency = registry.histogram("serving.update_latency_seconds")
         for _ in range(64):
