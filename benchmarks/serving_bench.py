@@ -24,8 +24,9 @@ gate that keeps the arena from quietly regressing back to a loop.  The
 batch-1 ratios carry a softer, purely relative ratchet
 (``BATCH1_TOLERANCE`` × the last recorded entry): a singleton wave is the
 latency-critical serving path, so it must not quietly get slower either,
-but it has no absolute floor — the vectorized path's fixed overhead is why
-``entries`` stays the default layout.
+but it has no absolute floor: timed alone, with the GC off, a singleton
+wave still pays NumPy's per-call overhead where the entry layout reads one
+dict, although end to end the two layouts serve batch 1 within about 2 %.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ BATCHES = (1, 64)
 REPS = {1: 2000, 64: 400}
 
 #: Absolute floors for the gated metrics (batch-64 speedups).  The batch-1
-#: ratios have no absolute floor — a singleton wave pays the vectorized
-#: path's fixed overhead, which is exactly why ``entries`` stays the default
-#: layout — but they are ratcheted against the trajectory below.
+#: ratios have no absolute floor — a singleton wave pays NumPy's per-call
+#: overhead, which this state-only timing shows in full — but they are
+#: ratcheted against the trajectory below.
 FLOORS = {"plain": 2.0, "quantized": 4.0}
 #: A gated speedup may drop to this fraction of the last recorded value
 #: before --check fails.  Ratios are far more portable than wall times but

@@ -35,6 +35,7 @@ batch shape, unlike BLAS matmuls).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -44,7 +45,11 @@ __all__ = ["ArenaSpec", "StateArena"]
 
 @dataclass(frozen=True)
 class ArenaSpec:
-    """Shape contract for the records a :class:`StateArena` absorbs."""
+    """Shape contract for the records a :class:`StateArena` absorbs.
+
+    The derived dtype and sizes are cached: every wave gather and scatter
+    reads them.
+    """
 
     prefix: str
     state_size: int
@@ -56,18 +61,18 @@ class ArenaSpec:
         if self.state_size <= 0:
             raise ValueError("ArenaSpec.state_size must be positive")
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
         return np.dtype(np.int8 if self.quantized else np.float32)
 
-    @property
+    @cached_property
     def payload_bytes(self) -> int:
         """Bytes a prediction fetch reports for one record: the stored state
         vector plus the 8-byte timestamp (the ``nbytes + 8`` the entry
         layout's ``_load_state`` computes)."""
         return self.state_size * self.dtype.itemsize + 8
 
-    @property
+    @cached_property
     def record_bytes(self) -> int:
         """Stored size of one record: payload plus the quantized layout's
         8-byte scale (the ``size_bytes`` the entry layout's ``_save_state``
@@ -112,6 +117,10 @@ class StateArena:
 
     def row_of(self, key: str) -> int:
         return self._rows[key]
+
+    def rows_of(self, keys: list[str]) -> list[int | None]:
+        """Each key's row, ``None`` for a key the slab does not hold."""
+        return list(map(self._rows.get, keys))
 
     def _grow(self, minimum: int) -> None:
         capacity = self.capacity
@@ -213,12 +222,12 @@ class StateArena:
     # ------------------------------------------------------------------
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(float64 states, int64 timestamps)`` for ``rows`` — one
-        fancy-index gather (plus the elementwise dequantize, when quantized),
+        ``take`` per array (plus the elementwise dequantize, when quantized),
         bit-equal per row to materializing each record and decoding it."""
-        states = self._slab[rows].astype(np.float64)
+        states = self._slab.take(rows, 0).astype(np.float64)
         if self._scales is not None:
-            states *= self._scales[rows][:, None]
-        return states, self._timestamps[rows]
+            states *= self._scales.take(rows)[:, None]
+        return states, self._timestamps.take(rows)
 
     def scatter(self, rows: np.ndarray, states: np.ndarray, timestamps: np.ndarray) -> None:
         """Write ``states`` (float64 ``[n, state_size]``) into ``rows`` — one
@@ -238,12 +247,16 @@ class StateArena:
     def encode(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch int8 quantization, row-for-row bit-equal to
         :func:`~repro.serving.quantization.quantize_state`: per-row symmetric
-        peak/127 scale, round-clip to int8, all-zero rows get scale 0."""
-        peaks = np.max(np.abs(states), axis=1)
-        scales = peaks / 127.0
+        peak/127 scale, round-clip to int8, all-zero rows get scale 0.
+
+        Spelled in ufuncs, as cheap for one row as per row of a wave:
+        ``rint`` is ``np.round``'s half-to-even at 0 decimals and
+        ``minimum(maximum(·))`` is ``np.clip`` without its Python wrapper.
+        """
+        peaks = np.abs(states).max(axis=1)
+        scales = peaks / 127.0  # 0.0 for an all-zero row, as quantize_state reports
         # All-zero rows divide by a dummy scale of 1 — their entries are 0/1=0,
-        # matching quantize_state's explicit zero record — and keep scale 0.
+        # matching quantize_state's explicit zero record.
         safe = np.where(peaks == 0.0, 1.0, scales)
-        encoded = np.clip(np.round(states / safe[:, None]), -127, 127).astype(np.int8)
-        scales = np.where(peaks == 0.0, 0.0, scales)
-        return encoded, scales
+        encoded = np.minimum(np.maximum(np.rint(states / safe[:, None]), -127.0), 127.0)
+        return encoded.astype(np.int8), scales

@@ -361,14 +361,16 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
       through a per-key loop (the historical layout).
     * ``"arena"`` — the store hosts a contiguous
       :class:`~repro.serving.arena.StateArena` slab per shard; a wave's
-      state load is one fancy-index gather and its save one fancy-index
-      scatter (:meth:`KeyValueStore.gather_states` /
-      :meth:`~repro.serving.kvstore.KeyValueStore.scatter_states`).
+      state load is one row lookup per key and one slab read, and its save
+      one fancy-index scatter (:meth:`KeyValueStore.gather_states` /
+      :meth:`~repro.serving.kvstore.KeyValueStore.scatter_states`).  The
+      same lines serve one row and a wave of 64.
 
     The two layouts are bit-identical in every observable — served
     probabilities, stored records, traffic meters — pinned by
-    ``tests/test_state_arena.py``; the arena only removes Python loop and
-    record-object overhead from the wave hot path.
+    ``tests/test_serving_twins.py`` and ``tests/test_state_arena.py``; the
+    arena only removes Python loop and record-object overhead from the
+    wave hot path.
     """
 
     STATE_PREFIX = "hidden:"
@@ -464,20 +466,19 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
 
         ``elapsed`` is ``max(timestamp - last update, 0)`` per row (0 for
         users with no stored state) — the gap/delta input both the predict
-        and update paths bucket.  Under the arena layout the whole wave is
-        one store gather; the entry layout keeps the per-key loop.  The two
-        are bit-identical: the arena gather upcasts the same float32 (or
-        dequantized int8) rows into the same float64 positions, and the
-        elapsed arithmetic is the same exact int64-difference-to-float path.
+        and update paths bucket, and all they do with it.  Under the arena
+        layout the whole wave is one store gather, whose missing rows carry
+        a last update so late that ``max(timestamp, last) - last`` is 0
+        without a mask, and ``elapsed`` stays the exact int64 difference;
+        the entry layout keeps the per-key loop and float64.  The two bucket
+        identically (:func:`log_bucket` rounds the int64 difference to
+        float64 once, as the entry loop does), and the arena gather upcasts
+        the same float32 (or dequantized int8) rows into the same float64
+        positions.
         """
         if self.state_layout == "arena":
-            states, last_timestamps, present = self.store.gather_states(keys)
-            elapsed = np.where(
-                present,
-                np.maximum((timestamps - last_timestamps).astype(np.float64), 0.0),
-                0.0,
-            )
-            return states, elapsed, np.where(present, self._payload_bytes, 0).tolist()
+            states, last_timestamps, fetched = self.store.gather_states(keys)
+            return states, np.maximum(timestamps, last_timestamps) - last_timestamps, fetched.tolist()
         states = np.empty((len(keys), self.network.state_size))
         elapsed: list[float] = []
         fetched: list[int] = []
@@ -495,12 +496,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
             return
         for key, state, timestamp in zip(keys, states, timestamps.tolist()):
             self._save_state(key, state, timestamp)
-
-    @property
-    def _payload_bytes(self) -> int:
-        """Per-record fetch bytes (stored state vector + 8-byte timestamp)."""
-        itemsize = 1 if self.quantize else 4
-        return self.network.state_size * itemsize + 8
 
     # ------------------------------------------------------------------
     # Prediction hot path

@@ -28,6 +28,11 @@ __all__ = ["KVStats", "KeyValueStore"]
 _MISSING = object()
 _IN_ARENA = object()
 
+#: The last-write timestamp :meth:`KeyValueStore.gather_states` reports for a
+#: missing key: ``max(now, NEVER_WRITTEN) - NEVER_WRITTEN`` is 0, so no time
+#: has elapsed since a write that never happened, with no int64 overflow.
+NEVER_WRITTEN = np.iinfo(np.int64).max
+
 #: The KVStats counter fields, in snapshot order — the one spelling behind
 #: ``KVStats.snapshot``, the pool rollup and the ``kv.<store>.*`` registry names.
 KV_COUNTER_FIELDS = ("gets", "puts", "deletes", "hits", "misses", "bytes_read", "bytes_written")
@@ -225,40 +230,34 @@ class KeyValueStore:
     # Vectorized state waves (requires an attached arena)
     # ------------------------------------------------------------------
     def gather_states(self, keys: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized state read: ``(float64 states, int64 timestamps, present)``.
+        """Vectorized state read: ``(float64 states, int64 last-write
+        timestamps, int64 fetched bytes)``.
 
-        Meters exactly like one :meth:`get` per key.  Missing keys read as
-        zero states with ``present=False``; keys whose value still lives as
+        Meters exactly like one :meth:`get` per key.  A wave whose keys all
+        live in the slab costs one row lookup per key and one slab read, and
+        hands back what :meth:`StateArena.gather` read.  Otherwise the wave
+        takes the general path: a missing key reads as a zero state with
+        timestamp :data:`NEVER_WRITTEN`, and a key whose value still lives as
         a per-key record (written before the arena attached, or oddly
-        shaped) decode through the record path, so mixed storage stays
-        correct.
+        shaped) decodes through the record path, so mixed storage stays
+        correct.  Fetched bytes are the spec's ``payload_bytes`` for a hit
+        (what the entry layout's load reports) and 0 for a miss, so they
+        double as the presence mask.
         """
         arena = self.arena
         if arena is None:
             raise RuntimeError(f"store {self.name!r} has no state arena attached")
-        spec = arena.spec
         n = len(keys)
-        states = np.zeros((n, spec.state_size), dtype=np.float64)
-        timestamps = np.zeros(n, dtype=np.int64)
-        present = np.zeros(n, dtype=bool)
-        arena_rows: list[int] = []
-        arena_positions: list[int] = []
-        stray: list[tuple[int, dict[str, Any]]] = []
-        bytes_read = 0
-        data = self._data
-        sizes = self._sizes
-        row_of = arena.row_of
-        for position, key in enumerate(keys):
-            value = data.get(key, _MISSING)
-            if value is _MISSING:
-                continue
-            bytes_read += sizes[key]
-            if value is _IN_ARENA:
-                arena_positions.append(position)
-                arena_rows.append(row_of(key))
-            else:
-                stray.append((position, value))
-        hits = len(arena_positions) + len(stray)
+        rows = arena.rows_of(keys)
+        if None in rows:
+            states, timestamps, fetched = self._gather_mixed(keys, rows)
+            bytes_read = sum([self._sizes.get(key, 0) for key in keys])
+            hits = int(np.count_nonzero(fetched))
+        else:
+            states, timestamps = arena.gather(np.array(rows, np.intp))
+            fetched = np.array([arena.spec.payload_bytes] * n, np.int64)
+            bytes_read = sum(map(self._sizes.__getitem__, keys))
+            hits = n
         stats = self.stats
         stats.gets += n
         stats.hits += hits
@@ -266,21 +265,34 @@ class KeyValueStore:
         stats.bytes_read += bytes_read
         if self.tracer.enabled:
             self.tracer.kv_op("gather_states", self.name, n, bytes_read)
-        if arena_positions:
-            positions = np.asarray(arena_positions, dtype=np.intp)
-            rows = np.asarray(arena_rows, dtype=np.intp)
-            gathered, row_timestamps = arena.gather(rows)
-            states[positions] = gathered
-            timestamps[positions] = row_timestamps
-            present[positions] = True
-        for position, record in stray:
-            present[position] = True
+        return states, timestamps, fetched
+
+    def _gather_mixed(self, keys: list[str], rows: list[int | None]):
+        """:meth:`gather_states` for a wave with keys outside the slab."""
+        arena = self.arena
+        spec = arena.spec
+        states = np.zeros((len(keys), spec.state_size), dtype=np.float64)
+        timestamps = np.full(len(keys), NEVER_WRITTEN, dtype=np.int64)
+        fetched = np.zeros(len(keys), dtype=np.int64)
+        resident = [position for position, row in enumerate(rows) if row is not None]
+        if resident:
+            index = np.array(resident, dtype=np.intp)
+            states[index], timestamps[index] = arena.gather(
+                np.array([rows[position] for position in resident], dtype=np.intp)
+            )
+            fetched[index] = spec.payload_bytes
+        data = self._data
+        for position, (key, row) in enumerate(zip(keys, rows)):
+            record = _MISSING if row is not None else data.get(key, _MISSING)
+            if record is _MISSING:
+                continue
             stored = np.asarray(record["state"], dtype=np.float64)
             if spec.quantized:
                 stored = stored * float(record["scale"])
             states[position] = stored
             timestamps[position] = record["timestamp"]
-        return states, timestamps, present
+            fetched[position] = spec.payload_bytes
+        return states, timestamps, fetched
 
     def scatter_states(self, keys: list[str], states: np.ndarray, timestamps: np.ndarray) -> None:
         """Vectorized state write: one slab scatter for the whole wave.
@@ -292,18 +304,18 @@ class KeyValueStore:
         arena = self.arena
         if arena is None:
             raise RuntimeError(f"store {self.name!r} has no state arena attached")
-        rows = arena.assign_rows(keys)
-        arena.scatter(rows, states, timestamps)
+        arena.scatter(arena.assign_rows(keys), states, timestamps)
         size = arena.spec.record_bytes
         data = self._data
         sizes = self._sizes
         for key in keys:
             data[key] = _IN_ARENA
             sizes[key] = size
-        self.stats.puts += len(keys)
-        self.stats.bytes_written += len(keys) * size
+        n = len(keys)
+        self.stats.puts += n
+        self.stats.bytes_written += n * size
         if self.tracer.enabled:
-            self.tracer.kv_op("scatter_states", self.name, len(keys), len(keys) * size)
+            self.tracer.kv_op("scatter_states", self.name, n, n * size)
 
     def contains(self, key: str) -> bool:
         return key in self._data

@@ -513,24 +513,22 @@ class ShardedKeyValueStore:
         """Pool-wide vectorized state read: one slab gather per shard.
 
         Same contract as :meth:`KeyValueStore.gather_states` —
-        ``(float64 states, int64 timestamps, present)`` — with replication's
-        source selection and read-repair preserved.
+        ``(float64 states, int64 last-write timestamps, int64 fetched
+        bytes)`` — with replication's source selection and read-repair
+        preserved.  Every key is read from exactly one shard, so each
+        position is written once, straight from that shard's arrays.
         """
         if self._arena_spec is None:
             raise RuntimeError(f"pool {self.name!r} has no state arena attached")
-        n = len(keys)
-        states = np.zeros((n, self._arena_spec.state_size), dtype=np.float64)
-        timestamps = np.zeros(n, dtype=np.int64)
-        present = np.zeros(n, dtype=bool)
+        states = np.empty((len(keys), self._arena_spec.state_size), dtype=np.float64)
+        timestamps = np.empty(len(keys), dtype=np.int64)
+        fetched = np.empty(len(keys), dtype=np.int64)
         for shard, positions in self._read_groups(keys):
-            shard_states, shard_timestamps, shard_present = shard.gather_states(
+            index = np.array(positions, np.intp)
+            states[index], timestamps[index], fetched[index] = shard.gather_states(
                 [keys[p] for p in positions]
             )
-            index = np.asarray(positions, dtype=np.intp)
-            states[index] = shard_states
-            timestamps[index] = shard_timestamps
-            present[index] = shard_present
-        return states, timestamps, present
+        return states, timestamps, fetched
 
     def scatter_states(self, keys: list[str], states, timestamps) -> None:
         """Pool-wide vectorized state write: one slab scatter per shard,
@@ -544,7 +542,7 @@ class ShardedKeyValueStore:
                 groups.setdefault(name, []).append(position)
         timestamps = np.asarray(timestamps, dtype=np.int64)
         for name, positions in groups.items():
-            index = np.asarray(positions, dtype=np.intp)
+            index = np.array(positions, np.intp)
             self._by_name[name].scatter_states(
                 [keys[p] for p in positions], states[index], timestamps[index]
             )

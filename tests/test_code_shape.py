@@ -4,13 +4,15 @@ was once 787 — and none under ``src/repro/serving/`` past 80, with
 ``ServingEngine.build`` kept straight-line (it was once 173 lines with a
 callback defined per fault).  The serving suites share one harness
 (``tests/serving_harness.py`` and the ``serving_parts`` fixture) instead of
-the eight private copies they once carried, and ``src/`` compares records in
-one place, :mod:`repro.serving.twins`."""
+the eight private copies they once carried, ``src/`` compares records in
+one place, :mod:`repro.serving.twins`, and no hot-path package forks on a
+batch of one row."""
 
 from __future__ import annotations
 
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -127,6 +129,33 @@ def test_src_holds_one_record_comparator():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _compares_arrays(node)
     )
     assert comparators == ["serving/twins.py:_difference"]
+
+
+#: A batch-size fork: a branch taken only when one row, request or key rides.
+SINGLE_ROW_FORK = re.compile(r"len\((requests|updates|contexts|X|keys|rows)\) == 1|shape\[0\] == 1")
+#: The packages on the request and session-end path.
+HOT_PATH_PACKAGES = ("serving", "features", "models", "nn", "ml")
+
+
+def test_no_single_row_fork():
+    """The batched code serves one row with the same lines as 64: a
+    ``len(requests) == 1`` fork was measured and rejected (ROADMAP), and a
+    layout that is slow at batch 1 is fixed by a spelling that is cheap for
+    one row, not by a second path for it."""
+    forks = [
+        f"{path.relative_to(PACKAGE)}:{number}: {line.strip()}"
+        for directory in HOT_PATH_PACKAGES
+        for path in sorted((PACKAGE / directory).rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if SINGLE_ROW_FORK.search(line)
+    ]
+    assert not forks, f"single-row forks: {forks}"
+
+
+def test_the_fork_pattern_matches_what_it_forbids():
+    assert SINGLE_ROW_FORK.search("if len(requests) == 1:")
+    assert SINGLE_ROW_FORK.search("    return x if X.shape[0] == 1 else y")
+    assert not SINGLE_ROW_FORK.search("if len(requests) > 1:")
 
 
 def test_the_counter_skips_blanks_comments_and_docstrings():

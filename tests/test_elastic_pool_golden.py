@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.serving import RING_COUNTER_FIELDS, ShardedKeyValueStore
+from repro.serving.kvstore import NEVER_WRITTEN
 from test_batch_kv import SPEC, plain, program
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "elastic_pool_program.json"
@@ -56,9 +57,26 @@ def observation(pool, result) -> dict:
     }
 
 
+def captured_form(result):
+    """A ``gather_states`` result in the form the golden was captured in.
+
+    The pool then returned ``(states, timestamps, present)`` with 0 for a
+    missing key's timestamp; it now returns each row's fetched bytes (the
+    spec's payload on a hit, 0 on a miss) and :data:`NEVER_WRITTEN` for a
+    missing key.  Check the new form, then map it back.
+    """
+    states, timestamps, fetched = result
+    present = fetched > 0
+    assert (fetched[present] == SPEC.payload_bytes).all()
+    assert (timestamps[~present] == NEVER_WRITTEN).all()
+    return states, np.where(present, timestamps, 0), present
+
+
 def program_digest(replication: int, seed: int) -> str:
     pool = ShardedKeyValueStore(5, replication=replication)
     pool.attach_state_arena(SPEC)
+    gather_states = pool.gather_states
+    pool.gather_states = lambda keys: captured_form(gather_states(keys))
     names = [shard.name for shard in pool.shards]
     digest = hashlib.sha256()
     steps = program(np.random.default_rng(seed), names, replication, steps_per_round=STEPS_PER_ROUND)

@@ -19,6 +19,10 @@ The incumbent's GBDT prediction was re-spelled too — one packed walk over
 the whole ensemble on raw thresholds in place of re-binning every call and
 walking each tree's node lists — and is held to the parent's bits on values
 exactly on, and one ulp either side of, every bin edge.
+
+The state arena's int8 encode lost ``np.clip``, ``np.round`` and a no-op
+second ``where``, and is held to its parent spelling on half-way values,
+signed zeros, all-zero rows, subnormal and non-finite peaks.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from repro.ml import GBDTConfig, GradientBoostedTrees, QuantileBinner, Regressio
 from repro.ml.tree import walk_heap_tables
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.nn import inference
+from repro.serving.arena import ArenaSpec, StateArena
 
 
 def assert_same_bits(actual, expected) -> None:
@@ -941,3 +946,57 @@ class TestGBDTPredictSpelling:
         assert max(max(d) for d in depths) >= 8
         assert any(edges.size == 0 for edges in suite[0].binner.bin_edges_)
         assert all(model.leaf_value_.shape[1] == 2 ** max(d) for model, d in zip(suite, depths))
+
+
+# ----------------------------------------------------------------------
+# The state arena's batch int8 encode
+# ----------------------------------------------------------------------
+def arena_encode_clip(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    peaks = np.max(np.abs(states), axis=1)
+    scales = peaks / 127.0
+    safe = np.where(peaks == 0.0, 1.0, scales)
+    encoded = np.clip(np.round(states / safe[:, None]), -127, 127).astype(np.int8)
+    scales = np.where(peaks == 0.0, 0.0, scales)
+    return encoded, scales
+
+
+class TestArenaEncodeSpelling:
+    """Kills: ``floor(x + 0.5)`` or half-away rounding for ``rint`` (126.5
+    reads 127), dropping the zero-row guard (0/0 is an invalid operation on
+    an all-zero row, raised for finite input, though x86 casts its NaN to
+    the same 0), and a clip bound of ±128 (the subnormal row's x/0 = inf
+    casts to −128)."""
+
+    ENCODE = staticmethod(StateArena(ArenaSpec(prefix="hidden:", state_size=6, quantized=True)).encode)
+    NAMED = np.array(
+        [
+            [254.0, 253.0, 251.0, -253.0, 1.0, 3.0],  # scale 2: ±126.5, 125.5, 0.5, 1.5
+            [-254.0, -1.0, -3.0, 5.0, 0.0, -0.0],
+            [0.0, -0.0, 0.0, 0.0, -0.0, 0.0],  # all zero: scale 0, every entry 0
+            [5e-324, -5e-324, 0.0, 0.0, 0.0, 0.0],  # subnormal peak: its scale underflows to 0
+            [1e308, -1e308, 3e307, 0.0, 1.0, -1.0],
+            [np.inf, 1.0, -1.0, 0.0, 2.0, 3.0],
+            [np.nan, 1.0, -1.0, 0.0, 2.0, 3.0],
+        ]
+    )
+
+    def assert_same_encoding(self, states, invalid="raise"):
+        with np.errstate(divide="ignore", invalid=invalid):
+            encoded, scales = self.ENCODE(states)
+            expected_encoded, expected_scales = arena_encode_clip(states)
+        assert_same_bits(encoded, expected_encoded)
+        assert_same_bits(scales, expected_scales)
+
+    def test_named_rows(self):
+        self.assert_same_encoding(self.NAMED, invalid="ignore")
+        for index, row in enumerate(self.NAMED):
+            # From the subnormal row on, both spellings divide 0 by 0 or inf by inf.
+            self.assert_same_encoding(row[None, :], invalid="raise" if index < 3 else "ignore")
+
+    @pytest.mark.parametrize("rows", [0, 1, 64])
+    def test_drawn_waves(self, rows):
+        rng = np.random.default_rng(rows)
+        states = rng.normal(scale=3.0, size=(rows, 6))
+        states[::5] = np.round(states[::5] * 2) / 2
+        states[::5, 0] = 127.0  # scale 1: the half-integers are rounding ties
+        self.assert_same_encoding(states)
