@@ -10,6 +10,7 @@ from .schema import (
     ContextField,
     ContextSchema,
     Dataset,
+    HistoryBatch,
     UserLog,
     day_of_week,
     hour_of_day,
@@ -46,6 +47,7 @@ __all__ = [
     "ContextField",
     "ContextSchema",
     "Dataset",
+    "HistoryBatch",
     "UserLog",
     "day_of_week",
     "hour_of_day",

@@ -12,9 +12,11 @@ The paper (Section 3.1) defines three concepts:
 
 For efficiency the library stores access logs column-oriented: one
 :class:`UserLog` per user holding NumPy arrays for timestamps, access flags
-and each context field.  A :class:`Dataset` is a named collection of user
-logs plus a :class:`ContextSchema` describing the context fields and global
-timing parameters (observation window, session length, peak hours).
+and each context field; a :class:`HistoryBatch` lays many logs' columns
+back to back for the aggregation featurizer.  A :class:`Dataset` is a named
+collection of user logs plus a :class:`ContextSchema` describing the context
+fields and global timing parameters (observation window, session length,
+peak hours).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "ContextField",
     "ContextSchema",
     "UserLog",
+    "HistoryBatch",
     "Dataset",
     "hour_of_day",
     "day_of_week",
@@ -171,6 +174,95 @@ class UserLog:
     def context_row(self, index: int) -> dict[str, float]:
         """The context of one session as a plain dict (used by serving)."""
         return {name: values[index] for name, values in self.context.items()}
+
+
+@dataclass
+class HistoryBatch:
+    """Many access logs as one set of columns, back to back in log order.
+
+    Log ``i`` holds ``lengths[i]`` sessions; ``timestamps``, ``accesses`` and
+    each ``context`` column hold every log's sessions in turn.  The same user
+    may appear as several logs.  :class:`UserLog`'s refusals hold for every
+    log and are checked once over the columns, with the same messages: a
+    timestamp may fall only where one log ends and the next begins.
+    """
+
+    timestamps: np.ndarray
+    accesses: np.ndarray
+    lengths: np.ndarray
+    context: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
+        self.accesses = np.asarray(self.accesses, dtype=np.int8)
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        if self.timestamps.ndim != 1 or self.accesses.ndim != 1:
+            raise ValueError("timestamps and accesses must be 1-D")
+        if self.timestamps.shape != self.accesses.shape:
+            raise ValueError("timestamps and accesses must have equal length")
+        n_sessions = self.timestamps.size
+        bounds = np.zeros(self.lengths.size + 1, dtype=np.int64)  # where each log starts, then the end
+        np.cumsum(self.lengths, out=bounds[1:])
+        if bounds[-1] != n_sessions:
+            raise ValueError("log lengths must sum to the session count")
+        # falls[k]: session k is stamped before session k - 1.  A log's first
+        # session may be; slots 0 and n_sessions are padding for the mask.
+        falls = np.zeros(n_sessions + 1, dtype=bool)
+        np.less(self.timestamps[1:], self.timestamps[:-1], out=falls[1:n_sessions])
+        falls[bounds] = False
+        if falls.any():
+            raise ValueError("timestamps must be non-decreasing")
+        if np.any(self.accesses.view(np.uint8) > 1):  # a negative flag reads above 127
+            raise ValueError("access flags must be 0 or 1")
+        for name, values in self.context.items():
+            values = np.asarray(values)
+            if values.shape != self.timestamps.shape:
+                raise ValueError(f"context field {name!r} has mismatched length")
+            self.context[name] = values
+
+    @property
+    def n_logs(self) -> int:
+        return int(self.lengths.size)
+
+    @classmethod
+    def of_logs(cls, logs: Sequence[UserLog]) -> "HistoryBatch":
+        """The logs' columns joined, one ``concatenate`` per column."""
+        if not logs:
+            return cls([], [], [])
+        return cls(
+            np.concatenate([log.timestamps for log in logs]),
+            np.concatenate([log.accesses for log in logs]),
+            [len(log) for log in logs],
+            {name: np.concatenate([log.context[name] for log in logs]) for name in logs[0].context},
+        )
+
+    @classmethod
+    def of_records(cls, records: Sequence[Mapping], names: Sequence[str]) -> "HistoryBatch":
+        """Stored logs — ``{"timestamps": [...], "accesses": [...], "context":
+        {name: [...]}}`` in plain lists — flattened into one batch.
+
+        One pass extends one list per column with every record's values,
+        then one array is built per column.  The columns must stay in step
+        at every record's end: a record whose accesses or context ``names``
+        are not as long as its timestamps is refused with :class:`UserLog`'s
+        message before any array is built.
+        """
+        stamps: list = []
+        flags: list = []
+        columns: dict[str, list] = {name: [] for name in names}
+        lengths: list[int] = []
+        for record in records:
+            stamps += record["timestamps"]
+            flags += record["accesses"]
+            if len(flags) != len(stamps):
+                raise ValueError("timestamps and accesses must have equal length")
+            context = record["context"]
+            for name, column in columns.items():
+                column += context[name]
+                if len(column) != len(stamps):
+                    raise ValueError(f"context field {name!r} has mismatched length")
+            lengths.append(len(record["timestamps"]))
+        return cls(stamps, flags, lengths, {name: np.asarray(column) for name, column in columns.items()})
 
 
 @dataclass

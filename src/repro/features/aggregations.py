@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.schema import ContextSchema, UserLog
+from ..data.schema import ContextSchema, HistoryBatch, UserLog
 
 __all__ = ["AggregationConfig", "HistoryAggregator", "DEFAULT_WINDOWS", "MISSING_ELAPSED"]
 
@@ -161,11 +161,13 @@ class HistoryAggregator:
         """
         prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
         rows = [None] * prediction_times.size if contexts is None else contexts
-        return self.compute_batch([user], np.zeros(prediction_times.size, dtype=np.int64), prediction_times, rows)
+        return self.compute_batch(
+            HistoryBatch.of_logs([user]), np.zeros(prediction_times.size, dtype=np.int64), prediction_times, rows
+        )
 
     def compute_batch(
         self,
-        logs: list[UserLog],
+        history: HistoryBatch,
         owners: np.ndarray,
         prediction_times: np.ndarray,
         contexts: list[dict[str, float] | None],
@@ -173,12 +175,13 @@ class HistoryAggregator:
         """Feature rows over any number of logs, in a fixed number of array calls.
 
         Row ``i`` is predicted at ``prediction_times[i]`` from the history in
-        ``logs[owners[i]]``, in context ``contexts[i]``; a ``None`` context
-        means "no current session", so that row's matched subsets report no
-        matching history.  The same log may own many rows (training) and the
-        same user may appear as several logs (one fetched record per request).
+        log ``owners[i]`` of ``history``, in context ``contexts[i]``; a
+        ``None`` context means "no current session", so that row's matched
+        subsets report no matching history.  The same log may own many rows
+        (training) and the same user may appear as several logs (one fetched
+        record per request).
 
-        The logs are flattened into session columns tagged with their segment
+        ``history``'s columns are the sessions, tagged with their segment
         (1-based log index; segment 0 holds no sessions).  Every (subset,
         session) and (subset, row) gets a match code, and one stable sort
         groups both by (subset, segment, code) — a contextless row's matched
@@ -199,14 +202,12 @@ class HistoryAggregator:
             return np.zeros((n_rows, self.n_features), dtype=np.float64)
         owners = np.asarray(owners, dtype=np.int64)
 
-        times = np.concatenate([log.timestamps for log in logs])
-        accesses = np.concatenate([log.accesses for log in logs])
+        times, accesses, n_logs = history.timestamps, history.accesses, history.n_logs
         n_sessions = times.size
-        segments = np.repeat(np.arange(1, len(logs) + 1), [len(log) for log in logs])
+        segments = np.repeat(np.arange(1, n_logs + 1), history.lengths)
         values = {
             name: np.concatenate(
-                [log.context[name] for log in logs]
-                + [np.asarray([0 if c is None else c[name] for c in contexts])]
+                [history.context[name], np.asarray([0 if c is None else c[name] for c in contexts])]
             )
             for name in dict.fromkeys(name for subset in self.subsets for name in subset)
         }
@@ -219,7 +220,7 @@ class HistoryAggregator:
         keys[:, :n_sessions] = segments
         keys[:, n_sessions:] = np.where(has_context, owners + 1, 0)
         keys[0, n_sessions:] = owners + 1  # the unconditional subset needs no context
-        keys += np.arange(n_subsets)[:, None] * (len(logs) + 1)
+        keys += np.arange(n_subsets)[:, None] * (n_logs + 1)
         order = np.lexsort((codes.ravel(), keys.ravel()))
         sorted_keys, sorted_codes = keys.ravel()[order], codes.ravel()[order]
         group = np.empty(order.size, dtype=np.int64)

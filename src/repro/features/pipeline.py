@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..data.schema import ContextSchema, Dataset, UserLog
+from ..data.schema import ContextSchema, Dataset, HistoryBatch
 from ..data.tasks import Example
 from .aggregations import DEFAULT_WINDOWS, AggregationConfig, HistoryAggregator
 from .bucketing import N_BUCKETS, log_bucket
@@ -194,9 +194,9 @@ class TabularFeaturizer:
         return np.concatenate([hour, dow], axis=1)
 
     def _encode_history(
-        self, users: list[UserLog], owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
+        self, history: HistoryBatch, owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
     ) -> np.ndarray:
-        raw = self.aggregator.compute_batch(users, owners, prediction_times, contexts)
+        raw = self.aggregator.compute_batch(history, owners, prediction_times, contexts)
         if not self._elapsed_columns:
             return raw
         # One bucketing call for every elapsed column, placed by one index map.
@@ -212,7 +212,7 @@ class TabularFeaturizer:
     # ------------------------------------------------------------------
     def transform_user(
         self,
-        users: list[UserLog],
+        history: HistoryBatch,
         owners,
         prediction_times,
         contexts: list[dict[str, float] | None],
@@ -220,9 +220,11 @@ class TabularFeaturizer:
         """Feature matrix for examples over any number of users' logs.
 
         Row ``i`` is predicted at ``prediction_times[i]``, in context
-        ``contexts[i]`` (``None``: no current session), from the history in
-        ``users[owners[i]]`` — one call featurizes a serving micro-batch (one
-        fetched log per request) or a whole training set (one log per user).
+        ``contexts[i]`` (``None``: no current session), from log
+        ``owners[i]`` of ``history``, every log's columns laid back to back —
+        one call featurizes a serving micro-batch (one fetched record per
+        request, :meth:`HistoryBatch.of_records`) or a whole training set
+        (one log per user, :meth:`HistoryBatch.of_logs`).
         """
         prediction_times = np.asarray(prediction_times, dtype=np.int64)
         blocks: list[np.ndarray] = []
@@ -230,7 +232,7 @@ class TabularFeaturizer:
             blocks.append(self._encode_context(contexts))
         if self.config.include_time:
             blocks.append(self._encode_time(prediction_times))
-        blocks.append(self._encode_history(users, owners, prediction_times, contexts))
+        blocks.append(self._encode_history(history, owners, prediction_times, contexts))
         matrix = np.concatenate(blocks, axis=1)
         if matrix.shape[1] != self.n_features:
             raise RuntimeError(
@@ -250,7 +252,7 @@ class TabularFeaturizer:
         prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
         return TabularData(
             X=self.transform_user(
-                [users_by_id[user_id] for user_id in user_ids],
+                HistoryBatch.of_logs([users_by_id[user_id] for user_id in user_ids]),
                 np.repeat(np.arange(len(user_ids)), counts),
                 prediction_times,
                 [e.context for e in examples],

@@ -50,7 +50,7 @@ from math import isfinite
 
 import numpy as np
 
-from ..data.schema import ContextSchema, UserLog
+from ..data.schema import ContextSchema, HistoryBatch
 from ..features.bucketing import log_bucket
 from ..features.pipeline import TabularFeaturizer
 from ..features.sequence import SequenceBuilder
@@ -602,15 +602,19 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
 
 
 class BatchedAggregationBackend(SessionStreamMixin):
-    """Vectorized traditional dataflow: per-user feature fetch, one featurizer call
-    and one batched GBDT call per micro-batch.
+    """Vectorized traditional dataflow: one metered history fetch per request,
+    then one flat history batch, one featurizer call and one batched GBDT
+    call per micro-batch.
 
     Feature state is inherently per-user (the ≈20 aggregation-group fetches
-    per request are the dominant cost and are preserved exactly), but
-    featurization — every window count, recency and elapsed bucket of every
-    fetched log — is one ``featurizer.transform_user`` call over the whole
-    micro-batch, and the estimator call — tree traversals or the logistic
-    dot product — runs once over the resulting ``[B, n_features]`` matrix.
+    per request are the dominant cost and are preserved exactly), but the
+    fetched ``agg:`` records are flattened together into one
+    :class:`~repro.data.schema.HistoryBatch` — one array per column, with
+    ``UserLog``'s refusals checked once over it — and featurization — every
+    window count, recency and elapsed bucket of every fetched log — is one
+    ``featurizer.transform_user`` call over the whole micro-batch, and the
+    estimator call — tree traversals or the logistic dot product — runs once
+    over the resulting ``[B, n_features]`` matrix.
 
     Session-end history writes travel the hidden path's stream: the write
     lands at window close, as part of a timer wave (``coalesce_updates=True``)
@@ -650,16 +654,17 @@ class BatchedAggregationBackend(SessionStreamMixin):
         )
         self.predictions_served = 0
         self.updates_applied = 0
+        self._lookups = featurizer.n_lookup_groups
+        # Timestamp + access flag + context values, stored once per
+        # aggregation group the serving system maintains.
+        self._event_bytes = (8 + 1 + 8 * len(schema)) * max(1, self._lookups // 2)
 
     # ------------------------------------------------------------------
     def _history_key(self, user_id: int) -> str:
         return f"agg:{user_id}"
 
     def _entry_bytes(self, n_events: int) -> int:
-        # Timestamp + access flag + context values, stored once per
-        # aggregation group the serving system maintains.
-        per_event = 8 + 1 + 8 * len(self.schema)
-        return int(n_events * per_event * max(1, self.featurizer.n_lookup_groups // 2))
+        return n_events * self._event_bytes
 
     def _load_history(self, user_id: int) -> tuple[dict, int]:
         record = self.store.get(self._history_key(user_id))
@@ -677,28 +682,21 @@ class BatchedAggregationBackend(SessionStreamMixin):
             self._history_key(user_id), record, size_bytes=self._entry_bytes(len(record["timestamps"]))
         )
 
-    def _as_user_log(self, user_id: int, record: dict) -> UserLog:
-        return UserLog(
-            user_id=user_id,
-            timestamps=np.asarray(record["timestamps"], dtype=np.int64),
-            accesses=np.asarray(record["accesses"], dtype=np.int8),
-            context={name: np.asarray(values) for name, values in record["context"].items()},
-        )
-
     # ------------------------------------------------------------------
     def predict_batch(self, requests: list[ServingRequest]) -> list[ServingPrediction]:
         if not requests:
             return []
-        lookups = self.featurizer.n_lookup_groups
+        lookups = self._lookups
         fetched: list[int] = []
-        logs: list[UserLog] = []
+        records: list[dict] = []
         for request in requests:
             record, size = self._load_history(request.user_id)
             fetched.append(size)
-            logs.append(self._as_user_log(request.user_id, record))
-        # Row i reads log i: a user twice in one batch is two fetched logs.
+            records.append(record)
+        # Row i reads record i: a user twice in one batch is two fetched logs,
+        # flattened with the rest into one set of columns.
         features = self.featurizer.transform_user(
-            logs,
+            HistoryBatch.of_records(records, self._context_fields),
             np.arange(len(requests)),
             [request.timestamp for request in requests],
             [request.context for request in requests],

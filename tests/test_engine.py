@@ -856,12 +856,16 @@ class TestHostileAggregationContexts:
 class TestAggregationRecordsAtPredict:
     """What the aggregation request path checks and how it is attributed.
 
-    A stored ``agg:`` history is rebuilt into a ``UserLog`` per request, so a
-    tampered record — timestamps that regress, an access flag of 2, a context
-    column shorter than the timestamps — is refused with ``UserLog``'s own
-    ``ValueError`` rather than featurized into a score.  And featurization is
-    one ``featurizer.transform_user`` call per micro-batch, looked up on the
-    instance (the benchmark's ``tabular.transform_user`` span wraps it there).
+    A micro-batch's stored ``agg:`` records are flattened into one
+    ``HistoryBatch`` whose refusals are ``UserLog``'s, checked once over the
+    batch's columns with the record boundaries masked.  So a tampered record
+    — timestamps that regress, an access flag of 2, a context column shorter
+    than the timestamps — is refused with ``UserLog``'s own ``ValueError``
+    wherever it sits in the batch, rather than featurized into a score, while
+    one record ending later than the next one starts is served.  And
+    featurization is one ``featurizer.transform_user`` call per micro-batch,
+    looked up on the instance (the benchmark's ``tabular.transform_user``
+    span wraps it there).
     """
 
     TAMPERS = {
@@ -900,6 +904,59 @@ class TestAggregationRecordsAtPredict:
         user_id, late = int(key.split(":")[1]), trained[3][79][0] + 1
         with pytest.raises(ValueError, match=message):
             engine.predict(user_id, trained[3][0][2], late)
+
+    @staticmethod
+    def _tamper_longest(engine, edit) -> int:
+        """Edit a copy of the longest stored record in place of it; its user."""
+        key = max(engine.store.keys(), key=lambda k: len(engine.store.peek(k)["timestamps"]))
+        record = engine.store.peek(key)
+        record = {
+            "timestamps": list(record["timestamps"]),
+            "accesses": list(record["accesses"]),
+            "context": {name: list(values) for name, values in record["context"].items()},
+        }
+        edit(record)
+        engine.store.put_unmetered(key, record, engine.store.size_of(key))
+        return int(key.split(":")[1])
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_a_tampered_record_anywhere_in_a_full_batch_is_refused_as_alone(self, trained, tamper, position):
+        message, edit = self.TAMPERS[tamper]
+        context, late = trained[3][0][2], trained[3][79][0] + 1
+        alone = self._warm_engine(trained, max_batch_size=1)
+        victim = self._tamper_longest(alone, edit)
+        with pytest.raises(ValueError, match=message) as refused_alone:
+            alone.submit(victim, context, late)
+
+        engine = self._warm_engine(trained, max_batch_size=8)
+        assert self._tamper_longest(engine, edit) == victim
+        others = sorted(int(key.split(":")[1]) for key in engine.store.keys() if key != f"agg:{victim}")
+        others.append(max(others) + 1_000)  # a user with no history: an empty record
+        users = others[:position] + [victim] + others[position:7]
+        assert len(users) == 8 and users.count(victim) == 1
+        for user_id in users[:-1]:
+            assert engine.submit(user_id, context, late) == []
+        with pytest.raises(ValueError, match=message) as refused:
+            engine.submit(users[-1], context, late)
+        assert str(refused.value) == str(refused_alone.value)
+
+    def test_a_record_ending_after_the_next_one_starts_is_served(self, trained):
+        """Stamps fall across record boundaries — each record is still in
+        order — so the batch is served, each row as it would be alone."""
+        late = trained[3][79][0] + 1
+        engine = self._warm_engine(trained, max_batch_size=8)
+        records = {int(key.split(":")[1]): engine.store.peek(key) for key in engine.store.keys()}
+        users = sorted(records, key=lambda u: records[u]["timestamps"][-1], reverse=True)
+        falls = [records[a]["timestamps"][-1] > records[b]["timestamps"][0] for a, b in zip(users, users[1:])]
+        assert all(falls) and len(users) == 7
+        users.insert(3, max(users) + 1_000)  # an empty record between two falling boundaries
+        contexts = [None if i % 2 else trained[3][i][2] for i in range(8)]
+        delivered = [p for user_id, context in zip(users, contexts) for p in engine.submit(user_id, context, late)]
+        alone = self._warm_engine(trained, max_batch_size=1)
+        expected = [alone.predict(user_id, context, late) for user_id, context in zip(users, contexts)]
+        assert [p.user_id for p in delivered] == users
+        assert [p.probability for p in delivered] == [p.probability for p in expected]
 
     @pytest.mark.parametrize("batch_size", [1, 7, 8])
     def test_featurization_is_one_call_per_micro_batch(self, trained, batch_size, monkeypatch):

@@ -13,7 +13,11 @@ the spellings could part ways: ``±0``, ``±inf``, NaN, the clip edge
 The aggregation featurizer was re-spelled the same way — one whole-array
 call per micro-batch in place of one call per request, context subset and
 match code — and is held to the same bits against its parent spelling, on
-drawn histories with ties, window edges and contextless rows.
+drawn histories with ties, window edges and contextless rows.  Its input
+then became one flat history batch — a micro-batch's stored records
+flattened into one array per column, ``UserLog``'s refusals checked once
+over them — held to the parent's one ``UserLog`` per record on the same
+bits and the same refusal messages.
 
 The incumbent's GBDT prediction was re-spelled too — one packed walk over
 the whole ensemble on raw thresholds in place of re-binning every call and
@@ -27,6 +31,7 @@ signed zeros, all-zero rows, subnormal and non-finite peaks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from functools import cache
 
@@ -35,7 +40,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import ContextField, ContextSchema, MobileTabGenerator, MPUGenerator, TimeshiftGenerator, UserLog
+from repro.data import (
+    ContextField,
+    ContextSchema,
+    HistoryBatch,
+    MobileTabGenerator,
+    MPUGenerator,
+    TimeshiftGenerator,
+    UserLog,
+)
 from repro.data.schema import day_of_week, hour_of_day
 from repro.data.tasks import Example, peak_window_examples, session_examples
 from repro.features.aggregations import (
@@ -682,7 +695,7 @@ class TestAggregationFeaturizerSpelling:
         featurizer = TabularFeaturizer(schema, config)
         logs, owners, times, contexts = data.draw(_batch(schema))
         assert_same_bits(
-            featurizer.transform_user(logs, owners, times, contexts),
+            featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts),
             _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
@@ -692,9 +705,11 @@ class TestAggregationFeaturizerSpelling:
         schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
         featurizer = TabularFeaturizer(schema, FeatureConfig(one_hot_elapsed=data.draw(st.booleans())))
         logs, owners, times, contexts = data.draw(_batch(schema))
-        batch = featurizer.transform_user(logs, owners, times, contexts)
+        batch = featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts)
         for row, owner in enumerate(owners):
-            alone = featurizer.transform_user([logs[owner]], [0], times[row : row + 1], contexts[row : row + 1])
+            alone = featurizer.transform_user(
+                HistoryBatch.of_logs([logs[owner]]), [0], times[row : row + 1], contexts[row : row + 1]
+            )
             assert_same_bits(batch[row : row + 1], alone)
 
     @settings(max_examples=60, deadline=None)
@@ -727,7 +742,7 @@ class TestAggregationFeaturizerSpelling:
         empty = UserLog(user_id=4, timestamps=[], accesses=[], context={"unread_count": [], "active_tab": []})
         contexts = [log.context_row(1), None, log.context_row(0), log.context_row(1)]
         owners, times = np.asarray([0, 0, 1, 0]), np.asarray([t, t, t, t + 1])
-        features = featurizer.transform_user([log, empty], owners, times, contexts)
+        features = featurizer.transform_user(HistoryBatch.of_logs([log, empty]), owners, times, contexts)
         assert_same_bits(features, _parent_rows(ParentFeaturizer(featurizer), [log, empty], owners, times, contexts))
         names = featurizer.feature_names()
         assert features[0, names.index("agg[all][3600s].sessions")] == 1  # t - 3600 aged out, t not yet in
@@ -736,7 +751,7 @@ class TestAggregationFeaturizerSpelling:
         assert features[1, names.index("agg[active_tab][3600s].sessions")] == 0  # contextless row
         assert features[1, names.index("elapsed[active_tab].since_session.bucket")] == 49
         assert features[2, names.index("elapsed[all].since_session.bucket")] == 49  # empty history
-        assert featurizer.transform_user([], [], [], []).shape == (0, featurizer.n_features)
+        assert featurizer.transform_user(HistoryBatch.of_logs([]), [], [], []).shape == (0, featurizer.n_features)
 
     @pytest.mark.parametrize("one_hot_elapsed", [False, True])
     @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
@@ -754,6 +769,304 @@ class TestAggregationFeaturizerSpelling:
             examples = [e for uid in examples_by_user for e in examples_by_user[uid]]
             assert_same_bits(data.user_ids, np.asarray([e.user_id for e in examples], dtype=np.int64))
             assert_same_bits(data.prediction_times, np.asarray([e.prediction_time for e in examples], dtype=np.int64))
+
+
+# ----------------------------------------------------------------------
+# The flat history batch (the incumbent's fetched records)
+# ----------------------------------------------------------------------
+def as_user_log(user_id: int, record: dict) -> UserLog:
+    """``BatchedAggregationBackend._as_user_log`` at 29fd535, verbatim: one
+    ``UserLog`` (and 2 + F arrays) per fetched record."""
+    return UserLog(
+        user_id=user_id,
+        timestamps=np.asarray(record["timestamps"], dtype=np.int64),
+        accesses=np.asarray(record["accesses"], dtype=np.int8),
+        context={name: np.asarray(values) for name, values in record["context"].items()},
+    )
+
+
+class ListOfLogsFeaturizer:
+    """``TabularFeaturizer.transform_user`` and
+    ``HistoryAggregator.compute_batch`` at 29fd535, verbatim: a list of
+    ``UserLog``s in, joined by one ``concatenate`` per column per call.  The
+    unchanged helpers (``_match_codes``, ``_encode_context``,
+    ``_encode_time``) and the index maps are the live featurizer's."""
+
+    def __init__(self, live: TabularFeaturizer) -> None:
+        self.config, self.n_features = live.config, live.n_features
+        self._encode_context, self._encode_time = live._encode_context, live._encode_time
+        self._elapsed_columns, self._history_width = live._elapsed_columns, live._history_width
+        self._plain_columns, self._plain_targets = live._plain_columns, live._plain_targets
+        self._elapsed_targets = live._elapsed_targets
+        self.aggregator = live.aggregator
+
+    def compute_batch(
+        self,
+        logs: list[UserLog],
+        owners: np.ndarray,
+        prediction_times: np.ndarray,
+        contexts: list[dict[str, float] | None],
+    ) -> np.ndarray:
+        agg = self.aggregator
+        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
+        n_rows = prediction_times.size
+        if len(contexts) != n_rows:
+            raise ValueError("contexts must align with prediction_times")
+        n_subsets = len(agg.subsets)
+        per_subset = agg.n_features // n_subsets
+        if n_rows == 0 or per_subset == 0:
+            return np.zeros((n_rows, agg.n_features), dtype=np.float64)
+        owners = np.asarray(owners, dtype=np.int64)
+
+        times = np.concatenate([log.timestamps for log in logs])
+        accesses = np.concatenate([log.accesses for log in logs])
+        n_sessions = times.size
+        segments = np.repeat(np.arange(1, len(logs) + 1), [len(log) for log in logs])
+        values = {
+            name: np.concatenate(
+                [log.context[name] for log in logs]
+                + [np.asarray([0 if c is None else c[name] for c in contexts])]
+            )
+            for name in dict.fromkeys(name for subset in agg.subsets for name in subset)
+        }
+        codes = agg._match_codes(values, n_sessions + n_rows)
+
+        has_context = np.fromiter((c is not None for c in contexts), dtype=bool, count=n_rows)
+        keys = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
+        keys[:, :n_sessions] = segments
+        keys[:, n_sessions:] = np.where(has_context, owners + 1, 0)
+        keys[0, n_sessions:] = owners + 1  # the unconditional subset needs no context
+        keys += np.arange(n_subsets)[:, None] * (len(logs) + 1)
+        order = np.lexsort((codes.ravel(), keys.ravel()))
+        sorted_keys, sorted_codes = keys.ravel()[order], codes.ravel()[order]
+        group = np.empty(order.size, dtype=np.int64)
+        group[0] = 0
+        np.cumsum((sorted_keys[1:] != sorted_keys[:-1]) | (sorted_codes[1:] != sorted_codes[:-1]), out=group[1:])
+
+        entry = order % (n_sessions + n_rows)
+        is_session = entry < n_sessions
+        session = entry[is_session]  # sessions in (group, time) order
+        row_group = np.empty(order.size, dtype=np.int64)
+        row_group[order] = group
+        row_group = row_group.reshape(n_subsets, -1)[:, n_sessions:].T  # [rows, subsets]
+
+        distinct_times, time_rank = np.unique(times, return_inverse=True)
+        span = distinct_times.size + 1
+        query_ranks = np.zeros((n_rows, agg._query_offsets.size + 1), dtype=np.int64)
+        query_ranks[:, 1:] = np.searchsorted(distinct_times, prediction_times[:, None] - agg._query_offsets)
+        found = np.searchsorted(
+            group[is_session] * span + time_rank.reshape(-1)[session],
+            row_group[:, :, None] * span + query_ranks[:, None, :],
+        )
+        start, before = found[..., 0], found[..., 1]  # [rows, subsets]
+
+        cum_accesses = np.zeros(session.size + 1, dtype=np.int64)
+        np.cumsum(accesses[session], out=cum_accesses[1:])
+        session_times = times[session]
+        features = np.empty((n_rows, n_subsets, per_subset), dtype=np.float64)
+        if agg.config.include_aggregations:
+            opened = found[..., 2:]
+            n_in_window = (before[..., None] - opened).astype(np.float64)
+            n_accessed = (cum_accesses[before][..., None] - cum_accesses[opened]).astype(np.float64)
+            width = 3 * len(agg.config.windows)
+            features[..., 0:width:3] = n_in_window
+            features[..., 1:width:3] = n_accessed
+            features[..., 2:width:3] = np.where(
+                n_in_window > 0, n_accessed / np.maximum(n_in_window, 1.0), 0.0
+            )
+        if agg.config.include_elapsed:
+            previous = np.concatenate([[0], session_times])[before]
+            accessed_before = cum_accesses[before]
+            last_access = np.concatenate([[0], session_times[accesses[session] == 1]])[accessed_before]
+            queried = prediction_times[:, None]
+            features[..., -2] = np.where(before > start, queried - previous, MISSING_ELAPSED)
+            features[..., -1] = np.where(accessed_before > cum_accesses[start], queried - last_access, MISSING_ELAPSED)
+        return features.reshape(n_rows, agg.n_features)
+
+    def _encode_history(
+        self, users: list[UserLog], owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
+    ) -> np.ndarray:
+        raw = self.compute_batch(users, owners, prediction_times, contexts)
+        if not self._elapsed_columns:
+            return raw
+        buckets = log_bucket(raw[:, self._elapsed_columns], n_buckets=self.config.elapsed_buckets)
+        encoded = np.zeros((raw.shape[0], self._history_width), dtype=np.float64)
+        encoded[:, self._plain_targets] = raw[:, self._plain_columns]
+        if self.config.one_hot_elapsed:
+            encoded[np.arange(raw.shape[0])[:, None], self._elapsed_targets + buckets] = 1.0
+        else:
+            encoded[:, self._elapsed_targets] = buckets
+        return encoded
+
+    def transform_user(
+        self,
+        users: list[UserLog],
+        owners,
+        prediction_times,
+        contexts: list[dict[str, float] | None],
+    ) -> np.ndarray:
+        prediction_times = np.asarray(prediction_times, dtype=np.int64)
+        blocks: list[np.ndarray] = []
+        if self.config.include_context:
+            blocks.append(self._encode_context(contexts))
+        if self.config.include_time:
+            blocks.append(self._encode_time(prediction_times))
+        blocks.append(self._encode_history(users, owners, prediction_times, contexts))
+        matrix = np.concatenate(blocks, axis=1)
+        if matrix.shape[1] != self.n_features:
+            raise RuntimeError(
+                f"feature width mismatch: built {matrix.shape[1]} columns, expected {self.n_features}"
+            )
+        return matrix
+
+    def transform(self, dataset, examples_by_user: dict[int, list[Example]]) -> np.ndarray:
+        """``transform``'s design matrix: one list-of-``UserLog`` call."""
+        users_by_id = {user.user_id: user for user in dataset.users}
+        user_ids = [user_id for user_id, examples in examples_by_user.items() if examples]
+        counts = [len(examples_by_user[user_id]) for user_id in user_ids]
+        examples = [example for user_id in user_ids for example in examples_by_user[user_id]]
+        return self.transform_user(
+            [users_by_id[user_id] for user_id in user_ids],
+            np.repeat(np.arange(len(user_ids)), counts),
+            np.asarray([e.prediction_time for e in examples], dtype=np.int64),
+            [e.context for e in examples],
+        )
+
+
+#: A numeric column's values, by record: ints only, floats only, or both —
+#: so a batch can hold an int64 record beside a float64 one.
+NUMERIC_POOLS = {
+    "ints": (0, 1, 3, 4, 10, 11, 99),
+    "floats": (0.5, 3.5, 10.5, 17.25, 0.0, 4.0),
+    "mixed": (0, 3, 4, 11, 0.5, 10.5, 17.25),
+}
+
+
+@st.composite
+def _stored_record(draw, schema: ContextSchema, numbers: str, n: int | None = None) -> dict:
+    """An ``agg:`` record as the backend stores it: plain lists, in order."""
+    n = draw(st.integers(min_value=0, max_value=12)) if n is None else n
+    offsets = sorted(draw(st.lists(st.one_of(st.sampled_from(OFFSET_GRID), st.integers(0, 30 * 86_400)), min_size=n, max_size=n)))
+    numpy_scalars = draw(st.booleans())  # a served context row may hold NumPy scalars
+    context = {}
+    for f in schema:
+        values = st.sampled_from(NUMERIC_POOLS[numbers]) if f.kind == "numeric" else _field_values(f)
+        drawn = draw(st.lists(values, min_size=n, max_size=n))
+        context[f.name] = [np.asarray(v)[()] for v in drawn] if numpy_scalars else drawn
+    return {
+        "timestamps": [BASE_TIME + offset for offset in offsets],
+        "accesses": draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        "context": context,
+    }
+
+
+@st.composite
+def _record_batch(draw, schema: ContextSchema, size: int):
+    """A micro-batch of fetched records, row i reading record i.  From 7
+    rows up it always holds an empty record, a user fetched twice (the same
+    record twice) and an int-only numeric column beside a float-only one."""
+    records = [draw(_stored_record(schema, draw(st.sampled_from(sorted(NUMERIC_POOLS))))) for _ in range(size)]
+    users = list(range(size))
+    if size >= 7:
+        records[:4] = [
+            draw(_stored_record(schema, "ints", n=0)),
+            draw(_stored_record(schema, "ints", n=draw(st.integers(1, 12)))),
+            draw(_stored_record(schema, "floats", n=draw(st.integers(1, 12)))),
+            records[1],
+        ]
+        users[3] = users[1]
+        order = draw(st.permutations(range(size)))
+        records, users = [records[i] for i in order], [users[i] for i in order]
+    times, contexts = [], []
+    for record in records:
+        stamps = record["timestamps"]
+        anchor = stamps[draw(st.integers(0, len(stamps) - 1))] if stamps else BASE_TIME
+        times.append(anchor + draw(st.one_of(st.sampled_from(QUERY_DELTAS), st.integers(-86_400, 31 * 86_400))))
+        kind = draw(st.sampled_from(["none", "session", "drawn"] if stamps else ["none", "drawn"]))
+        if kind == "none":
+            contexts.append(None)
+        elif kind == "session":
+            row = draw(st.integers(0, len(stamps) - 1))
+            contexts.append({name: values[row] for name, values in record["context"].items()})
+        else:
+            contexts.append({f.name: draw(_field_values(f)) for f in schema})
+    return users, records, np.asarray(times, dtype=np.int64), contexts
+
+
+#: Each tamper edits a copy of one record; "pair" tampers two, in opposite
+#: directions, so the batch's column totals still agree.
+RECORD_TAMPERS = {
+    "regress": lambda records, i, j, name: records[i]["timestamps"].reverse(),
+    "flag-2": lambda records, i, j, name: records[i]["accesses"].__setitem__(-1, 2),
+    "flag-minus-1": lambda records, i, j, name: records[i]["accesses"].__setitem__(0, -1),
+    "short-accesses": lambda records, i, j, name: records[i]["accesses"].pop(),
+    "short-context": lambda records, i, j, name: records[i]["context"][name].pop(),
+    "context-pair": lambda records, i, j, name: (
+        records[i]["context"][name].pop(),
+        records[j]["context"][name].append(records[j]["context"][name][-1]),
+    ),
+    "accesses-pair": lambda records, i, j, name: (
+        records[i]["accesses"].pop(),
+        records[j]["accesses"].append(0),
+    ),
+}
+
+
+class TestHistoryBatchSpelling:
+    """The flat history batch against the parent's one ``UserLog`` per
+    fetched record and list-of-``UserLog`` featurizer.  Kills: the record
+    boundary mask dropped or moved by one (a stamp that falls from one
+    record to the next is refused, or a regression beside a boundary is
+    let through), segment lengths shifted by one (rolled to the
+    neighbouring record, or segment ids starting at 0), a context column
+    left out of step inside the batch (a short record beside a long one), a
+    flag check that lets ``-1`` through, and a dtype fixed per column
+    instead of promoted across records."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8])
+    @pytest.mark.parametrize("schema_name", sorted(AGG_SCHEMAS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_micro_batch_of_records_matches_one_user_log_per_record(self, schema_name, size, data):
+        schema = AGG_SCHEMAS[schema_name]
+        featurizer = TabularFeaturizer(schema, FeatureConfig(one_hot_elapsed=data.draw(st.booleans())))
+        users, records, times, contexts = data.draw(_record_batch(schema, size))
+        owners = np.arange(size)
+        assert_same_bits(
+            featurizer.transform_user(HistoryBatch.of_records(records, schema.names()), owners, times, contexts),
+            ListOfLogsFeaturizer(featurizer).transform_user(
+                [as_user_log(user, record) for user, record in zip(users, records)], owners, times, contexts
+            ),
+        )
+
+    @pytest.mark.parametrize("tamper", sorted(RECORD_TAMPERS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_a_tampered_batch_is_refused_with_the_user_logs_message(self, tamper, data):
+        schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
+        size = data.draw(st.sampled_from([7, 8] if tamper.endswith("pair") else [1, 7, 8]))
+        records = [data.draw(_stored_record(schema, "mixed", n=data.draw(st.integers(2, 6)))) for _ in range(size)]
+        for record in records:  # two distinct stamps, so a reversal regresses
+            record["timestamps"][-1] += 1
+        i = data.draw(st.integers(0, size - 1))
+        j = (i + data.draw(st.integers(1, size - 1))) % size if size > 1 else i
+        RECORD_TAMPERS[tamper](records, i, j, data.draw(st.sampled_from(schema.names())))
+        with pytest.raises(ValueError) as parent:
+            [as_user_log(user, record) for user, record in enumerate(records)]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(parent.value))}$"):
+            HistoryBatch.of_records(records, schema.names())
+
+    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
+    @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
+    def test_training_transform_matches_the_list_of_user_logs(self, dataset, one_hot_elapsed, request):
+        dataset = request.getfixturevalue(dataset)
+        featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
+        tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
+        for examples_by_user in tasks:
+            assert_same_bits(
+                featurizer.transform(dataset, examples_by_user).X,
+                ListOfLogsFeaturizer(featurizer).transform(dataset, examples_by_user),
+            )
 
 
 # ----------------------------------------------------------------------
