@@ -41,6 +41,8 @@ MISSING_ELAPSED = np.inf
 #: counts are matched on coarse bins instead (0, 1-3, 4-10, 11+).
 _NUMERIC_MATCH_BINS = np.array([0.5, 3.5, 10.5])
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class AggregationConfig:
@@ -62,7 +64,13 @@ class AggregationConfig:
 
 def _numeric_match_code(values: np.ndarray) -> np.ndarray:
     """Coarse bin codes for numeric context values (see _NUMERIC_MATCH_BINS)."""
-    return np.digitize(np.asarray(values, dtype=np.float64), _NUMERIC_MATCH_BINS)
+    # ``np.digitize``'s own spelling for increasing bins, without its wrapper.
+    return _NUMERIC_MATCH_BINS.searchsorted(np.asarray(values, dtype=np.float64), side="right")
+
+
+def _match_cardinality(field_def) -> int:
+    """How many match codes a field takes: its bins, or its categories."""
+    return len(_NUMERIC_MATCH_BINS) + 1 if field_def.kind == "numeric" else int(field_def.cardinality)
 
 
 class HistoryAggregator:
@@ -72,10 +80,26 @@ class HistoryAggregator:
         self.schema = schema
         self.config = config or AggregationConfig()
         self.subsets: list[tuple[str, ...]] = self._build_subsets()
-        # Subtracted from a prediction time q: q itself, then q - w + 1 per
-        # window w (the first second a session must reach to stay inside).
+        # Subtracted from a prediction time q to cut its log: an offset past
+        # any stamp (the log's start), q itself, then q - w + 1 per window w
+        # (the first second a session must reach to stay inside).
         windows = self.config.windows if self.config.include_aggregations else ()
-        self._query_offsets = np.asarray([0] + [w - 1 for w in windows], dtype=np.int64)
+        self._query_offsets = np.asarray([_INT64_MAX, 0] + [w - 1 for w in windows], dtype=np.int64)
+        self._max_window_offset = int(self._query_offsets[1:].max())
+        # Match codes are mixed-radix numbers: a subset's code multiplies
+        # each field's code by the cardinalities of the subset's later fields.
+        names = list(dict.fromkeys(name for subset in self.subsets for name in subset))
+        self._match_fields = [(name, schema.field(name).kind == "numeric") for name in names]
+        self._code_multipliers = np.zeros((len(self.subsets), len(names)), dtype=np.int64)
+        self._code_space = 1  # the largest code space of any subset
+        for row, subset in enumerate(self.subsets):
+            multiplier = 1
+            for name in reversed(subset):
+                self._code_multipliers[row, names.index(name)] = multiplier
+                multiplier *= _match_cardinality(schema.field(name))
+            self._code_space = max(self._code_space, multiplier)
+        self._unconditional = (np.arange(len(self.subsets)) == 0)[:, None]  # the subset that needs no context
+        self._subset_index = np.arange(len(self.subsets))[:, None]
 
     # ------------------------------------------------------------------
     def _build_subsets(self) -> list[tuple[str, ...]]:
@@ -124,25 +148,24 @@ class HistoryAggregator:
         return groups
 
     # ------------------------------------------------------------------
-    def _match_codes(self, values: dict[str, np.ndarray], size: int) -> np.ndarray:
-        """One int code per (subset, row): the subset's context values combined.
+    def _match_codes(self, history: HistoryBatch, contexts: list[dict[str, float] | None]) -> np.ndarray:
+        """One int code per (subset, entry): the subset's context values combined.
 
-        ``values`` holds one column per field any subset reads; the result
-        has one row per subset (the empty subset codes every row 0).
+        Entries are ``history``'s sessions, then one per row of ``contexts``
+        (a ``None`` context codes as all zeros); the empty subset codes
+        every entry 0.  One field-code row per matched field, then one
+        matrix product applies every subset's multipliers.
         """
-        field_codes: dict[str, tuple[np.ndarray, int]] = {}
-        for name, column in values.items():
-            field_def = self.schema.field(name)
-            if field_def.kind == "numeric":
-                field_codes[name] = (_numeric_match_code(column), len(_NUMERIC_MATCH_BINS) + 1)
-            else:
-                field_codes[name] = (column.astype(np.int64), int(field_def.cardinality))
-        codes = np.zeros((len(self.subsets), size), dtype=np.int64)
-        for row, subset in enumerate(self.subsets):
-            for name in subset:
-                column_codes, cardinality = field_codes[name]
-                codes[row] = codes[row] * cardinality + column_codes
-        return codes
+        n_sessions = history.timestamps.size
+        field_codes = np.empty((len(self._match_fields), n_sessions + len(contexts)), dtype=np.int64)
+        for row, (name, numeric) in enumerate(self._match_fields):
+            current = np.asarray([0 if c is None else c[name] for c in contexts])
+            if numeric:
+                field_codes[row] = _numeric_match_code(np.concatenate([history.context[name], current]))
+            else:  # assignment casts like ``astype(np.int64)``: floats truncate
+                field_codes[row, :n_sessions] = history.context[name]
+                field_codes[row, n_sessions:] = current
+        return self._code_multipliers @ field_codes
 
     # ------------------------------------------------------------------
     def compute(
@@ -181,91 +204,108 @@ class HistoryAggregator:
         (training) and the same user may appear as several logs (one fetched
         record per request).
 
-        ``history``'s columns are the sessions, tagged with their segment
-        (1-based log index; segment 0 holds no sessions).  Every (subset,
-        session) and (subset, row) gets a match code, and one stable sort
-        groups both by (subset, segment, code) — a contextless row's matched
-        subsets read segment 0, an empty group.  Sessions then sit in
-        (group, time) order, so one ``searchsorted`` over composite
-        ``group * R + time rank`` keys finds, for every subset × row, where
-        its group starts, where its history before the prediction time ends
-        and where each window opens; a cumulative access column turns those
-        positions into counts and into the time of the last access.
+        ``history`` keeps each log's sessions in time order, so one
+        ``searchsorted`` over ``log * span + (t - first stamp)`` cuts every
+        row's own log: the position of its log's start, of its prediction
+        time q, and of each window's first second q - w + 1.  Then the
+        sessions — never the rows — are sorted once on the packed key
+        ``((subset * (L + 1) + log) * K + match code) * (N + 1) + position``
+        (L logs, N sessions, K the largest code space of any subset; every
+        key is distinct).  A row's key for a subset plus its cut positions
+        finds, in one more ``searchsorted``, where its group starts, where
+        its history before q ends and where each window opens; a contextless
+        row's matched subsets read log L, which holds no sessions.  One
+        gather of the cumulative access column at those positions gives the
+        counts, and the time of the last access.  A context value outside
+        its field's cardinality widens K to the codes present, so its code
+        still meets only its equals, as in the per-subset loop it replaced.
+
+        Refuses ``owners`` that are misaligned or outside ``[0, L)``, and a
+        batch whose packed keys would not fit in ``int64``.
         """
         prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
-        n_rows = prediction_times.size
+        owners = np.asarray(owners, dtype=np.int64)
+        n_rows, n_logs = prediction_times.size, history.n_logs
         if len(contexts) != n_rows:
             raise ValueError("contexts must align with prediction_times")
+        if owners.shape != (n_rows,):
+            raise ValueError("owners must align with prediction_times")
+        # One reduce checks both ends: a negative owner reads as at least 2**63.
+        if n_rows and owners.view(np.uint64).max() >= n_logs:
+            raise ValueError(f"owners out of range [0, {n_logs}): min={owners.min()}, max={owners.max()}")
         n_subsets = len(self.subsets)
         per_subset = self.n_features // n_subsets
         if n_rows == 0 or per_subset == 0:
             return np.zeros((n_rows, self.n_features), dtype=np.float64)
-        owners = np.asarray(owners, dtype=np.int64)
 
-        times, accesses, n_logs = history.timestamps, history.accesses, history.n_logs
+        times, accesses = history.timestamps, history.accesses
         n_sessions = times.size
-        segments = np.repeat(np.arange(1, n_logs + 1), history.lengths)
-        values = {
-            name: np.concatenate(
-                [history.context[name], np.asarray([0 if c is None else c[name] for c in contexts])]
+        first, last = (int(times.min()), int(times.max())) if n_sessions else (0, 0)
+        span = last - first + 2  # a relative stamp is at most span - 2; span - 1 is "after them all"
+        codes = self._match_codes(history, contexts)
+        low, code_space = 0, self._code_space
+        if codes.view(np.uint64).max() >= code_space:
+            # A context value outside its field's cardinality: widen K to
+            # the codes present, so equal codes still meet and no other
+            # subset's or log's group is reached.
+            low = int(codes.min())
+            code_space = int(codes.max()) - low + 1
+        if (
+            n_logs * span + self._max_window_offset > _INT64_MAX
+            or n_subsets * (n_logs + 1) * code_space * (n_sessions + 1) > _INT64_MAX + 1
+        ):
+            raise ValueError(
+                f"history too wide for int64 keys: {n_logs} logs spanning {span - 2} s, "
+                f"{n_sessions} sessions, code space {code_space}"
             )
-            for name in dict.fromkeys(name for subset in self.subsets for name in subset)
-        }
-        codes = self._match_codes(values, n_sessions + n_rows)
+        if low:
+            codes -= low
 
-        # Segment per (subset, entry), offset per subset so the sort key is
-        # (subset, segment, code); entries are the sessions, then the rows.
-        has_context = np.fromiter((c is not None for c in contexts), dtype=bool, count=n_rows)
-        keys = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
-        keys[:, :n_sessions] = segments
-        keys[:, n_sessions:] = np.where(has_context, owners + 1, 0)
-        keys[0, n_sessions:] = owners + 1  # the unconditional subset needs no context
-        keys += np.arange(n_subsets)[:, None] * (n_logs + 1)
-        order = np.lexsort((codes.ravel(), keys.ravel()))
-        sorted_keys, sorted_codes = keys.ravel()[order], codes.ravel()[order]
-        group = np.empty(order.size, dtype=np.int64)
-        group[0] = 0
-        np.cumsum((sorted_keys[1:] != sorted_keys[:-1]) | (sorted_codes[1:] != sorted_codes[:-1]), out=group[1:])
+        # Every row's cuts of its own log: [rows, 2 + windows] positions.
+        # ``q`` is clamped to the stamps' range widened by the longest window
+        # first, so no difference below wraps.  (Method spellings such as
+        # ``a.searchsorted`` and ufunc pairs for ``np.clip`` skip a
+        # microsecond of dispatch per call at this size.)
+        log_of = np.arange(n_logs).repeat(history.lengths)
+        clamped = np.minimum(np.maximum(prediction_times, first), min(last + 1 + self._max_window_offset, _INT64_MAX))
+        cuts = np.maximum(clamped[:, None] - first - self._query_offsets, 0)
+        np.minimum(cuts, span - 1, out=cuts)
+        cuts += (owners * span)[:, None]
+        cuts = (log_of * span + (times - first)).searchsorted(cuts)
 
-        entry = order % (n_sessions + n_rows)
-        is_session = entry < n_sessions
-        session = entry[is_session]  # sessions in (group, time) order
-        row_group = np.empty(order.size, dtype=np.int64)
-        row_group[order] = group
-        row_group = row_group.reshape(n_subsets, -1)[:, n_sessions:].T  # [rows, subsets]
-
-        # Composite keys over time ranks: "t < q" is "rank(t) < rank_left(q)"
-        # and "t <= q - w" is "t < q - w + 1" on integer seconds.
-        distinct_times, time_rank = np.unique(times, return_inverse=True)
-        span = distinct_times.size + 1
-        query_ranks = np.zeros((n_rows, self._query_offsets.size + 1), dtype=np.int64)
-        query_ranks[:, 1:] = np.searchsorted(distinct_times, prediction_times[:, None] - self._query_offsets)
-        found = np.searchsorted(
-            group[is_session] * span + time_rank.reshape(-1)[session],
-            row_group[:, :, None] * span + query_ranks[:, None, :],
-        )
+        # Packed keys, per subset: the sessions', then the rows' (log L
+        # where a matched subset meets a contextless row).
+        has_context = np.array([c is not None for c in contexts], dtype=bool)
+        logs = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
+        logs[:, :n_sessions] = log_of
+        logs[:, n_sessions:] = np.where(has_context | self._unconditional, owners, n_logs)
+        stride = n_sessions + 1
+        keys = ((self._subset_index * (n_logs + 1) + logs) * code_space + codes) * stride
+        sorted_keys = (keys[:, :n_sessions] + np.arange(n_sessions)).ravel()
+        sorted_keys.sort()
+        found = sorted_keys.searchsorted(keys[:, n_sessions:].T[:, :, None] + cuts[:, None, :])
         start, before = found[..., 0], found[..., 1]  # [rows, subsets]
 
+        session = sorted_keys % stride  # sessions in (group, time) order
+        flags = accesses[session]
         cum_accesses = np.zeros(session.size + 1, dtype=np.int64)
-        np.cumsum(accesses[session], out=cum_accesses[1:])
-        session_times = times[session]
+        np.add.accumulate(flags, dtype=np.int64, out=cum_accesses[1:])
+        accessed = cum_accesses[found]
         features = np.empty((n_rows, n_subsets, per_subset), dtype=np.float64)
         if self.config.include_aggregations:
             # Window is (q - w, q): a session exactly w old has aged out.
-            opened = found[..., 2:]
-            n_in_window = (before[..., None] - opened).astype(np.float64)
-            n_accessed = (cum_accesses[before][..., None] - cum_accesses[opened]).astype(np.float64)
+            n_in_window = (before[..., None] - found[..., 2:]).astype(np.float64)
+            n_accessed = (accessed[..., 1:2] - accessed[..., 2:]).astype(np.float64)
             width = 3 * len(self.config.windows)
             features[..., 0:width:3] = n_in_window
             features[..., 1:width:3] = n_accessed
-            features[..., 2:width:3] = np.where(
-                n_in_window > 0, n_accessed / np.maximum(n_in_window, 1.0), 0.0
-            )
+            # An empty window has no accesses either: its rate is 0 / 1 = +0.0.
+            np.divide(n_accessed, np.maximum(n_in_window, 1.0), out=features[..., 2:width:3])
         if self.config.include_elapsed:
+            session_times = times[session]
             previous = np.concatenate([[0], session_times])[before]
-            accessed_before = cum_accesses[before]
-            last_access = np.concatenate([[0], session_times[accesses[session] == 1]])[accessed_before]
+            last_access = np.concatenate([[0], session_times[flags == 1]])[accessed[..., 1]]
             queried = prediction_times[:, None]
             features[..., -2] = np.where(before > start, queried - previous, MISSING_ELAPSED)
-            features[..., -1] = np.where(accessed_before > cum_accesses[start], queried - last_access, MISSING_ELAPSED)
+            features[..., -1] = np.where(accessed[..., 1] > accessed[..., 0], queried - last_access, MISSING_ELAPSED)
         return features.reshape(n_rows, self.n_features)

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..data.schema import ContextSchema, Dataset, HistoryBatch
+from ..data.schema import ContextSchema, Dataset, HistoryBatch, day_of_week, hour_of_day
 from ..data.tasks import Example
 from .aggregations import DEFAULT_WINDOWS, AggregationConfig, HistoryAggregator
 from .bucketing import N_BUCKETS, log_bucket
-from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder, encode_day_of_week, encode_hour_of_day
+from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder
 
 __all__ = ["FeatureConfig", "TabularFeaturizer", "TabularData", "ablation_config"]
 
@@ -176,40 +176,6 @@ class TabularFeaturizer:
         return self.aggregator.n_lookup_groups
 
     # ------------------------------------------------------------------
-    def _encode_context(self, contexts: list[dict[str, float] | None]) -> np.ndarray:
-        blocks: list[np.ndarray] = []
-        for field_def in self.schema:
-            encoder = self._context_encoders[field_def.name]
-            values = np.asarray([0.0 if c is None else c[field_def.name] for c in contexts], dtype=np.float64)
-            if encoder is None:
-                blocks.append(values.reshape(-1, 1))
-                blocks.append(np.log1p(np.maximum(values, 0.0)).reshape(-1, 1))
-            else:
-                blocks.append(encoder.encode(values.astype(np.int64)))
-        return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(contexts), 0))
-
-    def _encode_time(self, prediction_times: np.ndarray) -> np.ndarray:
-        hour = encode_hour_of_day(prediction_times, one_hot=self.config.one_hot_time)
-        dow = encode_day_of_week(prediction_times, one_hot=self.config.one_hot_time)
-        return np.concatenate([hour, dow], axis=1)
-
-    def _encode_history(
-        self, history: HistoryBatch, owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
-    ) -> np.ndarray:
-        raw = self.aggregator.compute_batch(history, owners, prediction_times, contexts)
-        if not self._elapsed_columns:
-            return raw
-        # One bucketing call for every elapsed column, placed by one index map.
-        buckets = log_bucket(raw[:, self._elapsed_columns], n_buckets=self.config.elapsed_buckets)
-        encoded = np.zeros((raw.shape[0], self._history_width), dtype=np.float64)
-        encoded[:, self._plain_targets] = raw[:, self._plain_columns]
-        if self.config.one_hot_elapsed:
-            encoded[np.arange(raw.shape[0])[:, None], self._elapsed_targets + buckets] = 1.0
-        else:
-            encoded[:, self._elapsed_targets] = buckets
-        return encoded
-
-    # ------------------------------------------------------------------
     def transform_user(
         self,
         history: HistoryBatch,
@@ -225,19 +191,59 @@ class TabularFeaturizer:
         one call featurizes a serving micro-batch (one fetched record per
         request, :meth:`HistoryBatch.of_records`) or a whole training set
         (one log per user, :meth:`HistoryBatch.of_logs`).
+
+        Every family writes at its column offset into one zero matrix:
+        numeric context values by column assignment, categorical, hashed,
+        hour and day columns by scattering ones at flat position ``row ·
+        width + offset + hot column``, and the aggregator's columns through
+        one index map into the history block (elapsed ones as a log bucket,
+        or its one-hot run).
         """
-        prediction_times = np.asarray(prediction_times, dtype=np.int64)
-        blocks: list[np.ndarray] = []
+        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
+        n, width = prediction_times.size, self.n_features
+        if len(contexts) != n:
+            raise ValueError("contexts must align with prediction_times")
+        matrix = np.zeros((n, width), dtype=np.float64)
+        flat, stop = matrix.reshape(-1), n * width
+        offset = 0
         if self.config.include_context:
-            blocks.append(self._encode_context(contexts))
+            for field_def in self.schema:
+                encoder = self._context_encoders[field_def.name]
+                values = np.asarray([0.0 if c is None else c[field_def.name] for c in contexts], dtype=np.float64)
+                if encoder is None:
+                    matrix[:, offset] = values
+                    matrix[:, offset + 1] = np.log1p(np.maximum(values, 0.0))
+                    offset += 2
+                else:
+                    flat[np.arange(offset, stop, width) + encoder.hot_column(values.astype(np.int64))] = 1.0
+                    offset += encoder.width
         if self.config.include_time:
-            blocks.append(self._encode_time(prediction_times))
-        blocks.append(self._encode_history(history, owners, prediction_times, contexts))
-        matrix = np.concatenate(blocks, axis=1)
-        if matrix.shape[1] != self.n_features:
+            # Hour and day are reduced modulo 24 and 7: no range check needed.
+            hours, days = hour_of_day(prediction_times), day_of_week(prediction_times)
+            if self.config.one_hot_time:
+                flat[np.arange(offset, stop, width) + hours] = 1.0
+                flat[np.arange(offset + 24, stop, width) + days] = 1.0
+                offset += 24 + 7
+            else:
+                matrix[:, offset] = hours
+                matrix[:, offset + 1] = days
+                offset += 2
+        if offset + self._history_width != width:
             raise RuntimeError(
-                f"feature width mismatch: built {matrix.shape[1]} columns, expected {self.n_features}"
+                f"feature width mismatch: built {offset + self._history_width} columns, expected {width}"
             )
+        raw = self.aggregator.compute_batch(history, owners, prediction_times, contexts)
+        encoded = matrix[:, offset:]
+        if not self._elapsed_columns:
+            encoded[:] = raw
+            return matrix
+        # One bucketing call for every elapsed column, placed by one index map.
+        buckets = log_bucket(raw[:, self._elapsed_columns], n_buckets=self.config.elapsed_buckets)
+        encoded[:, self._plain_targets] = raw[:, self._plain_columns]
+        if self.config.one_hot_elapsed:
+            encoded[np.arange(n)[:, None], self._elapsed_targets + buckets] = 1.0
+        else:
+            encoded[:, self._elapsed_targets] = buckets
         return matrix
 
     def transform(self, dataset: Dataset, examples_by_user: dict[int, list[Example]]) -> TabularData:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import FixedThresholdPolicy
-from repro.data import ContextField, ContextSchema, make_dataset, sessions_in_time_order, user_split
+from repro.data import ContextField, ContextSchema, HistoryBatch, make_dataset, sessions_in_time_order, user_split
 from repro.experiments import ManifestError, load_manifest
 from repro.experiments.runner import validate_engine_block
 from repro.models import GBDTModel, RNNModel, RNNModelConfig, TaskSpec
@@ -35,6 +35,8 @@ from repro.serving import (
     ShardedKeyValueStore,
     StreamProcessor,
 )
+
+from test_kernel_spellings import BlockFeaturizer
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -957,6 +959,53 @@ class TestAggregationRecordsAtPredict:
         expected = [alone.predict(user_id, context, late) for user_id, context in zip(users, contexts)]
         assert [p.user_id for p in delivered] == users
         assert [p.probability for p in delivered] == [p.probability for p in expected]
+
+    @staticmethod
+    def _full_batch_around(engine, victim: int) -> list[int]:
+        """The other stored users, a user with no history (an empty record)
+        and ``victim`` last: a full batch of eight."""
+        others = sorted(int(key.split(":")[1]) for key in engine.store.keys() if key != f"agg:{victim}")
+        users = others + [max(others) + 1_000, victim]
+        assert len(users) == 8
+        return users
+
+    def test_a_record_spanning_past_the_key_bound_is_refused(self, trained):
+        """Stamps ``0`` and ``2**62`` in one record of a full batch would wrap
+        the featurizer's ``log * span`` time keys: the batch is refused with
+        a ``ValueError``, never served from wrapped keys."""
+        context, late = trained[3][0][2], trained[3][79][0] + 1
+        engine = self._warm_engine(trained, max_batch_size=8)
+
+        def stretch(record):
+            record["timestamps"][0], record["timestamps"][-1] = 0, 2**62
+
+        victim = self._tamper_longest(engine, stretch)
+        users = self._full_batch_around(engine, victim)
+        for user_id in users[:-1]:
+            assert engine.submit(user_id, context, late) == []
+        with pytest.raises(ValueError, match="too wide for int64 keys"):
+            engine.submit(users[-1], context, late)
+
+    def test_a_record_spanning_a_trillion_seconds_is_served_as_the_reference(self, trained):
+        """Inside the bound, a record stamped 10**12 s before the others is
+        served bit for bit as the frozen rank-sort featurizer scores it."""
+        context, late = trained[3][0][2], trained[3][79][0] + 1
+        engine = self._warm_engine(trained, max_batch_size=8)
+        victim = self._tamper_longest(engine, lambda r: r["timestamps"].__setitem__(0, late - 10**12))
+        users = self._full_batch_around(engine, victim)
+        contexts = [None if i % 3 == 1 else context for i in range(8)]
+        empty = {"timestamps": [], "accesses": [], "context": {name: [] for name in engine.backend.schema.names()}}
+        records = [engine.store.peek(f"agg:{user_id}", empty) for user_id in users]
+        backend = engine.backend
+        expected = backend.estimator.predict_proba(
+            BlockFeaturizer(backend.featurizer).transform_user(
+                HistoryBatch.of_records(records, backend.schema.names()), np.arange(8), [late] * 8, contexts
+            )
+        )
+        delivered = [p for user_id, ctx in zip(users, contexts) for p in engine.submit(user_id, ctx, late)]
+        assert [p.user_id for p in delivered] == users
+        assert [p.probability for p in delivered] == [float(p) for p in np.asarray(expected).reshape(-1)]
+        assert [engine.store.peek(f"agg:{user_id}", empty) for user_id in users] == records  # nothing landed meanwhile
 
     @pytest.mark.parametrize("batch_size", [1, 7, 8])
     def test_featurization_is_one_call_per_micro_batch(self, trained, batch_size, monkeypatch):
