@@ -68,18 +68,22 @@ class QuantileBinner:
             binned[:, column] = np.searchsorted(edges, values, side="left")
         return binned
 
-    def split_threshold(self, column: int, code: int) -> float:
+    def split_threshold(self, column: int | np.ndarray, code: int | np.ndarray) -> float | np.ndarray:
         """The raw value ``t`` with ``transform`` code ``<= code`` exactly when ``x <= t``.
 
         The code counts the (sorted, distinct) edges below a value, so it is
         at most ``code`` exactly when the value is at most ``edges[code]``;
         past the last edge every value qualifies, and ``t`` is ``+inf``
         (non-finite inputs must be mapped to ``+inf`` first, as here).
+        Elementwise over arrays of columns and codes.
         """
         if self.bin_edges_ is None:
             raise RuntimeError("binner is not fitted")
-        edges = self.bin_edges_[column]
-        return float(edges[code]) if code < edges.size else np.inf
+        sizes = np.array([edges.size for edges in self.bin_edges_])
+        # Each column's edges, then the +inf past its last edge.
+        table = np.concatenate([part for edges in self.bin_edges_ for part in (edges, [np.inf])])
+        start = np.cumsum(sizes + 1) - sizes - 1
+        return table[start[column] + np.minimum(code, sizes[column])]
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

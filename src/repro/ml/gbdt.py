@@ -8,12 +8,14 @@ paper's protocol of exhaustively searching tree depths on a held-out
 validation split of users and keeping the depth with the lowest validation
 log loss.
 
-Trees are *grown* on quantile bin codes but *served* the way XGBoost serves
-them: at the end of :meth:`~GradientBoostedTrees.fit` the whole ensemble is
-packed once into heap-ordered tables — ``feature[T, 2**D - 1]``,
-``threshold[T, 2**D - 1]`` and ``leaf[T, 2**D]`` — whose thresholds are raw
-feature values, and :meth:`~GradientBoostedTrees.decision_function` scores a
-batch with ``D`` whole-array steps over all ``T`` trees at once
+Every tree is grown on quantile bin codes straight into the heap layout it
+is scored from (:class:`~repro.ml.tree.RegressionTree`), and *served* the
+way XGBoost serves it: at the end of :meth:`~GradientBoostedTrees.fit` the
+whole ensemble is packed once into heap-ordered tables —
+``feature[T, 2**D - 1]``, ``threshold[T, 2**D - 1]`` and ``leaf[T, 2**D]``
+— whose thresholds are raw feature values, and
+:meth:`~GradientBoostedTrees.decision_function` scores a batch with ``D``
+whole-array steps over all ``T`` trees at once
 (:func:`repro.ml.tree.walk_heap_tables`), never binning its input.
 
 The raw thresholds are exact, not an approximation of the bins.  A value
@@ -41,16 +43,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..metrics import log_loss
 from ..nn.inference import stable_sigmoid
 from .binning import QuantileBinner
 from .tree import RegressionTree, TreeParams, walk_heap_tables
 
 __all__ = ["GBDTConfig", "GradientBoostedTrees"]
-
-
-def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
 @dataclass(frozen=True)
@@ -160,11 +158,11 @@ class GradientBoostedTrees:
             self.trees.append(tree)
 
             raw += cfg.learning_rate * tree.predict(binned)
-            self.train_loss_history_.append(_log_loss(y, stable_sigmoid(raw)))
+            self.train_loss_history_.append(log_loss(y, stable_sigmoid(raw)))
 
             if eval_binned is not None:
                 eval_raw += cfg.learning_rate * tree.predict(eval_binned)
-                valid_loss = _log_loss(eval_labels, stable_sigmoid(eval_raw))
+                valid_loss = log_loss(eval_labels, stable_sigmoid(eval_raw))
                 self.valid_loss_history_.append(valid_loss)
                 if valid_loss < best_loss - 1e-7:
                     best_loss = valid_loss
@@ -260,7 +258,7 @@ class GradientBoostedTrees:
         for depth in depths:
             model = cls(replace(base, max_depth=depth))
             model.fit(X_train, y_train, eval_set=(X_valid, y_valid))
-            valid_loss = _log_loss(np.asarray(y_valid, dtype=np.float64).reshape(-1), model.predict_proba(X_valid))
+            valid_loss = log_loss(y_valid, model.predict_proba(X_valid))
             losses[depth] = valid_loss
             if valid_loss < best_loss:
                 best_loss = valid_loss

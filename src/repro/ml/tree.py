@@ -11,10 +11,16 @@ accumulated with a single ``bincount`` over flattened
 (node, feature, bin) indices, which keeps the pure-NumPy implementation fast
 enough for the benchmark harness.
 
-A fitted tree is scored through :func:`walk_heap_tables`: the tree is laid
-out as complete binary heap tables (:meth:`RegressionTree.heap_tables`) and
-every row takes the same number of vectorised steps, the walk the whole
-boosted ensemble uses too (:mod:`repro.ml.gbdt`).
+A tree is grown straight into the layout it is scored from: complete binary
+heap tables, where slot ``i`` has children ``2i + 1`` (``code <= threshold``)
+and ``2i + 2``.  ``feature``/``threshold_bin`` cover the inner slots, and an
+inner slot that did not split holds :data:`NO_SPLIT`, which sends every row
+left; ``value`` covers every slot, and a leaf above the last level passes
+its value down to every slot below it.  The tables grow one level per split
+level the tree makes, so their size follows the depth a tree reaches, not
+``max_depth``.  Every sample carries its slot, and one level of routing is
+one step of the walk that scores the tree, :func:`walk_heap_tables` — the
+walk the whole boosted ensemble uses too (:mod:`repro.ml.gbdt`).
 """
 
 from __future__ import annotations
@@ -24,20 +30,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TreeParams", "RegressionTree", "walk_heap_tables"]
+__all__ = ["NO_SPLIT", "TreeParams", "RegressionTree", "walk_heap_tables"]
+
+#: ``threshold_bin`` of an inner slot that does not split: no bin code
+#: exceeds it, so every row goes left.
+NO_SPLIT = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Growth and regularisation parameters for a single tree.
+    """Growth and regularisation parameters for a single tree, grown in the
+    heap layout it is scored from (see the module docstring).
 
     ``max_depth`` counts *levels of nodes*, root included, not levels of
-    splits: growth stops splitting at ``depth == max_depth - 1``, so
-    ``max_depth=d`` grows trees with at most ``d - 1`` split levels and
-    ``max_depth=1`` grows single-leaf trees.  XGBoost's ``max_depth`` counts
-    split levels, so the "depth 3" GBDT here is XGBoost's depth 2.  This is
-    a known discrepancy, left in place: the experiment tables, the serving
-    fixtures and the golden files were all produced with this convention.
+    splits: :meth:`RegressionTree.fit` grows at most ``max_depth - 1`` split
+    levels, so ``max_depth=1`` grows single-leaf trees.  XGBoost's
+    ``max_depth`` counts split levels, so the "depth 3" GBDT here is
+    XGBoost's depth 2.  This is a known discrepancy, left in place: the
+    experiment tables, the serving fixtures and the golden files were all
+    produced with this convention.  Matching XGBoost is a one-constant
+    change, the ``- 1`` in ``fit``'s level loop.
     """
 
     max_depth: int = 4
@@ -54,35 +66,29 @@ class TreeParams:
 
 
 class RegressionTree:
-    """A single fitted regression tree over binned features."""
+    """A single fitted regression tree over binned features, in heap layout."""
 
     def __init__(self, params: TreeParams) -> None:
         self.params = params
-        # Flat node arrays; children of node i are stored by index.
-        self.feature: list[int] = []
-        self.threshold_bin: list[int] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.is_leaf: list[bool] = []
+        # Inner slots: split feature and bin (NO_SPLIT where the slot does not split).
+        self.feature = np.zeros(0, dtype=np.intp)
+        self.threshold_bin = np.zeros(0, dtype=np.intp)
+        # Every slot: its leaf value, passed down below a leaf.
+        self.value = np.zeros(0, dtype=np.float64)
 
     # ------------------------------------------------------------------
     @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
+    def depth(self) -> int:
+        """Split levels on the longest root-to-leaf path (0 for a single leaf)."""
+        return (self.feature.size + 1).bit_length() - 1
 
     @property
     def n_leaves(self) -> int:
-        return int(sum(self.is_leaf))
+        return int(np.count_nonzero(self.threshold_bin != NO_SPLIT)) + 1
 
-    def _new_node(self, value: float) -> int:
-        self.feature.append(-1)
-        self.threshold_bin.append(-1)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        self.is_leaf.append(True)
-        return len(self.feature) - 1
+    @property
+    def n_nodes(self) -> int:
+        return 2 * self.n_leaves - 1
 
     # ------------------------------------------------------------------
     def fit(self, binned: np.ndarray, gradients: np.ndarray, hessians: np.ndarray, n_bins: int) -> "RegressionTree":
@@ -96,34 +102,31 @@ class RegressionTree:
         params = self.params
         lam = params.reg_lambda
 
-        total_g = gradients.sum()
-        total_h = hessians.sum()
-        root = self._new_node(-total_g / (total_h + lam))
+        # The level's growing slots, ascending, with their gradient/hessian sums.
+        active = np.zeros(1, dtype=np.intp)
+        node_g = np.array([gradients.sum()])
+        node_h = np.array([hessians.sum()])
+        self.feature = np.zeros(0, dtype=np.intp)
+        self.threshold_bin = np.zeros(0, dtype=np.intp)
+        self.value = -node_g / (node_h + lam)
+        # The samples in a growing slot, ascending, and their slots.
+        samples = np.arange(n_samples)
+        slot = np.zeros(n_samples, dtype=np.intp)
 
-        # node assignment of every sample; -1 marks samples in finalized leaves.
-        node_of_sample = np.zeros(n_samples, dtype=np.int64)
-        active_nodes = [root]
-        node_stats = {root: (total_g, total_h)}
-
-        for depth in range(params.max_depth):
-            if not active_nodes:
+        for level in range(params.max_depth - 1):
+            if not samples.size:
                 break
-            active_index = {node: i for i, node in enumerate(active_nodes)}
-            active_mask = np.isin(node_of_sample, active_nodes)
-            if not active_mask.any():
-                break
-            sample_index = np.nonzero(active_mask)[0]
-            local_node = np.vectorize(active_index.get, otypes=[np.int64])(node_of_sample[sample_index])
-            sub_binned = binned[sample_index]
-
-            n_active = len(active_nodes)
+            n_active = active.size
+            # Histogram rows are ranked by ascending slot.
+            local_node = np.searchsorted(active, slot)
+            sub_binned = binned[samples]
             # Flattened (node, feature, bin) histogram indices.
             flat = (
                 (local_node[:, None] * n_features + np.arange(n_features)[None, :]) * n_bins
                 + sub_binned.astype(np.int64)
             ).ravel()
-            weights_g = np.repeat(gradients[sample_index], n_features)
-            weights_h = np.repeat(hessians[sample_index], n_features)
+            weights_g = np.repeat(gradients[samples], n_features)
+            weights_h = np.repeat(hessians[samples], n_features)
             size = n_active * n_features * n_bins
             hist_g = np.bincount(flat, weights=weights_g, minlength=size).reshape(n_active, n_features, n_bins)
             hist_h = np.bincount(flat, weights=weights_h, minlength=size).reshape(n_active, n_features, n_bins)
@@ -131,10 +134,8 @@ class RegressionTree:
             # Cumulative (left-side) statistics over bins for every candidate split.
             left_g = np.cumsum(hist_g, axis=2)
             left_h = np.cumsum(hist_h, axis=2)
-            node_g = np.array([node_stats[n][0] for n in active_nodes])[:, None, None]
-            node_h = np.array([node_stats[n][1] for n in active_nodes])[:, None, None]
-            right_g = node_g - left_g
-            right_h = node_h - left_h
+            right_g = node_g[:, None, None] - left_g
+            right_h = node_h[:, None, None] - left_h
 
             valid = (left_h >= params.min_child_weight) & (right_h >= params.min_child_weight)
             # Exclude the last bin: splitting there puts everything left.
@@ -143,104 +144,72 @@ class RegressionTree:
                 gain = 0.5 * (
                     left_g**2 / (left_h + lam)
                     + right_g**2 / (right_h + lam)
-                    - node_g**2 / (node_h + lam)
+                    - node_g[:, None, None] ** 2 / (node_h[:, None, None] + lam)
                 ) - params.gamma
             gain = np.where(valid, gain, -np.inf)
 
             flat_gain = gain.reshape(n_active, -1)
             best_flat = np.argmax(flat_gain, axis=1)
             best_gain = flat_gain[np.arange(n_active), best_flat]
-            best_feature = best_flat // n_bins
-            best_bin = best_flat % n_bins
-
-            next_active: list[int] = []
-            split_spec: dict[int, tuple[int, int, int, int]] = {}
-            for i, node in enumerate(active_nodes):
-                if depth == params.max_depth - 1 or best_gain[i] <= params.min_split_gain or not np.isfinite(best_gain[i]):
-                    continue
-                f, b = int(best_feature[i]), int(best_bin[i])
-                gl, hl = float(left_g[i, f, b]), float(left_h[i, f, b])
-                gr, hr = float(right_g[i, f, b]), float(right_h[i, f, b])
-                left_child = self._new_node(-gl / (hl + lam))
-                right_child = self._new_node(-gr / (hr + lam))
-                self.feature[node] = f
-                self.threshold_bin[node] = b
-                self.left[node] = left_child
-                self.right[node] = right_child
-                self.is_leaf[node] = False
-                node_stats[left_child] = (gl, hl)
-                node_stats[right_child] = (gr, hr)
-                split_spec[node] = (f, b, left_child, right_child)
-                next_active.extend([left_child, right_child])
-
-            if not split_spec:
+            split = np.isfinite(best_gain) & (best_gain > params.min_split_gain)
+            if not split.any():
                 break
-            # Route samples of split nodes to their children.
-            for node, (f, b, left_child, right_child) in split_spec.items():
-                members = sample_index[node_of_sample[sample_index] == node]
-                goes_left = binned[members, f] <= b
-                node_of_sample[members] = np.where(goes_left, left_child, right_child)
-            active_nodes = next_active
+
+            # Grow the tables one level; the level's slots pass their values down.
+            width = 1 << level
+            self.feature = np.concatenate([self.feature, np.zeros(width, dtype=np.intp)])
+            self.threshold_bin = np.concatenate([self.threshold_bin, np.full(width, NO_SPLIT)])
+            self.value = np.concatenate([self.value, np.repeat(self.value[-width:], 2)])
+            node = np.flatnonzero(split)
+            f, b = best_flat[node] // n_bins, best_flat[node] % n_bins
+            self.feature[active[node]] = f
+            self.threshold_bin[active[node]] = b
+            # Children (left, right) of each split slot, ascending.
+            active = (2 * active[node, None] + np.array([1, 2])).ravel()
+            node_g = np.column_stack([left_g[node, f, b], right_g[node, f, b]]).ravel()
+            node_h = np.column_stack([left_h[node, f, b], right_h[node, f, b]]).ravel()
+            self.value[active] = -node_g / (node_h + lam)
+
+            # Samples of split slots take one walk step; the rest are in leaves.
+            keep = split[local_node]
+            samples, slot = samples[keep], slot[keep]
+            slot = 2 * slot + 1 + (binned[samples, self.feature[slot]] > self.threshold_bin[slot])
 
         return self
 
     # ------------------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Split levels on the longest root-to-leaf path (0 for a single leaf)."""
-        deepest = 0
-        stack = [(0, 0)]
-        while stack:
-            node, level = stack.pop()
-            if self.is_leaf[node]:
-                deepest = max(deepest, level)
-            else:
-                stack.extend([(self.left[node], level + 1), (self.right[node], level + 1)])
-        return deepest
-
     def heap_tables(
-        self, depth: int, split_value: Callable[[int, int], float]
+        self, depth: int, split_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The tree as complete heap tables ``(feature, threshold, leaf)`` of ``depth >= self.depth`` levels.
 
         Inner slot ``i`` has children ``2i + 1`` (``x <= threshold``) and
         ``2i + 2``; ``leaf`` holds the ``2**depth`` slots below the last
-        level.  A split on bin ``b`` of feature ``f`` gets threshold
-        ``split_value(f, b)``.  A leaf above ``depth`` passes through: every
-        inner slot below it keeps threshold ``+inf`` (so rows go left) and
-        all leaf slots it covers hold its value.
+        level.  The splits on bins ``b`` of features ``f`` get thresholds
+        ``split_value(f, b)``, one call over all of them.  Every inner slot
+        that does not split — including those past the tree's own depth —
+        keeps threshold ``+inf`` (so rows go left), and past the tree's own
+        depth every leaf slot repeats the last level's value above it.
         """
-        n_leaves = 1 << depth
-        feature = np.zeros(n_leaves - 1, dtype=np.intp)
-        threshold = np.full(n_leaves - 1, np.inf)
-        leaf = np.zeros(n_leaves, dtype=np.float64)
-        stack = [(0, 0, 0)]  # (node, heap slot, level)
-        while stack:
-            node, slot, level = stack.pop()
-            if self.is_leaf[node]:
-                width = 1 << (depth - level)
-                first = (slot + 1) * width - n_leaves
-                leaf[first : first + width] = self.value[node]
-                continue
-            feature[slot] = self.feature[node]
-            threshold[slot] = split_value(self.feature[node], self.threshold_bin[node])
-            stack.append((self.left[node], 2 * slot + 1, level + 1))
-            stack.append((self.right[node], 2 * slot + 2, level + 1))
+        inner = (1 << depth) - 1
+        split = np.flatnonzero(self.threshold_bin != NO_SPLIT)
+        feature = np.zeros(inner, dtype=np.intp)
+        threshold = np.full(inner, np.inf)
+        feature[split] = self.feature[split]
+        threshold[split] = split_value(self.feature[split], self.threshold_bin[split])
+        leaf = np.repeat(self.value[self.feature.size :], 1 << (depth - self.depth))
         return feature, threshold, leaf
 
     def predict(self, binned: np.ndarray) -> np.ndarray:
         """Leaf values for each row of a binned feature matrix."""
-        feature, threshold, leaf = self.heap_tables(self.depth, lambda f, b: b)
-        return walk_heap_tables(feature[None], threshold[None], leaf[None], np.asarray(binned))[:, 0]
+        leaf = self.value[self.feature.size :]
+        return walk_heap_tables(self.feature[None], self.threshold_bin[None], leaf[None], np.asarray(binned))[:, 0]
 
     # ------------------------------------------------------------------
     def feature_importance(self, n_features: int) -> np.ndarray:
         """Split counts per feature (a simple importance measure)."""
-        importance = np.zeros(n_features, dtype=np.float64)
-        for node in range(self.n_nodes):
-            if not self.is_leaf[node]:
-                importance[self.feature[node]] += 1.0
-        return importance
+        splits = self.feature[self.threshold_bin != NO_SPLIT]
+        return np.bincount(splits, minlength=n_features).astype(np.float64)
 
 
 def walk_heap_tables(feature: np.ndarray, threshold: np.ndarray, leaf: np.ndarray, X: np.ndarray) -> np.ndarray:

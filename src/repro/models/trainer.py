@@ -25,6 +25,7 @@ import numpy as np
 
 from .. import nn
 from ..features.sequence import UserSequence
+from ..metrics import log_loss
 from ..nn import functional as F
 from .rnn import PredictionSpec, RNNPrecomputeNetwork
 
@@ -229,8 +230,7 @@ class RNNTrainer:
         labels = np.concatenate([spec.labels for spec in specs]) if specs else np.zeros(0)
         if labels.size == 0:
             return float("nan")
-        clipped = np.clip(probabilities, 1e-12, 1 - 1e-12)
-        return float(-(labels * np.log(clipped) + (1 - labels) * np.log(1 - clipped)).mean())
+        return log_loss(labels, probabilities)
 
     def _per_user_backward(
         self,

@@ -5,8 +5,9 @@ was once 787 — and none under ``src/repro/serving/`` past 80, with
 callback defined per fault).  The serving suites share one harness
 (``tests/serving_harness.py`` and the ``serving_parts`` fixture) instead of
 the eight private copies they once carried, ``src/`` compares records in
-one place, :mod:`repro.serving.twins`, and no hot-path package forks on a
-batch of one row."""
+one place, :mod:`repro.serving.twins`, no hot-path package forks on a
+batch of one row, and no module hides a per-element Python call behind
+``np.vectorize``."""
 
 from __future__ import annotations
 
@@ -150,6 +151,18 @@ def test_no_single_row_fork():
         if SINGLE_ROW_FORK.search(line)
     ]
     assert not forks, f"single-row forks: {forks}"
+
+
+def test_no_np_vectorize():
+    """``np.vectorize`` is one Python call per element behind a NumPy name: the
+    tree grower's node lookup spelled with it was the grower's hottest line."""
+    uses = [
+        f"{path.relative_to(PACKAGE)}:{number}: {line.strip()}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\bvectorize\b", line)
+    ]
+    assert not uses, f"np.vectorize under src/repro: {uses}"
 
 
 def test_the_fork_pattern_matches_what_it_forbids():

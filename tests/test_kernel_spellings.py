@@ -29,7 +29,11 @@ stamps, stamps far apart and context values outside their cardinality.
 The incumbent's GBDT prediction was re-spelled too — one packed walk over
 the whole ensemble on raw thresholds in place of re-binning every call and
 walking each tree's node lists — and is held to the parent's bits on values
-exactly on, and one ulp either side of, every bin edge.
+exactly on, and one ulp either side of, every bin edge.  Its weak learner
+then stopped growing node lists and grew each tree straight into the heap
+tables it is scored from; the node-list grower is kept as
+``ParentRegressionTree``, and the heap grower is held to its tables, node
+counts and importances on drawn rows and growth parameters.
 
 The state arena's int8 encode lost ``np.clip``, ``np.round`` and a no-op
 second ``where``, and is held to its parent spelling on half-way values,
@@ -39,8 +43,10 @@ signed zeros, all-zero rows, subnormal and non-finite peaks.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import replace
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,7 +76,7 @@ from repro.features.bucketing import bucket_scale, log_bucket, one_hot_buckets
 from repro.features.encoders import OneHotEncoder, encode_day_of_week, encode_hour_of_day
 from repro.features.pipeline import FeatureConfig, TabularFeaturizer
 from repro.features.sequence import SequenceBuilder
-from repro.ml import GBDTConfig, GradientBoostedTrees, QuantileBinner, RegressionTree, TreeParams
+from repro.ml import GBDTConfig, GradientBoostedTrees, QuantileBinner, RegressionTree, TreeParams, gbdt
 from repro.ml.tree import walk_heap_tables
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.nn import inference
@@ -1504,8 +1510,199 @@ def transform_per_column(binner: QuantileBinner, X: np.ndarray) -> np.ndarray:
     return binned
 
 
-def tree_predict_pending(tree: RegressionTree, binned: np.ndarray) -> np.ndarray:
-    """The parent's ``RegressionTree.predict``: a pending-mask walk of the node lists."""
+class ParentRegressionTree:
+    """``RegressionTree`` at 7c98075, verbatim: grown as six parallel node
+    lists, then walked in Python to build the heap tables it is scored from."""
+
+    def __init__(self, params: TreeParams) -> None:
+        self.params = params
+        # Flat node arrays; children of node i are stored by index.
+        self.feature: list[int] = []
+        self.threshold_bin: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+        self.is_leaf: list[bool] = []
+
+    # ------------------------------------------------------------------
+    @property
+    def n_nodes(self) -> int:
+        return len(self.feature)
+
+    @property
+    def n_leaves(self) -> int:
+        return int(sum(self.is_leaf))
+
+    def _new_node(self, value: float) -> int:
+        self.feature.append(-1)
+        self.threshold_bin.append(-1)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
+        self.is_leaf.append(True)
+        return len(self.feature) - 1
+
+    # ------------------------------------------------------------------
+    def fit(self, binned: np.ndarray, gradients: np.ndarray, hessians: np.ndarray, n_bins: int) -> "ParentRegressionTree":
+        """Grow the tree on pre-binned features and per-example grad/hess."""
+        binned = np.asarray(binned)
+        gradients = np.asarray(gradients, dtype=np.float64)
+        hessians = np.asarray(hessians, dtype=np.float64)
+        n_samples, n_features = binned.shape
+        if gradients.shape[0] != n_samples or hessians.shape[0] != n_samples:
+            raise ValueError("gradients/hessians must align with the binned matrix")
+        params = self.params
+        lam = params.reg_lambda
+
+        total_g = gradients.sum()
+        total_h = hessians.sum()
+        root = self._new_node(-total_g / (total_h + lam))
+
+        # node assignment of every sample; -1 marks samples in finalized leaves.
+        node_of_sample = np.zeros(n_samples, dtype=np.int64)
+        active_nodes = [root]
+        node_stats = {root: (total_g, total_h)}
+
+        for depth in range(params.max_depth):
+            if not active_nodes:
+                break
+            active_index = {node: i for i, node in enumerate(active_nodes)}
+            active_mask = np.isin(node_of_sample, active_nodes)
+            if not active_mask.any():
+                break
+            sample_index = np.nonzero(active_mask)[0]
+            local_node = np.vectorize(active_index.get, otypes=[np.int64])(node_of_sample[sample_index])
+            sub_binned = binned[sample_index]
+
+            n_active = len(active_nodes)
+            # Flattened (node, feature, bin) histogram indices.
+            flat = (
+                (local_node[:, None] * n_features + np.arange(n_features)[None, :]) * n_bins
+                + sub_binned.astype(np.int64)
+            ).ravel()
+            weights_g = np.repeat(gradients[sample_index], n_features)
+            weights_h = np.repeat(hessians[sample_index], n_features)
+            size = n_active * n_features * n_bins
+            hist_g = np.bincount(flat, weights=weights_g, minlength=size).reshape(n_active, n_features, n_bins)
+            hist_h = np.bincount(flat, weights=weights_h, minlength=size).reshape(n_active, n_features, n_bins)
+
+            # Cumulative (left-side) statistics over bins for every candidate split.
+            left_g = np.cumsum(hist_g, axis=2)
+            left_h = np.cumsum(hist_h, axis=2)
+            node_g = np.array([node_stats[n][0] for n in active_nodes])[:, None, None]
+            node_h = np.array([node_stats[n][1] for n in active_nodes])[:, None, None]
+            right_g = node_g - left_g
+            right_h = node_h - left_h
+
+            valid = (left_h >= params.min_child_weight) & (right_h >= params.min_child_weight)
+            # Exclude the last bin: splitting there puts everything left.
+            valid[:, :, -1] = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = 0.5 * (
+                    left_g**2 / (left_h + lam)
+                    + right_g**2 / (right_h + lam)
+                    - node_g**2 / (node_h + lam)
+                ) - params.gamma
+            gain = np.where(valid, gain, -np.inf)
+
+            flat_gain = gain.reshape(n_active, -1)
+            best_flat = np.argmax(flat_gain, axis=1)
+            best_gain = flat_gain[np.arange(n_active), best_flat]
+            best_feature = best_flat // n_bins
+            best_bin = best_flat % n_bins
+
+            next_active: list[int] = []
+            split_spec: dict[int, tuple[int, int, int, int]] = {}
+            for i, node in enumerate(active_nodes):
+                if depth == params.max_depth - 1 or best_gain[i] <= params.min_split_gain or not np.isfinite(best_gain[i]):
+                    continue
+                f, b = int(best_feature[i]), int(best_bin[i])
+                gl, hl = float(left_g[i, f, b]), float(left_h[i, f, b])
+                gr, hr = float(right_g[i, f, b]), float(right_h[i, f, b])
+                left_child = self._new_node(-gl / (hl + lam))
+                right_child = self._new_node(-gr / (hr + lam))
+                self.feature[node] = f
+                self.threshold_bin[node] = b
+                self.left[node] = left_child
+                self.right[node] = right_child
+                self.is_leaf[node] = False
+                node_stats[left_child] = (gl, hl)
+                node_stats[right_child] = (gr, hr)
+                split_spec[node] = (f, b, left_child, right_child)
+                next_active.extend([left_child, right_child])
+
+            if not split_spec:
+                break
+            # Route samples of split nodes to their children.
+            for node, (f, b, left_child, right_child) in split_spec.items():
+                members = sample_index[node_of_sample[sample_index] == node]
+                goes_left = binned[members, f] <= b
+                node_of_sample[members] = np.where(goes_left, left_child, right_child)
+            active_nodes = next_active
+
+        return self
+
+    # ------------------------------------------------------------------
+    @property
+    def depth(self) -> int:
+        """Split levels on the longest root-to-leaf path (0 for a single leaf)."""
+        deepest = 0
+        stack = [(0, 0)]
+        while stack:
+            node, level = stack.pop()
+            if self.is_leaf[node]:
+                deepest = max(deepest, level)
+            else:
+                stack.extend([(self.left[node], level + 1), (self.right[node], level + 1)])
+        return deepest
+
+    def heap_tables(
+        self, depth: int, split_value: Callable[[int, int], float]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tree as complete heap tables ``(feature, threshold, leaf)`` of ``depth >= self.depth`` levels.
+
+        Inner slot ``i`` has children ``2i + 1`` (``x <= threshold``) and
+        ``2i + 2``; ``leaf`` holds the ``2**depth`` slots below the last
+        level.  A split on bin ``b`` of feature ``f`` gets threshold
+        ``split_value(f, b)``.  A leaf above ``depth`` passes through: every
+        inner slot below it keeps threshold ``+inf`` (so rows go left) and
+        all leaf slots it covers hold its value.
+        """
+        n_leaves = 1 << depth
+        feature = np.zeros(n_leaves - 1, dtype=np.intp)
+        threshold = np.full(n_leaves - 1, np.inf)
+        leaf = np.zeros(n_leaves, dtype=np.float64)
+        stack = [(0, 0, 0)]  # (node, heap slot, level)
+        while stack:
+            node, slot, level = stack.pop()
+            if self.is_leaf[node]:
+                width = 1 << (depth - level)
+                first = (slot + 1) * width - n_leaves
+                leaf[first : first + width] = self.value[node]
+                continue
+            feature[slot] = self.feature[node]
+            threshold[slot] = split_value(self.feature[node], self.threshold_bin[node])
+            stack.append((self.left[node], 2 * slot + 1, level + 1))
+            stack.append((self.right[node], 2 * slot + 2, level + 1))
+        return feature, threshold, leaf
+
+    def predict(self, binned: np.ndarray) -> np.ndarray:
+        """Leaf values for each row of a binned feature matrix."""
+        feature, threshold, leaf = self.heap_tables(self.depth, lambda f, b: b)
+        return walk_heap_tables(feature[None], threshold[None], leaf[None], np.asarray(binned))[:, 0]
+
+    # ------------------------------------------------------------------
+    def feature_importance(self, n_features: int) -> np.ndarray:
+        """Split counts per feature (a simple importance measure)."""
+        importance = np.zeros(n_features, dtype=np.float64)
+        for node in range(self.n_nodes):
+            if not self.is_leaf[node]:
+                importance[self.feature[node]] += 1.0
+        return importance
+
+
+def tree_predict_pending(tree: ParentRegressionTree, binned: np.ndarray) -> np.ndarray:
+    """``RegressionTree.predict`` before the heap-table walk: a pending-mask walk of the node lists."""
     binned = np.asarray(binned)
     n_samples = binned.shape[0]
     output = np.empty(n_samples, dtype=np.float64)
@@ -1565,10 +1762,11 @@ def _gbdt_problem(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gbdt_suite() -> tuple[GradientBoostedTrees, ...]:
+def _gbdt_suite(grower: type = RegressionTree) -> tuple[GradientBoostedTrees, ...]:
     """The depth search's candidates (depths 1-10, early-stopped on a
     validation split), plus subsampled and ``min_child_weight=0`` variants:
-    ensembles from single-leaf trees (``D = 0``) to mixed depths up to 9."""
+    ensembles from single-leaf trees (``D = 0``) to mixed depths up to 9,
+    each tree grown by ``grower``."""
     X, y = _gbdt_problem(400, seed=0)
     X_valid, y_valid = _gbdt_problem(150, seed=1)
     base = GBDTConfig(n_rounds=15)
@@ -1577,7 +1775,14 @@ def _gbdt_suite() -> tuple[GradientBoostedTrees, ...]:
         replace(base, max_depth=7, subsample=0.6, min_child_weight=3.0, seed=3),
         replace(base, max_depth=4, min_child_weight=0.0),
     ]
-    return tuple(GradientBoostedTrees(config).fit(X, y, eval_set=(X_valid, y_valid)) for config in configs)
+    with mock.patch.object(gbdt, "RegressionTree", grower):
+        return tuple(GradientBoostedTrees(config).fit(X, y, eval_set=(X_valid, y_valid)) for config in configs)
+
+
+def _suite_pair(data) -> tuple[GradientBoostedTrees, GradientBoostedTrees]:
+    """One drawn suite member, and its twin grown by the parent's grower."""
+    index = data.draw(st.integers(0, len(_gbdt_suite()) - 1))
+    return _gbdt_suite()[index], _gbdt_suite(ParentRegressionTree)[index]
 
 
 def _probe_rows(binner: QuantileBinner, rows: int, seed: int) -> np.ndarray:
@@ -1596,7 +1801,8 @@ def _probe_rows(binner: QuantileBinner, rows: int, seed: int) -> np.ndarray:
 
 class TestGBDTPredictSpelling:
     """The packed raw-threshold walk over the whole ensemble against the
-    parent's per-call re-binning and per-tree pending-mask walk.  Kills:
+    parent's per-call re-binning and per-tree pending-mask walk, on twin
+    ensembles whose trees the node-list grower grew.  Kills:
     ``>=`` for the walk's ``>`` (a value exactly on an edge goes right where
     its bin code went left), dropping the non-finite → ``+inf`` map in
     ``decision_function`` (NaN and ``-inf`` compare false and go left, where
@@ -1610,11 +1816,10 @@ class TestGBDTPredictSpelling:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_a_batch_matches_the_rebinned_tree_by_tree_sum(self, rows, data):
-        suite = _gbdt_suite()
-        model = suite[data.draw(st.integers(0, len(suite) - 1))]
+        model, parent = _suite_pair(data)
         X = _probe_rows(model.binner, rows, data.draw(st.integers(0, 2**32 - 1)))
         before = X.copy()
-        expected = decision_function_rebinned(model, X)
+        expected = decision_function_rebinned(parent, X)
         assert_same_bits(model.decision_function(X), expected)
         assert_same_bits(model.predict_proba(X), stable_sigmoid_masked(expected))
         assert_same_bits(X, before)
@@ -1633,13 +1838,13 @@ class TestGBDTPredictSpelling:
     @given(data=st.data())
     def test_tree_predict_on_bin_codes_matches_the_pending_walk(self, data):
         """``fit``'s per-round update walks one tree on bin codes."""
-        suite = _gbdt_suite()
-        model = suite[data.draw(st.integers(0, len(suite) - 1))]
+        model, parent = _suite_pair(data)
         X = _probe_rows(model.binner, 64, data.draw(st.integers(0, 2**32 - 1)))
         binned = transform_per_column(model.binner, X)
         assert_same_bits(model.binner.transform(X), binned)  # training still bins
-        for tree in model.trees:
-            assert_same_bits(tree.predict(binned), tree_predict_pending(tree, binned))
+        assert len(model.trees) == len(parent.trees)
+        for tree, parent_tree in zip(model.trees, parent.trees):
+            assert_same_bits(tree.predict(binned), tree_predict_pending(parent_tree, binned))
 
     def test_a_split_past_the_last_edge_sends_every_row_left(self):
         """A split on a bin ``b >= len(edges)`` has an empty right side, so
@@ -1653,16 +1858,17 @@ class TestGBDTPredictSpelling:
         binned = binner.transform(X)
         params = TreeParams(max_depth=4, min_child_weight=0.0, min_split_gain=-1.0)
         tree = RegressionTree(params).fit(binned, np.full(200, 0.5), np.ones(200), 4)
+        parent = ParentRegressionTree(params).fit(binned, np.full(200, 0.5), np.ones(200), 4)
         past = [
             node
-            for node in range(tree.n_nodes)
-            if not tree.is_leaf[node] and tree.threshold_bin[node] >= binner.bin_edges_[tree.feature[node]].size
+            for node in range(parent.n_nodes)
+            if not parent.is_leaf[node] and parent.threshold_bin[node] >= binner.bin_edges_[parent.feature[node]].size
         ]
         assert past
         feature, threshold, leaf = tree.heap_tables(tree.depth, binner.split_threshold)
         probe = _probe_rows(binner, 64, seed=5)
         walked = walk_heap_tables(feature[None], threshold[None], leaf[None], np.where(np.isfinite(probe), probe, np.inf))
-        assert_same_bits(walked[:, 0], tree_predict_pending(tree, transform_per_column(binner, probe)))
+        assert_same_bits(walked[:, 0], tree_predict_pending(parent, transform_per_column(binner, probe)))
 
     def test_the_suite_reaches_every_case_it_claims(self):
         suite = _gbdt_suite()
@@ -1672,6 +1878,74 @@ class TestGBDTPredictSpelling:
         assert max(max(d) for d in depths) >= 8
         assert any(edges.size == 0 for edges in suite[0].binner.bin_edges_)
         assert all(model.leaf_value_.shape[1] == 2 ** max(d) for model, d in zip(suite, depths))
+
+    def test_the_suite_packs_the_tables_the_parent_grower_packs(self):
+        for model, parent in zip(_gbdt_suite(), _gbdt_suite(ParentRegressionTree)):
+            for name in ("node_feature_", "node_threshold_", "leaf_value_"):
+                assert_same_bits(getattr(model, name), getattr(parent, name))
+            assert model.n_nodes == parent.n_nodes
+            assert_same_bits(model.feature_importance(), parent.feature_importance())
+            assert_same_bits(np.array(model.train_loss_history_), np.array(parent.train_loss_history_))
+            assert_same_bits(np.array(model.valid_loss_history_), np.array(parent.valid_loss_history_))
+
+
+@st.composite
+def tree_problems(draw) -> tuple[QuantileBinner, np.ndarray, np.ndarray, np.ndarray, TreeParams]:
+    """Binned rows (tied values, NaN and ``+inf`` holes, a column with no
+    edges, up to 8 bins), gradients (constant, or following column 1 with
+    noise) even where column 1 is not drawn, hessians (some near zero) and growth parameters from single
+    leaves to ten node levels, with ``min_child_weight=0`` and a negative
+    ``min_split_gain`` among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 200))
+    pool = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, np.nan, np.inf])
+    normal = rng.normal(size=rows)
+    X = np.column_stack(
+        [
+            rng.choice(pool, rows),
+            normal,
+            rng.integers(0, 3, rows).astype(np.float64),
+            np.full(rows, np.nan),
+        ]
+    )[:, : draw(st.integers(1, 4))]
+    binner = QuantileBinner(max_bins=draw(st.integers(2, 8))).fit(X)
+    if draw(st.integers(0, 3)) == 0:
+        gradients = np.full(rows, draw(st.sampled_from([-0.5, 0.0, 0.25, 1.0])))
+    else:
+        gradients = np.sign(normal) + rng.normal(size=rows)
+    hessians = rng.random(rows) + draw(st.sampled_from([0.0, 0.5]))
+    params = TreeParams(
+        max_depth=draw(st.integers(1, 10)),
+        min_child_weight=draw(st.sampled_from([0.0, 0.1, 1.0, 3.0])),
+        reg_lambda=draw(st.sampled_from([0.1, 1.0, 2.5])),
+        gamma=draw(st.sampled_from([0.0, 0.05])),
+        min_split_gain=draw(st.sampled_from([-1.0, 0.0, 1e-6])),
+    )
+    return binner, binner.transform(X), gradients, hessians, params
+
+
+class TestTreeGrowerSpelling:
+    """The heap-layout grower against the parent's node-list grower
+    (``ParentRegressionTree``) on drawn rows and parameters.  Kills: ``>=``
+    for the routing step's ``>`` (a code equal to the split bin goes right
+    and the next level's histograms move), a non-splitting slot that does
+    not pass its value down (a leaf above the last level reads 0 in the
+    padded leaf table), and growing ``max_depth`` split levels instead of
+    ``max_depth - 1`` (trees one level too deep)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=tree_problems())
+    def test_the_heap_grower_grows_the_parents_tree(self, problem):
+        binner, binned, gradients, hessians, params = problem
+        tree = RegressionTree(params).fit(binned, gradients, hessians, binner.max_bins)
+        parent = ParentRegressionTree(params).fit(binned, gradients, hessians, binner.max_bins)
+        assert (tree.depth, tree.n_nodes, tree.n_leaves) == (parent.depth, parent.n_nodes, parent.n_leaves)
+        assert_same_bits(tree.feature_importance(4), parent.feature_importance(4))
+        for depth in range(parent.depth, parent.depth + 3):
+            for split_value in (lambda f, b: b, binner.split_threshold):
+                for table, parent_table in zip(tree.heap_tables(depth, split_value), parent.heap_tables(depth, split_value)):
+                    assert_same_bits(table, parent_table)
+        assert_same_bits(tree.predict(binned), tree_predict_pending(parent, binned))
 
 
 # ----------------------------------------------------------------------

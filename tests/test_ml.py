@@ -105,6 +105,16 @@ class TestRegressionTree:
         tree = RegressionTree(TreeParams(max_depth=3)).fit(binned, np.ones(10), np.ones(10), 4)
         assert tree.n_leaves == 1
 
+    def test_tables_follow_the_depth_reached_not_max_depth(self):
+        """Heap tables of ``max_depth=40`` would hold 2**39 slots; a tree that
+        never splits holds one."""
+        binned = np.random.default_rng(0).integers(0, 8, size=(50, 3)).astype(np.uint16)
+        tree = RegressionTree(TreeParams(max_depth=40)).fit(binned, np.full(50, 0.5), np.ones(50), 8)
+        assert (tree.depth, tree.n_leaves, tree.n_nodes) == (0, 1, 1)
+        assert (tree.feature.size, tree.threshold_bin.size, tree.value.size) == (0, 0, 1)
+        feature, threshold, leaf = tree.heap_tables(2, lambda f, b: b)
+        assert np.isinf(threshold).all() and (leaf == -25.0 / 51.0).all()
+
 
 class TestGBDT:
     def test_beats_base_rate_on_nonlinear_problem(self):

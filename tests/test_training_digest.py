@@ -1,0 +1,115 @@
+"""Golden digests of trained weights: one small seeded fit per tabular model.
+
+``golden/training_digest.json`` holds one SHA-256 per fit over everything the
+fit leaves behind that scoring or reporting reads.  For a
+:class:`~repro.ml.GradientBoostedTrees` that is the packed heap tables
+(``node_feature_``, ``node_threshold_``, ``leaf_value_``), the base score,
+the best iteration, the node count, the feature importances and both loss
+histories; the depth search adds its chosen depth and the validation loss of
+every depth it tried.  For a :class:`~repro.ml.LogisticRegression` it is the
+coefficients, the intercept and the loss history.
+
+The digests were captured at the commit *before* ``RegressionTree`` stopped
+growing node lists and started growing heap tables, so a change to how the
+trainers run is checked against weights the old spelling produced.  A
+re-spelling of a trainer must leave every digest unchanged; a change that
+moves trained bits on purpose regenerates the file and says what moved::
+
+    PYTHONPATH=src python tests/test_training_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.ml import GBDTConfig, GradientBoostedTrees, LogisticRegression
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "training_digest.json"
+
+
+def _problem(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Five columns: continuous, tied integers, a constant, continuous with
+    NaN holes, uniform; the label depends on all but the constant."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [
+            rng.normal(size=n),
+            rng.integers(0, 4, n).astype(np.float64),
+            np.full(n, 2.0),
+            np.where(rng.random(n) < 0.15, np.nan, rng.normal(size=n)),
+            rng.random(n),
+        ]
+    )
+    signal = np.nan_to_num(X[:, 3], nan=1.0)
+    logit = 1.2 * (X[:, 0] > 0.2) - 0.5 * X[:, 1] + signal * X[:, 4] + 0.5
+    return X, (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.float64)
+
+
+def _digest(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        array = np.asarray(part)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _gbdt_parts(model: GradientBoostedTrees) -> tuple:
+    return (
+        model.node_feature_,
+        model.node_threshold_,
+        model.leaf_value_,
+        model.base_score_,
+        model.best_iteration_,
+        model.n_nodes,
+        model.feature_importance(),
+        model.train_loss_history_,
+        model.valid_loss_history_,
+    )
+
+
+def gbdt_plain() -> str:
+    X, y = _problem(300, seed=0)
+    X_valid, y_valid = _problem(120, seed=1)
+    model = GradientBoostedTrees(GBDTConfig(n_rounds=20, max_depth=5)).fit(X, y, eval_set=(X_valid, y_valid))
+    return _digest(*_gbdt_parts(model))
+
+
+def gbdt_subsampled() -> str:
+    X, y = _problem(300, seed=2)
+    config = GBDTConfig(n_rounds=15, max_depth=6, subsample=0.7, min_child_weight=2.0, seed=4)
+    return _digest(*_gbdt_parts(GradientBoostedTrees(config).fit(X, y)))
+
+
+def gbdt_depth_search() -> str:
+    X, y = _problem(300, seed=3)
+    X_valid, y_valid = _problem(120, seed=4)
+    model, depth, losses = GradientBoostedTrees.fit_with_depth_search(
+        X, y, X_valid, y_valid, depths=(1, 2, 4, 7), config=GBDTConfig(n_rounds=12)
+    )
+    return _digest(*_gbdt_parts(model), depth, list(losses), list(losses.values()))
+
+
+def logistic() -> str:
+    X, y = _problem(300, seed=5)
+    model = LogisticRegression(max_iter=80).fit(np.nan_to_num(X, nan=0.0), y)
+    return _digest(model.coef_, model.intercept_, model.loss_history_)
+
+
+FITS = {fit.__name__: fit for fit in (gbdt_plain, gbdt_subsampled, gbdt_depth_search, logistic)}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_training_reproduces_the_captured_weights(name):
+    expected = json.loads(GOLDEN_PATH.read_text())
+    assert FITS[name]() == expected[name]
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps({name: fit() for name, fit in FITS.items()}, indent=1) + "\n")
