@@ -23,7 +23,8 @@
   ``ServerModel`` vs a one-replica ``ReplicaFleet`` vs reactive/predictive
   elastic fleets) and ``scaling_frontier`` (the reactive-vs-predictive
   cost-vs-SLO frontier).  The function is the runner; the workload and the
-  scenario functions live in :mod:`~repro.experiments.serving_scenarios`.
+  one table of scenarios — each an entry of data run by one
+  ``run_scenario`` — live in :mod:`~repro.experiments.serving_scenarios`.
   ``manifests/smoke.json`` is the small CI version.
 """
 
@@ -45,13 +46,13 @@ from .results import ExperimentResult
 from .serving_scenarios import (
     DEFAULT_SCENARIOS,
     ENGINE_OWNED_FIELDS,
-    RAMPED_SCENARIOS,
     SCENARIOS,
     prepare_workload,
     resolve_engine_block,
     resolve_params,
+    run_scenario,
 )
-from .spec import ParamSpec, register
+from .spec import ParamSpec, get_spec, register
 
 __all__ = ["run_online_prefetch", "run_serving_cost", "run_training_throughput", "run_batched_serving"]
 
@@ -334,15 +335,17 @@ def run_batched_serving(
     of ``n_shards`` KV shards (``replication`` replicas per key in the
     elastic and canary scenarios).
 
-    This function is the runner: validate the parameters and run every
-    selected scenario's preflight, generate the arrival streams (rejecting a
-    span that would let session-end timers fire mid-serve), train the RNN
-    once, call each selected scenario of
-    :data:`~repro.experiments.serving_scenarios.SCENARIOS` on its request
-    stream, and assemble the metadata.  What each scenario replays and
-    *asserts* (bit-identity of the placement-only, admission-disabled,
-    one-replica-fleet and shadow-scored arms; the predictive-beats-reactive
-    frontier ordering) is documented on its function in
+    This function is the runner: validate the parameters and every selected
+    scenario's requirements, generate the arrival streams (rejecting a span
+    too short for a scenario's stage timers, or one that would let
+    session-end timers fire mid-serve), train the RNN once, run each selected
+    :data:`~repro.experiments.serving_scenarios.SCENARIOS` entry on its
+    request stream with ``run_scenario``, and assemble the metadata — the
+    parameters only some scenarios read are recorded when a selected entry
+    lists them.  What each scenario replays and *asserts* (bit-identity of
+    the placement-only, admission-disabled, one-replica-fleet and
+    shadow-scored arms; the predictive-beats-reactive frontier ordering) is
+    declared in its entry, documented on its arms in
     :mod:`~repro.experiments.serving_scenarios` and tabulated in the README.
 
     Every pipeline is built through the
@@ -361,7 +364,8 @@ def run_batched_serving(
     params = dict(locals())  # must stay the first statement: exactly the arguments
     del params["engine_config"]
     params = resolve_params(params)
-    workload, streams = prepare_workload(params, resolve_engine_block(engine_config))
+    engine_overrides = resolve_engine_block(engine_config, get_spec("batched_serving").param_names())
+    workload, streams = prepare_workload(params, engine_overrides)
 
     result = ExperimentResult(
         experiment_id="batched_serving",
@@ -375,22 +379,24 @@ def run_batched_serving(
             "timer waves batches both dataflows while leaving per-request KV traffic unchanged"
         ),
     )
-    ran = set(scenarios)
+    # The parameters only some scenarios read are recorded when one of
+    # those ran (its table entry's ``records``).
+    recorded = {key for name in scenarios for key in SCENARIOS[name].records}
     metadata = result.metadata = {
         "n_users": n_users,
         "n_shards": n_shards,
         "arrival_rate": arrival_rate,
         "burst_size": burst_size,
-        "coalescing_windows": list(params["coalescing_windows"]) if "window_sweep" in ran else [],
+        "coalescing_windows": list(params["coalescing_windows"]) if "coalescing_windows" in recorded else [],
         "engine_config": dict(engine_config) if engine_config is not None else None,
         "throughput_speedup": None,
         "prediction_speedups": {},
         "update_drain_speedups": {},
-        "service_rate": service_rate if ran & set(RAMPED_SCENARIOS) else None,
-        "slo_mode": slo_mode if ran & {"overload", "slo_sweep"} else None,
+        "service_rate": service_rate if "service_rate" in recorded else None,
+        "slo_mode": slo_mode if "slo_mode" in recorded else None,
         "user_skew": user_skew,
         "shed_rates": {},
-        "replication": replication if ran & {"shard_failover", "diurnal_rebalance"} else None,
+        "replication": replication if "replication" in recorded else None,
         "elastic_meters": {},
     }
     # A scenario's pieces either extend one of the metadata's per-scenario
@@ -398,7 +404,7 @@ def run_batched_serving(
     # and Chrome-trace export ("trace").
     artifacts: dict[str, Any] = {}
     for name, requests in streams.items():
-        rows, pieces = SCENARIOS[name][1](workload, name, requests)
+        rows, pieces = run_scenario(workload, name, requests)
         result.rows += rows
         for key, piece in pieces.items():
             if key in metadata:

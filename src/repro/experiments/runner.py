@@ -78,6 +78,7 @@ def validate_engine_block(
     *,
     reserved: tuple[str, ...] = (),
     backends: tuple[str, ...] = (),
+    params: tuple[str, ...] = (),
     where: str = "the \"engine\" block",
 ) -> dict[str, Any]:
     """Validate a partial-:class:`EngineConfig` mapping; returns a copy.
@@ -85,8 +86,9 @@ def validate_engine_block(
     Shared between manifest loading (:func:`load_manifest`) and the
     direct-call path (``run_batched_serving(engine_config=...)``) so the two
     cannot drift: unknown ``EngineConfig`` fields, experiment-owned fields,
-    values ``EngineConfig`` itself would refuse for that field and
-    unsupported backend kinds all raise :class:`ManifestError` with the
+    values ``EngineConfig`` itself would refuse for that field,
+    unsupported backend kinds and fields that shadow one of the experiment's
+    ``params`` (parameter names) all raise :class:`ManifestError` with the
     same wording from either entry point.
     """
     unknown = set(engine) - set(ENGINE_FIELDS)
@@ -111,6 +113,17 @@ def validate_engine_block(
         raise ManifestError(
             f"{where}: this experiment drives backend kinds {list(backends)}, "
             f"got {engine['backend']!r}"
+        )
+    # An engine field that shadows an experiment parameter (e.g. n_shards)
+    # would make the template silently win while provenance records the
+    # parameter (or its default) — the parameter is the one owner of such
+    # knobs.
+    shadowed = set(engine) & set(params)
+    if shadowed:
+        raise ManifestError(
+            f"{where}: {sorted(shadowed)} must be set as experiment parameters (a manifest's \"params\" or "
+            "\"sweep\"), not in the engine block: an engine-block value would shadow the parameter and "
+            "falsify the recorded provenance"
         )
     return dict(engine)
 
@@ -191,19 +204,9 @@ def _validate_entry(index: int, entry: ManifestEntry) -> ExperimentSpec:
             entry.engine,
             reserved=spec.engine_reserved,
             backends=spec.engine_backends,
+            params=spec.param_names(),
             where=f"{where}, \"engine\" block",
         )
-        # An engine field that shadows an experiment parameter (e.g.
-        # n_shards) would make the template silently win while provenance
-        # records the parameter (or its default) — the parameter is the one
-        # owner of such knobs.
-        shadowed = set(entry.engine) & set(spec.param_names())
-        if shadowed:
-            raise ManifestError(
-                f"{where}: {sorted(shadowed)} must be set via experiment \"params\" (or \"sweep\"); "
-                "setting them in the \"engine\" block would shadow the parameter and "
-                "falsify the recorded provenance"
-            )
     for name, values in entry.sweep.items():
         if name in entry.params:
             raise ManifestError(f"{where}: {name!r} appears in both \"params\" and \"sweep\"")

@@ -1,28 +1,34 @@
-"""The ``batched_serving`` workload and its ten scenarios.
+"""The ``batched_serving`` workload and its ten scenarios, as one table.
 
 :func:`~repro.experiments.production.run_batched_serving` is a runner over
-this module: :func:`resolve_params` validates the parameters and runs every
-selected scenario's preflight, :func:`prepare_workload` generates the arrival
-streams and trains the RNN once, and each scenario is one plain function
-``scenario(workload, name, requests) -> (rows, pieces)`` looked up in
-:data:`SCENARIOS` — ``rows`` are the result rows, ``pieces`` what the scenario
-contributes to the result's metadata (entries for the ``shed_rates`` /
+this module: :func:`resolve_params` validates the parameters and checks every
+selected scenario's requirements, :func:`prepare_workload` generates the
+arrival streams and trains the RNN once, and :func:`run_scenario` runs one
+:data:`SCENARIOS` entry on its request stream and returns ``(rows, pieces)``
+— ``rows`` are the result rows, ``pieces`` what the scenario contributes to
+the result's metadata (entries for the ``shed_rates`` /
 ``prediction_speedups`` / ``update_drain_speedups`` / ``elastic_meters``
-tables, and the last pipeline's ``metrics`` / ``trace`` dumps).  A scenario
+tables, and the last row arm's ``metrics`` / ``trace`` dumps).  A scenario
 needs nothing but a :class:`Workload` and a request stream, so each one can be
-called — and tested — on its own.
+run — and tested — on its own.
 
-Every pipeline is built through the
-:class:`~repro.serving.engine.ServingEngine` facade from the one template in
-:meth:`Workload.build_engine`.
+A scenario is data, a :class:`Scenario`: its arrival shape, its arms (one
+:class:`Arm` per pipeline: ``EngineConfig`` additions, ``ServingEngine.build``
+parts, pool name, mid-replay steps, row columns), its parameter requirements,
+its twin invariants and its own checks.  Every arm is built from the one
+template in :meth:`Workload.build_engine` and driven by one replay,
+:func:`replay_arm`, which times its serve and drain phases apart for the
+metering scenarios' rows; every twin invariant is one
+:func:`~repro.serving.twins.first_difference` call in :func:`run_scenario`.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -116,14 +122,6 @@ def _zipf_user_popularity(n_active: int, skew: float) -> np.ndarray:
     return popularity / popularity.sum()
 
 
-def _assert_twins(name: str, invariant: str, left: dict, right: dict, ignore=()) -> None:
-    """Raise unless two :func:`~repro.serving.twins.observe` snapshots agree
-    byte for byte outside ``ignore``, naming the first difference."""
-    difference = first_difference(left, right, ignore)
-    if difference is not None:
-        raise AssertionError(f"{name}: {invariant} (first difference: {difference})")
-
-
 # ----------------------------------------------------------------------
 # The workload: what every scenario replays against
 # ----------------------------------------------------------------------
@@ -181,9 +179,131 @@ class Workload:
         engine.store.reset_stats()
         return engine
 
-    def updates_since_warm_up(self, engine: ServingEngine) -> int:
-        """Session-end updates applied past ``build_engine``'s one per user."""
-        return engine.updates_applied - len(self.active_users)
+
+# ----------------------------------------------------------------------
+# Arms and their replays
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Arm:
+    """One pipeline of a scenario.
+
+    ``store`` is its pool name — a twin takes its arm's, so both place every
+    key alike.  ``config`` adds :class:`EngineConfig` fields to the template
+    and ``parts`` are :meth:`ServingEngine.build` keyword arguments (see
+    :meth:`Workload.build_engine`); ``batch_size`` defaults to the largest.
+    ``steps`` run on the store between equal cuts of the request stream (two
+    steps: at 1/3 and 2/3), each handed the previous step's result.
+    ``columns`` are its row's; an arm without columns is a twin that makes no
+    row.  ``label`` names it in the ``arm`` column and in its scenario's twin
+    invariants, which observe its ``namespace`` and its deliveries from
+    ``compare_from`` on.
+    """
+
+    store: str
+    config: Mapping[str, Any] = field(default_factory=dict)
+    parts: Mapping[str, Any] = field(default_factory=dict)
+    label: str = ""
+    batch_size: int | None = None
+    steps: tuple[Callable[[Any, Any], Any], ...] = ()
+    columns: tuple[str, ...] = ()
+    namespace: str = ""
+    compare_from: int = 0
+
+
+@dataclass(frozen=True)
+class Run:
+    """An arm after its replay: its engine, what it delivered, and the values
+    only the replay itself could measure (timed phases, a fleet's bill)."""
+
+    arm: Arm
+    engine: ServingEngine
+    served: list
+    measured: Mapping[str, Any]
+
+    @property
+    def traced(self) -> bool:
+        """Capacity arms trace (their rows carry the latency breakdown)."""
+        return "tracing" in self.arm.config
+
+
+def replay_arm(workload: Workload, arm: Arm, requests) -> Run:
+    """Build ``arm`` and replay ``requests`` through it end to end, timing
+    the serve and drain phases apart.
+
+    This is :meth:`ServingEngine.replay`'s sequence — serve, flush, fire the
+    remaining session-end timers, force-drain deferred requests, drain — with
+    the arm's ``steps`` run between equal cuts of the serve.  The replay is
+    admission-aware: sessions are observed whether or not their prediction
+    was admitted (shedding protects the scoring path, not ground truth —
+    every arm applies the identical update stream), so every update lands
+    and every request but the shed ones is delivered.
+
+    The timed phases are what the metering scenarios report: the serve
+    phase (every request served and flushed) and the drain phase (the
+    session-end updates fired through the stream: waves of closed sessions,
+    or one timer at a time at batch size 1).  The store's meters are
+    snapshotted between them, so over a stream shorter than one session
+    window — no timer fires mid-serve — the serve-phase metering is pure
+    prediction traffic.  Ramped streams fire timers mid-serve by design, so
+    their scenarios report other columns.
+
+    A :class:`~repro.serving.autoscale.ReplicaFleet`'s cost meter is settled
+    at the first arrival and again after the drain (the stream clock ends
+    past the last arrival), so its ``replica_seconds`` cover the arrival span
+    alone and arms are directly comparable: settling is pure with no pending
+    transitions — it only accrues replica-seconds.  The fleet's readings are
+    measured here; a fixed server's are :data:`COLUMNS` defaults.
+    """
+    engine = workload.build_engine(arm.store, arm.batch_size or workload.top_batch, arm.config, **arm.parts)
+    store, stream, server = engine.store, engine.stream, engine.server
+    fleet = isinstance(server, ReplicaFleet)
+    if fleet:
+        server.backlog_seconds(float(requests[0][0]))
+        cost_at_start = server.replica_seconds
+
+    # The two phases below are single-shot timings of a few milliseconds; a
+    # full collection of a large host process (≈ 30 ms under pytest) landing
+    # inside one reads as an 8× slowdown.  Collect now: the phases allocate
+    # far too little to reach the next full collection themselves.
+    gc.collect()
+    serve_start = time.perf_counter()
+    served, carried, start = [], None, 0
+    for index, step in enumerate(arm.steps, start=1):
+        cut = index * len(requests) // (len(arm.steps) + 1)
+        served += engine.serve(requests[start:cut])
+        carried, start = step(store, carried), cut
+    served += engine.serve(requests[start:])
+    served += engine.flush()
+    serve_seconds = time.perf_counter() - serve_start
+    serve_stats = store.stats.snapshot()
+    waves_before = stream.waves_fired
+    drain_start = time.perf_counter()
+    stream.flush()
+    drain_seconds = time.perf_counter() - drain_start
+    served += engine.drain_deferred()
+    served += engine.drain_completed()
+    # Session-end updates applied past the warm-up's one per user.
+    updates = engine.updates_applied - len(workload.active_users)
+    shed = engine.admission.requests_shed if engine.admission is not None else 0
+    assert updates == len(requests) and len(served) == engine.predictions_served == len(requests) - shed
+    measured = {
+        "offered": len(requests),
+        "requests_per_second": len(served) / serve_seconds if serve_seconds > 0 else float("inf"),
+        "updates_per_second": updates / drain_seconds if drain_seconds > 0 else float("inf"),
+        "mean_wave": updates / max(stream.waves_fired - waves_before, 1),
+        "mean_update_delay": engine.update_delay_seconds / updates,
+        "kv_gets_per_request": serve_stats["gets"] / len(served),
+        "bytes_per_request": serve_stats["bytes_read"] / len(served),
+        "cost_per_request": kv_traffic_cost(serve_stats) / len(served)
+        + CostParameters().flop_cost * rnn_prediction_flops(workload.rnn.network),
+    }
+    if fleet:
+        server.backlog_seconds(stream.clock)
+        measured.update(
+            (reading, getattr(server, reading)) for reading in ("peak_replicas", "scale_up_events", "scale_down_events")
+        )
+        measured["replica_seconds"] = server.replica_seconds - cost_at_start
+    return Run(arm, engine, served, measured)
 
 
 # ----------------------------------------------------------------------
@@ -207,212 +327,92 @@ ROW_DIGITS = {
     "p99_queue_latency": 1,
     "peak_backlog": 1,
     "replica_seconds": 1,
+    "divergence_p99": 6,
+}
+
+#: The pool's elastic meters, as its scenarios' rows report them.
+RING_METERS = (
+    "keys_migrated", "migration_bytes", "keys_rehydrated", "rehydration_bytes", "shard_failures",
+    "shard_recoveries", "membership_changes",
+)
+
+
+#: How a finished run's row column is read, for every column its replay did
+#: not measure itself.  Only the columns an arm declares are read.
+COLUMNS: dict[str, Callable[[Run], Any]] = {
+    "arm": lambda run: run.arm.label,
+    "batch_size": lambda run: run.engine.config.max_batch_size,
+    "coalescing_window": lambda run: run.engine.config.coalescing_window,
+    "replication": lambda run: run.engine.config.replication,
+    "mean_batch": lambda run: run.engine.mean_batch_size,
+    "load_imbalance": lambda run: run.engine.store.load_imbalance(),
+    "queue_bound": lambda run: run.engine.admission.policy.max_queue_depth or 0,
+    "served": lambda run: len(run.served),
+    "shed": lambda run: run.engine.admission.requests_shed,
+    "deferred": lambda run: run.engine.admission.requests_deferred,
+    "shed_rate": lambda run: run.engine.admission.shed_rate,
+    # The end-to-end update *latency* (wave wait + server backlog at
+    # delivery) — one histogram supplies every latency statistic in the
+    # rows, so mean and p99 always describe the same distribution.
+    "p99_update_latency": lambda run: run.engine.metrics.histogram("serving.update_latency_seconds").quantile(0.99),
+    "mean_update_latency": lambda run: run.engine.metrics.histogram("serving.update_latency_seconds").mean,
+    "p99_queue_latency": lambda run: run.engine.metrics.histogram("queue.latency_seconds").quantile(0.99),
+    "peak_backlog": lambda run: run.engine.server.peak_backlog_seconds,
+    # A fleet's readings are measured by its replay; a fixed server runs no
+    # bill, on one replica that never scales.
+    "replica_seconds": lambda run: None,
+    "peak_replicas": lambda run: 1,
+    "scale_up_events": lambda run: 0,
+    "scale_down_events": lambda run: 0,
+    "first_scale_up_at": lambda run: getattr(run.engine.autoscaler, "first_scale_up_at", None),
+    # A row is only returned once its scenario's twin invariants held.
+    "bit_identical": lambda run: True,
+    **{meter: (lambda run, meter=meter: getattr(run.engine.store, meter)) for meter in RING_METERS},
+    "rolled_back": lambda run: run.engine.rollout.rolled_back,
+    "promoted": lambda run: run.engine.rollout.promoted,
+    "shadow_scored": lambda run: run.engine.rollout.shadow.predictions_served,
+    "shadow_keys": lambda run: sum(key.startswith("candidate:hidden:") for key in run.engine.store.keys()),
+    "canary_assigned": lambda run: run.engine.rollout.canary_assigned,
+    "divergence_p99": lambda run: run.engine.metrics.histogram(
+        "rollout.candidate.divergence", DIVERGENCE_BUCKETS
+    ).quantile(0.99),
+    "stage_history": lambda run: ";".join(run.engine.rollout.stage_history),
+    "post_swap_requests": lambda run: len(run.served) - run.arm.compare_from,
 }
 
 
-def _row(scenario: str, measured: Mapping[str, Any], columns: tuple[str, ...]) -> dict[str, Any]:
-    """One result row: ``columns`` of a replay's ``measured`` values, rounded
-    per :data:`ROW_DIGITS`, then its ``TraceAnalyzer`` columns if it was traced."""
+def _row(scenario: str, run: Run) -> dict[str, Any]:
+    """One result row: the arm's ``columns`` — measured by its replay or read
+    per :data:`COLUMNS` — rounded per :data:`ROW_DIGITS`, then its
+    ``TraceAnalyzer`` columns if it was traced."""
     row = {"scenario": scenario}
-    for column in columns:
-        value = measured[column]
+    for column in run.arm.columns:
+        value = run.measured[column] if column in run.measured else COLUMNS[column](run)
         if column in ROW_DIGITS and value is not None:
             value = round(value, ROW_DIGITS[column])
         row[column] = value
-    row.update(measured.get("trace_summary", {}))
+    if run.traced:
+        row.update(TraceAnalyzer(run.engine.tracer.spans()).summary())
     return row
 
 
 # ----------------------------------------------------------------------
-# Replays
-# ----------------------------------------------------------------------
-def metering_replay(workload: Workload, scenario: str, requests, batch_size: int, window: int) -> dict:
-    """One metering replay: serve every request, then drain the updates,
-    timing the two phases apart."""
-    n_requests = workload.params["n_requests"]
-    engine = workload.build_engine(
-        f"rnn-{scenario}-b{batch_size}" + (f"-w{window}" if window else ""),
-        batch_size,
-        {"coalescing_window": window},
-    )
-    store, stream = engine.store, engine.stream
-
-    # The two phases below are single-shot timings of a few milliseconds; a
-    # full collection of a large host process (≈ 30 ms under pytest) landing
-    # inside one reads as an 8× slowdown.  Collect now: the phases allocate
-    # far too little to reach the next full collection themselves.
-    gc.collect()
-    serve_start = time.perf_counter()
-    served = engine.serve(requests)
-    served += engine.flush()
-    serve_seconds = time.perf_counter() - serve_start
-    served += engine.drain_completed()
-    # Snapshot before the update drain so the serve-phase metering is
-    # pure prediction traffic (no timer fires mid-serve: the arrival
-    # span is shorter than session_length + extra_lag).
-    serve_stats = store.stats.snapshot()
-
-    # Drain the session-end updates through the stream: waves of
-    # closed sessions (or one timer at a time at batch size 1).
-    waves_before = stream.waves_fired
-    drain_start = time.perf_counter()
-    stream.flush()
-    drain_seconds = time.perf_counter() - drain_start
-    updates_applied = workload.updates_since_warm_up(engine)
-    assert len(served) == n_requests and engine.predictions_served == n_requests
-    assert updates_applied == n_requests
-    cost_per_request = (
-        kv_traffic_cost(serve_stats) / len(served)
-        + CostParameters().flop_cost * rnn_prediction_flops(workload.rnn.network)
-    )
-    return {
-        "batch_size": batch_size,
-        "coalescing_window": window,
-        "requests_per_second": len(served) / serve_seconds if serve_seconds > 0 else float("inf"),
-        "updates_per_second": updates_applied / drain_seconds if drain_seconds > 0 else float("inf"),
-        "mean_wave": updates_applied / max(stream.waves_fired - waves_before, 1),
-        "mean_update_delay": engine.update_delay_seconds / updates_applied,
-        "kv_gets_per_request": serve_stats["gets"] / len(served),
-        "bytes_per_request": serve_stats["bytes_read"] / len(served),
-        "cost_per_request": cost_per_request,
-        "mean_batch": engine.mean_batch_size,
-        "load_imbalance": store.load_imbalance(),
-        "metrics": engine.metrics.snapshot(),
-    }
-
-
-def capacity_replay(
-    workload: Workload,
-    store_name: str,
-    requests,
-    depth_bound: int,
-    *,
-    arm: str = "server",
-    admission_mode: str = "shed",
-) -> dict:
-    """One arm over a ramped stream: a pipeline with a capacity model, at the
-    largest batch size.
-
-    ``arm`` selects the capacity model: ``"server"`` (the fixed
-    :class:`~repro.serving.slo.ServerModel` draining ``service_rate``
-    requests per simulated second), ``"fixed"`` (a one-replica
-    :class:`~repro.serving.autoscale.ReplicaFleet` that never scales — the
-    bit-identity arm), or ``"reactive"`` / ``"predictive"`` (elastic fleets
-    under the named policy).  ``depth_bound == 0`` disables admission (the
-    policy has no bounds, so the controller is provably a no-op); otherwise
-    new requests are shed (or parked, under ``admission_mode="defer"``)
-    whenever the effective queue depth — pending micro-batch requests plus
-    the server backlog in requests — reaches the bound.  A fleet's
-    replica-seconds cost is measured over the arrival span only (warm-up and
-    the idle run-in before the first arrival are excluded), so arms are
-    directly comparable.
-
-    Tracing is on by default (the rows carry the ``TraceAnalyzer``
-    latency-breakdown columns); a manifest ``tracing`` block still wins,
-    e.g. to sample.  Tracing is pinned bit-invisible, so the arms stay
-    comparable either way — and the bit-identity assertions between the
-    fixed-fleet and ``ServerModel`` arms also pin that it never perturbs
-    the dataflow.
-    """
-    params = workload.params
-    n_requests = params["n_requests"]
-    t0, t_end = int(requests[0][0]), int(requests[-1][0])
-    parts: dict[str, Any] = {}
-    config: dict[str, Any] = {"tracing": {}}
-    if arm == "server":
-        parts["server"] = ServerModel(params["service_rate"])
-    elif arm == "fixed":
-        parts["server"] = ReplicaFleet(params["service_rate"])
-    else:
-        interval = params["autoscale_interval"]
-        config["autoscale"] = {
-            "policy": arm,
-            "service_rate": params["service_rate"],
-            "start": t0 + interval,
-            "until": t_end,
-            "interval": interval,
-            "max_replicas": params["autoscale_max_replicas"],
-            "provision_delay": params["autoscale_provision_delay"],
-            "decommission_delay": interval // 2,
-            "target_queue_depth": float(params["autoscale_target_depth"]),
-        }
-    engine = workload.build_engine(
-        store_name,
-        workload.top_batch,
-        config,
-        slo_policy=SloPolicy(max_queue_depth=depth_bound or None),
-        admission_mode=admission_mode,
-        **parts,
-    )
-    server, is_fleet = engine.server, arm != "server"
-    cost_at_start = 0.0
-    if is_fleet:
-        # Settle the fleet's cost meter at the first arrival: settling is
-        # pure with no pending transitions (it only accrues replica-
-        # seconds), and subtracting the run-in leaves the cost of the
-        # arrival span itself.
-        server.backlog_seconds(float(t0))
-        cost_at_start = server.replica_seconds
-
-    # engine.replay is admission-aware: sessions are observed whether or
-    # not their prediction was admitted (shedding protects the scoring
-    # path, not ground truth — every arm applies the identical update
-    # stream), shed requests are excluded from the delivery count, and
-    # deferred ones are force-drained at the end.
-    served = engine.replay(requests)
-
-    admission = engine.admission
-    assert workload.updates_since_warm_up(engine) == n_requests
-    assert len(served) == n_requests - admission.requests_shed
-    if is_fleet:
-        # Force a final settle so the cost meter covers the whole span
-        # (the stream clock ends past the last arrival after the drain).
-        server.backlog_seconds(engine.stream.clock)
-    # The end-to-end update *latency* (wave wait + server backlog at
-    # delivery) — one histogram supplies every latency statistic in the
-    # rows, so mean and p99 always describe the same distribution.
-    latency = engine.metrics.histogram("serving.update_latency_seconds")
-    autoscaler = engine.autoscaler
-    measured = {
-        "arm": arm,
-        "batch_size": workload.top_batch,
-        "queue_bound": depth_bound,
-        "offered": n_requests,
-        "served": len(served),
-        "shed": admission.requests_shed,
-        "deferred": admission.requests_deferred,
-        "shed_rate": admission.shed_rate,
-        "p99_update_latency": latency.quantile(0.99),
-        "mean_update_latency": latency.mean,
-        "p99_queue_latency": engine.metrics.histogram("queue.latency_seconds").quantile(0.99),
-        "peak_backlog": server.peak_backlog_seconds,
-        "replica_seconds": server.replica_seconds - cost_at_start if is_fleet else None,
-        "peak_replicas": server.peak_replicas if is_fleet else 1,
-        "scale_up_events": server.scale_up_events if is_fleet else 0,
-        "scale_down_events": server.scale_down_events if is_fleet else 0,
-        "first_scale_up_at": autoscaler.first_scale_up_at if autoscaler is not None else None,
-        "engine": engine,
-        "delivered": served,
-        "metrics": engine.metrics.snapshot(),
-        "trace": engine.tracer.chrome_trace(),
-        "trace_summary": TraceAnalyzer(engine.tracer.spans()).summary(),
-    }
-    engine.close()
-    return measured
-
-
-# ----------------------------------------------------------------------
-# The scenarios: ``scenario(workload, name, requests) -> (rows, pieces)``
+# The scenarios' arms: ``arms(workload, name, requests) -> [Arm, …]``
 # ----------------------------------------------------------------------
 _BATCH_SIZE_COLUMNS = (
     "batch_size", "requests_per_second", "updates_per_second", "mean_wave", "kv_gets_per_request",
     "bytes_per_request", "cost_per_request", "mean_batch", "load_imbalance",
 )
+_WINDOW_COLUMNS = (
+    "batch_size", "coalescing_window", "requests_per_second", "updates_per_second", "mean_wave",
+    "mean_update_delay",
+)
 
 
-def batch_size_sweep(workload: Workload, name: str, requests):
-    """``poisson`` / ``bursty``: one metering replay per batch size.
+def _metering_arms(workload: Workload, name: str, requests, *, windows: bool) -> list[Arm]:
+    """The metering sweeps, one timed replay per point.
 
+    ``poisson`` / ``bursty`` (``windows=False``) sweep the batch size.
     Per-request KV traffic is invariant (one state fetch per prediction), so
     the rows isolate what batching buys on both dataflows: the serve phase
     reports prediction throughput, the drain phase fires the session-end
@@ -421,201 +421,177 @@ def batch_size_sweep(workload: Workload, name: str, requests):
     batch sizes the stream's wave-coalesced scheduler delivers whole waves of
     closed sessions as one ``[B, hidden]`` GRU step — under bursty arrivals
     that is where the wave scheduler pays off, because every burst's windows
-    close in the same second.  The pieces are the largest-over-smallest batch
-    size speedups of both phases.
+    close in the same second.  Their pieces are the largest-over-smallest
+    batch size speedups of both phases (:func:`_speedups`).
+
+    ``window_sweep`` (``windows=True``) is the latency vs wave-size
+    trade-off: the same bursty stream at the largest batch size across
+    widening ``coalescing_windows``.  A wider window absorbs more bursts per
+    wave (bigger batched updates, fewer deliveries) at the price of
+    ``mean_update_delay`` — simulated seconds each update waited past its own
+    fire time.
     """
-    batch_sizes = workload.params["batch_sizes"]
-    runs = [metering_replay(workload, name, requests, batch_size, 0) for batch_size in batch_sizes]
-    by_batch = dict(zip(batch_sizes, runs))
-    top, base = by_batch[max(batch_sizes)], by_batch[min(batch_sizes)]
-    rows = [_row(name, measured, _BATCH_SIZE_COLUMNS) for measured in runs]
-    return rows, {
-        "prediction_speedups": {name: round(top["requests_per_second"] / base["requests_per_second"], 2)},
-        "update_drain_speedups": {name: round(top["updates_per_second"] / base["updates_per_second"], 2)},
-        "metrics": runs[-1]["metrics"],
+    params = workload.params
+    if windows:
+        points = [(workload.top_batch, window) for window in params["coalescing_windows"]]
+    else:
+        points = [(batch_size, 0) for batch_size in params["batch_sizes"]]
+    return [
+        Arm(
+            f"rnn-{name}-b{batch_size}" + (f"-w{window}" if window else ""),
+            {"coalescing_window": window},
+            batch_size=batch_size,
+            columns=_WINDOW_COLUMNS if windows else _BATCH_SIZE_COLUMNS,
+        )
+        for batch_size, window in points
+    ]
+
+
+def _capacity_arm(
+    workload: Workload, requests, store: str, depth_bound: int, kind: str = "server", *, label: str = "",
+    admission_mode: str = "shed", columns: tuple[str, ...] = (),
+) -> Arm:
+    """One arm with a capacity model, over a ramped stream.
+
+    ``kind`` selects the capacity model: ``"server"`` (the fixed
+    :class:`~repro.serving.slo.ServerModel` draining ``service_rate``
+    requests per simulated second), ``"fixed"`` (a one-replica
+    :class:`~repro.serving.autoscale.ReplicaFleet` that never scales — the
+    bit-identity arm), or ``"reactive"`` / ``"predictive"`` (elastic fleets
+    under the named policy); it labels the arm unless ``label`` does.
+    ``depth_bound == 0`` disables admission (the policy has no bounds, so the
+    controller is provably a no-op); otherwise new requests are shed (or
+    parked, under ``admission_mode="defer"``) whenever the effective queue
+    depth — pending micro-batch requests plus the server backlog in requests
+    — reaches the bound.
+
+    Tracing is on by default (the rows carry the ``TraceAnalyzer``
+    latency-breakdown columns); a manifest ``tracing`` block still wins,
+    e.g. to sample.  Tracing is pinned bit-invisible, so the arms stay
+    comparable either way — and the bit-identity invariants between the
+    fixed-fleet and ``ServerModel`` arms also pin that it never perturbs
+    the dataflow.
+    """
+    params = workload.params
+    config: dict[str, Any] = {"tracing": {}}
+    parts: dict[str, Any] = {
+        "slo_policy": SloPolicy(max_queue_depth=depth_bound or None),
+        "admission_mode": admission_mode,
     }
-
-
-_WINDOW_COLUMNS = (
-    "batch_size", "coalescing_window", "requests_per_second", "updates_per_second", "mean_wave",
-    "mean_update_delay",
-)
-
-
-def window_sweep(workload: Workload, name: str, requests):
-    """Latency vs wave-size trade-off: the same bursty stream at the largest
-    batch size across widening ``coalescing_windows``.  A wider window absorbs
-    more bursts per wave (bigger batched updates, fewer deliveries) at the
-    price of ``mean_update_delay`` — simulated seconds each update waited past
-    its own fire time."""
-    rows, pieces = [], {}
-    for window in workload.params["coalescing_windows"]:
-        measured = metering_replay(workload, name, requests, workload.top_batch, window)
-        pieces["metrics"] = measured["metrics"]
-        rows.append(_row(name, measured, _WINDOW_COLUMNS))
-    return rows, pieces
+    if kind in ("server", "fixed"):
+        parts["server"] = (ServerModel if kind == "server" else ReplicaFleet)(params["service_rate"])
+    else:
+        interval = params["autoscale_interval"]
+        config["autoscale"] = {
+            "policy": kind,
+            "service_rate": params["service_rate"],
+            "start": int(requests[0][0]) + interval,
+            "until": int(requests[-1][0]),
+            "interval": interval,
+            "max_replicas": params["autoscale_max_replicas"],
+            "provision_delay": params["autoscale_provision_delay"],
+            "decommission_delay": interval // 2,
+            "target_queue_depth": float(params["autoscale_target_depth"]),
+        }
+    return Arm(store, config, parts, label=label or kind, columns=columns)
 
 
 _OVERLOAD_COLUMNS = (
     "arm", "batch_size", "queue_bound", "offered", "served", "shed", "deferred", "shed_rate",
     "p99_update_latency", "mean_update_latency", "p99_queue_latency", "peak_backlog",
 )
-
-
-def overload(workload: Workload, name: str, requests):
-    """Offered load exceeding capacity: two arms over the identical ramped
-    stream, ``open`` (no admission control) and ``slo`` (shedding — or, with
-    ``slo_mode="defer"``, parking — new requests whenever the effective queue
-    depth reaches ``slo_queue_depth``).  The open arm shows the cost of
-    overload (higher p99 update latency) that the controller buys back by
-    shedding.  With ``slo_queue_depth=0`` the controlled arm's policy is empty
-    and the scenario *asserts* it is bit-identical, outside its own ``slo.*``
-    instruments, to an engine with the same server and no admission
-    controller — admission plumbing with shedding disabled is a no-op by
-    contract."""
-    params = workload.params
-    arms = {
-        arm_name: capacity_replay(
-            workload,
-            f"rnn-{name}-b{workload.top_batch}-d{depth_bound}",
-            requests,
-            depth_bound,
-            admission_mode=params["slo_mode"],
-        )
-        for arm_name, depth_bound in (("open", 0), ("slo", params["slo_queue_depth"]))
-    }
-    if params["slo_queue_depth"] == 0:
-        # The twin: the same server and pool, no admission controller at all.
-        bare = workload.build_engine(
-            f"rnn-{name}-b{workload.top_batch}-d0",
-            workload.top_batch,
-            {"tracing": {}},
-            server=ServerModel(params["service_rate"]),
-        )
-        slo = arms["slo"]
-        _assert_twins(
-            name, "admission control with shedding disabled must be bit-invisible",
-            observe(slo["engine"], slo["delivered"]), observe(bare, bare.replay(requests)), ("metric:slo.",),
-        )
-    rows = [_row(name, {**measured, "arm": arm_name}, _OVERLOAD_COLUMNS) for arm_name, measured in arms.items()]
-    return rows, {
-        "shed_rates": {name: round(arms["slo"]["shed_rate"], 4)},
-        "metrics": arms["slo"]["metrics"],
-        "trace": arms["slo"]["trace"],
-    }
-
-
 _SLO_SWEEP_COLUMNS = (
     "batch_size", "queue_bound", "served", "shed", "deferred", "shed_rate", "p99_update_latency",
     "mean_update_latency", "peak_backlog",
 )
 
 
-def slo_sweep(workload: Workload, name: str, requests):
-    """Shed-rate vs p99-update-latency frontier: one replay of the overload
-    stream per ``slo_queue_depths`` bound (0 = no admission)."""
-    rows, pieces = [], {}
-    for depth_bound in workload.params["slo_queue_depths"]:
-        measured = capacity_replay(
-            workload,
-            f"rnn-{name}-b{workload.top_batch}-d{depth_bound}",
-            requests,
-            depth_bound,
-            admission_mode=workload.params["slo_mode"],
+def _admission_arms(workload: Workload, name: str, requests, *, sweep: bool) -> list[Arm]:
+    """Admission control over the ramped stream, in ``slo_mode``.
+
+    ``overload`` (``sweep=False``) is offered load exceeding capacity: two
+    arms over the identical ramped stream, ``open`` (no admission control)
+    and ``slo`` (shedding — or, with ``slo_mode="defer"``, parking — new
+    requests whenever the effective queue depth reaches ``slo_queue_depth``).
+    The open arm shows the cost of overload (higher p99 update latency) that
+    the controller buys back by shedding.  With ``slo_queue_depth=0`` the
+    controlled arm's policy is empty and a third arm, ``bare``, is its twin:
+    the same server and pool with no admission controller at all — admission
+    plumbing with shedding disabled is a no-op by contract.
+
+    ``slo_sweep`` (``sweep=True``) is the shed-rate vs p99-update-latency
+    frontier: one replay of the overload stream per ``slo_queue_depths``
+    bound (0 = no admission).
+    """
+    params = workload.params
+    prefix = f"rnn-{name}-b{workload.top_batch}-d"
+    if sweep:
+        points = [("server", bound) for bound in params["slo_queue_depths"]]
+    else:
+        points = [("open", 0), ("slo", params["slo_queue_depth"])]
+    arms = [
+        _capacity_arm(
+            workload, requests, f"{prefix}{bound}", bound, label=label, admission_mode=params["slo_mode"],
+            columns=_SLO_SWEEP_COLUMNS if sweep else _OVERLOAD_COLUMNS,
         )
-        pieces.update(metrics=measured["metrics"], trace=measured["trace"])
-        rows.append(_row(name, measured, _SLO_SWEEP_COLUMNS))
-    return rows, pieces
-
-
-def _autoscale_arm(workload: Workload, name: str, requests, arm: str, depth_bound: int) -> dict:
-    """One always-shedding autoscale arm — the frontier compares shed rates,
-    which defer mode would zero.  The ``fixed`` arm is the ``server`` arm's
-    twin, so it takes the same pool name: same placement, same meter names."""
-    tag = "server" if arm == "fixed" else arm
-    return capacity_replay(
-        workload, f"rnn-{name}-b{workload.top_batch}-{tag}-d{depth_bound}", requests, depth_bound, arm=arm
-    )
+        for label, bound in points
+    ]
+    if not sweep and params["slo_queue_depth"] == 0:
+        arms.append(Arm(f"{prefix}0", {"tracing": {}}, {"server": ServerModel(params["service_rate"])}, label="bare"))
+    return arms
 
 
 _AUTOSCALE_COLUMNS = (
     "arm", "batch_size", "queue_bound", "offered", "served", "shed", "shed_rate", "p99_update_latency",
     "replica_seconds", "peak_replicas", "scale_up_events", "scale_down_events", "first_scale_up_at",
 )
-
-
-def autoscale(workload: Workload, name: str, requests):
-    """Four admission-controlled arms over the identical ramped stream: a fixed
-    ``ServerModel``, a one-replica ``ReplicaFleet`` that never scales
-    (*asserted* bit-identical to the ServerModel arm in every observable),
-    and elastic fleets under the ``reactive`` and
-    ``predictive`` policies (evaluation every ``autoscale_interval`` seconds,
-    replicas joining after ``autoscale_provision_delay``, at most
-    ``autoscale_max_replicas``).  Each row reports shed rate, p99 update
-    latency, replica-seconds cost over the arrival span, peak fleet size and
-    scale events."""
-    depth_bound = workload.params["slo_queue_depth"]
-    arms = {
-        arm: _autoscale_arm(workload, name, requests, arm, depth_bound)
-        for arm in ("server", "fixed", "reactive", "predictive")
-    }
-    fixed, server = arms["fixed"], arms["server"]
-    _assert_twins(
-        name, "a one-replica ReplicaFleet must be bit-identical to the ServerModel baseline",
-        observe(fixed["engine"], fixed["delivered"]), observe(server["engine"], server["delivered"]),
-    )
-    rows = [_row(name, measured, _AUTOSCALE_COLUMNS) for measured in arms.values()]
-    return rows, {
-        "shed_rates": {f"{name}:{arm}": round(measured["shed_rate"], 4) for arm, measured in arms.items()},
-        "metrics": arms["predictive"]["metrics"],
-        "trace": arms["predictive"]["trace"],
-    }
-
-
 _FRONTIER_COLUMNS = (
     "arm", "batch_size", "queue_bound", "served", "shed", "shed_rate", "p99_update_latency",
     "replica_seconds", "peak_replicas", "scale_up_events", "first_scale_up_at",
 )
 
 
-def scaling_frontier(workload: Workload, name: str, requests):
-    """The reactive-vs-predictive cost-vs-SLO frontier: one pair of arms per
-    nonzero ``slo_queue_depths`` bound, plus the headline ordering
-    *assertion* at the primary ``slo_queue_depth`` — the predictive arm
-    (scaling ahead on the GRU-aggregated load forecast) must shed strictly
-    less than the reactive arm at equal or lower replica-seconds cost."""
-    slo_queue_depth = workload.params["slo_queue_depth"]
-    rows, pieces = [], {}
-    frontier: dict[tuple[int, str], dict] = {}
-    for depth_bound in [bound for bound in workload.params["slo_queue_depths"] if bound > 0]:
-        for policy_name in ("reactive", "predictive"):
-            measured = _autoscale_arm(workload, name, requests, policy_name, depth_bound)
-            frontier[(depth_bound, policy_name)] = measured
-            pieces.update(metrics=measured["metrics"], trace=measured["trace"])
-            rows.append(_row(name, measured, _FRONTIER_COLUMNS))
-    reactive = frontier[(slo_queue_depth, "reactive")]
-    predictive = frontier[(slo_queue_depth, "predictive")]
-    if not predictive["shed"] < reactive["shed"]:
-        raise AssertionError(
-            f"{name}: the predictive arm shed {predictive['shed']} requests "
-            f"vs the reactive arm's {reactive['shed']} at queue bound {slo_queue_depth} "
-            "— forecast-driven scaling must beat target tracking on the ramp"
+def _fleet_arms(workload: Workload, name: str, requests, *, frontier: bool) -> list[Arm]:
+    """Always-shedding autoscale arms — the frontier compares shed rates,
+    which defer mode would zero.  The ``fixed`` arm is the ``server`` arm's
+    twin, so it takes the same pool name: same placement, same meter names.
+
+    ``autoscale`` (``frontier=False``): four admission-controlled arms over
+    the identical ramped stream at ``slo_queue_depth`` — a fixed
+    ``ServerModel``, a one-replica ``ReplicaFleet`` that never scales (its
+    twin in every observable), and elastic fleets under the ``reactive`` and
+    ``predictive`` policies (evaluation every ``autoscale_interval`` seconds,
+    replicas joining after ``autoscale_provision_delay``, at most
+    ``autoscale_max_replicas``).  Each row reports shed rate, p99 update
+    latency, replica-seconds cost over the arrival span, peak fleet size and
+    scale events.
+
+    ``scaling_frontier`` (``frontier=True``): the reactive-vs-predictive
+    cost-vs-SLO frontier, one pair of arms per nonzero ``slo_queue_depths``
+    bound; :func:`_frontier_finish` checks the headline ordering.
+    """
+    params, top = workload.params, workload.top_batch
+    if frontier:
+        kinds, bounds = ("reactive", "predictive"), [bound for bound in params["slo_queue_depths"] if bound > 0]
+    else:
+        kinds, bounds = ("server", "fixed", "reactive", "predictive"), [params["slo_queue_depth"]]
+    return [
+        _capacity_arm(
+            workload, requests, f"rnn-{name}-b{top}-{'server' if kind == 'fixed' else kind}-d{bound}", bound, kind,
+            columns=_FRONTIER_COLUMNS if frontier else _AUTOSCALE_COLUMNS,
         )
-    if not predictive["replica_seconds"] <= reactive["replica_seconds"]:
-        raise AssertionError(
-            f"{name}: the predictive arm cost "
-            f"{predictive['replica_seconds']:.1f} replica-seconds vs the reactive "
-            f"arm's {reactive['replica_seconds']:.1f} — it must not buy its lower "
-            "shed rate with a larger fleet bill"
-        )
-    pieces["shed_rates"] = {
-        f"{name}:reactive": round(reactive["shed_rate"], 4),
-        f"{name}:predictive": round(predictive["shed_rate"], 4),
-    }
-    return rows, pieces
+        for bound in bounds
+        for kind in kinds
+    ]
 
 
-def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
+_ELASTIC_COLUMNS = ("batch_size", "replication", "served", "bit_identical", *RING_METERS, "load_imbalance")
+
+#: The resize: grow the pool by one shard, then remove exactly that shard.
+_RESIZE = (lambda store, _: store.add_shard(), lambda store, added: store.remove_shard(added))
+
+
+def _elastic_arms(workload: Workload, name: str, requests, *, faulted: bool) -> list[Arm]:
     """A static baseline and an elastic arm over the identical stream, at the
     largest batch size.
 
@@ -632,100 +608,30 @@ def _elastic_scenario(workload: Workload, name: str, requests, faulted: bool):
     and migration copies are metered on them).  Both arms take one pool
     name, so the baseline places every key where the elastic arm starts.
     """
-    n_requests = workload.params["n_requests"]
-    replication = workload.params["replication"]
-    batch_size = workload.top_batch
-    span = int(requests[-1][0] - requests[0][0])
-    store_name = f"rnn-{name}-b{batch_size}-{'failover' if faulted else 'elastic'}"
-
-    def build(failure_schedule=None) -> ServingEngine:
-        return workload.build_engine(
-            store_name,
-            batch_size,
-            {"replication": replication, "failure_schedule": failure_schedule},
-        )
-
-    def drive(engine: ServingEngine, resize: bool = False) -> list:
-        if resize:
-            first, second = len(requests) // 3, (2 * len(requests)) // 3
-            served = engine.serve(requests[:first])
-            added = engine.store.add_shard()
-            served += engine.serve(requests[first:second])
-            engine.store.remove_shard(added)
-            served += engine.serve(requests[second:])
-        else:
-            served = engine.serve(requests)
-        served += engine.flush()
-        engine.stream.flush()
-        served += engine.drain_completed()
-        assert workload.updates_since_warm_up(engine) == n_requests
-        return served
-
-    baseline = build()
-    baseline_served = drive(baseline)
-    schedule = ((requests[0][0] + span // 3, "fail", 0), (requests[0][0] + (2 * span) // 3, "recover", 0))
-    elastic = build(schedule if faulted else None)
-    elastic_served = drive(elastic, resize=not faulted)
-
-    store = elastic.store
-    meters = {
-        "keys_migrated": store.keys_migrated,
-        "migration_bytes": store.migration_bytes,
-        "keys_rehydrated": store.keys_rehydrated,
-        "rehydration_bytes": store.rehydration_bytes,
-        "shard_failures": store.shard_failures,
-        "shard_recoveries": store.shard_recoveries,
-        "membership_changes": store.membership_changes,
-    }
-    if faulted and meters["keys_rehydrated"] == 0:
-        raise AssertionError(
-            f"{name} recovered without re-hydrating a single key — the fault never bit"
-        )
-    if not faulted and meters["keys_migrated"] == 0:
-        raise AssertionError(
-            f"{name} migrated no keys — the resize never changed ownership"
-        )
-    _assert_twins(
-        name, "the elastic arm must serve and store the static pool's bits",
-        observe(elastic, elastic_served), observe(baseline, baseline_served),
-        (f"metric:ring.{store_name}.", f"metric:kv.{store_name}/")
-        + (("meter:puts", "meter:bytes_written") if faulted else ("meter:",)),
-    )
-    row = {
-        "scenario": name,
-        "batch_size": batch_size,
-        "replication": replication,
-        "served": len(elastic_served),
-        "bit_identical": True,
-        **meters,
-        "load_imbalance": round(store.load_imbalance(), ROW_DIGITS["load_imbalance"]),
-    }
-    pieces = {
-        "elastic_meters": {name: {key: meters[key] for key in ("keys_migrated", "keys_rehydrated")}},
-        "metrics": elastic.metrics.snapshot(),
-    }
-    baseline.close()
-    elastic.close()
-    return [row], pieces
+    t0, span = requests[0][0], int(requests[-1][0] - requests[0][0])
+    store = f"rnn-{name}-b{workload.top_batch}-{'failover' if faulted else 'elastic'}"
+    replicated = {"replication": workload.params["replication"]}
+    schedule = ((t0 + span // 3, "fail", 0), (t0 + (2 * span) // 3, "recover", 0)) if faulted else None
+    return [
+        Arm(store, replicated, label="static"),
+        Arm(
+            store, {**replicated, "failure_schedule": schedule}, label="elastic",
+            steps=() if faulted else _RESIZE, columns=_ELASTIC_COLUMNS,
+        ),
+    ]
 
 
-def shard_failover(workload: Workload, name: str, requests):
-    """A Poisson stream through a static pool and one whose
-    ``failure_schedule`` fails shard 0 a third of the way through the arrivals
-    and recovers it (eager re-hydration from replicas) at two thirds —
-    *asserted* bit-identical in predictions, final per-user state and client
-    reads."""
-    return _elastic_scenario(workload, name, requests, faulted=True)
+_ROLLBACK_COLUMNS = (
+    "arm", "batch_size", "replication", "served", "bit_identical", "rolled_back", "shadow_scored",
+    "shadow_keys", "canary_assigned", "divergence_p99", "stage_history",
+)
+_PROMOTE_COLUMNS = (
+    "arm", "batch_size", "replication", "served", "promoted", "post_swap_requests", "shadow_scored",
+    "canary_assigned", "stage_history",
+)
 
 
-def diurnal_rebalance(workload: Workload, name: str, requests):
-    """The bursty stream against a pool that gains a shard at one third and
-    sheds it at two thirds, migrating only the keys whose ownership changed —
-    *asserted* bit-identical to the static pool."""
-    return _elastic_scenario(workload, name, requests, faulted=False)
-
-
-def canary_rollout(workload: Workload, name: str, requests):
+def _canary_arms(workload: Workload, name: str, requests) -> list[Arm]:
     """Model-lifecycle arms over the identical Poisson stream, at the largest
     batch size.
 
@@ -735,229 +641,281 @@ def canary_rollout(workload: Workload, name: str, requests):
     real divergence).  Four engines replay the same requests:
 
     * ``static`` — registry-free baseline.
-    * ``shadow`` — control model with the candidate in shadow and a
+    * ``rollback`` — control model with the candidate in shadow and a
       canary schedule whose mid-stream stage trips a ``max_divergence``
-      gate, rolling the candidate back.  The run *asserts* this arm is
-      bit-identical to the baseline in every observable but the
-      ``rollout.*`` instruments and the ``candidate:`` namespace (the
-      headline rollout invariant), and that the shadow namespace actually
-      holds state.
+      gate, rolling the candidate back.  Its twin is the baseline in every
+      observable but the ``rollout.*`` instruments and the ``candidate:``
+      namespace (the headline rollout invariant), and the shadow namespace
+      must actually hold state.
     * ``promote`` — a gate-free schedule ending in a 100% hot swap.
-    * ``direct`` — registry-free engine built on the candidate's bits;
-      the run asserts every post-swap prediction of the promote arm and
-      its ``candidate:`` namespace match this arm bit for bit.
+    * ``direct`` — registry-free engine built on the candidate's bits: the
+      twin of every post-swap prediction of the promote arm and of its
+      ``candidate:`` namespace.  The arms' meters differ by construction
+      (one served the control first).
 
     Each compared pair shares one pool name (the baseline the shadow arm's,
     the direct arm the promote arm's), so both place every key alike.
     """
-    params = workload.params
-    network = workload.rnn.network
-    batch_size = workload.top_batch
-    t0 = int(requests[0][0])
-    span = int(requests[-1][0] - requests[0][0])
-    if span < 3:
-        raise ValueError(
-            f"{name} needs an arrival span of at least 3 simulated seconds "
-            "to order its stage timers — raise n_requests or lower arrival_rate"
-        )
-    control_version = ModelVersion.from_network("control", network)
+    params, network = workload.params, workload.rnn.network
+    t0, span = int(requests[0][0]), int(requests[-1][0] - requests[0][0])
+    control = ModelVersion.from_network("control", network)
     perturb = np.random.default_rng(params["seed"] + 31)
-    candidate_version = ModelVersion(
+    candidate = ModelVersion(
         "candidate",
-        control_version.config,
-        {
-            key: array + 0.05 * perturb.standard_normal(array.shape)
-            for key, array in network.state_dict().items()
-        },
+        control.config,
+        {key: array + 0.05 * perturb.standard_normal(array.shape) for key, array in network.state_dict().items()},
     )
-    models = ModelRegistry([control_version, candidate_version]).freeze()
-
-    def build(tag: str, rollout=None, **parts) -> ServingEngine:
-        """A registry-pinned control arm when ``rollout`` is given, else
-        an engine built directly on ``parts["network"]``."""
-        config: dict[str, Any] = {"replication": params["replication"]}
-        if rollout is not None:
-            config.update(model="control", rollout=rollout)
-            parts.update(network=None, models=models)
-        return workload.build_engine(f"rnn-{name}-b{batch_size}-{tag}", batch_size, config, **parts)
-
-    def drive(engine: ServingEngine) -> list:
-        served = engine.replay(requests)
-        assert workload.updates_since_warm_up(engine) == params["n_requests"]
-        return served
-
-    baseline = build("shadow")
-    baseline_served = drive(baseline)
-
-    # Rollback arm.  The first stage fires before the first arrival (the
-    # divergence histogram is still empty, so the transition passes); the
-    # mid-stream stage sees real divergence from the perturbed candidate
-    # and trips the gate.
-    shadowed = build(
-        "shadow",
-        {
-            "candidate": "candidate",
-            "stages": ((t0 - 1, 5), (t0 + span // 2, 50)),
-            "gates": {"max_divergence": 1e-6},
-        },
-    )
-    shadowed_served = drive(shadowed)
-    controller = shadowed.rollout
-    if not controller.rolled_back:
-        raise AssertionError(
-            f"{name}: the divergence gate never tripped — no micro-batch was "
-            "scored before the mid-stream stage (widen the stream or raise arrival_rate)"
-        )
-    _assert_twins(
-        name, "shadow scoring + rollback must leave the registry-free engine's bits",
-        observe(shadowed, shadowed_served), observe(baseline, baseline_served),
-        ("metric:rollout.", "record:candidate:"),
-    )
-    shadow_keys = [
-        key for key in shadowed.store.keys() if key.startswith("candidate:hidden:")
-    ]
-    if not shadow_keys:
-        raise AssertionError(f"{name}: the shadow arm stored no state")
-    divergence_p99 = shadowed.metrics.histogram(
-        "rollout.candidate.divergence", DIVERGENCE_BUCKETS
-    ).quantile(0.99)
-
-    # Promote arm vs an engine built directly on the candidate's bits.
+    registry = {"network": None, "models": ModelRegistry([control, candidate]).freeze()}
+    replicated = {"replication": params["replication"]}
+    # The swap is at most the last arrival, so some request always follows it.
     swap_at = t0 + (2 * span) // 3
-    promoted = build(
-        "promote",
-        {
-            "candidate": "candidate",
-            "stages": ((t0 - 1, 5), (t0 + span // 3, 50), (swap_at, 100)),
-            "gates": {},
-        },
-    )
-    promoted_served = drive(promoted)
-    if not promoted.rollout.promoted:
-        raise AssertionError(f"{name}: the promote arm never reached its 100% stage")
-    direct = build("promote", network=candidate_version.build_network())
-    direct_served = drive(direct)
-    post_swap = [index for index, request in enumerate(requests) if request[0] >= swap_at]
-    if not post_swap:
-        raise AssertionError(f"{name}: no arrivals after the hot swap — widen the stream")
-    # The arms' meters differ by construction (one served the control first).
-    _assert_twins(
-        name, "the promoted arm must serve and store the bits of an engine built on the candidate",
-        observe(promoted, promoted_served[post_swap[0]:], namespace="candidate:"),
-        observe(direct, direct_served[post_swap[0]:]),
-        ("meter:", "metric:"),
-    )
+    post_swap = next(index for index, request in enumerate(requests) if request[0] >= swap_at)
 
-    shared = {"batch_size": batch_size, "replication": params["replication"]}
-    rows = [
-        {
-            "scenario": name,
-            "arm": "rollback",
-            **shared,
-            "served": len(shadowed_served),
-            "bit_identical": True,
-            "rolled_back": True,
-            "shadow_scored": controller.shadow.predictions_served,
-            "shadow_keys": len(shadow_keys),
-            "canary_assigned": controller.canary_assigned,
-            "divergence_p99": round(divergence_p99, 6),
-            "stage_history": ";".join(controller.stage_history),
-        },
-        {
-            "scenario": name,
-            "arm": "promote",
-            **shared,
-            "served": len(promoted_served),
-            "promoted": True,
-            "post_swap_requests": len(post_swap),
-            "shadow_scored": promoted.rollout.shadow.predictions_served,
-            "canary_assigned": promoted.rollout.canary_assigned,
-            "stage_history": ";".join(promoted.rollout.stage_history),
-        },
+    def rollout(stages, gates) -> dict[str, Any]:
+        return {**replicated, "model": "control", "rollout": dict(candidate="candidate", stages=stages, gates=gates)}
+
+    store = f"rnn-{name}-b{workload.top_batch}-"
+    return [
+        Arm(store + "shadow", replicated, label="static"),
+        # The first stage fires before the first arrival (the divergence
+        # histogram is still empty, so the transition passes); the
+        # mid-stream stage sees real divergence from the perturbed candidate
+        # and trips the gate.
+        Arm(
+            store + "shadow", rollout(((t0 - 1, 5), (t0 + span // 2, 50)), {"max_divergence": 1e-6}), registry,
+            label="rollback", columns=_ROLLBACK_COLUMNS,
+        ),
+        Arm(
+            store + "promote", rollout(((t0 - 1, 5), (t0 + span // 3, 50), (swap_at, 100)), {}), registry,
+            label="promote", columns=_PROMOTE_COLUMNS, namespace="candidate:", compare_from=post_swap,
+        ),
+        Arm(
+            store + "promote", replicated, {"network": candidate.build_network()},
+            label="direct", compare_from=post_swap,
+        ),
     ]
-    pieces = {"metrics": promoted.metrics.snapshot()}
-    for engine in (baseline, shadowed, promoted, direct):
-        engine.close()
-    return rows, pieces
 
 
 # ----------------------------------------------------------------------
-# Preflights: ``preflight(name, params)`` — scenario preconditions that are
-# pure functions of the resolved parameters, checked before any spend.
+# The scenarios' own checks and metadata pieces:
+# ``finish(name, runs, params) -> pieces``
 # ----------------------------------------------------------------------
-def _preflight_replicated(name: str, params: Mapping[str, Any]) -> None:
-    if params["replication"] > params["n_shards"]:
-        raise ValueError(f"replication {params['replication']} exceeds n_shards {params['n_shards']}")
+def _labelled(runs: list[Run], label: str) -> Run:
+    return next(run for run in runs if run.arm.label == label)
 
 
-def _preflight_rebalance(name: str, params: Mapping[str, Any]) -> None:
-    _preflight_replicated(name, params)
-    if params["n_requests"] < 3:
-        raise ValueError(
-            f"{name} schedules membership/fault events at 1/3 and 2/3 of the "
-            "stream and needs n_requests >= 3"
+def _speedups(name: str, runs: list[Run], params) -> dict:
+    by_batch = {run.arm.batch_size: run.measured for run in runs}
+    top, base = by_batch[max(by_batch)], by_batch[min(by_batch)]
+    return {
+        "prediction_speedups": {name: round(top["requests_per_second"] / base["requests_per_second"], 2)},
+        "update_drain_speedups": {name: round(top["updates_per_second"] / base["updates_per_second"], 2)},
+    }
+
+
+def _shed_rates(name: str, runs: list[Run], params=None) -> dict:
+    """Every given arm's shed rate, under ``scenario:arm``."""
+    return {"shed_rates": {f"{name}:{run.arm.label}": round(run.engine.admission.shed_rate, 4) for run in runs}}
+
+
+def _overload_finish(name: str, runs: list[Run], params) -> dict:
+    """The controlled arm's shed rate, under the scenario's name."""
+    return {"shed_rates": {name: round(_labelled(runs, "slo").engine.admission.shed_rate, 4)}}
+
+
+def _frontier_finish(name: str, runs: list[Run], params) -> dict:
+    """The headline ordering at the primary ``slo_queue_depth``: the
+    predictive arm (scaling ahead on the GRU-aggregated load forecast) must
+    shed strictly less than the reactive arm at equal or lower
+    replica-seconds cost."""
+    bound = params["slo_queue_depth"]
+    at = {run.arm.label: run for run in runs if COLUMNS["queue_bound"](run) == bound}
+    shed = {label: run.engine.admission.requests_shed for label, run in at.items()}
+    cost = {label: run.measured["replica_seconds"] for label, run in at.items()}
+    if not (shed["predictive"] < shed["reactive"] and cost["predictive"] <= cost["reactive"]):
+        raise AssertionError(
+            f"{name}: at queue bound {bound} the predictive arm shed {shed['predictive']} requests for "
+            f"{cost['predictive']:.1f} replica-seconds vs the reactive arm's {shed['reactive']} for "
+            f"{cost['reactive']:.1f} — forecast-driven scaling must beat target tracking on the ramp "
+            "without buying its lower shed rate with a larger fleet bill"
         )
+    return _shed_rates(name, list(at.values()))
 
 
-def _preflight_failover(name: str, params: Mapping[str, Any]) -> None:
-    if params["replication"] < 2:
-        raise ValueError(
-            f"{name} needs replication >= 2: failing an unreplicated "
-            "shard would lose its keys"
-        )
-    _preflight_rebalance(name, params)
+def _elastic_meters(name: str, runs: list[Run], params) -> dict:
+    store = _labelled(runs, "elastic").engine.store
+    return {"elastic_meters": {name: {key: getattr(store, key) for key in ("keys_migrated", "keys_rehydrated")}}}
 
 
-def _preflight_canary(name: str, params: Mapping[str, Any]) -> None:
-    if params["n_requests"] < 3:
-        raise ValueError(
-            f"{name} schedules its stage timers across the arrival span "
-            "and needs n_requests >= 3"
-        )
-    _preflight_replicated(name, params)
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Scenario:
+    """One ``batched_serving`` scenario, as data.
+
+    ``arrivals(rng, params)`` is its arrival shape and ``arms(workload,
+    name, requests)`` its pipelines, each replayed in order by
+    :func:`replay_arm`.  ``requires`` are ``(holds(params), message)`` pairs,
+    checked before anything is generated or trained; ``min_span`` is the
+    arrival span (simulated seconds) it needs, checked before training.
+    ``twins`` are ``(arm, twin, ignored prefixes, invariant)``: the two
+    labelled runs must be byte-identical outside the prefixes (``{store}``
+    is the arm's pool name); an invariant whose twin arm was not built is not
+    compared (overload's ``bare`` arm exists at ``slo_queue_depth=0`` only).
+    ``checks`` are ``(arm, column, failure)``: the labelled run's column
+    must read nonzero — the feature under test actually acted, so its twin
+    invariant does not hold vacuously.  ``finish(name, runs, params)`` runs
+    any further check and returns the scenario's metadata pieces.
+    ``records`` are the parameters a run's metadata reports because this
+    scenario ran.
+    """
+
+    arrivals: Callable[[Any, Mapping[str, Any]], np.ndarray]
+    arms: Callable[[Workload, str, list], list[Arm]]
+    requires: tuple[tuple[Callable[[Mapping[str, Any]], bool], str], ...] = ()
+    min_span: int = 0
+    twins: tuple[tuple[str, str, tuple[str, ...], str], ...] = ()
+    checks: tuple[tuple[str, str, str], ...] = ()
+    finish: Callable[[str, list[Run], Mapping[str, Any]], dict] = lambda name, runs, params: {}
+    records: tuple[str, ...] = ()
 
 
-def _preflight_frontier(name: str, params: Mapping[str, Any]) -> None:
-    if params["slo_queue_depth"] <= 0:
-        raise ValueError(
-            f"{name} compares shed rates under admission control: "
-            "slo_queue_depth must be positive"
-        )
-
-
-#: The one place scenario names are spelled: ``name -> (arrival generator,
-#: scenario function, preflight or None)``.  The ``scenarios`` parameter's
-#: choices and default, validation, arrival generation and dispatch all
-#: derive from this table.  ``shard_failover`` and ``canary_rollout`` reuse
-#: the Poisson shape — faults and stage transitions are injected on the
-#: clock, so the arrival process stays the baseline one — and
-#: ``diurnal_rebalance`` the synchronized-burst (diurnal) one.
-SCENARIOS = {
-    "poisson": (_poisson_arrivals, batch_size_sweep, None),
-    "bursty": (_bursty_arrivals, batch_size_sweep, None),
-    "window_sweep": (_bursty_arrivals, window_sweep, None),
-    "overload": (_ramped_arrivals, overload, None),
-    "slo_sweep": (_ramped_arrivals, slo_sweep, None),
-    "shard_failover": (_poisson_arrivals, shard_failover, _preflight_failover),
-    "diurnal_rebalance": (_bursty_arrivals, diurnal_rebalance, _preflight_rebalance),
-    "canary_rollout": (_poisson_arrivals, canary_rollout, _preflight_canary),
-    "autoscale": (_ramped_arrivals, autoscale, None),
-    "scaling_frontier": (_ramped_arrivals, scaling_frontier, _preflight_frontier),
-}
-
-#: Everything replayed over ramped arrivals deliberately spans more than one
-#: session window: session-end timers fire *mid-serve* (through the queue's
-#: barrier), which is the point — update latency must be observable while the
-#: server is backlogged.  These scenarios read their latency statistics from
-#: the engine's metrics registry and are exempt from the arrival-span guard
-#: the other scenarios enforce.
-RAMPED_SCENARIOS = tuple(
-    name for name, (arrivals, _, _) in SCENARIOS.items() if arrivals is _ramped_arrivals
+_REPLICATED = (
+    lambda params: params["replication"] <= params["n_shards"],
+    "replication {replication} exceeds n_shards {n_shards}",
 )
+_THIRDS = (
+    lambda params: params["n_requests"] >= 3,
+    "{name} schedules events at 1/3 and 2/3 of the stream and needs n_requests >= 3",
+)
+_ELASTIC_TWIN = ("metric:ring.{store}.", "metric:kv.{store}/")
+_ELASTIC_INVARIANT = "the elastic arm must serve and store the static pool's bits"
+
+#: The one place scenario names are spelled.  The ``scenarios`` parameter's
+#: choices and default, validation, requirements, arrival generation,
+#: dispatch and the conditional metadata keys all derive from this table.
+#: ``shard_failover`` and ``canary_rollout`` reuse the Poisson shape —
+#: faults and stage transitions are injected on the clock, so the arrival
+#: process stays the baseline one — and ``diurnal_rebalance`` the
+#: synchronized-burst (diurnal) one.
+SCENARIOS = {
+    "poisson": Scenario(_poisson_arrivals, partial(_metering_arms, windows=False), finish=_speedups),
+    "bursty": Scenario(_bursty_arrivals, partial(_metering_arms, windows=False), finish=_speedups),
+    "window_sweep": Scenario(_bursty_arrivals, partial(_metering_arms, windows=True), records=("coalescing_windows",)),
+    "overload": Scenario(
+        _ramped_arrivals, partial(_admission_arms, sweep=False), finish=_overload_finish,
+        twins=(("slo", "bare", ("metric:slo.",), "admission control with shedding disabled must be bit-invisible"),),
+        records=("service_rate", "slo_mode"),
+    ),
+    "slo_sweep": Scenario(
+        _ramped_arrivals, partial(_admission_arms, sweep=True), records=("service_rate", "slo_mode")
+    ),
+    "shard_failover": Scenario(
+        _poisson_arrivals, partial(_elastic_arms, faulted=True), finish=_elastic_meters, records=("replication",),
+        requires=(
+            (
+                lambda params: params["replication"] >= 2,
+                "{name} needs replication >= 2: failing an unreplicated shard would lose its keys",
+            ),
+            _REPLICATED,
+            _THIRDS,
+        ),
+        # A failed shard skips the physical writes it would have taken.
+        twins=(("elastic", "static", (*_ELASTIC_TWIN, "meter:puts", "meter:bytes_written"), _ELASTIC_INVARIANT),),
+        checks=(("elastic", "keys_rehydrated", "recovered without re-hydrating a single key — the fault never bit"),),
+    ),
+    "diurnal_rebalance": Scenario(
+        _bursty_arrivals, partial(_elastic_arms, faulted=False), finish=_elastic_meters, records=("replication",),
+        requires=(_REPLICATED, _THIRDS),
+        twins=(("elastic", "static", (*_ELASTIC_TWIN, "meter:"), _ELASTIC_INVARIANT),),
+        checks=(("elastic", "keys_migrated", "migrated no keys — the resize never changed ownership"),),
+    ),
+    "canary_rollout": Scenario(
+        _poisson_arrivals, _canary_arms, requires=(_THIRDS, _REPLICATED), records=("replication",),
+        # Its stage timers sit at span/3, span/2 and 2*span/3 past the first arrival.
+        min_span=3,
+        twins=(
+            (
+                "rollback", "static", ("metric:rollout.", "record:candidate:"),
+                "shadow scoring + rollback must leave the registry-free engine's bits",
+            ),
+            (
+                "promote", "direct", ("meter:", "metric:"),
+                "the promoted arm must serve and store the bits of an engine built on the candidate",
+            ),
+        ),
+        checks=(
+            (
+                "rollback", "rolled_back",
+                "the divergence gate never tripped — no micro-batch was scored before the mid-stream stage "
+                "(widen the stream or raise arrival_rate)",
+            ),
+            ("rollback", "shadow_keys", "the shadow arm stored no state"),
+            ("promote", "promoted", "the promote arm never reached its 100% stage"),
+        ),
+    ),
+    "autoscale": Scenario(
+        _ramped_arrivals, partial(_fleet_arms, frontier=False), finish=_shed_rates, records=("service_rate",),
+        twins=(
+            ("fixed", "server", (), "a one-replica ReplicaFleet must be bit-identical to the ServerModel baseline"),
+        ),
+    ),
+    "scaling_frontier": Scenario(
+        _ramped_arrivals, partial(_fleet_arms, frontier=True), finish=_frontier_finish, records=("service_rate",),
+        requires=(
+            (
+                lambda params: params["slo_queue_depth"] > 0,
+                "{name} compares shed rates under admission control: slo_queue_depth must be positive",
+            ),
+            (
+                lambda params: params["slo_queue_depth"] in params["slo_queue_depths"],
+                "{name} checks its ordering at slo_queue_depth {slo_queue_depth}, so "
+                "slo_queue_depth must be one of slo_queue_depths {slo_queue_depths}",
+            ),
+        ),
+    ),
+}
 
 #: The default run: the three pure-metering scenarios the table lists first
 #: (serve and drain phases timed apart, no capacity model, no control plane).
 DEFAULT_SCENARIOS = tuple(SCENARIOS)[:3]
+
+
+def _observed(run: Run) -> dict[str, Any]:
+    return observe(run.engine, run.served[run.arm.compare_from:], namespace=run.arm.namespace)
+
+
+def run_scenario(workload: Workload, name: str, requests) -> tuple[list[dict], dict]:
+    """Run the :data:`SCENARIOS` entry ``name`` on its request stream.
+
+    Replays every arm in order and reads each row arm's row, then runs the
+    entry's own checks and every twin invariant.  The pieces are the entry's
+    metadata pieces plus the last row arm's registry dump (``metrics``) and,
+    when it was traced, its Chrome-trace export (``trace``).
+    """
+    entry = SCENARIOS[name]
+    runs = [replay_arm(workload, arm, requests) for arm in entry.arms(workload, name, requests)]
+    rows = [_row(name, run) for run in runs if run.arm.columns]
+    last = [run for run in runs if run.arm.columns][-1]
+    pieces = {"metrics": last.engine.metrics.snapshot()}
+    if last.traced:
+        pieces["trace"] = last.engine.tracer.chrome_trace()
+    by_label = {run.arm.label: run for run in runs}
+    for label, column, failure in entry.checks:
+        if not COLUMNS[column](by_label[label]):
+            raise AssertionError(f"{name}: {failure}")
+    pieces.update(entry.finish(name, runs, workload.params))
+    for label, twin, ignore, invariant in entry.twins:
+        if twin in by_label:
+            left, right = by_label[label], by_label[twin]
+            ignored = tuple(prefix.format(store=left.arm.store) for prefix in ignore)
+            difference = first_difference(_observed(left), _observed(right), ignored)
+            if difference is not None:
+                raise AssertionError(f"{name}: {invariant} (first difference: {difference})")
+    for run in runs:
+        run.engine.close()
+    return rows, pieces
 
 
 # ----------------------------------------------------------------------
@@ -965,7 +923,7 @@ DEFAULT_SCENARIOS = tuple(SCENARIOS)[:3]
 # ----------------------------------------------------------------------
 def resolve_params(params: Mapping[str, Any]) -> dict[str, Any]:
     """Cross-parameter validation, the derived ``null`` defaults and every
-    selected scenario's preflight — all before anything is generated or
+    selected scenario's requirements — all before anything is generated or
     trained.  Returns the resolved copy scenarios read."""
     params = dict(params)
     if not params["batch_sizes"]:
@@ -987,37 +945,28 @@ def resolve_params(params: Mapping[str, Any]) -> dict[str, Any]:
         # never replay the identical bound twice.
         params["slo_queue_depths"] = tuple(dict.fromkeys(derived))
     for name in params["scenarios"]:
-        preflight = SCENARIOS[name][2]
-        if preflight is not None:
-            preflight(name, params)
+        for holds, message in SCENARIOS[name].requires:
+            if not holds(params):
+                raise ValueError(message.format(name=name, **params))
     return params
 
 
-def resolve_engine_block(engine_config: Mapping[str, Any] | None) -> dict[str, Any]:
+def resolve_engine_block(engine_config: Mapping[str, Any] | None, params: tuple[str, ...]) -> dict[str, Any]:
     """A manifest ``engine`` block as overrides of the pipeline template.
 
-    Runs the same validator the manifest loader runs, so direct calls and
-    manifests reject bad engine blocks with identical wording.  A declared
-    ``session_length`` is left in for :func:`prepare_workload` to compare
-    against the generated dataset's.
+    Runs the same validator the manifest loader runs — ``params`` are the
+    experiment's parameter names, which the block may not shadow — so direct
+    calls and manifests reject bad engine blocks with identical wording.  A
+    declared ``session_length`` is left in for :func:`prepare_workload` to
+    compare against the generated dataset's.
     """
-    if engine_config is None:
-        return {}
     overrides = validate_engine_block(
-        engine_config,
+        engine_config or {},
         reserved=ENGINE_OWNED_FIELDS,
         backends=("hidden_state",),
+        params=params,
         where="engine_config",
     )
-    # Same rule the manifest loader enforces: the n_shards and replication
-    # parameters are the one owner of the pool's shape, so provenance (which
-    # records resolved params) can never contradict the built pipeline.
-    for field, what in (("n_shards", "shard topology"), ("replication", "the replica-group size")):
-        if field in overrides:
-            raise ValueError(
-                f"set {what} via the {field} parameter, not engine_config; "
-                f"an engine-block {field} would shadow the parameter and falsify provenance"
-            )
     overrides.pop("backend", None)
     return overrides
 
@@ -1042,18 +991,27 @@ def prepare_workload(
     window_closes_after = dataset.session_length + overrides.get("extra_lag", 60)
 
     # Arrival offsets first (before the training spend), so a workload whose
-    # span would let session-end timers fire mid-serve — polluting the
-    # serve-phase metering and splitting the update count across both timed
-    # phases — is rejected up front with an actionable message.
+    # span is too short for a scenario's stage timers, or would let
+    # session-end timers fire mid-serve — polluting the serve-phase metering
+    # and splitting the update count across both timed phases — is rejected
+    # up front with an actionable message.
     rng = np.random.default_rng(seed + 7)
     offsets_by_scenario: dict[str, np.ndarray] = {}
     for scenario in params["scenarios"]:
-        offsets = SCENARIOS[scenario][0](rng, params)
+        entry = SCENARIOS[scenario]
+        offsets = entry.arrivals(rng, params)
         span = int(offsets[-1] - offsets[0])
+        if span < entry.min_span:
+            raise ValueError(
+                f"{scenario} needs an arrival span of at least {entry.min_span} simulated seconds "
+                "to order its stage timers — raise n_requests or lower arrival_rate"
+            )
         # Ramped (overload and autoscale) streams deliberately span several
         # session windows — timers must fire mid-serve, while the server is
-        # backlogged — so the mid-serve guard does not apply to them.
-        if scenario not in RAMPED_SCENARIOS and span >= window_closes_after:
+        # backlogged, and those scenarios read their latency statistics from
+        # the engine's metrics registry — so the mid-serve guard does not
+        # apply to them.
+        if entry.arrivals is not _ramped_arrivals and span >= window_closes_after:
             raise ValueError(
                 f"{scenario} arrivals span {span}s but the session window closes after "
                 f"{window_closes_after}s: timers would fire mid-serve and the "

@@ -1,6 +1,8 @@
 """Shape guard: no function under ``src/repro/experiments/`` regrows past
 150 code lines (non-blank, non-comment, non-docstring) — ``run_batched_serving``
-was once 787 — and none under ``src/repro/serving/`` past 80, with
+was once 787 — and none under ``src/repro/serving/`` past 80;
+``experiments/serving_scenarios.py`` stays one scenario table under a
+module ceiling (it was once 694 code lines of per-scenario functions); with
 ``ServingEngine.build`` kept straight-line (it was once 173 lines with a
 callback defined per fault).  The serving suites share one harness
 (``tests/serving_harness.py`` and the ``serving_parts`` fixture) instead of
@@ -21,6 +23,8 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "repro"
 #: Directory -> the most code lines one function there may have.
 BUDGETS = {"experiments": 150, "serving": 80}
+#: Module -> the most code lines it may have.
+MODULE_CEILINGS = {"experiments/serving_scenarios.py": 600}
 _NOT_CODE = (
     tokenize.COMMENT,
     tokenize.NL,
@@ -31,25 +35,29 @@ _NOT_CODE = (
 )
 
 
-def function_code_lines(source: str) -> dict[str, int]:
-    """``qualified-ish name:lineno -> code lines`` for every function in ``source``
-    (a nested function's lines count toward its enclosing function too)."""
-    tree = ast.parse(source)
+def code_lines(source: str) -> set[int]:
+    """The line numbers of ``source`` that hold code: not blank, not only a
+    comment, not part of a module, class or function docstring."""
     code: set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             code.update(range(token.start[0], token.end[0] + 1))
-    functions = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
                 code.difference_update(range(first.lineno, first.end_lineno + 1))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.append(node)
+    return code
+
+
+def function_code_lines(source: str) -> dict[str, int]:
+    """``qualified-ish name:lineno -> code lines`` for every function in ``source``
+    (a nested function's lines count toward its enclosing function too)."""
+    code = code_lines(source)
     return {
         f"{node.name}:{node.lineno}": sum(node.lineno <= line <= node.end_lineno for line in code)
-        for node in functions
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
 
 
@@ -71,6 +79,12 @@ def test_no_experiment_function_exceeds_the_code_line_budget():
 def test_no_serving_function_exceeds_the_code_line_budget():
     oversized = oversized_functions("serving")
     assert not oversized, f"functions over {BUDGETS['serving']} code lines: {oversized}"
+
+
+def test_no_module_exceeds_its_code_line_ceiling():
+    counts = {module: len(code_lines((PACKAGE / module).read_text())) for module in MODULE_CEILINGS}
+    over = {module: count for module, count in counts.items() if count > MODULE_CEILINGS[module]}
+    assert not over, f"modules over their code-line ceiling {MODULE_CEILINGS}: {over}"
 
 
 def test_engine_build_defines_no_nested_function():
@@ -184,3 +198,4 @@ def f(x):
     return y
 '''
     assert function_code_lines(source) == {"f:2": 5}
+    assert len(code_lines(source)) == 5

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -264,7 +265,15 @@ class TestEngineBlockExecution:
     def test_engine_block_cannot_shadow_the_n_shards_parameter(self):
         from repro.experiments import run_batched_serving
 
-        with pytest.raises(ValueError, match="falsify provenance"):
+        # The manifest loader's rule and wording, through the one validator.
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "engine_config: ['n_shards'] must be set as experiment parameters (a manifest's \"params\" or "
+                "\"sweep\"), not in the engine block: an engine-block value would shadow the parameter and "
+                "falsify the recorded provenance"
+            ),
+        ):
             run_batched_serving(
                 n_users=4, n_requests=8, batch_sizes=(1,), scenarios=("bursty",), hidden_size=8,
                 engine_config={"n_shards": 2},
