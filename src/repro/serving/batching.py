@@ -9,7 +9,14 @@ standard lever is *micro-batching* — coalesce concurrent requests into one
 
 Three pieces:
 
-* :class:`ServingRequest` — one queued prediction request.
+* :class:`ServingRequest`, :class:`ServingPrediction`,
+  :class:`SessionUpdate` — one queued request, one served prediction, one
+  hand-built session-end update: immutable tuple rows
+  (:class:`typing.NamedTuple`), built positionally on the hot path.  Rows
+  in, columns inside, rows out: a backend's ``predict_batch`` reads its
+  micro-batch as columns once (``zip(*requests)``) and maps the result
+  columns back into one prediction row per request, in submission order,
+  as a stream wave is read as columns (:class:`SessionWave`).
 * Batched backends (:class:`BatchedHiddenStateBackend`,
   :class:`BatchedAggregationBackend`) — vectorized implementations of the two
   serving dataflows.  They meter exactly the same per-request KV traffic as
@@ -45,8 +52,8 @@ precompute decisions, same KV traffic) is enforced by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +86,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ServingPrediction:
+class ServingPrediction(NamedTuple):
     """One served prediction with its operational cost footprint."""
 
     user_id: int
@@ -90,8 +96,7 @@ class ServingPrediction:
     bytes_fetched: int
 
 
-@dataclass(frozen=True)
-class ServingRequest:
+class ServingRequest(NamedTuple):
     """One queued prediction request (session start)."""
 
     user_id: int
@@ -99,8 +104,7 @@ class ServingRequest:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class SessionUpdate:
+class SessionUpdate(NamedTuple):
     """One session-end observation ready to be applied to stored state."""
 
     user_id: int
@@ -133,15 +137,13 @@ class SessionWave:
     @classmethod
     def of(cls, updates: "SessionWave | list[SessionUpdate]") -> "SessionWave":
         """``updates`` itself when it is a wave; a hand-built
-        ``list[SessionUpdate]`` (warm-ups, tests) converted once."""
+        ``list[SessionUpdate]`` (warm-ups, tests) transposed once, rows
+        into columns, by one ``zip``."""
         if isinstance(updates, cls):
             return updates
-        return cls(
-            [update.user_id for update in updates],
-            [update.timestamp for update in updates],
-            [update.context for update in updates],
-            [update.accessed for update in updates],
-        )
+        if not updates:
+            return cls((), (), (), ())
+        return cls(*zip(*updates))
 
 
 class SessionStreamMixin:
@@ -295,7 +297,7 @@ class SessionStreamMixin:
                 context = event.payload["context"]
             elif event.topic == "access":
                 accessed = accessed or bool(event.payload["accessed"])
-        return SessionUpdate(user_id=user_id, timestamp=timestamp, context=context, accessed=accessed)
+        return SessionUpdate(user_id, timestamp, context, accessed)
 
     def _on_timer(self, user_id: int, timestamp: int, fire_at: int, events: list[StreamEvent]) -> None:
         """Plain-timer callback: the reference join, delivered as a wave of one."""
@@ -519,25 +521,13 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     def predict_batch(self, requests: list[ServingRequest]) -> list[ServingPrediction]:
         if not requests:
             return []
-        timestamps = np.asarray([request.timestamp for request in requests], dtype=np.int64)
-        states, gaps, fetched = self._fetch_states(
-            self._state_keys([request.user_id for request in requests]), timestamps
-        )
-        inputs = self.predict_inputs(
-            [request.context or {} for request in requests], timestamps, gaps
-        )
+        user_ids, contexts, stamps = zip(*requests)
+        timestamps = np.asarray(stamps, dtype=np.int64)
+        states, gaps, fetched = self._fetch_states(self._state_keys(user_ids), timestamps)
+        inputs = self.predict_inputs(contexts, timestamps, gaps)
         probabilities = self.network.predict_proba_batch(states, inputs).tolist()
         self.predictions_served += len(requests)
-        return [
-            ServingPrediction(
-                user_id=request.user_id,
-                timestamp=request.timestamp,
-                probability=probability,
-                kv_lookups=1,
-                bytes_fetched=size,
-            )
-            for request, probability, size in zip(requests, probabilities, fetched)
-        ]
+        return list(map(ServingPrediction, user_ids, stamps, probabilities, itertools.repeat(1), fetched))
 
     # ------------------------------------------------------------------
     # Session-end updates
@@ -686,33 +676,26 @@ class BatchedAggregationBackend(SessionStreamMixin):
     def predict_batch(self, requests: list[ServingRequest]) -> list[ServingPrediction]:
         if not requests:
             return []
+        user_ids, contexts, stamps = zip(*requests)
         lookups = self._lookups
+        floor = lookups * 16
         fetched: list[int] = []
         records: list[dict] = []
-        for request in requests:
-            record, size = self._load_history(request.user_id)
-            fetched.append(size)
+        for user_id in user_ids:
+            record, size = self._load_history(user_id)
+            fetched.append(max(size, floor))
             records.append(record)
         # Row i reads record i: a user twice in one batch is two fetched logs,
         # flattened with the rest into one set of columns.
         features = self.featurizer.transform_user(
             HistoryBatch.of_records(records, self._context_fields),
             np.arange(len(requests)),
-            [request.timestamp for request in requests],
-            [request.context for request in requests],
+            stamps,
+            contexts,
         )
-        probabilities = np.asarray(self.estimator.predict_proba(features)).reshape(-1)
+        probabilities = np.asarray(self.estimator.predict_proba(features)).reshape(-1).tolist()
         self.predictions_served += len(requests)
-        return [
-            ServingPrediction(
-                user_id=request.user_id,
-                timestamp=request.timestamp,
-                probability=float(probabilities[row]),
-                kv_lookups=lookups,
-                bytes_fetched=max(fetched[row], lookups * 16),
-            )
-            for row, request in enumerate(requests)
-        ]
+        return list(map(ServingPrediction, user_ids, stamps, probabilities, itertools.repeat(lookups), fetched))
 
     # ------------------------------------------------------------------
     def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
@@ -846,14 +829,13 @@ class MicroBatchQueue:
             # pipeline accumulates.  The tracer only *reads* these values:
             # when it alone triggers this branch there is no server, so
             # computing them is pure.
-            reference = float(max(request.timestamp for request in batch))
+            _, _, stamps = zip(*batch)
+            reference = float(max(stamps))
             if self.stream.clock > reference:
                 reference = float(self.stream.clock)
             completion = self.server.process(len(batch), reference) if self.server is not None else reference
             if self._metered:
-                self._m_latency.observe_many(
-                    completion - request.timestamp for request in batch
-                )
+                self._m_latency.observe_many(completion - stamp for stamp in stamps)
             if traced:
                 self.tracer.begin_predict(batch, reference, completion)
         predictions = self.backend.predict_batch(batch)
@@ -898,7 +880,7 @@ class MicroBatchQueue:
         if due is not None and timestamp >= due:
             delivered += self.flush()
             self.stream.advance_to(timestamp)
-        request = ServingRequest(user_id=user_id, context=context, timestamp=timestamp)
+        request = ServingRequest(user_id, context, timestamp)
         if self.admission is not None:
             # Parked requests re-enter ahead of newly offered ones: if any
             # remain parked after this, the depth they occupy makes the

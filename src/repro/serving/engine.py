@@ -161,7 +161,14 @@ class Backend(Protocol):
     update_delay_seconds: float
 
     def predict_batch(self, requests: list[ServingRequest]) -> list[ServingPrediction]:
-        """Score a micro-batch of queued requests."""
+        """Score a micro-batch of queued requests.
+
+        Requests and predictions are immutable tuple rows: the batch is read
+        as columns (``user_ids, contexts, stamps = zip(*requests)``), as a
+        wave is, and the result is one :class:`ServingPrediction` row per
+        request, in submission order, with the request's ``user_id`` and
+        ``timestamp``.  An empty batch returns ``[]``.
+        """
         ...
 
     def observe_session(self, user_id: int, context: dict[str, float], timestamp: int, accessed: bool) -> None:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import replace
+from itertools import repeat
 from typing import Any, Iterable, Mapping
 
 from .checks import is_int
@@ -89,13 +90,19 @@ def install(parts, block: dict[str, int] | None):
     return replace(parts, tracer=tracer)
 
 
+#: An empty 8-byte BLAKE2b state, never updated itself: copying it is about a
+#: third cheaper than constructing a hash per request, for the same digest.
+_EMPTY_BLAKE2B = hashlib.blake2b(digest_size=8)
+
+
 def _stable_hash(user_id: int, timestamp: float) -> int:
     """Deterministic across processes (same BLAKE2b idiom as the shard
     ring and canary cohorts; packed binary key rather than a formatted
-    string because this runs once per request on the serving hot path)."""
-    return int.from_bytes(
-        hashlib.blake2b(_pack_request_key(user_id, timestamp), digest_size=8).digest(), "big"
-    )
+    string because this runs once per request on the serving hot path).
+    An integer ``timestamp`` packs as the same double ``float()`` makes."""
+    digest = _EMPTY_BLAKE2B.copy()
+    digest.update(_pack_request_key(user_id, timestamp))
+    return int.from_bytes(digest.digest(), "big")
 
 
 class Span:
@@ -198,22 +205,20 @@ class Tracer:
         self._kv_pending: dict[tuple[str, str], list[int]] = {}
 
     # ------------------------------------------------------------------
-    # span plumbing
-
-    def _sampled(self, user_id: int, timestamp: float) -> bool:
-        if self.sample_pct >= 100:
-            return True
-        return _stable_hash(user_id, timestamp) % 100 < self.sample_pct
-
-    # ------------------------------------------------------------------
     # data-plane hooks (MicroBatchQueue / SessionStreamMixin / backends)
+    #
+    # These run per request, session and batch on the serving hot path: the
+    # sampling test is inlined, and a session, a batch's requests or a
+    # wave's entries are looked up only while some sampled request is
+    # pending there, a batch's with ``map``.
 
     def request_enqueued(self, request: Any) -> None:
         """A request entered the micro-batch queue (root span start)."""
         user_id = request.user_id
-        start = float(request.timestamp)
-        if self.sample_pct < 100 and not self._sampled(user_id, start):
+        timestamp = request.timestamp
+        if self.sample_pct < 100 and _stable_hash(user_id, timestamp) % 100 >= self.sample_pct:
             return
+        start = float(timestamp)
         row = [user_id, start, None, None, None, None, None, None, None]
         self._trees.append(row)
         self._by_request[id(request)] = row
@@ -234,9 +239,8 @@ class Tracer:
                 {"batch_size": len(batch), "kv_bytes": 0, "kv_ops": 0}]
         self._records.append(span)
         by_request = self._by_request
-        for request in batch:
-            row = by_request.get(id(request))
-            if row is not None:
+        if by_request:
+            for row in filter(None, map(by_request.get, map(id, batch))):
                 row[_T_REF] = reference
                 row[_T_COMP] = completion
         self._context = span
@@ -245,15 +249,19 @@ class Tracer:
     def end_predict(self, batch: Iterable[Any], predictions: Iterable[Any]) -> None:
         """The batch scored: stamp per-request KV attribution, close the lane."""
         by_request = self._by_request
-        for request, prediction in zip(batch, predictions):
-            row = by_request.pop(id(request), None)
-            if row is not None:
-                row[_T_KV_LOOKUPS] = prediction.kv_lookups
-                row[_T_KV_BYTES] = prediction.bytes_fetched
+        if by_request:
+            # Predictions lead the zip, so a short result list pops no
+            # request it has no prediction for.
+            for prediction, row in zip(predictions, map(by_request.pop, map(id, batch), repeat(None))):
+                if row is not None:
+                    row[_T_KV_LOOKUPS] = prediction.kv_lookups
+                    row[_T_KV_BYTES] = prediction.bytes_fetched
         self._close_context()
 
     def session_published(self, user_id: int, timestamp: float, fire_at: float) -> None:
         """A session window opened with its end-timer scheduled at ``fire_at``."""
+        if not self._session_fifo:
+            return  # no sampled request awaits its session
         key = (user_id, float(timestamp))
         fifo = self._session_fifo.get(key)
         if not fifo:
@@ -273,26 +281,27 @@ class Tracer:
         entries = list(entries)
         clock = float(clock)
         wave_start = clock
-        for _, _, fire_at in entries:
-            fire_at = float(fire_at)
-            if fire_at < wave_start:
-                wave_start = fire_at
+        if entries:
+            user_ids, timestamps, fire_ats = zip(*entries)
+            # ``float`` is monotone, so the earliest fire time converts once.
+            wave_start = min(clock, float(min(fire_ats)))
         self._n_spans += 1
         span = [self._n_spans, 0, None, "apply_wave", "batch", wave_start, clock, "span",
                 {"wave_size": len(entries), "kv_bytes": 0, "kv_ops": 0}]
         self._records.append(span)
         wave_fifo = self._wave_fifo
-        for user_id, timestamp, _ in entries:
-            key = (user_id, float(timestamp))
-            fifo = wave_fifo.get(key)
-            if not fifo:
-                continue
-            row = fifo.pop(0)
-            if not fifo:
-                del wave_fifo[key]
-            scheduled = row[_T_FIRE]
-            row[_T_WAVE_END] = clock if clock > scheduled else scheduled
-            row[_T_WAVE_AT] = clock
+        if wave_fifo and entries:
+            # A key is tested just before its entry is handled, so a key met
+            # twice in one wave sees the first one's pop (an emptied FIFO is
+            # deleted, so a present key always has a row).
+            for key in filter(wave_fifo.__contains__, zip(user_ids, map(float, timestamps))):
+                fifo = wave_fifo[key]
+                row = fifo.pop(0)
+                if not fifo:
+                    del wave_fifo[key]
+                scheduled = row[_T_FIRE]
+                row[_T_WAVE_END] = clock if clock > scheduled else scheduled
+                row[_T_WAVE_AT] = clock
         self._context = span
         self._context_time = clock
 

@@ -239,6 +239,49 @@ class TestServingServices:
         offline = rnn.predict_examples(dataset.subset([user.user_id]), examples)
         assert np.allclose(np.asarray(served), offline, atol=1e-8)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP item 8: offline aggregation features count every session that "
+            "started before the prediction, the served agg: record only those whose "
+            "window (session length + extra lag) has closed"
+        ),
+    )
+    def test_aggregation_service_matches_offline_model(self, small_trained_models):
+        dataset, split, _, gbdt, _ = small_trained_models
+        service = ServingEngine.build(
+            EngineConfig(backend="aggregation", session_length=dataset.session_length, extra_lag=60),
+            featurizer=gbdt.featurizer,
+            estimator=gbdt.estimator,
+            schema=dataset.schema,
+        )
+        stream = service.stream
+        user = max(split.test.users, key=len)
+        served = []
+        for index in range(len(user)):
+            timestamp = int(user.timestamps[index])
+            context = user.context_row(index)
+            stream.advance_to(timestamp)
+            served.append(service.predict(user.user_id, context, timestamp).probability)
+            service.observe_session(user.user_id, context, timestamp, bool(user.accesses[index]))
+        stream.flush()
+        assert service.updates_applied == len(user)
+
+        examples = {user.user_id: TaskSpec(kind="session", eval_days=dataset.n_days).eval_examples(
+            dataset.subset([user.user_id])
+        )[user.user_id]}
+        offline = gbdt.predict_examples(dataset.subset([user.user_id]), examples)
+        served = np.asarray(served)
+        # The user has sessions that start within δ of the one before, and
+        # every prediction without one is already served bit for bit: the gap
+        # below is item 8's and nothing else.  (Not an ``assert``: a broken
+        # premise must fail the test, not satisfy its xfail.)
+        within_delta = np.diff(user.timestamps, prepend=-np.inf) < dataset.session_length + 60
+        if not within_delta.any() or not np.array_equal(served[~within_delta], offline[~within_delta]):
+            pytest.fail("the replayed user does not isolate item 8's gap")
+        assert np.array_equal(served, offline)
+
     def test_aggregation_service_charges_twenty_lookups(self, small_trained_models):
         dataset, split, task, gbdt, _ = small_trained_models
         service = ServingEngine.build(

@@ -11,6 +11,8 @@ vectorized path cannot hide behind a shared implementation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.serving import (
     KeyValueStore,
     MicroBatchQueue,
     ServingEngine,
+    ServingPrediction,
     ServingRequest,
     SessionUpdate,
     SessionWave,
@@ -489,6 +492,97 @@ class TestWaveContract:
                 assert actual["timestamp"] == expected["timestamp"]
                 assert actual["state"].dtype == expected["state"].dtype
                 np.testing.assert_array_equal(actual["state"], expected["state"])
+
+
+class TestRowContract:
+    """Requests, predictions and hand-built updates are immutable rows.
+
+    Each record is a fixed sequence of named fields, built positionally or
+    by keyword alike, frozen, and hashable whenever its fields are; a
+    backend's ``predict_batch`` hands back one prediction per request, in
+    submission order, carrying the request's user and timestamp.
+    """
+
+    RECORDS = {
+        "request": (ServingRequest, {"user_id": 7, "context": {"unread_count": 2.0}, "timestamp": 100}),
+        "prediction": (
+            ServingPrediction,
+            {"user_id": 7, "timestamp": 100, "probability": 0.25, "kv_lookups": 1, "bytes_fetched": 72},
+        ),
+        "update": (
+            SessionUpdate,
+            {"user_id": 7, "timestamp": 100, "context": {"unread_count": 2.0}, "accessed": True},
+        ),
+    }
+
+    @staticmethod
+    def _field_names(record) -> tuple[str, ...]:
+        # A tuple row names its fields in ``_fields``; a dataclass record
+        # (the spelling these rows replaced) through ``dataclasses.fields``.
+        if dataclasses.is_dataclass(record):
+            return tuple(field.name for field in dataclasses.fields(record))
+        return record._fields
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_field_names_and_order(self, name):
+        record, values = self.RECORDS[name]
+        assert self._field_names(record) == tuple(values)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_positional_and_keyword_rows_are_equal(self, name):
+        record, values = self.RECORDS[name]
+        positional, keyword = record(*values.values()), record(**values)
+        assert positional == keyword
+        assert [getattr(positional, field) for field in values] == list(values.values())
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_rows_are_frozen(self, name):
+        record, values = self.RECORDS[name]
+        row = record(**values)
+        for field in values:
+            with pytest.raises(AttributeError):
+                setattr(row, field, None)
+        assert row == record(**values)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_rows_hash_where_every_field_does(self, name):
+        record, values = self.RECORDS[name]
+        hashable = {field: None if field == "context" else value for field, value in values.items()}
+        assert len({record(**hashable), record(*hashable.values())}) == 1
+        if "context" in values:  # a dict context makes the row unhashable, as the dict is
+            with pytest.raises(TypeError):
+                hash(record(**values))
+
+    @pytest.mark.parametrize("kind", ["hidden_state", "aggregation"])
+    def test_predict_batch_returns_one_row_per_request_in_order(self, trained, kind):
+        dataset, rnn, gbdt, events = trained
+        if kind == "aggregation":
+            backend = aggregation_engine(gbdt, dataset, 64).backend
+        else:
+            backend = hidden_engine(rnn, dataset, 64).backend
+        backend.apply_wave(
+            [SessionUpdate(u, t, context, accessed) for t, u, context, accessed in events[:30]]
+        )
+        late = events[30][0] + 5_000
+        requests = [ServingRequest(u, context, late + offset) for offset, (_, u, context, _) in enumerate(events[:12])]
+        # A user twice (once later, once on a user with no stored history) …
+        repeated = requests[3]
+        requests.insert(7, ServingRequest(repeated.user_id, repeated.context, late + 900))
+        unseen = max(u for _, u, _, _ in events) + 1
+        requests.append(ServingRequest(unseen, events[0][2], late + 901))
+        if kind == "aggregation":  # … and a request with no current session.
+            requests.insert(5, ServingRequest(requests[5].user_id, None, late + 902))
+        assert len({request.user_id for request in requests}) < len(requests)
+        predictions = backend.predict_batch(requests)
+        assert len(predictions) == len(requests)
+        assert [(p.user_id, p.timestamp) for p in predictions] == [(r.user_id, r.timestamp) for r in requests]
+        # Row i is request i's own prediction: scored alone, it reads the same.
+        for request, prediction in zip(requests, predictions):
+            (alone,) = backend.predict_batch([request])
+            assert (prediction.kv_lookups, prediction.bytes_fetched) == (alone.kv_lookups, alone.bytes_fetched)
+            assert prediction.probability == pytest.approx(alone.probability, abs=1e-10)
+        assert len({p.bytes_fetched for p in predictions}) > 1
+        assert backend.predict_batch([]) == []
 
 
 class TestMicroBatchQueue:

@@ -1,4 +1,4 @@
-"""Golden digests of trained weights: one small seeded fit per tabular model.
+"""Golden digests of trained weights: one small seeded fit per model family.
 
 ``golden/training_digest.json`` holds one SHA-256 per fit over everything the
 fit leaves behind that scoring or reporting reads.  For a
@@ -7,11 +7,14 @@ fit leaves behind that scoring or reporting reads.  For a
 the best iteration, the node count, the feature importances and both loss
 histories; the depth search adds its chosen depth and the validation loss of
 every depth it tried.  For a :class:`~repro.ml.LogisticRegression` it is the
-coefficients, the intercept and the loss history.
+coefficients, the intercept and the loss history.  For the GRU
+:class:`~repro.models.RNNModel` it is every network parameter, by name, and
+the per-minibatch training curve (sessions processed, loss, epoch).
 
-The digests were captured at the commit *before* ``RegressionTree`` stopped
-growing node lists and started growing heap tables, so a change to how the
-trainers run is checked against weights the old spelling produced.  A
+The tabular digests were captured at the commit *before* ``RegressionTree``
+stopped growing node lists and started growing heap tables, and the GRU digest
+at the commit before the serving records became tuple rows, so a change to how
+the trainers run is checked against weights the old spelling produced.  A
 re-spelling of a trainer must leave every digest unchanged; a change that
 moves trained bits on purpose regenerates the file and says what moved::
 
@@ -27,7 +30,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.data import make_dataset
 from repro.ml import GBDTConfig, GradientBoostedTrees, LogisticRegression
+from repro.models import RNNModel, RNNModelConfig, TaskSpec
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "training_digest.json"
 
@@ -101,7 +106,17 @@ def logistic() -> str:
     return _digest(model.coef_, model.intercept_, model.loss_history_)
 
 
-FITS = {fit.__name__: fit for fit in (gbdt_plain, gbdt_subsampled, gbdt_depth_search, logistic)}
+def gru() -> str:
+    """One epoch of the GRU network over a 20-user week (under a second)."""
+    dataset = make_dataset("mobiletab", seed=5, n_users=20, n_days=7)
+    config = RNNModelConfig(hidden_size=8, mlp_hidden=8, epochs=1, early_stopping_patience=None, seed=0)
+    model = RNNModel(config).fit(dataset, TaskSpec(kind="session", rnn_loss_days=5))
+    parameters = model.state_dict()
+    curve = [(point.sessions_processed, point.loss, point.epoch) for point in model.training_curve_]
+    return _digest(*sorted(parameters), *(parameters[name] for name in sorted(parameters)), curve)
+
+
+FITS = {fit.__name__: fit for fit in (gbdt_plain, gbdt_subsampled, gbdt_depth_search, logistic, gru)}
 
 
 @pytest.mark.parametrize("name", sorted(FITS))
