@@ -36,6 +36,14 @@ def _group_indices(groups: np.ndarray) -> dict:
     return {k: np.asarray(v, dtype=np.intp) for k, v in indices.items()}
 
 
+def _check_resampling(n_resamples: int, alpha: float) -> None:
+    """Refuse settings that give no samples or an inverted interval."""
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def bootstrap_ci(
     metric: Callable[[np.ndarray, np.ndarray], float],
     y_true: Sequence[float],
@@ -52,8 +60,7 @@ def bootstrap_ci(
     groups = np.asarray(groups)
     if not (len(y_true) == len(y_score) == len(groups)):
         raise ValueError("y_true, y_score and groups must have equal length")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
+    _check_resampling(n_resamples, alpha)
     rng = np.random.default_rng(seed)
     by_group = _group_indices(groups)
     group_keys = list(by_group)
@@ -89,6 +96,7 @@ def paired_bootstrap_delta(
     groups = np.asarray(groups)
     if not (len(y_true) == len(score_a) == len(score_b) == len(groups)):
         raise ValueError("all inputs must have equal length")
+    _check_resampling(n_resamples, alpha)
     rng = np.random.default_rng(seed)
     by_group = _group_indices(groups)
     group_keys = list(by_group)

@@ -172,9 +172,6 @@ def roc_auc(y_true, y_score) -> float:
     negatives = y_score[y_true == 0]
     if positives.size == 0 or negatives.size == 0:
         raise ValueError("roc_auc requires both positive and negative examples")
-    order = np.argsort(np.concatenate([negatives, positives]), kind="stable")
-    ranks = np.empty(order.size, dtype=np.float64)
-    ranks[order] = np.arange(1, order.size + 1)
     # Average ranks for ties.
     combined = np.concatenate([negatives, positives])
     sorted_combined = np.sort(combined)

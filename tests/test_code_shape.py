@@ -9,7 +9,9 @@ callback defined per fault).  The serving suites share one harness
 the eight private copies they once carried, ``src/`` compares records in
 one place, :mod:`repro.serving.twins`, no hot-path package forks on a
 batch of one row, and no module hides a per-element Python call behind
-``np.vectorize``."""
+``np.vectorize``.  ``tests/test_kernel_spellings.py`` keeps one reference
+per kernel (it once held three frozen generations of the aggregation
+featurizer, 2 002 lines) under a code-line ceiling."""
 
 from __future__ import annotations
 
@@ -85,6 +87,24 @@ def test_no_module_exceeds_its_code_line_ceiling():
     counts = {module: len(code_lines((PACKAGE / module).read_text())) for module in MODULE_CEILINGS}
     over = {module: count for module, count in counts.items() if count > MODULE_CEILINGS[module]}
     assert not over, f"modules over their code-line ceiling {MODULE_CEILINGS}: {over}"
+
+
+#: The aggregation featurizer's one reference: a re-spelling extends its
+#: strategies instead of freezing its own parent beside it (ROADMAP item 10).
+KERNEL_REFERENCES = {"ParentAggregator", "ParentFeaturizer"}
+#: The most code lines ``tests/test_kernel_spellings.py`` may have.
+KERNEL_SPELLINGS_CEILING = 1220
+
+
+def test_the_kernel_spellings_keep_one_reference_per_kernel():
+    source = (TESTS / "test_kernel_spellings.py").read_text()
+    frozen = {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name.endswith(("Featurizer", "Aggregator"))
+    }
+    assert frozen <= KERNEL_REFERENCES, f"featurizer spellings beside the reference: {sorted(frozen - KERNEL_REFERENCES)}"
+    assert len(code_lines(source)) <= KERNEL_SPELLINGS_CEILING
 
 
 def test_engine_build_defines_no_nested_function():

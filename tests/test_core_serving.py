@@ -12,7 +12,7 @@ from repro.core import (
     plan_timeshift,
     simulate_precompute,
 )
-from repro.data import make_dataset, user_split
+from repro.data import HistoryBatch, UserLog, make_dataset, user_split
 from repro.models import GBDTModel, PredictionResult, RNNModel, RNNModelConfig, TaskSpec
 from repro.serving import (
     EngineConfig,
@@ -280,6 +280,46 @@ class TestServingServices:
         within_delta = np.diff(user.timestamps, prepend=-np.inf) < dataset.session_length + 60
         if not within_delta.any() or not np.array_equal(served[~within_delta], offline[~within_delta]):
             pytest.fail("the replayed user does not isolate item 8's gap")
+        assert np.array_equal(served, offline)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP item 8(c): the served agg: record keeps 28 days of sessions, but the "
+            "log-bucketed elapsed features still tell an access up to 30 days back from none"
+        ),
+    )
+    def test_an_access_just_past_the_history_window_is_served_as_offline(self, small_trained_models):
+        """An accessed session at tA, an unaccessed one at tB = tA + 28 d + 1 s
+        and a query once B's write has landed, 28.015 days after tA: the
+        served record has evicted A, so its since_access features read "no
+        access" where the offline log reads 28.015 days."""
+        dataset, _, _, gbdt, _ = small_trained_models
+        featurizer = gbdt.featurizer
+        service = ServingEngine.build(
+            EngineConfig(backend="aggregation", session_length=dataset.session_length, extra_lag=60),
+            featurizer=featurizer,
+            estimator=gbdt.estimator,
+            schema=dataset.schema,
+        )
+        context = {"unread_count": 3, "active_tab": 1}
+        t_a = dataset.start_time
+        t_b = t_a + 28 * 86400 + 1
+        query = t_b + dataset.session_length + 60 + 1
+        service.observe_session(7, context, t_a, True)
+        service.stream.advance_to(t_b)
+        service.observe_session(7, context, t_b, False)
+        service.stream.advance_to(query)
+        record = service.store.peek("agg:7")
+        log = UserLog(7, [t_a, t_b], [1, 0], {name: [value, value] for name, value in context.items()})
+        served = featurizer.transform_user(HistoryBatch.of_records([record], dataset.schema.names()), [0], [query], [context])
+        offline = featurizer.transform_user(HistoryBatch.of_logs([log]), [0], [query], [context])
+        names = featurizer.feature_names()
+        moved = {names[i] for i in np.flatnonzero(served[0] != offline[0])}
+        # Not an ``assert``: a broken premise must fail the test, not satisfy its xfail.
+        if record["timestamps"] != [t_b] or any(not name.endswith(".since_access.bucket") for name in moved):
+            pytest.fail("the replay does not isolate item 8(c)'s gap")
         assert np.array_equal(served, offline)
 
     def test_aggregation_service_charges_twenty_lookups(self, small_trained_models):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import FixedThresholdPolicy
-from repro.data import ContextField, ContextSchema, HistoryBatch, make_dataset, sessions_in_time_order, user_split
+from repro.data import make_dataset, sessions_in_time_order, user_split
 from repro.experiments import ManifestError, load_manifest
 from repro.experiments.runner import validate_engine_block
 from repro.models import GBDTModel, RNNModel, RNNModelConfig, TaskSpec
@@ -36,7 +36,7 @@ from repro.serving import (
     StreamProcessor,
 )
 
-from test_kernel_spellings import BlockFeaturizer
+from test_kernel_spellings import ParentFeaturizer, _parent_rows, as_user_log
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -988,7 +988,8 @@ class TestAggregationRecordsAtPredict:
 
     def test_a_record_spanning_a_trillion_seconds_is_served_as_the_reference(self, trained):
         """Inside the bound, a record stamped 10**12 s before the others is
-        served bit for bit as the frozen rank-sort featurizer scores it."""
+        served bit for bit as the featurizer's reference scores it: one
+        ``UserLog`` per fetched record, one ``transform_user`` per request."""
         context, late = trained[3][0][2], trained[3][79][0] + 1
         engine = self._warm_engine(trained, max_batch_size=8)
         victim = self._tamper_longest(engine, lambda r: r["timestamps"].__setitem__(0, late - 10**12))
@@ -997,10 +998,9 @@ class TestAggregationRecordsAtPredict:
         empty = {"timestamps": [], "accesses": [], "context": {name: [] for name in engine.backend.schema.names()}}
         records = [engine.store.peek(f"agg:{user_id}", empty) for user_id in users]
         backend = engine.backend
+        logs = [as_user_log(user_id, record) for user_id, record in zip(users, records)]
         expected = backend.estimator.predict_proba(
-            BlockFeaturizer(backend.featurizer).transform_user(
-                HistoryBatch.of_records(records, backend.schema.names()), np.arange(8), [late] * 8, contexts
-            )
+            _parent_rows(ParentFeaturizer(backend.featurizer), logs, np.arange(8), [late] * 8, contexts)
         )
         delivered = [p for user_id, ctx in zip(users, contexts) for p in engine.submit(user_id, ctx, late)]
         assert [p.user_id for p in delivered] == users

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import ContextField, ContextSchema, UserLog
-from repro.data.tasks import session_examples
+from repro.data import ContextField, ContextSchema, HistoryBatch, UserLog
+from repro.data.tasks import peak_window_examples, session_examples
 from repro.features import (
     AggregationConfig,
     FeatureConfig,
@@ -188,6 +188,57 @@ class TestTabularFeaturizer:
         full = TabularFeaturizer(tiny_mobiletab.schema, ablation_config("A+E+C"))
         context_only = TabularFeaturizer(tiny_mobiletab.schema, ablation_config("C"))
         assert context_only.n_features < full.n_features
+
+    @staticmethod
+    def _training_sets(dataset, one_hot_elapsed):
+        """A featurizer and the dataset's task example sets, each as user id -> examples."""
+        featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
+        tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
+        return featurizer, tasks  # the timeshifted task has no contexts
+
+    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
+    @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
+    def test_training_transform_matches_the_served_records(self, dataset, one_hot_elapsed, request):
+        """Training's one call over NumPy logs equals the serving spelling of
+        the same logs: each a stored record of plain lists, flattened by
+        ``HistoryBatch.of_records``, so training and serving cannot skew."""
+        dataset = request.getfixturevalue(dataset)
+        featurizer, tasks = self._training_sets(dataset, one_hot_elapsed)
+        by_id = {user.user_id: user for user in dataset.users}
+        for examples_by_user in tasks:
+            user_ids = [uid for uid, examples in examples_by_user.items() if examples]
+            records = [
+                {
+                    "timestamps": by_id[uid].timestamps.tolist(),
+                    "accesses": by_id[uid].accesses.tolist(),
+                    "context": {name: values.tolist() for name, values in by_id[uid].context.items()},
+                }
+                for uid in user_ids
+            ]
+            examples = [e for uid in user_ids for e in examples_by_user[uid]]
+            served = featurizer.transform_user(
+                HistoryBatch.of_records(records, dataset.schema.names()),
+                np.repeat(np.arange(len(user_ids)), [len(examples_by_user[uid]) for uid in user_ids]),
+                [e.prediction_time for e in examples],
+                [e.context for e in examples],
+            )
+            np.testing.assert_array_equal(featurizer.transform(dataset, examples_by_user).X, served, strict=True)
+
+    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
+    @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
+    def test_training_transform_matches_one_call_per_user(self, dataset, one_hot_elapsed, request):
+        """One sort over every user's sessions keeps each row to its own
+        user's log: the whole set equals one call per user, taken in reverse."""
+        dataset = request.getfixturevalue(dataset)
+        featurizer, tasks = self._training_sets(dataset, one_hot_elapsed)
+        for examples_by_user in tasks:
+            user_ids = [uid for uid, examples in examples_by_user.items() if examples]
+            alone = {uid: featurizer.transform(dataset, {uid: examples_by_user[uid]}).X for uid in reversed(user_ids)}
+            np.testing.assert_array_equal(
+                featurizer.transform(dataset, examples_by_user).X,
+                np.concatenate([alone[uid] for uid in user_ids], axis=0),
+                strict=True,
+            )
 
 
 class TestSequenceBuilder:

@@ -1,43 +1,37 @@
-"""Every rewritten request-path kernel against its frozen old spelling.
+"""Every rewritten request-path kernel against its one reference.
 
-The batch-1 request path was made cheap by *re-spelling* five functions —
-whole-array ufunc chains in place of boolean-mask gathers, ``errstate``
-contexts, per-field blocks and ``concatenate`` — with the promise that no
-stored state, probability or meter moves by a bit.  The old spellings live
-on here, verbatim, as the references; each test asserts the new function
-returns the same dtype, shape and bits (NaNs in the same places, zeros with
-the same sign) on shapes from one row to a wave and on the values where
-the spellings could part ways: ``±0``, ``±inf``, NaN, the clip edge
-``±500``, subnormals, and gaps either side of the 30-day cap.
+The request path was made cheap by *re-spelling* its kernels — whole-array
+ufunc chains in place of boolean-mask gathers, one call per micro-batch in
+place of one per request, one sort in place of many — with the promise that
+no stored state, probability or meter moves by a bit.  Each kernel keeps
+exactly one reference here: the simplest spelling that is plainly right,
+usually the per-request loop, kept verbatim.  Each test asserts the live
+kernel returns the same dtype, shape and bits as its reference (NaNs in the
+same places, zeros with the same sign) on shapes from one row to a wave and
+on the values where the spellings could part ways: ``±0``, ``±inf``, NaN,
+clip and bin edges, subnormals, window edges, tied stamps and gaps either
+side of the 30-day cap.
 
-The aggregation featurizer was re-spelled the same way — one whole-array
-call per micro-batch in place of one call per request, context subset and
-match code — and is held to the same bits against its parent spelling, on
-drawn histories with ties, window edges and contextless rows.  Its input
-then became one flat history batch — a micro-batch's stored records
-flattened into one array per column, ``UserLog``'s refusals checked once
-over them — held to the parent's one ``UserLog`` per record on the same
-bits and the same refusal messages.
+A later re-spelling does not freeze its own parent beside the reference: it
+extends the reference's strategies and hand cases until they reach what it
+changed.  Where a kernel changes behaviour on purpose, the reference is
+edited in place, with a comment naming the change.
 
-Its aggregations were then re-spelled as one sort over the sessions only —
-each row cuts its own log by time, and every (subset, window) count is read
-from one packed (subset, log, match code, position) sort — and its design
-matrix as one zero matrix written in place of a block per family; both are
-held to the rank-sort, block-concatenate spelling on window edges, tied
-stamps, stamps far apart and context values outside their cardinality.
+The references, by kernel:
 
-The incumbent's GBDT prediction was re-spelled too — one packed walk over
-the whole ensemble on raw thresholds in place of re-binning every call and
-walking each tree's node lists — and is held to the parent's bits on values
-exactly on, and one ulp either side of, every bin edge.  Its weak learner
-then stopped growing node lists and grew each tree straight into the heap
-tables it is scored from; the node-list grower is kept as
-``ParentRegressionTree``, and the heap grower is held to its tables, node
-counts and importances on drawn rows and growth parameters.
-
-The state arena's int8 encode lost ``np.clip``, ``np.round`` and a no-op
-second ``where``, and is held to its parent spelling on half-way values,
-signed zeros, all-zero rows, subnormal and non-finite peaks.
+* the sigmoids, ``log_bucket``, context encoding and input assembly — the
+  masked and block-concatenate spellings of 27c4646;
+* the aggregation featurizer — ``ParentAggregator`` / ``ParentFeaturizer``
+  (acba69b): one ``transform_user(log, [example])`` per request, one block
+  per subset, one ``np.unique`` pass per match code.  It also answers for
+  the flat history batch (one ``UserLog`` per fetched record,
+  ``as_user_log``, which keeps the refusal messages) and for the one-sort
+  aggregations (window edges, tied stamps, stamps far apart, context values
+  outside their cardinality);
+* GBDT prediction — per-call re-binning and a pending-mask walk of each
+  tree (``decision_function_rebinned``); tree growth — the node-list grower
+  ``ParentRegressionTree``, whose node lists the walk reads;
+* the state arena's int8 encode — ``np.clip`` / ``np.round``.
 """
 
 from __future__ import annotations
@@ -686,6 +680,16 @@ def _parent_rows(parent: ParentFeaturizer, logs, owners, times, contexts) -> np.
     return np.concatenate(rows, axis=0)
 
 
+def _parent_compute(aggregator: HistoryAggregator, logs, owners, times, contexts) -> np.ndarray:
+    """The parent's aggregations one row at a time: ``compute(log, [t], None | [context])``."""
+    parent = ParentAggregator(aggregator)
+    rows = [
+        parent.compute(logs[owner], [time], None if context is None else [context])
+        for owner, time, context in zip(owners, times, contexts)
+    ]
+    return np.concatenate(rows, axis=0)
+
+
 class TestAggregationFeaturizerSpelling:
     """The whole-array featurizer against the parent's per-request, per-subset,
     per-code spelling.  Kills: sorting sessions without the segment key (two
@@ -799,156 +803,6 @@ def as_user_log(user_id: int, record: dict) -> UserLog:
     )
 
 
-class ListOfLogsFeaturizer:
-    """``TabularFeaturizer.transform_user`` and
-    ``HistoryAggregator.compute_batch`` at 29fd535, verbatim: a list of
-    ``UserLog``s in, joined by one ``concatenate`` per column per call.  The
-    helpers unchanged until 878693b (``_match_codes``, ``_query_offsets``,
-    ``_encode_context``, ``_encode_time``) are the frozen copies on
-    :class:`BlockFeaturizer`; the index maps are the live featurizer's."""
-
-    def __init__(self, live: TabularFeaturizer) -> None:
-        frozen = BlockFeaturizer(live)
-        self.config, self.n_features = live.config, live.n_features
-        self._encode_context, self._encode_time = frozen._encode_context, frozen._encode_time
-        self._elapsed_columns, self._history_width = live._elapsed_columns, live._history_width
-        self._plain_columns, self._plain_targets = live._plain_columns, live._plain_targets
-        self._elapsed_targets = live._elapsed_targets
-        self.aggregator = frozen.aggregator
-
-    def compute_batch(
-        self,
-        logs: list[UserLog],
-        owners: np.ndarray,
-        prediction_times: np.ndarray,
-        contexts: list[dict[str, float] | None],
-    ) -> np.ndarray:
-        agg = self.aggregator
-        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
-        n_rows = prediction_times.size
-        if len(contexts) != n_rows:
-            raise ValueError("contexts must align with prediction_times")
-        n_subsets = len(agg.subsets)
-        per_subset = agg.n_features // n_subsets
-        if n_rows == 0 or per_subset == 0:
-            return np.zeros((n_rows, agg.n_features), dtype=np.float64)
-        owners = np.asarray(owners, dtype=np.int64)
-
-        times = np.concatenate([log.timestamps for log in logs])
-        accesses = np.concatenate([log.accesses for log in logs])
-        n_sessions = times.size
-        segments = np.repeat(np.arange(1, len(logs) + 1), [len(log) for log in logs])
-        values = {
-            name: np.concatenate(
-                [log.context[name] for log in logs]
-                + [np.asarray([0 if c is None else c[name] for c in contexts])]
-            )
-            for name in dict.fromkeys(name for subset in agg.subsets for name in subset)
-        }
-        codes = agg._match_codes(values, n_sessions + n_rows)
-
-        has_context = np.fromiter((c is not None for c in contexts), dtype=bool, count=n_rows)
-        keys = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
-        keys[:, :n_sessions] = segments
-        keys[:, n_sessions:] = np.where(has_context, owners + 1, 0)
-        keys[0, n_sessions:] = owners + 1  # the unconditional subset needs no context
-        keys += np.arange(n_subsets)[:, None] * (len(logs) + 1)
-        order = np.lexsort((codes.ravel(), keys.ravel()))
-        sorted_keys, sorted_codes = keys.ravel()[order], codes.ravel()[order]
-        group = np.empty(order.size, dtype=np.int64)
-        group[0] = 0
-        np.cumsum((sorted_keys[1:] != sorted_keys[:-1]) | (sorted_codes[1:] != sorted_codes[:-1]), out=group[1:])
-
-        entry = order % (n_sessions + n_rows)
-        is_session = entry < n_sessions
-        session = entry[is_session]  # sessions in (group, time) order
-        row_group = np.empty(order.size, dtype=np.int64)
-        row_group[order] = group
-        row_group = row_group.reshape(n_subsets, -1)[:, n_sessions:].T  # [rows, subsets]
-
-        distinct_times, time_rank = np.unique(times, return_inverse=True)
-        span = distinct_times.size + 1
-        query_ranks = np.zeros((n_rows, agg._query_offsets.size + 1), dtype=np.int64)
-        query_ranks[:, 1:] = np.searchsorted(distinct_times, prediction_times[:, None] - agg._query_offsets)
-        found = np.searchsorted(
-            group[is_session] * span + time_rank.reshape(-1)[session],
-            row_group[:, :, None] * span + query_ranks[:, None, :],
-        )
-        start, before = found[..., 0], found[..., 1]  # [rows, subsets]
-
-        cum_accesses = np.zeros(session.size + 1, dtype=np.int64)
-        np.cumsum(accesses[session], out=cum_accesses[1:])
-        session_times = times[session]
-        features = np.empty((n_rows, n_subsets, per_subset), dtype=np.float64)
-        if agg.config.include_aggregations:
-            opened = found[..., 2:]
-            n_in_window = (before[..., None] - opened).astype(np.float64)
-            n_accessed = (cum_accesses[before][..., None] - cum_accesses[opened]).astype(np.float64)
-            width = 3 * len(agg.config.windows)
-            features[..., 0:width:3] = n_in_window
-            features[..., 1:width:3] = n_accessed
-            features[..., 2:width:3] = np.where(
-                n_in_window > 0, n_accessed / np.maximum(n_in_window, 1.0), 0.0
-            )
-        if agg.config.include_elapsed:
-            previous = np.concatenate([[0], session_times])[before]
-            accessed_before = cum_accesses[before]
-            last_access = np.concatenate([[0], session_times[accesses[session] == 1]])[accessed_before]
-            queried = prediction_times[:, None]
-            features[..., -2] = np.where(before > start, queried - previous, MISSING_ELAPSED)
-            features[..., -1] = np.where(accessed_before > cum_accesses[start], queried - last_access, MISSING_ELAPSED)
-        return features.reshape(n_rows, agg.n_features)
-
-    def _encode_history(
-        self, users: list[UserLog], owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
-    ) -> np.ndarray:
-        raw = self.compute_batch(users, owners, prediction_times, contexts)
-        if not self._elapsed_columns:
-            return raw
-        buckets = log_bucket(raw[:, self._elapsed_columns], n_buckets=self.config.elapsed_buckets)
-        encoded = np.zeros((raw.shape[0], self._history_width), dtype=np.float64)
-        encoded[:, self._plain_targets] = raw[:, self._plain_columns]
-        if self.config.one_hot_elapsed:
-            encoded[np.arange(raw.shape[0])[:, None], self._elapsed_targets + buckets] = 1.0
-        else:
-            encoded[:, self._elapsed_targets] = buckets
-        return encoded
-
-    def transform_user(
-        self,
-        users: list[UserLog],
-        owners,
-        prediction_times,
-        contexts: list[dict[str, float] | None],
-    ) -> np.ndarray:
-        prediction_times = np.asarray(prediction_times, dtype=np.int64)
-        blocks: list[np.ndarray] = []
-        if self.config.include_context:
-            blocks.append(self._encode_context(contexts))
-        if self.config.include_time:
-            blocks.append(self._encode_time(prediction_times))
-        blocks.append(self._encode_history(users, owners, prediction_times, contexts))
-        matrix = np.concatenate(blocks, axis=1)
-        if matrix.shape[1] != self.n_features:
-            raise RuntimeError(
-                f"feature width mismatch: built {matrix.shape[1]} columns, expected {self.n_features}"
-            )
-        return matrix
-
-    def transform(self, dataset, examples_by_user: dict[int, list[Example]]) -> np.ndarray:
-        """``transform``'s design matrix: one list-of-``UserLog`` call."""
-        users_by_id = {user.user_id: user for user in dataset.users}
-        user_ids = [user_id for user_id, examples in examples_by_user.items() if examples]
-        counts = [len(examples_by_user[user_id]) for user_id in user_ids]
-        examples = [example for user_id in user_ids for example in examples_by_user[user_id]]
-        return self.transform_user(
-            [users_by_id[user_id] for user_id in user_ids],
-            np.repeat(np.arange(len(user_ids)), counts),
-            np.asarray([e.prediction_time for e in examples], dtype=np.int64),
-            [e.context for e in examples],
-        )
-
-
 #: A numeric column's values, by record: ints only, floats only, or both —
 #: so a batch can hold an int64 record beside a float64 one.
 NUMERIC_POOLS = {
@@ -1030,14 +884,14 @@ RECORD_TAMPERS = {
 
 class TestHistoryBatchSpelling:
     """The flat history batch against the parent's one ``UserLog`` per
-    fetched record and list-of-``UserLog`` featurizer.  Kills: the record
-    boundary mask dropped or moved by one (a stamp that falls from one
-    record to the next is refused, or a regression beside a boundary is
-    let through), segment lengths shifted by one (rolled to the
-    neighbouring record, or segment ids starting at 0), a context column
-    left out of step inside the batch (a short record beside a long one), a
-    flag check that lets ``-1`` through, and a dtype fixed per column
-    instead of promoted across records."""
+    fetched record (``as_user_log``) and one ``transform_user`` per request.
+    Kills: the record boundary mask dropped or moved by one (a stamp that
+    falls from one record to the next is refused, or a regression beside a
+    boundary is let through), segment lengths or log ids shifted by one
+    (rows read the neighbouring record), a context column left out of step
+    inside the batch (a short record beside a long one), a flag check that
+    lets ``-1`` through, and a dtype fixed per column instead of promoted
+    across records."""
 
     @pytest.mark.parametrize("size", [1, 7, 8])
     @pytest.mark.parametrize("schema_name", sorted(AGG_SCHEMAS))
@@ -1050,8 +904,12 @@ class TestHistoryBatchSpelling:
         owners = np.arange(size)
         assert_same_bits(
             featurizer.transform_user(HistoryBatch.of_records(records, schema.names()), owners, times, contexts),
-            ListOfLogsFeaturizer(featurizer).transform_user(
-                [as_user_log(user, record) for user, record in zip(users, records)], owners, times, contexts
+            _parent_rows(
+                ParentFeaturizer(featurizer),
+                [as_user_log(user, record) for user, record in zip(users, records)],
+                owners,
+                times,
+                contexts,
             ),
         )
 
@@ -1072,212 +930,10 @@ class TestHistoryBatchSpelling:
         with pytest.raises(ValueError, match=f"^{re.escape(str(parent.value))}$"):
             HistoryBatch.of_records(records, schema.names())
 
-    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
-    @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
-    def test_training_transform_matches_the_list_of_user_logs(self, dataset, one_hot_elapsed, request):
-        dataset = request.getfixturevalue(dataset)
-        featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
-        tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
-        for examples_by_user in tasks:
-            assert_same_bits(
-                featurizer.transform(dataset, examples_by_user).X,
-                ListOfLogsFeaturizer(featurizer).transform(dataset, examples_by_user),
-            )
-
 
 # ----------------------------------------------------------------------
 # One session sort (the incumbent's aggregations, one matrix)
 # ----------------------------------------------------------------------
-class RankSortAggregator:
-    """``HistoryAggregator.compute_batch`` at 878693b, verbatim, with its own
-    copies of ``_match_codes`` and ``_query_offsets``: one ``lexsort`` of
-    sessions and rows together on (subset, segment, code), group ids by a
-    ``cumsum`` of key changes, and composite keys over ``np.unique`` time
-    ranks."""
-
-    def __init__(self, live: HistoryAggregator) -> None:
-        self.schema, self.config, self.subsets, self.n_features = live.schema, live.config, live.subsets, live.n_features
-        windows = self.config.windows if self.config.include_aggregations else ()
-        self._query_offsets = np.asarray([0] + [w - 1 for w in windows], dtype=np.int64)
-
-    def _match_codes(self, values: dict[str, np.ndarray], size: int) -> np.ndarray:
-        field_codes: dict[str, tuple[np.ndarray, int]] = {}
-        for name, column in values.items():
-            field_def = self.schema.field(name)
-            if field_def.kind == "numeric":
-                field_codes[name] = (_numeric_match_code(column), len(_NUMERIC_MATCH_BINS) + 1)
-            else:
-                field_codes[name] = (column.astype(np.int64), int(field_def.cardinality))
-        codes = np.zeros((len(self.subsets), size), dtype=np.int64)
-        for row, subset in enumerate(self.subsets):
-            for name in subset:
-                column_codes, cardinality = field_codes[name]
-                codes[row] = codes[row] * cardinality + column_codes
-        return codes
-
-    def compute_batch(
-        self,
-        history: HistoryBatch,
-        owners: np.ndarray,
-        prediction_times: np.ndarray,
-        contexts: list[dict[str, float] | None],
-    ) -> np.ndarray:
-        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
-        n_rows = prediction_times.size
-        if len(contexts) != n_rows:
-            raise ValueError("contexts must align with prediction_times")
-        n_subsets = len(self.subsets)
-        per_subset = self.n_features // n_subsets
-        if n_rows == 0 or per_subset == 0:
-            return np.zeros((n_rows, self.n_features), dtype=np.float64)
-        owners = np.asarray(owners, dtype=np.int64)
-
-        times, accesses, n_logs = history.timestamps, history.accesses, history.n_logs
-        n_sessions = times.size
-        segments = np.repeat(np.arange(1, n_logs + 1), history.lengths)
-        values = {
-            name: np.concatenate(
-                [history.context[name], np.asarray([0 if c is None else c[name] for c in contexts])]
-            )
-            for name in dict.fromkeys(name for subset in self.subsets for name in subset)
-        }
-        codes = self._match_codes(values, n_sessions + n_rows)
-
-        has_context = np.fromiter((c is not None for c in contexts), dtype=bool, count=n_rows)
-        keys = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
-        keys[:, :n_sessions] = segments
-        keys[:, n_sessions:] = np.where(has_context, owners + 1, 0)
-        keys[0, n_sessions:] = owners + 1  # the unconditional subset needs no context
-        keys += np.arange(n_subsets)[:, None] * (n_logs + 1)
-        order = np.lexsort((codes.ravel(), keys.ravel()))
-        sorted_keys, sorted_codes = keys.ravel()[order], codes.ravel()[order]
-        group = np.empty(order.size, dtype=np.int64)
-        group[0] = 0
-        np.cumsum((sorted_keys[1:] != sorted_keys[:-1]) | (sorted_codes[1:] != sorted_codes[:-1]), out=group[1:])
-
-        entry = order % (n_sessions + n_rows)
-        is_session = entry < n_sessions
-        session = entry[is_session]  # sessions in (group, time) order
-        row_group = np.empty(order.size, dtype=np.int64)
-        row_group[order] = group
-        row_group = row_group.reshape(n_subsets, -1)[:, n_sessions:].T  # [rows, subsets]
-
-        distinct_times, time_rank = np.unique(times, return_inverse=True)
-        span = distinct_times.size + 1
-        query_ranks = np.zeros((n_rows, self._query_offsets.size + 1), dtype=np.int64)
-        query_ranks[:, 1:] = np.searchsorted(distinct_times, prediction_times[:, None] - self._query_offsets)
-        found = np.searchsorted(
-            group[is_session] * span + time_rank.reshape(-1)[session],
-            row_group[:, :, None] * span + query_ranks[:, None, :],
-        )
-        start, before = found[..., 0], found[..., 1]  # [rows, subsets]
-
-        cum_accesses = np.zeros(session.size + 1, dtype=np.int64)
-        np.cumsum(accesses[session], out=cum_accesses[1:])
-        session_times = times[session]
-        features = np.empty((n_rows, n_subsets, per_subset), dtype=np.float64)
-        if self.config.include_aggregations:
-            opened = found[..., 2:]
-            n_in_window = (before[..., None] - opened).astype(np.float64)
-            n_accessed = (cum_accesses[before][..., None] - cum_accesses[opened]).astype(np.float64)
-            width = 3 * len(self.config.windows)
-            features[..., 0:width:3] = n_in_window
-            features[..., 1:width:3] = n_accessed
-            features[..., 2:width:3] = np.where(
-                n_in_window > 0, n_accessed / np.maximum(n_in_window, 1.0), 0.0
-            )
-        if self.config.include_elapsed:
-            previous = np.concatenate([[0], session_times])[before]
-            accessed_before = cum_accesses[before]
-            last_access = np.concatenate([[0], session_times[accesses[session] == 1]])[accessed_before]
-            queried = prediction_times[:, None]
-            features[..., -2] = np.where(before > start, queried - previous, MISSING_ELAPSED)
-            features[..., -1] = np.where(accessed_before > cum_accesses[start], queried - last_access, MISSING_ELAPSED)
-        return features.reshape(n_rows, self.n_features)
-
-
-class BlockFeaturizer:
-    """``TabularFeaturizer.transform_user`` and ``transform`` at 878693b,
-    verbatim, with their own copies of ``_encode_context``, ``_encode_time``
-    and ``_encode_history``: one block per family, joined by one
-    ``concatenate``, over :class:`RankSortAggregator`.  The encoders and the
-    index maps are the live featurizer's (the change under test keeps them)."""
-
-    def __init__(self, live: TabularFeaturizer) -> None:
-        self.schema, self.config, self.n_features = live.schema, live.config, live.n_features
-        self._context_encoders = live._context_encoders
-        self._elapsed_columns, self._history_width = live._elapsed_columns, live._history_width
-        self._plain_columns, self._plain_targets = live._plain_columns, live._plain_targets
-        self._elapsed_targets = live._elapsed_targets
-        self.aggregator = RankSortAggregator(live.aggregator)
-
-    def _encode_context(self, contexts: list[dict[str, float] | None]) -> np.ndarray:
-        blocks: list[np.ndarray] = []
-        for field_def in self.schema:
-            encoder = self._context_encoders[field_def.name]
-            values = np.asarray([0.0 if c is None else c[field_def.name] for c in contexts], dtype=np.float64)
-            if encoder is None:
-                blocks.append(values.reshape(-1, 1))
-                blocks.append(np.log1p(np.maximum(values, 0.0)).reshape(-1, 1))
-            else:
-                blocks.append(encoder.encode(values.astype(np.int64)))
-        return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(contexts), 0))
-
-    def _encode_time(self, prediction_times: np.ndarray) -> np.ndarray:
-        hour = encode_hour_of_day(prediction_times, one_hot=self.config.one_hot_time)
-        dow = encode_day_of_week(prediction_times, one_hot=self.config.one_hot_time)
-        return np.concatenate([hour, dow], axis=1)
-
-    def _encode_history(
-        self, history: HistoryBatch, owners, prediction_times: np.ndarray, contexts: list[dict[str, float] | None]
-    ) -> np.ndarray:
-        raw = self.aggregator.compute_batch(history, owners, prediction_times, contexts)
-        if not self._elapsed_columns:
-            return raw
-        buckets = log_bucket(raw[:, self._elapsed_columns], n_buckets=self.config.elapsed_buckets)
-        encoded = np.zeros((raw.shape[0], self._history_width), dtype=np.float64)
-        encoded[:, self._plain_targets] = raw[:, self._plain_columns]
-        if self.config.one_hot_elapsed:
-            encoded[np.arange(raw.shape[0])[:, None], self._elapsed_targets + buckets] = 1.0
-        else:
-            encoded[:, self._elapsed_targets] = buckets
-        return encoded
-
-    def transform_user(
-        self,
-        history: HistoryBatch,
-        owners,
-        prediction_times,
-        contexts: list[dict[str, float] | None],
-    ) -> np.ndarray:
-        prediction_times = np.asarray(prediction_times, dtype=np.int64)
-        blocks: list[np.ndarray] = []
-        if self.config.include_context:
-            blocks.append(self._encode_context(contexts))
-        if self.config.include_time:
-            blocks.append(self._encode_time(prediction_times))
-        blocks.append(self._encode_history(history, owners, prediction_times, contexts))
-        matrix = np.concatenate(blocks, axis=1)
-        if matrix.shape[1] != self.n_features:
-            raise RuntimeError(
-                f"feature width mismatch: built {matrix.shape[1]} columns, expected {self.n_features}"
-            )
-        return matrix
-
-    def transform(self, dataset, examples_by_user: dict[int, list[Example]]) -> np.ndarray:
-        """``transform``'s design matrix: one ``HistoryBatch.of_logs`` call."""
-        users_by_id = {user.user_id: user for user in dataset.users}
-        user_ids = [user_id for user_id, examples in examples_by_user.items() if examples]
-        counts = [len(examples_by_user[user_id]) for user_id in user_ids]
-        examples = [example for user_id in user_ids for example in examples_by_user[user_id]]
-        return self.transform_user(
-            HistoryBatch.of_logs([users_by_id[user_id] for user_id in user_ids]),
-            np.repeat(np.arange(len(user_ids)), counts),
-            np.asarray([e.prediction_time for e in examples], dtype=np.int64),
-            [e.context for e in examples],
-        )
-
-
 #: Prediction time minus an anchor session's stamp: on it, a second either
 #: side, and each window's w - 1, w and w + 1 (a session exactly w - 1 old
 #: is in the window, one exactly w old has aged out).
@@ -1346,23 +1002,23 @@ def _out_of_range_values(field_def: ContextField):
 
 class TestOneSessionSortSpelling:
     """The one-sort ``compute_batch`` and one-matrix ``transform_user``
-    against their rank-sort, block-concatenate parent
-    (:class:`BlockFeaturizer`).  Kills: the time cut clipped at ``span - 2``
-    (a row after all history loses the sessions on the batch's last stamp),
-    contextless rows keyed to their owner's log (they read matched
-    history), the position dropped from the packed key (a group's sessions
-    tie, so every cut lands at its end), ``q - w`` for ``q - w + 1`` (a
-    session exactly ``w`` old counted), the widening skipped (a code outside
-    ``[0, K)`` reads the next log's or subset's group) and K taken from the
-    first subset (pinned directly: with the widening it is served right,
-    only through the slow path)."""
+    against the parent's per-request loop, on window edges, tied stamps,
+    stamps far apart and context values outside their cardinality.  Kills:
+    the time cut clipped at ``span - 2`` (a row after all history loses the
+    sessions on the batch's last stamp), contextless rows keyed to their
+    owner's log (they read matched history), the position dropped from the
+    packed key (a group's sessions tie, so every cut lands at its end),
+    ``q - w`` for ``q - w + 1`` (a session exactly ``w`` old counted), the
+    widening skipped (a code outside ``[0, K)`` reads the next log's or
+    subset's group) and K taken from the first subset (pinned directly:
+    with the widening it is served right, only through the slow path)."""
 
     @pytest.mark.parametrize("max_subset", [0, 1, 2])
     @pytest.mark.parametrize("feature_set", FEATURE_SETS, ids=["C", "E+C", "A+E+C"])
     @pytest.mark.parametrize("schema_name", sorted(AGG_SCHEMAS))
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_a_batch_matches_the_rank_sort(self, schema_name, feature_set, max_subset, data):
+    def test_an_edge_batch_matches_the_parent_row_by_row(self, schema_name, feature_set, max_subset, data):
         schema = AGG_SCHEMAS[schema_name]
         config = replace(
             feature_set,
@@ -1372,25 +1028,23 @@ class TestOneSessionSortSpelling:
         )
         featurizer = TabularFeaturizer(schema, config)
         logs, owners, times, contexts = data.draw(_edge_batch(schema))
-        history = HistoryBatch.of_logs(logs)
         assert_same_bits(
-            featurizer.transform_user(history, owners, times, contexts),
-            BlockFeaturizer(featurizer).transform_user(history, owners, times, contexts),
+            featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
     @pytest.mark.parametrize("schema_name", sorted(AGG_SCHEMAS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_values_outside_their_cardinality_match_the_rank_sort(self, schema_name, data):
+    def test_values_outside_their_cardinality_match_the_parent(self, schema_name, data):
         """Codes from such values collide as the parent's mixed-radix codes
         do, and never reach another log's or subset's sessions."""
         schema = AGG_SCHEMAS[schema_name]
         aggregator = HistoryAggregator(schema, AggregationConfig(max_subset_size=data.draw(st.integers(1, 2))))
         logs, owners, times, contexts = data.draw(_edge_batch(schema, _out_of_range_values))
-        history = HistoryBatch.of_logs(logs)
         assert_same_bits(
-            aggregator.compute_batch(history, owners, times, contexts),
-            RankSortAggregator(aggregator).compute_batch(history, owners, times, contexts),
+            aggregator.compute_batch(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _parent_compute(aggregator, logs, owners, times, contexts),
         )
 
     def test_the_code_space_is_the_largest_subsets(self):
@@ -1401,20 +1055,8 @@ class TestOneSessionSortSpelling:
             assert HistoryAggregator(schema)._code_space == expected[name]
             assert HistoryAggregator(schema, AggregationConfig(max_subset_size=0))._code_space == 1
 
-    @pytest.mark.parametrize("one_hot_elapsed", [False, True])
-    @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
-    def test_training_transform_matches_the_block_featurizer(self, dataset, one_hot_elapsed, request):
-        dataset = request.getfixturevalue(dataset)
-        featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
-        tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
-        for examples_by_user in tasks:  # the timeshifted task has no contexts
-            assert_same_bits(
-                featurizer.transform(dataset, examples_by_user).X,
-                BlockFeaturizer(featurizer).transform(dataset, examples_by_user),
-            )
-
     @pytest.mark.parametrize("span", [10**12, 2**61])
-    def test_a_wide_history_inside_the_key_bound_matches_the_rank_sort(self, span):
+    def test_a_wide_history_inside_the_key_bound_matches_the_parent(self, span):
         schema = AGG_SCHEMAS["mobiletab"]
         featurizer = TabularFeaturizer(schema, FeatureConfig())
         t = BASE_TIME + span
@@ -1424,24 +1066,28 @@ class TestOneSessionSortSpelling:
             accesses=[1, 0, 1, 0],
             context={"unread_count": np.asarray([0, 4, 4, 11]), "active_tab": np.asarray([0, 1, 1, 7])},
         )
-        history = HistoryBatch.of_logs([log, log.slice(1, 3)])
+        logs = [log, log.slice(1, 3)]
         owners, times = np.asarray([0, 1, 0, 0]), np.asarray([t, t, BASE_TIME, t + span])
         contexts = [log.context_row(2), log.context_row(0), None, log.context_row(3)]
         assert_same_bits(
-            featurizer.transform_user(history, owners, times, contexts),
-            BlockFeaturizer(featurizer).transform_user(history, owners, times, contexts),
+            featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
     def test_a_prediction_time_far_past_the_stamps_does_not_wrap(self):
         """``q - first stamp`` would pass 2**63 here although the stamps fit
         the key bound: q is clamped to the stamps' range before any cut."""
-        schema = AGG_SCHEMAS["timeshift"]
-        aggregator = HistoryAggregator(schema, AggregationConfig(max_subset_size=1))
+        featurizer = TabularFeaturizer(AGG_SCHEMAS["timeshift"], FeatureConfig(max_context_subset=1))
         log = UserLog(user_id=1, timestamps=[-(2**62) - 10, 0], accesses=[0, 1], context={"is_peak": [1, 0]})
-        times, contexts = [2**62, 2**62, -(2**62)], [None, {"is_peak": 1}, {"is_peak": 1}]
+        owners, times, contexts = [0, 0, 0], [2**62, 2**62, -(2**62)], [None, {"is_peak": 1}, {"is_peak": 1}]
         history = HistoryBatch.of_logs([log])
-        features = aggregator.compute_batch(history, [0, 0, 0], times, contexts)
-        assert_same_bits(features, RankSortAggregator(aggregator).compute_batch(history, [0, 0, 0], times, contexts))
+        assert_same_bits(
+            featurizer.transform_user(history, owners, times, contexts),
+            _parent_rows(ParentFeaturizer(featurizer), [log], owners, times, contexts),
+        )
+        aggregator = featurizer.aggregator
+        features = aggregator.compute_batch(history, owners, times, contexts)
+        assert_same_bits(features, _parent_compute(aggregator, [log], owners, times, contexts))
         assert features[0, aggregator.feature_names().index("elapsed[all].since_access")] == 2**62
 
     def test_keys_that_would_wrap_are_refused(self):

@@ -39,6 +39,11 @@ def test_perfect_and_random_rankings():
     assert constant == pytest.approx(0.5)  # positive rate
 
 
+def test_roc_auc_counts_a_tied_pair_as_half():
+    # Pairs (positive, negative): 0.5 vs 0.5 ties, the other three rank right.
+    assert roc_auc([0, 1, 0, 1], [0.5, 0.5, 0.2, 0.8]) == pytest.approx(0.875)
+
+
 def test_recall_at_precision_and_threshold_selection():
     y_true = np.array([1, 1, 0, 1, 0, 0, 0, 0])
     y_score = np.array([0.95, 0.9, 0.85, 0.8, 0.7, 0.3, 0.2, 0.1])
@@ -117,3 +122,16 @@ def test_bootstrap_ci_contains_point_and_shrinks_with_signal():
 def test_bootstrap_validates_lengths():
     with pytest.raises(ValueError):
         bootstrap_ci(pr_auc, [1, 0], [0.5], [0, 1])
+
+
+@pytest.mark.parametrize("bad", [{"n_resamples": 0}, {"n_resamples": -3}, {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 1.5}])
+def test_bootstrap_refuses_settings_without_an_interval(bad):
+    """No resamples leave nothing to take a quantile of, and an ``alpha``
+    outside (0, 1) is no confidence level (at 1.5 the interval came out
+    inverted, its low end above its high end and the point)."""
+    rng = np.random.default_rng(0)
+    y_true, groups = rng.integers(0, 2, size=200), np.arange(200)
+    with pytest.raises(ValueError, match="n_resamples|alpha"):
+        bootstrap_ci(pr_auc, y_true, rng.random(200), groups, **bad)
+    with pytest.raises(ValueError, match="n_resamples|alpha"):
+        paired_bootstrap_delta(pr_auc, y_true, rng.random(200), rng.random(200), groups, **bad)
