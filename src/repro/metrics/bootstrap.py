@@ -4,6 +4,9 @@ The paper reports point estimates; for a reproduction on synthetic data it is
 useful to know how much of an observed gap between two models is noise.
 ``bootstrap_ci`` resamples users (not individual sessions, since sessions of
 one user are highly correlated) and recomputes a metric on each resample.
+A resample the metric cannot be computed on (it raises ``ValueError``, e.g.
+PR-AUC on a resample with no positives) has no value to count: it is
+dropped, and :attr:`BootstrapResult.n_dropped` says how many were.
 """
 
 from __future__ import annotations
@@ -18,12 +21,17 @@ __all__ = ["BootstrapResult", "bootstrap_ci", "paired_bootstrap_delta"]
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Point estimate plus a percentile confidence interval."""
+    """Point estimate plus a percentile confidence interval.
+
+    ``n_resamples`` is how many resamples were drawn; the interval is taken
+    over the ``n_resamples - n_dropped`` on which the metric had a value.
+    """
 
     point: float
     low: float
     high: float
     n_resamples: int
+    n_dropped: int = 0
 
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high
@@ -44,6 +52,45 @@ def _check_resampling(n_resamples: int, alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _percentile_interval(
+    statistic: Callable[[np.ndarray], float],
+    groups: np.ndarray,
+    point: float,
+    n_resamples: int,
+    alpha: float,
+    seed: int,
+) -> BootstrapResult:
+    """Resample whole groups ``n_resamples`` times and take the percentile
+    interval of ``statistic(row indices)`` over the resamples it accepts.
+
+    A resample on which ``statistic`` raises ``ValueError`` is dropped, not
+    counted as any value: filling it with the point estimate pulled the
+    interval toward the point.  If every resample is dropped there is no
+    interval, and this raises.
+    """
+    rng = np.random.default_rng(seed)
+    by_group = _group_indices(groups)
+    group_keys = list(by_group)
+    samples: list[float] = []
+    for _ in range(n_resamples):
+        chosen = rng.choice(len(group_keys), size=len(group_keys), replace=True)
+        idx = np.concatenate([by_group[group_keys[c]] for c in chosen])
+        try:
+            samples.append(float(statistic(idx)))
+        except ValueError:
+            continue
+    if not samples:
+        raise ValueError(f"the metric raised on all {n_resamples} resamples; no interval to report")
+    low, high = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return BootstrapResult(
+        point=point,
+        low=float(low),
+        high=float(high),
+        n_resamples=n_resamples,
+        n_dropped=n_resamples - len(samples),
+    )
+
+
 def bootstrap_ci(
     metric: Callable[[np.ndarray, np.ndarray], float],
     y_true: Sequence[float],
@@ -61,21 +108,10 @@ def bootstrap_ci(
     if not (len(y_true) == len(y_score) == len(groups)):
         raise ValueError("y_true, y_score and groups must have equal length")
     _check_resampling(n_resamples, alpha)
-    rng = np.random.default_rng(seed)
-    by_group = _group_indices(groups)
-    group_keys = list(by_group)
     point = float(metric(y_true, y_score))
-    samples = np.empty(n_resamples, dtype=np.float64)
-    for r in range(n_resamples):
-        chosen = rng.choice(len(group_keys), size=len(group_keys), replace=True)
-        idx = np.concatenate([by_group[group_keys[c]] for c in chosen])
-        try:
-            samples[r] = metric(y_true[idx], y_score[idx])
-        except ValueError:
-            # Degenerate resample (e.g. no positives); fall back to the point estimate.
-            samples[r] = point
-    low, high = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapResult(point=point, low=float(low), high=float(high), n_resamples=n_resamples)
+    return _percentile_interval(
+        lambda idx: metric(y_true[idx], y_score[idx]), groups, point, n_resamples, alpha, seed
+    )
 
 
 def paired_bootstrap_delta(
@@ -97,17 +133,12 @@ def paired_bootstrap_delta(
     if not (len(y_true) == len(score_a) == len(score_b) == len(groups)):
         raise ValueError("all inputs must have equal length")
     _check_resampling(n_resamples, alpha)
-    rng = np.random.default_rng(seed)
-    by_group = _group_indices(groups)
-    group_keys = list(by_group)
     point = float(metric(y_true, score_a) - metric(y_true, score_b))
-    samples = np.empty(n_resamples, dtype=np.float64)
-    for r in range(n_resamples):
-        chosen = rng.choice(len(group_keys), size=len(group_keys), replace=True)
-        idx = np.concatenate([by_group[group_keys[c]] for c in chosen])
-        try:
-            samples[r] = metric(y_true[idx], score_a[idx]) - metric(y_true[idx], score_b[idx])
-        except ValueError:
-            samples[r] = point
-    low, high = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapResult(point=point, low=float(low), high=float(high), n_resamples=n_resamples)
+    return _percentile_interval(
+        lambda idx: metric(y_true[idx], score_a[idx]) - metric(y_true[idx], score_b[idx]),
+        groups,
+        point,
+        n_resamples,
+        alpha,
+        seed,
+    )

@@ -24,10 +24,14 @@ without being observable in any stored state.
 same kernels at ``B = 1``, where the arithmetic is a few microseconds and
 every extra NumPy call is a visible share of the request.  So each kernel is
 written as a short chain of whole-array ufuncs — no boolean-mask gathers, no
-Python-level ``np.clip``, temporaries reused through ``out=`` (the largest
-caller is a 10 000-row warm-up wave, where a spare ``[B, 2·hidden]``
-temporary shows in the process's peak RSS) — and there is no single-row
-fork: the cheap spelling *is* the batched one.  Weight matrices are used as
+Python-level ``np.clip``, temporaries reused through ``out=`` — and there
+is no single-row fork: the cheap spelling *is* the batched one.  The
+largest update call is one block of
+:data:`~repro.serving.batching.UPDATE_BLOCK_ROWS` rows (the serving lane
+steps a longer wave block by block), so an update kernel's temporaries are
+bounded by the block; the predict kernels see at most one micro-batch,
+except the predictive autoscaler's forecast, which scores every stored
+user at once.  Weight matrices are used as
 stored: ``weight.T`` stays a strided view, because ``x @ W.T`` and
 ``x @ np.ascontiguousarray(W.T)`` pick different BLAS kernels (``gemv_t`` vs
 ``gemv_n``) and differ in the last ulp at ``B = 1``, which would move every

@@ -477,7 +477,17 @@ class PredictivePolicy:
 
     def _aggregate_activity(self, at: float) -> tuple[float, float]:
         """``(A(at), A(at + horizon))``: summed GRU activity probabilities
-        over every stored user, with gaps measured to each reference time."""
+        over every stored user, with gaps measured to each reference time.
+
+        Each tick stacks every stored state into one ``[stored users, ·]``
+        forecast, so its transient memory grows with the user population
+        (the session-end lane, by contrast, steps in blocks of
+        :data:`~repro.serving.batching.UPDATE_BLOCK_ROWS`).  It is left
+        unblocked on purpose: the forecast scores through the BLAS
+        ``linear`` of the predict path, whose last-ulp bits depend on the
+        matrix shape, so blocking it would move the summed probabilities
+        and the replica decisions taken from them.
+        """
         backend = self.backend
         store = backend.store
         network = backend.network

@@ -34,11 +34,11 @@ Both serving dataflows are batched symmetrically: predictions coalesce in
 the queue, and session-end updates arrive from the stream's wave-coalesced
 timer scheduler (:meth:`StreamProcessor.timer_group`) through each backend's
 ``apply_wave`` as one columnar :class:`SessionWave` — one ``[B, hidden]``
-GRU step for the hidden path, one run of history writes for the aggregation
-path (:class:`SessionStreamMixin` carries the shared record/deliver
-machinery: a closed session is one row from ``observe_session`` to the
-kernel).  Delivery of completed
-predictions follows a drained
+GRU step per block of at most :data:`UPDATE_BLOCK_ROWS` rows for the hidden
+path, one run of history writes for the aggregation path
+(:class:`SessionStreamMixin` carries the shared record/deliver machinery: a
+closed session is one row from ``observe_session`` to the kernel).
+Delivery of completed predictions follows a drained
 cursor: every prediction is handed out exactly once, in submission order,
 either as the return value of the call that completed it or — for flushes
 with no caller, like stream barriers — from :meth:`MicroBatchQueue.drain_completed`.
@@ -84,6 +84,18 @@ __all__ = [
     "BatchedAggregationBackend",
     "MicroBatchQueue",
 ]
+
+#: The most session-end updates the hidden-state lane steps at once.  A
+#: longer wave runs as consecutive blocks of this many rows, each one whole
+#: update (state fetch, Δt bucketing, context encoding, input assembly, the
+#: recurrent step, state store), so the lane's transient memory is bounded
+#: by the block, not the wave: ``offpeak_sweep``'s 10 000-row warm-up wave,
+#: stepped whole, raised the process's peak RSS by ≈ 54 MB of kernel
+#: temporaries, and in blocks of 512 by ≈ 4 MB.  In a sweep over 64 … 4 096
+#: rows, 512 is the largest block at that floor (1 024 rose 9 MB, 4 096
+#: 24 MB); smaller blocks save nothing and add per-block calls.  Waves at or
+#: under it (every replay wave of the benchmark workloads) are one block.
+UPDATE_BLOCK_ROWS = 512
 
 
 class ServingPrediction(NamedTuple):
@@ -353,9 +365,10 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     With ``coalesce_updates`` (the default) session-end timers register in a
     stream :class:`~repro.serving.stream.TimerGroup`: all updates whose
     windows close in the same wave arrive together and run as one batched
-    GRU step.  The update kernels are batch-size invariant, so this is
-    bit-identical to the per-timer path (``coalesce_updates=False``), which
-    is kept as the seed-semantics baseline for the equivalence suites.
+    GRU step per block of at most :data:`UPDATE_BLOCK_ROWS` rows.  The
+    update kernels are batch-size invariant, so this is bit-identical to
+    the per-timer path (``coalesce_updates=False``), which is kept as the
+    seed-semantics baseline for the equivalence suites.
 
     ``state_layout`` selects how state records are stored and moved:
 
@@ -535,44 +548,60 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     def apply_wave(self, updates: SessionWave | list[SessionUpdate]) -> None:
         """Run the GRU update for a wave of closed sessions.
 
-        Updates to the *same* user are state-dependent, so the batch is
-        processed in waves of distinct users; each wave is one vectorized
-        ``RNN_update`` step.  Context encoding depends only on the update
-        itself (not on stored state), so it runs once over the whole batch
-        and the per-wave step slices its rows — the row values are exact, so
-        this changes nothing observable.  A batch whose users are already
-        distinct (the common case) is its own single wave and is stepped
-        as it stands, without the row copies.  The timestamp and access
-        arrays come straight from the wave's columns; listeners are handed
-        the object this call was, untouched.
+        The wave runs as consecutive row blocks of at most
+        :data:`UPDATE_BLOCK_ROWS`, each a whole update in turn, so the
+        largest update call — and the lane's transient memory — is one
+        block whatever the wave's length.  Blocks keep delivery order, so
+        each user's updates keep theirs, and the update kernels are
+        batch-size invariant, so the split is invisible in every stored
+        state; stores still see one write per update, new keys first
+        written in the wave's order.  A wave at or under the block size is
+        one block.  Listeners are handed the object this call was,
+        untouched.
         """
         if not updates:
             return
         wave = SessionWave.of(updates)
-        user_ids = wave.user_ids
-        timestamps = np.asarray(wave.timestamps, dtype=np.int64)
-        features = self.builder.encode_context_rows(wave.contexts, timestamps)
-        accesses = np.asarray(wave.accessed, dtype=np.float64)
-        if len(set(user_ids)) == len(user_ids):
-            self._apply_distinct_users(user_ids, timestamps, features, accesses)
-        else:
-            pending = list(range(len(user_ids)))
-            while pending:
-                rows: list[int] = []
-                held: list[int] = []
-                seen: set[int] = set()
-                for index in pending:
-                    if user_ids[index] in seen:
-                        held.append(index)
-                    else:
-                        seen.add(user_ids[index])
-                        rows.append(index)
-                self._apply_distinct_users(
-                    [user_ids[index] for index in rows], timestamps[rows], features[rows], accesses[rows]
-                )
-                pending = held
+        user_ids, timestamps, contexts, accessed = wave.user_ids, wave.timestamps, wave.contexts, wave.accessed
+        for start in range(0, len(user_ids), UPDATE_BLOCK_ROWS):
+            block = slice(start, start + UPDATE_BLOCK_ROWS)
+            self._apply_block(user_ids[block], timestamps[block], contexts[block], accessed[block])
         for listener in self.wave_listeners:
             listener(updates)
+
+    def _apply_block(self, user_ids, stamps, contexts, accessed) -> None:
+        """One block of a wave, as columns.
+
+        Updates to the *same* user are state-dependent, so the block is
+        processed in sub-waves of distinct users; each is one vectorized
+        ``RNN_update`` step.  Context encoding depends only on the update
+        itself (not on stored state), so it runs once over the block and
+        each sub-wave slices its rows — the row values are exact, so this
+        changes nothing observable.  A block whose users are already
+        distinct (the common case) is its own single sub-wave and is
+        stepped as it stands, without the row copies.
+        """
+        timestamps = np.asarray(stamps, dtype=np.int64)
+        features = self.builder.encode_context_rows(contexts, timestamps)
+        accesses = np.asarray(accessed, dtype=np.float64)
+        if len(set(user_ids)) == len(user_ids):
+            self._apply_distinct_users(user_ids, timestamps, features, accesses)
+            return
+        pending = list(range(len(user_ids)))
+        while pending:
+            rows: list[int] = []
+            held: list[int] = []
+            seen: set[int] = set()
+            for index in pending:
+                if user_ids[index] in seen:
+                    held.append(index)
+                else:
+                    seen.add(user_ids[index])
+                    rows.append(index)
+            self._apply_distinct_users(
+                [user_ids[index] for index in rows], timestamps[rows], features[rows], accesses[rows]
+            )
+            pending = held
 
     def _apply_distinct_users(
         self, user_ids, timestamps: np.ndarray, features: np.ndarray, accesses: np.ndarray

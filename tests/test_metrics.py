@@ -119,6 +119,50 @@ def test_bootstrap_ci_contains_point_and_shrinks_with_signal():
     assert delta.low <= delta.point <= delta.high
 
 
+def test_bootstrap_drops_resamples_the_metric_cannot_score():
+    """300 rows in 30 groups with positives in groups 0 and 15 only: 51 of
+    400 resamples (seed 0) draw neither group, and PR-AUC raises on them.
+    They are dropped and counted, not filled with the point estimate — the
+    interval is taken over the other 349 alone."""
+    groups = np.repeat(np.arange(30), 10)
+    y_true = np.zeros(300, dtype=int)
+    y_true[[0, 150]] = 1
+    rng = np.random.default_rng(0)
+    score_a, score_b = rng.random(300), rng.random(300)
+    ci = bootstrap_ci(pr_auc, y_true, score_a, groups, n_resamples=400, seed=0)
+    delta = paired_bootstrap_delta(pr_auc, y_true, score_a, score_b, groups, n_resamples=400, seed=0)
+    for result in (ci, delta):
+        assert (result.n_resamples, result.n_dropped) == (400, 51)
+
+    # The same interval, by hand over the resamples that hold a positive.
+    by_group = [np.flatnonzero(groups == g) for g in range(30)]
+    draw = np.random.default_rng(0)
+    kept = []
+    for _ in range(400):
+        idx = np.concatenate([by_group[c] for c in draw.choice(30, size=30, replace=True)])
+        if y_true[idx].any():
+            kept.append(pr_auc(y_true[idx], score_a[idx]))
+    assert len(kept) == 349
+    assert (ci.low, ci.high) == tuple(np.quantile(kept, [0.025, 0.975]))
+
+
+def test_bootstrap_refuses_when_no_resample_is_usable():
+    """Ten one-row groups, one positive: with seed 32 none of the 3
+    resamples draws the positive row, so PR-AUC raises on every one.  With
+    nothing left to take a quantile of there is no interval, and a
+    ValueError says so."""
+    y_true = np.zeros(10, dtype=int)
+    y_true[0] = 1
+    scores = np.linspace(0.0, 1.0, 10)
+    groups = np.arange(10)
+    draw = np.random.default_rng(32)
+    assert all(0 not in draw.choice(10, size=10, replace=True) for _ in range(3))  # premise
+    with pytest.raises(ValueError, match="all 3 resamples"):
+        bootstrap_ci(pr_auc, y_true, scores, groups, n_resamples=3, seed=32)
+    with pytest.raises(ValueError, match="all 3 resamples"):
+        paired_bootstrap_delta(pr_auc, y_true, scores, scores[::-1], groups, n_resamples=3, seed=32)
+
+
 def test_bootstrap_validates_lengths():
     with pytest.raises(ValueError):
         bootstrap_ci(pr_auc, [1, 0], [0.5], [0, 1])

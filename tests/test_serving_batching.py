@@ -12,6 +12,7 @@ vectorized path cannot hide behind a shared implementation.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from repro.serving import (
     StreamProcessor,
     dequantize_state,
 )
+from repro.serving.batching import UPDATE_BLOCK_ROWS
+from repro.serving.twins import first_difference, observe
+from serving_harness import BASE_TIME, build_engine
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -300,20 +304,27 @@ class TestAllCellTypes:
 
         This is the numerical foundation of the wave scheduler: coalescing a
         wave of session-end updates into one ``[B, hidden]`` step must be
-        invisible in every stored state.
+        invisible in every stored state, and so must stepping a long wave
+        in blocks of ``UPDATE_BLOCK_ROWS``.  Pinned at the micro-batch sizes
+        (1, 7, 64, 65) and on both sides of the block edge.
         """
         from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 
         config = RNNNetworkConfig(feature_dim=5, hidden_size=8, mlp_hidden=6, cell=cell, n_delta_buckets=4)
         network = RNNPrecomputeNetwork(config, rng=np.random.default_rng(3)).eval()
-        rng = np.random.default_rng(4)
-        states = rng.normal(size=(33, network.state_size))
-        update_inputs = rng.normal(size=(33, config.update_input_dim))
-        stacked = network.update_hidden_batch(states, update_inputs)
-        one_at_a_time = np.vstack(
-            [network.update_hidden_batch(states[i : i + 1], update_inputs[i : i + 1]) for i in range(33)]
+        sizes = (
+            1, 7, 33, 64, 65,
+            UPDATE_BLOCK_ROWS - 1, UPDATE_BLOCK_ROWS, UPDATE_BLOCK_ROWS + 1, 2 * UPDATE_BLOCK_ROWS + 7,
         )
-        np.testing.assert_array_equal(stacked, one_at_a_time)
+        rng = np.random.default_rng(4)
+        states = rng.normal(size=(max(sizes), network.state_size))
+        update_inputs = rng.normal(size=(max(sizes), config.update_input_dim))
+        one_at_a_time = np.vstack(
+            [network.update_hidden_batch(states[i : i + 1], update_inputs[i : i + 1]) for i in range(max(sizes))]
+        )
+        for size in sizes:
+            stacked = network.update_hidden_batch(states[:size], update_inputs[:size])
+            np.testing.assert_array_equal(stacked, one_at_a_time[:size], err_msg=f"B = {size}")
 
     @pytest.mark.parametrize("cell", ["lstm", "tanh"])
     def test_service_replay_equivalent_across_batch_sizes(self, trained, cell):
@@ -492,6 +503,102 @@ class TestWaveContract:
                 assert actual["timestamp"] == expected["timestamp"]
                 assert actual["state"].dtype == expected["state"].dtype
                 np.testing.assert_array_equal(actual["state"], expected["state"])
+
+
+class TestBlockedWaves:
+    """A wave longer than ``UPDATE_BLOCK_ROWS`` is stepped in row blocks.
+
+    The split must be invisible: every stored record, every store meter and
+    every arena row assignment equals the same updates applied one at a
+    time — with one user repeated within blocks and across the block edge —
+    and the lane's transient memory must stop growing with the wave.
+    """
+
+    STORES = {
+        "entries": {},
+        "arena": {"state_layout": "arena"},
+        "quantized": {"state_layout": "arena", "quantize": True},
+        "sharded": {"state_layout": "arena", "n_shards": 4, "replication": 2},
+    }
+
+    @staticmethod
+    def _wave(n_rows, *, start=BASE_TIME, repeat_every=None):
+        """``n_rows`` sessions; with ``repeat_every``, user 0 takes every
+        such row and both rows either side of each block edge."""
+        user_ids = list(range(1, n_rows + 1))
+        if repeat_every is not None:
+            for row in range(n_rows):
+                if row % repeat_every == 0 or row % UPDATE_BLOCK_ROWS in (0, UPDATE_BLOCK_ROWS - 1):
+                    user_ids[row] = 0
+        rows = range(n_rows)
+        contexts = [{"badge": float(row % 9), "surface": float(row % 3)} for row in rows]
+        return SessionWave(user_ids, [start + row for row in rows], contexts, [row % 3 == 0 for row in rows])
+
+    @staticmethod
+    def _arena_rows(store):
+        shards = getattr(store, "shards", [store])
+        return [sorted((shard.arena.row_of(key), key) for key in shard.keys()) for shard in shards if shard.arena]
+
+    @staticmethod
+    def _step_sizes(monkeypatch, network) -> list[int]:
+        """Rows per ``update_hidden_batch`` call from here on (the network is
+        shared by the suite, so the spy is undone after the test)."""
+        sizes, step = [], network.update_hidden_batch
+        monkeypatch.setattr(network, "update_hidden_batch", lambda s, x: sizes.append(len(s)) or step(s, x))
+        return sizes
+
+    @pytest.mark.parametrize("store", list(STORES))
+    def test_a_long_wave_matches_its_updates_one_at_a_time(self, serving_parts, monkeypatch, store):
+        n_rows = 2 * UPDATE_BLOCK_ROWS + 7
+        wave = self._wave(n_rows, repeat_every=97)
+        assert wave.user_ids.count(0) > 2 * 3  # repeated in every block, and across each edge
+        blocked, single = (build_engine(serving_parts, **self.STORES[store]) for _ in range(2))
+        steps = self._step_sizes(monkeypatch, blocked.backend.network)
+        blocked.backend.apply_wave(wave)
+        monkeypatch.undo()
+        assert max(steps) <= UPDATE_BLOCK_ROWS and len(steps) > 3  # blocks, each with user-0 sub-waves
+        assert sum(steps) == n_rows
+        for row in range(n_rows):
+            single.backend.apply_wave(
+                SessionWave(
+                    wave.user_ids[row : row + 1], wave.timestamps[row : row + 1],
+                    wave.contexts[row : row + 1], wave.accessed[row : row + 1],
+                )
+            )
+        assert first_difference(observe(blocked, []), observe(single, [])) is None
+        for left, right in zip(getattr(blocked.store, "shards", ()), getattr(single.store, "shards", ())):
+            assert left.stats.snapshot() == right.stats.snapshot()
+        assert self._arena_rows(blocked.store) == self._arena_rows(single.store)
+
+    @pytest.mark.parametrize("n_rows", [UPDATE_BLOCK_ROWS, UPDATE_BLOCK_ROWS + 1])
+    def test_a_wave_up_to_the_block_is_one_step(self, serving_parts, monkeypatch, n_rows):
+        backend = build_engine(serving_parts).backend
+        steps = self._step_sizes(monkeypatch, backend.network)
+        backend.apply_wave(self._wave(n_rows))
+        assert steps == [UPDATE_BLOCK_ROWS] + [1] * (n_rows - UPDATE_BLOCK_ROWS)
+
+    @pytest.mark.parametrize("layout", ["entries", "arena"])
+    def test_transient_memory_does_not_grow_with_the_wave(self, serving_parts, layout):
+        """``tracemalloc`` peak above what ``apply_wave`` leaves behind, for
+        a 2-block and an 8-block wave of users already stored.  A lane that
+        steps the wave whole reads 4x more on the 8-block wave (≈ 2.2 KB per
+        row of kernel temporaries at this model's size)."""
+
+        def transient(n_rows):
+            backend = build_engine(serving_parts, state_layout=layout).backend
+            backend.apply_wave(self._wave(n_rows))
+            wave = self._wave(n_rows, start=BASE_TIME + 10_000)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                backend.apply_wave(wave)
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - max(before, after)
+
+        small, large = transient(2 * UPDATE_BLOCK_ROWS), transient(8 * UPDATE_BLOCK_ROWS)
+        assert large - small <= 8 * (6 * UPDATE_BLOCK_ROWS), (small, large)  # under 8 bytes per extra row
 
 
 class TestRowContract:
