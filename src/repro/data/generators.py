@@ -17,11 +17,21 @@ with the same *structure* the paper's models exploit:
 
 This module holds the primitives those generators share: diurnal profiles,
 regime chains, heavy-tailed rate samplers and the logistic link.
+
+Each generator draws its per-session access flags in a Python loop, so that
+loop runs on Python scalars: the per-session columns are read once with
+``.tolist()``, the per-user tables (a profile's hourly propensity, its
+weekday effects) are lists, and the transcendental calls are ``math.log``,
+``math.log1p``, ``math.exp`` and the scalar :func:`sigmoid`.  NumPy 0-d
+arithmetic costs microseconds of dispatch per call, and a session makes about
+ten.  A rewrite of a loop must make the same RNG calls in the same order:
+``tests/test_dataset_digest.py`` pins one dataset per generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,17 +50,12 @@ __all__ = [
 DEFAULT_START_TIME = 1_561_939_200
 
 
-def sigmoid(x):
-    """Numerically stable logistic function for plain NumPy arrays/scalars."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    expx = np.exp(x[~positive])
-    out[~positive] = expx / (1.0 + expx)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def sigmoid(x: float) -> float:
+    """Numerically stable logistic function of one Python float."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 @dataclass
@@ -63,6 +68,11 @@ class DiurnalProfile:
     """
 
     hour_weights: np.ndarray
+    #: Relative propensity of each hour 0-23, normalised to mean 1 (floats).
+    propensity: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.propensity = (self.hour_weights * 24.0).tolist()
 
     @classmethod
     def sample(cls, rng: np.random.Generator) -> "DiurnalProfile":
@@ -81,11 +91,6 @@ class DiurnalProfile:
     def sample_hours(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` hours of day (integers 0-23) from the profile."""
         return rng.choice(24, size=size, p=self.hour_weights)
-
-    def propensity(self, hour: np.ndarray | int) -> np.ndarray | float:
-        """Relative propensity of the given hour(s), normalised to mean 1."""
-        weights = self.hour_weights * 24.0
-        return weights[np.asarray(hour)]
 
 
 @dataclass

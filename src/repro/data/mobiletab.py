@@ -20,6 +20,7 @@ The generator reproduces the published structure:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,11 +144,11 @@ class MobileTabGenerator:
         cfg = self.config
         profile = self._sample_profile(rng)
 
+        day_starts = cfg.start_time + np.arange(cfg.n_days, dtype=np.int64) * SECONDS_PER_DAY
+        weekday_effect = profile.weekday_effect.tolist()
         timestamps: list[np.ndarray] = []
-        for day in range(cfg.n_days):
-            day_start = cfg.start_time + day * SECONDS_PER_DAY
-            weekday = int(day_of_week(day_start))
-            expected = profile.sessions_per_day * (1.0 + 0.15 * profile.weekday_effect[weekday])
+        for day_start, weekday in zip(day_starts.tolist(), day_of_week(day_starts).tolist()):
+            expected = profile.sessions_per_day * (1.0 + 0.15 * weekday_effect[weekday])
             timestamps.append(
                 sample_sessions_for_day(rng, day_start, max(expected, 0.0), profile.diurnal)
             )
@@ -161,19 +162,22 @@ class MobileTabGenerator:
                 context={"unread_count": np.zeros(0, dtype=np.int64), "active_tab": np.zeros(0, dtype=np.int64)},
             )
 
-        regimes = profile.regime.simulate(rng, n)
+        regimes = profile.regime.simulate(rng, n).tolist()
         active_tabs = rng.choice(len(TAB_NAMES), size=n, p=profile.tab_preferences)
-        hours = hour_of_day(times)
-        weekdays = day_of_week(times)
+        hours = hour_of_day(times).tolist()
+        weekdays = day_of_week(times).tolist()
+        stamps = times.tolist()
+        tabs = active_tabs.tolist()
+        tab_bonus = profile.active_tab_bonus.tolist()
 
-        accesses = np.zeros(n, dtype=np.int8)
-        unread_counts = np.zeros(n, dtype=np.int64)
+        accesses = [0] * n
+        unread_counts = [0] * n
         unread = float(rng.integers(0, 5))
         last_access_time: int | None = None
 
         for i in range(n):
             if i > 0:
-                elapsed_hours = (times[i] - times[i - 1]) / 3600.0
+                elapsed_hours = (stamps[i] - stamps[i - 1]) / 3600.0
                 unread = min(unread + rng.poisson(profile.unread_rate_per_hour * elapsed_hours), cfg.unread_max)
             unread_counts[i] = int(unread)
 
@@ -182,27 +186,30 @@ class MobileTabGenerator:
                 logit -= 8.0
             else:
                 logit += profile.affinity - 1.2
-                logit += profile.unread_sensitivity * np.log1p(unread) * 0.45
-                logit += profile.active_tab_bonus[active_tabs[i]] * 0.6
-                logit += 0.5 * np.log(profile.access_diurnal.propensity(int(hours[i])) + 1e-3)
-                logit += profile.weekday_effect[int(weekdays[i])]
+                logit += profile.unread_sensitivity * math.log1p(unread) * 0.45
+                logit += tab_bonus[tabs[i]] * 0.6
+                logit += 0.5 * math.log(profile.access_diurnal.propensity[hours[i]] + 1e-3)
+                logit += weekday_effect[weekdays[i]]
                 logit += profile.regime.engaged_bonus * (1.0 if regimes[i] == 1 else -0.6)
                 if last_access_time is not None:
-                    recency = np.exp(-(times[i] - last_access_time) / profile.habit_timescale)
+                    recency = math.exp(-(stamps[i] - last_access_time) / profile.habit_timescale)
                     logit += profile.habit_strength * recency
 
             access = 1 if rng.random() < sigmoid(logit) else 0
             accesses[i] = access
             if access:
-                last_access_time = int(times[i])
+                last_access_time = stamps[i]
                 # Reading the tab clears most of the badge count.
                 unread = float(rng.binomial(int(unread), 0.1)) if unread > 0 else 0.0
 
         return UserLog(
             user_id=user_id,
             timestamps=times,
-            accesses=accesses,
-            context={"unread_count": unread_counts, "active_tab": active_tabs.astype(np.int64)},
+            accesses=np.asarray(accesses, dtype=np.int8),
+            context={
+                "unread_count": np.asarray(unread_counts, dtype=np.int64),
+                "active_tab": active_tabs.astype(np.int64),
+            },
         )
 
     # ------------------------------------------------------------------

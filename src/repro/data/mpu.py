@@ -17,6 +17,7 @@ affinities, screen-state effects, and bursty attention regimes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +169,19 @@ class MPUGenerator:
                 context={"screen_state": empty, "app_id": empty.copy(), "last_opened_app": empty.copy()},
             )
 
-        hours = hour_of_day(times)
-        regimes = profile.regime.simulate(rng, n)
+        hours = hour_of_day(times).tolist()
+        regimes = profile.regime.simulate(rng, n).tolist()
         app_ids = rng.choice(cfg.n_apps, size=n, p=profile.app_mix)
         screen_states = rng.choice(len(SCREEN_STATES), size=n, p=np.array([0.5, 0.3, 0.2]))
+        stamps = times.tolist()
+        apps = app_ids.tolist()
+        screens = screen_states.tolist()
+        affinity_engaged = profile.app_affinity_engaged.tolist()
+        affinity_dormant = profile.app_affinity_dormant.tolist()
+        screen_effect = profile.screen_effect.tolist()
 
-        accesses = np.zeros(n, dtype=np.int8)
-        last_opened = np.zeros(n, dtype=np.int64)
+        accesses = [0] * n
+        last_opened = [0] * n
         current_last_opened = int(rng.integers(0, cfg.n_apps))
         last_access_time: int | None = None
 
@@ -182,32 +189,32 @@ class MPUGenerator:
             last_opened[i] = current_last_opened
             logit = cfg.base_logit + profile.base_shift
             if regimes[i] == 1:
-                logit += profile.app_affinity_engaged[app_ids[i]]
+                logit += affinity_engaged[apps[i]]
                 logit += profile.regime.engaged_bonus * 0.8
             else:
-                logit += profile.app_affinity_dormant[app_ids[i]]
+                logit += affinity_dormant[apps[i]]
                 logit -= profile.regime.engaged_bonus * 0.5
-            logit += profile.screen_effect[screen_states[i]]
-            logit += 0.4 * np.log(profile.attention_diurnal.propensity(int(hours[i])) + 1e-3)
-            if current_last_opened == app_ids[i]:
+            logit += screen_effect[screens[i]]
+            logit += 0.4 * math.log(profile.attention_diurnal.propensity[hours[i]] + 1e-3)
+            if current_last_opened == apps[i]:
                 logit += 0.6
             if last_access_time is not None:
-                recency = np.exp(-(times[i] - last_access_time) / profile.habit_timescale)
+                recency = math.exp(-(stamps[i] - last_access_time) / profile.habit_timescale)
                 logit += profile.habit_strength * recency
             access = 1 if rng.random() < sigmoid(logit) else 0
             accesses[i] = access
             if access:
-                last_access_time = int(times[i])
-                current_last_opened = int(app_ids[i])
+                last_access_time = stamps[i]
+                current_last_opened = apps[i]
 
         return UserLog(
             user_id=user_id,
             timestamps=times,
-            accesses=accesses,
+            accesses=np.asarray(accesses, dtype=np.int8),
             context={
                 "screen_state": screen_states.astype(np.int64),
                 "app_id": app_ids.astype(np.int64),
-                "last_opened_app": last_opened,
+                "last_opened_app": np.asarray(last_opened, dtype=np.int64),
             },
         )
 

@@ -20,6 +20,7 @@ give sequence models an edge over fixed-window aggregates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,13 +130,13 @@ class TimeshiftGenerator:
         profile = self._sample_profile(rng)
         lo, hi = cfg.peak_hours
 
-        day_regimes = profile.regime.simulate(rng, cfg.n_days)
+        day_regimes = profile.regime.simulate(rng, cfg.n_days).tolist()
 
+        day_starts = cfg.start_time + np.arange(cfg.n_days, dtype=np.int64) * SECONDS_PER_DAY
+        weekday_effect = profile.weekday_effect.tolist()
         all_times: list[np.ndarray] = []
-        for day in range(cfg.n_days):
-            day_start = cfg.start_time + day * SECONDS_PER_DAY
-            weekday = int(day_of_week(day_start))
-            expected = profile.sessions_per_day * (1.0 + 0.2 * profile.weekday_effect[weekday])
+        for day_start, weekday in zip(day_starts.tolist(), day_of_week(day_starts).tolist()):
+            expected = profile.sessions_per_day * (1.0 + 0.2 * weekday_effect[weekday])
             all_times.append(sample_sessions_for_day(rng, day_start, max(expected, 0.0), profile.diurnal))
         times = np.concatenate(all_times) if all_times else np.zeros(0, dtype=np.int64)
         n = times.size
@@ -148,11 +149,13 @@ class TimeshiftGenerator:
             )
 
         hours = hour_of_day(times)
-        weekdays = day_of_week(times)
-        day_indices = ((times - cfg.start_time) // SECONDS_PER_DAY).astype(np.int64)
         is_peak = ((hours >= lo) & (hours < hi)).astype(np.int64)
+        stamps = times.tolist()
+        weekdays = day_of_week(times).tolist()
+        day_indices = ((times - cfg.start_time) // SECONDS_PER_DAY).tolist()
+        peaks = is_peak.tolist()
 
-        accesses = np.zeros(n, dtype=np.int8)
+        accesses = [0] * n
         last_access_time: int | None = None
         for i in range(n):
             logit = cfg.base_logit
@@ -160,22 +163,22 @@ class TimeshiftGenerator:
                 logit -= 8.0
             else:
                 logit += profile.affinity - 1.0
-                logit += profile.peak_bias * (1.0 if is_peak[i] else -0.3)
-                logit += 0.8 * profile.weekday_effect[int(weekdays[i])]
-                regime = day_regimes[min(int(day_indices[i]), cfg.n_days - 1)]
+                logit += profile.peak_bias * (1.0 if peaks[i] else -0.3)
+                logit += 0.8 * weekday_effect[weekdays[i]]
+                regime = day_regimes[min(day_indices[i], cfg.n_days - 1)]
                 logit += profile.regime.engaged_bonus * (1.0 if regime == 1 else -0.7)
                 if last_access_time is not None:
-                    recency = np.exp(-(times[i] - last_access_time) / profile.habit_timescale)
+                    recency = math.exp(-(stamps[i] - last_access_time) / profile.habit_timescale)
                     logit += profile.habit_strength * recency
             access = 1 if rng.random() < sigmoid(logit) else 0
             accesses[i] = access
             if access:
-                last_access_time = int(times[i])
+                last_access_time = stamps[i]
 
         return UserLog(
             user_id=user_id,
             timestamps=times,
-            accesses=accesses,
+            accesses=np.asarray(accesses, dtype=np.int8),
             context={"is_peak": is_peak},
         )
 

@@ -13,6 +13,12 @@ strategies are provided:
   custom thread-per-user parallelism (Section 7.1).  The training-throughput
   benchmark compares the two.
 
+Either way a minibatch's recurrence is one autograd node,
+:func:`repro.nn.rnn.recurrent_sequence`: its forward steps the cell over
+plain arrays and its backward walks the steps in reverse through the cell's
+hand-written ``step_backward``, so the graph a loss reaches holds a constant
+number of nodes whatever the sequence length.
+
 The trainer records a training curve of (sessions processed, minibatch log
 loss) pairs, which reproduces Figure 4.
 """
@@ -27,6 +33,7 @@ from .. import nn
 from ..features.sequence import UserSequence
 from ..metrics import log_loss
 from ..nn import functional as F
+from ..nn.rnn import recurrent_sequence
 from .rnn import PredictionSpec, RNNPrecomputeNetwork
 
 __all__ = ["RNNTrainerConfig", "TrainingCurvePoint", "RNNTrainer"]
@@ -85,7 +92,13 @@ class RNNTrainer:
         sequences: list[UserSequence],
         specs: list[PredictionSpec],
     ) -> tuple[nn.Tensor, np.ndarray, list[int]] | None:
-        """Run update+predict for a batch; returns (logits, labels, per-user counts)."""
+        """Run update+predict for a batch; returns (logits, labels, per-user counts).
+
+        ``None`` when no spec in the batch has a prediction: nothing to score,
+        so the recurrence is not stepped either.
+        """
+        if not any(len(spec) for spec in specs):
+            return None
         batch_size = len(sequences)
         max_len = max((len(s) for s in sequences), default=0)
         update_dim = network.config.update_input_dim
@@ -100,13 +113,7 @@ class RNNTrainer:
             )
             valid[b, :n, 0] = 1.0
 
-        states = [network.initial_state(batch_size)]
-        for t in range(max_len):
-            x_t = nn.Tensor(update_inputs[:, t, :])
-            mask = nn.Tensor(valid[:, t, :])
-            updated = network.update_hidden(states[-1], x_t)
-            states.append(updated * mask + states[-1] * (1.0 - mask))
-        stacked = nn.stack(states, axis=0)  # (max_len + 1, batch, state)
+        stacked = recurrent_sequence(network.cell, update_inputs, valid)  # (max_len + 1, batch, state)
 
         k_indices: list[np.ndarray] = []
         batch_indices: list[np.ndarray] = []
@@ -121,8 +128,6 @@ class RNNTrainer:
             batch_indices.append(np.full(len(spec), b, dtype=np.int64))
             predict_inputs.append(network.build_predict_inputs(spec.features, spec.gap_buckets))
             labels.append(spec.labels)
-        if not k_indices:
-            return None
         k_all = np.concatenate(k_indices)
         b_all = np.concatenate(batch_indices)
         selected = stacked[(k_all, b_all)]
@@ -246,10 +251,7 @@ class RNNTrainer:
         for sequence, spec in zip(sequences, specs):
             if len(spec) == 0:
                 continue
-            forward = self._forward_batch(network, [sequence], [spec])
-            if forward is None:
-                continue
-            logits, labels, _ = forward
+            logits, labels, _ = self._forward_batch(network, [sequence], [spec])
             user_loss = F.binary_cross_entropy_with_logits(logits, labels)
             weight = len(spec) / total_predictions
             (user_loss * weight).backward()

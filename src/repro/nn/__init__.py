@@ -11,7 +11,7 @@ and 7: a reverse-mode autograd engine (:mod:`repro.nn.tensor`), layer modules
 from . import functional, inference
 from .modules import MLP, Dropout, Identity, Linear, Module, Parameter, ReLU, Sequential
 from .optim import SGD, Adam, Optimizer, clip_grad_norm_
-from .rnn import ElmanCell, GRUCell, LSTMCell, RecurrentCell, make_cell
+from .rnn import ElmanCell, GRUCell, LSTMCell, RecurrentCell, make_cell, recurrent_sequence
 from .serialization import load_into_module, load_state_dict, save_module, save_state_dict
 from .tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, stack
 
@@ -37,6 +37,7 @@ __all__ = [
     "LSTMCell",
     "ElmanCell",
     "make_cell",
+    "recurrent_sequence",
     "Optimizer",
     "SGD",
     "Adam",

@@ -9,6 +9,14 @@ the ablation benchmark can swap them freely.
 All cells follow the PyTorch ``*Cell`` convention: they process one time step
 for a batch, taking an input of shape ``(batch, input_size)`` and a hidden
 state of shape ``(batch, hidden_size)`` and returning the new hidden state.
+
+Training steps a padded minibatch through :func:`recurrent_sequence`: one
+autograd node for the whole recurrence, not a handful per time step.  Each
+cell provides the plain-array pair it runs on — :meth:`RecurrentCell.step`
+(forward, returning a cache) and :meth:`RecurrentCell.step_backward`
+(accumulating the step's parameter gradients) — with the same arithmetic, in
+the same order, as the cell's per-step autograd ``forward``, so both paths
+train the same bits.
 """
 
 from __future__ import annotations
@@ -17,11 +25,19 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .inference import elman_step, gru_step, lstm_step, stable_sigmoid
+from .inference import elman_step, gru_step, lstm_step, sigmoid, stable_sigmoid
 from .modules import Module, Parameter
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, is_grad_enabled
 
-__all__ = ["RecurrentCell", "GRUCell", "LSTMCell", "ElmanCell", "make_cell", "fused_gru_step"]
+__all__ = [
+    "RecurrentCell",
+    "GRUCell",
+    "LSTMCell",
+    "ElmanCell",
+    "make_cell",
+    "fused_gru_step",
+    "recurrent_sequence",
+]
 
 
 class RecurrentCell(Module):
@@ -61,6 +77,91 @@ class RecurrentCell(Module):
         """
         raise NotImplementedError
 
+    def step(self, inputs: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, tuple]:  # pragma: no cover - abstract
+        """One training-time step over plain arrays: ``(new_state, cache)``.
+
+        The same arithmetic as ``forward``, bit for bit; ``cache`` holds what
+        :meth:`step_backward` needs and is opaque to callers.
+        """
+        raise NotImplementedError
+
+    def step_backward(  # pragma: no cover - abstract
+        self, grad: np.ndarray, cache: tuple, want_state: bool
+    ) -> np.ndarray | None:
+        """Back-propagate ``grad`` (w.r.t. the step's new state) through one step.
+
+        Each parameter's gradient is added through its ``_accumulate``, one
+        contribution per call, with the products ``forward``'s autograd graph
+        forms.  Returns the gradient w.r.t. the step's input state, or
+        ``None`` when ``want_state`` is false.
+        """
+        raise NotImplementedError
+
+
+def _gru_forward(
+    x: np.ndarray,
+    h_prev: np.ndarray,
+    weight_ih: Tensor,
+    weight_hh: Tensor,
+    bias_ih: Tensor,
+    bias_hh: Tensor,
+) -> tuple[np.ndarray, tuple]:
+    """The GRU step's forward on plain arrays: ``(h_new, cache)``."""
+    hidden = h_prev.shape[1]
+    gates_i = x @ weight_ih.data.T + bias_ih.data
+    gates_h = h_prev @ weight_hh.data.T + bias_hh.data
+    gates = stable_sigmoid(gates_i[:, : 2 * hidden] + gates_h[:, : 2 * hidden])
+    reset, update = gates[:, :hidden], gates[:, hidden:]
+    gh_candidate = gates_h[:, 2 * hidden :]
+    candidate = np.tanh(gates_i[:, 2 * hidden :] + reset * gh_candidate)
+    out = (1.0 - update) * candidate + update * h_prev
+    return out, (x, h_prev, reset, update, candidate, gh_candidate, weight_ih, weight_hh, bias_ih, bias_hh)
+
+
+def _gru_backward(
+    grad: np.ndarray, cache: tuple, want_inputs: bool, want_state: bool
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The GRU step's hand-written backward.
+
+    Accumulates the gradient of every weight that requires one and returns
+    ``(d_inputs, d_state)``, each ``None`` unless asked for.
+    """
+    x, h_prev, reset, update, candidate, gh_candidate, weight_ih, weight_hh, bias_ih, bias_hh = cache
+    d_candidate = grad * (1.0 - update)
+    d_update = grad * (h_prev - candidate)
+    d_h_prev = grad * update
+
+    d_candidate_pre = d_candidate * (1.0 - candidate**2)
+    d_reset = d_candidate_pre * gh_candidate
+    d_reset_pre = d_reset * reset * (1.0 - reset)
+    d_update_pre = d_update * update * (1.0 - update)
+
+    d_gates_i = np.concatenate([d_reset_pre, d_update_pre, d_candidate_pre], axis=1)
+    d_gates_h = np.concatenate([d_reset_pre, d_update_pre, d_candidate_pre * reset], axis=1)
+
+    d_inputs = d_gates_i @ weight_ih.data if want_inputs else None
+    d_state = d_h_prev + d_gates_h @ weight_hh.data if want_state else None
+    if weight_ih.requires_grad:
+        weight_ih._accumulate(d_gates_i.T @ x)
+    if weight_hh.requires_grad:
+        weight_hh._accumulate(d_gates_h.T @ h_prev)
+    if bias_ih.requires_grad:
+        bias_ih._accumulate(d_gates_i.sum(axis=0))
+    if bias_hh.requires_grad:
+        bias_hh._accumulate(d_gates_h.sum(axis=0))
+    return d_inputs, d_state
+
+
+def _accumulate_linear(weight: Tensor, inputs: np.ndarray, d_out: np.ndarray) -> None:
+    """Add ``inputs @ weight.T``'s weight gradient, as ``F.linear`` forms it.
+
+    The autograd graph reaches ``weight`` through a transpose node, so the
+    product is ``(inputs.T @ d_out).T``, not ``d_out.T @ inputs`` — the two
+    can differ in the last ulp.
+    """
+    if weight.requires_grad:
+        weight._accumulate((inputs.T @ d_out).T)
+
 
 def fused_gru_step(
     inputs: Tensor,
@@ -81,47 +182,16 @@ def fused_gru_step(
     """
     inputs = as_tensor(inputs)
     state = as_tensor(state)
-    hidden = state.data.shape[1]
-
-    x = inputs.data
-    h_prev = state.data
-    gates_i = x @ weight_ih.data.T + bias_ih.data
-    gates_h = h_prev @ weight_hh.data.T + bias_hh.data
-    gates = stable_sigmoid(gates_i[:, : 2 * hidden] + gates_h[:, : 2 * hidden])
-    reset, update = gates[:, :hidden], gates[:, hidden:]
-    gh_candidate = gates_h[:, 2 * hidden :]
-    candidate = np.tanh(gates_i[:, 2 * hidden :] + reset * gh_candidate)
-    out_data = (1.0 - update) * candidate + update * h_prev
-
-    parents = (inputs, state, weight_ih, weight_hh, bias_ih, bias_hh)
+    out_data, cache = _gru_forward(inputs.data, state.data, weight_ih, weight_hh, bias_ih, bias_hh)
 
     def backward(grad: np.ndarray) -> None:
-        d_candidate = grad * (1.0 - update)
-        d_update = grad * (h_prev - candidate)
-        d_h_prev = grad * update
+        d_inputs, d_state = _gru_backward(grad, cache, inputs.requires_grad, state.requires_grad)
+        if d_inputs is not None:
+            inputs._accumulate(d_inputs)
+        if d_state is not None:
+            state._accumulate(d_state)
 
-        d_candidate_pre = d_candidate * (1.0 - candidate**2)
-        d_reset = d_candidate_pre * gh_candidate
-        d_reset_pre = d_reset * reset * (1.0 - reset)
-        d_update_pre = d_update * update * (1.0 - update)
-
-        d_gates_i = np.concatenate([d_reset_pre, d_update_pre, d_candidate_pre], axis=1)
-        d_gates_h = np.concatenate([d_reset_pre, d_update_pre, d_candidate_pre * reset], axis=1)
-
-        if inputs.requires_grad:
-            inputs._accumulate(d_gates_i @ weight_ih.data)
-        if state.requires_grad:
-            state._accumulate(d_h_prev + d_gates_h @ weight_hh.data)
-        if weight_ih.requires_grad:
-            weight_ih._accumulate(d_gates_i.T @ x)
-        if weight_hh.requires_grad:
-            weight_hh._accumulate(d_gates_h.T @ h_prev)
-        if bias_ih.requires_grad:
-            bias_ih._accumulate(d_gates_i.sum(axis=0))
-        if bias_hh.requires_grad:
-            bias_hh._accumulate(d_gates_h.sum(axis=0))
-
-    return Tensor._result(out_data, parents, backward)
+    return Tensor._result(out_data, (inputs, state, weight_ih, weight_hh, bias_ih, bias_hh), backward)
 
 
 class GRUCell(RecurrentCell):
@@ -153,6 +223,12 @@ class GRUCell(RecurrentCell):
 
     def forward(self, inputs: Tensor, state: Tensor) -> Tensor:
         return fused_gru_step(inputs, state, self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh)
+
+    def step(self, inputs: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, tuple]:
+        return _gru_forward(inputs, state, self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh)
+
+    def step_backward(self, grad: np.ndarray, cache: tuple, want_state: bool) -> np.ndarray | None:
+        return _gru_backward(grad, cache, False, want_state)[1]
 
     def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:
         return gru_step(
@@ -212,6 +288,46 @@ class LSTMCell(RecurrentCell):
         h_new = o_gate * c_new.tanh()
         return F.concat([h_new, c_new], axis=1)
 
+    def step(self, inputs: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, tuple]:
+        hsize = self.hidden_size
+        h_prev = state[:, :hsize]
+        c_prev = state[:, hsize:]
+        gates = (inputs @ self.weight_ih.data.T + self.bias_ih.data) + (
+            h_prev @ self.weight_hh.data.T + self.bias_hh.data
+        )
+        i_gate = sigmoid(gates[:, :hsize])
+        f_gate = sigmoid(gates[:, hsize : 2 * hsize])
+        g_gate = np.tanh(gates[:, 2 * hsize : 3 * hsize])
+        o_gate = sigmoid(gates[:, 3 * hsize :])
+        c_new = f_gate * c_prev + i_gate * g_gate
+        c_tanh = np.tanh(c_new)
+        out = np.concatenate([o_gate * c_tanh, c_new], axis=1)
+        return out, (inputs, h_prev, c_prev, i_gate, f_gate, g_gate, o_gate, c_tanh)
+
+    def step_backward(self, grad: np.ndarray, cache: tuple, want_state: bool) -> np.ndarray | None:
+        inputs, h_prev, c_prev, i_gate, f_gate, g_gate, o_gate, c_tanh = cache
+        hsize = self.hidden_size
+        d_h = grad[:, :hsize]
+        d_c = grad[:, hsize:] + d_h * o_gate * (1.0 - c_tanh**2)
+        d_gates = np.concatenate(
+            [
+                d_c * g_gate * i_gate * (1.0 - i_gate),
+                d_c * c_prev * f_gate * (1.0 - f_gate),
+                d_c * i_gate * (1.0 - g_gate**2),
+                d_h * c_tanh * o_gate * (1.0 - o_gate),
+            ],
+            axis=1,
+        )
+        _accumulate_linear(self.weight_ih, inputs, d_gates)
+        _accumulate_linear(self.weight_hh, h_prev, d_gates)
+        if self.bias_ih.requires_grad:
+            self.bias_ih._accumulate(d_gates.sum(axis=0))
+        if self.bias_hh.requires_grad:
+            self.bias_hh._accumulate(d_gates.sum(axis=0))
+        if not want_state:
+            return None
+        return np.concatenate([d_gates @ self.weight_hh.data, d_c * f_gate], axis=1)
+
     def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:
         return lstm_step(
             inputs, state, self.weight_ih.data, self.weight_hh.data, self.bias_ih.data, self.bias_hh.data
@@ -244,8 +360,61 @@ class ElmanCell(RecurrentCell):
         state = as_tensor(state)
         return (F.linear(inputs, self.weight_ih, self.bias) + F.linear(state, self.weight_hh)).tanh()
 
+    def step(self, inputs: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, tuple]:
+        out = np.tanh((inputs @ self.weight_ih.data.T + self.bias.data) + state @ self.weight_hh.data.T)
+        return out, (inputs, state, out)
+
+    def step_backward(self, grad: np.ndarray, cache: tuple, want_state: bool) -> np.ndarray | None:
+        inputs, state, out = cache
+        d_pre = grad * (1.0 - out**2)
+        _accumulate_linear(self.weight_ih, inputs, d_pre)
+        _accumulate_linear(self.weight_hh, state, d_pre)
+        if self.bias.requires_grad:
+            self.bias._accumulate(d_pre.sum(axis=0))
+        return d_pre @ self.weight_hh.data if want_state else None
+
     def inference_step(self, inputs: np.ndarray, state: np.ndarray) -> np.ndarray:
         return elman_step(inputs, state, self.weight_ih.data, self.weight_hh.data, self.bias.data)
+
+
+def recurrent_sequence(cell: RecurrentCell, inputs: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Step ``cell`` over a padded minibatch as one autograd node.
+
+    ``inputs`` is ``(batch, steps, input_size)`` and ``valid`` the matching
+    ``(batch, steps, 1)`` 0/1 mask; where ``valid[b, t]`` is 0, row ``b``
+    keeps its state (``u * m + h * (1 - m)``, the mask applied inside the
+    node).  Returns the ``(steps + 1, batch, state_size)`` stack of states,
+    ``h_0 = 0`` first.
+
+    The forward loops over ``t`` on plain arrays through :meth:`RecurrentCell.step`,
+    caching each step only when a gradient can be asked for.  The backward
+    walks ``t`` from ``steps - 1`` down to 0 through
+    :meth:`RecurrentCell.step_backward`, each state's gradient summed as the
+    per-step graph sums it (its own slice of the output gradient, then the
+    cell's contribution, then the masked carry), so a fit through this node
+    trains the same bits as one through a ``cell(x_t, h)`` loop.
+    """
+    batch, steps = inputs.shape[:2]
+    parameters = cell.parameters()
+    record = is_grad_enabled() and any(p.requires_grad for p in parameters)
+    states = np.zeros((steps + 1, batch, cell.state_size))
+    caches: list[tuple] = []
+    for t in range(steps):
+        mask = valid[:, t, :]
+        updated, cache = cell.step(inputs[:, t, :], states[t])
+        states[t + 1] = updated * mask + states[t] * (1.0 - mask)
+        if record:
+            caches.append(cache)
+
+    def backward(grad: np.ndarray) -> None:
+        carried = grad[steps]
+        for t in range(steps - 1, -1, -1):
+            mask = valid[:, t, :]
+            d_state = cell.step_backward(carried * mask, caches[t], t > 0)
+            if t:
+                carried = grad[t] + d_state + carried * (1.0 - mask)
+
+    return Tensor._result(states, parameters, backward)
 
 
 _CELL_REGISTRY = {

@@ -7,13 +7,16 @@ fit leaves behind that scoring or reporting reads.  For a
 the best iteration, the node count, the feature importances and both loss
 histories; the depth search adds its chosen depth and the validation loss of
 every depth it tried.  For a :class:`~repro.ml.LogisticRegression` it is the
-coefficients, the intercept and the loss history.  For the GRU
-:class:`~repro.models.RNNModel` it is every network parameter, by name, and
-the per-minibatch training curve (sessions processed, loss, epoch).
+coefficients, the intercept and the loss history.  For each
+:class:`~repro.models.RNNModel` fit (GRU, LSTM and tanh cells) it is every
+network parameter, by name, and the per-minibatch training curve (sessions
+processed, loss, epoch).
 
 The tabular digests were captured at the commit *before* ``RegressionTree``
-stopped growing node lists and started growing heap tables, and the GRU digest
-at the commit before the serving records became tuple rows, so a change to how
+stopped growing node lists and started growing heap tables, the GRU digest at
+the commit before the serving records became tuple rows, and the LSTM and tanh
+digests at the commit before a minibatch's recurrence became one autograd node
+(they judge each cell's hand-written ``step_backward``), so a change to how
 the trainers run is checked against weights the old spelling produced.  A
 re-spelling of a trainer must leave every digest unchanged; a change that
 moves trained bits on purpose regenerates the file and says what moved::
@@ -106,17 +109,31 @@ def logistic() -> str:
     return _digest(model.coef_, model.intercept_, model.loss_history_)
 
 
-def gru() -> str:
-    """One epoch of the GRU network over a 20-user week (under a second)."""
+def _rnn(cell: str) -> str:
+    """One epoch of the RNN network over a 20-user week (under a second)."""
     dataset = make_dataset("mobiletab", seed=5, n_users=20, n_days=7)
-    config = RNNModelConfig(hidden_size=8, mlp_hidden=8, epochs=1, early_stopping_patience=None, seed=0)
+    config = RNNModelConfig(
+        hidden_size=8, mlp_hidden=8, cell=cell, epochs=1, early_stopping_patience=None, seed=0
+    )
     model = RNNModel(config).fit(dataset, TaskSpec(kind="session", rnn_loss_days=5))
     parameters = model.state_dict()
     curve = [(point.sessions_processed, point.loss, point.epoch) for point in model.training_curve_]
     return _digest(*sorted(parameters), *(parameters[name] for name in sorted(parameters)), curve)
 
 
-FITS = {fit.__name__: fit for fit in (gbdt_plain, gbdt_subsampled, gbdt_depth_search, logistic, gru)}
+def gru() -> str:
+    return _rnn("gru")
+
+
+def lstm() -> str:
+    return _rnn("lstm")
+
+
+def tanh() -> str:
+    return _rnn("tanh")
+
+
+FITS = {fit.__name__: fit for fit in (gbdt_plain, gbdt_subsampled, gbdt_depth_search, logistic, gru, lstm, tanh)}
 
 
 @pytest.mark.parametrize("name", sorted(FITS))
