@@ -22,7 +22,7 @@ peak hours).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "hour_of_day",
     "day_of_week",
     "sessions_in_time_order",
+    "context_columns",
 ]
 
 SECONDS_PER_HOUR = 3600
@@ -174,6 +175,21 @@ class UserLog:
     def context_row(self, index: int) -> dict[str, float]:
         """The context of one session as a plain dict (used by serving)."""
         return {name: values[index] for name, values in self.context.items()}
+
+
+def context_columns(
+    contexts: Sequence[Mapping[str, float] | None], names: Iterable[str]
+) -> tuple[dict[str, np.ndarray], list[bool]]:
+    """Request context rows transposed into columns: the serving door.
+
+    One ``float64`` array per field in ``names`` (the dtype both encoders
+    read; the aggregation's match codes truncate it back to integers, exact
+    below 2**53), plus the has-context mask; a ``None`` context reads 0 in
+    every field and ``False`` in the mask.  Training never comes here: it
+    reads a :class:`UserLog`'s columns as they are.
+    """
+    columns = {name: np.asarray([0.0 if c is None else c[name] for c in contexts], dtype=np.float64) for name in names}
+    return columns, [c is not None for c in contexts]
 
 
 @dataclass

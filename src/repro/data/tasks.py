@@ -12,8 +12,11 @@ The paper defines two prediction problems (Section 3.2):
   any session during that window.  One example per user × day; no
   session-specific context is available at prediction time.
 
-Both task types produce :class:`Example` records that the tabular feature
-pipeline and the sequence models consume.
+Both tasks return one :class:`ExampleTable`: aligned columns, one row per
+example, grouped by owner in ``dataset.users`` order.  A session example's
+context is not copied into it: it is row ``sessions[i]`` of its owner's
+:class:`~repro.data.schema.UserLog` columns, and the tabular featurizer and
+the sequence builder both read it there.
 """
 
 from __future__ import annotations
@@ -22,62 +25,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import SECONDS_PER_DAY, SECONDS_PER_HOUR, Dataset, UserLog
+from .schema import SECONDS_PER_DAY, SECONDS_PER_HOUR, Dataset
 
-__all__ = ["Example", "session_examples", "peak_window_examples", "peak_window_bounds"]
+__all__ = ["ExampleTable", "session_examples", "peak_window_examples", "peak_window_bounds"]
 
 
 @dataclass(frozen=True)
-class Example:
-    """One labelled prediction example.
+class ExampleTable:
+    """Labelled prediction examples as aligned 1-D ``int64`` columns.
 
-    ``prediction_time`` is the moment the probability estimate is needed;
-    only history strictly before this time may be used for features.
-    ``context`` is the current-session context (``None`` for the timeshifted
-    task, which has no session at prediction time).  ``session_index`` is the
-    index of the session within the user's log for session-access examples.
+    Row ``i`` belongs to ``dataset.users[owners[i]]`` (whose id is
+    ``user_ids[i]``) and is predicted at ``prediction_times[i]``; only
+    history strictly before that moment may be used for features.
+    ``sessions[i]`` is the session's index in its owner's log on the session
+    task (its context is that log's row there) and −1 on the timeshifted
+    task, which has no session at prediction time; ``days[i]`` is the day
+    index on the timeshifted task and −1 on the session task.  Rows are
+    grouped by owner, owners ascending.
     """
 
-    user_id: int
-    prediction_time: int
-    label: int
-    context: dict[str, float] | None
-    session_index: int | None
-    day_index: int | None = None
+    owners: np.ndarray
+    user_ids: np.ndarray
+    prediction_times: np.ndarray
+    labels: np.ndarray
+    sessions: np.ndarray
+    days: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.owners.size)
+
+    def check(self, dataset: Dataset) -> None:
+        """Refuse rows whose owner is not ``dataset``'s user of that id, or
+        rows out of owner order."""
+        ids = dataset.user_ids()
+        known = (self.owners >= 0) & (self.owners < ids.size)
+        known[known] = ids[self.owners[known]] == self.user_ids[known]
+        if not known.all():
+            raise KeyError(f"examples reference unknown user {int(self.user_ids[~known][0])}")
+        if np.any(self.owners[1:] < self.owners[:-1]):
+            raise ValueError("example rows must be grouped by owner, owners ascending")
+
+    def owner_bounds(self, n_users: int) -> np.ndarray:
+        """Row ``bounds[o]:bounds[o + 1]`` holds owner ``o``'s examples."""
+        return self.owners.searchsorted(np.arange(n_users + 1))
+
+
+def _table(dataset: Dataset, counts, prediction_times, labels, sessions, days) -> ExampleTable:
+    owners = np.repeat(np.arange(len(dataset.users), dtype=np.int64), counts)
+    return ExampleTable(
+        owners=owners,
+        user_ids=dataset.user_ids()[owners],
+        prediction_times=np.asarray(prediction_times, dtype=np.int64),
+        labels=np.asarray(labels, dtype=np.int64),
+        sessions=np.asarray(sessions, dtype=np.int64),
+        days=np.asarray(days, dtype=np.int64),
+    )
 
 
 def session_examples(
     dataset: Dataset,
     start_time: int | None = None,
     end_time: int | None = None,
-) -> dict[int, list[Example]]:
-    """Session-access examples grouped by user id.
+) -> ExampleTable:
+    """Session-access examples, one row per session in the window.
 
     Only sessions with ``start_time <= t < end_time`` become examples (both
     bounds optional).  This implements the paper's protocol of training on
     the most recent days and evaluating on the final 7 days (Section 8) while
-    still letting features look at the user's full prior history.
+    still letting features look at the user's full prior history.  Each
+    user's window is one ``searchsorted`` pair over its sorted stamps.
     """
-    lo = start_time if start_time is not None else -np.inf
-    hi = end_time if end_time is not None else np.inf
-    grouped: dict[int, list[Example]] = {}
-    for user in dataset.users:
-        examples: list[Example] = []
-        for index, timestamp in enumerate(user.timestamps):
-            if not (lo <= timestamp < hi):
-                continue
-            examples.append(
-                Example(
-                    user_id=user.user_id,
-                    prediction_time=int(timestamp),
-                    label=int(user.accesses[index]),
-                    context=user.context_row(index),
-                    session_index=index,
-                )
-            )
-        if examples:
-            grouped[user.user_id] = examples
-    return grouped
+    users = dataset.users
+    lo = np.asarray([0 if start_time is None else u.timestamps.searchsorted(start_time) for u in users], dtype=np.int64)
+    hi = np.asarray([len(u) if end_time is None else u.timestamps.searchsorted(end_time) for u in users], dtype=np.int64)
+    counts = np.maximum(hi - lo, 0)
+    # Each row's session: its offset within its owner's run, plus the run's first session.
+    starts = np.cumsum(counts) - counts
+    sessions = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts - lo, counts)
+    stamps = [u.timestamps[a:b] for u, a, b in zip(users, lo, hi)]
+    flags = [u.accesses[a:b] for u, a, b in zip(users, lo, hi)]
+    return _table(
+        dataset,
+        counts,
+        np.concatenate(stamps) if users else [],
+        np.concatenate(flags) if users else [],
+        sessions,
+        np.full(sessions.size, -1),
+    )
 
 
 def peak_window_bounds(dataset: Dataset, day_index: int) -> tuple[int, int]:
@@ -96,13 +130,15 @@ def peak_window_examples(
     lead_seconds: int = 6 * SECONDS_PER_HOUR,
     first_day: int = 0,
     last_day: int | None = None,
-) -> dict[int, list[Example]]:
-    """Timeshifted precompute examples grouped by user id.
+) -> ExampleTable:
+    """Timeshifted precompute examples, one row per user per day.
 
     One example per user per day in ``[first_day, last_day)``.  The label is
     1 when the user has at least one access within that day's peak window.
     The prediction is made ``lead_seconds`` before the window opens, so
-    features may only use sessions before that moment.
+    features may only use sessions before that moment.  Each user's windows
+    are one ``searchsorted`` pair over its stamps, read against its
+    cumulative access count.
     """
     if dataset.peak_hours is None:
         raise ValueError(f"dataset {dataset.name!r} has no peak_hours defined")
@@ -112,22 +148,20 @@ def peak_window_examples(
     if not 0 <= first_day < last <= dataset.n_days:
         raise ValueError("invalid day range")
 
-    grouped: dict[int, list[Example]] = {}
-    for user in dataset.users:
-        examples: list[Example] = []
-        for day in range(first_day, last):
-            peak_start, peak_end = peak_window_bounds(dataset, day)
-            in_peak = (user.timestamps >= peak_start) & (user.timestamps < peak_end)
-            label = int(np.any(user.accesses[in_peak] == 1))
-            examples.append(
-                Example(
-                    user_id=user.user_id,
-                    prediction_time=int(peak_start - lead_seconds),
-                    label=label,
-                    context=None,
-                    session_index=None,
-                    day_index=day,
-                )
-            )
-        grouped[user.user_id] = examples
-    return grouped
+    days = np.arange(first_day, last, dtype=np.int64)
+    lo_hour, hi_hour = dataset.peak_hours
+    day_starts = dataset.start_time + days * SECONDS_PER_DAY
+    peak_starts, peak_ends = day_starts + lo_hour * SECONDS_PER_HOUR, day_starts + hi_hour * SECONDS_PER_HOUR
+    labels = np.empty((len(dataset.users), days.size), dtype=np.int64)
+    for row, user in enumerate(dataset.users):
+        accessed = np.concatenate([[0], np.cumsum(user.accesses, dtype=np.int64)])
+        labels[row] = accessed[user.timestamps.searchsorted(peak_ends)] > accessed[user.timestamps.searchsorted(peak_starts)]
+    n_users = len(dataset.users)
+    return _table(
+        dataset,
+        np.full(n_users, days.size),
+        np.tile(peak_starts - lead_seconds, n_users),
+        labels.reshape(-1),
+        np.full(labels.size, -1),
+        np.tile(days, n_users),
+    )

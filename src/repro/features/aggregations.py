@@ -21,11 +21,12 @@ is why the number of generated feature groups matters beyond model quality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from ..data.schema import ContextSchema, HistoryBatch, UserLog
+from ..data.schema import ContextSchema, HistoryBatch
 
 __all__ = ["AggregationConfig", "HistoryAggregator", "DEFAULT_WINDOWS", "MISSING_ELAPSED"]
 
@@ -148,18 +149,18 @@ class HistoryAggregator:
         return groups
 
     # ------------------------------------------------------------------
-    def _match_codes(self, history: HistoryBatch, contexts: list[dict[str, float] | None]) -> np.ndarray:
+    def _match_codes(self, history: HistoryBatch, context: Mapping[str, np.ndarray], n_rows: int) -> np.ndarray:
         """One int code per (subset, entry): the subset's context values combined.
 
-        Entries are ``history``'s sessions, then one per row of ``contexts``
-        (a ``None`` context codes as all zeros); the empty subset codes
-        every entry 0.  One field-code row per matched field, then one
-        matrix product applies every subset's multipliers.
+        Entries are ``history``'s sessions, then one per row of the
+        ``context`` columns; the empty subset codes every entry 0.  One
+        field-code row per matched field, then one matrix product applies
+        every subset's multipliers.
         """
         n_sessions = history.timestamps.size
-        field_codes = np.empty((len(self._match_fields), n_sessions + len(contexts)), dtype=np.int64)
+        field_codes = np.empty((len(self._match_fields), n_sessions + n_rows), dtype=np.int64)
         for row, (name, numeric) in enumerate(self._match_fields):
-            current = np.asarray([0 if c is None else c[name] for c in contexts])
+            current = context[name]
             if numeric:
                 field_codes[row] = _numeric_match_code(np.concatenate([history.context[name], current]))
             else:  # assignment casts like ``astype(np.int64)``: floats truncate
@@ -168,41 +169,24 @@ class HistoryAggregator:
         return self._code_multipliers @ field_codes
 
     # ------------------------------------------------------------------
-    def compute(
-        self,
-        user: UserLog,
-        prediction_times: np.ndarray,
-        contexts: list[dict[str, float]] | None,
-    ) -> np.ndarray:
-        """Feature matrix of shape ``(len(prediction_times), n_features)``.
-
-        ``contexts`` supplies the current context of each example (needed for
-        context-matched subsets); pass ``None`` for the timeshifted task, in
-        which case only the unconditional subset produces non-trivial values
-        and the matched subsets report "no matching history".  This is the
-        one-log case of :meth:`compute_batch`.
-        """
-        prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
-        rows = [None] * prediction_times.size if contexts is None else contexts
-        return self.compute_batch(
-            HistoryBatch.of_logs([user]), np.zeros(prediction_times.size, dtype=np.int64), prediction_times, rows
-        )
-
     def compute_batch(
         self,
         history: HistoryBatch,
         owners: np.ndarray,
         prediction_times: np.ndarray,
-        contexts: list[dict[str, float] | None],
+        context: Mapping[str, np.ndarray],
+        has_context: np.ndarray,
     ) -> np.ndarray:
         """Feature rows over any number of logs, in a fixed number of array calls.
 
         Row ``i`` is predicted at ``prediction_times[i]`` from the history in
-        log ``owners[i]`` of ``history``, in context ``contexts[i]``; a
-        ``None`` context means "no current session", so that row's matched
-        subsets report no matching history.  The same log may own many rows
-        (training) and the same user may appear as several logs (one fetched
-        record per request).
+        log ``owners[i]`` of ``history``, in context ``context[name][i]`` of
+        each field; a row whose ``has_context[i]`` is false has no current
+        session, so its matched subsets report no matching history (its
+        context columns should read 0, as
+        :func:`~repro.data.schema.context_columns` writes them).  The same
+        log may own many rows (training) and the same user may appear as
+        several logs (one fetched record per request).
 
         ``history`` keeps each log's sessions in time order, so one
         ``searchsorted`` over ``log * span + (t - first stamp)`` cuts every
@@ -225,8 +209,9 @@ class HistoryAggregator:
         """
         prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
         owners = np.asarray(owners, dtype=np.int64)
+        has_context = np.asarray(has_context, dtype=bool)
         n_rows, n_logs = prediction_times.size, history.n_logs
-        if len(contexts) != n_rows:
+        if has_context.shape != (n_rows,) or any(len(values) != n_rows for values in context.values()):
             raise ValueError("contexts must align with prediction_times")
         if owners.shape != (n_rows,):
             raise ValueError("owners must align with prediction_times")
@@ -242,7 +227,7 @@ class HistoryAggregator:
         n_sessions = times.size
         first, last = (int(times.min()), int(times.max())) if n_sessions else (0, 0)
         span = last - first + 2  # a relative stamp is at most span - 2; span - 1 is "after them all"
-        codes = self._match_codes(history, contexts)
+        codes = self._match_codes(history, context, n_rows)
         low, code_space = 0, self._code_space
         if codes.view(np.uint64).max() >= code_space:
             # A context value outside its field's cardinality: widen K to
@@ -275,7 +260,6 @@ class HistoryAggregator:
 
         # Packed keys, per subset: the sessions', then the rows' (log L
         # where a matched subset meets a contextless row).
-        has_context = np.array([c is not None for c in contexts], dtype=bool)
         logs = np.empty((n_subsets, n_sessions + n_rows), dtype=np.int64)
         logs[:, :n_sessions] = log_of
         logs[:, n_sessions:] = np.where(has_context | self._unconditional, owners, n_logs)

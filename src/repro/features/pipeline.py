@@ -1,7 +1,8 @@
 """Tabular feature pipeline for the traditional models (Sections 5.2-5.4).
 
-:class:`TabularFeaturizer` turns labelled :class:`~repro.data.tasks.Example`
-records into a fixed-width design matrix by assembling four feature families:
+:class:`TabularFeaturizer` turns a labelled
+:class:`~repro.data.tasks.ExampleTable` into a fixed-width design matrix by
+assembling four feature families:
 
 * ``context`` (C) — one-hot / hashed encodings of the current session context
   plus raw numeric context values;
@@ -15,16 +16,22 @@ records into a fixed-width design matrix by assembling four feature families:
   GBDT).
 
 The family switches implement the Table 5 ablation (C, E+C, A+E+C).
+
+Context reaches the featurizer as columns, one array per field plus a
+has-context mask: in training, each session row's own row of its owner's
+log columns; in serving, a micro-batch's request dicts transposed once by
+:func:`~repro.data.schema.context_columns`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
 from ..data.schema import ContextSchema, Dataset, HistoryBatch, day_of_week, hour_of_day
-from ..data.tasks import Example
+from ..data.tasks import ExampleTable
 from .aggregations import DEFAULT_WINDOWS, AggregationConfig, HistoryAggregator
 from .bucketing import N_BUCKETS, log_bucket
 from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder
@@ -181,15 +188,19 @@ class TabularFeaturizer:
         history: HistoryBatch,
         owners,
         prediction_times,
-        contexts: list[dict[str, float] | None],
+        context: Mapping[str, np.ndarray],
+        has_context: np.ndarray,
     ) -> np.ndarray:
         """Feature matrix for examples over any number of users' logs.
 
-        Row ``i`` is predicted at ``prediction_times[i]``, in context
-        ``contexts[i]`` (``None``: no current session), from log
-        ``owners[i]`` of ``history``, every log's columns laid back to back —
-        one call featurizes a serving micro-batch (one fetched record per
-        request, :meth:`HistoryBatch.of_records`) or a whole training set
+        Row ``i`` is predicted at ``prediction_times[i]``, in the context
+        ``context[name][i]`` of each field (read only where
+        ``has_context[i]``; a row without one has no current session and
+        reads 0 there), from log ``owners[i]`` of ``history``, every log's
+        columns laid back to back — one call featurizes a serving
+        micro-batch (one fetched record per request,
+        :meth:`HistoryBatch.of_records`, its contexts transposed by
+        :func:`~repro.data.schema.context_columns`) or a whole training set
         (one log per user, :meth:`HistoryBatch.of_logs`).
 
         Every family writes at its column offset into one zero matrix:
@@ -200,16 +211,15 @@ class TabularFeaturizer:
         or its one-hot run).
         """
         prediction_times = np.asarray(prediction_times, dtype=np.int64).reshape(-1)
+        raw = self.aggregator.compute_batch(history, owners, prediction_times, context, has_context)
         n, width = prediction_times.size, self.n_features
-        if len(contexts) != n:
-            raise ValueError("contexts must align with prediction_times")
         matrix = np.zeros((n, width), dtype=np.float64)
         flat, stop = matrix.reshape(-1), n * width
         offset = 0
         if self.config.include_context:
             for field_def in self.schema:
                 encoder = self._context_encoders[field_def.name]
-                values = np.asarray([0.0 if c is None else c[field_def.name] for c in contexts], dtype=np.float64)
+                values = np.asarray(context[field_def.name], dtype=np.float64)
                 if encoder is None:
                     matrix[:, offset] = values
                     matrix[:, offset + 1] = np.log1p(np.maximum(values, 0.0))
@@ -232,7 +242,6 @@ class TabularFeaturizer:
             raise RuntimeError(
                 f"feature width mismatch: built {offset + self._history_width} columns, expected {width}"
             )
-        raw = self.aggregator.compute_batch(history, owners, prediction_times, contexts)
         encoded = matrix[:, offset:]
         if not self._elapsed_columns:
             encoded[:] = raw
@@ -246,25 +255,28 @@ class TabularFeaturizer:
             encoded[:, self._elapsed_targets] = buckets
         return matrix
 
-    def transform(self, dataset: Dataset, examples_by_user: dict[int, list[Example]]) -> TabularData:
-        """Feature matrix for a whole dataset's examples (grouped by user), in one call."""
-        users_by_id = {user.user_id: user for user in dataset.users}
-        for user_id in examples_by_user:
-            if user_id not in users_by_id:
-                raise KeyError(f"examples reference unknown user {user_id}")
-        user_ids = [user_id for user_id, examples in examples_by_user.items() if examples]
-        counts = [len(examples_by_user[user_id]) for user_id in user_ids]
-        examples = [example for user_id in user_ids for example in examples_by_user[user_id]]
-        prediction_times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
+    def transform(self, dataset: Dataset, examples: ExampleTable) -> TabularData:
+        """Feature matrix for a whole dataset's examples, in one call.
+
+        The history holds each owner with examples once; a session row's
+        context is its own session's row of those columns, gathered, and a
+        row without a session (the timeshifted task) has none.
+        """
+        examples.check(dataset)
+        present = np.unique(examples.owners)
+        history = HistoryBatch.of_logs([dataset.users[owner] for owner in present])
+        owners = present.searchsorted(examples.owners)
+        has_context = examples.sessions >= 0
+        rows = (np.cumsum(history.lengths) - history.lengths)[owners[has_context]] + examples.sessions[has_context]
+        context = {}
+        for name in self.schema.names():
+            values = history.context.get(name, np.zeros(0, dtype=np.int64))  # no logs: no columns
+            context[name] = np.zeros(len(examples), dtype=values.dtype)
+            context[name][has_context] = values[rows]
         return TabularData(
-            X=self.transform_user(
-                HistoryBatch.of_logs([users_by_id[user_id] for user_id in user_ids]),
-                np.repeat(np.arange(len(user_ids)), counts),
-                prediction_times,
-                [e.context for e in examples],
-            ),
-            y=np.asarray([e.label for e in examples], dtype=np.float64),
-            user_ids=np.repeat(np.asarray(user_ids, dtype=np.int64), counts),
-            prediction_times=prediction_times,
+            X=self.transform_user(history, owners, examples.prediction_times, context, has_context),
+            y=examples.labels.astype(np.float64),
+            user_ids=examples.user_ids,
+            prediction_times=examples.prediction_times,
             feature_names=self.feature_names(),
         )

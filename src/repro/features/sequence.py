@@ -11,16 +11,22 @@ Section 5.2; it only needs, for each session ``i``:
   ``Δt`` update input and the prediction-time gap ``t_i − t_k``).
 
 :class:`SequenceBuilder` produces one :class:`UserSequence` per user; the RNN
-model and trainer consume those directly.
+model and trainer consume those directly.  One column encoder,
+:meth:`SequenceBuilder.encode_columns`, serves both sides: training encodes
+each log's context columns as they are (and reads a session example's
+predict-time features back as that matrix's row), and serving's
+:meth:`SequenceBuilder.encode_context_rows` is a thin door that transposes a
+micro-batch's request dicts into columns first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from ..data.schema import ContextSchema, Dataset, UserLog, day_of_week, hour_of_day
+from ..data.schema import ContextSchema, UserLog, context_columns, day_of_week, hour_of_day
 from .bucketing import N_BUCKETS, log_bucket
 from .encoders import HASH_MODULO, HashingEncoder, OneHotEncoder
 
@@ -116,8 +122,8 @@ class SequenceBuilder:
         return len(self._feature_names)
 
     # ------------------------------------------------------------------
-    def encode_context_rows(self, contexts: list[dict[str, float]], timestamps: np.ndarray) -> np.ndarray:
-        """Encode explicit context rows (used for serving single predictions).
+    def encode_columns(self, context: Mapping[str, np.ndarray], timestamps: np.ndarray) -> np.ndarray:
+        """Encode context columns — a log's, or a micro-batch's transposed rows.
 
         Every field writes at its column offset into one zero matrix —
         numeric fields by column assignment, categorical and time fields by
@@ -127,13 +133,14 @@ class SequenceBuilder:
         hour and day are reduced modulo 24 and 7, so they need no range
         check.
         """
-        n, width = len(contexts), self.feature_dim
+        timestamps = np.asarray(timestamps, dtype=np.int64)
+        n, width = timestamps.size, self.feature_dim
         matrix = np.zeros((n, width))
         flat, stop = matrix.reshape(-1), n * width
         offset = 0
         for field_def in self.schema:
             encoder = self._encoders[field_def.name]
-            values = np.asarray([c[field_def.name] for c in contexts], dtype=np.float64)
+            values = np.asarray(context[field_def.name], dtype=np.float64)
             if encoder is None:
                 matrix[:, offset] = values
                 matrix[:, offset + 1] = np.log1p(np.maximum(values, 0.0))
@@ -142,7 +149,6 @@ class SequenceBuilder:
                 flat[np.arange(offset, stop, width) + encoder.hot_column(values.astype(np.int64))] = 1.0
                 offset += encoder.width
         if self.include_time:
-            timestamps = np.asarray(timestamps, dtype=np.int64)
             flat[np.arange(offset, stop, width) + hour_of_day(timestamps)] = 1.0
             flat[np.arange(offset + 24, stop, width) + day_of_week(timestamps)] = 1.0
             offset += 24 + 7
@@ -150,12 +156,16 @@ class SequenceBuilder:
             raise RuntimeError("feature width mismatch in sequence encoding")
         return matrix
 
+    def encode_context_rows(self, contexts: list[dict[str, float]], timestamps: np.ndarray) -> np.ndarray:
+        """Encode serving request contexts: their columns, through :meth:`encode_columns`."""
+        return self.encode_columns(context_columns(contexts, self._encoders)[0], timestamps)
+
     def build_user(self, user: UserLog) -> UserSequence:
-        """Build the model-ready sequence for one user."""
+        """Build the model-ready sequence for one user, encoding its log's
+        context columns as they are."""
         n = len(user)
         timestamps = user.timestamps.astype(np.int64)
-        contexts = [user.context_row(i) for i in range(n)]
-        features = self.encode_context_rows(contexts, timestamps)
+        features = self.encode_columns(user.context, timestamps)
         deltas = np.zeros(n, dtype=np.float64)
         if n > 1:
             deltas[1:] = np.diff(timestamps).astype(np.float64)
@@ -167,13 +177,3 @@ class SequenceBuilder:
             features=features,
             delta_buckets=delta_buckets,
         )
-
-    def build(self, dataset: Dataset, max_sessions: int | None = None) -> list[UserSequence]:
-        """Build sequences for every user in the dataset (optionally truncated)."""
-        sequences = []
-        for user in dataset.users:
-            sequence = self.build_user(user)
-            if max_sessions is not None:
-                sequence = sequence.truncate_last(max_sessions)
-            sequences.append(sequence)
-        return sequences

@@ -1,6 +1,6 @@
 """Access-probability models: percentage baseline, LR, GBDT and the RNN."""
 
-from .base import AccessProbabilityModel, PredictionResult, TaskSpec, flatten_examples
+from .base import AccessProbabilityModel, PredictionResult, TaskSpec
 from .percentage import PercentageModel
 from .rnn import PredictionSpec, RNNNetworkConfig, RNNPrecomputeNetwork, build_prediction_spec
 from .rnn_model import RNNModel, RNNModelConfig
@@ -11,7 +11,6 @@ __all__ = [
     "AccessProbabilityModel",
     "PredictionResult",
     "TaskSpec",
-    "flatten_examples",
     "PercentageModel",
     "LogisticRegressionModel",
     "GBDTModel",

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.schema import SECONDS_PER_HOUR, Dataset
-from ..data.tasks import Example, peak_window_examples, session_examples
+from ..data.tasks import ExampleTable, peak_window_examples, session_examples
 
-__all__ = ["TaskSpec", "PredictionResult", "AccessProbabilityModel", "flatten_examples"]
+__all__ = ["TaskSpec", "PredictionResult", "AccessProbabilityModel"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class TaskSpec:
                 raise ValueError(f"{name} must be positive")
 
     # ------------------------------------------------------------------
-    def examples_for_last_days(self, dataset: Dataset, days: int) -> dict[int, list[Example]]:
+    def examples_for_last_days(self, dataset: Dataset, days: int) -> ExampleTable:
         """Examples whose prediction time falls in the trailing ``days`` days."""
         days = min(days, dataset.n_days)
         boundary = dataset.day_boundary(days)
@@ -59,25 +59,17 @@ class TaskSpec:
         first_day = dataset.n_days - days
         return peak_window_examples(dataset, lead_seconds=self.lead_seconds, first_day=first_day)
 
-    def train_examples(self, dataset: Dataset) -> dict[int, list[Example]]:
+    def train_examples(self, dataset: Dataset) -> ExampleTable:
         """Training examples for tabular models (last ``train_days`` days)."""
         return self.examples_for_last_days(dataset, self.train_days)
 
-    def loss_examples(self, dataset: Dataset) -> dict[int, list[Example]]:
+    def loss_examples(self, dataset: Dataset) -> ExampleTable:
         """Examples the RNN loss is computed over (last ``rnn_loss_days`` days)."""
         return self.examples_for_last_days(dataset, self.rnn_loss_days)
 
-    def eval_examples(self, dataset: Dataset) -> dict[int, list[Example]]:
+    def eval_examples(self, dataset: Dataset) -> ExampleTable:
         """Held-out evaluation examples (last ``eval_days`` days)."""
         return self.examples_for_last_days(dataset, self.eval_days)
-
-
-def flatten_examples(examples_by_user: dict[int, list[Example]]) -> list[Example]:
-    """Flatten grouped examples into a single deterministic ordering."""
-    flat: list[Example] = []
-    for _, examples in examples_by_user.items():
-        flat.extend(examples)
-    return flat
 
 
 @dataclass
@@ -99,18 +91,15 @@ class PredictionResult:
         return int(len(self.y_true))
 
     @classmethod
-    def from_examples(
-        cls, examples_by_user: dict[int, list[Example]], scores: np.ndarray, model_name: str = ""
-    ) -> "PredictionResult":
-        flat = flatten_examples(examples_by_user)
+    def from_examples(cls, examples: ExampleTable, scores: np.ndarray, model_name: str = "") -> "PredictionResult":
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        if len(flat) != scores.shape[0]:
-            raise ValueError(f"expected {len(flat)} scores, got {scores.shape[0]}")
+        if len(examples) != scores.shape[0]:
+            raise ValueError(f"expected {len(examples)} scores, got {scores.shape[0]}")
         return cls(
-            y_true=np.asarray([e.label for e in flat], dtype=np.float64),
+            y_true=examples.labels.astype(np.float64),
             y_score=scores,
-            user_ids=np.asarray([e.user_id for e in flat], dtype=np.int64),
-            prediction_times=np.asarray([e.prediction_time for e in flat], dtype=np.int64),
+            user_ids=examples.user_ids,
+            prediction_times=examples.prediction_times,
             model_name=model_name,
         )
 
@@ -135,10 +124,9 @@ class AccessProbabilityModel(ABC):
         """Train the model on the given dataset for the given task."""
 
     @abstractmethod
-    def predict_examples(
-        self, dataset: Dataset, examples_by_user: dict[int, list[Example]]
-    ) -> np.ndarray:
-        """Scores aligned with :func:`flatten_examples` of ``examples_by_user``."""
+    def predict_examples(self, dataset: Dataset, examples: ExampleTable) -> np.ndarray:
+        """Scores aligned with the rows of ``examples``; refuses rows that do
+        not name one of ``dataset``'s users (:meth:`ExampleTable.check`)."""
 
     # ------------------------------------------------------------------
     def evaluate(self, dataset: Dataset, task: TaskSpec) -> PredictionResult:

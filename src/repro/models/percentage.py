@@ -7,16 +7,18 @@ at the population rate rather than at 0:
     P(A_n) = (α + Σ_{i<n} A_i) / n
 
 For the timeshifted task the same formula is applied over past peak windows
-(one observation per day) instead of individual sessions.
+(one observation per day) instead of individual sessions.  Either way a
+table of examples is scored in one pass over columns: a cumulative count
+per user, read at each row's position.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..data.schema import SECONDS_PER_DAY, Dataset
-from ..data.tasks import Example, peak_window_examples
-from .base import AccessProbabilityModel, TaskSpec, flatten_examples
+from ..data.schema import Dataset, HistoryBatch
+from ..data.tasks import ExampleTable, peak_window_examples
+from .base import AccessProbabilityModel, TaskSpec
 
 __all__ = ["PercentageModel"]
 
@@ -38,45 +40,39 @@ class PercentageModel(AccessProbabilityModel):
             total_sessions = train.n_sessions
             self.alpha_ = train.n_accesses / total_sessions if total_sessions else 0.0
         else:
-            examples = peak_window_examples(train, lead_seconds=task.lead_seconds)
-            labels = [e.label for e in flatten_examples(examples)]
-            self.alpha_ = float(np.mean(labels)) if labels else 0.0
+            labels = peak_window_examples(train, lead_seconds=task.lead_seconds).labels
+            self.alpha_ = float(np.mean(labels)) if labels.size else 0.0
         return self
 
     # ------------------------------------------------------------------
-    def _session_score(self, dataset: Dataset, example: Example) -> float:
-        user = self._users[example.user_id]
-        n_prior = int(np.searchsorted(user.timestamps, example.prediction_time, side="left"))
-        prior_accesses = int(user.accesses[:n_prior].sum())
-        return (self.alpha_ + prior_accesses) / (n_prior + 1)
-
-    def _peak_score(self, prior_labels: np.ndarray, day_number: int) -> float:
-        return (self.alpha_ + float(prior_labels.sum())) / (day_number + 1)
-
-    def predict_examples(self, dataset: Dataset, examples_by_user: dict[int, list[Example]]) -> np.ndarray:
+    def predict_examples(self, dataset: Dataset, examples: ExampleTable) -> np.ndarray:
         if self.alpha_ is None or self._task is None:
             raise RuntimeError("model is not fitted")
-        self._users = {user.user_id: user for user in dataset.users}
-        flat = flatten_examples(examples_by_user)
-        scores = np.empty(len(flat), dtype=np.float64)
-
-        if self._task.kind == "session":
-            for i, example in enumerate(flat):
-                scores[i] = self._session_score(dataset, example)
-            return scores
-
-        # Timeshifted task: one observation per prior day.  Recompute the full
-        # per-day label history for each user so that examples evaluated on
-        # the final days can see all earlier days.
-        full_history = peak_window_examples(dataset, lead_seconds=self._task.lead_seconds)
-        labels_by_user: dict[int, np.ndarray] = {
-            user_id: np.asarray([e.label for e in examples], dtype=np.float64)
-            for user_id, examples in full_history.items()
-        }
-        for i, example in enumerate(flat):
-            if example.day_index is None:
+        examples.check(dataset)
+        if self._task.kind == "peak":
+            # One observation per prior day: every user's full per-day label
+            # history, so examples on the final days see all earlier days.
+            if np.any(examples.days < 0):
                 raise ValueError("peak-task examples must carry a day index")
-            history = labels_by_user.get(example.user_id, np.zeros(0))
-            prior = history[: example.day_index]
-            scores[i] = self._peak_score(prior, example.day_index)
-        return scores
+            history = peak_window_examples(dataset, lead_seconds=self._task.lead_seconds)
+            n_days = dataset.n_days
+            prior = np.zeros((len(dataset.users), n_days + 1), dtype=np.int64)
+            np.cumsum(history.labels.reshape(-1, n_days), axis=1, out=prior[:, 1:])
+            n_prior, accessed = examples.days, prior[examples.owners, examples.days]
+        else:
+            # Sessions strictly before each prediction time in its owner's
+            # log: one ``searchsorted`` over ``log * span + (t - first
+            # stamp)``, every log's stamps laid end to end, with each row's
+            # time clamped into its owner's span.
+            logs = HistoryBatch.of_logs(dataset.users)
+            times = logs.timestamps
+            first, last = (int(times.min()), int(times.max())) if times.size else (0, 0)
+            span = last - first + 2
+            starts = np.cumsum(logs.lengths) - logs.lengths
+            keys = np.repeat(np.arange(logs.n_logs), logs.lengths) * span + (times - first)
+            cuts = np.clip(examples.prediction_times - first, 0, span - 1)
+            row_starts = starts[examples.owners]
+            n_prior = keys.searchsorted(examples.owners * span + cuts) - row_starts
+            accessed = np.concatenate([[0], np.cumsum(logs.accesses, dtype=np.int64)])
+            accessed = accessed[row_starts + n_prior] - accessed[row_starts]
+        return (self.alpha_ + accessed) / (n_prior + 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.schema import Dataset
-from ..data.tasks import Example
+from ..data.tasks import ExampleTable
 from ..features.sequence import SequenceBuilder, UserSequence
 from .base import AccessProbabilityModel, TaskSpec
 from .rnn import PredictionSpec, RNNNetworkConfig, RNNPrecomputeNetwork, build_prediction_spec
@@ -125,22 +125,37 @@ class RNNModel(AccessProbabilityModel):
         # session window closes, plus a small processing delay (Section 6.1).
         return dataset.session_length + self.config.extra_lag
 
-    def _spec_for_examples(self, sequence: UserSequence, examples: list[Example]) -> PredictionSpec:
+    def _sequences_and_specs(
+        self, dataset: Dataset, examples: ExampleTable, owners
+    ) -> tuple[list[UserSequence], list[PredictionSpec]]:
+        """Each owner's truncated sequence and the spec of its examples.
+
+        On the session task a row's predict-time features are row
+        ``sessions[i]`` of the matrix :meth:`SequenceBuilder.build_user`
+        encoded for the owner's whole log (the session's context at its own
+        start), taken before the history is truncated.
+        """
         assert self.builder is not None and self._task is not None and self._update_lag is not None
-        times = np.asarray([e.prediction_time for e in examples], dtype=np.int64)
-        labels = np.asarray([e.label for e in examples], dtype=np.float64)
-        if self._task.kind == "session":
-            features = self.builder.encode_context_rows([e.context for e in examples], times)
-        else:
-            features = None
-        return build_prediction_spec(
-            sequence.timestamps,
-            times,
-            labels,
-            features,
-            update_lag=self._update_lag,
-            n_delta_buckets=self.config.n_delta_buckets,
-        )
+        bounds = examples.owner_bounds(len(dataset.users))
+        sequences: list[UserSequence] = []
+        specs: list[PredictionSpec] = []
+        for owner in owners:
+            rows = slice(bounds[owner], bounds[owner + 1])
+            sequence = self.builder.build_user(dataset.users[owner])
+            features = sequence.features[examples.sessions[rows]] if self._task.kind == "session" else None
+            sequence = sequence.truncate_last(self.config.truncate_sessions)
+            sequences.append(sequence)
+            specs.append(
+                build_prediction_spec(
+                    sequence.timestamps,
+                    examples.prediction_times[rows],
+                    examples.labels[rows].astype(np.float64),
+                    features,
+                    update_lag=self._update_lag,
+                    n_delta_buckets=self.config.n_delta_buckets,
+                )
+            )
+        return sequences, specs
 
     # ------------------------------------------------------------------
     def fit(self, train: Dataset, task: TaskSpec) -> "RNNModel":
@@ -159,17 +174,14 @@ class RNNModel(AccessProbabilityModel):
 
             val_split = validation_split(train, validation_fraction=cfg.validation_fraction, seed=cfg.seed)
             fit_population = val_split.train
-            validation_sequences = self.builder.build(val_split.test, max_sessions=cfg.truncate_sessions)
-            validation_examples = task.loss_examples(val_split.test)
-            validation_specs = [
-                self._spec_for_examples(seq, validation_examples.get(seq.user_id, []))
-                for seq in validation_sequences
-            ]
-            validation_data = (validation_sequences, validation_specs)
+            validation = val_split.test
+            validation_data = self._sequences_and_specs(
+                validation, task.loss_examples(validation), range(len(validation.users))
+            )
 
-        sequences = self.builder.build(fit_population, max_sessions=cfg.truncate_sessions)
-        loss_examples = task.loss_examples(fit_population)
-        specs = [self._spec_for_examples(seq, loss_examples.get(seq.user_id, [])) for seq in sequences]
+        sequences, specs = self._sequences_and_specs(
+            fit_population, task.loss_examples(fit_population), range(len(fit_population.users))
+        )
 
         network_config = RNNNetworkConfig(
             feature_dim=self.builder.feature_dim,
@@ -197,22 +209,14 @@ class RNNModel(AccessProbabilityModel):
         return self
 
     # ------------------------------------------------------------------
-    def predict_examples(self, dataset: Dataset, examples_by_user: dict[int, list[Example]]) -> np.ndarray:
+    def predict_examples(self, dataset: Dataset, examples: ExampleTable) -> np.ndarray:
         if self.network is None or self.builder is None or self.trainer is None:
             raise RuntimeError("model is not fitted")
-        users_by_id = {user.user_id: user for user in dataset.users}
-        sequences: list[UserSequence] = []
-        specs: list[PredictionSpec] = []
-        for user_id, examples in examples_by_user.items():
-            if user_id not in users_by_id:
-                raise KeyError(f"examples reference unknown user {user_id}")
-            sequence = self.builder.build_user(users_by_id[user_id]).truncate_last(self.config.truncate_sessions)
-            sequences.append(sequence)
-            specs.append(self._spec_for_examples(sequence, examples))
-        if not sequences:
+        examples.check(dataset)
+        if not len(examples):
             return np.zeros(0)
-        per_user = self.trainer.predict(self.network, sequences, specs)
-        return np.concatenate(per_user) if per_user else np.zeros(0)
+        sequences, specs = self._sequences_and_specs(dataset, examples, np.unique(examples.owners))
+        return np.concatenate(self.trainer.predict(self.network, sequences, specs))
 
     # ------------------------------------------------------------------
     @property

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..data.schema import Dataset
 from ..data.splits import validation_split
-from ..data.tasks import Example
+from ..data.tasks import ExampleTable
 from ..features import FeatureConfig, TabularFeaturizer
 from ..ml import GBDTConfig, GradientBoostedTrees, LogisticRegression, LogisticRegressionConfig
 from .base import AccessProbabilityModel, TaskSpec
@@ -51,10 +51,10 @@ class _TabularModelBase(AccessProbabilityModel):
         self._fit_estimator(train, task)
         return self
 
-    def predict_examples(self, dataset: Dataset, examples_by_user: dict[int, list[Example]]) -> np.ndarray:
+    def predict_examples(self, dataset: Dataset, examples: ExampleTable) -> np.ndarray:
         if self.featurizer is None:
             raise RuntimeError("model is not fitted")
-        data = self.featurizer.transform(dataset, examples_by_user)
+        data = self.featurizer.transform(dataset, examples)
         if len(data) == 0:
             return np.zeros(0)
         return self._estimator_scores(data.X)

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..data.schema import ContextSchema, HistoryBatch
+from ..data.schema import ContextSchema, HistoryBatch, context_columns
 from ..features.bucketing import log_bucket
 from ..features.pipeline import TabularFeaturizer
 from ..features.sequence import SequenceBuilder
@@ -720,7 +720,7 @@ class BatchedAggregationBackend(SessionStreamMixin):
             HistoryBatch.of_records(records, self._context_fields),
             np.arange(len(requests)),
             stamps,
-            contexts,
+            *context_columns(contexts, self._context_fields),
         )
         probabilities = np.asarray(self.estimator.predict_proba(features)).reshape(-1).tolist()
         self.predictions_served += len(requests)

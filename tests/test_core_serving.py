@@ -13,6 +13,7 @@ from repro.core import (
     simulate_precompute,
 )
 from repro.data import HistoryBatch, UserLog, make_dataset, user_split
+from repro.data.schema import context_columns
 from repro.models import GBDTModel, PredictionResult, RNNModel, RNNModelConfig, TaskSpec
 from repro.serving import (
     EngineConfig,
@@ -233,10 +234,8 @@ class TestServingServices:
         assert store.stats.puts == len(user)
 
         # Offline (batch) predictions with the same update lag must agree.
-        examples = {user.user_id: TaskSpec(kind="session", eval_days=dataset.n_days).eval_examples(
-            dataset.subset([user.user_id])
-        )[user.user_id]}
-        offline = rnn.predict_examples(dataset.subset([user.user_id]), examples)
+        alone = dataset.subset([user.user_id])
+        offline = rnn.predict_examples(alone, TaskSpec(kind="session", eval_days=dataset.n_days).eval_examples(alone))
         assert np.allclose(np.asarray(served), offline, atol=1e-8)
 
     @pytest.mark.xfail(
@@ -268,10 +267,8 @@ class TestServingServices:
         stream.flush()
         assert service.updates_applied == len(user)
 
-        examples = {user.user_id: TaskSpec(kind="session", eval_days=dataset.n_days).eval_examples(
-            dataset.subset([user.user_id])
-        )[user.user_id]}
-        offline = gbdt.predict_examples(dataset.subset([user.user_id]), examples)
+        alone = dataset.subset([user.user_id])
+        offline = gbdt.predict_examples(alone, TaskSpec(kind="session", eval_days=dataset.n_days).eval_examples(alone))
         served = np.asarray(served)
         # The user has sessions that start within δ of the one before, and
         # every prediction without one is already served bit for bit: the gap
@@ -313,8 +310,9 @@ class TestServingServices:
         service.stream.advance_to(query)
         record = service.store.peek("agg:7")
         log = UserLog(7, [t_a, t_b], [1, 0], {name: [value, value] for name, value in context.items()})
-        served = featurizer.transform_user(HistoryBatch.of_records([record], dataset.schema.names()), [0], [query], [context])
-        offline = featurizer.transform_user(HistoryBatch.of_logs([log]), [0], [query], [context])
+        columns = context_columns([context], dataset.schema.names())
+        served = featurizer.transform_user(HistoryBatch.of_records([record], dataset.schema.names()), [0], [query], *columns)
+        offline = featurizer.transform_user(HistoryBatch.of_logs([log]), [0], [query], *columns)
         names = featurizer.feature_names()
         moved = {names[i] for i in np.flatnonzero(served[0] != offline[0])}
         # Not an ``assert``: a broken premise must fail the test, not satisfy its xfail.

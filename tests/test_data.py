@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.data import (
     validation_split,
 )
 from repro.data.tasks import peak_window_bounds, peak_window_examples, session_examples
+from task_twins import peak_window_examples_loop, session_examples_loop
 
 
 class TestSchema:
@@ -143,30 +146,112 @@ class TestSplits:
             k_fold_splits(tiny_mobiletab, k=1)
 
 
+def _twin_columns(dataset, grouped) -> dict[str, np.ndarray]:
+    """The twin's records as the table's columns."""
+    owner_of = {user.user_id: owner for owner, user in enumerate(dataset.users)}
+    flat = [example for examples in grouped.values() for example in examples]
+    columns = {
+        "owners": [owner_of[e.user_id] for e in flat],
+        "user_ids": [e.user_id for e in flat],
+        "prediction_times": [e.prediction_time for e in flat],
+        "labels": [e.label for e in flat],
+        "sessions": [-1 if e.session_index is None else e.session_index for e in flat],
+        "days": [-1 if e.day_index is None else e.day_index for e in flat],
+    }
+    return {name: np.asarray(values, dtype=np.int64).reshape(-1) for name, values in columns.items()}, flat
+
+
+def assert_table_equals_twin(dataset, table, grouped) -> None:
+    expected, flat = _twin_columns(dataset, grouped)
+    assert len(table) == len(flat)
+    for name, column in expected.items():
+        actual = getattr(table, name)
+        assert actual.dtype == np.int64 and actual.shape == column.shape, name
+        assert np.array_equal(actual, column), name
+    # A session row's context is its owner's log row at ``sessions``.
+    contexts = [
+        None if session < 0 else dataset.users[owner].context_row(session)
+        for owner, session in zip(table.owners.tolist(), table.sessions.tolist())
+    ]
+    assert contexts == [e.context for e in flat]
+
+
 class TestTasks:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["mobiletab", "timeshift", "mpu"])
+    def test_tables_equal_the_per_session_and_per_day_loops(self, name, seed):
+        dataset = make_dataset(name, seed=seed, n_users=12, n_days=6)
+        if dataset.peak_hours is None:
+            dataset = dataclasses.replace(dataset, peak_hours=(17, 21))
+        start, day = dataset.start_time, SECONDS_PER_DAY
+        stamps = np.sort(np.concatenate([user.timestamps for user in dataset.users]))
+        stamp_lo, stamp_hi = int(stamps[stamps.size // 3]), int(stamps[2 * stamps.size // 3])
+        narrow = (start + 4 * day + 3 * SECONDS_PER_HOUR, start + 4 * day + 4 * SECONDS_PER_HOUR)
+        windows = [
+            (stamp_lo, stamp_hi),  # bounds on session stamps: t == start is in, t == end is out
+            (None, None),
+            (start + 2 * day, None),
+            (None, start + 3 * day + 1),
+            narrow,  # users with none
+            (start + day, start + day),  # empty
+            (start + 3 * day, start + day),  # inverted: empty
+            (start - 10 * day, start + 100 * day),
+        ]
+        for lo, hi in windows:
+            assert_table_equals_twin(dataset, session_examples(dataset, lo, hi), session_examples_loop(dataset, lo, hi))
+        assert len(session_examples(dataset, start + day, start + day)) == 0
+        assert len(np.unique(session_examples(dataset, *narrow).owners)) < len(dataset.users)  # some user has none
+        last = dataset.n_days
+        for first_day, last_day, lead in [(0, None, 6 * SECONDS_PER_HOUR), (0, 1, 0), (last - 1, last, 3600), (2, 4, 0)]:
+            assert_table_equals_twin(
+                dataset,
+                peak_window_examples(dataset, lead, first_day, last_day),
+                peak_window_examples_loop(dataset, lead, first_day, last_day),
+            )
+
+    def test_peak_labels_at_the_window_edges(self, handcrafted_dataset):
+        """An access stamped at a peak window's end is outside it, one at its
+        start inside: the table and the per-day loop agree on both."""
+        day0_start, day0_end = peak_window_bounds(handcrafted_dataset, 0)
+        day1_start, _ = peak_window_bounds(handcrafted_dataset, 1)
+        edges = UserLog(
+            user_id=5,
+            timestamps=[day0_start - 1, day0_end, day1_start],
+            accesses=[1, 1, 1],
+            context={"badge": [0, 0, 0], "surface": [0, 0, 0]},
+        )
+        dataset = dataclasses.replace(handcrafted_dataset, users=[edges])
+        table = peak_window_examples(dataset)
+        assert table.labels.tolist() == [0, 1, 0]
+        assert_table_equals_twin(dataset, table, peak_window_examples_loop(dataset))
+
     def test_session_examples_respect_time_window(self, handcrafted_dataset):
         boundary = handcrafted_dataset.start_time + SECONDS_PER_DAY
         examples = session_examples(handcrafted_dataset, start_time=boundary)
-        flattened = [e for items in examples.values() for e in items]
-        assert all(e.prediction_time >= boundary for e in flattened)
-        assert len(flattened) == 3  # sessions at +30h, +31h, +50h
+        assert np.all(examples.prediction_times >= boundary)
+        assert len(examples) == 3  # sessions at +30h, +31h, +50h
+        assert examples.sessions.tolist() == [2, 3, 1]
+        assert examples.owners.tolist() == [0, 0, 1]
 
     def test_session_example_labels_and_context(self, handcrafted_dataset):
-        examples = session_examples(handcrafted_dataset)[0]
-        assert [e.label for e in examples] == [1, 0, 1, 0]
-        assert examples[0].context == {"badge": 3, "surface": 0}
+        examples = session_examples(handcrafted_dataset)
+        mine = examples.owners == 0
+        assert examples.labels[mine].tolist() == [1, 0, 1, 0]
+        assert examples.days.tolist() == [-1] * len(examples)
+        user = handcrafted_dataset.users[0]
+        assert user.context_row(int(examples.sessions[mine][0])) == {"badge": 3, "surface": 0}
 
     def test_peak_window_bounds_and_labels(self, handcrafted_dataset):
         start, end = peak_window_bounds(handcrafted_dataset, 0)
         assert (start - handcrafted_dataset.start_time) // SECONDS_PER_HOUR == 17
         assert (end - start) // SECONDS_PER_HOUR == 4
-        grouped = peak_window_examples(handcrafted_dataset, lead_seconds=2 * SECONDS_PER_HOUR)
+        table = peak_window_examples(handcrafted_dataset, lead_seconds=2 * SECONDS_PER_HOUR)
         # User B's access at +50h (= day 2, 02:00) is outside peak hours.
-        labels_b = [e.label for e in grouped[1]]
-        assert labels_b == [0, 0, 0]
-        for example in grouped[0]:
-            peak_start, _ = peak_window_bounds(handcrafted_dataset, example.day_index)
-            assert example.prediction_time == peak_start - 2 * SECONDS_PER_HOUR
+        assert table.labels[table.user_ids == 1].tolist() == [0, 0, 0]
+        assert table.sessions.tolist() == [-1] * len(table)
+        for day, time in zip(table.days.tolist(), table.prediction_times.tolist()):
+            peak_start, _ = peak_window_bounds(handcrafted_dataset, day)
+            assert time == peak_start - 2 * SECONDS_PER_HOUR
 
     def test_peak_examples_require_peak_hours(self, tiny_mobiletab):
         with pytest.raises(ValueError):

@@ -1014,9 +1014,9 @@ class TestAggregationRecordsAtPredict:
         real = featurizer.transform_user
         rows_per_call: list[int] = []
 
-        def spy(users, owners, prediction_times, contexts):
+        def spy(users, owners, prediction_times, context, has_context):
             rows_per_call.append(len(prediction_times))
-            return real(users, owners, prediction_times, contexts)
+            return real(users, owners, prediction_times, context, has_context)
 
         monkeypatch.setattr(featurizer, "transform_user", spy)
         users = sorted({event[1] for event in trained[3][:80]})

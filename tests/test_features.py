@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import ContextField, ContextSchema, HistoryBatch, UserLog
-from repro.data.tasks import peak_window_examples, session_examples
+from repro.data.schema import context_columns
+from repro.data.tasks import ExampleTable, peak_window_examples, session_examples
 from repro.features import (
     AggregationConfig,
     FeatureConfig,
@@ -108,31 +109,29 @@ class TestAggregations:
         config = AggregationConfig(windows=(28 * 86400, 86400, 3600), max_subset_size=2)
         aggregator = HistoryAggregator(schema, config)
         user = handcrafted_dataset.users[0]
-        examples = session_examples(handcrafted_dataset)[0]
-        times = np.asarray([e.prediction_time for e in examples])
-        contexts = [e.context for e in examples]
-        features = aggregator.compute(user, times, contexts)
+        table = session_examples(handcrafted_dataset)
+        times, sessions = table.prediction_times[table.owners == 0], table.sessions[table.owners == 0]
+        contexts = [user.context_row(session) for session in sessions]
+        features = aggregator.compute_batch(
+            HistoryBatch.of_logs([user]), np.zeros(times.size), times, *context_columns(contexts, schema.names())
+        )
         names = aggregator.feature_names()
-        assert features.shape == (len(examples), len(names))
+        assert features.shape == (len(times), len(names))
 
-        for row, example in enumerate(examples):
+        for row, (time, context) in enumerate(zip(times.tolist(), contexts)):
             for subset in aggregator.subsets:
                 tag = "all" if not subset else "+".join(subset)
                 for window in config.windows:
-                    count, accesses, _, _ = _brute_force_aggregation(
-                        user, example.prediction_time, window, subset, example.context
-                    )
+                    count, accesses, _, _ = _brute_force_aggregation(user, time, window, subset, context)
                     count_col = names.index(f"agg[{tag}][{window}s].sessions")
                     access_col = names.index(f"agg[{tag}][{window}s].accesses")
-                    assert features[row, count_col] == count, (subset, window, example)
+                    assert features[row, count_col] == count, (subset, window, row)
                     assert features[row, access_col] == accesses
-                _, _, last_session, last_access = _brute_force_aggregation(
-                    user, example.prediction_time, 10**12, subset, example.context
-                )
+                _, _, last_session, last_access = _brute_force_aggregation(user, time, 10**12, subset, context)
                 session_col = names.index(f"elapsed[{tag}].since_session")
                 access_col = names.index(f"elapsed[{tag}].since_access")
-                expected_session = np.inf if last_session is None else example.prediction_time - last_session
-                expected_access = np.inf if last_access is None else example.prediction_time - last_access
+                expected_session = np.inf if last_session is None else time - last_session
+                expected_access = np.inf if last_access is None else time - last_access
                 assert features[row, session_col] == expected_session
                 assert features[row, access_col] == expected_access
 
@@ -140,7 +139,9 @@ class TestAggregations:
         aggregator = HistoryAggregator(handcrafted_dataset.schema, AggregationConfig(max_subset_size=0))
         user = handcrafted_dataset.users[0]
         first_time = np.asarray([int(user.timestamps[0])])
-        features = aggregator.compute(user, first_time, [user.context_row(0)])
+        features = aggregator.compute_batch(
+            HistoryBatch.of_logs([user]), [0], first_time, *context_columns([user.context_row(0)], user.context)
+        )
         # No history before the first session: zero counts, missing elapsed.
         assert np.all(features[0, :-2] == 0)
         assert np.all(np.isinf(features[0, -2:]))
@@ -149,7 +150,9 @@ class TestAggregations:
         aggregator = HistoryAggregator(handcrafted_dataset.schema, AggregationConfig(max_subset_size=2))
         user = handcrafted_dataset.users[0]
         query = np.asarray([int(user.timestamps[-1]) + 1000])
-        features = aggregator.compute(user, query, None)
+        features = aggregator.compute_batch(
+            HistoryBatch.of_logs([user]), [0], query, *context_columns([None], user.context)
+        )
         names = aggregator.feature_names()
         unconditional = names.index("agg[all][2419200s].sessions")
         conditional = names.index("agg[badge][2419200s].sessions")
@@ -167,7 +170,7 @@ class TestTabularFeaturizer:
         examples = session_examples(tiny_mobiletab, start_time=tiny_mobiletab.day_boundary(3))
         data = featurizer.transform(tiny_mobiletab, examples)
         assert data.X.shape[1] == len(featurizer.feature_names()) == featurizer.n_features
-        assert len(data) == sum(len(v) for v in examples.values())
+        assert len(data) == len(examples)
         assert not np.isnan(data.X).any() and not np.isinf(data.X).any()
 
     def test_one_hot_elapsed_expands_width(self, tiny_mobiletab):
@@ -191,7 +194,7 @@ class TestTabularFeaturizer:
 
     @staticmethod
     def _training_sets(dataset, one_hot_elapsed):
-        """A featurizer and the dataset's task example sets, each as user id -> examples."""
+        """A featurizer and the dataset's task example tables."""
         featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
         tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
         return featurizer, tasks  # the timeshifted task has no contexts
@@ -199,30 +202,35 @@ class TestTabularFeaturizer:
     @pytest.mark.parametrize("one_hot_elapsed", [False, True])
     @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
     def test_training_transform_matches_the_served_records(self, dataset, one_hot_elapsed, request):
-        """Training's one call over NumPy logs equals the serving spelling of
-        the same logs: each a stored record of plain lists, flattened by
-        ``HistoryBatch.of_records``, so training and serving cannot skew."""
+        """Training's one call over NumPy logs, each row's context gathered
+        from its own session, equals the serving spelling of the same logs:
+        each a stored record of plain lists, flattened by
+        ``HistoryBatch.of_records``, and each context a request dict
+        transposed by ``context_columns``, so training and serving cannot
+        skew."""
         dataset = request.getfixturevalue(dataset)
         featurizer, tasks = self._training_sets(dataset, one_hot_elapsed)
-        by_id = {user.user_id: user for user in dataset.users}
-        for examples_by_user in tasks:
-            user_ids = [uid for uid, examples in examples_by_user.items() if examples]
+        for table in tasks:
+            present = np.unique(table.owners)
             records = [
                 {
-                    "timestamps": by_id[uid].timestamps.tolist(),
-                    "accesses": by_id[uid].accesses.tolist(),
-                    "context": {name: values.tolist() for name, values in by_id[uid].context.items()},
+                    "timestamps": dataset.users[owner].timestamps.tolist(),
+                    "accesses": dataset.users[owner].accesses.tolist(),
+                    "context": {name: values.tolist() for name, values in dataset.users[owner].context.items()},
                 }
-                for uid in user_ids
+                for owner in present
             ]
-            examples = [e for uid in user_ids for e in examples_by_user[uid]]
+            contexts = [
+                None if session < 0 else dataset.users[owner].context_row(session)
+                for owner, session in zip(table.owners.tolist(), table.sessions.tolist())
+            ]
             served = featurizer.transform_user(
                 HistoryBatch.of_records(records, dataset.schema.names()),
-                np.repeat(np.arange(len(user_ids)), [len(examples_by_user[uid]) for uid in user_ids]),
-                [e.prediction_time for e in examples],
-                [e.context for e in examples],
+                present.searchsorted(table.owners),
+                table.prediction_times,
+                *context_columns(contexts, dataset.schema.names()),
             )
-            np.testing.assert_array_equal(featurizer.transform(dataset, examples_by_user).X, served, strict=True)
+            np.testing.assert_array_equal(featurizer.transform(dataset, table).X, served, strict=True)
 
     @pytest.mark.parametrize("one_hot_elapsed", [False, True])
     @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
@@ -231,12 +239,16 @@ class TestTabularFeaturizer:
         user's log: the whole set equals one call per user, taken in reverse."""
         dataset = request.getfixturevalue(dataset)
         featurizer, tasks = self._training_sets(dataset, one_hot_elapsed)
-        for examples_by_user in tasks:
-            user_ids = [uid for uid, examples in examples_by_user.items() if examples]
-            alone = {uid: featurizer.transform(dataset, {uid: examples_by_user[uid]}).X for uid in reversed(user_ids)}
+        for table in tasks:
+            present = np.unique(table.owners).tolist()
+            alone = {}
+            for owner in reversed(present):
+                mine = table.owners == owner
+                rows = ExampleTable(**{name: getattr(table, name)[mine] for name in ExampleTable.__dataclass_fields__})
+                alone[owner] = featurizer.transform(dataset, rows).X
             np.testing.assert_array_equal(
-                featurizer.transform(dataset, examples_by_user).X,
-                np.concatenate([alone[uid] for uid in user_ids], axis=0),
+                featurizer.transform(dataset, table).X,
+                np.concatenate([alone[owner] for owner in present], axis=0),
                 strict=True,
             )
 

@@ -56,8 +56,8 @@ from repro.data import (
     TimeshiftGenerator,
     UserLog,
 )
-from repro.data.schema import day_of_week, hour_of_day
-from repro.data.tasks import Example, peak_window_examples, session_examples
+from repro.data.schema import context_columns, day_of_week, hour_of_day
+from repro.data.tasks import peak_window_examples, session_examples
 from repro.features.aggregations import (
     _NUMERIC_MATCH_BINS,
     DEFAULT_WINDOWS,
@@ -75,6 +75,7 @@ from repro.ml.tree import walk_heap_tables
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 from repro.nn import inference
 from repro.serving.arena import ArenaSpec, StateArena
+from task_twins import Example, peak_window_examples_loop, session_examples_loop
 
 
 def assert_same_bits(actual, expected) -> None:
@@ -680,6 +681,14 @@ def _parent_rows(parent: ParentFeaturizer, logs, owners, times, contexts) -> np.
     return np.concatenate(rows, axis=0)
 
 
+def _served(live, history, owners, times, contexts) -> np.ndarray:
+    """The live ``transform_user`` (featurizer) or ``compute_batch``
+    (aggregator) fed as the serving door feeds it: the request dicts
+    transposed once by ``context_columns``."""
+    method = live.transform_user if isinstance(live, TabularFeaturizer) else live.compute_batch
+    return method(history, owners, times, *context_columns(contexts, live.schema.names()))
+
+
 def _parent_compute(aggregator: HistoryAggregator, logs, owners, times, contexts) -> np.ndarray:
     """The parent's aggregations one row at a time: ``compute(log, [t], None | [context])``."""
     parent = ParentAggregator(aggregator)
@@ -713,7 +722,7 @@ class TestAggregationFeaturizerSpelling:
         featurizer = TabularFeaturizer(schema, config)
         logs, owners, times, contexts = data.draw(_batch(schema))
         assert_same_bits(
-            featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _served(featurizer, HistoryBatch.of_logs(logs), owners, times, contexts),
             _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
@@ -723,17 +732,15 @@ class TestAggregationFeaturizerSpelling:
         schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
         featurizer = TabularFeaturizer(schema, FeatureConfig(one_hot_elapsed=data.draw(st.booleans())))
         logs, owners, times, contexts = data.draw(_batch(schema))
-        batch = featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts)
+        batch = _served(featurizer, HistoryBatch.of_logs(logs), owners, times, contexts)
         for row, owner in enumerate(owners):
-            alone = featurizer.transform_user(
-                HistoryBatch.of_logs([logs[owner]]), [0], times[row : row + 1], contexts[row : row + 1]
-            )
+            alone = _served(featurizer, HistoryBatch.of_logs([logs[owner]]), [0], times[row : row + 1], contexts[row : row + 1])
             assert_same_bits(batch[row : row + 1], alone)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_one_log_compute_matches_the_parent(self, data):
-        """``compute`` is the one-segment case; many rows, one context rule."""
+        """One log: many rows, one context rule (all contextless, or none)."""
         schema = AGG_SCHEMAS[data.draw(st.sampled_from(sorted(AGG_SCHEMAS)))]
         aggregator = HistoryAggregator(schema, AggregationConfig(max_subset_size=data.draw(st.integers(0, 2))))
         logs, _, times, contexts = data.draw(_batch(schema))
@@ -742,7 +749,8 @@ class TestAggregationFeaturizerSpelling:
         else:
             contexts = [c if c is not None else {f.name: data.draw(_field_values(f)) for f in schema} for c in contexts]
         assert_same_bits(
-            aggregator.compute(logs[0], times, contexts), ParentAggregator(aggregator).compute(logs[0], times, contexts)
+            _served(aggregator, HistoryBatch.of_logs(logs[:1]), [0] * len(times), times, contexts or [None] * len(times)),
+            ParentAggregator(aggregator).compute(logs[0], times, contexts),
         )
 
     def test_window_edges_and_ties_by_hand(self):
@@ -760,7 +768,7 @@ class TestAggregationFeaturizerSpelling:
         empty = UserLog(user_id=4, timestamps=[], accesses=[], context={"unread_count": [], "active_tab": []})
         contexts = [log.context_row(1), None, log.context_row(0), log.context_row(1)]
         owners, times = np.asarray([0, 0, 1, 0]), np.asarray([t, t, t, t + 1])
-        features = featurizer.transform_user(HistoryBatch.of_logs([log, empty]), owners, times, contexts)
+        features = _served(featurizer, HistoryBatch.of_logs([log, empty]), owners, times, contexts)
         assert_same_bits(features, _parent_rows(ParentFeaturizer(featurizer), [log, empty], owners, times, contexts))
         names = featurizer.feature_names()
         assert features[0, names.index("agg[all][3600s].sessions")] == 1  # t - 3600 aged out, t not yet in
@@ -769,7 +777,7 @@ class TestAggregationFeaturizerSpelling:
         assert features[1, names.index("agg[active_tab][3600s].sessions")] == 0  # contextless row
         assert features[1, names.index("elapsed[active_tab].since_session.bucket")] == 49
         assert features[2, names.index("elapsed[all].since_session.bucket")] == 49  # empty history
-        assert featurizer.transform_user(HistoryBatch.of_logs([]), [], [], []).shape == (0, featurizer.n_features)
+        assert _served(featurizer, HistoryBatch.of_logs([]), [], [], []).shape == (0, featurizer.n_features)
 
     @pytest.mark.parametrize("one_hot_elapsed", [False, True])
     @pytest.mark.parametrize("dataset", ["tiny_mobiletab", "tiny_mpu", "tiny_timeshift"])
@@ -779,14 +787,14 @@ class TestAggregationFeaturizerSpelling:
         featurizer = TabularFeaturizer(dataset.schema, FeatureConfig(one_hot_elapsed=one_hot_elapsed))
         parent = ParentFeaturizer(featurizer)
         by_id = {user.user_id: user for user in dataset.users}
-        tasks = [session_examples(dataset)] + ([peak_window_examples(dataset)] if dataset.peak_hours else [])
-        for examples_by_user in tasks:  # the timeshifted task has no contexts
-            data = featurizer.transform(dataset, examples_by_user)
-            expected = [parent.transform_user(by_id[uid], examples) for uid, examples in examples_by_user.items() if examples]
+        tasks = [(session_examples(dataset), session_examples_loop(dataset))]
+        tasks += [(peak_window_examples(dataset), peak_window_examples_loop(dataset))] if dataset.peak_hours else []
+        for table, examples_by_user in tasks:  # the timeshifted task has no contexts
+            data = featurizer.transform(dataset, table)
+            expected = [parent.transform_user(by_id[uid], examples) for uid, examples in examples_by_user.items()]
             assert_same_bits(data.X, np.concatenate(expected, axis=0))
-            examples = [e for uid in examples_by_user for e in examples_by_user[uid]]
-            assert_same_bits(data.user_ids, np.asarray([e.user_id for e in examples], dtype=np.int64))
-            assert_same_bits(data.prediction_times, np.asarray([e.prediction_time for e in examples], dtype=np.int64))
+            assert_same_bits(data.user_ids, table.user_ids)
+            assert_same_bits(data.prediction_times, table.prediction_times)
 
 
 # ----------------------------------------------------------------------
@@ -901,16 +909,10 @@ class TestHistoryBatchSpelling:
         schema = AGG_SCHEMAS[schema_name]
         featurizer = TabularFeaturizer(schema, FeatureConfig(one_hot_elapsed=data.draw(st.booleans())))
         users, records, times, contexts = data.draw(_record_batch(schema, size))
-        owners = np.arange(size)
+        owners, logs = np.arange(size), [as_user_log(user, record) for user, record in zip(users, records)]
         assert_same_bits(
-            featurizer.transform_user(HistoryBatch.of_records(records, schema.names()), owners, times, contexts),
-            _parent_rows(
-                ParentFeaturizer(featurizer),
-                [as_user_log(user, record) for user, record in zip(users, records)],
-                owners,
-                times,
-                contexts,
-            ),
+            _served(featurizer, HistoryBatch.of_records(records, schema.names()), owners, times, contexts),
+            _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
     @pytest.mark.parametrize("tamper", sorted(RECORD_TAMPERS))
@@ -1029,7 +1031,7 @@ class TestOneSessionSortSpelling:
         featurizer = TabularFeaturizer(schema, config)
         logs, owners, times, contexts = data.draw(_edge_batch(schema))
         assert_same_bits(
-            featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _served(featurizer, HistoryBatch.of_logs(logs), owners, times, contexts),
             _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
@@ -1043,7 +1045,7 @@ class TestOneSessionSortSpelling:
         aggregator = HistoryAggregator(schema, AggregationConfig(max_subset_size=data.draw(st.integers(1, 2))))
         logs, owners, times, contexts = data.draw(_edge_batch(schema, _out_of_range_values))
         assert_same_bits(
-            aggregator.compute_batch(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _served(aggregator, HistoryBatch.of_logs(logs), owners, times, contexts),
             _parent_compute(aggregator, logs, owners, times, contexts),
         )
 
@@ -1070,7 +1072,7 @@ class TestOneSessionSortSpelling:
         owners, times = np.asarray([0, 1, 0, 0]), np.asarray([t, t, BASE_TIME, t + span])
         contexts = [log.context_row(2), log.context_row(0), None, log.context_row(3)]
         assert_same_bits(
-            featurizer.transform_user(HistoryBatch.of_logs(logs), owners, times, contexts),
+            _served(featurizer, HistoryBatch.of_logs(logs), owners, times, contexts),
             _parent_rows(ParentFeaturizer(featurizer), logs, owners, times, contexts),
         )
 
@@ -1082,11 +1084,11 @@ class TestOneSessionSortSpelling:
         owners, times, contexts = [0, 0, 0], [2**62, 2**62, -(2**62)], [None, {"is_peak": 1}, {"is_peak": 1}]
         history = HistoryBatch.of_logs([log])
         assert_same_bits(
-            featurizer.transform_user(history, owners, times, contexts),
+            _served(featurizer, history, owners, times, contexts),
             _parent_rows(ParentFeaturizer(featurizer), [log], owners, times, contexts),
         )
         aggregator = featurizer.aggregator
-        features = aggregator.compute_batch(history, owners, times, contexts)
+        features = _served(aggregator, history, owners, times, contexts)
         assert_same_bits(features, _parent_compute(aggregator, [log], owners, times, contexts))
         assert features[0, aggregator.feature_names().index("elapsed[all].since_access")] == 2**62
 
@@ -1099,11 +1101,11 @@ class TestOneSessionSortSpelling:
             user_id=1, timestamps=[0, 2**62], accesses=[1, 0], context={"unread_count": [0, 1], "active_tab": [0, 1]}
         )
         with pytest.raises(ValueError, match="too wide for int64 keys"):
-            aggregator.compute_batch(HistoryBatch.of_logs([log, log]), [0, 1], [2**62, 2**62], [None, None])
+            _served(aggregator, HistoryBatch.of_logs([log, log]), [0, 1], [2**62, 2**62], [None, None])
         wide = ContextSchema(fields=tuple(ContextField(name, "categorical", cardinality=2**31) for name in "ab"))
         log = UserLog(user_id=1, timestamps=[5], accesses=[1], context={"a": [0], "b": [1]})
         with pytest.raises(ValueError, match="too wide for int64 keys"):
-            HistoryAggregator(wide).compute_batch(HistoryBatch.of_logs([log]), [0], [6], [{"a": 0, "b": 1}])
+            _served(HistoryAggregator(wide), HistoryBatch.of_logs([log]), [0], [6], [{"a": 0, "b": 1}])
 
     @pytest.mark.parametrize("feature_set", FEATURE_SETS, ids=["C", "E+C", "A+E+C"])
     def test_bad_owners_are_refused(self, feature_set):
@@ -1116,22 +1118,21 @@ class TestOneSessionSortSpelling:
         times, contexts = [BASE_TIME + 1, BASE_TIME + 2], [None, log.context_row(0)]
         for owners in ([0, 2], [-1, 0], [0, 2**40]):
             with pytest.raises(ValueError, match=r"^owners out of range \[0, 2\)"):
-                featurizer.transform_user(history, owners, times, contexts)
+                _served(featurizer, history, owners, times, contexts)
         for owners in ([0], [0, 1, 1], [[0, 1]]):
             with pytest.raises(ValueError, match="^owners must align with prediction_times$"):
-                featurizer.aggregator.compute_batch(history, owners, times, contexts)
+                _served(featurizer.aggregator, history, owners, times, contexts)
         with pytest.raises(ValueError, match=r"^owners out of range \[0, 0\)"):
-            featurizer.transform_user(HistoryBatch.of_logs([]), [0], [BASE_TIME], [None])
+            _served(featurizer, HistoryBatch.of_logs([]), [0], [BASE_TIME], [None])
 
     @pytest.mark.parametrize("n_contexts", [1, 3])
     def test_misaligned_contexts_keep_their_message(self, n_contexts):
         schema = AGG_SCHEMAS["mobiletab"]
         featurizer = TabularFeaturizer(schema, FeatureConfig())
         log = UserLog(user_id=1, timestamps=[BASE_TIME], accesses=[1], context={"unread_count": [0], "active_tab": [0]})
+        contexts = [log.context_row(0)] * n_contexts
         with pytest.raises(ValueError, match="^contexts must align with prediction_times$"):
-            featurizer.transform_user(
-                HistoryBatch.of_logs([log]), [0, 0], [BASE_TIME + 1, BASE_TIME + 2], [log.context_row(0)] * n_contexts
-            )
+            _served(featurizer, HistoryBatch.of_logs([log]), [0, 0], [BASE_TIME + 1, BASE_TIME + 2], contexts)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from repro.models import (
     RNNModelConfig,
     TaskSpec,
     build_prediction_spec,
-    flatten_examples,
 )
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
 
@@ -30,22 +31,22 @@ class TestTaskSpec:
 
     def test_session_eval_examples_live_in_final_days(self, tiny_mobiletab):
         task = TaskSpec(kind="session", eval_days=5)
-        examples = flatten_examples(task.eval_examples(tiny_mobiletab))
+        examples = task.eval_examples(tiny_mobiletab)
         boundary = tiny_mobiletab.day_boundary(5)
-        assert examples and all(e.prediction_time >= boundary for e in examples)
+        assert len(examples) and np.all(examples.prediction_times >= boundary)
 
     def test_peak_task_examples_have_day_indices(self, tiny_timeshift):
         task = TaskSpec(kind="peak", eval_days=4)
-        examples = flatten_examples(task.eval_examples(tiny_timeshift))
-        assert {e.day_index for e in examples} == set(range(tiny_timeshift.n_days - 4, tiny_timeshift.n_days))
-        assert all(e.context is None for e in examples)
+        examples = task.eval_examples(tiny_timeshift)
+        assert set(examples.days.tolist()) == set(range(tiny_timeshift.n_days - 4, tiny_timeshift.n_days))
+        assert np.all(examples.sessions == -1)  # no session, so no context
 
 
 class TestPredictionResult:
     def test_from_examples_alignment_and_merge(self, tiny_mobiletab):
         task = TaskSpec(kind="session")
         examples = task.eval_examples(tiny_mobiletab)
-        n = len(flatten_examples(examples))
+        n = len(examples)
         result = PredictionResult.from_examples(examples, np.linspace(0, 1, n), "m")
         assert len(result) == n
         merged = result.merge(result)
@@ -59,8 +60,8 @@ class TestPercentageModel:
         task = TaskSpec(kind="session")
         model = PercentageModel().fit(handcrafted_dataset, task)
         alpha = handcrafted_dataset.positive_rate  # 0.5
-        examples = {0: task.eval_examples(handcrafted_dataset)[0]}
-        scores = model.predict_examples(handcrafted_dataset, examples)
+        examples = task.eval_examples(handcrafted_dataset)
+        scores = model.predict_examples(handcrafted_dataset, examples)[examples.owners == 0]
         # User 0 sessions: A = [1, 0, 1, 0]; P(A_n) = (alpha + sum_prior) / n
         expected = [
             (alpha + 0) / 1,
@@ -75,6 +76,39 @@ class TestPercentageModel:
         model = PercentageModel().fit(tiny_timeshift, task)
         result = model.evaluate(tiny_timeshift, task)
         assert np.all((result.y_score >= 0) & (result.y_score <= 1))
+
+
+def _small_models():
+    from repro.ml import GBDTConfig, LogisticRegressionConfig
+
+    return [
+        PercentageModel(),
+        LogisticRegressionModel(estimator_config=LogisticRegressionConfig(max_iter=20)),
+        GBDTModel(gbdt_config=GBDTConfig(n_rounds=4), depths=(2,)),
+        RNNModel(RNNModelConfig(hidden_size=4, mlp_hidden=4, epochs=1, early_stopping_patience=None)),
+    ]
+
+
+class TestUnknownUsers:
+    """Every model refuses rows whose user is not the dataset's user at that
+    owner, with one message (the percentage model once scored an unknown
+    user on the peak task as a new one, α / (day + 1))."""
+
+    @pytest.mark.parametrize("kind", ["session", "peak"])
+    def test_every_model_refuses_an_unknown_user(self, tiny_timeshift, kind):
+        task = TaskSpec(kind=kind, eval_days=3)
+        examples = task.eval_examples(tiny_timeshift)
+        stranger = examples.user_ids.copy()
+        stranger[-1] = 10**6
+        misowned = examples.owners.copy()
+        misowned[0] = len(tiny_timeshift.users)
+        for model in _small_models():
+            model.fit(tiny_timeshift, task)
+            assert len(model.predict_examples(tiny_timeshift, examples)) == len(examples)
+            with pytest.raises(KeyError, match="examples reference unknown user 1000000"):
+                model.predict_examples(tiny_timeshift, dataclasses.replace(examples, user_ids=stranger))
+            with pytest.raises(KeyError, match="examples reference unknown user"):
+                model.predict_examples(tiny_timeshift, dataclasses.replace(examples, owners=misowned))
 
 
 class TestTabularModels:

@@ -34,8 +34,8 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
-from repro.ml import GBDTConfig, GradientBoostedTrees, LogisticRegression
-from repro.models import RNNModel, RNNModelConfig, TaskSpec
+from repro.ml import GBDTConfig, GradientBoostedTrees, LogisticRegression, LogisticRegressionConfig
+from repro.models import GBDTModel, LogisticRegressionModel, PercentageModel, RNNModel, RNNModelConfig, TaskSpec
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "training_digest.json"
 
@@ -133,7 +133,115 @@ def tanh() -> str:
     return _rnn("tanh")
 
 
-FITS = {fit.__name__: fit for fit in (gbdt_plain, gbdt_subsampled, gbdt_depth_search, logistic, gru, lstm, tanh)}
+def _rnn_parts(model: RNNModel) -> tuple:
+    parameters = model.state_dict()
+    curve = [(point.sessions_processed, point.loss, point.epoch) for point in model.training_curve_]
+    return (*sorted(parameters), *(parameters[name] for name in sorted(parameters)), curve)
+
+
+def _end_to_end(model, dataset, task: TaskSpec, *weights) -> str:
+    """``model.fit(dataset, task)`` then ``evaluate``: the weights the fit
+    left (read by ``weights(model)``) and every column of the result."""
+    model.fit(dataset, task)
+    result = model.evaluate(dataset, task)
+    parts = [part for read in weights for part in read(model)]
+    return _digest(*parts, result.y_true, result.y_score, result.user_ids, result.prediction_times)
+
+
+def e2e_gbdt_session() -> str:
+    """GBDT through ``TabularFeaturizer.transform`` on the session task."""
+    model = GBDTModel(gbdt_config=GBDTConfig(n_rounds=8), depths=(2, 3))
+    return _end_to_end(
+        model,
+        make_dataset("mobiletab", seed=1, n_users=20, n_days=10),
+        TaskSpec(kind="session", train_days=4, eval_days=3),
+        lambda m: _gbdt_parts(m.estimator),
+        lambda m: (m.best_depth_, list(m.depth_search_losses_), list(m.depth_search_losses_.values())),
+    )
+
+
+def e2e_lr_peak() -> str:
+    """Logistic regression on the contextless peak task (Timeshift)."""
+    model = LogisticRegressionModel(estimator_config=LogisticRegressionConfig(max_iter=40))
+    return _end_to_end(
+        model,
+        make_dataset("timeshift", seed=2, n_users=25, n_days=12),
+        TaskSpec(kind="peak", train_days=6, eval_days=4),
+        lambda m: (m.estimator.coef_, m.estimator.intercept_, m.estimator.loss_history_),
+    )
+
+
+def e2e_percentage_session() -> str:
+    return _end_to_end(
+        PercentageModel(),
+        make_dataset("mobiletab", seed=3, n_users=15, n_days=8),
+        TaskSpec(kind="session", eval_days=3),
+        lambda m: (m.alpha_,),
+    )
+
+
+def e2e_percentage_peak() -> str:
+    return _end_to_end(
+        PercentageModel(),
+        make_dataset("timeshift", seed=4, n_users=15, n_days=9),
+        TaskSpec(kind="peak", eval_days=4),
+        lambda m: (m.alpha_,),
+    )
+
+
+def e2e_gru_peak() -> str:
+    """The RNN on the peak task: no context at prediction time."""
+    config = RNNModelConfig(hidden_size=8, mlp_hidden=8, epochs=1, early_stopping_patience=None, seed=1)
+    return _end_to_end(
+        RNNModel(config),
+        make_dataset("timeshift", seed=5, n_users=12, n_days=8),
+        TaskSpec(kind="peak", rnn_loss_days=6, eval_days=3),
+        _rnn_parts,
+    )
+
+
+def e2e_gru_validation() -> str:
+    """The RNN with early stopping on: 20+ users, so validation specs are built."""
+    config = RNNModelConfig(hidden_size=8, mlp_hidden=8, epochs=2, early_stopping_patience=1, seed=2)
+    return _end_to_end(
+        RNNModel(config),
+        make_dataset("mobiletab", seed=6, n_users=24, n_days=7),
+        TaskSpec(kind="session", rnn_loss_days=5, eval_days=2),
+        _rnn_parts,
+    )
+
+
+def e2e_gru_truncated() -> str:
+    """The RNN on truncated histories: a session's predict-time features are
+    its row of the whole log's encoding, not of the kept tail."""
+    config = RNNModelConfig(hidden_size=8, mlp_hidden=8, epochs=1, truncate_sessions=6, early_stopping_patience=None)
+    return _end_to_end(
+        RNNModel(config),
+        make_dataset("mpu", seed=7, n_users=10, n_days=6),
+        TaskSpec(kind="session", rnn_loss_days=4, eval_days=2),
+        _rnn_parts,
+    )
+
+
+FITS = {
+    fit.__name__: fit
+    for fit in (
+        gbdt_plain,
+        gbdt_subsampled,
+        gbdt_depth_search,
+        logistic,
+        gru,
+        lstm,
+        tanh,
+        e2e_gbdt_session,
+        e2e_lr_peak,
+        e2e_percentage_session,
+        e2e_percentage_peak,
+        e2e_gru_peak,
+        e2e_gru_validation,
+        e2e_gru_truncated,
+    )
+}
 
 
 @pytest.mark.parametrize("name", sorted(FITS))
