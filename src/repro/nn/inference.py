@@ -39,6 +39,22 @@ stored state and probability for a contraction that is ≈ 2 µs of the
 request.  Each recurrent cell owns its inference step
 (:meth:`repro.nn.rnn.RecurrentCell.inference_step`), built from the step
 functions below.
+
+**No blocked contraction reproduces the ``B = 1`` bits, so two numeric
+contracts ship.**  Stored states are bit-exact across batch sizes through
+:func:`row_stable_linear`; predictions use BLAS :func:`linear` and agree
+across batch sizes to 1e-10, the tolerance the serving tests and the
+benchmark's oracle (``perf/perf_oracle.py``) check.  A single contract
+would need a GEMM whose rows match the per-row ``[1, n]`` product, and on
+OpenBLAS 0.3.31 (Haswell kernels, one thread and the default pool alike)
+none does.  ``x @ W.T``
+differs from :func:`row_stable_linear` in some row at every ``B`` in
+{2, 3, 4, 7, 8, 16, 17, 64, 512}, for every serving shape: GRU 144×92 and
+144×48, LSTM 192×92 and 192×48, tanh 48×92 and 48×48, the MLP head 64×139
+and the latent projection 48×91.  Fixed blocks of ``k`` ∈ {4, 8, 16} rows,
+the tail zero-padded so BLAS always sees one shape, differ as well, and
+``np.einsum`` without ``optimize`` differs even at ``B = 1``.  The question
+is closed on this stack; a BLAS change is the only thing that reopens it.
 """
 
 from __future__ import annotations

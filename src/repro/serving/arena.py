@@ -1,23 +1,36 @@
-"""Contiguous per-shard state arena (structure-of-arrays hidden-state storage).
+"""Contiguous state arenas (structure-of-arrays hidden-state storage).
 
 The per-key record layout stores each user's hidden state as its own dict —
 one Python object, one small ndarray, one dict slot per user.  At wave sizes
 that makes the state load/save path a per-key Python loop even though the
 math downstream is fully vectorized.  :class:`StateArena` is the
-structure-of-arrays alternative: one ``[capacity, state_size]`` slab per
-shard plus a key→row index, so a wave's state reads become a single NumPy
-fancy-index gather and its writes a single fancy-index scatter.
+structure-of-arrays alternative: a ``[capacity, state_size]`` region of
+rows plus a key→row index per store, so a wave's state reads become a
+single NumPy fancy-index gather and its writes a single fancy-index scatter.
+
+Every arena's rows live in a :class:`StateSlab`: one set of pool arrays
+(states, timestamps and, quantized, scales), laid out as one region per
+arena at a common stride.  An unsharded store's arena has a private slab
+with one region, so its rows are stored exactly as a standalone slab's
+would be.  A sharded pool gives every shard's arena a region of one shared
+slab, so a read wave whose keys it can place is one ``take`` per pool array
+whichever shards own the keys (``ShardedKeyValueStore.gather_states``).
+Each arena keeps its own local rows, free list, ``len``, ``capacity`` and
+doubling; a region that outgrows the stride re-lays the whole slab out at
+the new capacity, so re-layouts stay logarithmic in the row count and every
+other growth only widens the arena's view of its region.
 
 The arena is a *storage layout*, not a new store: it lives inside a
 :class:`~repro.serving.kvstore.KeyValueStore` (attached via
 ``attach_state_arena``), which keeps routing every record through its normal
 ``get``/``put`` metering and key bookkeeping.  Values that match the arena's
-record shape are absorbed into the slab; ``get`` materializes them back into
-the exact per-key record dict the entry layout would have stored, so
-replication fan-out, read-repair, live migration and fail/recover in the
-sharded pool all work unchanged — they only ever see record dicts.
-Bit-identity between the two layouts (served probabilities, stored records,
-traffic meters) is pinned by ``tests/test_state_arena.py``.
+record shape, billed at the spec's ``record_bytes``, are absorbed into the
+slab; ``get`` materializes them back into the exact per-key record dict the
+entry layout would have stored, so replication fan-out, read-repair, live
+migration and fail/recover in the sharded pool all work unchanged — they
+only ever see record dicts.  Bit-identity between the two layouts (served
+probabilities, stored records, traffic meters) is pinned by
+``tests/test_state_arena.py``.
 
 Record shapes (exactly what ``BatchedHiddenStateBackend._save_state`` emits):
 
@@ -40,7 +53,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ArenaSpec", "StateArena"]
+__all__ = ["ArenaSpec", "StateArena", "StateSlab"]
 
 
 @dataclass(frozen=True)
@@ -80,27 +93,119 @@ class ArenaSpec:
         return self.payload_bytes + (8 if self.quantized else 0)
 
 
+class StateSlab:
+    """The pool arrays every :class:`StateArena` of one store or pool lives in.
+
+    Region ``i`` (the ``i``-th arena attached) is rows ``offsets[i]`` to
+    ``offsets[i] + arenas[i].capacity`` of each array; regions sit
+    ``stride`` rows apart, the largest arena's capacity when the slab was
+    last laid out.  An arena that grows within the stride only widens its
+    view of its region.  One that outgrows it lays every region out again
+    at its new capacity: fresh arrays, each arena's rows copied across and
+    every arena re-pointed (:attr:`relayouts` counts these).
+
+    :attr:`placement` is the hosting pool's map from a key to its primary
+    copy's place, local row and region packed into one int
+    (``ShardedKeyValueStore.gather_states``).  The slab holds it so that any
+    arena freeing a row forgets every placement at once.
+    """
+
+    def __init__(self, spec: ArenaSpec) -> None:
+        self.spec = spec
+        self.arenas: list[StateArena] = []
+        self.stride = 0
+        self.offsets = np.zeros(0, dtype=np.intp)
+        self.states = np.zeros((0, spec.state_size), dtype=spec.dtype)
+        self.timestamps = np.zeros(0, dtype=np.int64)
+        self.scales = np.zeros(0, dtype=np.float64) if spec.quantized else None
+        self.relayouts = 0
+        self.placement: dict[str, int] = {}
+
+    def attach(self, arena: StateArena, capacity: int) -> None:
+        """Give ``arena`` the next region, ``capacity`` rows wide."""
+        if arena.spec != self.spec:
+            raise ValueError(f"slab holds {self.spec} records, cannot host an arena for {arena.spec}")
+        self._lay_out([*self.arenas, arena], [*(a.capacity for a in self.arenas), capacity])
+
+    def detach(self, arena: StateArena) -> None:
+        """Drop ``arena``'s region; the regions after it move up one."""
+        arenas = [other for other in self.arenas if other is not arena]
+        self._lay_out(arenas, [other.capacity for other in arenas])
+
+    def grow(self, arena: StateArena, capacity: int) -> None:
+        """Widen ``arena``'s region to ``capacity`` rows."""
+        index = self.arenas.index(arena)
+        if capacity <= self.stride:
+            self._point(arena, index * self.stride, capacity)
+            return
+        capacities = [other.capacity for other in self.arenas]
+        capacities[index] = capacity
+        self._lay_out(self.arenas, capacities)
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`StateArena.gather`, spelled the same, over pool rows
+        (local row + region offset)."""
+        states = self.states.take(rows, 0).astype(np.float64)
+        if self.scales is not None:
+            states *= self.scales.take(rows)[:, None]
+        return states, self.timestamps.take(rows)
+
+    def _lay_out(self, arenas: list[StateArena], capacities: list[int]) -> None:
+        spec = self.spec
+        stride = max(capacities, default=0)
+        size = len(arenas) * stride
+        states = np.zeros((size, spec.state_size), dtype=spec.dtype)
+        timestamps = np.zeros(size, dtype=np.int64)
+        scales = np.zeros(size, dtype=np.float64) if spec.quantized else None
+        for index, arena in enumerate(arenas):
+            if arena._states is None:
+                continue  # attaching: nothing to copy yet
+            start, end = index * stride, index * stride + arena.capacity
+            states[start:end] = arena._states
+            timestamps[start:end] = arena._timestamps
+            if scales is not None:
+                scales[start:end] = arena._scales
+        self.arenas = arenas
+        self.stride = stride
+        self.offsets = np.arange(len(arenas), dtype=np.intp) * stride
+        self.states, self.timestamps, self.scales = states, timestamps, scales
+        for index, (arena, capacity) in enumerate(zip(arenas, capacities)):
+            self._point(arena, index * stride, capacity)
+        self.relayouts += 1
+
+    def _point(self, arena: StateArena, start: int, capacity: int) -> None:
+        end = start + capacity
+        arena._states = self.states[start:end]
+        arena._timestamps = self.timestamps[start:end]
+        if self.scales is not None:
+            arena._scales = self.scales[start:end]
+
+
 class StateArena:
-    """One contiguous state slab with a key→row index.
+    """One contiguous region of state rows with a key→row index.
 
     Unmetered by design: traffic accounting belongs to the hosting
     :class:`~repro.serving.kvstore.KeyValueStore`, which routes record-shaped
     values here from its own metered ``get``/``put``/``gather_states``/
     ``scatter_states`` paths.  Rows are recycled through a free list;
     capacity doubles on demand and never shrinks (arena stores trade peak
-    memory for wave throughput).
+    memory for wave throughput).  The rows live in ``slab`` (a private
+    :class:`StateSlab` when none is given); rows here are local to the
+    arena's region.
     """
 
-    def __init__(self, spec: ArenaSpec, *, capacity: int = 256) -> None:
+    def __init__(self, spec: ArenaSpec, *, capacity: int = 256, slab: StateSlab | None = None) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.spec = spec
-        self._slab = np.zeros((capacity, spec.state_size), dtype=spec.dtype)
-        self._timestamps = np.zeros(capacity, dtype=np.int64)
-        self._scales = np.zeros(capacity, dtype=np.float64) if spec.quantized else None
+        self._states: np.ndarray | None = None
+        self._timestamps: np.ndarray | None = None
+        self._scales: np.ndarray | None = None
         self._rows: dict[str, int] = {}
         self._free: list[int] = []
         self._next_row = 0
+        self.slab = slab if slab is not None else StateSlab(spec)
+        self.slab.attach(self, capacity)
 
     # ------------------------------------------------------------------
     # Row bookkeeping
@@ -113,7 +218,7 @@ class StateArena:
 
     @property
     def capacity(self) -> int:
-        return self._slab.shape[0]
+        return self._states.shape[0]
 
     def row_of(self, key: str) -> int:
         return self._rows[key]
@@ -126,16 +231,7 @@ class StateArena:
         capacity = self.capacity
         while capacity < minimum:
             capacity *= 2
-        slab = np.zeros((capacity, self.spec.state_size), dtype=self.spec.dtype)
-        slab[: self._slab.shape[0]] = self._slab
-        self._slab = slab
-        timestamps = np.zeros(capacity, dtype=np.int64)
-        timestamps[: self._timestamps.shape[0]] = self._timestamps
-        self._timestamps = timestamps
-        if self._scales is not None:
-            scales = np.zeros(capacity, dtype=np.float64)
-            scales[: self._scales.shape[0]] = self._scales
-            self._scales = scales
+        self.slab.grow(self, capacity)
 
     def _allocate(self, key: str) -> int:
         row = self._rows.get(key)
@@ -159,19 +255,29 @@ class StateArena:
         row = self._rows.pop(key, None)
         if row is not None:
             self._free.append(row)
+            self.slab.placement.clear()
 
     def clear(self) -> None:
         """Forget every row (the hosting store's ``clear`` — crash modeling)."""
         self._rows.clear()
         self._free.clear()
         self._next_row = 0
+        self.slab.placement.clear()
 
     # ------------------------------------------------------------------
     # Record-shaped ingress/egress (the per-key compatibility surface)
     # ------------------------------------------------------------------
-    def accepts(self, key: str, value: Any) -> bool:
+    def accepts(self, key: str, value: Any, size_bytes: int | None = None) -> bool:
         """Whether ``value`` is exactly an entry-layout state record this
-        arena can absorb without changing what a later ``get`` returns."""
+        arena can absorb without changing what a later ``get`` returns.
+
+        A slab row is always billed at the spec's ``record_bytes`` (a pool
+        wave read meters it without looking the size up), so a record the
+        caller bills at any other ``size_bytes`` stays a per-key entry; one
+        it does not bill (``None``) is billed at ``record_bytes``.
+        """
+        if size_bytes is not None and size_bytes != self.spec.record_bytes:
+            return False
         if not key.startswith(self.spec.prefix) or not isinstance(value, dict):
             return False
         expected = {"state", "timestamp", "scale"} if self.spec.quantized else {"state", "timestamp"}
@@ -196,7 +302,7 @@ class StateArena:
     def ingest(self, key: str, value: dict[str, Any]) -> None:
         """Copy one record (shape pre-checked via :meth:`accepts`) into its row."""
         row = self._allocate(key)
-        self._slab[row] = value["state"]
+        self._states[row] = value["state"]
         self._timestamps[row] = value["timestamp"]
         if self._scales is not None:
             self._scales[row] = value["scale"]
@@ -210,7 +316,7 @@ class StateArena:
         """
         row = self._rows[key]
         record: dict[str, Any] = {
-            "state": self._slab[row].copy(),
+            "state": self._states[row].copy(),
             "timestamp": int(self._timestamps[row]),
         }
         if self._scales is not None:
@@ -224,7 +330,7 @@ class StateArena:
         """``(float64 states, int64 timestamps)`` for ``rows`` — one
         ``take`` per array (plus the elementwise dequantize, when quantized),
         bit-equal per row to materializing each record and decoding it."""
-        states = self._slab.take(rows, 0).astype(np.float64)
+        states = self._states.take(rows, 0).astype(np.float64)
         if self._scales is not None:
             states *= self._scales.take(rows)[:, None]
         return states, self._timestamps.take(rows)
@@ -237,10 +343,10 @@ class StateArena:
         writes in order, so the last occurrence wins).
         """
         if self._scales is None:
-            self._slab[rows] = states  # float64 → float32, same cast as .astype
+            self._states[rows] = states  # float64 → float32, same cast as .astype
         else:
             encoded, scales = self.encode(states)
-            self._slab[rows] = encoded
+            self._states[rows] = encoded
             self._scales[rows] = scales
         self._timestamps[rows] = timestamps
 

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .arena import ArenaSpec, StateArena
+from .arena import ArenaSpec, StateArena, StateSlab
 from .telemetry import NULL_REGISTRY, MetricsRegistry
 from .tracing import NULL_TRACER, Tracer
 
@@ -114,15 +114,16 @@ class KeyValueStore:
     # ------------------------------------------------------------------
     # Arena hosting
     # ------------------------------------------------------------------
-    def attach_state_arena(self, spec: ArenaSpec) -> StateArena:
+    def attach_state_arena(self, spec: ArenaSpec, slab: StateSlab | None = None) -> StateArena:
         """Host a :class:`StateArena` for records matching ``spec``.
 
         Idempotent for an identical spec (backends attach on construction,
         and several backends may share a store); a contradictory spec is a
-        hard error — one slab cannot hold two record shapes.  Existing
-        per-key records under the prefix are left in place: reads keep
-        finding them, and the next write of each key absorbs it into the
-        slab.
+        hard error — one slab cannot hold two record shapes.  The arena's
+        rows are a region of ``slab`` (a sharded pool passes its shared
+        one), or of a private slab.  Existing per-key records under the
+        prefix are left in place: reads keep finding them, and the next
+        write of each key absorbs it into the slab.
         """
         if self.arena is not None:
             if self.arena.spec != spec:
@@ -131,23 +132,33 @@ class KeyValueStore:
                     f"{self.arena.spec}, cannot attach {spec}"
                 )
             return self.arena
-        self.arena = StateArena(spec)
+        self.arena = StateArena(spec, slab=slab)
         return self.arena
 
     def _materialize(self, value: Any, key: str) -> Any:
         return self.arena.record(key) if value is _IN_ARENA else value
 
-    def _store(self, key: str, value: Any, size: int) -> None:
-        """Shared unmetered write: route record-shaped values into the arena."""
+    def _store(self, key: str, value: Any, size_bytes: int | None) -> int:
+        """Shared unmetered write: route record-shaped values into the arena.
+
+        Returns the size the value is billed at: ``size_bytes``, or the
+        value's estimate when the caller names none — except that a record
+        the slab absorbs (which ``size_bytes`` must then not contradict) is
+        always billed at the spec's ``record_bytes``.
+        """
         arena = self.arena
         if arena is not None:
-            if arena.accepts(key, value):
+            if arena.accepts(key, value, size_bytes):
                 arena.ingest(key, value)
-                value = _IN_ARENA
-            elif self._data.get(key) is _IN_ARENA:
+                self._data[key] = _IN_ARENA
+                size = self._sizes[key] = arena.spec.record_bytes
+                return size
+            if self._data.get(key) is _IN_ARENA:
                 arena.discard(key)
+        size = size_bytes if size_bytes is not None else _estimate_size(value)
         self._data[key] = value
         self._sizes[key] = size
+        return size
 
     # ------------------------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
@@ -165,12 +176,11 @@ class KeyValueStore:
         return default
 
     def put(self, key: str, value: Any, size_bytes: int | None = None) -> None:
-        size = size_bytes if size_bytes is not None else _estimate_size(value)
+        size = self._store(key, value, size_bytes)
         self.stats.puts += 1
         self.stats.bytes_written += size
         if self.tracer.enabled:
             self.tracer.kv_op("put", self.name, 1, size)
-        self._store(key, value, size)
 
     def delete(self, key: str) -> bool:
         self.stats.deletes += 1
@@ -217,10 +227,8 @@ class KeyValueStore:
         count = 0
         bytes_written = 0
         for key, value, size_bytes in items:
-            size = size_bytes if size_bytes is not None else _estimate_size(value)
             count += 1
-            bytes_written += size
-            self._store(key, value, size)
+            bytes_written += self._store(key, value, size_bytes)
         self.stats.puts += count
         self.stats.bytes_written += bytes_written
         if self.tracer.enabled:

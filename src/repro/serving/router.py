@@ -26,10 +26,13 @@ The pool is *elastic*:
   shard that fails is forgotten.  The **in-sync rule**: while no shard is
   failed and the map is empty, reads take the memoised ``node_for``
   dispatch an unreplicated pool uses and writes the cached owner tuple,
-  unfiltered.  Otherwise ``_read_plan`` picks, once per key and for every
-  read entry point, the first live owner not behind to serve and the live
-  owners behind to read-repair, and ``_write_owners`` the live owners for
-  every write entry point.
+  unfiltered.  A state read wave goes further: with an arena attached,
+  every shard's rows are a region of one pool slab, and a wave whose keys
+  the pool's placement map can place is one ``take`` over that slab
+  (:meth:`ShardedKeyValueStore.gather_states`).  Otherwise ``_read_plan``
+  picks, once per key and for every read entry point, the first live owner
+  not behind to serve and the live owners behind to read-repair, and
+  ``_write_owners`` the live owners for every write entry point.
 * **Live resharding** — :meth:`add_shard` / :meth:`remove_shard` /
   :meth:`resize` change membership while serving: only keys whose owner set
   actually changed are copied to their new owners (and dropped from the old
@@ -63,6 +66,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from .arena import StateSlab
 from .checks import is_int
 from .cost import CostParameters, kv_traffic_cost
 from .kvstore import KV_COUNTER_FIELDS, KeyValueStore, KVStats
@@ -127,11 +131,15 @@ class ConsistentHashRing:
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
         self._nodes: set[str] = set()
-        # Route caches: key → owning node / owner group.  Serving traffic is
-        # heavily key-repetitive (one hidden-state record per user), so
-        # memoising the blake2b + ring search turns the per-request routing
-        # cost into a dict hit.  Membership changes invalidate both caches —
-        # resizes are rare, lookups are the hot path.
+        # Route caches: key → ring position / owning node / owner group.
+        # Serving traffic is heavily key-repetitive (one hidden-state record
+        # per user), so memoising the blake2b + ring search turns the
+        # per-request routing cost into a dict hit, and the owner and the
+        # group both start from the one cached position: a key is hashed
+        # once whichever is asked first.  A position is dropped once its
+        # group is cached, as the owner then is too.  Membership changes
+        # invalidate every cache — resizes are rare, lookups are the hot path.
+        self._start_cache: dict[str, int] = {}
         self._route_cache: dict[str, str] = {}
         self._multi_cache: dict[str, tuple[str, ...]] = {}
         for node in nodes or []:
@@ -140,6 +148,11 @@ class ConsistentHashRing:
     def _virtual_points(self, node: str) -> list[int]:
         return [_stable_hash(f"{node}#{replica}") for replica in range(self.replicas)]
 
+    def _forget_routes(self) -> None:
+        self._start_cache.clear()
+        self._route_cache.clear()
+        self._multi_cache.clear()
+
     def add_node(self, node: str) -> None:
         for point in self._virtual_points(node):
             if point in self._owners:
@@ -147,8 +160,7 @@ class ConsistentHashRing:
             bisect.insort(self._points, point)
             self._owners[point] = node
         self._nodes.add(node)
-        self._route_cache.clear()
-        self._multi_cache.clear()
+        self._forget_routes()
 
     def remove_node(self, node: str) -> None:
         points = [p for p in self._virtual_points(node) if self._owners.get(p) == node]
@@ -161,20 +173,23 @@ class ConsistentHashRing:
             del self._points[bisect.bisect_left(self._points, point)]
             del self._owners[point]
         self._nodes.discard(node)
-        self._route_cache.clear()
-        self._multi_cache.clear()
+        self._forget_routes()
+
+    def _start(self, key: str) -> int:
+        """Index of the first ring point clockwise from ``key``'s hash
+        (``len(points)`` wraps to 0), hashed once per key and membership."""
+        start = self._start_cache.get(key)
+        if start is None:
+            if not self._points:
+                raise RuntimeError("the hash ring has no nodes")
+            start = self._start_cache[key] = bisect.bisect_right(self._points, _stable_hash(key))
+        return start
 
     def node_for(self, key: str) -> str:
         owner = self._route_cache.get(key)
-        if owner is not None:
-            return owner
-        if not self._points:
-            raise RuntimeError("the hash ring has no nodes")
-        index = bisect.bisect_right(self._points, _stable_hash(key))
-        if index == len(self._points):
-            index = 0
-        owner = self._owners[self._points[index]]
-        self._route_cache[key] = owner
+        if owner is None:
+            points = self._points
+            owner = self._route_cache[key] = self._owners[points[self._start(key) % len(points)]]
         return owner
 
     def nodes_for(self, key: str, count: int) -> tuple[str, ...]:
@@ -190,11 +205,9 @@ class ConsistentHashRing:
         cached = self._multi_cache.get(key)
         if cached is not None and len(cached) == count:
             return cached
-        if not self._points:
-            raise RuntimeError("the hash ring has no nodes")
+        start = self._start(key)
         if count > len(self):
             raise ValueError(f"cannot pick {count} distinct owners from a {len(self)}-node ring")
-        start = bisect.bisect_right(self._points, _stable_hash(key))
         owners: list[str] = []
         for step in range(len(self._points)):
             node = self._owners[self._points[(start + step) % len(self._points)]]
@@ -204,9 +217,8 @@ class ConsistentHashRing:
                     break
         group = tuple(owners)
         self._multi_cache[key] = group
-        # The group's head is the primary: an in-sync replicated read routes
-        # through node_for, and must not hash the key a second time.
         self._route_cache[key] = group[0]
+        del self._start_cache[key]
         return group
 
     @property
@@ -283,9 +295,15 @@ class ShardedKeyValueStore:
         self.shard_failures = 0
         self.shard_recoveries = 0
         self.membership_changes = 0
-        # Arena spec, when a backend attaches one: new shards created by
-        # add_shard host the same slab layout as the founding pool.
+        # Arena spec and shared slab, when a backend attaches one: every
+        # shard's arena is a region of the slab, in shard order, and shards
+        # created by add_shard host the same layout as the founding pool.
         self._arena_spec = None
+        self._slab: StateSlab | None = None
+        # key → its primary copy's slab place, the local row and the shard
+        # index packed as ``row * n_shards + index`` (the slab's own dict, so
+        # an arena freeing a row clears it); see gather_states.
+        self._placement: dict[str, int] = {}
         for field_name in RING_COUNTER_FIELDS:
             self.metrics.view(
                 f"ring.{name}.{field_name}", "counter", lambda f=field_name: getattr(self, f)
@@ -357,16 +375,21 @@ class ShardedKeyValueStore:
     # ------------------------------------------------------------------
     def attach_state_arena(self, spec) -> None:
         """Host a per-shard :class:`~repro.serving.arena.StateArena` on every
-        shard (current and future — ``add_shard`` attaches the same spec).
+        shard (current and future — ``add_shard`` attaches the same spec),
+        each a region of one shared :class:`~repro.serving.arena.StateSlab`.
         Idempotent for an identical spec, like the per-store attach."""
-        if self._arena_spec is not None and self._arena_spec != spec:
-            raise ValueError(
-                f"pool {self.name!r} already hosts arenas with spec "
-                f"{self._arena_spec}, cannot attach {spec}"
-            )
+        if self._arena_spec is not None:
+            if self._arena_spec != spec:
+                raise ValueError(
+                    f"pool {self.name!r} already hosts arenas with spec "
+                    f"{self._arena_spec}, cannot attach {spec}"
+                )
+            return
         self._arena_spec = spec
+        self._slab = StateSlab(spec)
+        self._placement = self._slab.placement
         for shard in self.shards:
-            shard.attach_state_arena(spec)
+            shard.attach_state_arena(spec, self._slab)
 
     # ------------------------------------------------------------------
     # KeyValueStore-compatible operations
@@ -510,16 +533,32 @@ class ShardedKeyValueStore:
     # Vectorized state waves (requires attached arenas)
     # ------------------------------------------------------------------
     def gather_states(self, keys: list[str]):
-        """Pool-wide vectorized state read: one slab gather per shard.
+        """Pool-wide vectorized state read.
 
         Same contract as :meth:`KeyValueStore.gather_states` —
         ``(float64 states, int64 last-write timestamps, int64 fetched
-        bytes)`` — with replication's source selection and read-repair
-        preserved.  Every key is read from exactly one shard, so each
-        position is written once, straight from that shard's arrays.
+        bytes)`` — metered, traced and read-repaired exactly like one
+        shard ``gather_states`` per serving shard, which is what it does
+        unless the wave can be placed:
+
+        * **In sync** (no failed shard, nobody behind) and every key's
+          primary holds a slab row for it: one placement lookup per key,
+          pool rows computed as local row + region offset, one ``take`` per
+          slab array, and each primary's meters (and, traced, its
+          ``kv_op``, in first-appearance order) from one ``bincount``.  A
+          slab row is always billed at the spec's ``record_bytes``.
+        * **Otherwise** — a degraded pool, a missing key, a record held
+          outside the slab — :meth:`_read_groups` picks every key's
+          serving shard and each shard gathers its own keys: the general
+          reference the placed path is checked against wave by wave
+          (``tests/test_pool_slab.py``).
         """
         if self._arena_spec is None:
             raise RuntimeError(f"pool {self.name!r} has no state arena attached")
+        if not (self._failed or self._behind):
+            placed = self._place(keys)
+            if placed is not None:
+                return self._gather_placed(*placed)
         states = np.empty((len(keys), self._arena_spec.state_size), dtype=np.float64)
         timestamps = np.empty(len(keys), dtype=np.int64)
         fetched = np.empty(len(keys), dtype=np.int64)
@@ -529,6 +568,45 @@ class ShardedKeyValueStore:
                 [keys[p] for p in positions]
             )
         return states, timestamps, fetched
+
+    def _place(self, keys: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(local rows, primary shard indices)`` of an in-sync wave, or
+        ``None`` when some key's primary holds no slab row for it.  A key
+        the map lacks is placed from the ring and its primary's rows."""
+        placement = self._placement
+        placed = list(map(placement.get, keys))
+        n_shards = len(self.shards)
+        if None in placed:
+            for position, place in enumerate(placed):
+                if place is None:
+                    key = keys[position]
+                    index = self.shard_index(key)
+                    row = self.shards[index].arena.rows_of([key])[0]
+                    if row is None:
+                        return None
+                    placed[position] = placement[key] = row * n_shards + index
+        return np.divmod(np.fromiter(placed, np.intp, len(placed)), n_shards)
+
+    def _gather_placed(self, local_rows: np.ndarray, shard_indices: np.ndarray):
+        """The placed wave: one ``take`` per slab array at local row +
+        region offset, and every primary's meters (and ``kv_op``) billed at
+        ``record_bytes`` a row."""
+        slab = self._slab
+        spec = slab.spec
+        states, timestamps = slab.gather(local_rows + slab.offsets.take(shard_indices))
+        counts = np.bincount(shard_indices, minlength=len(self.shards)).tolist()
+        size = spec.record_bytes
+        for shard, count in zip(self.shards, counts):
+            if count:
+                stats = shard.stats
+                stats.gets += count
+                stats.hits += count
+                stats.bytes_read += count * size
+        if self.tracer.enabled:
+            for index in dict.fromkeys(shard_indices.tolist()):
+                shard = self.shards[index]
+                shard.tracer.kv_op("gather_states", shard.name, counts[index], counts[index] * size)
+        return states, timestamps, np.full(len(local_rows), spec.payload_bytes, np.int64)
 
     def scatter_states(self, keys: list[str], states, timestamps) -> None:
         """Pool-wide vectorized state write: one slab scatter per shard,
@@ -640,7 +718,7 @@ class ShardedKeyValueStore:
         before = self._ownership_snapshot()
         shard = KeyValueStore(name, registry=self.metrics)
         if self._arena_spec is not None:
-            shard.attach_state_arena(self._arena_spec)
+            shard.attach_state_arena(self._arena_spec, self._slab)
         if self.tracer.enabled:
             shard.attach_tracer(self.tracer)
         self._next_shard_id += 1
@@ -649,6 +727,7 @@ class ShardedKeyValueStore:
         self._index_by_name[name] = len(self.shards) - 1
         self._ring.add_node(name)
         self._migrate(before)
+        self._placement.clear()
         self.membership_changes += 1
         return name
 
@@ -672,8 +751,11 @@ class ShardedKeyValueStore:
         self._migrate(before)
         shard = self._by_name.pop(name)
         self.shards.remove(shard)
+        if self._slab is not None:
+            self._slab.detach(shard.arena)
         self._failed.discard(name)
         self._index_by_name = {shard.name: index for index, shard in enumerate(self.shards)}
+        self._placement.clear()
         self.membership_changes += 1
 
     def resize(self, n_shards: int) -> None:
@@ -716,6 +798,7 @@ class ShardedKeyValueStore:
         for key in [key for key, behind in self._behind.items() if name in behind]:
             self._caught_up(key, name)
         self._failed.add(name)
+        self._placement.clear()
         self.shard_failures += 1
 
     def recover_shard(self, name: str, *, rehydrate: bool = True) -> None:
@@ -736,6 +819,7 @@ class ShardedKeyValueStore:
         if name not in self._failed:
             raise ValueError(f"shard {name!r} is not failed")
         self._failed.discard(name)
+        self._placement.clear()
         self.shard_recoveries += 1
         owned = [key for key in self._keys if name in self.owner_names(key)]
         for key in owned:
