@@ -355,11 +355,11 @@ def run_batched_serving(
 
     ``engine_config`` (a manifest's ``engine`` block) is a partial
     :class:`~repro.serving.engine.EngineConfig` as a mapping that overrides
-    the pipeline template — quantization, ``extra_lag``, ``state_layout``,
-    tracing — while the fields the sweep loop owns per replay
-    (``ENGINE_OWNED_FIELDS``) are rejected.  A declared
-    ``session_length`` must match the generated dataset's; the config stays
-    the declarative source of truth, contradictions are hard errors.
+    the pipeline template — quantization, ``extra_lag``, tracing — while
+    the fields the sweep loop owns per replay (``ENGINE_OWNED_FIELDS``) are
+    rejected.  A declared ``session_length`` must match the generated
+    dataset's; the config stays the declarative source of truth,
+    contradictions are hard errors.
     """
     params = dict(locals())  # must stay the first statement: exactly the arguments
     del params["engine_config"]

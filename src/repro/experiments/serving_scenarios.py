@@ -54,9 +54,10 @@ from .runner import validate_engine_block
 
 #: EngineConfig fields a ``batched_serving`` engine block must not set:
 #: the first four are derived per replayed pipeline (the batch-size/window
-#: sweep loop); ``defer_updates`` is retired (its one legal value is the
-#: default) and ``history_window`` has no effect on the hidden-state
-#: dataflow — either would pollute provenance if accepted;
+#: sweep loop); ``defer_updates`` and ``state_layout`` are retired (the
+#: first's one legal value is the default, and both of the second's build
+#: the one state arena) and ``history_window`` has no effect on the
+#: hidden-state dataflow — each would record a field that selects nothing;
 #: ``failure_schedule``/``model``/``rollout``/``autoscale`` are derived
 #: internally by the scenarios that exercise them (``shard_failover``,
 #: ``canary_rollout``, ``autoscale``/``scaling_frontier``) — their timings
@@ -68,6 +69,7 @@ ENGINE_OWNED_FIELDS = (
     "coalesce_updates",
     "store_name",
     "defer_updates",
+    "state_layout",
     "history_window",
     "failure_schedule",
     "model",
@@ -280,8 +282,7 @@ def replay_arm(workload: Workload, arm: Arm, requests) -> Run:
     drain_start = time.perf_counter()
     stream.flush()
     drain_seconds = time.perf_counter() - drain_start
-    served += engine.drain_deferred()
-    served += engine.drain_completed()
+    served += engine.drain_deferred() + engine.drain_completed()
     # Session-end updates applied past the warm-up's one per user.
     updates = engine.updates_applied - len(workload.active_users)
     shed = engine.admission.requests_shed if engine.admission is not None else 0

@@ -6,7 +6,7 @@ stay exported for tests, extension backends and introspection.
 """
 
 # --- The facade (start here) -----------------------------------------
-from .engine import BACKEND_KINDS, STATE_LAYOUTS, Backend, EngineConfig, ServingEngine
+from .engine import BACKEND_KINDS, Backend, EngineConfig, ServingEngine
 
 # --- Engine components: queue, backends, request/response records -----
 from .batching import (
@@ -85,7 +85,6 @@ __all__ = [
     "EngineConfig",
     "Backend",
     "BACKEND_KINDS",
-    "STATE_LAYOUTS",
     # engine components
     "MicroBatchQueue",
     "BatchedHiddenStateBackend",

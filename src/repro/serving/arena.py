@@ -1,12 +1,11 @@
 """Contiguous state arenas (structure-of-arrays hidden-state storage).
 
-The per-key record layout stores each user's hidden state as its own dict —
-one Python object, one small ndarray, one dict slot per user.  At wave sizes
-that makes the state load/save path a per-key Python loop even though the
-math downstream is fully vectorized.  :class:`StateArena` is the
-structure-of-arrays alternative: a ``[capacity, state_size]`` region of
-rows plus a key→row index per store, so a wave's state reads become a
-single NumPy fancy-index gather and its writes a single fancy-index scatter.
+Every hidden state the serving path keeps lives here.  A
+:class:`StateArena` is a ``[capacity, state_size]`` region of rows plus a
+key→row index per store, so a wave's state reads are a single NumPy
+fancy-index gather and its writes a single fancy-index scatter — one row
+and a wave of 64 take the same lines — instead of a per-key Python loop
+over one record object per user.
 
 Every arena's rows live in a :class:`StateSlab`: one set of pool arrays
 (states, timestamps and, quantized, scales), laid out as one region per
@@ -22,17 +21,16 @@ other growth only widens the arena's view of its region.
 
 The arena is a *storage layout*, not a new store: it lives inside a
 :class:`~repro.serving.kvstore.KeyValueStore` (attached via
-``attach_state_arena``), which keeps routing every record through its normal
-``get``/``put`` metering and key bookkeeping.  Values that match the arena's
-record shape, billed at the spec's ``record_bytes``, are absorbed into the
-slab; ``get`` materializes them back into the exact per-key record dict the
-entry layout would have stored, so replication fan-out, read-repair, live
-migration and fail/recover in the sharded pool all work unchanged — they
-only ever see record dicts.  Bit-identity between the two layouts (served
-probabilities, stored records, traffic meters) is pinned by
-``tests/test_state_arena.py``.
+``attach_state_arena``, which the hidden-state backend calls on
+construction), and the store keeps metering every access and owning key
+bookkeeping.  The store's per-key ``get``/``put`` still speak state
+*records*: a value that matches the arena's record shape, billed at the
+spec's ``record_bytes``, is absorbed into the slab, and ``get``
+materializes the record dict back, so replication fan-out, read-repair,
+live migration and fail/recover in the sharded pool all work unchanged —
+they only ever copy record dicts.
 
-Record shapes (exactly what ``BatchedHiddenStateBackend._save_state`` emits):
+Record shapes (one row of the slab, as a record dict):
 
 * plain —     ``{"state": float32[state_size], "timestamp": int}``
 * quantized — ``{"state": int8[state_size], "timestamp": int, "scale": float}``
@@ -81,15 +79,13 @@ class ArenaSpec:
     @cached_property
     def payload_bytes(self) -> int:
         """Bytes a prediction fetch reports for one record: the stored state
-        vector plus the 8-byte timestamp (the ``nbytes + 8`` the entry
-        layout's ``_load_state`` computes)."""
+        vector's ``nbytes`` plus the 8-byte timestamp."""
         return self.state_size * self.dtype.itemsize + 8
 
     @cached_property
     def record_bytes(self) -> int:
-        """Stored size of one record: payload plus the quantized layout's
-        8-byte scale (the ``size_bytes`` the entry layout's ``_save_state``
-        meters)."""
+        """Stored size of one record: payload plus the quantized record's
+        8-byte scale (what a state write is billed)."""
         return self.payload_bytes + (8 if self.quantized else 0)
 
 
@@ -268,7 +264,7 @@ class StateArena:
     # Record-shaped ingress/egress (the per-key compatibility surface)
     # ------------------------------------------------------------------
     def accepts(self, key: str, value: Any, size_bytes: int | None = None) -> bool:
-        """Whether ``value`` is exactly an entry-layout state record this
+        """Whether ``value`` is exactly a state record this
         arena can absorb without changing what a later ``get`` returns.
 
         A slab row is always billed at the spec's ``record_bytes`` (a pool
@@ -308,10 +304,10 @@ class StateArena:
             self._scales[row] = value["scale"]
 
     def record(self, key: str) -> dict[str, Any]:
-        """Materialize the entry-layout record dict for ``key``.
+        """Materialize the record dict for ``key``.
 
-        Field for field what the per-key layout stores: a fresh ndarray copy
-        of the stored row in the slab dtype, a Python ``int`` timestamp and
+        Field for field the record shape above: a fresh ndarray copy of the
+        stored row in the slab dtype, a Python ``int`` timestamp and
         (quantized) a Python ``float`` scale.
         """
         row = self._rows[key]
@@ -337,7 +333,9 @@ class StateArena:
 
     def scatter(self, rows: np.ndarray, states: np.ndarray, timestamps: np.ndarray) -> None:
         """Write ``states`` (float64 ``[n, state_size]``) into ``rows`` — one
-        fancy-index scatter, encoding exactly as the per-key save path does.
+        fancy-index scatter, encoding each row as
+        :func:`~repro.serving.quantization.quantize_state` (or a float32
+        cast) would.
 
         Duplicate rows behave like sequential puts (NumPy fancy assignment
         writes in order, so the last occurrence wins).

@@ -22,7 +22,9 @@ Three pieces:
   serving dataflows.  They meter exactly the same per-request KV traffic as
   the single-request path (one state fetch per request for the RNN path, one
   fetch per aggregation group for the traditional path), so the cost
-  accounting is unchanged by batching.
+  accounting is unchanged by batching.  Hidden states live in the store's
+  state arena (:mod:`repro.serving.arena`): a wave's states move in one
+  gather and one scatter.
 * :class:`MicroBatchQueue` — the request queue.  It flushes when
   ``max_batch_size`` requests have coalesced, on demand, or — crucially for
   equivalence — *before the stream clock crosses a pending timer*, because a
@@ -63,7 +65,6 @@ from ..features.pipeline import TabularFeaturizer
 from ..features.sequence import SequenceBuilder
 from ..models.rnn import RNNPrecomputeNetwork
 from .arena import ArenaSpec
-from .quantization import dequantize_state, quantize_state
 from .slo import AdmissionController
 from .stream import StreamEvent, StreamProcessor
 from .telemetry import (
@@ -281,7 +282,7 @@ class SessionStreamMixin:
             # the lane publishes nothing that would make it.
             raise ValueError(f"event at {timestamp} is earlier than the stream clock {stream.clock}")
         fire_at = timestamp + self.session_length + self.extra_lag
-        if self.tracer.enabled:
+        if self.tracer.pending_sessions:
             self.tracer.session_published(user_id, timestamp, fire_at)
         if self._timer_group is not None:
             self._timer_group.set_timer(fire_at, user_id, (user_id, timestamp, context, bool(accessed)))
@@ -344,7 +345,7 @@ class SessionStreamMixin:
         self._m_wave_size.observe(len(delays))
         traced = self.tracer.enabled
         if traced:
-            self.tracer.begin_wave(zip(wave.user_ids, wave.timestamps, fire_ats), clock)
+            self.tracer.begin_wave(wave.user_ids, wave.timestamps, fire_ats, clock)
         self.apply_wave(wave)
         if traced:
             self.tracer.end_wave()
@@ -370,22 +371,13 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
     the per-timer path (``coalesce_updates=False``), which is kept as the
     seed-semantics baseline for the equivalence suites.
 
-    ``state_layout`` selects how state records are stored and moved:
-
-    * ``"entries"`` (default) — one record dict per key, loaded and saved
-      through a per-key loop (the historical layout).
-    * ``"arena"`` — the store hosts a contiguous
-      :class:`~repro.serving.arena.StateArena` slab per shard; a wave's
-      state load is one row lookup per key and one slab read, and its save
-      one fancy-index scatter (:meth:`KeyValueStore.gather_states` /
-      :meth:`~repro.serving.kvstore.KeyValueStore.scatter_states`).  The
-      same lines serve one row and a wave of 64.
-
-    The two layouts are bit-identical in every observable — served
-    probabilities, stored records, traffic meters — pinned by
-    ``tests/test_serving_twins.py`` and ``tests/test_state_arena.py``; the
-    arena only removes Python loop and record-object overhead from the
-    wave hot path.
+    State lives in a contiguous :class:`~repro.serving.arena.StateArena`
+    slab the store hosts (per shard on a pool): construction attaches the
+    backend's :class:`~repro.serving.arena.ArenaSpec`, and every wave —
+    one row or 64 — moves its states with one
+    :meth:`~repro.serving.kvstore.KeyValueStore.gather_states` and one
+    :meth:`~repro.serving.kvstore.KeyValueStore.scatter_states`, metered
+    exactly like one ``get`` and one ``put`` of a state record per key.
     """
 
     STATE_PREFIX = "hidden:"
@@ -401,15 +393,10 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         quantize: bool = False,
         extra_lag: int = 60,
         coalesce_updates: bool = True,
-        state_layout: str = "entries",
         registry: MetricsRegistry | None = None,
         server=None,
         tracer=None,
     ) -> None:
-        if state_layout not in ("entries", "arena"):
-            raise ValueError(
-                f"unknown state_layout {state_layout!r}; expected 'entries' or 'arena'"
-            )
         network.eval()
         self.network = network
         self.builder = builder
@@ -417,21 +404,9 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         self.session_length = session_length
         self.quantize = quantize
         self.extra_lag = extra_lag
-        self.state_layout = state_layout
-        if state_layout == "arena":
-            attach = getattr(store, "attach_state_arena", None)
-            if attach is None:
-                raise ValueError(
-                    f"state_layout='arena' needs a store with attach_state_arena; "
-                    f"{type(store).__name__} has none"
-                )
-            attach(
-                ArenaSpec(
-                    prefix=self.STATE_PREFIX,
-                    state_size=network.state_size,
-                    quantized=quantize,
-                )
-            )
+        store.attach_state_arena(
+            ArenaSpec(prefix=self.STATE_PREFIX, state_size=network.state_size, quantized=quantize)
+        )
         self._init_session_delivery(
             stream, coalesce_updates, registry=registry, server=server, tracer=tracer
         )
@@ -441,7 +416,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         self.updates_applied = 0
 
     # ------------------------------------------------------------------
-    # State records
+    # State waves
     # ------------------------------------------------------------------
     def _state_keys(self, user_ids) -> list[str]:
         """Store keys for a wave's users — built once per wave and shared by
@@ -449,31 +424,6 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         prefix = self.STATE_PREFIX
         return [f"{prefix}{user_id}" for user_id in user_ids]
 
-    def _load_state(self, key: str) -> tuple[np.ndarray, int | None, int]:
-        """Return (state vector, last update timestamp, bytes fetched)."""
-        record = self.store.get(key)
-        if record is None:
-            return np.zeros(self.network.state_size), None, 0
-        stored = record["state"]
-        size = int(stored.nbytes) + 8
-        if self.quantize:
-            stored = dequantize_state(stored, record["scale"])
-        return stored, record["timestamp"], size
-
-    def _save_state(self, key: str, state: np.ndarray, timestamp: int) -> None:
-        if self.quantize:
-            quantized, scale = quantize_state(state)
-            record = {"state": quantized, "timestamp": timestamp, "scale": scale}
-            size = int(quantized.nbytes) + 16
-        else:
-            stored = state.astype(np.float32)
-            record = {"state": stored, "timestamp": timestamp}
-            size = int(stored.nbytes) + 8
-        self.store.put(key, record, size_bytes=size)
-
-    # ------------------------------------------------------------------
-    # Wave state movement (the layout switch lives here)
-    # ------------------------------------------------------------------
     def _fetch_states(
         self, keys: list[str], timestamps: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -481,36 +431,14 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
 
         ``elapsed`` is ``max(timestamp - last update, 0)`` per row (0 for
         users with no stored state) — the gap/delta input both the predict
-        and update paths bucket, and all they do with it.  Under the arena
-        layout the whole wave is one store gather, whose missing rows carry
-        a last update so late that ``max(timestamp, last) - last`` is 0
-        without a mask, and ``elapsed`` stays the exact int64 difference;
-        the entry layout keeps the per-key loop and float64.  The two bucket
-        identically (:func:`log_bucket` rounds the int64 difference to
-        float64 once, as the entry loop does), and the arena gather upcasts
-        the same float32 (or dequantized int8) rows into the same float64
-        positions.
+        and update paths bucket, and all they do with it.  The whole wave is
+        one store gather, whose missing rows carry a last update so late
+        that ``max(timestamp, last) - last`` is 0 without a mask, and
+        ``elapsed`` stays the exact int64 difference (:func:`log_bucket`
+        rounds it to float64 once).
         """
-        if self.state_layout == "arena":
-            states, last_timestamps, fetched = self.store.gather_states(keys)
-            return states, np.maximum(timestamps, last_timestamps) - last_timestamps, fetched.tolist()
-        states = np.empty((len(keys), self.network.state_size))
-        elapsed: list[float] = []
-        fetched: list[int] = []
-        for row, (key, timestamp) in enumerate(zip(keys, timestamps.tolist())):
-            state, last_timestamp, size = self._load_state(key)
-            states[row] = state
-            fetched.append(size)
-            elapsed.append(0.0 if last_timestamp is None else max(float(timestamp - last_timestamp), 0.0))
-        return states, np.asarray(elapsed), fetched
-
-    def _store_states(self, keys: list[str], states: np.ndarray, timestamps: np.ndarray) -> None:
-        """Save one wave of updated states (one scatter under the arena)."""
-        if self.state_layout == "arena":
-            self.store.scatter_states(keys, states, timestamps)
-            return
-        for key, state, timestamp in zip(keys, states, timestamps.tolist()):
-            self._save_state(key, state, timestamp)
+        states, last_timestamps, fetched = self.store.gather_states(keys)
+        return states, np.maximum(timestamps, last_timestamps) - last_timestamps, fetched.tolist()
 
     # ------------------------------------------------------------------
     # Prediction hot path
@@ -611,7 +539,7 @@ class BatchedHiddenStateBackend(SessionStreamMixin):
         delta_buckets = log_bucket(deltas, n_buckets=self.network.config.n_delta_buckets)
         update_inputs = self.network.build_update_inputs(features, accesses, delta_buckets)
         new_states = self.network.update_hidden_batch(states, update_inputs)
-        self._store_states(keys, new_states, timestamps)
+        self.store.scatter_states(keys, new_states, timestamps)
         self.updates_applied += len(keys)
 
     # ------------------------------------------------------------------

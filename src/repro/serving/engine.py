@@ -64,16 +64,9 @@ __all__ = [
     "ServingEngine",
     "check_engine_field",
     "BACKEND_KINDS",
-    "STATE_LAYOUTS",
 ]
 
 BACKEND_KINDS = ("hidden_state", "aggregation")
-
-#: How the hidden-state backend stores per-user state: one record dict per
-#: key (``"entries"``, the historical layout) or a contiguous per-shard
-#: slab with fancy-index wave gather/scatter (``"arena"``).  Bit-identical
-#: by construction; the arena is the fast path.
-STATE_LAYOUTS = ("entries", "arena")
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +112,7 @@ _FIELD_CHECKS = {
     "store_name": _scalar(str),
     "replication": _scalar(int, minimum=1),
     "failure_schedule": _optional(router.check_block),
-    "state_layout": _scalar(str, choices=STATE_LAYOUTS),
+    "state_layout": _scalar(str, choices=("entries", "arena")),
     "model": _optional(rollout.check_block),
     "rollout": _optional(rollout.check_block),
     "autoscale": _optional(autoscale.check_block),
@@ -201,9 +194,12 @@ class EngineConfig:
     backends every session-end update rides the stream and lands at window
     close (the paper's dataflow).  ``defer_updates`` is retired: its one
     legal value is ``True``, kept only because ``perf/perf_workloads.py``'s
-    ``agg_baseline`` config still sets it.  ``quantize`` and
-    ``state_layout`` (``"entries"`` or the bit-identical per-shard
-    ``"arena"`` slab) apply to hidden states only.
+    ``agg_baseline`` config still sets it.  ``quantize`` applies to hidden
+    states only, which always live in the store's state arena.
+    ``state_layout`` is retired too: ``"arena"`` and ``"entries"`` are both
+    accepted and build that one layout, kept only because
+    ``perf/perf_workloads.py`` sets ``"arena"`` and ``perf/perf_oracle.py``
+    overrides it to ``"entries"``.
 
     **Store and faults** (:mod:`~repro.serving.router`): ``store_name``,
     ``n_shards``, ``replication`` (replica-group size; needs ``n_shards``)
@@ -246,7 +242,7 @@ class EngineConfig:
     store_name: str = "engine"
     replication: int = 1
     failure_schedule: tuple[tuple[int, str, int], ...] | None = None
-    state_layout: str = "entries"
+    state_layout: str = "arena"
     model: str | None = None
     rollout: dict[str, Any] | None = None
     autoscale: dict[str, Any] | None = None
@@ -266,14 +262,8 @@ class EngineConfig:
             raise ValueError(f"the {self.backend} backend needs a session_length")
         if not self.defer_updates:
             raise ValueError("defer_updates is retired: every session-end update rides the stream")
-        if self.backend == "aggregation":
-            if self.quantize:
-                raise ValueError("quantization applies to hidden states, not aggregation history")
-            if self.state_layout != "entries":
-                raise ValueError(
-                    "state_layout applies to hidden states (a fixed-width slab row per "
-                    "user); aggregation history records are variable-length"
-                )
+        if self.backend == "aggregation" and self.quantize:
+            raise ValueError("quantization applies to hidden states, not aggregation history")
 
     def to_dict(self) -> dict[str, Any]:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
@@ -357,7 +347,7 @@ def _backend(
             raise ValueError("the hidden_state backend needs network= and builder=")
         return BatchedHiddenStateBackend(
             network, builder, parts.store, parts.stream, config.session_length,
-            quantize=config.quantize, state_layout=config.state_layout, **shared,
+            quantize=config.quantize, **shared,
         )
     if featurizer is None or estimator is None or schema is None:
         raise ValueError("the aggregation backend needs featurizer=, estimator= and schema=")

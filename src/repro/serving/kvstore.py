@@ -7,6 +7,12 @@ not the store's implementation but its *cost profile*: how many reads and
 writes each serving path issues and how many bytes it must keep per user.
 :class:`KeyValueStore` therefore tracks every operation and the size of every
 stored value so the serving cost model can report them.
+
+Hidden states live in the store's attached
+:class:`~repro.serving.arena.StateArena`: a wave reads them with one
+:meth:`KeyValueStore.gather_states` and writes them with one
+:meth:`KeyValueStore.scatter_states`, each metered exactly like one
+``get`` / ``put`` of a state record per key.
 """
 
 from __future__ import annotations
@@ -249,8 +255,7 @@ class KeyValueStore:
         a per-key record (written before the arena attached, or oddly
         shaped) decodes through the record path, so mixed storage stays
         correct.  Fetched bytes are the spec's ``payload_bytes`` for a hit
-        (what the entry layout's load reports) and 0 for a miss, so they
-        double as the presence mask.
+        and 0 for a miss, so they double as the presence mask.
         """
         arena = self.arena
         if arena is None:
@@ -305,9 +310,9 @@ class KeyValueStore:
     def scatter_states(self, keys: list[str], states: np.ndarray, timestamps: np.ndarray) -> None:
         """Vectorized state write: one slab scatter for the whole wave.
 
-        Meters exactly like one :meth:`put` of a fresh record per key (size
-        = the spec's per-record bytes, the same value the per-key save path
-        computes).  Duplicate keys behave like sequential puts (last wins).
+        Meters exactly like one :meth:`put` of a fresh record per key, billed
+        at the spec's ``record_bytes``.  Duplicate keys behave like
+        sequential puts (last wins).
         """
         arena = self.arena
         if arena is None:

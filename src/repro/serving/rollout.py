@@ -48,6 +48,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Mapping
 
+import numpy as np
+
+from .arena import ArenaSpec
 from .batching import (
     BatchedHiddenStateBackend,
     ServingPrediction,
@@ -56,6 +59,8 @@ from .batching import (
     SessionWave,
 )
 from .checks import is_int
+from .kvstore import NEVER_WRITTEN
+from .quantization import dequantize_state, quantize_state
 from .registry import ModelVersion
 from .router import _stable_hash
 from .tracing import NULL_TRACER
@@ -161,6 +166,12 @@ class _ShadowStoreView:
     its own traffic on plain attributes, which the controller registers as
     the ``rollout.<version>.kv_*`` instruments.
 
+    The shadow backend's state waves (:meth:`gather_states` /
+    :meth:`scatter_states`) are one ``get`` / ``put`` of a record dict per
+    key: the namespace holds per-key records outside the pool's state
+    arena, and the view bills one read and one write per key, as the
+    control arm's store does.
+
     Replication still applies underneath: ``put_unmetered`` fans out to every
     live owner and records the key like any write, so shadow state survives
     ``fail_shard``/``recover_shard`` like any control key.
@@ -169,10 +180,15 @@ class _ShadowStoreView:
     def __init__(self, pool, prefix: str) -> None:
         self.pool = pool
         self.prefix = prefix
+        self.spec: ArenaSpec | None = None
         self.gets = 0
         self.puts = 0
         self.bytes_read = 0
         self.bytes_written = 0
+
+    def attach_state_arena(self, spec: ArenaSpec) -> None:
+        """Take the shadow backend's record shape; the pool's arena is left alone."""
+        self.spec = spec
 
     def get(self, key: str, default: Any = None) -> Any:
         full = self.prefix + key
@@ -185,6 +201,35 @@ class _ShadowStoreView:
         self.pool.put_unmetered(self.prefix + key, value, size)
         self.puts += 1
         self.bytes_written += size
+
+    def gather_states(self, keys: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``KeyValueStore.gather_states`` over per-key records: a miss reads
+        a zero state, timestamp ``NEVER_WRITTEN`` and 0 bytes."""
+        spec = self.spec
+        states = np.zeros((len(keys), spec.state_size))
+        timestamps = np.full(len(keys), NEVER_WRITTEN, dtype=np.int64)
+        fetched = np.zeros(len(keys), dtype=np.int64)
+        for row, key in enumerate(keys):
+            record = self.get(key)
+            if record is None:
+                continue
+            stored = record["state"]
+            states[row] = dequantize_state(stored, record["scale"]) if spec.quantized else stored
+            timestamps[row] = record["timestamp"]
+            fetched[row] = spec.payload_bytes
+        return states, timestamps, fetched
+
+    def scatter_states(self, keys: list[str], states: np.ndarray, timestamps: np.ndarray) -> None:
+        """One record per key, encoded as the arena's rows are and billed at
+        the spec's ``record_bytes``."""
+        spec = self.spec
+        for key, state, timestamp in zip(keys, states, timestamps.tolist()):
+            if spec.quantized:
+                quantized, scale = quantize_state(state)
+                record = {"state": quantized, "timestamp": timestamp, "scale": scale}
+            else:
+                record = {"state": state.astype(np.float32), "timestamp": timestamp}
+            self.put(key, record, spec.record_bytes)
 
     def bytes_for_prefix(self, prefix: str) -> int:
         return self.pool.bytes_for_prefix(self.prefix + prefix)
@@ -285,8 +330,6 @@ class RolloutController:
             config.session_length,
             quantize=config.quantize,
             extra_lag=config.extra_lag,
-            coalesce_updates=False,
-            state_layout="entries",
             registry=None,
         )
         control.wave_listeners.append(self._on_control_wave)

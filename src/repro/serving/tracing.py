@@ -27,7 +27,7 @@ hooks are pure observation, so a traced engine is bit-identical
 (predictions, stored state, every meter) to its untraced twin; the
 property suite in ``tests/test_tracing.py`` pins that invariant.
 
-Sampling follows the canary-cohort idiom: a stable BLAKE2b hash of
+Sampling follows the canary-cohort idiom: a stable hash (CRC-32) of
 ``user_id|timestamp`` against ``sample_pct``, so the sampled subset is
 reproducible across runs and processes.  Batch/wave/control spans are
 always recorded while the tracer is enabled — only per-request trees
@@ -45,16 +45,23 @@ Wired through ``EngineConfig.tracing``, which this module owns
 
 from __future__ import annotations
 
-import hashlib
 import struct
+import zlib
 from dataclasses import replace
 from itertools import repeat
-from typing import Any, Iterable, Mapping
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, Sequence
 
 from .checks import is_int
 
 __all__ = ["Span", "Tracer", "TraceAnalyzer", "NULL_TRACER"]
 
+#: The sampling key: ``(user_id, timestamp)`` packed binary (an integer
+#: ``timestamp`` packs as the same double ``float()`` makes).  Its CRC-32
+#: is deterministic across processes and platforms; unlike the shard
+#: ring's and canary cohorts' BLAKE2b it costs a fraction of a BLAKE2b
+#: digest's 0.5 µs, which runs once per request on the serving hot path,
+#: and a sampling cohort needs spread, not collision resistance.
 _pack_request_key = struct.Struct("!qd").pack
 
 
@@ -88,21 +95,6 @@ def install(parts, block: dict[str, int] | None):
     tracer = Tracer(block["sample_pct"])
     parts.store.attach_tracer(tracer)
     return replace(parts, tracer=tracer)
-
-
-#: An empty 8-byte BLAKE2b state, never updated itself: copying it is about a
-#: third cheaper than constructing a hash per request, for the same digest.
-_EMPTY_BLAKE2B = hashlib.blake2b(digest_size=8)
-
-
-def _stable_hash(user_id: int, timestamp: float) -> int:
-    """Deterministic across processes (same BLAKE2b idiom as the shard
-    ring and canary cohorts; packed binary key rather than a formatted
-    string because this runs once per request on the serving hot path).
-    An integer ``timestamp`` packs as the same double ``float()`` makes."""
-    digest = _EMPTY_BLAKE2B.copy()
-    digest.update(_pack_request_key(user_id, timestamp))
-    return int.from_bytes(digest.digest(), "big")
 
 
 class Span:
@@ -165,6 +157,8 @@ _ID, _TRACE, _PARENT, _NAME, _CAT, _START, _END, _KIND, _ATTRS = range(9)
 #: update.apply) are synthesized from the row at export time.
 (_T_USER, _T_START, _T_REF, _T_COMP, _T_KV_LOOKUPS, _T_KV_BYTES,
  _T_FIRE, _T_WAVE_END, _T_WAVE_AT) = range(9)
+#: A ``(prediction, row)`` pair's row: ``None`` for an unsampled request.
+_ROW = itemgetter(1)
 
 
 class Tracer:
@@ -194,8 +188,10 @@ class Tracer:
         self._trees: list[list[Any]] = []
         # request object -> tree row, popped when its batch scores
         self._by_request: dict[int, list[Any]] = {}
-        # (user_id, timestamp) -> tree rows awaiting session publication
-        self._session_fifo: dict[tuple[int, float], list[list[Any]]] = {}
+        # (user_id, timestamp) -> tree rows awaiting session publication;
+        # public because the session hook's call site tests it first, so a
+        # session no sampled request awaits costs no call
+        self.pending_sessions: dict[tuple[int, float], list[list[Any]]] = {}
         # (user_id, timestamp) -> tree rows awaiting wave delivery
         self._wave_fifo: dict[tuple[int, float], list[list[Any]]] = {}
         # batch/wave record KV instants attach to while one is open
@@ -208,67 +204,71 @@ class Tracer:
     # data-plane hooks (MicroBatchQueue / SessionStreamMixin / backends)
     #
     # These run per request, session and batch on the serving hot path: the
-    # sampling test is inlined, and a session, a batch's requests or a
-    # wave's entries are looked up only while some sampled request is
-    # pending there, a batch's with ``map``.
+    # sampling test is inlined; the session hook's call site skips the call
+    # while no sampled request awaits a session (``pending_sessions``); a
+    # batch's requests or a wave's entries are looked up only while some
+    # sampled request is pending there, with ``map`` / ``filter``, and a
+    # batch's rows are stamped once, when it scores.
 
     def request_enqueued(self, request: Any) -> None:
         """A request entered the micro-batch queue (root span start)."""
         user_id = request.user_id
         timestamp = request.timestamp
-        if self.sample_pct < 100 and _stable_hash(user_id, timestamp) % 100 >= self.sample_pct:
+        pct = self.sample_pct
+        if pct < 100 and zlib.crc32(_pack_request_key(user_id, timestamp)) % 100 >= pct:
             return
         start = float(timestamp)
         row = [user_id, start, None, None, None, None, None, None, None]
         self._trees.append(row)
         self._by_request[id(request)] = row
         key = (user_id, start)
-        fifo = self._session_fifo.get(key)
+        fifo = self.pending_sessions.get(key)
         if fifo is None:
-            self._session_fifo[key] = [row]
+            self.pending_sessions[key] = [row]
         else:
             fifo.append(row)
 
-    def begin_predict(self, batch: Iterable[Any], reference: float, completion: float) -> None:
-        """A micro-batch flushed: open the batch span, stamp scoring times."""
-        batch = list(batch)
+    def begin_predict(self, batch: Sequence[Any], reference: float, completion: float) -> None:
+        """A micro-batch flushed: open the batch span (its requests' rows are
+        stamped once, when it scores)."""
         reference = float(reference)
-        completion = float(completion)
         self._n_spans += 1
-        span = [self._n_spans, 0, None, "predict_batch", "batch", reference, completion, "span",
+        span = [self._n_spans, 0, None, "predict_batch", "batch", reference, float(completion), "span",
                 {"batch_size": len(batch), "kv_bytes": 0, "kv_ops": 0}]
         self._records.append(span)
-        by_request = self._by_request
-        if by_request:
-            for row in filter(None, map(by_request.get, map(id, batch))):
-                row[_T_REF] = reference
-                row[_T_COMP] = completion
         self._context = span
         self._context_time = reference
 
     def end_predict(self, batch: Iterable[Any], predictions: Iterable[Any]) -> None:
-        """The batch scored: stamp per-request KV attribution, close the lane."""
+        """The batch scored: stamp its sampled requests' scoring times and KV
+        attribution, close the lane."""
         by_request = self._by_request
         if by_request:
+            span = self._context
+            reference, completion = span[_START], span[_END]
             # Predictions lead the zip, so a short result list pops no
-            # request it has no prediction for.
-            for prediction, row in zip(predictions, map(by_request.pop, map(id, batch), repeat(None))):
-                if row is not None:
-                    row[_T_KV_LOOKUPS] = prediction.kv_lookups
-                    row[_T_KV_BYTES] = prediction.bytes_fetched
+            # request it has no prediction for; only sampled requests' pairs
+            # (a row, not ``None``) leave the filter.
+            rows = map(by_request.pop, map(id, batch), repeat(None))
+            for prediction, row in filter(_ROW, zip(predictions, rows)):
+                row[_T_REF] = reference
+                row[_T_COMP] = completion
+                row[_T_KV_LOOKUPS] = prediction.kv_lookups
+                row[_T_KV_BYTES] = prediction.bytes_fetched
         self._close_context()
 
     def session_published(self, user_id: int, timestamp: float, fire_at: float) -> None:
         """A session window opened with its end-timer scheduled at ``fire_at``."""
-        if not self._session_fifo:
+        if not self.pending_sessions:
             return  # no sampled request awaits its session
-        key = (user_id, float(timestamp))
-        fifo = self._session_fifo.get(key)
+        # An int timestamp finds the row's float key: equal numbers hash equal.
+        key = (user_id, timestamp)
+        fifo = self.pending_sessions.get(key)
         if not fifo:
             return  # shed, deferred-past-window, or unsampled request
         row = fifo.pop(0)
         if not fifo:
-            del self._session_fifo[key]
+            del self.pending_sessions[key]
         row[_T_FIRE] = float(fire_at)
         wave = self._wave_fifo.get(key)
         if wave is None:
@@ -276,25 +276,27 @@ class Tracer:
         else:
             wave.append(row)
 
-    def begin_wave(self, entries: Iterable[tuple[int, float, float]], clock: float) -> None:
-        """A timer wave delivered at ``clock``: entries are (user, ts, fire_at)."""
-        entries = list(entries)
+    def begin_wave(
+        self, user_ids: Sequence[int], timestamps: Sequence[float], fire_ats: Sequence[float], clock: float
+    ) -> None:
+        """A timer wave delivered at ``clock``: entry ``i`` is session
+        ``(user_ids[i], timestamps[i])``, whose timer was due at ``fire_ats[i]``."""
         clock = float(clock)
         wave_start = clock
-        if entries:
-            user_ids, timestamps, fire_ats = zip(*entries)
+        if fire_ats:
             # ``float`` is monotone, so the earliest fire time converts once.
             wave_start = min(clock, float(min(fire_ats)))
         self._n_spans += 1
         span = [self._n_spans, 0, None, "apply_wave", "batch", wave_start, clock, "span",
-                {"wave_size": len(entries), "kv_bytes": 0, "kv_ops": 0}]
+                {"wave_size": len(fire_ats), "kv_bytes": 0, "kv_ops": 0}]
         self._records.append(span)
         wave_fifo = self._wave_fifo
-        if wave_fifo and entries:
+        if wave_fifo:
             # A key is tested just before its entry is handled, so a key met
             # twice in one wave sees the first one's pop (an emptied FIFO is
-            # deleted, so a present key always has a row).
-            for key in filter(wave_fifo.__contains__, zip(user_ids, map(float, timestamps))):
+            # deleted, so a present key always has a row).  Int timestamps
+            # find the rows' float keys.
+            for key in filter(wave_fifo.__contains__, zip(user_ids, timestamps)):
                 fifo = wave_fifo[key]
                 row = fifo.pop(0)
                 if not fifo:
@@ -490,7 +492,7 @@ class _NullTracer(Tracer):
     def request_enqueued(self, request: Any) -> None:
         pass
 
-    def begin_predict(self, batch: Iterable[Any], reference: float, completion: float) -> None:
+    def begin_predict(self, batch: Sequence[Any], reference: float, completion: float) -> None:
         pass
 
     def end_predict(self, batch: Iterable[Any], predictions: Iterable[Any]) -> None:
@@ -499,7 +501,9 @@ class _NullTracer(Tracer):
     def session_published(self, user_id: int, timestamp: float, fire_at: float) -> None:
         pass
 
-    def begin_wave(self, entries: Iterable[tuple[int, float, float]], clock: float) -> None:
+    def begin_wave(
+        self, user_ids: Sequence[int], timestamps: Sequence[float], fire_ats: Sequence[float], clock: float
+    ) -> None:
         pass
 
     def end_wave(self) -> None:

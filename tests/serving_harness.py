@@ -1,5 +1,6 @@
 """The serving suites' one harness: a tiny hidden-state model, the session
-streams they replay, the engine builder and the replay loop.
+streams they replay, the engine builder, the replay loop and the per-key
+state twin the arena is checked against.
 
 ``tests/conftest.py`` exposes the model as the session-scoped
 ``serving_parts`` fixture; everything else is a plain function the suites
@@ -9,14 +10,23 @@ import (``from serving_harness import ...``).  Every stream is a list of
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 
 from repro.data import ContextField, ContextSchema
 from repro.features.sequence import SequenceBuilder
 from repro.models.rnn import RNNNetworkConfig, RNNPrecomputeNetwork
-from repro.serving import EngineConfig, ServingEngine
+from repro.serving import (
+    BatchedHiddenStateBackend,
+    EngineConfig,
+    ServingEngine,
+    dequantize_state,
+    quantize_state,
+)
+from repro.serving import engine as engine_module
 
 BASE_TIME = 1_600_000_000
 SESSION_LENGTH = 600
@@ -75,17 +85,84 @@ def poisson_events(rng, n_events=180, n_users=14, mean_gap=6.0):
     return _sessions(rng, BASE_TIME + np.floor(gaps.cumsum()).astype(np.int64), n_users)
 
 
-def build_engine(parts, **kwargs) -> ServingEngine:
+class PerKeyStates:
+    """The per-key state twin: a store adapter whose state waves load and
+    save one record at a time through the wrapped store's metered ``get`` /
+    ``put``.
+
+    It is the reference the arena is checked against.  ``attach_state_arena``
+    only takes the record shape, so the wrapped store hosts no arena and
+    every state stays a record dict; a wave read decodes each record (a
+    miss is a zero state that no time has passed since) and a wave write
+    encodes each row with :func:`quantize_state` or a float32 cast, billed
+    at the record's ``nbytes`` plus its timestamp and scale.  Everything
+    else is the wrapped store's.
+    """
+
+    #: A miss's last write: ``max(now, never) - never`` is 0 elapsed seconds.
+    NEVER = 2**63 - 1
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self.spec = None
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def attach_state_arena(self, spec) -> None:
+        self.spec = spec
+
+    def gather_states(self, keys):
+        states = np.zeros((len(keys), self.spec.state_size))
+        timestamps = np.full(len(keys), self.NEVER, dtype=np.int64)
+        fetched = np.zeros(len(keys), dtype=np.int64)
+        for row, key in enumerate(keys):
+            record = self.store.get(key)
+            if record is None:
+                continue
+            stored = record["state"]
+            states[row] = dequantize_state(stored, record["scale"]) if self.spec.quantized else stored
+            timestamps[row] = record["timestamp"]
+            fetched[row] = stored.nbytes + 8
+        return states, timestamps, fetched
+
+    def scatter_states(self, keys, states, timestamps) -> None:
+        for key, state, timestamp in zip(keys, states, np.asarray(timestamps).tolist()):
+            if self.spec.quantized:
+                stored, scale = quantize_state(state)
+                record, size = {"state": stored, "timestamp": timestamp, "scale": scale}, stored.nbytes + 16
+            else:
+                stored = state.astype(np.float32)
+                record, size = {"state": stored, "timestamp": timestamp}, stored.nbytes + 8
+            self.store.put(key, record, size_bytes=size)
+
+
+def _per_key_backend(network, builder, store, *args, **kwargs):
+    return BatchedHiddenStateBackend(network, builder, PerKeyStates(store), *args, **kwargs)
+
+
+@contextmanager
+def per_key_states():
+    """Every :meth:`ServingEngine.build` inside runs its hidden-state backend
+    on :class:`PerKeyStates` over the store it built (``engine.store`` stays
+    that store; the rollout shadow arm keeps its own view)."""
+    with mock.patch.object(engine_module, "BatchedHiddenStateBackend", _per_key_backend):
+        yield
+
+
+def build_engine(parts, *, per_key: bool = False, **kwargs) -> ServingEngine:
     """A hidden-state engine over ``parts``: ``EngineConfig`` fields in
     ``kwargs`` go to the config (600-second sessions, store ``"rnn"`` unless
     given), the rest to :meth:`ServingEngine.build` (``server``,
-    ``slo_policy``, ``models``, ...; ``network`` defaults to the parts')."""
+    ``slo_policy``, ``models``, ...; ``network`` defaults to the parts').
+    ``per_key`` builds the per-key state twin (:func:`per_key_states`)."""
     _, builder, network = parts
     config = {key: kwargs.pop(key) for key in list(kwargs) if key in _CONFIG_FIELDS}
     config = {"backend": "hidden_state", "session_length": SESSION_LENGTH, "store_name": "rnn", **config}
     if "models" not in kwargs:
         kwargs.setdefault("network", network)
-    return ServingEngine.build(EngineConfig(**config), builder=builder, **kwargs)
+    with per_key_states() if per_key else nullcontext():
+        return ServingEngine.build(EngineConfig(**config), builder=builder, **kwargs)
 
 
 def replay(engine, events, steps=()):

@@ -1,13 +1,13 @@
-"""Arena growth mid-wave, checked against the entries twin.
+"""Arena growth mid-wave, checked against the per-key state twin.
 
 One session-end wave brings more new users than a slab's default 256 rows,
 so every slab grows inside its scatter's ``assign_rows``.  Predictions then
 read a second wave at batch 1 and at batch 64 that mixes resident rows,
 keys never written and a record written before the arena attached (a
 per-key dict the slab does not hold).  The arena engine must deliver, store
-and meter byte for byte what the ``entries`` engine does
-(:mod:`repro.serving.twins`), plain and quantized, unsharded and on a
-4-shard pool with two replicas.
+and meter byte for byte what the per-key twin does
+(``serving_harness.PerKeyStates``, compared with :mod:`repro.serving.twins`),
+plain and quantized, unsharded and on a 4-shard pool with two replicas.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def growth_then_mixed_events(seed: int = 27):
 
 
 def stray_record(network, quantized: bool, rng):
-    """A well-formed state record and its billed size, as ``_save_state`` writes them."""
+    """A well-formed state record and its billed size, as a state write stores them."""
     if quantized:
         state = rng.integers(-127, 128, size=network.state_size).astype(np.int8)
         return {"state": state, "timestamp": BASE_TIME - 100, "scale": 0.01}, state.nbytes + 16
@@ -103,13 +103,14 @@ def record_gathers(store):
 @pytest.mark.parametrize("batch", [1, 64])
 @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_growth_mid_wave_then_mixed_gathers_match_the_entries_twin(serving_parts, topology, quantized, batch):
+def test_growth_mid_wave_then_mixed_gathers_match_the_per_key_twin(serving_parts, topology, quantized, batch):
     events = growth_then_mixed_events()
     stray_key = f"hidden:{STRAY_USER}"
     observed = {}
-    for layout in ("arena", "entries"):
+    for layout in ("arena", "per_key"):
         engine = build_engine(
-            serving_parts, state_layout=layout, max_batch_size=batch, quantize=quantized, **TOPOLOGIES[topology]
+            serving_parts, per_key=layout == "per_key", max_batch_size=batch, quantize=quantized,
+            **TOPOLOGIES[topology],
         )
         record, size = stray_record(serving_parts[2], quantized, np.random.default_rng(3))
         if layout == "arena":
@@ -133,4 +134,4 @@ def test_growth_mid_wave_then_mixed_gathers_match_the_entries_twin(serving_parts
         assert hits == len(keys) - len(MISSING_USERS)
     else:
         assert keys == [stray_key] and hits == 1
-    assert first_difference(observed["arena"], observed["entries"]) is None
+    assert first_difference(observed["arena"], observed["per_key"]) is None

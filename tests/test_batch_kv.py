@@ -7,6 +7,11 @@ The load-bearing claims:
   values, per-shard contents, every traffic meter and the logical key
   order bit-identical, at r=1 and r=3, through a mid-run resize and
   through a shard failure + lazy recovery.
+* **State waves are the per-key records, batched** — a pool's
+  ``scatter_states``/``gather_states`` against the per-key state twin
+  (``serving_harness.PerKeyStates``) leave the same records, reads and
+  meters, plain and quantized, at r=1 and r=3 through a failure and
+  recovery.
 * **In sync, a replicated pool routes like an unreplicated one** — against
   a twin pinned to the per-key read planner, a seeded program over every
   read/write entry point, ``delete``, shard failures, eager and lazy
@@ -39,6 +44,7 @@ from repro.serving import (
     MetricsRegistry,
     ShardedKeyValueStore,
 )
+from serving_harness import PerKeyStates
 
 KEYS = [f"user:{i}" for i in range(40)]
 POPULATION = KEYS + ["user:missing-a", "user:missing-b"]  # reads also miss
@@ -178,6 +184,41 @@ class TestPoolBatchProperty:
         run_workload(batched, looped, rng, rounds=4, allow_duplicates=False)
         assert batched.repair_puts > 0
         assert fingerprint(batched) == fingerprint(looped)
+
+
+# ----------------------------------------------------------------------
+# State waves vs the per-key state twin: same waves, twin pools
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
+@pytest.mark.parametrize("replication", [1, 3])
+def test_state_waves_match_the_per_key_twin(replication, quantized):
+    """A pool's slab ``scatter_states`` / ``gather_states`` store, read and
+    meter what one ``put`` / ``get`` of a record per key does, through a
+    shard failure and its recovery under replication."""
+    spec = ArenaSpec(prefix="user:", state_size=4, quantized=quantized)
+    arena, looped = twin_pools(replication=replication)
+    twin = PerKeyStates(looped)
+    for pool in (arena, twin):
+        pool.attach_state_arena(spec)
+    victim = arena.shards[1].name
+    faults = {3: "fail_shard", 6: "recover_shard"} if replication > 1 else {}
+    rng = np.random.default_rng(300 + replication)
+    written: set[str] = set()
+    for round_index in range(8):
+        if round_index in faults:
+            for pool in (arena, looped):
+                getattr(pool, faults[round_index])(victim)
+        keys = [KEYS[i] for i in rng.integers(0, len(KEYS), size=int(rng.integers(1, 18)))]
+        written.update(keys)
+        states = rng.standard_normal((len(keys), spec.state_size))
+        states[0] = 0.0  # the all-zero row quantization special-cases
+        for pool in (arena, twin):
+            pool.scatter_states(keys, states, np.full(len(keys), round_index, np.int64))
+        # Stored keys only (an in-sync pool places the wave), then a mix with misses.
+        for read_keys in (sorted(written), [POPULATION[i] for i in rng.integers(0, len(POPULATION), size=12)]):
+            assert plain(list(arena.gather_states(read_keys))) == plain(list(twin.gather_states(read_keys)))
+        assert fingerprint(arena) == fingerprint(looped)
+    assert looped.shards[0].arena is None and len(arena.shards[0].arena)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,10 @@ one place, :mod:`repro.serving.twins`, no hot-path package forks on a
 batch of one row, and no module hides a per-element Python call behind
 ``np.vectorize``.  ``tests/test_kernel_spellings.py`` keeps one reference
 per kernel (it once held three frozen generations of the aggregation
-featurizer, 2 002 lines) under a code-line ceiling."""
+featurizer, 2 002 lines) under a code-line ceiling.  The hidden-state
+backend has one state layout, the arena: no module reads the retired
+``EngineConfig.state_layout`` (``serving/batching.py`` once carried a
+per-key ``entries`` path beside it, and stays under a ceiling)."""
 
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ PACKAGE = TESTS.parent / "src" / "repro"
 #: Directory -> the most code lines one function there may have.
 BUDGETS = {"experiments": 150, "serving": 80}
 #: Module -> the most code lines it may have.
-MODULE_CEILINGS = {"experiments/serving_scenarios.py": 600}
+MODULE_CEILINGS = {"experiments/serving_scenarios.py": 600, "serving/batching.py": 531}
 _NOT_CODE = (
     tokenize.COMMENT,
     tokenize.NL,
@@ -89,6 +92,26 @@ def test_no_module_exceeds_its_code_line_ceiling():
     assert not over, f"modules over their code-line ceiling {MODULE_CEILINGS}: {over}"
 
 
+def test_no_module_reads_the_retired_state_layout():
+    """``EngineConfig.state_layout`` selects nothing: every name of it under
+    ``src/repro`` as an attribute, variable, parameter or keyword is the
+    dataclass field itself (its check, and the manifest fields it is
+    reserved from, name it as a string key)."""
+    uses = sorted(
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "state_layout"
+        in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "arg", None))
+    )
+    (field,) = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "serving" / "engine.py").read_text()))
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "state_layout"
+    ]
+    assert uses == [f"serving/engine.py:{field}"], f"reads of the retired state_layout: {uses}"
+
+
 #: The aggregation featurizer's one reference: a re-spelling extends its
 #: strategies instead of freezing its own parent beside it (ROADMAP item 10).
 KERNEL_REFERENCES = {"ParentAggregator", "ParentFeaturizer"}
@@ -124,7 +147,7 @@ def test_engine_build_defines_no_nested_function():
 SHARED_HARNESS = {
     "serving_parts", "random_session_events", "session_events", "ramped_overload_events",
     "build_engine", "build_layout_engine", "stored_state", "assert_bit_identical",
-    "assert_layouts_identical", "assert_record_equal",
+    "assert_layouts_identical", "assert_record_equal", "PerKeyStates",
 }
 
 

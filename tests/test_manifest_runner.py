@@ -96,13 +96,12 @@ class TestValidation:
             load_manifest(
                 {"experiments": [{"id": "batched_serving", "engine": {"max_batch_size": 8}}]}
             )
-        # defer_updates is retired and history_window has no effect on the
-        # hidden-state dataflow; accepting them would stamp no-op knobs into
-        # provenance.
-        with pytest.raises(ManifestError, match="cannot be set for this experiment"):
-            load_manifest(
-                {"experiments": [{"id": "batched_serving", "engine": {"history_window": 123}}]}
-            )
+        # defer_updates and state_layout are retired and history_window has
+        # no effect on the hidden-state dataflow; accepting them would stamp
+        # no-op knobs into provenance.
+        for block in ({"history_window": 123}, {"state_layout": "arena"}):
+            with pytest.raises(ManifestError, match="cannot be set for this experiment"):
+                load_manifest({"experiments": [{"id": "batched_serving", "engine": block}]})
         # batched_serving only drives the hidden-state dataflow.
         with pytest.raises(ManifestError, match="drives backend kinds"):
             load_manifest(
@@ -321,7 +320,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "engine block: accepted" in out and "batch_sizes" in out
         # What an engine block may actually set: not reserved, not shadowing a parameter.
-        assert "settable fields: backend, quantize, session_length, extra_lag, state_layout, tracing;" in out
+        assert "settable fields: backend, quantize, session_length, extra_lag, tracing;" in out
         assert main(["describe", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 

@@ -29,10 +29,11 @@ import pytest
 
 from repro.data import make_dataset, sessions_in_time_order, user_split
 from repro.models import RNNModel, RNNModelConfig, TaskSpec
-from repro.serving import ModelRegistry, ModelVersion, SessionWave
+from repro.serving import ArenaSpec, ModelRegistry, ModelVersion, SessionWave, ShardedKeyValueStore
 from repro.serving.registry import _weights_digest
+from repro.serving.rollout import _ShadowStoreView
 from repro.serving.twins import first_difference
-from serving_harness import build_engine
+from serving_harness import PerKeyStates, build_engine
 
 
 @pytest.fixture(scope="module")
@@ -382,3 +383,47 @@ class TestShadowNamespaceFailover:
         baseline.close()
         twin.close()
         faulted.close()
+
+
+# ----------------------------------------------------------------------
+# The shadow arm's state waves: per-key records in its namespace.
+# ----------------------------------------------------------------------
+class TestShadowStateWaves:
+    @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_waves_match_the_per_key_twin_off_the_pool_meters(self, replication, quantized):
+        """The shadow view's ``scatter_states`` / ``gather_states`` store the
+        per-key twin's records under ``"candidate:"``, read back its states
+        and bill its traffic on the view's own meters; the pool's client
+        meters and the control arm's state arena see none of it."""
+        spec = ArenaSpec(prefix="hidden:", state_size=5, quantized=quantized)
+        pool, twin_pool = (ShardedKeyValueStore(4, replication=replication) for _ in range(2))
+        pool.attach_state_arena(spec)  # the control arm's arena
+        view, twin = _ShadowStoreView(pool, "candidate:"), PerKeyStates(twin_pool)
+        for store in (view, twin):
+            store.attach_state_arena(spec)
+        client_meters = pool.stats.snapshot()
+        keys = [f"hidden:{i}" for i in range(12)]
+        rng = np.random.default_rng(40 + replication)
+        for round_index in range(6):
+            wave = [keys[i] for i in rng.integers(0, len(keys), size=int(rng.integers(1, 9)))]
+            states = rng.standard_normal((len(wave), spec.state_size))
+            states[0] = 0.0  # the all-zero row quantization special-cases
+            for store in (view, twin):
+                store.scatter_states(wave, states, np.full(len(wave), 1000 + round_index, np.int64))
+            probe = keys + ["hidden:missing"]  # written keys, never-written ones and a miss
+            assert first_difference(
+                {"gather": list(view.gather_states(probe))}, {"gather": list(twin.gather_states(probe))}
+            ) is None
+        assert sorted(pool.keys()) == sorted(f"candidate:{key}" for key in twin_pool.keys())
+        for key in twin_pool.keys():
+            assert first_difference({"record": pool.peek(f"candidate:{key}")}, {"record": twin_pool.peek(key)}) is None
+            assert pool.size_of(f"candidate:{key}") == twin_pool.size_of(key) == spec.record_bytes
+        # The view bills a write once per key; the pool's client meters, once per replica.
+        twin_meters = twin_pool.stats.snapshot()
+        assert (view.gets, view.bytes_read) == (twin_meters["gets"], twin_meters["bytes_read"])
+        assert (view.puts * replication, view.bytes_written * replication) == (
+            twin_meters["puts"], twin_meters["bytes_written"]
+        )
+        assert pool.stats.snapshot() == client_meters
+        assert not any(len(shard.arena) for shard in pool.shards)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.serving import (
 )
 from repro.serving.batching import UPDATE_BLOCK_ROWS
 from repro.serving.twins import first_difference, observe
-from serving_harness import BASE_TIME, build_engine
+from serving_harness import BASE_TIME, build_engine, per_key_states
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -133,17 +134,19 @@ def replay_hidden_reference(rnn, dataset, events):
     return np.asarray(probabilities), store
 
 
-def hidden_engine(rnn, dataset, batch_size, network=None, **config):
-    return ServingEngine.build(
-        EngineConfig(
-            backend="hidden_state",
-            max_batch_size=batch_size,
-            session_length=dataset.session_length,
-            **config,
-        ),
-        network=network if network is not None else rnn.network,
-        builder=rnn.builder,
-    )
+def hidden_engine(rnn, dataset, batch_size, network=None, *, per_key=False, **config):
+    """``per_key`` builds the per-key state twin (``serving_harness.per_key_states``)."""
+    with per_key_states() if per_key else nullcontext():
+        return ServingEngine.build(
+            EngineConfig(
+                backend="hidden_state",
+                max_batch_size=batch_size,
+                session_length=dataset.session_length,
+                **config,
+            ),
+            network=network if network is not None else rnn.network,
+            builder=rnn.builder,
+        )
 
 
 def aggregation_engine(gbdt, dataset, batch_size):
@@ -359,19 +362,9 @@ class TestNothingACallerHoldsIsAliased:
     """
 
     @staticmethod
-    def _backend(trained, state_layout):
+    def _backend(trained, layout):
         dataset, rnn, _, _ = trained
-        engine = ServingEngine.build(
-            EngineConfig(
-                backend="hidden_state",
-                max_batch_size=64,
-                session_length=dataset.session_length,
-                state_layout=state_layout,
-            ),
-            network=rnn.network,
-            builder=rnn.builder,
-        )
-        return engine.backend
+        return hidden_engine(rnn, dataset, 64, per_key=layout == "per_key").backend
 
     @staticmethod
     def _updates(events, offset=0):
@@ -380,10 +373,10 @@ class TestNothingACallerHoldsIsAliased:
             for timestamp, user_id, context, accessed in events
         ]
 
-    @pytest.mark.parametrize("state_layout", ["entries", "arena"])
-    def test_consecutive_predict_batches_are_independent(self, trained, state_layout):
+    @pytest.mark.parametrize("layout", ["per_key", "arena"])
+    def test_consecutive_predict_batches_are_independent(self, trained, layout):
         events = trained[3]
-        backend, twin = self._backend(trained, state_layout), self._backend(trained, state_layout)
+        backend, twin = self._backend(trained, layout), self._backend(trained, layout)
         for each in (backend, twin):
             each.apply_wave(self._updates(events[:24]))
         first_batch = [ServingRequest(u, context, t + 5_000) for t, u, context, _ in events[:8]]
@@ -396,11 +389,11 @@ class TestNothingACallerHoldsIsAliased:
         assert second == twin.predict_batch(second_batch)
         assert backend.predict_batch(first_batch) == kept
 
-    @pytest.mark.parametrize("state_layout", ["entries", "arena"])
-    def test_consecutive_waves_record_independent_results(self, trained, state_layout):
+    @pytest.mark.parametrize("layout", ["per_key", "arena"])
+    def test_consecutive_waves_record_independent_results(self, trained, layout):
         events = trained[3]
         first_wave, second_wave = self._updates(events[:16]), self._updates(events[16:40], offset=7_200)
-        backend, twin = self._backend(trained, state_layout), self._backend(trained, state_layout)
+        backend, twin = self._backend(trained, layout), self._backend(trained, layout)
         observed: list[list[SessionUpdate]] = []
         backend.wave_listeners.append(observed.append)
         backend.apply_wave(first_wave)
@@ -426,15 +419,15 @@ class TestNothingACallerHoldsIsAliased:
             assert backend.store.peek(key)["timestamp"] == twin.store.peek(key)["timestamp"]
 
 
-    @pytest.mark.parametrize("state_layout", ["entries", "arena"])
-    def test_a_wave_a_listener_was_handed_outlives_the_waves_after_it(self, trained, state_layout):
+    @pytest.mark.parametrize("layout", ["per_key", "arena"])
+    def test_a_wave_a_listener_was_handed_outlives_the_waves_after_it(self, trained, layout):
         """Stream-fired waves reach a listener as the columnar wave the
         backend applied — not a copy, no ``SessionUpdate`` per row — and what
         it read then it still reads after later waves (and later
         registrations into the timer heap the columns came from)."""
         dataset, rnn, _, events = trained
         events = events[:200]
-        engine = hidden_engine(rnn, dataset, 64, state_layout=state_layout, coalescing_window=45)
+        engine = hidden_engine(rnn, dataset, 64, per_key=layout == "per_key", coalescing_window=45)
         observed: list[SessionWave] = []
         snapshots: list[list[tuple]] = []
 
@@ -471,9 +464,9 @@ class TestWaveContract:
         dataset, rnn, gbdt, _ = trained
         if kind == "aggregation":
             return [aggregation_engine(gbdt, dataset, 8).backend for _ in range(2)]
-        return [hidden_engine(rnn, dataset, 8, state_layout=kind).backend for _ in range(2)]
+        return [hidden_engine(rnn, dataset, 8, per_key=kind == "per_key").backend for _ in range(2)]
 
-    @pytest.mark.parametrize("kind", ["entries", "arena", "aggregation"])
+    @pytest.mark.parametrize("kind", ["per_key", "arena", "aggregation"])
     def test_an_update_list_and_a_wave_leave_bit_equal_stores(self, trained, kind):
         events = trained[3][:60]  # several sessions per user: same-user sub-waves run too
         assert len({user_id for _, user_id, _, _ in events}) < len(events)
@@ -515,10 +508,10 @@ class TestBlockedWaves:
     """
 
     STORES = {
-        "entries": {},
-        "arena": {"state_layout": "arena"},
-        "quantized": {"state_layout": "arena", "quantize": True},
-        "sharded": {"state_layout": "arena", "n_shards": 4, "replication": 2},
+        "per_key": {"per_key": True},
+        "arena": {},
+        "quantized": {"quantize": True},
+        "sharded": {"n_shards": 4, "replication": 2},
     }
 
     @staticmethod
@@ -577,7 +570,7 @@ class TestBlockedWaves:
         backend.apply_wave(self._wave(n_rows))
         assert steps == [UPDATE_BLOCK_ROWS] + [1] * (n_rows - UPDATE_BLOCK_ROWS)
 
-    @pytest.mark.parametrize("layout", ["entries", "arena"])
+    @pytest.mark.parametrize("layout", ["per_key", "arena"])
     def test_transient_memory_does_not_grow_with_the_wave(self, serving_parts, layout):
         """``tracemalloc`` peak above what ``apply_wave`` leaves behind, for
         a 2-block and an 8-block wave of users already stored.  A lane that
@@ -585,7 +578,7 @@ class TestBlockedWaves:
         row of kernel temporaries at this model's size)."""
 
         def transient(n_rows):
-            backend = build_engine(serving_parts, state_layout=layout).backend
+            backend = build_engine(serving_parts, per_key=layout == "per_key").backend
             backend.apply_wave(self._wave(n_rows))
             wave = self._wave(n_rows, start=BASE_TIME + 10_000)
             tracemalloc.start()

@@ -6,14 +6,16 @@ The load-bearing claims:
   slab materializes back bit-identical (values, dtypes, Python scalar
   types), and the batch encode is row-for-row bit-equal to
   ``quantize_state``.
-* **The hosting store meters the arena like entries** — ``gather_states``
-  / ``scatter_states`` read on the traffic meters exactly like the
-  equivalent per-key ``get``/``put`` loops, including mixed storage
-  (records written before the arena attached stay readable).
-* **The layout switch is bit-invisible end to end** — pinned by the twin
-  matrix (``tests/test_serving_twins.py``): ``state_layout="arena"`` against
-  the ``"entries"`` build at batch 1/7/64 on every topology, and composed
-  with a mid-run resize, a fail/recover schedule and every other feature.
+* **The hosting store meters the arena like per-key records** —
+  ``gather_states`` / ``scatter_states`` read, store and meter exactly
+  like the per-key state twin (``serving_harness.PerKeyStates``, one
+  ``get``/``put`` of a record per key), plain and quantized, including
+  mixed storage (records written before the arena attached stay readable).
+* **The arena is bit-invisible end to end** — pinned by the twin matrix
+  (``tests/test_serving_twins.py``): every engine against its per-key twin
+  at batch 1/7/64 on every topology, and composed with a mid-run resize, a
+  fail/recover schedule and every other feature; every other feature is
+  also pinned on a ``per_key`` topology, off the arena.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from repro.serving import (
     dequantize_state,
     quantize_state,
 )
+from repro.serving.twins import first_difference
+from serving_harness import PerKeyStates, build_engine
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +205,7 @@ class TestStateArena:
 
 
 # ----------------------------------------------------------------------
-# KeyValueStore hosting: metering parity with the entry layout
+# KeyValueStore hosting: parity with the per-key state twin
 # ----------------------------------------------------------------------
 SPEC = ArenaSpec(prefix="hidden:", state_size=6)
 
@@ -253,35 +257,29 @@ class TestStoreHosting:
         store.clear()
         assert len(store.arena) == 0 and store.n_keys == 0
 
-    def test_gather_scatter_meter_exactly_like_the_loops(self):
+    @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "quantized"])
+    def test_gather_scatter_match_the_per_key_twin(self, quantized):
         rng = np.random.default_rng(12)
-        vectorized = KeyValueStore("v")
-        looped = KeyValueStore("l")
-        vectorized.attach_state_arena(SPEC)
+        spec = ArenaSpec(prefix="hidden:", state_size=6, quantized=quantized)
+        arena, twin = KeyValueStore("v"), PerKeyStates(KeyValueStore("l"))
+        for store in (arena, twin):
+            store.attach_state_arena(spec)
         keys = [f"hidden:{i}" for i in range(8)]
         states = rng.normal(size=(8, 6))
+        states[3] = 0.0  # the all-zero row quantization special-cases
         timestamps = np.arange(300, 308, dtype=np.int64)
-        vectorized.scatter_states(keys, states, timestamps)
-        for i, key in enumerate(keys):
-            looped.put(
-                key,
-                {"state": states[i].astype(np.float32), "timestamp": int(timestamps[i])},
-                size_bytes=SPEC.record_bytes,
-            )
+        for store in (arena, twin):
+            store.scatter_states(keys, states, timestamps)
+        assert twin.store.arena is None and len(arena.arena) == len(keys)
         probe = keys + ["hidden:missing", keys[0]]  # hits, a miss, a duplicate
-        gathered, gathered_ts, present = vectorized.gather_states(probe)
-        for position, key in enumerate(probe):
-            record = looped.get(key)
-            if record is None:
-                assert not present[position]
-                np.testing.assert_array_equal(gathered[position], np.zeros(6))
-            else:
-                assert present[position]
-                np.testing.assert_array_equal(
-                    gathered[position], record["state"].astype(np.float64)
-                )
-                assert gathered_ts[position] == record["timestamp"]
-        assert vectorized.stats.snapshot() == looped.stats.snapshot()
+        gathered = arena.gather_states(probe)
+        assert first_difference({"gather": list(gathered)}, {"gather": list(twin.gather_states(probe))}) is None
+        assert gathered[2].tolist() == [spec.payload_bytes] * 8 + [0, spec.payload_bytes]
+        assert sorted(arena.keys()) == sorted(twin.keys())
+        for key in keys:
+            assert first_difference({"record": arena.peek(key)}, {"record": twin.peek(key)}) is None
+            assert arena.size_of(key) == twin.size_of(key) == spec.record_bytes
+        assert arena.stats.snapshot() == twin.stats.snapshot()
 
     def test_pre_attach_records_stay_readable_mixed_with_slab_rows(self):
         rng = np.random.default_rng(13)
@@ -303,12 +301,18 @@ class TestStoreHosting:
 
 
 # ----------------------------------------------------------------------
-# Engine level: the layout switch itself is pinned bit-invisible by the
-# twin matrix (tests/test_serving_twins.py); here, only its validation.
+# Engine level: the arena is pinned bit-invisible against the per-key twin
+# by the twin matrix (tests/test_serving_twins.py); here, the retired
+# state_layout field.
 # ----------------------------------------------------------------------
-class TestLayoutBitIdentity:
+class TestRetiredStateLayout:
     def test_state_layout_validation(self):
         with pytest.raises(ValueError, match="state_layout"):
             EngineConfig(backend="hidden_state", session_length=600, state_layout="slab")
-        with pytest.raises(ValueError, match="hidden states"):
-            EngineConfig(backend="aggregation", session_length=600, state_layout="arena")
+
+    @pytest.mark.parametrize("layout", ["entries", "arena"])
+    def test_both_legal_names_build_the_one_layout(self, serving_parts, layout):
+        engine = build_engine(serving_parts, state_layout=layout)
+        network = serving_parts[2]
+        assert engine.store.arena.spec == ArenaSpec(prefix="hidden:", state_size=network.state_size)
+        engine.close()

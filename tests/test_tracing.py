@@ -115,7 +115,7 @@ class TestSpanTrees:
 
     def test_arena_layout_traces_gather_and_scatter(self, serving_parts):
         events = bursty_events(np.random.default_rng(9500))
-        engine = build_engine(serving_parts, **{**TRACED, "n_shards": 2, "state_layout": "arena"})
+        engine = build_engine(serving_parts, **{**TRACED, "n_shards": 2})
         engine.replay(events)
         names = {span.name for span in engine.tracer.spans()}
         assert "kv.gather_states" in names and "kv.scatter_states" in names
